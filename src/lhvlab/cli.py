@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional, Union
@@ -281,8 +280,7 @@ def _parse_bias(text: str, model: ContextualModel) -> Pmf:
         masses = [as_fraction(p.strip()) for p in parts]
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed probability in --bias {text!r}")
-    contexts = [(a.name, b.name) for a in model.alice for b in model.bob]
-    pmf = Pmf(dict(zip(contexts, masses)))
+    pmf = Pmf(dict(zip(model.contexts(), masses)))
     if not pmf.is_normalized():
         raise UsageError(f"--bias masses sum to {pmf.total()}, not 1")
     return pmf
@@ -455,13 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lhvlab",
         description="Exact verification lab for contextual local hidden-variable Bell models.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker count (reserved; execution is sequential and results never depend on it); "
-        "BELL_THREADS is the environment equivalent",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a model file against every invariant")
@@ -522,27 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args) -> int:
-    value = args.threads
-    if value is None:
-        env = os.environ.get("BELL_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise UsageError(f"BELL_THREADS must be an integer, got {env!r}")
-    if value is None:
-        value = 1
-    if value < 1:
-        raise UsageError(f"thread count must be >= 1, got {value}")
-    return value
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_threads(args)
         payload, status = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

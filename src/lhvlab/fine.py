@@ -231,8 +231,4 @@ def coupling_joint(model: ContextualModel) -> JointDistribution16:
             vals.append(int(v))
         key = (vals[0], vals[1], vals[2], vals[3])
         mass[key] = mass.get(key, Fraction(0)) + p
-    return JointDistribution16(
-        (flat.alice[0].name, flat.alice[1].name),
-        (flat.bob[0].name, flat.bob[1].name),
-        mass,
-    )
+    return JointDistribution16(flat.alice_settings, flat.bob_settings, mass)

@@ -26,6 +26,9 @@ from .model import (
     Label,
     OutcomeTable,
     Pmf,
+    SettingPairs,
+    TwoByTwo,
+    outcome_channel,
 )
 
 
@@ -47,7 +50,7 @@ class FlatSetting:
 
 
 @dataclass(frozen=True)
-class FlatModel:
+class FlatModel(SettingPairs):
     """A single product-space hidden-variable model.
 
     One pmf over tuples serves all four contexts; each setting's outcome
@@ -59,21 +62,6 @@ class FlatModel:
     alice: tuple[FlatSetting, FlatSetting]
     bob: tuple[FlatSetting, FlatSetting]
 
-    def alice_setting(self, name: str) -> FlatSetting:
-        for s in self.alice:
-            if s.name == name:
-                return s
-        raise KeyError(f"unknown Alice setting {name!r}")
-
-    def bob_setting(self, name: str) -> FlatSetting:
-        for s in self.bob:
-            if s.name == name:
-                return s
-        raise KeyError(f"unknown Bob setting {name!r}")
-
-    def contexts(self) -> tuple[Context, ...]:
-        return tuple((a.name, b.name) for a in self.alice for b in self.bob)
-
     def expectation(self, context: Context) -> Fraction:
         a = self.alice_setting(context[0])
         b = self.bob_setting(context[1])
@@ -84,14 +72,14 @@ class FlatModel:
 
     def quad(self) -> CorrelationQuad:
         return CorrelationQuad(
-            (self.alice[0].name, self.alice[1].name),
-            (self.bob[0].name, self.bob[1].name),
+            self.alice_settings,
+            self.bob_settings,
             {ctx: self.expectation(ctx) for ctx in self.contexts()},
         )
 
 
 @dataclass(frozen=True)
-class AveragedModel:
+class AveragedModel(TwoByTwo):
     """A model with the instrument variables integrated out.
 
     ``alice_bar[name]`` maps each first source coordinate to the
@@ -104,9 +92,6 @@ class AveragedModel:
     bob_settings: tuple[str, str]
     alice_bar: Mapping[str, Mapping[Label, Fraction]]
     bob_bar: Mapping[str, Mapping[Label, Fraction]]
-
-    def contexts(self) -> tuple[Context, ...]:
-        return tuple((a, b) for a in self.alice_settings for b in self.bob_settings)
 
     def expectation(self, context: Context) -> Fraction:
         abar = self.alice_bar[context[0]]
@@ -249,32 +234,28 @@ def bell_average(model: ContextualModel) -> AveragedModel:
     """Integrate out the instrument variables, per setting and source coordinate.
 
     The averaged outcome for Alice's setting a at source label l1 is
-    sum over la of A_a(l1, la) p_a(la); likewise for Bob.  The averaged
+    sum over la of A_a(l1, la) p_a(la), the first moment of the setting's
+    outcome channel at l1; likewise for Bob.  The averaged
     model's expectations equal the original's for every context, and
     every averaged value is bounded by 1 in absolute value.  Fractional
     outcome tables are welcome (averaging is linear), so the output
     drops any ternary flag.
     """
 
-    def bars(settings, coord) -> dict[str, dict[Label, Fraction]]:
-        labels = (
-            model.source_first_labels() if coord == 0 else model.source_second_labels()
-        )
+    def bars(side, settings) -> dict[str, dict[Label, Fraction]]:
         out: dict[str, dict[Label, Fraction]] = {}
         for setting in settings:
-            bar = {}
-            for lab in labels:
-                bar[lab] = sum(
-                    (setting.outcomes.value(lab, li) * p for li, p in setting.instrument.support()),
-                    Fraction(0),
-                )
-            out[setting.name] = bar
+            scale, channel = outcome_channel(model, side, setting)
+            out[setting.name] = {
+                lab: sum((v * c for v, c in dist.items()), Fraction(0)) / scale
+                for lab, dist in channel.items()
+            }
         return out
 
     return AveragedModel(
         source=model.source,
-        alice_settings=(model.alice[0].name, model.alice[1].name),
-        bob_settings=(model.bob[0].name, model.bob[1].name),
-        alice_bar=bars(model.alice, 0),
-        bob_bar=bars(model.bob, 1),
+        alice_settings=model.alice_settings,
+        bob_settings=model.bob_settings,
+        alice_bar=bars("alice", model.alice),
+        bob_bar=bars("bob", model.bob),
     )

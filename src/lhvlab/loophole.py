@@ -26,6 +26,7 @@ from .model import (
     Setting,
     behavior_from_model,
     correlation_quad,
+    side_distribution,
 )
 
 DETECTION_THRESHOLD = Fraction(2, 3)
@@ -108,18 +109,15 @@ class DetectionReport:
 def detection_rates(model: ContextualModel) -> DetectionReport:
     """Exact probability that each side's outcome is nonzero, per setting."""
 
-    def side_rates(settings, coord) -> dict[str, Fraction]:
-        rates = {}
-        for setting in settings:
-            total = Fraction(0)
-            for pair, p_src in model.source.support():
-                for atom, p_i in setting.instrument.support():
-                    if setting.outcomes.value(pair[coord], atom) != 0:
-                        total += p_src * p_i
-            rates[setting.name] = total
-        return rates
+    def side_rates(side, settings) -> dict[str, Fraction]:
+        return {
+            s.name: sum(
+                (p for v, p in side_distribution(model, side, s).items() if v != 0), Fraction(0)
+            )
+            for s in settings
+        }
 
-    return DetectionReport(side_rates(model.alice, 0), side_rates(model.bob, 1))
+    return DetectionReport(side_rates("alice", model.alice), side_rates("bob", model.bob))
 
 
 @dataclass

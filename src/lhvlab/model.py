@@ -6,6 +6,16 @@ its own instrument distribution and outcome table.  All probability masses
 are `fractions.Fraction`, so expectation values and distribution identities
 can be checked with exact equality rather than tolerances.
 
+Exact numbers are projections of one product measure, source x
+instrument_a x instrument_b, computed by one integer kernel:
+:func:`outcome_channel` (instrument integrated out per source label) and
+:func:`context_distributions` (each context's joint value pmf).
+:func:`correlation_quad` and :func:`behavior_from_model` project the
+latter; :func:`side_distribution`, :func:`exact_side_expectation`,
+``loophole.detection_rates`` and ``flatten.bell_average`` the channels.
+:func:`exact_expectation` sums term by term as the reference oracle;
+nothing in the package calls it.
+
 Floats never enter this module; stochastic estimation lives in
 :mod:`lhvlab.montecarlo`.
 """
@@ -13,6 +23,7 @@ Floats never enter this module; stochastic estimation lives in
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
@@ -159,6 +170,41 @@ class OutcomeTable:
         return f"OutcomeTable({self.entries!r}, ternary={self.ternary})"
 
 
+class TwoByTwo:
+    """Two named settings per side; a context is one (alice, bob) name pair."""
+
+    alice_settings: tuple[str, ...]
+    bob_settings: tuple[str, ...]
+
+    def contexts(self) -> tuple[Context, ...]:
+        """The four joint setting choices, Alice-major order."""
+        return tuple((a, b) for a in self.alice_settings for b in self.bob_settings)
+
+
+class SettingPairs(TwoByTwo):
+    """A two-by-two model whose ``alice``/``bob`` tuples hold named setting objects."""
+
+    @property
+    def alice_settings(self) -> tuple[str, ...]:
+        return tuple(s.name for s in self.alice)
+
+    @property
+    def bob_settings(self) -> tuple[str, ...]:
+        return tuple(s.name for s in self.bob)
+
+    def alice_setting(self, name: str):
+        for s in self.alice:
+            if s.name == name:
+                return s
+        raise KeyError(f"unknown Alice setting {name!r}")
+
+    def bob_setting(self, name: str):
+        for s in self.bob:
+            if s.name == name:
+                return s
+        raise KeyError(f"unknown Bob setting {name!r}")
+
+
 @dataclass(frozen=True)
 class Setting:
     """One measurement setting: a name, an instrument pmf, an outcome table."""
@@ -169,7 +215,7 @@ class Setting:
 
 
 @dataclass(frozen=True)
-class ContextualModel:
+class ContextualModel(SettingPairs):
     """A local model with per-setting instrument hidden variables.
 
     ``source`` is a pmf over pairs (lambda1, lambda2) shared by all four
@@ -182,42 +228,18 @@ class ContextualModel:
     alice: tuple[Setting, Setting]
     bob: tuple[Setting, Setting]
 
-    def alice_setting(self, name: str) -> Setting:
-        for s in self.alice:
-            if s.name == name:
-                return s
-        raise KeyError(f"unknown Alice setting {name!r}")
-
-    def bob_setting(self, name: str) -> Setting:
-        for s in self.bob:
-            if s.name == name:
-                return s
-        raise KeyError(f"unknown Bob setting {name!r}")
-
-    def contexts(self) -> tuple[Context, Context, Context, Context]:
-        """The four joint setting choices, Alice-major order."""
-        return tuple(
-            (a.name, b.name) for a in self.alice for b in self.bob
-        )  # type: ignore[return-value]
-
     def source_first_labels(self) -> tuple[Label, ...]:
-        seen: dict[Label, None] = {}
-        for pair in self.source.labels():
-            seen.setdefault(pair[0])
-        return tuple(seen)
+        return tuple(dict.fromkeys(pair[0] for pair in self.source.labels()))
 
     def source_second_labels(self) -> tuple[Label, ...]:
-        seen: dict[Label, None] = {}
-        for pair in self.source.labels():
-            seen.setdefault(pair[1])
-        return tuple(seen)
+        return tuple(dict.fromkeys(pair[1] for pair in self.source.labels()))
 
     def is_ternary(self) -> bool:
         return any(s.outcomes.ternary for s in self.alice + self.bob)
 
 
 @dataclass(frozen=True)
-class CorrelationQuad:
+class CorrelationQuad(TwoByTwo):
     """The four context expectations E(A_a B_b).
 
     Values are exact Fractions for rational models, floats where the
@@ -233,19 +255,14 @@ class CorrelationQuad:
 
     def ordered(self) -> tuple:
         """Values in Alice-major context order (xy, xy', x'y, x'y')."""
-        return tuple(
-            self.values[(a, b)] for a in self.alice_settings for b in self.bob_settings
-        )
-
-    def contexts(self) -> tuple[Context, ...]:
-        return tuple((a, b) for a in self.alice_settings for b in self.bob_settings)
+        return tuple(self.values[ctx] for ctx in self.contexts())
 
     def in_range(self) -> bool:
         return all(-1 <= v <= 1 for v in self.values.values())
 
 
 @dataclass(frozen=True)
-class BehaviorTable:
+class BehaviorTable(TwoByTwo):
     """The experimentally accessible object: P(x, y | a, b) per context.
 
     ``outcomes`` is the shared outcome alphabet, (-1, 1) or (-1, 0, 1).
@@ -260,9 +277,6 @@ class BehaviorTable:
     @property
     def ternary(self) -> bool:
         return 0 in self.outcomes
-
-    def contexts(self) -> tuple[Context, ...]:
-        return tuple((a, b) for a in self.alice_settings for b in self.bob_settings)
 
     def prob(self, context: Context, x: int, y: int) -> Fraction:
         return self.probs[context].get((x, y), Fraction(0))
@@ -303,7 +317,7 @@ class BehaviorTable:
 
 
 @dataclass(frozen=True)
-class NonlocalPairModel:
+class NonlocalPairModel(TwoByTwo):
     """A pair-hidden-variable model whose joint pmf may depend on both settings.
 
     For each context (i, j) there is a pmf over pairs (lambda_i, lambda_j)
@@ -318,9 +332,6 @@ class NonlocalPairModel:
     joints: Mapping[Context, Pmf]
     alice_outcomes: Mapping[str, Mapping[Label, Fraction]]
     bob_outcomes: Mapping[str, Mapping[Label, Fraction]]
-
-    def contexts(self) -> tuple[Context, ...]:
-        return tuple((a, b) for a in self.alice_settings for b in self.bob_settings)
 
 
 @dataclass
@@ -418,31 +429,96 @@ def exact_expectation(model: ContextualModel, context: Context) -> Fraction:
     return total
 
 
+def _integer_weights(pmf: Pmf) -> tuple[int, list[tuple[Label, int]]]:
+    """The support of a pmf as integer weights over the lcm of its denominators."""
+    atoms = list(pmf.support())
+    scale = math.lcm(*(m.denominator for _lab, m in atoms))
+    return scale, [(lab, m.numerator * (scale // m.denominator)) for lab, m in atoms]
+
+
+def _coord(side: str) -> int:
+    if side not in ("alice", "bob"):
+        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
+    return 0 if side == "alice" else 1
+
+
+def outcome_channel(model: ContextualModel, side: str, setting: Setting) -> tuple[int, dict]:
+    """One setting's outcome-value law per source label, instrument integrated out.
+
+    Returns ``(scale, channel)``: ``channel[l][v]`` is the instrument
+    weight of outcome value v at that side's source label l, as an
+    integer over ``scale`` (the lcm of the instrument's mass
+    denominators).  Every label of the side's source coordinate is
+    present; values appear in first-appearance order over
+    ``instrument.support()``.
+    """
+    labels = model.source_first_labels() if _coord(side) == 0 else model.source_second_labels()
+    scale, weights = _integer_weights(setting.instrument)
+    value = setting.outcomes.value
+    channel: dict[Label, dict[Fraction, int]] = {}
+    for lab in labels:
+        dist: dict[Fraction, int] = {}
+        for atom, w in weights:
+            v = value(lab, atom)
+            dist[v] = dist.get(v, 0) + w
+        channel[lab] = dist
+    return scale, channel
+
+
+def context_distributions(model: ContextualModel) -> dict[Context, dict[tuple, Fraction]]:
+    """Each context's joint pmf of the outcome values (A_a, B_b).
+
+    Sums source weight x Alice channel x Bob channel in integers over one
+    common denominator and builds one Fraction per cell at the end.  Cells
+    appear in first-appearance order over the source support, then the
+    two channels.
+    """
+    src_scale, src = _integer_weights(model.source)
+    alice = {s.name: outcome_channel(model, "alice", s) for s in model.alice}
+    bob = {s.name: outcome_channel(model, "bob", s) for s in model.bob}
+    out = {}
+    for ctx in model.contexts():
+        a_scale, chan_a = alice[ctx[0]]
+        b_scale, chan_b = bob[ctx[1]]
+        counts: dict[tuple[Fraction, Fraction], int] = {}
+        for (l1, l2), w in src:
+            row = chan_b[l2].items()
+            for x, cx in chan_a[l1].items():
+                wx = w * cx
+                for y, cy in row:
+                    key = (x, y)
+                    counts[key] = counts.get(key, 0) + wx * cy
+        scale = src_scale * a_scale * b_scale
+        out[ctx] = {key: Fraction(c, scale) for key, c in counts.items()}
+    return out
+
+
+def side_distribution(model: ContextualModel, side: str, setting: Setting) -> dict[Fraction, Fraction]:
+    """The pmf of one setting's outcome value, source and instrument integrated out."""
+    coord = _coord(side)
+    src_scale, src = _integer_weights(model.source)
+    scale, channel = outcome_channel(model, side, setting)
+    counts: dict[Fraction, int] = {}
+    for pair, w in src:
+        for v, c in channel[pair[coord]].items():
+            counts[v] = counts.get(v, 0) + w * c
+    return {v: Fraction(c, src_scale * scale) for v, c in counts.items()}
+
+
 def exact_side_expectation(model: ContextualModel, side: str, setting_name: str) -> Fraction:
     """E(A_a) or E(B_b): the single-outcome expectation for one setting."""
-    if side == "alice":
-        setting = model.alice_setting(setting_name)
-        coord = 0
-    elif side == "bob":
-        setting = model.bob_setting(setting_name)
-        coord = 1
-    else:
-        raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
-    total = Fraction(0)
-    for pair, p_src in model.source.support():
-        for lam, p_i in setting.instrument.support():
-            total += setting.outcomes.value(pair[coord], lam) * p_i * p_src
-    return total
+    lookup = model.alice_setting if _coord(side) == 0 else model.bob_setting
+    law = side_distribution(model, side, lookup(setting_name))
+    return sum((v * p for v, p in law.items()), Fraction(0))
 
 
 def correlation_quad(model: ContextualModel) -> CorrelationQuad:
-    """All four context expectations of a model."""
-    values = {ctx: exact_expectation(model, ctx) for ctx in model.contexts()}
-    return CorrelationQuad(
-        (model.alice[0].name, model.alice[1].name),
-        (model.bob[0].name, model.bob[1].name),
-        values,
-    )
+    """All four context expectations: the first moment of each context's joint pmf."""
+    values = {
+        ctx: sum((x * y * p for (x, y), p in cells.items()), Fraction(0))
+        for ctx, cells in context_distributions(model).items()
+    }
+    return CorrelationQuad(model.alice_settings, model.bob_settings, values)
 
 
 def counterexample_model() -> ContextualModel:
@@ -488,27 +564,12 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
                     f"{side_name} setting {setting.name!r} has fractional outcomes; "
                     "behavior tables need point outcomes"
                 )
-    ternary = model.is_ternary()
-    outcomes = (-1, 0, 1) if ternary else (-1, 1)
-    probs: dict[Context, dict[tuple[int, int], Fraction]] = {}
-    for ctx in model.contexts():
-        a = model.alice_setting(ctx[0])
-        b = model.bob_setting(ctx[1])
-        cells: dict[tuple[int, int], Fraction] = {}
-        for (l1, l2), p_src in model.source.support():
-            for la, p_a in a.instrument.support():
-                x = int(a.outcomes.value(l1, la))
-                for lb, p_b in b.instrument.support():
-                    y = int(b.outcomes.value(l2, lb))
-                    key = (x, y)
-                    cells[key] = cells.get(key, Fraction(0)) + p_src * p_a * p_b
-        probs[ctx] = cells
-    return BehaviorTable(
-        (model.alice[0].name, model.alice[1].name),
-        (model.bob[0].name, model.bob[1].name),
-        outcomes,
-        probs,
-    )
+    outcomes = (-1, 0, 1) if model.is_ternary() else (-1, 1)
+    probs = {
+        ctx: {(int(x), int(y)): p for (x, y), p in cells.items()}
+        for ctx, cells in context_distributions(model).items()
+    }
+    return BehaviorTable(model.alice_settings, model.bob_settings, outcomes, probs)
 
 
 @dataclass

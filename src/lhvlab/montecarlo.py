@@ -28,6 +28,7 @@ from .model import (
     ContextualModel,
     CorrelationQuad,
     Pmf,
+    TwoByTwo,
     correlation_quad,
     validate_model,
 )
@@ -117,7 +118,7 @@ class Spreadsheet:
             )
 
 
-class DagModel:
+class DagModel(TwoByTwo):
     """A contextual model compiled for trial-by-trial causal sampling.
 
     The hidden bundle per trial is (source pair, one quantile uniform and
@@ -131,8 +132,8 @@ class DagModel:
 
     def __init__(self, model: ContextualModel, setting_pmf: Pmf):
         self.model = model
-        self.alice_settings = (model.alice[0].name, model.alice[1].name)
-        self.bob_settings = (model.bob[0].name, model.bob[1].name)
+        self.alice_settings = model.alice_settings
+        self.bob_settings = model.bob_settings
         self.setting_pmf = setting_pmf
         self.exact_quad: CorrelationQuad = correlation_quad(model)
 
@@ -165,9 +166,6 @@ class DagModel:
 
         self._alice_breaks, self._alice_thresh = compile_side(model.alice, 0)
         self._bob_breaks, self._bob_thresh = compile_side(model.bob, 1)
-
-    def contexts(self) -> tuple[Context, ...]:
-        return tuple((a, b) for a in self.alice_settings for b in self.bob_settings)
 
     def _draw_hidden(self, n: int, seed: int):
         u_src = _stream(seed, TAG_SOURCE).random(n)
@@ -205,7 +203,7 @@ def from_contextual(model: ContextualModel, setting_bias: Optional[Pmf] = None) 
     if point_ternary and has_zero:
         model = zero_to_coin(model)
 
-    contexts = tuple((a.name, b.name) for a in model.alice for b in model.bob)
+    contexts = model.contexts()
     if setting_bias is None:
         setting_bias = Pmf.uniform(list(contexts))
     else:
@@ -284,6 +282,21 @@ def _simulate_outcomes(dag, a_idx, b_idx, n, seed, keep_hidden) -> Spreadsheet:
     )
 
 
+def _records_sheet(records: Iterable[TrialRecord]) -> Spreadsheet:
+    """Column-wise form of trial records; setting names sorted, padded with "" to two."""
+    records = list(records)
+    a_names = tuple((sorted({r.a for r in records}) + ["", ""])[:2])
+    b_names = tuple((sorted({r.b for r in records}) + ["", ""])[:2])
+    return Spreadsheet(
+        a_names,
+        b_names,
+        np.array([a_names.index(r.a) for r in records], dtype=np.int8),
+        np.array([b_names.index(r.b) for r in records], dtype=np.int8),
+        np.array([r.x for r in records], dtype=np.int8),
+        np.array([r.y for r in records], dtype=np.int8),
+    )
+
+
 @dataclass
 class CorrelationEstimate:
     estimate: float
@@ -302,21 +315,7 @@ def estimate_correlations(
     single trial gives no spread estimate).
     """
     if not isinstance(data, Spreadsheet):
-        records = list(data)
-        if not records:
-            return {}
-        a_names = sorted({r.a for r in records})
-        b_names = sorted({r.b for r in records})
-        a_names = tuple(a_names + [""] * (2 - len(a_names)))[:2]
-        b_names = tuple(b_names + [""] * (2 - len(b_names)))[:2]
-        data = Spreadsheet(
-            a_names,
-            b_names,
-            np.array([a_names.index(r.a) for r in records], dtype=np.int8),
-            np.array([b_names.index(r.b) for r in records], dtype=np.int8),
-            np.array([r.x for r in records], dtype=np.int8),
-            np.array([r.y for r in records], dtype=np.int8),
-        )
+        data = _records_sheet(data)
     out: dict[Context, CorrelationEstimate] = {}
     prod = (data.x.astype(np.float64)) * (data.y.astype(np.float64))
     for i, a in enumerate(data.alice_settings):
@@ -430,20 +429,7 @@ def independence_diagnostic(
     the trial count.
     """
     if not isinstance(data, Spreadsheet):
-        records = list(data)
-        if not records:
-            return IndependenceReport(empty=True)
-        est_input = records
-        a_names = tuple(sorted({r.a for r in records}))
-        b_names = tuple(sorted({r.b for r in records}))
-        data = Spreadsheet(
-            a_names,
-            b_names,
-            np.array([a_names.index(r.a) for r in records], dtype=np.int8),
-            np.array([b_names.index(r.b) for r in records], dtype=np.int8),
-            np.array([r.x for r in records], dtype=np.int8),
-            np.array([r.y for r in records], dtype=np.int8),
-        )
+        data = _records_sheet(data)
     if len(data) == 0:
         return IndependenceReport(empty=True)
     if hidden_trace is None:

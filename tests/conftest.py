@@ -1,4 +1,8 @@
-"""Shared helpers: an independent brute-force expectation oracle and corpus iteration."""
+"""Shared helpers: independent term-by-term oracles and corpus iteration.
+
+Every oracle here walks ``support()`` atom by atom in Fractions, so it
+shares no code path with the integer kernel in :mod:`lhvlab.model`.
+"""
 
 from __future__ import annotations
 
@@ -44,11 +48,69 @@ def brute_expectation(model: ContextualModel, context) -> Fraction:
 
 def brute_quad(model: ContextualModel) -> CorrelationQuad:
     values = {ctx: brute_expectation(model, ctx) for ctx in model.contexts()}
-    return CorrelationQuad(
-        (model.alice[0].name, model.alice[1].name),
-        (model.bob[0].name, model.bob[1].name),
-        values,
+    return CorrelationQuad(model.alice_settings, model.bob_settings, values)
+
+
+def brute_behavior(model: ContextualModel) -> dict:
+    """Reference P(x, y | a, b): cells in first-appearance order over the supports."""
+    probs = {}
+    for ctx in model.contexts():
+        a = model.alice_setting(ctx[0])
+        b = model.bob_setting(ctx[1])
+        cells: dict = {}
+        for (l1, l2), p_src in model.source.support():
+            for la, p_a in a.instrument.support():
+                x = int(a.outcomes.value(l1, la))
+                for lb, p_b in b.instrument.support():
+                    key = (x, int(b.outcomes.value(l2, lb)))
+                    cells[key] = cells.get(key, Fraction(0)) + p_src * p_a * p_b
+        probs[ctx] = cells
+    return probs
+
+
+def _side_terms(model: ContextualModel, side: str, setting):
+    """(outcome value, mass) for every source atom x instrument atom of one setting."""
+    coord = 0 if side == "alice" else 1
+    for pair, p_src in model.source.support():
+        for lam, p_i in setting.instrument.support():
+            yield setting.outcomes.value(pair[coord], lam), p_src * p_i
+
+
+def brute_side_expectation(model: ContextualModel, side: str, setting) -> Fraction:
+    return sum((v * p for v, p in _side_terms(model, side, setting)), Fraction(0))
+
+
+def brute_detection_rates(model: ContextualModel) -> tuple[dict, dict]:
+    """Per side, per setting name: the probability of a nonzero outcome."""
+    return tuple(
+        {
+            s.name: sum((p for v, p in _side_terms(model, side, s) if v != 0), Fraction(0))
+            for s in settings
+        }
+        for side, settings in (("alice", model.alice), ("bob", model.bob))
     )
+
+
+def brute_bars(model: ContextualModel) -> tuple[dict, dict]:
+    """Per side, per setting name, per source label: the instrument-averaged outcome."""
+    out = []
+    for settings, labels in (
+        (model.alice, model.source_first_labels()),
+        (model.bob, model.source_second_labels()),
+    ):
+        out.append(
+            {
+                s.name: {
+                    lab: sum(
+                        (s.outcomes.value(lab, li) * p for li, p in s.instrument.support()),
+                        Fraction(0),
+                    )
+                    for lab in labels
+                }
+                for s in settings
+            }
+        )
+    return tuple(out)
 
 
 def corpus_models(n: int, seed: int = 2024, **kwargs):

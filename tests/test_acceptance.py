@@ -21,6 +21,7 @@ from lhvlab import (
     bell_average,
     chsh_values,
     correlation_quad,
+    exact_expectation,
     fine_criterion,
     find_joint,
     from_contextual,
@@ -104,7 +105,8 @@ def test_criterion_3_flatten_averaging_equivalence():
     with criterion(3, f"{CORPUS_SIZE} random models: all three constructions match exactly, < 60 s"):
         start = time.perf_counter()
         for model in corpus_models(CORPUS_SIZE, seed=CORPUS_SEED):
-            expected = correlation_quad(model).values
+            expected = {ctx: exact_expectation(model, ctx) for ctx in model.contexts()}
+            assert correlation_quad(model).values == expected
             assert product_flatten(model).quad().values == expected
             assert uniform_reduce(model).quad().values == expected
             averaged = bell_average(model)

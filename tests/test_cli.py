@@ -307,16 +307,6 @@ class TestPlumbing:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_bell_threads_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("BELL_THREADS", "zero")
-        status, _out, err = run_cli(capsys, "chsh", "0", "0", "0", "0")
-        assert status == 2
-        assert "BELL_THREADS" in err
-
-    def test_threads_flag_accepted(self, capsys):
-        payload = run_json(capsys, "--threads", "2", "chsh", "0", "0", "0", "0", schema="chsh")
-        assert payload["satisfied"] is True
-
     def test_entry_point_runs_as_module(self):
         result = subprocess.run(
             [sys.executable, "-m", "lhvlab.cli", "chsh", "1", "0", "0", "-1"],

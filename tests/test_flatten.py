@@ -4,15 +4,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corpus_models
+from conftest import (
+    brute_bars,
+    brute_behavior,
+    brute_detection_rates,
+    brute_quad,
+    brute_side_expectation,
+    corpus_models,
+)
 from lhvlab import (
     Pmf,
+    behavior_from_model,
     bell_average,
     correlation_quad,
     counterexample_model,
+    detection_rates,
+    exact_side_expectation,
     product_flatten,
     refine_breakpoints,
     uniform_reduce,
+    zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model
 
@@ -36,7 +47,7 @@ class TestProductFlatten:
 
     def test_random_models_reproduce_quads_exactly(self):
         for m in corpus_models(60, seed=31, max_source_side=4, max_instrument=3):
-            assert product_flatten(m).quad().values == correlation_quad(m).values
+            assert product_flatten(m).quad().values == brute_quad(m).values
 
 
 class TestRefineBreakpoints:
@@ -75,7 +86,7 @@ class TestUniformReduce:
 
     def test_matches_product_flatten_on_random_models(self):
         for m in corpus_models(60, seed=32, max_source_side=4, max_instrument=3):
-            expected = correlation_quad(m).values
+            expected = brute_quad(m).values
             assert uniform_reduce(m).quad().values == expected
             assert product_flatten(m).quad().values == expected
 
@@ -107,7 +118,7 @@ class TestBellAverage:
     def test_random_models_reproduce_quads_and_bounds(self):
         for m in corpus_models(60, seed=33, max_source_side=4, max_instrument=3):
             am = bell_average(m)
-            assert am.quad().values == correlation_quad(m).values
+            assert am.quad().values == brute_quad(m).values
             for bars in (am.alice_bar, am.bob_bar):
                 for per_setting in bars.values():
                     for v in per_setting.values():
@@ -119,7 +130,22 @@ class TestBellAverage:
 def test_flatten_equivalence_property(seed, kind):
     rng = random.Random(seed)
     m = random_contextual_model(rng, max_source_side=3, max_instrument=3, outcome_kind=kind)
-    expected = correlation_quad(m).values
+    expected = brute_quad(m).values
+    assert correlation_quad(m).values == expected
     assert product_flatten(m).quad().values == expected
     assert uniform_reduce(m).quad().values == expected
-    assert bell_average(m).quad().values == expected
+    averaged = bell_average(m)
+    assert averaged.quad().values == expected
+    assert (averaged.alice_bar, averaged.bob_bar) == brute_bars(m)
+    rates = detection_rates(m)
+    assert (rates.alice, rates.bob) == brute_detection_rates(m)
+    for side, side_settings in (("alice", m.alice), ("bob", m.bob)):
+        for s in side_settings:
+            assert exact_side_expectation(m, side, s.name) == brute_side_expectation(m, side, s)
+    for pm in () if kind == "interval" else (m, zero_to_coin(m)):
+        behavior = behavior_from_model(pm)
+        want = brute_behavior(pm)
+        # compared as item lists, so the cell order (and the serialized form) is pinned
+        assert [list(behavior.probs[ctx].items()) for ctx in behavior.contexts()] == [
+            list(want[ctx].items()) for ctx in pm.contexts()
+        ]
