@@ -286,7 +286,14 @@ def _parse_bias(text: str, model: ContextualModel) -> Pmf:
     return pmf
 
 
+def _check_seed(seed: int) -> None:
+    """Seeds key the Philox streams as one uint64, so they must fit in one."""
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"--seed must lie in [0, 2**64), got {seed}")
+
+
 def _cmd_simulate(args) -> tuple[Any, int]:
+    _check_seed(args.seed)
     model = _require_contextual(_load(args.model))
     bias = _parse_bias(args.bias, model) if args.bias else None
     try:
@@ -338,6 +345,7 @@ def _cmd_simulate(args) -> tuple[Any, int]:
 
 
 def _cmd_search(args) -> tuple[Any, int]:
+    _check_seed(args.seed)
     try:
         max_det = None if args.max_detection.lower() == "none" else as_fraction(args.max_detection)
         config = SearchConfig(

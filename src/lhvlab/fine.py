@@ -22,6 +22,20 @@ from . import flatten as _flatten
 
 SIGNS = (-1, 1)
 
+# The joint-feasibility LP over the 16 sign patterns of (A_x, A_x', B_y,
+# B_y'): the unit total, then one row per (alice setting index, bob
+# setting index, x, y), each a 0/1 indicator of the patterns that show
+# x and y in that context.  Only the right-hand side depends on the
+# behavior.
+_PATTERNS = tuple(itertools.product(SIGNS, SIGNS, SIGNS, SIGNS))
+_INCIDENCE = [[1] * 16] + [
+    [int(t[ai] == x and t[2 + bi] == y) for t in _PATTERNS]
+    for ai in range(2)
+    for bi in range(2)
+    for x in SIGNS
+    for y in SIGNS
+]
+
 
 class InternalInconsistencyError(RuntimeError):
     """The LP and the inequality test disagreed; one of them is buggy."""
@@ -163,29 +177,19 @@ def find_joint(behavior: BehaviorTable) -> JointSearchResult:
             f"{report.max_deviation}); no joint distribution can match its marginals"
         )
 
-    patterns = list(itertools.product(SIGNS, SIGNS, SIGNS, SIGNS))
-    index = {t: k for k, t in enumerate(patterns)}
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    rows.append([Fraction(1)] * 16)
-    rhs.append(Fraction(1))
-    for ai, a in enumerate(behavior.alice_settings):
-        for bi, b in enumerate(behavior.bob_settings):
+    rhs: list[Fraction] = [Fraction(1)]
+    for a in behavior.alice_settings:
+        for b in behavior.bob_settings:
             for x in SIGNS:
                 for y in SIGNS:
-                    row = [Fraction(0)] * 16
-                    for t in patterns:
-                        if t[ai] == x and t[2 + bi] == y:
-                            row[index[t]] = Fraction(1)
-                    rows.append(row)
                     rhs.append(behavior.prob((a, b), x, y))
 
-    solution = find_feasible(rows, rhs)
+    solution = find_feasible(_INCIDENCE, rhs)
     if solution is not None:
         joint = JointDistribution16(
             behavior.alice_settings,
             behavior.bob_settings,
-            {t: solution[index[t]] for t in patterns},
+            dict(zip(_PATTERNS, solution)),
         )
         return JointSearchResult(feasible=True, joint=joint)
 

@@ -50,7 +50,24 @@ def _parse_frac(token: Any, where: str, source: str) -> Fraction:
     raise ModelParseError(f"{source}: malformed fraction {token!r} at {where}")
 
 
+def _parse_int(token: Any, where: str, source: str) -> int:
+    """A JSON integer; a float counts only when it has no fractional part."""
+    if isinstance(token, int) and not isinstance(token, bool):
+        return token
+    if isinstance(token, float) and token.is_integer():
+        return int(token)
+    raise ModelParseError(f"{source}: malformed integer {token!r} at {where}")
+
+
+def _require_list(value: Any, where: str, source: str) -> list:
+    if not isinstance(value, list):
+        raise ModelParseError(f"{source}: {where} must be a list, got {value!r}")
+    return value
+
+
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, source: str):
+    if not isinstance(obj, dict):
+        raise ModelParseError(f"{source}: {where} must be an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ModelParseError(f"{source}: unknown key {sorted(unknown)[0]!r} in {where}")
@@ -212,7 +229,7 @@ def parse_path(path: Union[str, Path]) -> Document:
 
 def _parse_source(doc: dict, source: str) -> Pmf:
     atoms = []
-    for i, atom in enumerate(doc["source"]):
+    for i, atom in enumerate(_require_list(doc["source"], "source", source)):
         _require_keys(atom, {"pair", "mass"}, {"pair", "mass"}, f"source atom {i}", source)
         pair = atom["pair"]
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -363,7 +380,9 @@ def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
     bob = tuple(str(s) for s in doc["bobSettings"])
     if len(alice) != 2 or len(bob) != 2:
         raise ModelParseError(f"{source}: behavior needs 2 settings per side")
-    outcomes = tuple(int(o) for o in doc["outcomes"])
+    outcomes = tuple(
+        _parse_int(o, "outcomes", source) for o in _require_list(doc["outcomes"], "outcomes", source)
+    )
     if outcomes not in ((-1, 1), (-1, 0, 1)):
         raise ModelParseError(f"{source}: outcomes must be [-1, 1] or [-1, 0, 1], got {outcomes}")
     probs: dict = {}
@@ -374,11 +393,12 @@ def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
             raise ModelParseError(f"{source}: context {ctx} names unknown settings")
         cells = {}
         for i, cell in enumerate(cdoc["cells"]):
-            _require_keys(cell, {"x", "y", "p"}, {"x", "y", "p"}, f"context {ctx} cell {i}", source)
-            x, y = int(cell["x"]), int(cell["y"])
+            where = f"context {ctx} cell {i}"
+            _require_keys(cell, {"x", "y", "p"}, {"x", "y", "p"}, where, source)
+            x, y = _parse_int(cell["x"], where, source), _parse_int(cell["y"], where, source)
             if x not in outcomes or y not in outcomes:
                 raise ModelParseError(f"{source}: context {ctx} cell ({x}, {y}) outside alphabet")
-            cells[(x, y)] = _parse_frac(cell["p"], f"context {ctx} cell {i}", source)
+            cells[(x, y)] = _parse_frac(cell["p"], where, source)
         total = sum(cells.values(), Fraction(0))
         if any(p < 0 for p in cells.values()):
             raise ModelParseError(f"{source}: context {ctx} has a negative probability")

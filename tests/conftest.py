@@ -1,13 +1,16 @@
-"""Shared helpers: independent term-by-term oracles and corpus iteration.
+"""Shared helpers: independent oracles and corpus iteration.
 
-Every oracle here walks ``support()`` atom by atom in Fractions, so it
-shares no code path with the integer kernel in :mod:`lhvlab.model`.
+Every model oracle here walks ``support()`` atom by atom in Fractions,
+so it shares no code path with the integer kernel in :mod:`lhvlab.model`;
+the LP oracle pivots a Fraction tableau, sharing no code with the
+integer simplex in :mod:`lhvlab.simplex`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from lhvlab import ContextualModel, CorrelationQuad
 from lhvlab.corpus import random_contextual_model
@@ -119,3 +122,84 @@ def corpus_models(n: int, seed: int = 2024, **kwargs):
     for i in range(n):
         kind = "ternary" if i % 2 == 0 else "interval"
         yield random_contextual_model(rng, outcome_kind=kind, **kwargs)
+
+
+def fraction_find_feasible(
+    a_matrix: Sequence[Sequence[Fraction]], b_vector: Sequence[Fraction]
+) -> Optional[list[Fraction]]:
+    """Reference LP oracle: phase-1 simplex, Bland's rule, every entry a Fraction.
+
+    A textbook tableau that divides the pivot row by the pivot.  It makes
+    the same pivot choices as :func:`lhvlab.simplex.find_feasible` but
+    shares none of its integer arithmetic, so equal results check it.
+    """
+    m = len(a_matrix)
+    if m == 0:
+        return []
+    n = len(a_matrix[0])
+
+    # standardize to b >= 0, append one artificial per row
+    rows: list[list[Fraction]] = []
+    for i in range(m):
+        row = [Fraction(v) for v in a_matrix[i]]
+        rhs = Fraction(b_vector[i])
+        if len(row) != n:
+            raise ValueError("ragged constraint matrix")
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        rows.append(row + art + [rhs])
+    basis = [n + i for i in range(m)]
+    width = n + m
+
+    # phase-1 objective: minimize the artificial sum; reduced costs after
+    # pricing out the artificial basis
+    zrow = [Fraction(0)] * (width + 1)
+    for j in range(n):
+        zrow[j] = -sum(rows[i][j] for i in range(m))
+    zrow[width] = -sum(rows[i][width] for i in range(m))
+
+    while True:
+        entering = next((j for j in range(width) if zrow[j] < 0), None)
+        if entering is None:
+            break
+        pivot_row = None
+        best_ratio = None
+        for i in range(m):
+            coeff = rows[i][entering]
+            if coeff > 0:
+                ratio = rows[i][width] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[pivot_row])
+                ):
+                    best_ratio = ratio
+                    pivot_row = i
+        if pivot_row is None:
+            raise AssertionError("phase-1 objective is bounded; unbounded pivot is a bug")
+        _fraction_pivot(rows, zrow, basis, pivot_row, entering, width)
+
+    if zrow[width] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = rows[i][width]
+    return x
+
+
+def _fraction_pivot(rows, zrow, basis, pr: int, pc: int, width: int) -> None:
+    piv = rows[pr][pc]
+    rows[pr] = [v / piv for v in rows[pr]]
+    for i in range(len(rows)):
+        if i != pr and rows[i][pc] != 0:
+            f = rows[i][pc]
+            rows[i] = [v - f * p for v, p in zip(rows[i], rows[pr])]
+    if zrow[pc] != 0:
+        f = zrow[pc]
+        for j in range(width + 1):
+            zrow[j] -= f * rows[pr][j]
+    basis[pr] = pc

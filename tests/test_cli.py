@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import lhvlab
 from lhvlab.cli import main
 
 SCHEMAS = Path("schemas")
@@ -144,6 +146,18 @@ class TestValidate:
         assert status == 1
         assert "no such file" in err
 
+    def test_non_list_source_exits_one(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "counterexample.model.json").read_text())
+        doc["source"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        status, out, _err = run_cli(capsys, "validate", str(bad))
+        assert status == 1
+        assert any("source must be a list" in v for v in json.loads(out)["violations"])
+        status, _out, err = run_cli(capsys, "exact", str(bad))
+        assert status == 1
+        assert "source must be a list" in err and "Traceback" not in err
+
     def test_parse_error_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  nope\n}")
@@ -178,6 +192,16 @@ class TestFine:
         status, _out, err = run_cli(capsys, "fine", str(FIXTURES / "counterexample.model.json"))
         assert status == 1
         assert "behavior" in err
+
+    def test_non_integer_outcome_exits_one(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "quantum_chsh_optimal.behavior.json").read_text())
+        doc["outcomes"] = ["a"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        status, _out, err = run_cli(capsys, "fine", str(bad))
+        assert status == 1
+        assert str(bad) in err and "outcomes" in err
+        assert "Traceback" not in err
 
 
 class TestSimulate:
@@ -224,6 +248,36 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--model", "x.json", "--trials", "10"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 10**23])
+    def test_seed_out_of_range_is_usage_error(self, capsys, seed):
+        status, _out, err = run_cli(
+            capsys,
+            "simulate",
+            "--model",
+            str(FIXTURES / "counterexample.model.json"),
+            "--trials",
+            "10",
+            "--seed",
+            str(seed),
+        )
+        assert status == 2
+        assert "--seed" in err
+
+    def test_largest_seed_accepted(self, capsys):
+        status, _out, err = run_cli(
+            capsys,
+            "simulate",
+            "--model",
+            str(FIXTURES / "counterexample.model.json"),
+            "--trials",
+            "10",
+            "--seed",
+            str(2**64 - 1),
+            "--format",
+            "csv",
+        )
+        assert status == 0, err
 
     def test_bias_must_normalize(self, capsys):
         status, _out, err = run_cli(
@@ -288,6 +342,12 @@ class TestSearch:
         status, _out, err = run_cli(capsys, "search", "--seed", "1", "--min-rate", "3/0")
         assert status == 2
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_usage_error(self, capsys, seed):
+        status, _out, err = run_cli(capsys, "search", "--seed", str(seed), "--budget", "10")
+        assert status == 2
+        assert "--seed" in err
+
 
 class TestPlumbing:
     def test_out_writes_file(self, capsys, tmp_path):
@@ -308,10 +368,15 @@ class TestPlumbing:
         assert exc.value.code == 2
 
     def test_entry_point_runs_as_module(self):
+        # the child imports the package under test, installed or not
+        src = str(Path(lhvlab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
         result = subprocess.run(
             [sys.executable, "-m", "lhvlab.cli", "chsh", "1", "0", "0", "-1"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["satisfied"] is True

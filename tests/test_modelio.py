@@ -139,6 +139,27 @@ class TestParseErrors:
         b["contexts"][0]["cells"] = b["contexts"][0]["cells"][:-1]
         self.expect_error(b, "deficit")
 
+    @pytest.mark.parametrize("token", ["a", -1.5, True])
+    def test_behavior_non_integer_outcome_named(self, token):
+        b = json.loads(serialize(quantum_singlet_behavior(AngleSet.chsh_optimal())))
+        b["outcomes"] = [token, 1]
+        self.expect_error(b, f"test.json: malformed integer {token!r} at outcomes")
+
+    def test_behavior_non_integer_cell_named(self):
+        b = json.loads(serialize(quantum_singlet_behavior(AngleSet.chsh_optimal())))
+        b["contexts"][0]["cells"][0]["y"] = 0.5
+        self.expect_error(b, r"malformed integer 0\.5 at context \('x', 'y'\) cell 0")
+
+    def test_non_list_source_named(self):
+        doc = self.base_doc()
+        doc["source"] = 5
+        self.expect_error(doc, "test.json: source must be a list")
+
+    def test_non_object_source_atom_named(self):
+        doc = self.base_doc()
+        doc["source"][0] = 5
+        self.expect_error(doc, "test.json: source atom 0 must be an object")
+
     def test_missing_context_rejected(self):
         b = json.loads(serialize(quantum_singlet_behavior(AngleSet.chsh_optimal())))
         b["contexts"] = b["contexts"][:3]
