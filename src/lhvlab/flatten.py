@@ -11,12 +11,20 @@ Three routes, all preserving the four context expectations exactly:
   leaving per-source-label conditional expectations.
 
 Equality of expectations is exact rational equality, checkable with ==.
+
+The flat models are built and evaluated in integers: masses are integer
+weights over one common denominator until a single ``Fraction`` is made
+per atom, and :meth:`FlatModel.quad` sums each context over integer
+columns of table values at the flat pmf's support tuples.  That
+evaluation walks the flat pmf only; it never calls the contextual kernel
+(``outcome_channel``, ``context_distributions``) it is used to check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .model import (
@@ -28,6 +36,7 @@ from .model import (
     Pmf,
     SettingPairs,
     TwoByTwo,
+    integer_scale,
     outcome_channel,
 )
 
@@ -62,20 +71,42 @@ class FlatModel(SettingPairs):
     alice: tuple[FlatSetting, FlatSetting]
     bob: tuple[FlatSetting, FlatSetting]
 
+    def _weights(self) -> tuple[int, list[tuple], list[int]]:
+        """The pmf's support: (scale, tuples, integer weights over scale)."""
+        scale, atoms = self.lambda_pmf.integer_weights()
+        return scale, [lam for lam, _w in atoms], [w for _lam, w in atoms]
+
     def expectation(self, context: Context) -> Fraction:
-        a = self.alice_setting(context[0])
-        b = self.bob_setting(context[1])
-        total = Fraction(0)
-        for lam, mass in self.lambda_pmf.support():
-            total += a.evaluate(lam) * b.evaluate(lam) * mass
-        return total
+        scale, lams, weights = self._weights()
+        a_scale, a = _column(self.alice_setting(context[0]), lams)
+        b_scale, b = _column(self.bob_setting(context[1]), lams)
+        return Fraction(sum(map(mul, map(mul, a, weights), b)), a_scale * b_scale * scale)
 
     def quad(self) -> CorrelationQuad:
-        return CorrelationQuad(
-            self.alice_settings,
-            self.bob_settings,
-            {ctx: self.expectation(ctx) for ctx in self.contexts()},
-        )
+        """All four expectations; each setting's column is built once for both its contexts."""
+        scale, lams, weights = self._weights()
+        # Alice's columns carry the pmf weights and scale, so a context is one dot product
+        alice = {}
+        for name in self.alice_settings:
+            a_scale, a = _column(self.alice_setting(name), lams)
+            alice[name] = a_scale * scale, list(map(mul, a, weights))
+        bob = {name: _column(self.bob_setting(name), lams) for name in self.bob_settings}
+        values = {}
+        for ctx in self.contexts():
+            aw_scale, aw = alice[ctx[0]]
+            b_scale, b = bob[ctx[1]]
+            values[ctx] = Fraction(sum(map(mul, aw, b)), aw_scale * b_scale)
+        return CorrelationQuad(self.alice_settings, self.bob_settings, values)
+
+
+def _column(setting: FlatSetting, lams: Sequence[tuple]) -> tuple[int, list[int]]:
+    """A setting's table value at each tuple, as integers over the lcm of their denominators."""
+    i, j = setting.coords
+    keys = [(lam[i], lam[j]) for lam in lams]
+    distinct = list(dict.fromkeys(keys))
+    scale, ints = integer_scale([setting.outcomes.value(*key) for key in distinct])
+    scaled = dict(zip(distinct, ints))
+    return scale, [scaled[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -119,14 +150,21 @@ def product_flatten(model: ContextualModel) -> FlatModel:
     """
     ax, ax2 = model.alice
     by, by2 = model.bob
+    src_scale, src = model.source.integer_weights()
+    (sa, inst_ax), (sa2, inst_ax2), (sb, inst_by), (sb2, inst_by2) = (
+        s.instrument.integer_weights() for s in (ax, ax2, by, by2)
+    )
+    scale = src_scale * sa * sa2 * sb * sb2
     atoms = []
-    for pair, p_src in model.source.support():
-        for la, pa in ax.instrument.support():
-            for la2, pa2 in ax2.instrument.support():
-                for lb, pb in by.instrument.support():
-                    for lb2, pb2 in by2.instrument.support():
-                        lam = (pair[0], pair[1], la, la2, lb, lb2)
-                        atoms.append((lam, p_src * pa * pa2 * pb * pb2))
+    for (l1, l2), w_src in src:
+        for la, wa in inst_ax:
+            w1 = w_src * wa
+            for la2, wa2 in inst_ax2:
+                w2 = w1 * wa2
+                for lb, wb in inst_by:
+                    w3 = w2 * wb
+                    for lb2, wb2 in inst_by2:
+                        atoms.append(((l1, l2, la, la2, lb, lb2), Fraction(w3 * wb2, scale)))
     lambda_pmf = Pmf(atoms)
     alice = (
         FlatSetting(ax.name, (0, 2), ax.outcomes),
@@ -198,34 +236,39 @@ def uniform_reduce(model: ContextualModel) -> FlatModel:
     map_by = _cell_atom_map(by.instrument, cells_b)
     map_by2 = _cell_atom_map(by2.instrument, cells_b)
 
+    labels_a = [_cell_label(cell) for cell in cells_a]
+    labels_b = [_cell_label(cell) for cell in cells_b]
+    scale_a, lengths_a = integer_scale([hi - lo for lo, hi in cells_a])
+    scale_b, lengths_b = integer_scale([hi - lo for lo, hi in cells_b])
+    src_scale, src = model.source.integer_weights()
+    scale = src_scale * scale_a * scale_b
+    cells_b_weighted = list(zip(labels_b, lengths_b))
+
     atoms = []
-    for pair, p_src in model.source.support():
-        for cell_a in cells_a:
-            len_a = cell_a[1] - cell_a[0]
-            for cell_b in cells_b:
-                len_b = cell_b[1] - cell_b[0]
-                lam = (pair[0], pair[1], _cell_label(cell_a), _cell_label(cell_b))
-                atoms.append((lam, p_src * len_a * len_b))
+    for (l1, l2), w_src in src:
+        for u1, wa in zip(labels_a, lengths_a):
+            w = w_src * wa
+            for u2, wb in cells_b_weighted:
+                atoms.append(((l1, l2, u1, u2), Fraction(w * wb, scale)))
     lambda_pmf = Pmf(atoms)
 
-    def composed(setting, cell_map, cells, source_labels) -> OutcomeTable:
+    def composed(setting, cell_map, cells, labels, source_labels) -> OutcomeTable:
+        cell_atoms = list(zip(labels, [cell_map[cell] for cell in cells]))
         entries = {}
         for l_src in source_labels:
-            for cell in cells:
-                entries[(l_src, _cell_label(cell))] = setting.outcomes.value(
-                    l_src, cell_map[cell]
-                )
+            for label, atom in cell_atoms:
+                entries[(l_src, label)] = setting.outcomes.value(l_src, atom)
         return OutcomeTable(entries, ternary=setting.outcomes.ternary)
 
     first = model.source_first_labels()
     second = model.source_second_labels()
     alice = (
-        FlatSetting(ax.name, (0, 2), composed(ax, map_ax, cells_a, first)),
-        FlatSetting(ax2.name, (0, 2), composed(ax2, map_ax2, cells_a, first)),
+        FlatSetting(ax.name, (0, 2), composed(ax, map_ax, cells_a, labels_a, first)),
+        FlatSetting(ax2.name, (0, 2), composed(ax2, map_ax2, cells_a, labels_a, first)),
     )
     bob = (
-        FlatSetting(by.name, (1, 3), composed(by, map_by, cells_b, second)),
-        FlatSetting(by2.name, (1, 3), composed(by2, map_by2, cells_b, second)),
+        FlatSetting(by.name, (1, 3), composed(by, map_by, cells_b, labels_b, second)),
+        FlatSetting(by2.name, (1, 3), composed(by2, map_by2, cells_b, labels_b, second)),
     )
     return FlatModel(lambda_pmf, alice, bob)
 

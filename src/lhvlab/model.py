@@ -16,6 +16,12 @@ latter; :func:`side_distribution`, :func:`exact_side_expectation`,
 :func:`exact_expectation` sums term by term as the reference oracle;
 nothing in the package calls it.
 
+:func:`integer_scale` and :meth:`Pmf.integer_weights` are the one place
+rationals become integers over the lcm of their denominators; the kernel
+and the flat models of :mod:`lhvlab.flatten` both use them.  The flat
+models are evaluated on integer columns over their own tuple pmf,
+independently of this kernel, so they can check it.
+
 Floats never enter this module; stochastic estimation lives in
 :mod:`lhvlab.montecarlo`.
 """
@@ -46,6 +52,16 @@ def as_fraction(value: Numberish) -> Fraction:
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot convert {value!r} to a Fraction")
+
+
+def integer_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Rationals as integers over one common denominator, the lcm of theirs.
+
+    Returns ``(scale, ints)`` with ``ints[k] / scale == values[k]``; an
+    empty sequence gives scale 1.
+    """
+    scale = math.lcm(*{v.denominator for v in values})
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 class DomainMismatchError(LookupError):
@@ -103,7 +119,17 @@ class Pmf:
 
     def support(self) -> Iterator[tuple[Label, Fraction]]:
         """Atoms with strictly positive mass."""
-        return ((lab, m) for lab, m in self._atoms.items() if m > 0)
+        # a Fraction's denominator is positive, so its sign is its numerator's
+        return ((lab, m) for lab, m in self._atoms.items() if m.numerator > 0)
+
+    def integer_weights(self) -> tuple[int, list[tuple[Label, int]]]:
+        """The support as ``(scale, [(label, weight)])``: each mass is weight / scale.
+
+        ``scale`` is the lcm of the support's mass denominators.
+        """
+        atoms = list(self.support())
+        scale, weights = integer_scale([m for _lab, m in atoms])
+        return scale, [(lab, w) for (lab, _m), w in zip(atoms, weights)]
 
     def total(self) -> Fraction:
         return sum(self._atoms.values(), Fraction(0))
@@ -429,13 +455,6 @@ def exact_expectation(model: ContextualModel, context: Context) -> Fraction:
     return total
 
 
-def _integer_weights(pmf: Pmf) -> tuple[int, list[tuple[Label, int]]]:
-    """The support of a pmf as integer weights over the lcm of its denominators."""
-    atoms = list(pmf.support())
-    scale = math.lcm(*(m.denominator for _lab, m in atoms))
-    return scale, [(lab, m.numerator * (scale // m.denominator)) for lab, m in atoms]
-
-
 def _coord(side: str) -> int:
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
@@ -453,7 +472,7 @@ def outcome_channel(model: ContextualModel, side: str, setting: Setting) -> tupl
     ``instrument.support()``.
     """
     labels = model.source_first_labels() if _coord(side) == 0 else model.source_second_labels()
-    scale, weights = _integer_weights(setting.instrument)
+    scale, weights = setting.instrument.integer_weights()
     value = setting.outcomes.value
     channel: dict[Label, dict[Fraction, int]] = {}
     for lab in labels:
@@ -473,7 +492,7 @@ def context_distributions(model: ContextualModel) -> dict[Context, dict[tuple, F
     appear in first-appearance order over the source support, then the
     two channels.
     """
-    src_scale, src = _integer_weights(model.source)
+    src_scale, src = model.source.integer_weights()
     alice = {s.name: outcome_channel(model, "alice", s) for s in model.alice}
     bob = {s.name: outcome_channel(model, "bob", s) for s in model.bob}
     out = {}
@@ -496,7 +515,7 @@ def context_distributions(model: ContextualModel) -> dict[Context, dict[tuple, F
 def side_distribution(model: ContextualModel, side: str, setting: Setting) -> dict[Fraction, Fraction]:
     """The pmf of one setting's outcome value, source and instrument integrated out."""
     coord = _coord(side)
-    src_scale, src = _integer_weights(model.source)
+    src_scale, src = model.source.integer_weights()
     scale, channel = outcome_channel(model, side, setting)
     counts: dict[Fraction, int] = {}
     for pair, w in src:

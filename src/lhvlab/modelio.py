@@ -241,12 +241,11 @@ def _parse_source(doc: dict, source: str) -> Pmf:
 
 
 def _parse_instrument(entries: list, where: str, source: str) -> Pmf:
-    pmf = Pmf(
-        [
-            (str(e["label"]), _parse_frac(e["mass"], f"{where} atom {i}", source))
-            for i, e in enumerate(entries)
-        ]
-    )
+    atoms = []
+    for i, e in enumerate(_require_list(entries, where, source)):
+        _require_keys(e, {"label", "mass"}, {"label", "mass"}, f"{where} atom {i}", source)
+        atoms.append((str(e["label"]), _parse_frac(e["mass"], f"{where} atom {i}", source)))
+    pmf = Pmf(atoms)
     _check_pmf_sum(pmf, where, source)
     return pmf
 
@@ -300,7 +299,8 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
     return ContextualModel(src, parse_side("alice", first), parse_side("bob", second))
 
 
-def _parse_flat_setting(sdoc: dict, side: str, source: str) -> FlatSetting:
+def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatSetting:
+    """One flat setting; ``arity`` is the shortest atom tuple, which its coords must index."""
     _require_keys(
         sdoc,
         {"setting", "coords", "ternary", "entries"},
@@ -312,32 +312,35 @@ def _parse_flat_setting(sdoc: dict, side: str, source: str) -> FlatSetting:
     coords = sdoc["coords"]
     if not (isinstance(coords, list) and len(coords) == 2):
         raise ModelParseError(f"{source}: flat setting {name!r} coords must be two indices")
+    coords = tuple(_parse_int(c, f"flat setting {name!r} coords", source) for c in coords)
+    for c in coords:
+        if not 0 <= c < arity:
+            raise ModelParseError(
+                f"{source}: flat setting {name!r} coordinate {c} lies outside the atom tuples "
+                f"(shortest has length {arity})"
+            )
     entries = {}
-    for i, e in enumerate(sdoc["entries"]):
+    for i, e in enumerate(_require_list(sdoc["entries"], f"flat setting {name!r} entries", source)):
         _require_keys(e, {"key", "value"}, {"key", "value"}, f"{name!r} entry {i}", source)
         key = e["key"]
         if not (isinstance(key, list) and len(key) == 2):
             raise ModelParseError(f"{source}: flat setting {name!r} entry {i} key must have 2 parts")
         entries[(str(key[0]), str(key[1]))] = _parse_frac(e["value"], f"{name!r} entry {i}", source)
-    return FlatSetting(
-        name,
-        (int(coords[0]), int(coords[1])),
-        OutcomeTable(entries, ternary=bool(sdoc.get("ternary", False))),
-    )
+    return FlatSetting(name, coords, OutcomeTable(entries, ternary=bool(sdoc.get("ternary", False))))
 
 
 def _parse_flat(doc: dict, source: str) -> FlatModel:
     _require_keys(doc, {"kind", "atoms", "alice", "bob"}, {"atoms", "alice", "bob"}, "flat model", source)
     atoms = []
-    for i, atom in enumerate(doc["atoms"]):
+    for i, atom in enumerate(_require_list(doc["atoms"], "atoms", source)):
         _require_keys(atom, {"tuple", "mass"}, {"tuple", "mass"}, f"atom {i}", source)
-        atoms.append(
-            (tuple(str(c) for c in atom["tuple"]), _parse_frac(atom["mass"], f"atom {i}", source))
-        )
+        lam = _require_list(atom["tuple"], f"atom {i} tuple", source)
+        atoms.append((tuple(str(c) for c in lam), _parse_frac(atom["mass"], f"atom {i}", source)))
     pmf = Pmf(atoms)
     _check_pmf_sum(pmf, "tuple pmf", source)
-    alice = tuple(_parse_flat_setting(d, "alice", source) for d in doc["alice"])
-    bob = tuple(_parse_flat_setting(d, "bob", source) for d in doc["bob"])
+    arity = min(len(lam) for lam, _m in atoms)
+    alice = tuple(_parse_flat_setting(d, "alice", arity, source) for d in doc["alice"])
+    bob = tuple(_parse_flat_setting(d, "bob", arity, source) for d in doc["bob"])
     if len(alice) != 2 or len(bob) != 2:
         raise ModelParseError(f"{source}: flat model needs 2 settings per side")
     return FlatModel(pmf, alice, bob)

@@ -1,9 +1,10 @@
 """Shared helpers: independent oracles and corpus iteration.
 
 Every model oracle here walks ``support()`` atom by atom in Fractions,
-so it shares no code path with the integer kernel in :mod:`lhvlab.model`;
-the LP oracle pivots a Fraction tableau, sharing no code with the
-integer simplex in :mod:`lhvlab.simplex`.
+so it shares no code path with the integer kernel in :mod:`lhvlab.model`
+or the integer columns of :meth:`lhvlab.FlatModel.quad`; the LP oracle
+pivots a Fraction tableau, sharing no code with the integer simplex in
+:mod:`lhvlab.simplex`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from lhvlab import ContextualModel, CorrelationQuad
+from lhvlab import ContextualModel, CorrelationQuad, FlatModel
 from lhvlab.corpus import random_contextual_model
 
 
@@ -52,6 +53,24 @@ def brute_expectation(model: ContextualModel, context) -> Fraction:
 def brute_quad(model: ContextualModel) -> CorrelationQuad:
     values = {ctx: brute_expectation(model, ctx) for ctx in model.contexts()}
     return CorrelationQuad(model.alice_settings, model.bob_settings, values)
+
+
+def brute_flat_quad(flat: FlatModel) -> CorrelationQuad:
+    """Reference flat-model quad: each context summed atom by atom over the tuple pmf."""
+    return CorrelationQuad(
+        flat.alice_settings,
+        flat.bob_settings,
+        {ctx: brute_flat_expectation(flat, ctx) for ctx in flat.contexts()},
+    )
+
+
+def brute_flat_expectation(flat: FlatModel, context) -> Fraction:
+    a = flat.alice_setting(context[0])
+    b = flat.bob_setting(context[1])
+    total = Fraction(0)
+    for lam, mass in flat.lambda_pmf.support():
+        total += a.evaluate(lam) * b.evaluate(lam) * mass
+    return total
 
 
 def brute_behavior(model: ContextualModel) -> dict:

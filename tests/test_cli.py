@@ -10,8 +10,9 @@ import pytest
 import lhvlab
 from lhvlab.cli import main
 
-SCHEMAS = Path("schemas")
-FIXTURES = Path("fixtures")
+ROOT = Path(__file__).parents[1]
+SCHEMAS = ROOT / "schemas"
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,61 @@ class TestValidate:
         status, _out, err = run_cli(capsys, "exact", str(bad))
         assert status == 1
         assert "source must be a list" in err and "Traceback" not in err
+
+    def test_non_list_instrument_exits_one(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "counterexample.model.json").read_text())
+        doc["alice"][0]["instrument"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        status, out, err = run_cli(capsys, "validate", str(bad))
+        assert status == 1 and "Traceback" not in err
+        violations = json.loads(out)["violations"]
+        assert any(
+            str(bad) in v and "alice setting '+1' instrument pmf must be a list" in v
+            for v in violations
+        )
+
+    def test_instrument_entry_without_label_exits_one(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "counterexample.model.json").read_text())
+        del doc["bob"][1]["instrument"][0]["label"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        status, out, err = run_cli(capsys, "validate", str(bad))
+        assert status == 1 and "Traceback" not in err
+        violations = json.loads(out)["violations"]
+        assert any(str(bad) in v and "missing key 'label'" in v for v in violations)
+        assert any("bob setting '-1' instrument pmf atom 0" in v for v in violations)
+
+    @pytest.mark.parametrize("coords, outside", [([0, 9], 9), ([-1, 2], -1), ([6, 0], 6)])
+    def test_flat_coordinate_out_of_range_exits_one(self, capsys, tmp_path, coords, outside):
+        flat = tmp_path / "flat.json"
+        status, _out, err = run_cli(
+            capsys, "flatten", str(FIXTURES / "counterexample.model.json"), "--out", str(flat)
+        )
+        assert status == 0, err
+        doc = json.loads(flat.read_text())
+        doc["bob"][1]["coords"] = coords
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        status, out, err = run_cli(capsys, "validate", str(bad))
+        assert status == 1 and "Traceback" not in err
+        message = f"flat setting '-1' coordinate {outside} lies outside the atom tuples"
+        assert any(str(bad) in v and message in v for v in json.loads(out)["violations"])
+        status, _out, err = run_cli(capsys, "exact", str(bad))
+        assert status == 1
+        assert message in err and "Traceback" not in err
+
+    def test_flat_coordinate_not_integer_exits_one(self, capsys, tmp_path):
+        flat = tmp_path / "flat.json"
+        run_cli(capsys, "flatten", str(FIXTURES / "counterexample.model.json"), "--out", str(flat))
+        doc = json.loads(flat.read_text())
+        doc["alice"][0]["coords"] = ["0", 2]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        status, _out, err = run_cli(capsys, "exact", str(bad))
+        assert status == 1
+        assert "malformed integer '0' at flat setting '+1' coords" in err
+        assert "Traceback" not in err
 
     def test_parse_error_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,11 +8,16 @@ from conftest import (
     brute_bars,
     brute_behavior,
     brute_detection_rates,
+    brute_flat_expectation,
+    brute_flat_quad,
     brute_quad,
     brute_side_expectation,
     corpus_models,
 )
 from lhvlab import (
+    FlatModel,
+    FlatSetting,
+    OutcomeTable,
     Pmf,
     behavior_from_model,
     bell_average,
@@ -149,3 +154,89 @@ def test_flatten_equivalence_property(seed, kind):
         assert [list(behavior.probs[ctx].items()) for ctx in behavior.contexts()] == [
             list(want[ctx].items()) for ctx in pm.contexts()
         ]
+
+
+@st.composite
+def flat_models(draw):
+    """Hand-built flat models: any tuple length, zero-mass atoms, shared coordinates."""
+    arity = draw(st.integers(min_value=1, max_value=9))
+    alphabet = st.sampled_from(["p", "q", "r"])
+    tuples = draw(
+        st.lists(st.tuples(*[alphabet] * arity), min_size=1, max_size=10, unique=True)
+    )
+    mass = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    pmf = Pmf([(lam, draw(mass)) for lam in tuples])
+    coord = st.integers(min_value=0, max_value=arity - 1)
+    coords = [(draw(coord), draw(coord)) for _ in range(4)]
+    if draw(st.booleans()):
+        coords[draw(st.integers(1, 3))] = coords[0]
+    interval = st.fractions(min_value=-1, max_value=1, max_denominator=10)
+    settings_ = []
+    for k, (i, j) in enumerate(coords):
+        ternary = draw(st.booleans())
+        value = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)]) if ternary else interval
+        keys = dict.fromkeys((lam[i], lam[j]) for lam in tuples)
+        table = OutcomeTable({key: draw(value) for key in keys}, ternary=ternary)
+        settings_.append(FlatSetting(f"s{k}", (i, j), table))
+    return FlatModel(pmf, tuple(settings_[:2]), tuple(settings_[2:]))
+
+
+def assert_flat_quad_matches_oracle(flat):
+    quad = flat.quad()
+    want = brute_flat_quad(flat)
+    assert list(quad.values.items()) == list(want.values.items())
+    assert all(type(v) is Fraction for v in quad.values.values())
+    for ctx in flat.contexts():
+        got = flat.expectation(ctx)
+        assert got == brute_flat_expectation(flat, ctx) and type(got) is Fraction
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_models())
+def test_flat_quad_matches_atom_oracle(flat):
+    assert_flat_quad_matches_oracle(flat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["ternary", "interval", "binary"]))
+def test_flattened_corpus_quads_match_atom_oracle(seed, kind):
+    m = random_contextual_model(
+        random.Random(seed), max_source_side=3, max_instrument=3, outcome_kind=kind
+    )
+    for flat in (product_flatten(m), uniform_reduce(m)):
+        assert_flat_quad_matches_oracle(flat)
+
+
+def test_flat_quad_with_no_support_is_zero():
+    table = OutcomeTable({("p", "p"): Fraction(1, 2)})
+    pmf = Pmf([(("p",), Fraction(0))])
+    flat = FlatModel(
+        pmf,
+        (FlatSetting("x", (0, 0), table), FlatSetting("x'", (0, 0), table)),
+        (FlatSetting("y", (0, 0), table), FlatSetting("y'", (0, 0), table)),
+    )
+    assert_flat_quad_matches_oracle(flat)
+    assert flat.quad().ordered() == (0, 0, 0, 0)
+
+
+def test_flat_quad_is_independent_of_contextual_kernel(monkeypatch):
+    """The flat quads check the kernel, so they must not be computed by it."""
+    import lhvlab.flatten
+    import lhvlab.model
+
+    models = list(corpus_models(6, seed=34, max_source_side=3, max_instrument=3))
+    flats = [f(m) for m in models for f in (product_flatten, uniform_reduce)]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("flat evaluation called the contextual kernel")
+
+    for module, name in (
+        (lhvlab.model, "outcome_channel"),
+        (lhvlab.model, "context_distributions"),
+        (lhvlab.flatten, "outcome_channel"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    for flat in flats:
+        assert flat.quad().values == brute_flat_quad(flat).values
+        for ctx in flat.contexts():
+            assert flat.expectation(ctx) == brute_flat_expectation(flat, ctx)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from lhvlab import (
 from lhvlab.corpus import random_contextual_model
 from lhvlab.modelio import ModelParseError, parse_path, parse_text, serialize
 
-FIXTURES = "fixtures"
+FIXTURES = Path(__file__).parents[1] / "fixtures"
 
 
 class TestRoundTrip:
@@ -159,6 +160,46 @@ class TestParseErrors:
         doc = self.base_doc()
         doc["source"][0] = 5
         self.expect_error(doc, "test.json: source atom 0 must be an object")
+
+    def test_non_list_instrument_named(self):
+        doc = self.base_doc()
+        doc["alice"][1]["instrument"] = 5
+        self.expect_error(doc, "test.json: alice setting '-1' instrument pmf must be a list")
+
+    def test_instrument_entry_keys_checked(self):
+        doc = self.base_doc()
+        del doc["alice"][0]["instrument"][0]["label"]
+        self.expect_error(doc, "test.json: missing key 'label' in alice setting '\\+1' instrument pmf atom 0")
+        doc = self.base_doc()
+        doc["bob"][0]["instrument"][0] = "*"
+        self.expect_error(doc, "test.json: bob setting '\\+1' instrument pmf atom 0 must be an object")
+
+    def test_flat_coords_bounded_by_shortest_tuple(self):
+        doc = json.loads(serialize(uniform_reduce(counterexample_model())))
+        doc["atoms"][0]["tuple"] = doc["atoms"][0]["tuple"][:3]
+        doc["bob"][0]["coords"] = [1, 3]
+        self.expect_error(doc, "test.json: flat setting '\\+1' coordinate 3 lies outside the atom tuples")
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            (("atoms",), "atoms"),
+            (("atoms", 0, "tuple"), "atom 0 tuple"),
+            (("alice", 1, "entries"), "flat setting '-1' entries"),
+        ],
+    )
+    def test_flat_non_list_named(self, path, where):
+        doc = json.loads(serialize(product_flatten(counterexample_model())))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = 5
+        self.expect_error(doc, f"test.json: {where} must be a list")
+
+    def test_flat_coords_must_be_integers(self):
+        doc = json.loads(serialize(product_flatten(counterexample_model())))
+        doc["alice"][0]["coords"] = [0, 1.5]
+        self.expect_error(doc, "test.json: malformed integer 1.5 at flat setting '\\+1' coords")
 
     def test_missing_context_rejected(self):
         b = json.loads(serialize(quantum_singlet_behavior(AngleSet.chsh_optimal())))
