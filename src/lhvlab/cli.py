@@ -335,11 +335,7 @@ def _cmd_simulate(args) -> tuple[Any, int]:
             "laggedStatistic": _num(diag.lagged_statistic),
             "laggedDof": diag.lagged_dof,
         },
-        "records": [
-            [t, sheet.alice_settings[sheet.a_index[t]], sheet.bob_settings[sheet.b_index[t]],
-             int(sheet.x[t]), int(sheet.y[t])]
-            for t in range(len(sheet))
-        ],
+        "records": list(sheet.rows()),
     }
     return payload, 0
 

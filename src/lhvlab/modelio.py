@@ -50,6 +50,14 @@ def _parse_frac(token: Any, where: str, source: str) -> Fraction:
     raise ModelParseError(f"{source}: malformed fraction {token!r} at {where}")
 
 
+def _parse_unit(token: Any, where: str, source: str) -> Fraction:
+    """A fraction in [-1, 1]: a flat table entry or an averaged bar value."""
+    value = _parse_frac(token, where, source)
+    if not -1 <= value <= 1:
+        raise ModelParseError(f"{source}: {where} value {value} lies outside [-1, 1]")
+    return value
+
+
 def _parse_int(token: Any, where: str, source: str) -> int:
     """A JSON integer; a float counts only when it has no fractional part."""
     if isinstance(token, int) and not isinstance(token, bool):
@@ -74,6 +82,18 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, 
     missing = required - set(obj)
     if missing:
         raise ModelParseError(f"{source}: missing key {sorted(missing)[0]!r} in {where}")
+
+
+def _parse_pmf(atoms: list, where: str, source: str) -> Pmf:
+    """The pmf of parsed ``(label, mass)`` atoms; a repeated label or a bad sum is named."""
+    masses: dict = {}
+    for label, mass in atoms:
+        if label in masses:
+            raise ModelParseError(f"{source}: duplicate label {_label_str(label)!r} in {where}")
+        masses[label] = mass
+    pmf = Pmf(masses)
+    _check_pmf_sum(pmf, where, source)
+    return pmf
 
 
 def _check_pmf_sum(pmf: Pmf, where: str, source: str) -> None:
@@ -235,9 +255,7 @@ def _parse_source(doc: dict, source: str) -> Pmf:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ModelParseError(f"{source}: source atom {i} pair must have two labels")
         atoms.append(((str(pair[0]), str(pair[1])), _parse_frac(atom["mass"], f"source atom {i}", source)))
-    pmf = Pmf(atoms)
-    _check_pmf_sum(pmf, "source pmf", source)
-    return pmf
+    return _parse_pmf(atoms, "source pmf", source)
 
 
 def _parse_instrument(entries: list, where: str, source: str) -> Pmf:
@@ -245,9 +263,7 @@ def _parse_instrument(entries: list, where: str, source: str) -> Pmf:
     for i, e in enumerate(_require_list(entries, where, source)):
         _require_keys(e, {"label", "mass"}, {"label", "mass"}, f"{where} atom {i}", source)
         atoms.append((str(e["label"]), _parse_frac(e["mass"], f"{where} atom {i}", source)))
-    pmf = Pmf(atoms)
-    _check_pmf_sum(pmf, where, source)
-    return pmf
+    return _parse_pmf(atoms, where, source)
 
 
 def _parse_contextual(doc: dict, source: str) -> ContextualModel:
@@ -273,7 +289,7 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
         name = str(sdoc["setting"])
         where = f"{side} setting {name!r}"
         instrument = _parse_instrument(sdoc["instrument"], f"{where} instrument pmf", source)
-        rows = sdoc["outcomes"]
+        rows = _require_list(sdoc["outcomes"], f"{where} outcomes", source)
         inst_labels = instrument.labels()
         if len(rows) != len(labels):
             raise ModelParseError(
@@ -281,6 +297,7 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
             )
         entries = {}
         for sl, row in zip(labels, rows):
+            row = _require_list(row, f"{where} outcome row for {sl!r}", source)
             if len(row) != len(inst_labels):
                 raise ModelParseError(
                     f"{source}: {where} outcome row for {sl!r} has {len(row)} entries, "
@@ -291,7 +308,7 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
         return Setting(name, instrument, OutcomeTable(entries, ternary=bool(sdoc.get("ternary", False))))
 
     def parse_side(side: str, labels: list[str]):
-        docs = doc[side]
+        docs = _require_list(doc[side], side, source)
         if len(docs) != 2:
             raise ModelParseError(f"{source}: {side} needs exactly 2 settings, has {len(docs)}")
         return tuple(parse_setting(d, side, labels) for d in docs)
@@ -325,7 +342,10 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatS
         key = e["key"]
         if not (isinstance(key, list) and len(key) == 2):
             raise ModelParseError(f"{source}: flat setting {name!r} entry {i} key must have 2 parts")
-        entries[(str(key[0]), str(key[1]))] = _parse_frac(e["value"], f"{name!r} entry {i}", source)
+        key = (str(key[0]), str(key[1]))
+        if key in entries:
+            raise ModelParseError(f"{source}: flat setting {name!r} key {_label_str(key)} is listed twice")
+        entries[key] = _parse_unit(e["value"], f"flat setting {name!r} entry {i}", source)
     return FlatSetting(name, coords, OutcomeTable(entries, ternary=bool(sdoc.get("ternary", False))))
 
 
@@ -336,13 +356,25 @@ def _parse_flat(doc: dict, source: str) -> FlatModel:
         _require_keys(atom, {"tuple", "mass"}, {"tuple", "mass"}, f"atom {i}", source)
         lam = _require_list(atom["tuple"], f"atom {i} tuple", source)
         atoms.append((tuple(str(c) for c in lam), _parse_frac(atom["mass"], f"atom {i}", source)))
-    pmf = Pmf(atoms)
-    _check_pmf_sum(pmf, "tuple pmf", source)
+    pmf = _parse_pmf(atoms, "tuple pmf", source)
     arity = min(len(lam) for lam, _m in atoms)
-    alice = tuple(_parse_flat_setting(d, "alice", arity, source) for d in doc["alice"])
-    bob = tuple(_parse_flat_setting(d, "bob", arity, source) for d in doc["bob"])
+
+    def parse_side(side: str) -> tuple:
+        docs = _require_list(doc[side], side, source)
+        return tuple(_parse_flat_setting(d, side, arity, source) for d in docs)
+
+    alice, bob = parse_side("alice"), parse_side("bob")
     if len(alice) != 2 or len(bob) != 2:
         raise ModelParseError(f"{source}: flat model needs 2 settings per side")
+    support = [lam for lam, _m in pmf.support()]
+    for setting in alice + bob:
+        i, j = setting.coords
+        for lam in support:
+            if (lam[i], lam[j]) not in setting.outcomes.entries:
+                raise ModelParseError(
+                    f"{source}: flat setting {setting.name!r} has no entry for key "
+                    f"{_label_str((lam[i], lam[j]))} of atom {_label_str(lam)}"
+                )
     return FlatModel(pmf, alice, bob)
 
 
@@ -350,24 +382,36 @@ def _parse_averaged(doc: dict, source: str) -> AveragedModel:
     _require_keys(doc, {"kind", "source", "alice", "bob"}, {"source", "alice", "bob"}, "averaged model", source)
     src = _parse_source(doc, source)
 
-    def parse_side(side: str):
+    def parse_side(side: str, coord: int):
+        # the source labels this side's bars are evaluated at
+        labels = dict.fromkeys(pair[coord] for pair, _m in src.support())
         names = []
         bars = {}
-        for sdoc in doc[side]:
+        for sdoc in _require_list(doc[side], side, source):
             _require_keys(sdoc, {"setting", "bar"}, {"setting", "bar"}, f"{side} setting", source)
             name = str(sdoc["setting"])
             names.append(name)
             bar = {}
-            for i, e in enumerate(sdoc["bar"]):
+            for i, e in enumerate(_require_list(sdoc["bar"], f"{side} setting {name!r} bar", source)):
                 _require_keys(e, {"label", "value"}, {"label", "value"}, f"{name!r} bar {i}", source)
-                bar[str(e["label"])] = _parse_frac(e["value"], f"{name!r} bar {i}", source)
+                label = str(e["label"])
+                if label in bar:
+                    raise ModelParseError(
+                        f"{source}: {side} setting {name!r} bar label {label!r} is listed twice"
+                    )
+                bar[label] = _parse_unit(e["value"], f"{side} setting {name!r} bar {i}", source)
+            missing = [lab for lab in labels if lab not in bar]
+            if missing:
+                raise ModelParseError(
+                    f"{source}: {side} setting {name!r} bar has no value for source label {missing[0]!r}"
+                )
             bars[name] = bar
         if len(names) != 2:
             raise ModelParseError(f"{source}: {side} needs exactly 2 settings")
         return tuple(names), bars
 
-    alice_names, alice_bar = parse_side("alice")
-    bob_names, bob_bar = parse_side("bob")
+    alice_names, alice_bar = parse_side("alice", 0)
+    bob_names, bob_bar = parse_side("bob", 1)
     return AveragedModel(src, alice_names, bob_names, alice_bar, bob_bar)
 
 
@@ -379,8 +423,8 @@ def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
         "behavior",
         source,
     )
-    alice = tuple(str(s) for s in doc["aliceSettings"])
-    bob = tuple(str(s) for s in doc["bobSettings"])
+    alice = tuple(str(s) for s in _require_list(doc["aliceSettings"], "aliceSettings", source))
+    bob = tuple(str(s) for s in _require_list(doc["bobSettings"], "bobSettings", source))
     if len(alice) != 2 or len(bob) != 2:
         raise ModelParseError(f"{source}: behavior needs 2 settings per side")
     outcomes = tuple(
@@ -389,18 +433,22 @@ def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
     if outcomes not in ((-1, 1), (-1, 0, 1)):
         raise ModelParseError(f"{source}: outcomes must be [-1, 1] or [-1, 0, 1], got {outcomes}")
     probs: dict = {}
-    for cdoc in doc["contexts"]:
+    for cdoc in _require_list(doc["contexts"], "contexts", source):
         _require_keys(cdoc, {"alice", "bob", "cells"}, {"alice", "bob", "cells"}, "context", source)
         ctx = (str(cdoc["alice"]), str(cdoc["bob"]))
         if ctx[0] not in alice or ctx[1] not in bob:
             raise ModelParseError(f"{source}: context {ctx} names unknown settings")
+        if ctx in probs:
+            raise ModelParseError(f"{source}: context {ctx} is listed twice")
         cells = {}
-        for i, cell in enumerate(cdoc["cells"]):
+        for i, cell in enumerate(_require_list(cdoc["cells"], f"context {ctx} cells", source)):
             where = f"context {ctx} cell {i}"
             _require_keys(cell, {"x", "y", "p"}, {"x", "y", "p"}, where, source)
             x, y = _parse_int(cell["x"], where, source), _parse_int(cell["y"], where, source)
             if x not in outcomes or y not in outcomes:
                 raise ModelParseError(f"{source}: context {ctx} cell ({x}, {y}) outside alphabet")
+            if (x, y) in cells:
+                raise ModelParseError(f"{source}: context {ctx} cell ({x}, {y}) is listed twice")
             cells[(x, y)] = _parse_frac(cell["p"], where, source)
         total = sum(cells.values(), Fraction(0))
         if any(p < 0 for p in cells.values()):

@@ -11,6 +11,7 @@ import math
 import time
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from lhvlab.cli import main as cli_main
 from lhvlab.corpus import random_contextual_model, random_nosignalling_behavior
 from lhvlab.modelio import parse_path, serialize
 
+FIXTURES = Path(__file__).parents[1] / "fixtures"
 CORPUS_SEED = 20240913
 CORPUS_SIZE = 1000
 
@@ -167,7 +169,7 @@ def test_criterion_6_detection_loophole_witness():
     with criterion(6, "committed winner: post-selected |S| >= 2.2, raw CHSH holds, rates < 2/3, reproducible"):
         # exact re-verification of the committed model, < 1 s
         start = time.perf_counter()
-        model = parse_path("fixtures/loophole_winner.model.json")
+        model = parse_path(FIXTURES / "loophole_winner.model.json")
         assert validate_model(model).ok
         ps = postselected_correlations(behavior_from_model(model))
         post_score = chsh_values(ps.conditional_quad()).max_abs
@@ -181,7 +183,7 @@ def test_criterion_6_detection_loophole_witness():
 
         # reproduce the search from its recorded config, < 60 s
         start = time.perf_counter()
-        recorded = json.load(open("fixtures/loophole_winner.search.json"))
+        recorded = json.load(open(FIXTURES / "loophole_winner.search.json"))
         cfg = recorded["config"]
         outcome = search_postselection_violation(
             SearchConfig(
@@ -194,7 +196,7 @@ def test_criterion_6_detection_loophole_witness():
                 mass_denominator=cfg["denominator"],
             )
         )
-        assert serialize(outcome.model) == open("fixtures/loophole_winner.model.json").read()
+        assert serialize(outcome.model) == open(FIXTURES / "loophole_winner.model.json").read()
         assert outcome.score == Fraction(recorded["score"])
         assert time.perf_counter() - start < 60
 
@@ -243,7 +245,7 @@ def test_criterion_8_coupling_range():
         model = random_contextual_model(
             _random.Random(CORPUS_SEED + 3), max_source_side=4, max_instrument=2, outcome_kind="binary"
         )
-        for m in (model, zero_to_coin(parse_path("fixtures/loophole_winner.model.json"))):
+        for m in (model, zero_to_coin(parse_path(FIXTURES / "loophole_winner.model.json"))):
             dag = from_contextual(m)
             samples = sample_coupling(dag, 1_000_000, seed=99)
             values = np.unique(samples.combination())

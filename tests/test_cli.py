@@ -21,6 +21,29 @@ def run_cli(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def kind_doc(kind):
+    """A well-formed document of one model kind, as parsed JSON."""
+    if kind == "contextual":
+        return json.loads((FIXTURES / "counterexample.model.json").read_text())
+    if kind == "behavior":
+        return json.loads((FIXTURES / "quantum_chsh_optimal.behavior.json").read_text())
+    model = lhvlab.counterexample_model()
+    made = lhvlab.product_flatten(model) if kind == "flat" else lhvlab.bell_average(model)
+    return json.loads(lhvlab.serialize(made))
+
+
+def assert_rejected(capsys, doc, tmp_path, message):
+    """``validate`` and ``exact`` both exit 1 on ``doc``, naming ``message``, with no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    status, out, err = run_cli(capsys, "validate", str(bad))
+    assert status == 1 and "Traceback" not in err
+    assert any(str(bad) in v and message in v for v in json.loads(out)["violations"])
+    status, _out, err = run_cli(capsys, "exact", str(bad))
+    assert status == 1
+    assert message in err and "Traceback" not in err
+
+
 def run_json(capsys, *argv, schema=None):
     status, out, err = run_cli(capsys, *argv)
     assert status == 0, err
@@ -213,6 +236,61 @@ class TestValidate:
         assert status == 1
         assert "malformed integer '0' at flat setting '+1' coords" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind, path, where",
+        [
+            ("contextual", ("alice",), "alice must be a list"),
+            ("contextual", ("bob",), "bob must be a list"),
+            ("contextual", ("alice", 0, "outcomes"), "alice setting '+1' outcomes must be a list"),
+            ("contextual", ("bob", 1, "outcomes", 0), "bob setting '-1' outcome row for '1' must be a list"),
+            ("flat", ("alice",), "alice must be a list"),
+            ("flat", ("bob",), "bob must be a list"),
+            ("averaged", ("alice",), "alice must be a list"),
+            ("averaged", ("bob", 0, "bar"), "bob setting '+1' bar must be a list"),
+            ("behavior", ("aliceSettings",), "aliceSettings must be a list"),
+            ("behavior", ("bobSettings",), "bobSettings must be a list"),
+            ("behavior", ("contexts",), "contexts must be a list"),
+            ("behavior", ("contexts", 2, "cells"), "context (\"x'\", 'y') cells must be a list"),
+        ],
+    )
+    def test_non_list_field_exits_one(self, capsys, tmp_path, kind, path, where):
+        doc = kind_doc(kind)
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = 5
+        assert_rejected(capsys, doc, tmp_path, where)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (None, "flat setting '-1' has no entry for key"),
+            ("5", "flat setting '-1' entry 0 value 5 lies outside [-1, 1]"),
+        ],
+    )
+    def test_flat_entry_off_its_domain_exits_one(self, capsys, tmp_path, value, message):
+        doc = kind_doc("flat")
+        if value is None:
+            del doc["alice"][1]["entries"][0]
+        else:
+            doc["alice"][1]["entries"][0]["value"] = value
+        assert_rejected(capsys, doc, tmp_path, message)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (None, "bob setting '-1' bar has no value for source label"),
+            ("3/2", "bob setting '-1' bar 2 value 3/2 lies outside [-1, 1]"),
+        ],
+    )
+    def test_averaged_bar_off_its_domain_exits_one(self, capsys, tmp_path, value, message):
+        doc = kind_doc("averaged")
+        if value is None:
+            del doc["bob"][1]["bar"][2]
+        else:
+            doc["bob"][1]["bar"][2]["value"] = value
+        assert_rejected(capsys, doc, tmp_path, message)
 
     def test_parse_error_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -423,16 +501,21 @@ class TestPlumbing:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_entry_point_runs_as_module(self):
+    @staticmethod
+    def run_child(*argv):
         # the child imports the package under test, installed or not
         src = str(Path(lhvlab.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
-        result = subprocess.run(
-            [sys.executable, "-m", "lhvlab.cli", "chsh", "1", "0", "0", "-1"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+    def test_entry_point_runs_as_module(self):
+        result = self.run_child("-m", "lhvlab.cli", "chsh", "1", "0", "0", "-1")
         assert result.returncode == 0
         assert json.loads(result.stdout)["satisfied"] is True
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, lhvlab, lhvlab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        result = self.run_child("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from lhvlab import (
 )
 from lhvlab.corpus import random_contextual_model
 from lhvlab.modelio import parse_path, serialize
+
+FIXTURES = Path(__file__).parents[1] / "fixtures"
 
 
 class TestQuantumFixture:
@@ -140,7 +143,7 @@ class TestSearch:
 
 class TestCommittedWinner:
     def test_fixture_reverifies_exactly(self):
-        model = parse_path("fixtures/loophole_winner.model.json")
+        model = parse_path(FIXTURES / "loophole_winner.model.json")
         assert validate_model(model).ok
         behavior = behavior_from_model(model)
         ps = postselected_correlations(behavior)

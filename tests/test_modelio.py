@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,6 +201,43 @@ class TestParseErrors:
         doc = json.loads(serialize(product_flatten(counterexample_model())))
         doc["alice"][0]["coords"] = [0, 1.5]
         self.expect_error(doc, "test.json: malformed integer 1.5 at flat setting '\\+1' coords")
+
+    def test_duplicate_source_pair_named(self):
+        doc = self.base_doc()
+        doc["source"][1]["pair"] = ["1", "1"]
+        self.expect_error(doc, re.escape("test.json: duplicate label '(1,1)' in source pmf"))
+
+    def test_duplicate_instrument_label_named(self):
+        doc = self.base_doc()
+        doc["alice"][0]["instrument"].append({"label": "*", "mass": "0"})
+        message = "test.json: duplicate label '*' in alice setting '+1' instrument pmf"
+        self.expect_error(doc, re.escape(message))
+
+    def test_duplicate_flat_tuple_named(self):
+        doc = json.loads(serialize(product_flatten(counterexample_model())))
+        doc["atoms"][1]["tuple"] = doc["atoms"][0]["tuple"]
+        label = "(" + ",".join(doc["atoms"][0]["tuple"]) + ")"
+        self.expect_error(doc, re.escape(f"test.json: duplicate label '{label}' in tuple pmf"))
+
+    def test_duplicate_flat_entry_key_named(self):
+        doc = json.loads(serialize(product_flatten(counterexample_model())))
+        entries = doc["alice"][0]["entries"]
+        entries.append(dict(entries[0], value="0"))
+        key = "(" + ",".join(entries[0]["key"]) + ")"
+        self.expect_error(doc, re.escape(f"test.json: flat setting '+1' key {key} is listed twice"))
+
+    def test_duplicate_bar_label_named(self):
+        doc = json.loads(serialize(bell_average(counterexample_model())))
+        doc["bob"][1]["bar"].append({"label": "1", "value": "0"})
+        self.expect_error(doc, re.escape("test.json: bob setting '-1' bar label '1' is listed twice"))
+
+    def test_duplicate_context_and_cell_rejected(self):
+        b = json.loads(serialize(quantum_singlet_behavior(AngleSet.chsh_optimal())))
+        b["contexts"].append(b["contexts"][0])
+        self.expect_error(b, re.escape("context ('x', 'y') is listed twice"))
+        b = json.loads(serialize(quantum_singlet_behavior(AngleSet.chsh_optimal())))
+        b["contexts"][1]["cells"].append(dict(b["contexts"][1]["cells"][0], p="0"))
+        self.expect_error(b, re.escape("context ('x', \"y'\") cell (1, 1) is listed twice"))
 
     def test_missing_context_rejected(self):
         b = json.loads(serialize(quantum_singlet_behavior(AngleSet.chsh_optimal())))

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 from fractions import Fraction
@@ -21,6 +23,7 @@ from lhvlab import (
     simulate_spreadsheet,
 )
 from lhvlab.corpus import random_contextual_model
+from lhvlab.montecarlo import _chi2_sf
 
 
 def all_plus_model():
@@ -76,6 +79,26 @@ class TestOutcomes:
         assert isinstance(records[0], TrialRecord)
         assert records[0].a in ("+1", "-1")
         assert records[0].x in (-1, 1)
+
+
+    def test_rows_are_the_per_trial_records(self):
+        dag = from_contextual(counterexample_model())
+        sheet = simulate_spreadsheet(dag, 300, seed=9)
+        expected = [[t, *sheet.record(t)] for t in range(len(sheet))]
+        assert list(sheet.rows()) == expected
+        assert sheet.to_records() == [sheet.record(t) for t in range(len(sheet))]
+        buf = io.StringIO()
+        sheet.write_csv(buf)
+        lines = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert lines[0] == ["trial", "a", "b", "x", "y"]
+        assert lines[1:] == [[str(v) for v in row] for row in expected]
+
+    def test_records_give_back_the_sheet(self):
+        dag = from_contextual(counterexample_model())
+        sheet = simulate_spreadsheet(dag, 2000, seed=4)
+        again = independence_diagnostic(sheet.to_records())
+        assert again == independence_diagnostic(sheet)
+        assert estimate_correlations(sheet.to_records()) == estimate_correlations(sheet)
 
 
 class TestEstimates:
@@ -230,3 +253,43 @@ class TestIndependenceDiagnostic:
         assert large.statistic > small.statistic > 0
         assert large.p_value < 1e-12
         assert large.hidden_statistic > small.hidden_statistic
+
+
+class TestChi2Tail:
+    GRID_DOFS = list(range(1, 61)) + [105, 400, 1600]
+
+    @staticmethod
+    def grid_stats(dof):
+        fixed = [0.001, 0.01, 0.1, 0.5, 1, 2, 3.5, 7, 15, 30, 60, 120, 250, 500, 800, 1100, 1400]
+        return fixed + [dof / 2, dof, 3 * dof / 2, 2 * dof]
+
+    def test_matches_scipy_on_the_grid(self):
+        stats = pytest.importorskip("scipy.stats")
+        checked = 0
+        for dof in self.GRID_DOFS:
+            for stat in self.grid_stats(dof):
+                want = float(stats.chi2.sf(stat, dof))
+                if want < 1e-300:
+                    continue
+                assert _chi2_sf(stat, dof) == pytest.approx(want, rel=1e-10), (stat, dof)
+                checked += 1
+        assert checked > 1000
+
+    def test_zero_statistic_is_exactly_one(self):
+        for dof in (1, 2, 3, 400, 1601):
+            assert _chi2_sf(0.0, dof) == 1.0
+
+    def test_large_dof_tail_does_not_underflow(self):
+        # a running product of terms reads 0.0 here
+        assert _chi2_sf(1600.0, 1600) == pytest.approx(0.4953, abs=1e-4)
+
+    def test_small_dof_closed_forms(self):
+        for x in (0.3, 2.0, 9.0):
+            assert _chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-15)
+            assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-15)
+
+    def test_tail_is_a_probability_and_decreasing(self):
+        for dof in (1, 2, 7, 60, 1600):
+            tails = [_chi2_sf(dof * f, dof) for f in (0.01, 0.5, 1, 1.5, 2, 4)]
+            assert all(0 <= t <= 1 for t in tails)
+            assert tails == sorted(tails, reverse=True)
