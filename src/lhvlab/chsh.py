@@ -15,6 +15,7 @@ from .model import (
     OutcomeTable,
     Pmf,
     Setting,
+    integer_scale,
 )
 
 Value = Union[Fraction, float]
@@ -115,36 +116,40 @@ def postselected_correlations(behavior: BehaviorTable) -> PostSelectionReport:
 
     This is what an experimenter does when discarding no-detection
     trials.  The conditioned values are free to leave the CHSH polytope
-    even though the raw ones cannot.
+    even though the raw ones cannot.  Each context's cells are scaled to
+    integers over the lcm of their denominators once; every sum is an
+    integer sum, and each reported number is one Fraction.
     """
     if not behavior.ternary:
         raise ValueError("post-selection needs a ternary behavior (no zero outcomes to discard)")
-    if not behavior.is_normalized():
-        raise ValueError("behavior table is not normalized")
+    raw: dict[Context, Fraction] = {}
     conditional: dict[Context, Optional[Fraction]] = {}
     coincidence: dict[Context, Fraction] = {}
     alice_detect: dict[Context, Fraction] = {}
     bob_detect: dict[Context, Fraction] = {}
     for ctx in behavior.contexts():
         cells = behavior.context_pmf(ctx)
-        num = Fraction(0)
-        den = Fraction(0)
-        a_det = Fraction(0)
-        b_det = Fraction(0)
-        for (x, y), p in cells.items():
+        scale, weights = integer_scale(list(cells.values()))
+        if sum(weights) != scale or any(w < 0 for w in weights):
+            raise ValueError("behavior table is not normalized")
+        corr = num = den = a_det = b_det = 0
+        for (x, y), w in zip(cells, weights):
+            xyw = x * y * w
+            corr += xyw
             if x != 0:
-                a_det += p
+                a_det += w
             if y != 0:
-                b_det += p
-            if x != 0 and y != 0:
-                den += p
-                num += x * y * p
-        coincidence[ctx] = den
-        alice_detect[ctx] = a_det
-        bob_detect[ctx] = b_det
-        conditional[ctx] = num / den if den > 0 else None
+                b_det += w
+                if x != 0:
+                    den += w
+                    num += xyw
+        raw[ctx] = Fraction(corr, scale)
+        coincidence[ctx] = Fraction(den, scale)
+        alice_detect[ctx] = Fraction(a_det, scale)
+        bob_detect[ctx] = Fraction(b_det, scale)
+        conditional[ctx] = Fraction(num, den) if den > 0 else None
     return PostSelectionReport(
-        raw_quad=behavior.quad(),
+        raw_quad=CorrelationQuad(behavior.alice_settings, behavior.bob_settings, raw),
         conditional=conditional,
         coincidence_rate=coincidence,
         alice_detect=alice_detect,

@@ -251,16 +251,51 @@ def _mutate(rng: random.Random, model: ContextualModel, cfg: SearchConfig) -> Co
     return ContextualModel(source, model.alice, model.bob)
 
 
+def _postselected_detection(model: ContextualModel, ps: PostSelectionReport) -> DetectionReport:
+    """Per-setting detection rates read off the post-selection marginals.
+
+    In a normalized model a context's marginal detection probability is
+    its setting's detection rate, whatever the other side measures, so
+    one context per setting gives :func:`detection_rates` exactly.
+    """
+    alice0, bob0 = model.alice_settings[0], model.bob_settings[0]
+    return DetectionReport(
+        {a: ps.alice_detect[(a, bob0)] for a in model.alice_settings},
+        {b: ps.bob_detect[(alice0, b)] for b in model.bob_settings},
+    )
+
+
+class _Key:
+    """A candidate's rank, coincidence total and, built on first use, its text."""
+
+    __slots__ = ("rank", "coincidence", "model", "_text")
+
+    def __init__(self, rank: Fraction, coincidence: Fraction, model: ContextualModel):
+        self.rank = rank
+        self.coincidence = coincidence
+        self.model = model
+        self._text: Optional[str] = None
+
+    def text(self) -> str:
+        if self._text is None:
+            self._text = modelio.serialize(self.model)
+        return self._text
+
+
 def _score(model: ContextualModel, cfg: SearchConfig):
     """Rank a candidate: (feasible, key, post-selection report).
 
     Feasible candidates rank by post-selected max |S|; candidates outside
     the rate constraints rank by the negated constraint violation, which
     lets the greedy walk climb back into the feasible region but keeps
-    every infeasible rank below every feasible one.
+    every infeasible rank below every feasible one.  The detection
+    penalty reads the rates off the post-selection marginals, so the
+    model's channels are built once.  Search candidates are normalized
+    by construction, which makes those marginals the exact rates.  The
+    tie-break text is not built here: the key serializes the model only
+    when :func:`_better` needs it, at most once per candidate.
     """
-    behavior = behavior_from_model(model)
-    ps = postselected_correlations(behavior)
+    ps = postselected_correlations(behavior_from_model(model))
     penalty = Fraction(0)
     for ctx, rate in ps.coincidence_rate.items():
         if ps.conditional[ctx] is None:
@@ -268,7 +303,7 @@ def _score(model: ContextualModel, cfg: SearchConfig):
         if rate < cfg.min_coincidence:
             penalty += cfg.min_coincidence - rate
     if cfg.max_detection is not None:
-        det = detection_rates(model)
+        det = _postselected_detection(model, ps)
         for rate in list(det.alice.values()) + list(det.bob.values()):
             if rate >= cfg.max_detection:
                 # the cap is exclusive, so sitting exactly on it still counts
@@ -276,16 +311,16 @@ def _score(model: ContextualModel, cfg: SearchConfig):
     feasible = penalty == 0
     rank = chsh_values(ps.conditional_quad()).max_abs if feasible else -penalty
     coincidence_total = sum(ps.coincidence_rate.values(), Fraction(0))
-    return feasible, (rank, coincidence_total, modelio.serialize(model)), ps
+    return feasible, _Key(rank, coincidence_total, model), ps
 
 
-def _better(key, other) -> bool:
+def _better(key: _Key, other: _Key) -> bool:
     """Higher score wins; ties prefer lower coincidence, then smaller text."""
-    if key[0] != other[0]:
-        return key[0] > other[0]
-    if key[1] != other[1]:
-        return key[1] < other[1]
-    return key[2] < other[2]
+    if key.rank != other.rank:
+        return key.rank > other.rank
+    if key.coincidence != other.coincidence:
+        return key.coincidence < other.coincidence
+    return key.text() < other.text()
 
 
 def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
@@ -295,7 +330,10 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     the post-selected max |S| subject to every context's coincidence rate
     meeting the configured minimum.  Ties prefer lower total coincidence,
     then the smaller canonical serialization, so the outcome is a pure
-    function of the config.  The returned model's raw coin-reduced quad
+    function of the config.  That text is built lazily, once per
+    candidate and only when rank and coincidence tie; the detection
+    penalties come from the post-selection marginals, so a candidate's
+    channels are built once.  The returned model's raw coin-reduced quad
     is re-verified to satisfy CHSH exactly; if the budget never produces
     a violation the best model is still returned, flagged accordingly.
     """
@@ -326,8 +364,8 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
             stall += 1
         if feasible and (best_key is None or _better(key, best_key)):
             best, best_key, best_ps = candidate, key, ps
-            history.append((evaluations, key[0]))
-            if config.target_stat is not None and key[0] >= config.target_stat:
+            history.append((evaluations, key.rank))
+            if config.target_stat is not None and key.rank >= config.target_stat:
                 break
 
     if best is None or best_ps is None:
@@ -344,7 +382,7 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
             "search returned a model whose raw quad violates CHSH; "
             "this cannot happen for a well-formed model and indicates a bug"
         )
-    score = best_key[0]
+    score = best_key.rank
     return SearchOutcome(
         model=best,
         report=best_ps,

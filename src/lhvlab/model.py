@@ -9,7 +9,11 @@ can be checked with exact equality rather than tolerances.
 Exact numbers are projections of one product measure, source x
 instrument_a x instrument_b, computed by one integer kernel:
 :func:`outcome_channel` (instrument integrated out per source label) and
-:func:`context_distributions` (each context's joint value pmf).
+:func:`context_distributions` (each context's joint value counts).  The
+kernel interns each distinct outcome value of a model once as a small
+int code and counts on those codes in integers, so no Fraction is hashed
+or added in its loops; its callers build one Fraction per cell or
+reported number.
 :func:`correlation_quad` and :func:`behavior_from_model` project the
 latter; :func:`side_distribution`, :func:`exact_side_expectation`,
 ``loophole.detection_rates`` and ``flatten.bell_average`` the channels.
@@ -177,10 +181,9 @@ class OutcomeTable:
         ternary-flagged table (in an unflagged table 0 reads as the
         expectation of a fair coin).
         """
-        allowed = {Fraction(-1), Fraction(1)}
-        if self.ternary:
-            allowed.add(Fraction(0))
-        return all(v in allowed for v in self.entries.values())
+        # integer tests, no Fraction hashing: the search calls this per candidate
+        low = 0 if self.ternary else 1
+        return all(v.denominator == 1 and low <= abs(v.numerator) <= 1 for v in self.entries.values())
 
     def has_zero(self) -> bool:
         return any(v == 0 for v in self.entries.values())
@@ -461,6 +464,39 @@ def _coord(side: str) -> int:
     return 0 if side == "alice" else 1
 
 
+def _coded_channel(
+    model: ContextualModel, side: str, setting: Setting, codes: dict[tuple[int, int], int]
+) -> tuple[int, dict[Label, dict[int, int]]]:
+    """:func:`outcome_channel` with each outcome value interned as a small int.
+
+    ``codes`` maps a value's ``(numerator, denominator)`` to its code and
+    grows in first-appearance order; share one across a model's channels
+    so a code names the same value in all of them.  Keying on the integer
+    pair instead of the ``Fraction`` keeps ``Fraction.__hash__`` out of
+    the loop.
+    """
+    labels = model.source_first_labels() if _coord(side) == 0 else model.source_second_labels()
+    scale, weights = setting.instrument.integer_weights()
+    value = setting.outcomes.value
+    channel: dict[Label, dict[int, int]] = {}
+    for lab in labels:
+        dist: dict[int, int] = {}
+        for atom, w in weights:
+            v = value(lab, atom)
+            key = (v.numerator, v.denominator)
+            code = codes.get(key)
+            if code is None:
+                code = codes[key] = len(codes)
+            dist[code] = dist.get(code, 0) + w
+        channel[lab] = dist
+    return scale, channel
+
+
+def _decode(codes: dict[tuple[int, int], int]) -> list[Fraction]:
+    """The outcome values indexed by their codes."""
+    return [Fraction(n, d) for n, d in codes]
+
+
 def outcome_channel(model: ContextualModel, side: str, setting: Setting) -> tuple[int, dict]:
     """One setting's outcome-value law per source label, instrument integrated out.
 
@@ -471,57 +507,59 @@ def outcome_channel(model: ContextualModel, side: str, setting: Setting) -> tupl
     present; values appear in first-appearance order over
     ``instrument.support()``.
     """
-    labels = model.source_first_labels() if _coord(side) == 0 else model.source_second_labels()
-    scale, weights = setting.instrument.integer_weights()
-    value = setting.outcomes.value
-    channel: dict[Label, dict[Fraction, int]] = {}
-    for lab in labels:
-        dist: dict[Fraction, int] = {}
-        for atom, w in weights:
-            v = value(lab, atom)
-            dist[v] = dist.get(v, 0) + w
-        channel[lab] = dist
-    return scale, channel
+    codes: dict[tuple[int, int], int] = {}
+    scale, coded = _coded_channel(model, side, setting, codes)
+    values = _decode(codes)
+    return scale, {lab: {values[k]: w for k, w in dist.items()} for lab, dist in coded.items()}
 
 
-def context_distributions(model: ContextualModel) -> dict[Context, dict[tuple, Fraction]]:
-    """Each context's joint pmf of the outcome values (A_a, B_b).
+def context_distributions(
+    model: ContextualModel,
+) -> tuple[list[Fraction], dict[Context, tuple[int, dict[int, int]]]]:
+    """Each context's joint law of the outcome values (A_a, B_b), as integer counts.
 
     Sums source weight x Alice channel x Bob channel in integers over one
-    common denominator and builds one Fraction per cell at the end.  Cells
-    appear in first-appearance order over the source support, then the
-    two channels.
+    common denominator, keyed on interned value codes.  Returns
+    ``(values, {context: (scale, counts)})``: with ``n = len(values)``,
+    ``counts[x * n + y]`` is the weight over ``scale`` of the cell
+    ``(values[x], values[y])``.  Counts appear in first-appearance order
+    over the source support, then the two channels; callers build one
+    Fraction per cell they report.
     """
+    codes: dict[tuple[int, int], int] = {}
     src_scale, src = model.source.integer_weights()
-    alice = {s.name: outcome_channel(model, "alice", s) for s in model.alice}
-    bob = {s.name: outcome_channel(model, "bob", s) for s in model.bob}
+    alice = {s.name: _coded_channel(model, "alice", s, codes) for s in model.alice}
+    bob = {s.name: _coded_channel(model, "bob", s, codes) for s in model.bob}
+    n = len(codes)
     out = {}
     for ctx in model.contexts():
         a_scale, chan_a = alice[ctx[0]]
         b_scale, chan_b = bob[ctx[1]]
-        counts: dict[tuple[Fraction, Fraction], int] = {}
+        counts: dict[int, int] = {}
         for (l1, l2), w in src:
             row = chan_b[l2].items()
             for x, cx in chan_a[l1].items():
                 wx = w * cx
+                base = x * n
                 for y, cy in row:
-                    key = (x, y)
+                    key = base + y
                     counts[key] = counts.get(key, 0) + wx * cy
-        scale = src_scale * a_scale * b_scale
-        out[ctx] = {key: Fraction(c, scale) for key, c in counts.items()}
-    return out
+        out[ctx] = (src_scale * a_scale * b_scale, counts)
+    return _decode(codes), out
 
 
 def side_distribution(model: ContextualModel, side: str, setting: Setting) -> dict[Fraction, Fraction]:
     """The pmf of one setting's outcome value, source and instrument integrated out."""
     coord = _coord(side)
     src_scale, src = model.source.integer_weights()
-    scale, channel = outcome_channel(model, side, setting)
-    counts: dict[Fraction, int] = {}
+    codes: dict[tuple[int, int], int] = {}
+    scale, channel = _coded_channel(model, side, setting, codes)
+    counts: dict[int, int] = {}
     for pair, w in src:
-        for v, c in channel[pair[coord]].items():
-            counts[v] = counts.get(v, 0) + w * c
-    return {v: Fraction(c, src_scale * scale) for v, c in counts.items()}
+        for k, c in channel[pair[coord]].items():
+            counts[k] = counts.get(k, 0) + w * c
+    values = _decode(codes)
+    return {values[k]: Fraction(c, src_scale * scale) for k, c in counts.items()}
 
 
 def exact_side_expectation(model: ContextualModel, side: str, setting_name: str) -> Fraction:
@@ -532,12 +570,21 @@ def exact_side_expectation(model: ContextualModel, side: str, setting_name: str)
 
 
 def correlation_quad(model: ContextualModel) -> CorrelationQuad:
-    """All four context expectations: the first moment of each context's joint pmf."""
-    values = {
-        ctx: sum((x * y * p for (x, y), p in cells.items()), Fraction(0))
-        for ctx, cells in context_distributions(model).items()
+    """All four context expectations: the first moment of each context's joint pmf.
+
+    The outcome values are scaled to integers over one common denominator,
+    so each expectation is one integer sum and one Fraction.
+    """
+    values, coded = context_distributions(model)
+    n = len(values)
+    vscale, ints = integer_scale(values)
+    quad = {
+        ctx: Fraction(
+            sum(ints[k // n] * ints[k % n] * c for k, c in counts.items()), scale * vscale * vscale
+        )
+        for ctx, (scale, counts) in coded.items()
     }
-    return CorrelationQuad(model.alice_settings, model.bob_settings, values)
+    return CorrelationQuad(model.alice_settings, model.bob_settings, quad)
 
 
 def counterexample_model() -> ContextualModel:
@@ -584,9 +631,12 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
                     "behavior tables need point outcomes"
                 )
     outcomes = (-1, 0, 1) if model.is_ternary() else (-1, 1)
+    values, coded = context_distributions(model)
+    n = len(values)
+    ints = [int(v) for v in values]
     probs = {
-        ctx: {(int(x), int(y)): p for (x, y), p in cells.items()}
-        for ctx, cells in context_distributions(model).items()
+        ctx: {(ints[k // n], ints[k % n]): Fraction(c, scale) for k, c in counts.items()}
+        for ctx, (scale, counts) in coded.items()
     }
     return BehaviorTable(model.alice_settings, model.bob_settings, outcomes, probs)
 

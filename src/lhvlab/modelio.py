@@ -336,6 +336,7 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatS
                 f"{source}: flat setting {name!r} coordinate {c} lies outside the atom tuples "
                 f"(shortest has length {arity})"
             )
+    ternary = bool(sdoc.get("ternary", False))
     entries = {}
     for i, e in enumerate(_require_list(sdoc["entries"], f"flat setting {name!r} entries", source)):
         _require_keys(e, {"key", "value"}, {"key", "value"}, f"{name!r} entry {i}", source)
@@ -345,8 +346,14 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatS
         key = (str(key[0]), str(key[1]))
         if key in entries:
             raise ModelParseError(f"{source}: flat setting {name!r} key {_label_str(key)} is listed twice")
-        entries[key] = _parse_unit(e["value"], f"flat setting {name!r} entry {i}", source)
-    return FlatSetting(name, coords, OutcomeTable(entries, ternary=bool(sdoc.get("ternary", False))))
+        value = _parse_unit(e["value"], f"flat setting {name!r} entry {i}", source)
+        # within [-1, 1], an integer is -1, 0 or 1
+        if ternary and value.denominator != 1:
+            raise ModelParseError(
+                f"{source}: flat setting {name!r} is ternary but entry {i} value {value} is not -1, 0 or 1"
+            )
+        entries[key] = value
+    return FlatSetting(name, coords, OutcomeTable(entries, ternary=ternary))
 
 
 def _parse_flat(doc: dict, source: str) -> FlatModel:

@@ -4,7 +4,9 @@ Every model oracle here walks ``support()`` atom by atom in Fractions,
 so it shares no code path with the integer kernel in :mod:`lhvlab.model`
 or the integer columns of :meth:`lhvlab.FlatModel.quad`; the LP oracle
 pivots a Fraction tableau, sharing no code with the integer simplex in
-:mod:`lhvlab.simplex`.
+:mod:`lhvlab.simplex`; the post-selection oracle adds the cells as
+Fractions, sharing no code with the integer sums of
+:func:`lhvlab.postselected_correlations`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from lhvlab import ContextualModel, CorrelationQuad, FlatModel
+from lhvlab import BehaviorTable, ContextualModel, CorrelationQuad, FlatModel, PostSelectionReport
 from lhvlab.corpus import random_contextual_model
 
 
@@ -88,6 +90,43 @@ def brute_behavior(model: ContextualModel) -> dict:
                     cells[key] = cells.get(key, Fraction(0)) + p_src * p_a * p_b
         probs[ctx] = cells
     return probs
+
+
+def brute_postselect(behavior: BehaviorTable) -> PostSelectionReport:
+    """Reference post-selection: each context's cells added one by one as Fractions."""
+    if not behavior.ternary:
+        raise ValueError("post-selection needs a ternary behavior (no zero outcomes to discard)")
+    if not behavior.is_normalized():
+        raise ValueError("behavior table is not normalized")
+    conditional: dict = {}
+    coincidence: dict = {}
+    alice_detect: dict = {}
+    bob_detect: dict = {}
+    for ctx in behavior.contexts():
+        cells = behavior.context_pmf(ctx)
+        num = Fraction(0)
+        den = Fraction(0)
+        a_det = Fraction(0)
+        b_det = Fraction(0)
+        for (x, y), p in cells.items():
+            if x != 0:
+                a_det += p
+            if y != 0:
+                b_det += p
+            if x != 0 and y != 0:
+                den += p
+                num += x * y * p
+        coincidence[ctx] = den
+        alice_detect[ctx] = a_det
+        bob_detect[ctx] = b_det
+        conditional[ctx] = num / den if den > 0 else None
+    return PostSelectionReport(
+        raw_quad=behavior.quad(),
+        conditional=conditional,
+        coincidence_rate=coincidence,
+        alice_detect=alice_detect,
+        bob_detect=bob_detect,
+    )
 
 
 def _side_terms(model: ContextualModel, side: str, setting):

@@ -18,6 +18,7 @@ from lhvlab import (
     validate_model,
     zero_to_coin,
 )
+from conftest import brute_postselect
 from lhvlab.corpus import random_contextual_model
 
 
@@ -144,6 +145,92 @@ class TestPostSelection:
         b = behavior_from_model(counterexample_model())
         with pytest.raises(ValueError, match="ternary"):
             postselected_correlations(b)
+
+
+CONTEXTS = [("x", "y"), ("x", "y'"), ("x'", "y"), ("x'", "y'")]
+TERNARY_CELLS = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+
+
+def ternary_table(probs) -> BehaviorTable:
+    return BehaviorTable(("x", "x'"), ("y", "y'"), (-1, 0, 1), dict(zip(CONTEXTS, probs)))
+
+
+@st.composite
+def ternary_tables(draw):
+    """Normalized ternary tables: integer weights over a random total, so
+    the reduced cell masses have unequal denominators; a context whose
+    weight all sits on zero outcomes has no coincidences."""
+    probs = []
+    for _ctx in CONTEXTS:
+        cells = draw(st.lists(st.sampled_from(TERNARY_CELLS), min_size=1, max_size=9, unique=True))
+        weights = draw(st.lists(st.integers(0, 12), min_size=len(cells), max_size=len(cells)))
+        if sum(weights) == 0:
+            weights[0] = 1
+        total = sum(weights)
+        probs.append({cell: Fraction(w, total) for cell, w in zip(cells, weights)})
+    return ternary_table(probs)
+
+
+def assert_same_report(got, want):
+    """Field by field, item order and value types included."""
+    assert got.raw_quad.alice_settings == want.raw_quad.alice_settings
+    assert got.raw_quad.bob_settings == want.raw_quad.bob_settings
+    fields = ("conditional", "coincidence_rate", "alice_detect", "bob_detect")
+    for g, w in [(got.raw_quad.values, want.raw_quad.values)] + [
+        (getattr(got, f), getattr(want, f)) for f in fields
+    ]:
+        assert list(g.items()) == list(w.items())
+        assert [type(v) for v in g.values()] == [type(v) for v in w.values()]
+    assert got == want
+
+
+def assert_same_error(behavior):
+    with pytest.raises(ValueError) as want:
+        brute_postselect(behavior)
+    with pytest.raises(ValueError) as got:
+        postselected_correlations(behavior)
+    assert str(got.value) == str(want.value)
+
+
+class TestPostSelectionOracle:
+    def test_corpus_behaviors_match_the_oracle(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            m = random_contextual_model(rng, max_source_side=4, max_instrument=3, outcome_kind="ternary")
+            b = behavior_from_model(m)
+            assert_same_report(postselected_correlations(b), brute_postselect(b))
+
+    @given(ternary_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_tables_match_the_oracle(self, table):
+        assert_same_report(postselected_correlations(table), brute_postselect(table))
+
+    def test_zero_coincidence_and_unequal_denominators(self):
+        table = ternary_table(
+            [
+                {(0, 1): Fraction(1, 2), (-1, 0): Fraction(1, 3), (0, 0): Fraction(1, 6)},
+                {(1, 1): Fraction(1, 4), (-1, 1): Fraction(2, 3), (0, -1): Fraction(1, 12)},
+                {(1, -1): Fraction(1)},
+                {(1, 1): Fraction(1, 5), (1, 0): Fraction(0), (-1, -1): Fraction(4, 5)},
+            ]
+        )
+        got = postselected_correlations(table)
+        assert got.conditional[("x", "y")] is None
+        assert got.conditional[("x", "y'")] == Fraction(-5, 11)
+        assert_same_report(got, brute_postselect(table))
+
+    def test_bad_tables_raise_the_oracle_error(self):
+        good = {(1, 1): Fraction(1, 2), (0, -1): Fraction(1, 2)}
+        short = {(1, 1): Fraction(1, 2), (0, -1): Fraction(1, 3)}
+        negative = {(1, 1): Fraction(3, 2), (0, -1): Fraction(-1, 2)}
+        for bad in (short, negative, {}):
+            for slot in range(4):
+                probs = [good] * 4
+                probs[slot] = bad
+                assert_same_error(ternary_table(probs))
+        probs = dict.fromkeys(CONTEXTS, {(1, 1): Fraction(1)})
+        binary = BehaviorTable(("x", "x'"), ("y", "y'"), (-1, 1), probs)
+        assert_same_error(binary)
 
 
 class TestZeroToCoin:

@@ -277,6 +277,14 @@ class TestValidate:
             doc["alice"][1]["entries"][0]["value"] = value
         assert_rejected(capsys, doc, tmp_path, message)
 
+    def test_flat_ternary_flag_enforced(self, capsys, tmp_path):
+        winner = lhvlab.parse_path(FIXTURES / "loophole_winner.model.json")
+        doc = json.loads(lhvlab.serialize(lhvlab.product_flatten(winner)))
+        assert doc["bob"][1]["ternary"] is True
+        doc["bob"][1]["entries"][3]["value"] = "1/2"
+        message = "flat setting \"y'\" is ternary but entry 3 value 1/2 is not -1, 0 or 1"
+        assert_rejected(capsys, doc, tmp_path, message)
+
     @pytest.mark.parametrize(
         "value, message",
         [

@@ -24,7 +24,9 @@ from lhvlab import (
     validate_model,
     zero_to_coin,
 )
+from lhvlab.cli import main as cli_main
 from lhvlab.corpus import random_contextual_model
+from lhvlab.loophole import _mutate, _postselected_detection, _random_search_model
 from lhvlab.modelio import parse_path, serialize
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
@@ -141,7 +143,42 @@ class TestSearch:
             SearchConfig(seed=1, mass_denominator=128).validate()
 
 
+class TestDetectionFromPostSelection:
+    @pytest.mark.parametrize("instrument_atoms", [1, 2])
+    def test_marginals_equal_detection_rates_along_a_walk(self, instrument_atoms):
+        """The search reads detection rates off the post-selection marginals;
+        on every candidate of a seeded walk they equal detection_rates."""
+        cfg = SearchConfig(seed=0, source_atoms=6, instrument_atoms=instrument_atoms, mass_denominator=8)
+        rng = random.Random(61 + instrument_atoms)
+        instrument_moves = 0
+        for _restart in range(5):
+            model = _random_search_model(rng, cfg)
+            for _step in range(80):
+                ps = postselected_correlations(behavior_from_model(model))
+                det = detection_rates(model)
+                for ctx in model.contexts():
+                    assert ps.alice_detect[ctx] == det.alice[ctx[0]]
+                    assert ps.bob_detect[ctx] == det.bob[ctx[1]]
+                assert _postselected_detection(model, ps) == det
+                child = _mutate(rng, model, cfg)
+                instruments = [s.instrument for s in model.alice + model.bob]
+                if instruments != [s.instrument for s in child.alice + child.bob]:
+                    instrument_moves += 1
+                model = child
+        assert (instrument_moves > 0) == (instrument_atoms > 1)
+
+
 class TestCommittedWinner:
+    def test_cli_search_regenerates_both_fixtures(self, capsys, tmp_path):
+        """The whole walk, not just the winner: history and report byte for byte."""
+        out_json = tmp_path / "search.json"
+        out_model = tmp_path / "model.json"
+        status = cli_main(["search", "--seed", "4", "--out", str(out_json), "--out-model", str(out_model)])
+        capsys.readouterr()
+        assert status == 0
+        assert out_json.read_bytes() == (FIXTURES / "loophole_winner.search.json").read_bytes()
+        assert out_model.read_bytes() == (FIXTURES / "loophole_winner.model.json").read_bytes()
+
     def test_fixture_reverifies_exactly(self):
         model = parse_path(FIXTURES / "loophole_winner.model.json")
         assert validate_model(model).ok

@@ -216,6 +216,30 @@ class TestBehavior:
             behavior_from_model(bad)
 
 
+TRUTH_VALUES = ["-1", "0", "1", "1/2", "-1/3", "2", "-2"]
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+@pytest.mark.parametrize("value", TRUTH_VALUES)
+def test_values_are_point_truth_table(ternary, value):
+    """The integer test agrees with set membership in {-1, 1}, plus 0 when ternary."""
+    allowed = {Fraction(-1), Fraction(1)} | ({Fraction(0)} if ternary else set())
+    alone = OutcomeTable({("a", "*"): value}, ternary=ternary)
+    assert alone.values_are_point() == (Fraction(value) in allowed)
+    mixed = OutcomeTable({("a", "*"): 1, ("b", "*"): value, ("c", "*"): -1}, ternary=ternary)
+    assert mixed.values_are_point() == (Fraction(value) in allowed)
+
+
+@pytest.mark.parametrize("ternary", [False, True])
+def test_values_are_point_on_whole_tables(ternary):
+    allowed = {Fraction(-1), Fraction(1)} | ({Fraction(0)} if ternary else set())
+    rng = random.Random(43)
+    for _ in range(200):
+        entries = {(str(k), "*"): rng.choice(TRUTH_VALUES) for k in range(rng.randrange(1, 5))}
+        table = OutcomeTable(entries, ternary=ternary)
+        assert table.values_are_point() == all(v in allowed for v in table.entries.values())
+
+
 def _pair_model(joints):
     """NonlocalPairModel with identity outcomes on +/-1 pair labels."""
     identity = {1: Fraction(1), -1: Fraction(-1)}

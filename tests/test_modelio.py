@@ -197,6 +197,14 @@ class TestParseErrors:
         parent[path[-1]] = 5
         self.expect_error(doc, f"test.json: {where} must be a list")
 
+    def test_flat_ternary_flag_enforced(self):
+        winner = parse_path(FIXTURES / "loophole_winner.model.json")
+        doc = json.loads(serialize(product_flatten(winner)))
+        doc["alice"][0]["entries"][0]["value"] = "1/2"
+        self.expect_error(doc, "test.json: flat setting 'x' is ternary but entry 0 value 1/2 is not -1, 0 or 1")
+        doc["alice"][0]["ternary"] = False
+        assert parse_text(json.dumps(doc)).alice[0].outcomes.entries[("s0", "u0")] == Fraction(1, 2)
+
     def test_flat_coords_must_be_integers(self):
         doc = json.loads(serialize(product_flatten(counterexample_model())))
         doc["alice"][0]["coords"] = [0, 1.5]
