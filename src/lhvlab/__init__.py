@@ -50,20 +50,6 @@ from .fine import (
     fine_criterion,
     marginalize_context,
 )
-from .montecarlo import (
-    CorrelationEstimate,
-    CouplingSamples,
-    DagModel,
-    IndependenceReport,
-    Spreadsheet,
-    TrialRecord,
-    estimate_correlations,
-    from_contextual,
-    independence_diagnostic,
-    sample_coupling,
-    simulate_given_settings,
-    simulate_spreadsheet,
-)
 from .loophole import (
     AngleSet,
     DetectionReport,
@@ -78,4 +64,32 @@ from .modelio import ModelParseError, parse_path, parse_text, serialize
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The Monte Carlo layer is the only user of numpy, whose import costs more
+# than the rest of the package together.  Its names, and the submodule
+# itself, are served on first use (PEP 562), so that `import lhvlab` and
+# every CLI subcommand but `simulate` start without numpy.
+_MONTECARLO_NAMES = frozenset({
+    "CorrelationEstimate",
+    "CouplingSamples",
+    "DagModel",
+    "IndependenceReport",
+    "Spreadsheet",
+    "TrialRecord",
+    "estimate_correlations",
+    "from_contextual",
+    "independence_diagnostic",
+    "sample_coupling",
+    "simulate_given_settings",
+    "simulate_spreadsheet",
+})
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _MONTECARLO_NAMES | {"montecarlo"})
+
+
+def __getattr__(name: str):
+    if name == "montecarlo" or name in _MONTECARLO_NAMES:
+        import importlib
+
+        montecarlo = importlib.import_module(".montecarlo", __name__)
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,11 +8,11 @@ Exit status: 0 success, 1 parse/validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from . import modelio
 from .chsh import ChshReport, PostSelectionReport, chsh_values, postselected_correlations
@@ -38,7 +38,6 @@ from .model import (
     validate_model,
 )
 from .modelio import ModelParseError
-from .montecarlo import estimate_correlations, from_contextual, independence_diagnostic, simulate_spreadsheet
 
 
 class CliError(Exception):
@@ -198,7 +197,7 @@ def _cmd_flatten(args) -> tuple[Any, int]:
         out = uniform_reduce(model)
     else:
         out = bell_average(model)
-    return modelio.serialize(out), 0
+    return [modelio.serialize(out)], 0
 
 
 def _cmd_chsh(args) -> tuple[Any, int]:
@@ -292,8 +291,35 @@ def _check_seed(seed: int) -> None:
         raise UsageError(f"--seed must lie in [0, 2**64), got {seed}")
 
 
+# One record of ``json.dumps(payload, indent=2)`` at the depth of
+# "records": the trial, the two JSON-encoded setting names, the outcomes.
+_RECORD = "    [\n      %d,\n      %s,\n      %s,\n      %d,\n      %d\n    ]"
+
+
+def _json_with_records(payload: dict[str, Any], sheet) -> Iterator[str]:
+    """``json.dumps({**payload, "records": list(sheet.rows())}, indent=2) + "\\n"``, in chunks.
+
+    The payload is dumped as usual without its closing brace; the records
+    follow as its last key, one block of rows per chunk, each row through
+    the fixed ``_RECORD`` template.  The sheet must hold at least one trial.
+    """
+    alice = {name: json.dumps(name) for name in sheet.alice_settings}
+    bob = {name: json.dumps(name) for name in sheet.bob_settings}
+    yield json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "records": [\n'
+    sep = ""
+    for block in sheet.row_blocks():
+        yield sep + ",\n".join([_RECORD % (t, alice[a], bob[b], x, y) for t, a, b, x, y in block])
+        sep = ",\n"
+    yield "\n  ]\n}\n"
+
+
 def _cmd_simulate(args) -> tuple[Any, int]:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     _check_seed(args.seed)
+    # numpy loads here, for this subcommand only
+    from .montecarlo import estimate_correlations, from_contextual, independence_diagnostic, simulate_spreadsheet
+
     model = _require_contextual(_load(args.model))
     bias = _parse_bias(args.bias, model) if args.bias else None
     try:
@@ -304,9 +330,7 @@ def _cmd_simulate(args) -> tuple[Any, int]:
     except ValueError as exc:
         raise CliError(str(exc))
     if args.format == "csv":
-        buf = io.StringIO()
-        sheet.write_csv(buf)
-        return buf.getvalue(), 0
+        return sheet.csv_chunks(), 0
     estimates = estimate_correlations(sheet)
     diag = independence_diagnostic(sheet)
     payload = {
@@ -335,8 +359,10 @@ def _cmd_simulate(args) -> tuple[Any, int]:
             "laggedStatistic": _num(diag.lagged_statistic),
             "laggedDof": diag.lagged_dof,
         },
-        "records": list(sheet.rows()),
     }
+    if args.format == "json":
+        return _json_with_records(payload, sheet), 0
+    payload["records"] = list(sheet.rows())
     return payload, 0
 
 
@@ -363,8 +389,11 @@ def _cmd_search(args) -> tuple[Any, int]:
         raise CliError(str(exc))
     model_text = modelio.serialize(outcome.model)
     if args.out_model:
-        with open(args.out_model, "w") as fp:
-            fp.write(model_text)
+        try:
+            with open(args.out_model, "w") as fp:
+                fp.write(model_text)
+        except OSError as exc:
+            raise CliError(_cannot_write(args.out_model, exc))
     payload = {
         "config": {
             "seed": config.seed,
@@ -517,7 +546,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(path: str, exc: OSError) -> str:
+    return f"cannot write {path}: {exc.strerror or exc}"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand and write its artifact.
+
+    A subcommand returns a payload dict, rendered here as JSON or text,
+    or an iterable of text chunks, written as they come.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -528,17 +566,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(payload, str):
-        text = payload
+    if not isinstance(payload, dict):
+        chunks = payload
     elif args.format == "text":
-        text = _render_text(payload) + "\n"
+        chunks = [_render_text(payload) + "\n"]
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        chunks = [json.dumps(payload, indent=2) + "\n"]
     if args.out:
-        with open(args.out, "w") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.out, "w") as fp:
+                fp.writelines(chunks)
+        except OSError as exc:
+            print(f"error: {_cannot_write(args.out, exc)}", file=sys.stderr)
+            return 1
+        return status
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head`), which is no error.  Point
+        # stdout at the null device so the exit-time flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

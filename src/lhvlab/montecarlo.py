@@ -17,9 +17,11 @@ only runtime dependency: the chi-squared p-values of
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
@@ -42,6 +44,9 @@ TAG_SETTINGS = np.uint64(0)
 TAG_SOURCE = np.uint64(1)
 TAG_ALICE = np.uint64(2)
 TAG_BOB = np.uint64(3)
+
+# rows converted and written per block by the streaming writers
+ROWS_PER_BLOCK = 1 << 16
 
 
 def _stream(seed: int, tag: np.uint64) -> np.random.Generator:
@@ -82,18 +87,30 @@ class Spreadsheet:
     def __len__(self) -> int:
         return len(self.x)
 
-    def _columns(self) -> tuple[list, list, list, list]:
-        """The a, b, x, y columns as Python lists of setting names and +/-1 ints."""
+    def _columns(self, part: slice = slice(None)) -> tuple[list, list, list, list]:
+        """The a, b, x, y columns (or a slice of them) as Python lists of setting names and +/-1 ints."""
         return (
-            np.asarray(self.alice_settings, dtype=object)[self.a_index].tolist(),
-            np.asarray(self.bob_settings, dtype=object)[self.b_index].tolist(),
-            self.x.tolist(),
-            self.y.tolist(),
+            np.asarray(self.alice_settings, dtype=object)[self.a_index[part]].tolist(),
+            np.asarray(self.bob_settings, dtype=object)[self.b_index[part]].tolist(),
+            self.x[part].tolist(),
+            self.y[part].tolist(),
         )
 
     def rows(self) -> Iterator[list]:
         """One ``[t, a, b, x, y]`` row per trial: the CSV lines and the JSON records."""
-        return map(list, zip(range(len(self)), *self._columns()))
+        return chain.from_iterable(self.row_blocks())
+
+    def row_blocks(self) -> Iterator[Iterator[list]]:
+        """:meth:`rows` in consecutive blocks of at most ``ROWS_PER_BLOCK`` rows.
+
+        Each block converts its slice of the columns when it is reached,
+        and yields its rows lazily, so a writer that finishes one block
+        before taking the next holds one block of columns at a time.
+        """
+        trials = range(len(self))
+        for start in trials[::ROWS_PER_BLOCK]:
+            part = slice(start, start + ROWS_PER_BLOCK)
+            yield map(list, zip(trials[part], *self._columns(part)))
 
     def record(self, t: int) -> TrialRecord:
         return TrialRecord(
@@ -118,10 +135,18 @@ class Spreadsheet:
             + self.y.tobytes()
         )
 
+    def csv_chunks(self) -> Iterator[str]:
+        """The CSV text, header first, then one chunk per block of rows."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        for block in chain([[("trial", "a", "b", "x", "y")]], self.row_blocks()):
+            writer.writerows(block)
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+
     def write_csv(self, fp: IO[str]) -> None:
-        writer = csv.writer(fp)
-        writer.writerow(["trial", "a", "b", "x", "y"])
-        writer.writerows(self.rows())
+        fp.writelines(self.csv_chunks())
 
 
 class DagModel(TwoByTwo):

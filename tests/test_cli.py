@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,8 @@ import jsonschema
 import pytest
 
 import lhvlab
-from lhvlab.cli import main
+from lhvlab import cli
+from lhvlab.cli import build_parser, main
 
 ROOT = Path(__file__).parents[1]
 SCHEMAS = ROOT / "schemas"
@@ -42,6 +45,13 @@ def assert_rejected(capsys, doc, tmp_path, message):
     status, _out, err = run_cli(capsys, "exact", str(bad))
     assert status == 1
     assert message in err and "Traceback" not in err
+
+
+def child_env():
+    """The environment for a child interpreter that imports the package under test, installed or not."""
+    src = str(Path(lhvlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def run_json(capsys, *argv, schema=None):
@@ -454,6 +464,82 @@ class TestSimulate:
         assert float(payload["independence"]["statistic"]) > 30
 
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_is_usage_error(self, capsys, tmp_path, trials):
+        # the model path does not exist: the flag is checked before the model is loaded
+        target = tmp_path / "out.json"
+        status, out, err = run_cli(
+            capsys, "simulate", "--model", "no-such-model.json", "--trials", str(trials), "--seed", "1",
+            "--out", str(target),
+        )
+        assert status == 2
+        assert err == f"usage error: --trials must be >= 1, got {trials}\n"
+        assert out == "" and not target.exists()
+
+
+def _forbidden(*_args, **_kwargs):
+    raise AssertionError("the oracle must not use the streaming writer")
+
+
+def simulate_payload(monkeypatch, *argv):
+    """simulate's whole payload, records included, as the text format builds it."""
+    args = build_parser().parse_args(["simulate", *argv, "--format", "text"])
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_json_with_records", _forbidden)
+        m.setattr(lhvlab.Spreadsheet, "csv_chunks", _forbidden)
+        payload, status = args.func(args)
+    assert status == 0 and list(payload)[-1] == "records"
+    return payload
+
+
+class TestSimulateStreaming:
+    """simulate streams its records; the bytes are those of the generic encoders."""
+
+    BLOCK = lhvlab.montecarlo.ROWS_PER_BLOCK
+    MODEL = str(FIXTURES / "counterexample.model.json")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--trials", "1", "--seed", "7"],
+            ["--trials", "2", "--seed", "7"],
+            ["--trials", str(BLOCK - 1), "--seed", "3"],
+            ["--trials", str(BLOCK), "--seed", "3"],
+            ["--trials", str(BLOCK + 1), "--seed", "3"],
+            ["--trials", "3000", "--seed", "5", "--confound"],
+            ["--trials", "3000", "--seed", "5", "--bias", "1/2,1/4,1/8,1/8"],
+        ],
+    )
+    def test_json_and_csv_match_the_generic_encoders(self, capsys, monkeypatch, extra):
+        argv = ["--model", self.MODEL, *extra]
+        payload = simulate_payload(monkeypatch, *argv)
+        assert len(payload["records"]) == int(extra[1])
+        status, out, err = run_cli(capsys, "simulate", *argv)
+        assert status == 0, err
+        assert out == json.dumps(payload, indent=2) + "\n"
+        want = io.StringIO()
+        csv.writer(want).writerows([["trial", "a", "b", "x", "y"], *payload["records"]])
+        status, out, err = run_cli(capsys, "simulate", *argv, "--format", "csv")
+        assert status == 0, err
+        assert out == want.getvalue()
+
+    def test_out_file_matches_the_generic_encoder(self, capsys, monkeypatch, tmp_path):
+        argv = ["--model", self.MODEL, "--trials", str(self.BLOCK + 1), "--seed", "11"]
+        payload = simulate_payload(monkeypatch, *argv)
+        target = tmp_path / "sim.json"
+        status, out, err = run_cli(capsys, "simulate", *argv, "--out", str(target))
+        assert (status, out, err) == (0, "", "")
+        assert target.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+    def test_text_renders_the_json_document(self, capsys):
+        argv = ["simulate", "--model", self.MODEL, "--trials", "300", "--seed", "1"]
+        doc = run_json(capsys, *argv, schema="simulate")
+        status, out, _err = run_cli(capsys, *argv, "--format", "text")
+        assert status == 0
+        assert out == cli._render_text(doc) + "\n"
+        assert "\nrecords:\n  -\n    - 0\n" in out
+
+
 class TestSearch:
     def test_search_payload_and_model_file(self, capsys, tmp_path):
         out_model = tmp_path / "winner.json"
@@ -474,6 +560,12 @@ class TestSearch:
         model = parse_path(out_model)
         assert model.is_ternary()
         assert payload["rawChsh"]["satisfied"] is True
+
+    def test_out_model_to_unwritable_path_exits_one(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "winner.json"
+        status, out, err = run_cli(capsys, "search", "--seed", "9", "--budget", "400", "--out-model", str(target))
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
 
     def test_search_deterministic(self, capsys):
         p1 = run_json(capsys, "search", "--seed", "9", "--budget", "400")
@@ -509,13 +601,24 @@ class TestPlumbing:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["demo-counterexample"], ["flatten", str(FIXTURES / "counterexample.model.json")]])
+    def test_out_to_unwritable_path_exits_one(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "artifact.json"
+        status, out, err = run_cli(capsys, *command, "--out", str(target))
+        assert status == 1 and out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_out_not_created_when_the_command_fails(self, capsys, tmp_path):
+        target = tmp_path / "artifact.json"
+        status, _out, _err = run_cli(capsys, "exact", str(tmp_path / "absent.json"), "--out", str(target))
+        assert status == 1
+        status, _out, _err = run_cli(capsys, "chsh", "1", "2", "--out", str(target))
+        assert status == 2
+        assert not target.exists()
+
     @staticmethod
     def run_child(*argv):
-        # the child imports the package under test, installed or not
-        src = str(Path(lhvlab.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=child_env())
 
     def test_entry_point_runs_as_module(self):
         result = self.run_child("-m", "lhvlab.cli", "chsh", "1", "0", "0", "-1")
@@ -527,3 +630,60 @@ class TestPlumbing:
         result = self.run_child("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_import_defers_numpy_and_keeps_every_name(self):
+        code = (
+            "import json, sys, lhvlab, lhvlab.cli\n"
+            "numpy = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')\n"
+            "names = {}\n"
+            "exec('from lhvlab import *', names)\n"
+            "print(json.dumps({\n"
+            "    'numpy': numpy,\n"
+            "    'all': lhvlab.__all__,\n"
+            "    'unbound': [n for n in lhvlab.__all__ if n not in names],\n"
+            "    'lazy': lhvlab.simulate_spreadsheet is lhvlab.montecarlo.simulate_spreadsheet\n"
+            "        and names['montecarlo'] is sys.modules['lhvlab.montecarlo'],\n"
+            "}))\n"
+        )
+        result = self.run_child("-c", code)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert report["numpy"] == []
+        assert set(report["all"]) == PUBLIC_NAMES and len(report["all"]) == 76
+        assert report["unbound"] == []
+        assert report["lazy"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_early_closed_stdout_exits_zero_quietly(self, fmt):
+        # far more output than a pipe buffers, so the writer meets the closed pipe
+        argv = ["simulate", "--model", str(FIXTURES / "counterexample.model.json"), "--trials", "100000",
+                "--seed", "7", "--format", fmt]
+        proc = subprocess.Popen([sys.executable, "-m", "lhvlab.cli", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=child_env())
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 0, err.decode()
+        assert len(head) == 100
+        assert err == b""
+
+
+# lhvlab.__all__ as of the eager-import package; serving names lazily must keep it
+PUBLIC_NAMES = {
+    "AngleSet", "AveragedModel", "BehaviorTable", "ChshCombination", "ChshReport", "ContextualModel",
+    "CorrelationEstimate", "CorrelationQuad", "CouplingSamples", "DagModel", "DetectionReport",
+    "DomainMismatchError", "FactorizationReport", "FlatModel", "FlatSetting", "IndependenceReport",
+    "InternalInconsistencyError", "JointDistribution16", "JointSearchResult", "ModelParseError",
+    "NoSignallingReport", "NonlocalPairModel", "OutcomeTable", "Pmf", "PostSelectionReport", "SearchConfig",
+    "SearchOutcome", "Setting", "Spreadsheet", "TrialRecord", "ValidationReport", "as_fraction",
+    "behavior_from_model", "bell_average", "check_no_signalling", "chsh", "chsh_values", "corpus",
+    "correlation_quad", "counterexample_model", "coupling_joint", "detection_rates", "estimate_correlations",
+    "exact_expectation", "exact_side_expectation", "find_joint", "fine", "fine_criterion", "finite_sample_bound",
+    "flatten", "from_contextual", "independence_diagnostic", "is_setting_factorizable", "loophole",
+    "marginalize_context", "model", "modelio", "montecarlo", "nonlocal_quad", "parse_path", "parse_text",
+    "postselected_correlations", "product_flatten", "quantum_singlet_behavior", "random_contextual_model",
+    "random_nosignalling_behavior", "refine_breakpoints", "sample_coupling", "search_postselection_violation",
+    "serialize", "simplex", "simulate_given_settings", "simulate_spreadsheet", "uniform_reduce",
+    "validate_model", "zero_to_coin",
+}

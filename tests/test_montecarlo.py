@@ -23,7 +23,7 @@ from lhvlab import (
     simulate_spreadsheet,
 )
 from lhvlab.corpus import random_contextual_model
-from lhvlab.montecarlo import _chi2_sf
+from lhvlab.montecarlo import ROWS_PER_BLOCK, _chi2_sf, _records_sheet
 
 
 def all_plus_model():
@@ -92,6 +92,28 @@ class TestOutcomes:
         lines = list(csv.reader(io.StringIO(buf.getvalue())))
         assert lines[0] == ["trial", "a", "b", "x", "y"]
         assert lines[1:] == [[str(v) for v in row] for row in expected]
+
+    def test_row_blocks_cover_the_rows_across_a_block_boundary(self):
+        dag = from_contextual(counterexample_model())
+        sheet = simulate_spreadsheet(dag, ROWS_PER_BLOCK + 1, seed=9)
+        expected = [
+            [t, sheet.alice_settings[a], sheet.bob_settings[b], int(x), int(y)]
+            for t, (a, b, x, y) in enumerate(zip(sheet.a_index, sheet.b_index, sheet.x, sheet.y))
+        ]
+        blocks = [list(block) for block in sheet.row_blocks()]
+        assert [len(block) for block in blocks] == [ROWS_PER_BLOCK, 1]
+        assert blocks[0] + blocks[1] == expected
+        assert list(sheet.rows()) == expected
+        want = io.StringIO()
+        csv.writer(want).writerows([["trial", "a", "b", "x", "y"], *expected])
+        buf = io.StringIO()
+        sheet.write_csv(buf)
+        assert buf.getvalue() == want.getvalue()
+
+    def test_empty_sheet_csv_is_the_header(self):
+        buf = io.StringIO()
+        _records_sheet([]).write_csv(buf)
+        assert buf.getvalue() == "trial,a,b,x,y\r\n"
 
     def test_records_give_back_the_sheet(self):
         dag = from_contextual(counterexample_model())
