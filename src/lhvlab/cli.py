@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -439,9 +440,13 @@ def _cmd_demo_quantum(args) -> tuple[Any, int]:
         if len(parts) != 4:
             raise UsageError("--angles needs four comma-separated radians")
         try:
-            angles = AngleSet(*(float(p) for p in parts))
+            radians = [float(p) for p in parts]
         except ValueError:
             raise UsageError(f"malformed angle in {args.angles!r}")
+        for part, value in zip(parts, radians):
+            if not math.isfinite(value):
+                raise UsageError(f"--angles must be finite, got {part.strip()}")
+        angles = AngleSet(*radians)
     else:
         angles = AngleSet.chsh_optimal()
     behavior = quantum_singlet_behavior(angles)

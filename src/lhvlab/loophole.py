@@ -24,8 +24,10 @@ from .model import (
     OutcomeTable,
     Pmf,
     Setting,
-    behavior_from_model,
+    behavior_from_channels,
     correlation_quad,
+    require_point_outcomes,
+    setting_channel,
     side_distribution,
 )
 
@@ -265,37 +267,100 @@ def _postselected_detection(model: ContextualModel, ps: PostSelectionReport) -> 
     )
 
 
-class _Key:
-    """A candidate's rank, coincidence total and, built on first use, its text."""
+class _Part:
+    """One part of a candidate, the source or a setting, with what is derived from it.
 
-    __slots__ = ("rank", "coincidence", "model", "_text")
+    A setting part carries its side's source labels and its
+    :func:`setting_channel`; the source part carries neither.  The part's
+    canonical text is built on first use.  A mutation's child shares
+    every part whose object and labels it kept, so each part's channel
+    and text are built once for all the candidates holding it.
+    """
 
-    def __init__(self, rank: Fraction, coincidence: Fraction, model: ContextualModel):
-        self.rank = rank
-        self.coincidence = coincidence
-        self.model = model
+    __slots__ = ("obj", "labels", "channel", "_text")
+
+    def __init__(self, obj, labels=None, side: str = ""):
+        self.obj = obj
+        self.labels = labels
+        self.channel = None
+        if labels is not None:
+            require_point_outcomes(side, obj)
+            self.channel = setting_channel(labels, obj)
         self._text: Optional[str] = None
 
     def text(self) -> str:
         if self._text is None:
-            self._text = modelio.serialize(self.model)
+            if self.labels is None:
+                self._text = modelio.source_text(self.obj)
+            else:
+                self._text = modelio.setting_text(self.obj, self.labels)
         return self._text
 
 
-def _score(model: ContextualModel, cfg: SearchConfig):
+def _parts(model: ContextualModel, parent: Optional["_Key"]) -> tuple[_Part, ...]:
+    """The candidate's parts: source, Alice's two settings, Bob's two.
+
+    A part of the parent is reused when it holds the same object, and for
+    a setting the same side labels, which is all its channel and text
+    depend on; the rest are built.
+    """
+    inherited = parent.parts if parent is not None else (None,) * 5
+    first, second = model.source_first_labels(), model.source_second_labels()
+    wanted = (
+        (model.source, None, ""),
+        *((s, first, "alice") for s in model.alice),
+        *((s, second, "bob") for s in model.bob),
+    )
+    return tuple(
+        old if old is not None and old.obj is obj and old.labels == labels else _Part(obj, labels, side)
+        for old, (obj, labels, side) in zip(inherited, wanted)
+    )
+
+
+class _Key:
+    """A scored candidate: its model, rank, coincidence total and parts.
+
+    The canonical text of the tie-break is assembled from the parts'
+    texts on first use, and a part shared with the parent renders its
+    text once for both, so a tie usually renders only the part the
+    mutation changed.  Keys live only as the walk's candidate, current
+    and best, so the derived data is bounded by those three models.
+    """
+
+    __slots__ = ("rank", "coincidence", "model", "parts", "_text")
+
+    def __init__(
+        self, rank: Fraction, coincidence: Fraction, model: ContextualModel, parts: tuple[_Part, ...]
+    ):
+        self.rank = rank
+        self.coincidence = coincidence
+        self.model = model
+        self.parts = parts
+        self._text: Optional[str] = None
+
+    def text(self) -> str:
+        if self._text is None:
+            source, a0, a1, b0, b1 = (p.text() for p in self.parts)
+            self._text = modelio.contextual_text(source, (a0, a1), (b0, b1))
+        return self._text
+
+
+def _score(model: ContextualModel, parent: Optional[_Key], cfg: SearchConfig):
     """Rank a candidate: (feasible, key, post-selection report).
 
     Feasible candidates rank by post-selected max |S|; candidates outside
     the rate constraints rank by the negated constraint violation, which
     lets the greedy walk climb back into the feasible region but keeps
-    every infeasible rank below every feasible one.  The detection
-    penalty reads the rates off the post-selection marginals, so the
-    model's channels are built once.  Search candidates are normalized
-    by construction, which makes those marginals the exact rates.  The
-    tie-break text is not built here: the key serializes the model only
-    when :func:`_better` needs it, at most once per candidate.
+    every infeasible rank below every feasible one.  The behavior is
+    combined from the parts' channels, reusing the parent's for every
+    setting the mutation kept.  The detection penalty reads the rates
+    off the post-selection marginals, so no channel is built twice.
+    Search candidates are normalized by construction, which makes those
+    marginals the exact rates.  The tie-break text is not built here:
+    the key assembles it only when :func:`_better` needs it.
     """
-    ps = postselected_correlations(behavior_from_model(model))
+    parts = _parts(model, parent)
+    ps = postselected_correlations(behavior_from_channels(model, [p.channel for p in parts[1:]]))
     penalty = Fraction(0)
     for ctx, rate in ps.coincidence_rate.items():
         if ps.conditional[ctx] is None:
@@ -311,7 +376,7 @@ def _score(model: ContextualModel, cfg: SearchConfig):
     feasible = penalty == 0
     rank = chsh_values(ps.conditional_quad()).max_abs if feasible else -penalty
     coincidence_total = sum(ps.coincidence_rate.values(), Fraction(0))
-    return feasible, _Key(rank, coincidence_total, model), ps
+    return feasible, _Key(rank, coincidence_total, model, parts), ps
 
 
 def _better(key: _Key, other: _Key) -> bool:
@@ -330,40 +395,39 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     the post-selected max |S| subject to every context's coincidence rate
     meeting the configured minimum.  Ties prefer lower total coincidence,
     then the smaller canonical serialization, so the outcome is a pure
-    function of the config.  That text is built lazily, once per
-    candidate and only when rank and coincidence tie; the detection
-    penalties come from the post-selection marginals, so a candidate's
-    channels are built once.  The returned model's raw coin-reduced quad
-    is re-verified to satisfy CHSH exactly; if the budget never produces
-    a violation the best model is still returned, flagged accordingly.
+    function of the config.  Each candidate carries its settings'
+    channels and, on first use, the texts of its parts; a mutation
+    reuses its parent's for every part it kept, so it builds one channel
+    (none for a source move) and renders no kept part's text again.
+    The tie-break text is assembled only when rank and coincidence tie,
+    and the detection penalties come from the post-selection marginals.
+    The returned model's raw coin-reduced quad is re-verified to satisfy
+    CHSH exactly; if the budget never produces a violation the best
+    model is still returned, flagged accordingly.
     """
     config.validate()
     rng = random.Random(config.seed)
-    best_key = None
-    best: Optional[ContextualModel] = None
+    best: Optional[_Key] = None
     best_ps: Optional[PostSelectionReport] = None
     history: list[tuple[int, Fraction]] = []
 
-    current: Optional[ContextualModel] = None
-    current_key = None
+    current: Optional[_Key] = None
     stall = 0
     evaluations = 0
     while evaluations < config.budget:
-        if current is None or stall >= config.stall_limit:
-            candidate = _random_search_model(rng, config)
-            restarting = True
+        restarting = current is None or stall >= config.stall_limit
+        if restarting:
+            feasible, key, ps = _score(_random_search_model(rng, config), None, config)
         else:
-            candidate = _mutate(rng, current, config)
-            restarting = False
-        feasible, key, ps = _score(candidate, config)
+            feasible, key, ps = _score(_mutate(rng, current.model, config), current, config)
         evaluations += 1
-        if restarting or current_key is None or _better(key, current_key):
-            current, current_key = candidate, key
+        if restarting or _better(key, current):
+            current = key
             stall = 0
         else:
             stall += 1
-        if feasible and (best_key is None or _better(key, best_key)):
-            best, best_key, best_ps = candidate, key, ps
+        if feasible and (best is None or _better(key, best)):
+            best, best_ps = key, ps
             history.append((evaluations, key.rank))
             if config.target_stat is not None and key.rank >= config.target_stat:
                 break
@@ -374,7 +438,7 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
             "lower min_coincidence or raise the budget"
         )
 
-    raw_model = zero_to_coin(best)
+    raw_model = zero_to_coin(best.model)
     raw_quad = correlation_quad(raw_model)
     raw_chsh = chsh_values(raw_quad)
     if not raw_chsh.satisfied:
@@ -382,9 +446,9 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
             "search returned a model whose raw quad violates CHSH; "
             "this cannot happen for a well-formed model and indicates a bug"
         )
-    score = best_key.rank
+    score = best.rank
     return SearchOutcome(
-        model=best,
+        model=best.model,
         report=best_ps,
         score=score,
         violating=score > 2,
@@ -392,5 +456,5 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
         history=history,
         raw_quad=raw_quad,
         raw_chsh=raw_chsh,
-        detection=detection_rates(best),
+        detection=detection_rates(best.model),
     )

@@ -7,15 +7,19 @@ are `fractions.Fraction`, so expectation values and distribution identities
 can be checked with exact equality rather than tolerances.
 
 Exact numbers are projections of one product measure, source x
-instrument_a x instrument_b, computed by one integer kernel:
-:func:`outcome_channel` (instrument integrated out per source label) and
-:func:`context_distributions` (each context's joint value counts).  The
-kernel interns each distinct outcome value of a model once as a small
-int code and counts on those codes in integers, so no Fraction is hashed
-or added in its loops; its callers build one Fraction per cell or
-reported number.
+instrument_a x instrument_b, computed by one integer kernel in two
+steps.  :func:`setting_channel` integrates one setting's instrument out
+per source label, keyed by each value's ``(numerator, denominator)``;
+it depends on the setting and its side's source labels only.
+:func:`combine_channels` interns each distinct outcome value of the
+model once as a small int code and counts each context's joint values
+on those codes in integers, so no Fraction is hashed or added in its
+loops; its callers build one Fraction per cell or reported number.
+:func:`context_distributions` is both steps over a model's own
+settings; the loophole search instead keeps each candidate's channels
+and hands its mutation's children the ones they did not change.
 :func:`correlation_quad` and :func:`behavior_from_model` project the
-latter; :func:`side_distribution`, :func:`exact_side_expectation`,
+joint counts; :func:`side_distribution`, :func:`exact_side_expectation`,
 ``loophole.detection_rates`` and ``flatten.bell_average`` the channels.
 :func:`exact_expectation` sums term by term as the reference oracle;
 nothing in the package calls it.
@@ -464,32 +468,45 @@ def _coord(side: str) -> int:
     return 0 if side == "alice" else 1
 
 
-def _coded_channel(
-    model: ContextualModel, side: str, setting: Setting, codes: dict[tuple[int, int], int]
-) -> tuple[int, dict[Label, dict[int, int]]]:
-    """:func:`outcome_channel` with each outcome value interned as a small int.
+ValueChannel = tuple[int, dict[Label, dict[tuple[int, int], int]]]
 
-    ``codes`` maps a value's ``(numerator, denominator)`` to its code and
-    grows in first-appearance order; share one across a model's channels
-    so a code names the same value in all of them.  Keying on the integer
-    pair instead of the ``Fraction`` keeps ``Fraction.__hash__`` out of
-    the loop.
+
+def side_labels(model: ContextualModel, side: str) -> tuple[Label, ...]:
+    """The labels of the source coordinate a side's settings read."""
+    return model.source_first_labels() if _coord(side) == 0 else model.source_second_labels()
+
+
+def setting_channel(labels: Sequence[Label], setting: Setting) -> ValueChannel:
+    """One setting's outcome-value law per source label, as integers keyed by value.
+
+    Returns ``(scale, channel)``: ``channel[l][(n, d)]`` is the instrument
+    weight of the outcome value n/d at source label ``l``, an integer
+    over ``scale`` (the lcm of the instrument's mass denominators).
+    Every label in ``labels`` is present, and values appear in
+    first-appearance order over ``instrument.support()``.  Keying on the
+    integer pair keeps ``Fraction.__hash__`` out of the loop.  The
+    channel depends on the setting and the labels only, never on the
+    source masses.
     """
-    labels = model.source_first_labels() if _coord(side) == 0 else model.source_second_labels()
     scale, weights = setting.instrument.integer_weights()
     value = setting.outcomes.value
-    channel: dict[Label, dict[int, int]] = {}
+    channel: dict[Label, dict[tuple[int, int], int]] = {}
     for lab in labels:
-        dist: dict[int, int] = {}
+        dist: dict[tuple[int, int], int] = {}
         for atom, w in weights:
             v = value(lab, atom)
             key = (v.numerator, v.denominator)
-            code = codes.get(key)
-            if code is None:
-                code = codes[key] = len(codes)
-            dist[code] = dist.get(code, 0) + w
+            dist[key] = dist.get(key, 0) + w
         channel[lab] = dist
     return scale, channel
+
+
+def model_channels(model: ContextualModel) -> list[ValueChannel]:
+    """The four settings' channels, Alice's two then Bob's two."""
+    first, second = side_labels(model, "alice"), side_labels(model, "bob")
+    return [setting_channel(first, s) for s in model.alice] + [
+        setting_channel(second, s) for s in model.bob
+    ]
 
 
 def _decode(codes: dict[tuple[int, int], int]) -> list[Fraction]:
@@ -498,28 +515,23 @@ def _decode(codes: dict[tuple[int, int], int]) -> list[Fraction]:
 
 
 def outcome_channel(model: ContextualModel, side: str, setting: Setting) -> tuple[int, dict]:
-    """One setting's outcome-value law per source label, instrument integrated out.
-
-    Returns ``(scale, channel)``: ``channel[l][v]`` is the instrument
-    weight of outcome value v at that side's source label l, as an
-    integer over ``scale`` (the lcm of the instrument's mass
-    denominators).  Every label of the side's source coordinate is
-    present; values appear in first-appearance order over
-    ``instrument.support()``.
-    """
-    codes: dict[tuple[int, int], int] = {}
-    scale, coded = _coded_channel(model, side, setting, codes)
-    values = _decode(codes)
-    return scale, {lab: {values[k]: w for k, w in dist.items()} for lab, dist in coded.items()}
+    """:func:`setting_channel` at the side's source labels, keyed by ``Fraction`` values."""
+    scale, channel = setting_channel(side_labels(model, side), setting)
+    keys = dict.fromkeys(key for dist in channel.values() for key in dist)
+    values = dict(zip(keys, _decode(keys)))
+    return scale, {lab: {values[k]: w for k, w in dist.items()} for lab, dist in channel.items()}
 
 
-def context_distributions(
-    model: ContextualModel,
+def combine_channels(
+    model: ContextualModel, channels: Sequence[ValueChannel]
 ) -> tuple[list[Fraction], dict[Context, tuple[int, dict[int, int]]]]:
-    """Each context's joint law of the outcome values (A_a, B_b), as integer counts.
+    """Each context's joint value counts from the four settings' channels.
 
-    Sums source weight x Alice channel x Bob channel in integers over one
-    common denominator, keyed on interned value codes.  Returns
+    ``channels`` are the model's settings' channels in :func:`model_channels`
+    order.  Each distinct value is interned as a small int code, in
+    first-appearance order over the channels in that order; then source
+    weight x Alice channel x Bob channel is summed in integers over one
+    common denominator, keyed on the codes.  Returns
     ``(values, {context: (scale, counts)})``: with ``n = len(values)``,
     ``counts[x * n + y]`` is the weight over ``scale`` of the cell
     ``(values[x], values[y])``.  Counts appear in first-appearance order
@@ -527,9 +539,21 @@ def context_distributions(
     Fraction per cell they report.
     """
     codes: dict[tuple[int, int], int] = {}
+    coded = []
+    for scale, channel in channels:
+        by_label: dict[Label, dict[int, int]] = {}
+        for lab, dist in channel.items():
+            by_code: dict[int, int] = {}
+            for key, w in dist.items():
+                code = codes.get(key)
+                if code is None:
+                    code = codes[key] = len(codes)
+                by_code[code] = w
+            by_label[lab] = by_code
+        coded.append((scale, by_label))
+    alice = {s.name: chan for s, chan in zip(model.alice, coded)}
+    bob = {s.name: chan for s, chan in zip(model.bob, coded[len(model.alice):])}
     src_scale, src = model.source.integer_weights()
-    alice = {s.name: _coded_channel(model, "alice", s, codes) for s in model.alice}
-    bob = {s.name: _coded_channel(model, "bob", s, codes) for s in model.bob}
     n = len(codes)
     out = {}
     for ctx in model.contexts():
@@ -548,18 +572,26 @@ def context_distributions(
     return _decode(codes), out
 
 
+def context_distributions(
+    model: ContextualModel,
+) -> tuple[list[Fraction], dict[Context, tuple[int, dict[int, int]]]]:
+    """Each context's joint law of the outcome values (A_a, B_b), as integer counts.
+
+    :func:`combine_channels` over the model's own :func:`model_channels`.
+    """
+    return combine_channels(model, model_channels(model))
+
+
 def side_distribution(model: ContextualModel, side: str, setting: Setting) -> dict[Fraction, Fraction]:
     """The pmf of one setting's outcome value, source and instrument integrated out."""
     coord = _coord(side)
     src_scale, src = model.source.integer_weights()
-    codes: dict[tuple[int, int], int] = {}
-    scale, channel = _coded_channel(model, side, setting, codes)
-    counts: dict[int, int] = {}
+    scale, channel = setting_channel(side_labels(model, side), setting)
+    counts: dict[tuple[int, int], int] = {}
     for pair, w in src:
-        for k, c in channel[pair[coord]].items():
-            counts[k] = counts.get(k, 0) + w * c
-    values = _decode(codes)
-    return {values[k]: Fraction(c, src_scale * scale) for k, c in counts.items()}
+        for key, c in channel[pair[coord]].items():
+            counts[key] = counts.get(key, 0) + w * c
+    return {Fraction(n, d): Fraction(c, src_scale * scale) for (n, d), c in counts.items()}
 
 
 def exact_side_expectation(model: ContextualModel, side: str, setting_name: str) -> Fraction:
@@ -616,6 +648,15 @@ def counterexample_model() -> ContextualModel:
     return ContextualModel(source, alice, bob)
 
 
+def require_point_outcomes(side: str, setting: Setting) -> None:
+    """Raise ``ValueError`` unless the setting's table holds actual outcomes."""
+    if not setting.outcomes.values_are_point():
+        raise ValueError(
+            f"{side} setting {setting.name!r} has fractional outcomes; "
+            "behavior tables need point outcomes"
+        )
+
+
 def behavior_from_model(model: ContextualModel) -> BehaviorTable:
     """The outcome distribution P(x, y | a, b) induced by a point-outcome model.
 
@@ -625,13 +666,17 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
     """
     for side_name, side in (("alice", model.alice), ("bob", model.bob)):
         for setting in side:
-            if not setting.outcomes.values_are_point():
-                raise ValueError(
-                    f"{side_name} setting {setting.name!r} has fractional outcomes; "
-                    "behavior tables need point outcomes"
-                )
+            require_point_outcomes(side_name, setting)
+    return behavior_from_channels(model, model_channels(model))
+
+
+def behavior_from_channels(model: ContextualModel, channels: Sequence[ValueChannel]) -> BehaviorTable:
+    """:func:`behavior_from_model` from the settings' channels, already built.
+
+    The caller has checked every setting with :func:`require_point_outcomes`.
+    """
     outcomes = (-1, 0, 1) if model.is_ternary() else (-1, 1)
-    values, coded = context_distributions(model)
+    values, coded = combine_channels(model, channels)
     n = len(values)
     ints = [int(v) for v in values]
     probs = {

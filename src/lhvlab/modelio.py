@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Sequence, Union
 
 from .flatten import AveragedModel, FlatModel, FlatSetting
-from .model import BehaviorTable, ContextualModel, OutcomeTable, Pmf, Setting
+from .model import BehaviorTable, ContextualModel, Label, OutcomeTable, Pmf, Setting
 
 Document = Union[ContextualModel, FlatModel, AveragedModel, BehaviorTable]
 
@@ -111,8 +111,13 @@ def _check_pmf_sum(pmf: Pmf, where: str, source: str) -> None:
 def serialize(obj: Document) -> str:
     """Canonical text form of a model or behavior (JSON, fraction strings)."""
     if isinstance(obj, ContextualModel):
-        doc = _contextual_doc(obj)
-    elif isinstance(obj, FlatModel):
+        first, second = obj.source_first_labels(), obj.source_second_labels()
+        return contextual_text(
+            source_text(obj.source),
+            [setting_text(s, first) for s in obj.alice],
+            [setting_text(s, second) for s in obj.bob],
+        )
+    if isinstance(obj, FlatModel):
         doc = _flat_doc(obj)
     elif isinstance(obj, AveragedModel):
         doc = _averaged_doc(obj)
@@ -130,30 +135,51 @@ def _source_doc(source: Pmf) -> list:
     ]
 
 
-def _contextual_doc(model: ContextualModel) -> dict:
-    def setting_doc(setting: Setting, source_labels) -> dict:
-        instrument_labels = setting.instrument.labels()
-        rows = [
-            [_frac_str(setting.outcomes.value(sl, il)) for il in instrument_labels]
-            for sl in source_labels
-        ]
-        return {
-            "setting": setting.name,
-            "instrument": [
-                {"label": _label_str(lab), "mass": _frac_str(m)}
-                for lab, m in setting.instrument.items()
-            ],
-            "ternary": setting.outcomes.ternary,
-            "outcomes": rows,
-        }
+# A contextual document is assembled from part texts: each part is dumped
+# alone with indent=2 and re-indented to its depth in the frame (1 for the
+# source list, 2 for a setting inside its side's list).  JSON escapes
+# every newline inside a string, so each raw newline starts a line.
 
-    first = model.source_first_labels()
-    second = model.source_second_labels()
+def source_text(source: Pmf) -> str:
+    """The ``"source"`` list of a contextual document, as it sits in the document."""
+    return json.dumps(_source_doc(source), indent=2).replace("\n", "\n  ")
+
+
+def setting_text(setting: Setting, source_labels: Sequence[Label]) -> str:
+    """One setting object of a contextual document, rows in ``source_labels`` order."""
+    return json.dumps(_setting_doc(setting, source_labels), indent=2).replace("\n", "\n    ")
+
+
+def contextual_text(source: str, alice: Sequence[str], bob: Sequence[str]) -> str:
+    """The canonical contextual document from its part texts."""
+    return (
+        '{\n  "kind": "contextual",\n  "source": ' + source
+        + ',\n  "alice": ' + _side_text(alice)
+        + ',\n  "bob": ' + _side_text(bob)
+        + "\n}\n"
+    )
+
+
+def _side_text(settings: Sequence[str]) -> str:
+    if not settings:
+        return "[]"
+    return "[\n    " + ",\n    ".join(settings) + "\n  ]"
+
+
+def _setting_doc(setting: Setting, source_labels: Sequence[Label]) -> dict:
+    instrument_labels = setting.instrument.labels()
+    rows = [
+        [_frac_str(setting.outcomes.value(sl, il)) for il in instrument_labels]
+        for sl in source_labels
+    ]
     return {
-        "kind": "contextual",
-        "source": _source_doc(model.source),
-        "alice": [setting_doc(s, first) for s in model.alice],
-        "bob": [setting_doc(s, second) for s in model.bob],
+        "setting": setting.name,
+        "instrument": [
+            {"label": _label_str(lab), "mass": _frac_str(m)}
+            for lab, m in setting.instrument.items()
+        ],
+        "ternary": setting.outcomes.ternary,
+        "outcomes": rows,
     }
 
 

@@ -6,11 +6,14 @@ or the integer columns of :meth:`lhvlab.FlatModel.quad`; the LP oracle
 pivots a Fraction tableau, sharing no code with the integer simplex in
 :mod:`lhvlab.simplex`; the post-selection oracle adds the cells as
 Fractions, sharing no code with the integer sums of
-:func:`lhvlab.postselected_correlations`.
+:func:`lhvlab.postselected_correlations`; the serializer oracle dumps a
+contextual model as one whole document, sharing no code with the part
+texts :func:`lhvlab.serialize` assembles.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -172,6 +175,49 @@ def brute_bars(model: ContextualModel) -> tuple[dict, dict]:
             }
         )
     return tuple(out)
+
+
+def brute_serialize(model: ContextualModel) -> str:
+    """Reference contextual serialization: the whole document dumped at once."""
+    return json.dumps(_contextual_doc(model), indent=2) + "\n"
+
+
+def _label_str(label) -> str:
+    if isinstance(label, str):
+        return label
+    if isinstance(label, tuple):
+        return "(" + ",".join(_label_str(p) for p in label) + ")"
+    return str(label)
+
+
+def _contextual_doc(model: ContextualModel) -> dict:
+    def setting_doc(setting, source_labels) -> dict:
+        instrument_labels = setting.instrument.labels()
+        rows = [
+            [str(setting.outcomes.value(sl, il)) for il in instrument_labels]
+            for sl in source_labels
+        ]
+        return {
+            "setting": setting.name,
+            "instrument": [
+                {"label": _label_str(lab), "mass": str(m)}
+                for lab, m in setting.instrument.items()
+            ],
+            "ternary": setting.outcomes.ternary,
+            "outcomes": rows,
+        }
+
+    first = model.source_first_labels()
+    second = model.source_second_labels()
+    return {
+        "kind": "contextual",
+        "source": [
+            {"pair": [_label_str(pair[0]), _label_str(pair[1])], "mass": str(m)}
+            for pair, m in model.source.items()
+        ],
+        "alice": [setting_doc(s, first) for s in model.alice],
+        "bob": [setting_doc(s, second) for s in model.bob],
+    }
 
 
 def corpus_models(n: int, seed: int = 2024, **kwargs):

@@ -87,6 +87,14 @@ class TestDemos:
         values = {(q["alice"], q["bob"]): q["value"] for q in payload["chsh"]["quad"]}
         assert values[("x", "y")] == "-1"
 
+    @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+    def test_quantum_demo_rejects_non_finite_angles(self, capsys, angle):
+        status, out, err = run_cli(capsys, "demo-quantum", "--angles", f"0,{angle},0,0")
+        assert status == 2
+        assert out == ""
+        assert f"usage error: --angles must be finite, got {angle}" in err
+        assert "Traceback" not in err
+
     def test_demos_reject_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["demo-counterexample", "--seed", "1"])

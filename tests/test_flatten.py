@@ -232,7 +232,9 @@ def test_flat_quad_is_independent_of_contextual_kernel(monkeypatch):
 
     for module, name in (
         (lhvlab.model, "outcome_channel"),
+        (lhvlab.model, "setting_channel"),
         (lhvlab.model, "context_distributions"),
+        (lhvlab.model, "combine_channels"),
         (lhvlab.flatten, "outcome_channel"),
     ):
         monkeypatch.setattr(module, name, forbidden)

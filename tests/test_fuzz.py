@@ -1,9 +1,11 @@
-"""Mutation fuzzing of the model files through the CLI.
+"""Fuzzing of the model files through the parser and the CLI.
 
 Every malformed file must end in a documented exit status (0, 1 or 2)
-with no exception escaping ``cli.main``.  The mutants are the committed
-fixtures, plus the flat and averaged forms of the counterexample, with
-one nested value replaced or one key or element deleted.
+with no exception escaping ``cli.main``, and ``modelio.parse_text`` must
+return a document or raise ``ModelParseError``.  The mutants are the
+committed fixtures, plus the flat and averaged forms of the
+counterexample, with one nested value replaced or one key or element
+deleted.
 """
 
 import contextlib
@@ -12,11 +14,12 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhvlab import bell_average, counterexample_model, product_flatten, serialize
 from lhvlab.cli import main
+from lhvlab.modelio import KINDS, ModelParseError, parse_text
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
 
@@ -70,3 +73,40 @@ def test_mutated_fixtures_exit_with_a_status(doc):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 status = main([command, path])
             assert status in (0, 1, 2), (command, status)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def kinded_objects(draw):
+    """Objects that name a document kind, so the parser gets past the discriminator."""
+    keys = st.sampled_from(
+        ["source", "alice", "bob", "atoms", "aliceSettings", "bobSettings", "outcomes", "contexts", "x"]
+    )
+    doc = draw(st.dictionaries(keys, JSON, max_size=5))
+    doc["kind"] = draw(st.sampled_from(KINDS))
+    return doc
+
+
+@st.composite
+def deep_mutants(draw):
+    """A fixture with one nested value replaced by arbitrary JSON."""
+    doc = draw(st.sampled_from(DOCUMENTS))
+    path = draw(st.sampled_from(list(nested_paths(doc))))
+    return mutate(doc, path, draw(JSON))
+
+
+@settings(deadline=None)
+@given(st.one_of(JSON, kinded_objects(), deep_mutants(), mutants()))
+def test_parse_text_returns_a_document_or_raises_parse_error(doc):
+    try:
+        parse_text(json.dumps(doc), source="fuzz.json")
+    except ModelParseError:
+        pass

@@ -1,5 +1,8 @@
+import gc
+import hashlib
 import math
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from lhvlab import (
     validate_model,
     zero_to_coin,
 )
+from lhvlab import loophole, modelio
 from lhvlab.cli import main as cli_main
 from lhvlab.corpus import random_contextual_model
 from lhvlab.loophole import _mutate, _postselected_detection, _random_search_model
@@ -166,6 +170,113 @@ class TestDetectionFromPostSelection:
                     instrument_moves += 1
                 model = child
         assert (instrument_moves > 0) == (instrument_atoms > 1)
+
+
+# SHA-256 of five seeded budget-400 searches per instrument-atom count, as
+# walk_digest hashes them, recorded before candidates reused their parent's
+# channels and part texts; the reuse must leave every walk as it was.
+WALK_SHA256 = {
+    1: "0a28c06b96223251fa1606242db8b4a2e9c2741903977db58d8a62fe05a4bc29",
+    2: "df3e8f75fa5c61c0395583528e835105376eda3d85152e7fdf00daf99481d510",
+}
+
+
+def walk_digest(instrument_atoms: int) -> str:
+    """Winner text, score, history, raw quad and detection rates of five seeded searches."""
+    digest = hashlib.sha256()
+    for seed in range(5):
+        out = search_postselection_violation(
+            SearchConfig(seed=seed, budget=400, instrument_atoms=instrument_atoms)
+        )
+        for part in (serialize(out.model), out.score, out.history, out.raw_quad.values,
+                     out.detection.alice, out.detection.bob):
+            digest.update(repr(part).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _mutation_kind(parent: ContextualModel, child: ContextualModel) -> str:
+    if child.source is not parent.source:
+        return "source"
+    (old, new), = [
+        (a, b) for a, b in zip(parent.alice + parent.bob, child.alice + child.bob) if a is not b
+    ]
+    return "flip" if new.instrument is old.instrument else "instrument"
+
+
+class TestIncrementalCandidates:
+    @pytest.mark.parametrize("instrument_atoms", [1, 2])
+    def test_walk_is_pinned(self, instrument_atoms):
+        assert walk_digest(instrument_atoms) == WALK_SHA256[instrument_atoms]
+
+    def test_mutation_rebuilds_only_what_it_changed(self, monkeypatch):
+        """A source move builds no channel, a setting change exactly one, a
+        restart four; no part's text is built twice."""
+        channels = []
+        points = []
+        texts = []
+        events = []
+        for module, name, log, logged_arg in (
+            (loophole, "setting_channel", channels, 1),
+            (loophole, "require_point_outcomes", points, 1),
+            (modelio, "setting_text", texts, 0),
+            (modelio, "source_text", texts, 0),
+        ):
+            def counted(*args, _real=getattr(module, name), _log=log, _arg=logged_arg):
+                _log.append(args[_arg])
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assembled = []
+        real_assemble = modelio.contextual_text
+        monkeypatch.setattr(modelio, "contextual_text", lambda *a: assembled.append(a) or real_assemble(*a))
+        real_mutate, real_restart = loophole._mutate, loophole._random_search_model
+
+        def mutate(rng, model, cfg):
+            child = real_mutate(rng, model, cfg)
+            events.append((_mutation_kind(model, child), len(channels)))
+            return child
+
+        def restart(rng, cfg):
+            events.append(("restart", len(channels)))
+            return real_restart(rng, cfg)
+
+        monkeypatch.setattr(loophole, "_mutate", mutate)
+        monkeypatch.setattr(loophole, "_random_search_model", restart)
+        out = search_postselection_violation(SearchConfig(seed=3, budget=400, instrument_atoms=2))
+        assert out.evaluations == len(events) == 400
+
+        marks = [count for _kind, count in events] + [len(channels)]
+        built = {"restart": set(), "source": set(), "flip": set(), "instrument": set()}
+        for (kind, start), end in zip(events, marks[1:]):
+            built[kind].add(end - start)
+        assert built == {"restart": {4}, "source": {0}, "flip": {1}, "instrument": {1}}
+        # the point-outcome check runs once for each new setting
+        assert [id(s) for s in points] == [id(s) for s in channels]
+        # each part's text is built once, shared by every candidate that keeps it
+        assert assembled
+        assert len({id(obj) for obj in texts}) == len(texts) < 5 * len(assembled)
+
+    def test_only_the_winner_outlives_the_search(self, monkeypatch):
+        refs = []
+        real_mutate, real_restart = loophole._mutate, loophole._random_search_model
+
+        def mutate(*args):
+            child = real_mutate(*args)
+            refs.append(weakref.ref(child))
+            return child
+
+        def restart(*args):
+            model = real_restart(*args)
+            refs.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(loophole, "_mutate", mutate)
+        monkeypatch.setattr(loophole, "_random_search_model", restart)
+        out = search_postselection_violation(SearchConfig(seed=3, budget=400, instrument_atoms=2))
+        gc.collect()
+        alive = [model for model in (ref() for ref in refs) if model is not None]
+        assert len(refs) == 400
+        assert len(alive) == 1 and alive[0] is out.model
 
 
 class TestCommittedWinner:

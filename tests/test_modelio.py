@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -5,21 +6,29 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import brute_serialize, corpus_models
 from lhvlab import (
     AngleSet,
     AveragedModel,
     BehaviorTable,
     ContextualModel,
     FlatModel,
+    OutcomeTable,
+    Pmf,
+    SearchConfig,
+    Setting,
     bell_average,
     correlation_quad,
     counterexample_model,
     product_flatten,
     quantum_singlet_behavior,
     uniform_reduce,
+    zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model
+from lhvlab.loophole import _mutate, _random_search_model
 from lhvlab.modelio import ModelParseError, parse_path, parse_text, serialize
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
@@ -251,3 +260,80 @@ class TestParseErrors:
         b = json.loads(serialize(quantum_singlet_behavior(AngleSet.chsh_optimal())))
         b["contexts"] = b["contexts"][:3]
         self.expect_error(b, "all four contexts")
+
+
+# ------------------------------------------------------------ serializer oracle
+
+# SHA-256 of the concatenated serialize() texts of the 1000-model acceptance
+# corpus (tests/test_acceptance.py), as the whole-document serializer wrote them.
+CORPUS_SERIALIZE_SHA256 = "17f255c9ab4b7f519d07de7022bdc091317443ed0d44d681da2e880f9bfedb14"
+
+AWKWARD_TEXT = st.text(
+    alphabet=st.sampled_from(['"', "\\", "\n", "\t", "é", "λ", "🎲", "'", "a", "/", " ", ","]), max_size=4
+)
+LABELS = st.one_of(AWKWARD_TEXT, st.tuples(AWKWARD_TEXT, st.sampled_from(["H", "T"])))
+UNIT_VALUES = st.fractions(min_value=-1, max_value=1, max_denominator=6)
+
+
+@st.composite
+def awkward_models(draw):
+    """Contextual models whose labels and names are quotes, backslashes, newlines, non-ASCII or tuples."""
+    pairs = draw(st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=4, unique=True))
+    source = Pmf({pair: draw(UNIT_VALUES) for pair in pairs})
+    first = tuple(dict.fromkeys(p[0] for p in pairs))
+    second = tuple(dict.fromkeys(p[1] for p in pairs))
+
+    def setting(labels):
+        atoms = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+        entries = {(sl, il): draw(UNIT_VALUES) for sl in labels for il in atoms}
+        return Setting(
+            draw(AWKWARD_TEXT),
+            Pmf({a: draw(UNIT_VALUES) for a in atoms}),
+            OutcomeTable(entries, ternary=draw(st.booleans())),
+        )
+
+    return ContextualModel(source, (setting(first), setting(first)), (setting(second), setting(second)))
+
+
+@st.composite
+def corpus_model(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("binary", "ternary", "interval")))
+    model = random_contextual_model(rng, max_source_side=3, max_instrument=3, outcome_kind=kind)
+    # the coin reduction gives tuple instrument labels
+    return zero_to_coin(model) if kind == "ternary" and draw(st.booleans()) else model
+
+
+@st.composite
+def search_model(draw):
+    """A model of a seeded search walk: a random start and some mutations."""
+    atoms = draw(st.integers(1, 3))
+    cfg = SearchConfig(
+        seed=0, source_atoms=draw(st.integers(1, 6)), instrument_atoms=atoms, mass_denominator=8
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    model = _random_search_model(rng, cfg)
+    for _ in range(draw(st.integers(0, 30))):
+        model = _mutate(rng, model, cfg)
+    return model
+
+
+class TestSerializeOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(corpus_model(), search_model(), awkward_models()))
+    def test_assembled_text_equals_the_whole_document(self, model):
+        assert serialize(model) == brute_serialize(model)
+
+    def test_acceptance_corpus_text_is_pinned(self):
+        digest = hashlib.sha256()
+        for model in corpus_models(1000, seed=20240913):
+            digest.update(serialize(model).encode())
+        assert digest.hexdigest() == CORPUS_SERIALIZE_SHA256
+
+    def test_sides_without_settings_keep_the_document_shape(self):
+        model = counterexample_model()
+        for bare in (
+            ContextualModel(model.source, (), model.bob),
+            ContextualModel(model.source, model.alice[:1], ()),
+        ):
+            assert serialize(bare) == brute_serialize(bare)
