@@ -5,8 +5,6 @@ from .model import (
     ContextualModel,
     CorrelationQuad,
     DomainMismatchError,
-    FactorizationReport,
-    NonlocalPairModel,
     OutcomeTable,
     Pmf,
     Setting,
@@ -17,8 +15,6 @@ from .model import (
     counterexample_model,
     exact_expectation,
     exact_side_expectation,
-    is_setting_factorizable,
-    nonlocal_quad,
     validate_model,
 )
 from .flatten import (
@@ -35,7 +31,6 @@ from .chsh import (
     ChshReport,
     PostSelectionReport,
     chsh_values,
-    finite_sample_bound,
     postselected_correlations,
     zero_to_coin,
 )

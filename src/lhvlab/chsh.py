@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -209,22 +208,3 @@ def zero_to_coin(model: ContextualModel) -> ContextualModel:
         alice=(convert(model.alice[0]), convert(model.alice[1])),
         bob=(convert(model.bob[0]), convert(model.bob[1])),
     )
-
-
-def finite_sample_bound(n_trials: int, observed_s: float) -> float:
-    """Hoeffding-style tail bound for an observed CHSH statistic.
-
-    Upper-bounds the probability that n_trials of any local
-    hidden-variable process, split equally over the four contexts,
-    produce an empirical |S| at least as large as ``observed_s``:
-    min(1, exp(-n * (|S| - 2)^2 / 32)).  The constant 32 comes from a
-    range-8 increment argument; below the classical bound of 2 the
-    bound is vacuously 1.
-    """
-    if not isinstance(n_trials, int) or n_trials < 1:
-        raise ValueError(f"n_trials must be a positive integer, got {n_trials!r}")
-    s = abs(float(observed_s))
-    if s > 4:
-        raise ValueError(f"|S| cannot exceed 4, got {observed_s!r}")
-    excess = max(0.0, s - 2.0)
-    return min(1.0, math.exp(-n_trials * excess * excess / 32.0))

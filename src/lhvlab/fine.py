@@ -102,27 +102,26 @@ class NoSignallingReport:
 
     ``alice[a][b]`` is Alice's outcome marginal in context (a, b);
     equal-across-b marginals (and the mirror for Bob) is the
-    no-signalling property.
+    no-signalling property.  It holds only when every deviation is
+    exactly zero.
     """
 
     alice: dict[str, dict[str, dict[int, Fraction]]]
     bob: dict[str, dict[str, dict[int, Fraction]]]
     per_setting_deviation: dict[tuple[str, str], Fraction]
     max_deviation: Fraction
-    tolerance: Fraction = Fraction(0)
 
     @property
     def holds(self) -> bool:
-        return self.max_deviation <= self.tolerance
+        return self.max_deviation == 0
 
 
-def check_no_signalling(behavior: BehaviorTable, tolerance: Fraction = Fraction(0)) -> NoSignallingReport:
+def check_no_signalling(behavior: BehaviorTable) -> NoSignallingReport:
     """Compare each side's outcome marginal across the other side's settings.
 
-    The default tolerance 0 demands exact equality, appropriate for
-    model-generated behaviors.  A positive tolerance is only for
-    externally supplied tables whose probabilities went through floating
-    point on the way in.
+    The comparison is exact equality of Fractions, with no tolerance: a
+    table whose probabilities went through floating point and lost their
+    equalities does not pass.
     """
     if behavior.ternary:
         raise ValueError(
@@ -144,7 +143,7 @@ def check_no_signalling(behavior: BehaviorTable, tolerance: Fraction = Fraction(
             abs(bob[b][a0][y] - bob[b][a1][y]) for y in behavior.outcomes
         )
     max_dev = max(per_setting.values())
-    return NoSignallingReport(alice, bob, per_setting, max_dev, Fraction(tolerance))
+    return NoSignallingReport(alice, bob, per_setting, max_dev)
 
 
 @dataclass

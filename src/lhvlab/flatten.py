@@ -71,20 +71,11 @@ class FlatModel(SettingPairs):
     alice: tuple[FlatSetting, FlatSetting]
     bob: tuple[FlatSetting, FlatSetting]
 
-    def _weights(self) -> tuple[int, list[tuple], list[int]]:
-        """The pmf's support: (scale, tuples, integer weights over scale)."""
-        scale, atoms = self.lambda_pmf.integer_weights()
-        return scale, [lam for lam, _w in atoms], [w for _lam, w in atoms]
-
-    def expectation(self, context: Context) -> Fraction:
-        scale, lams, weights = self._weights()
-        a_scale, a = _column(self.alice_setting(context[0]), lams)
-        b_scale, b = _column(self.bob_setting(context[1]), lams)
-        return Fraction(sum(map(mul, map(mul, a, weights), b)), a_scale * b_scale * scale)
-
     def quad(self) -> CorrelationQuad:
         """All four expectations; each setting's column is built once for both its contexts."""
-        scale, lams, weights = self._weights()
+        scale, atoms = self.lambda_pmf.integer_weights()
+        lams = [lam for lam, _w in atoms]
+        weights = [w for _lam, w in atoms]
         # Alice's columns carry the pmf weights and scale, so a context is one dot product
         alice = {}
         for name in self.alice_settings:

@@ -56,7 +56,11 @@ def quantum_singlet_behavior(angles: AngleSet) -> BehaviorTable:
     the equal-outcomes cells get (1 + E)/4 as an exact Fraction of the
     float, the unequal cells get 1/2 minus that, so every context pmf
     sums to exactly 1 and no-signalling holds exactly by construction.
+    An angle that is not finite raises ``ValueError`` naming it.
     """
+    for name, value in vars(angles).items():
+        if not math.isfinite(value):
+            raise ValueError(f"angle {name} must be finite, got {value!r}")
     pairs = {
         "x": angles.theta_x,
         "x'": angles.theta_xp,

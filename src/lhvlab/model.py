@@ -349,24 +349,6 @@ class BehaviorTable(TwoByTwo):
         return out
 
 
-@dataclass(frozen=True)
-class NonlocalPairModel(TwoByTwo):
-    """A pair-hidden-variable model whose joint pmf may depend on both settings.
-
-    For each context (i, j) there is a pmf over pairs (lambda_i, lambda_j)
-    and per-setting outcome maps lambda -> value.  Unlike
-    :class:`ContextualModel` there is no shared source distribution, so
-    this object cannot in general be simulated locally; its purpose is
-    the factorization diagnostic below.
-    """
-
-    alice_settings: tuple[str, str]
-    bob_settings: tuple[str, str]
-    joints: Mapping[Context, Pmf]
-    alice_outcomes: Mapping[str, Mapping[Label, Fraction]]
-    bob_outcomes: Mapping[str, Mapping[Label, Fraction]]
-
-
 @dataclass
 class ValidationReport:
     """Accumulated invariant violations; empty means well-formed."""
@@ -684,58 +666,3 @@ def behavior_from_channels(model: ContextualModel, channels: Sequence[ValueChann
         for ctx, (scale, counts) in coded.items()
     }
     return BehaviorTable(model.alice_settings, model.bob_settings, outcomes, probs)
-
-
-@dataclass
-class FactorizationReport:
-    """Per-context verdicts of the product-form test p(l_i, l_j) = p(l_i) p(l_j)."""
-
-    factorizable: dict[Context, bool]
-    max_deviation: dict[Context, Fraction]
-
-    @property
-    def all_factorizable(self) -> bool:
-        return all(self.factorizable.values())
-
-
-def is_setting_factorizable(
-    model: NonlocalPairModel, tolerance: Numberish = 0
-) -> FactorizationReport:
-    """Check, per context, whether the joint pair pmf is the product of its marginals.
-
-    With tolerance 0 the comparison is exact.  A context that fails is
-    one where the hidden-variable pair carries dependence beyond what
-    two independent local draws could produce.
-    """
-    tol = as_fraction(tolerance)
-    factorizable: dict[Context, bool] = {}
-    deviation: dict[Context, Fraction] = {}
-    for ctx in model.contexts():
-        joint = model.joints[ctx]
-        first: dict[Label, Fraction] = {}
-        second: dict[Label, Fraction] = {}
-        for (li, lj), p in joint.items():
-            first[li] = first.get(li, Fraction(0)) + p
-            second[lj] = second.get(lj, Fraction(0)) + p
-        worst = Fraction(0)
-        for li, mi in first.items():
-            for lj, mj in second.items():
-                gap = abs(joint.mass((li, lj)) - mi * mj)
-                if gap > worst:
-                    worst = gap
-        factorizable[ctx] = worst <= tol
-        deviation[ctx] = worst
-    return FactorizationReport(factorizable, deviation)
-
-
-def nonlocal_quad(model: NonlocalPairModel) -> CorrelationQuad:
-    """Context correlations of a pair model (no locality assumed)."""
-    values = {}
-    for ctx in model.contexts():
-        a_out = model.alice_outcomes[ctx[0]]
-        b_out = model.bob_outcomes[ctx[1]]
-        values[ctx] = sum(
-            (p * a_out[li] * b_out[lj] for (li, lj), p in model.joints[ctx].items()),
-            Fraction(0),
-        )
-    return CorrelationQuad(model.alice_settings, model.bob_settings, values)

@@ -45,7 +45,7 @@ def _parse_frac(token: Any, where: str, source: str) -> Fraction:
             return Fraction(token)
         except (ValueError, ZeroDivisionError):
             pass
-    elif isinstance(token, int):
+    elif isinstance(token, int) and not isinstance(token, bool):
         return Fraction(token)
     raise ModelParseError(f"{source}: malformed fraction {token!r} at {where}")
 
@@ -65,6 +65,14 @@ def _parse_int(token: Any, where: str, source: str) -> int:
     if isinstance(token, float) and token.is_integer():
         return int(token)
     raise ModelParseError(f"{source}: malformed integer {token!r} at {where}")
+
+
+def _parse_ternary(sdoc: dict, where: str, source: str) -> bool:
+    """A setting's optional ``ternary`` flag: a JSON boolean, false when absent."""
+    flag = sdoc.get("ternary", False)
+    if not isinstance(flag, bool):
+        raise ModelParseError(f"{source}: {where} ternary flag must be true or false, got {flag!r}")
+    return flag
 
 
 def _require_list(value: Any, where: str, source: str) -> list:
@@ -331,7 +339,7 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
                 )
             for il, token in zip(inst_labels, row):
                 entries[(sl, il)] = _parse_frac(token, f"{where} outcome ({sl!r}, {il!r})", source)
-        return Setting(name, instrument, OutcomeTable(entries, ternary=bool(sdoc.get("ternary", False))))
+        return Setting(name, instrument, OutcomeTable(entries, ternary=_parse_ternary(sdoc, where, source)))
 
     def parse_side(side: str, labels: list[str]):
         docs = _require_list(doc[side], side, source)
@@ -362,7 +370,7 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatS
                 f"{source}: flat setting {name!r} coordinate {c} lies outside the atom tuples "
                 f"(shortest has length {arity})"
             )
-    ternary = bool(sdoc.get("ternary", False))
+    ternary = _parse_ternary(sdoc, f"flat setting {name!r}", source)
     entries = {}
     for i, e in enumerate(_require_list(sdoc["entries"], f"flat setting {name!r} entries", source)):
         _require_keys(e, {"key", "value"}, {"key", "value"}, f"{name!r} entry {i}", source)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import IO, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import IO, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,8 +87,8 @@ class Spreadsheet:
     def __len__(self) -> int:
         return len(self.x)
 
-    def _columns(self, part: slice = slice(None)) -> tuple[list, list, list, list]:
-        """The a, b, x, y columns (or a slice of them) as Python lists of setting names and +/-1 ints."""
+    def _columns(self, part: slice) -> tuple[list, list, list, list]:
+        """A slice of the a, b, x, y columns as Python lists of setting names and +/-1 ints."""
         return (
             np.asarray(self.alice_settings, dtype=object)[self.a_index[part]].tolist(),
             np.asarray(self.bob_settings, dtype=object)[self.b_index[part]].tolist(),
@@ -119,12 +119,6 @@ class Spreadsheet:
             int(self.x[t]),
             int(self.y[t]),
         )
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        return map(TrialRecord, *self._columns())
-
-    def to_records(self) -> list[TrialRecord]:
-        return list(self)
 
     def tobytes(self) -> bytes:
         """Canonical byte image, for exact reproducibility comparisons."""
@@ -313,26 +307,6 @@ def _simulate_outcomes(dag, a_idx, b_idx, n, seed, keep_hidden) -> Spreadsheet:
     )
 
 
-def _records_sheet(records: Iterable[TrialRecord]) -> Spreadsheet:
-    """Column-wise form of trial records; setting names sorted, padded with "" to two."""
-    a, b, x, y = list(zip(*records)) or ((), (), (), ())
-
-    def indexed(names):
-        labels = tuple((sorted(set(names)) + ["", ""])[:2])
-        return labels, np.array(list(map(labels.index, names)), dtype=np.int8)
-
-    a_names, a_index = indexed(a)
-    b_names, b_index = indexed(b)
-    return Spreadsheet(
-        a_names,
-        b_names,
-        a_index,
-        b_index,
-        np.array(x, dtype=np.int8),
-        np.array(y, dtype=np.int8),
-    )
-
-
 @dataclass
 class CorrelationEstimate:
     estimate: float
@@ -340,24 +314,18 @@ class CorrelationEstimate:
     count: int
 
 
-def estimate_correlations(
-    data: Union[Spreadsheet, Iterable[TrialRecord]],
-) -> dict[Context, CorrelationEstimate]:
-    """Per-context product means with standard errors.
+def estimate_correlations(data: Spreadsheet) -> dict[Context, CorrelationEstimate]:
+    """Per-context product means with standard errors, from a spreadsheet's columns.
 
     Contexts that never occurred are simply absent from the result; no
     value is invented for them.  The standard error is the sample
     standard deviation of the products over sqrt(count) (None when a
     single trial gives no spread estimate).
     """
-    if not isinstance(data, Spreadsheet):
-        data = _records_sheet(data)
     out: dict[Context, CorrelationEstimate] = {}
     prod = (data.x.astype(np.float64)) * (data.y.astype(np.float64))
     for i, a in enumerate(data.alice_settings):
         for j, b in enumerate(data.bob_settings):
-            if not a or not b:
-                continue
             sel = (data.a_index == i) & (data.b_index == j)
             count = int(sel.sum())
             if count == 0:
@@ -479,18 +447,18 @@ class IndependenceReport:
 
 
 def independence_diagnostic(
-    data: Union[Spreadsheet, Iterable[TrialRecord]],
+    data: Spreadsheet,
     hidden_trace: Optional[np.ndarray] = None,
 ) -> IndependenceReport:
-    """Chi-squared screen for setting/hidden-variable dependence.
+    """Chi-squared screen for setting/hidden-variable dependence in a spreadsheet.
 
     A clean run (independent streams) produces a statistic consistent
     with its degrees of freedom; a run whose settings share randomness
     with the hidden variables shows a statistic growing linearly with
-    the trial count.
+    the trial count.  ``hidden_trace`` defaults to the spreadsheet's own
+    logged trace, if any; an empty spreadsheet gives
+    ``IndependenceReport(empty=True)``.
     """
-    if not isinstance(data, Spreadsheet):
-        data = _records_sheet(data)
     if len(data) == 0:
         return IndependenceReport(empty=True)
     if hidden_trace is None:

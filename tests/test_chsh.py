@@ -12,7 +12,6 @@ from lhvlab import (
     chsh_values,
     correlation_quad,
     counterexample_model,
-    finite_sample_bound,
     postselected_correlations,
     product_flatten,
     validate_model,
@@ -267,32 +266,3 @@ class TestZeroToCoin:
             pytest.skip("random draw produced a ternary-valued model")
         with pytest.raises(ValueError, match="non-ternary"):
             zero_to_coin(m)
-
-
-class TestFiniteSampleBound:
-    def test_at_the_classical_bound_the_bound_is_vacuous(self):
-        assert finite_sample_bound(10, 2.0) == 1.0
-
-    def test_monotone_in_excess(self):
-        assert finite_sample_bound(100, 2.5) < finite_sample_bound(100, 2.0)
-
-    def test_large_n_example(self):
-        assert finite_sample_bound(10**6, 2.4) == math.exp(-5000)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            finite_sample_bound(0, 2.0)
-        with pytest.raises(ValueError):
-            finite_sample_bound(10, 4.5)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=10**7),
-        st.floats(min_value=2.0, max_value=3.9),
-        st.floats(min_value=0.01, max_value=0.1),
-    )
-    def test_monotone_properties(self, n, s, ds):
-        b = finite_sample_bound(n, s)
-        assert 0.0 <= b <= 1.0
-        assert finite_sample_bound(n, min(4.0, s + ds)) <= b
-        assert finite_sample_bound(n + 1000, s) <= b

@@ -304,6 +304,33 @@ class TestValidate:
         assert_rejected(capsys, doc, tmp_path, message)
 
     @pytest.mark.parametrize(
+        "kind, path, message",
+        [
+            ("contextual", ("alice", 0, "instrument", 0, "mass"),
+             "malformed fraction True at alice setting '+1' instrument pmf atom 0"),
+            ("contextual", ("bob", 1, "outcomes", 2, 0),
+             "malformed fraction True at bob setting '-1' outcome ('3', '*')"),
+            ("behavior", ("contexts", 0, "cells", 0, "p"), "malformed fraction True at context ('x', 'y') cell 0"),
+        ],
+    )
+    def test_json_boolean_is_not_a_number(self, capsys, tmp_path, kind, path, message):
+        doc = kind_doc(kind)
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = True
+        assert_rejected(capsys, doc, tmp_path, message)
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    @pytest.mark.parametrize(
+        "kind, where", [("contextual", "alice setting '+1'"), ("flat", "flat setting '+1'")]
+    )
+    def test_ternary_flag_must_be_a_boolean(self, capsys, tmp_path, kind, where, flag):
+        doc = kind_doc(kind)
+        doc["alice"][0]["ternary"] = flag
+        assert_rejected(capsys, doc, tmp_path, f"{where} ternary flag must be true or false, got {flag!r}")
+
+    @pytest.mark.parametrize(
         "value, message",
         [
             (None, "bob setting '-1' bar has no value for source label"),
@@ -657,7 +684,7 @@ class TestPlumbing:
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout)
         assert report["numpy"] == []
-        assert set(report["all"]) == PUBLIC_NAMES and len(report["all"]) == 76
+        assert set(report["all"]) == PUBLIC_NAMES and len(report["all"]) == 71
         assert report["unbound"] == []
         assert report["lazy"] is True
 
@@ -677,19 +704,21 @@ class TestPlumbing:
         assert err == b""
 
 
-# lhvlab.__all__ as of the eager-import package; serving names lazily must keep it
+# lhvlab.__all__: the 76 names of the eager-import package, less the five that only
+# tests reached (NonlocalPairModel, FactorizationReport, is_setting_factorizable,
+# nonlocal_quad, finite_sample_bound), removed on purpose; serving names lazily must keep it
 PUBLIC_NAMES = {
     "AngleSet", "AveragedModel", "BehaviorTable", "ChshCombination", "ChshReport", "ContextualModel",
     "CorrelationEstimate", "CorrelationQuad", "CouplingSamples", "DagModel", "DetectionReport",
-    "DomainMismatchError", "FactorizationReport", "FlatModel", "FlatSetting", "IndependenceReport",
+    "DomainMismatchError", "FlatModel", "FlatSetting", "IndependenceReport",
     "InternalInconsistencyError", "JointDistribution16", "JointSearchResult", "ModelParseError",
-    "NoSignallingReport", "NonlocalPairModel", "OutcomeTable", "Pmf", "PostSelectionReport", "SearchConfig",
+    "NoSignallingReport", "OutcomeTable", "Pmf", "PostSelectionReport", "SearchConfig",
     "SearchOutcome", "Setting", "Spreadsheet", "TrialRecord", "ValidationReport", "as_fraction",
     "behavior_from_model", "bell_average", "check_no_signalling", "chsh", "chsh_values", "corpus",
     "correlation_quad", "counterexample_model", "coupling_joint", "detection_rates", "estimate_correlations",
-    "exact_expectation", "exact_side_expectation", "find_joint", "fine", "fine_criterion", "finite_sample_bound",
-    "flatten", "from_contextual", "independence_diagnostic", "is_setting_factorizable", "loophole",
-    "marginalize_context", "model", "modelio", "montecarlo", "nonlocal_quad", "parse_path", "parse_text",
+    "exact_expectation", "exact_side_expectation", "find_joint", "fine", "fine_criterion",
+    "flatten", "from_contextual", "independence_diagnostic", "loophole",
+    "marginalize_context", "model", "modelio", "montecarlo", "parse_path", "parse_text",
     "postselected_correlations", "product_flatten", "quantum_singlet_behavior", "random_contextual_model",
     "random_nosignalling_behavior", "refine_breakpoints", "sample_coupling", "search_postselection_violation",
     "serialize", "simplex", "simulate_given_settings", "simulate_spreadsheet", "uniform_reduce",

@@ -117,7 +117,7 @@ class TestNoSignalling:
         with pytest.raises(ValueError, match="binary"):
             check_no_signalling(behavior_from_model(m))
 
-    def test_tolerance_only_softens_the_verdict(self):
+    def test_a_thousandth_of_signalling_fails_exactly(self):
         probs = {}
         for ctx in CONTEXTS:
             p_plus = Fraction(1, 2) if ctx[1] == "y" else Fraction(1, 2) + Fraction(1, 1000)
@@ -128,9 +128,10 @@ class TestNoSignalling:
                 (-1, -1): (1 - p_plus) / 2,
             }
         b = BehaviorTable(("x", "x'"), ("y", "y'"), (-1, 1), probs)
-        assert not check_no_signalling(b).holds
-        assert check_no_signalling(b, tolerance=Fraction(1, 100)).holds
-        # the joint problem still needs exact marginal consistency
+        report = check_no_signalling(b)
+        assert not report.holds
+        assert report.max_deviation == Fraction(1, 1000)
+        # the joint problem needs exact marginal consistency too
         with pytest.raises(ValueError, match="signal"):
             find_joint(b)
 

@@ -65,6 +65,14 @@ class TestQuantumFixture:
             assert check_no_signalling(b).holds
             assert b.quad().in_range()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position, name", [(0, "theta_x"), (3, "theta_yp")])
+    def test_non_finite_angle_is_named(self, position, name, value):
+        radians = [0.0, 0.5, 1.0, 1.5]
+        radians[position] = value
+        with pytest.raises(ValueError, match=f"angle {name} must be finite, got {value!r}"):
+            quantum_singlet_behavior(AngleSet(*radians))
+
 
 class TestDetectionRates:
     def test_binary_model_rates_are_one(self):

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import random
 from fractions import Fraction
 
@@ -7,7 +9,6 @@ from conftest import brute_quad, corpus_models
 from lhvlab import (
     ContextualModel,
     DomainMismatchError,
-    NonlocalPairModel,
     OutcomeTable,
     Pmf,
     Setting,
@@ -16,8 +17,6 @@ from lhvlab import (
     counterexample_model,
     exact_expectation,
     exact_side_expectation,
-    is_setting_factorizable,
-    nonlocal_quad,
     validate_model,
 )
 from lhvlab.corpus import random_contextual_model
@@ -240,52 +239,34 @@ def test_values_are_point_on_whole_tables(ternary):
         assert table.values_are_point() == all(v in allowed for v in table.entries.values())
 
 
-def _pair_model(joints):
-    """NonlocalPairModel with identity outcomes on +/-1 pair labels."""
-    identity = {1: Fraction(1), -1: Fraction(-1)}
-    return NonlocalPairModel(
-        ("x", "x'"),
-        ("y", "y'"),
-        joints,
-        {"x": identity, "x'": identity},
-        {"y": identity, "y'": identity},
-    )
+EXACT_MODULES = ("model", "chsh", "fine", "flatten", "loophole", "modelio", "simplex")
+TOLERANCE_NAMES = {"tolerance", "tol", "eps", "atol", "rtol"}
 
 
-class TestFactorization:
-    def test_explicit_products_factorize(self):
-        cell = Pmf({(u, v): Fraction(1, 4) for u in (1, -1) for v in (1, -1)})
-        m = _pair_model({ctx: cell for ctx in (("x", "y"), ("x", "y'"), ("x'", "y"), ("x'", "y'"))})
-        assert is_setting_factorizable(m).all_factorizable
+def test_exact_api_takes_no_tolerance():
+    """No public callable, constructor or method of an exact module takes a tolerance.
 
-    def test_perfect_correlation_is_not_factorizable(self):
-        diag = Pmf({(1, 1): Fraction(1, 2), (-1, -1): Fraction(1, 2)})
-        m = _pair_model({ctx: diag for ctx in (("x", "y"), ("x", "y'"), ("x'", "y"), ("x'", "y'"))})
-        report = is_setting_factorizable(m)
-        assert not any(report.factorizable.values())
-        assert report.max_deviation[("x", "y")] == Fraction(1, 4)
-
-    def test_tolerance_loosens_the_verdict(self):
-        diag = Pmf({(1, 1): Fraction(1, 2), (-1, -1): Fraction(1, 2)})
-        m = _pair_model({ctx: diag for ctx in (("x", "y"), ("x", "y'"), ("x'", "y"), ("x'", "y'"))})
-        assert is_setting_factorizable(m, tolerance=Fraction(1, 4)).all_factorizable
-
-    def test_chsh_violating_pair_model_is_nonfactorizable_somewhere(self):
-        # per-context pmfs tuned to reproduce a CHSH-violating quad
-        target = {
-            ("x", "y"): Fraction(-7, 10),
-            ("x", "y'"): Fraction(7, 10),
-            ("x'", "y"): Fraction(-7, 10),
-            ("x'", "y'"): Fraction(-7, 10),
-        }
-        joints = {
-            ctx: Pmf({(u, v): (1 + u * v * e) / 4 for u in (1, -1) for v in (1, -1)})
-            for ctx, e in target.items()
-        }
-        m = _pair_model(joints)
-        quad = nonlocal_quad(m)
-        assert quad.values == target
-        from lhvlab import chsh_values
-
-        assert not chsh_values(quad).satisfied
-        assert not is_setting_factorizable(m).all_factorizable
+    ``montecarlo`` is left out: it holds floats by design.
+    """
+    walked, knobs = set(), []
+    for module_name in EXACT_MODULES:
+        module = importlib.import_module(f"lhvlab.{module_name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj) and issubclass(obj, Exception):
+                continue
+            members = {name: obj}
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_"):
+                        member = getattr(member, "__func__", getattr(member, "fget", member))
+                        members[f"{name}.{attr}"] = member
+            for qualname, member in members.items():
+                if not callable(member):
+                    continue
+                walked.add(f"{module_name}.{qualname}")
+                params = inspect.signature(member).parameters
+                knobs += [f"{module_name}.{qualname}({p})" for p in params if p in TOLERANCE_NAMES]
+    assert {"fine.check_no_signalling", "fine.NoSignallingReport", "model.Pmf.mass"} <= walked
+    assert knobs == []

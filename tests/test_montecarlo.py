@@ -12,6 +12,7 @@ from lhvlab import (
     OutcomeTable,
     Pmf,
     Setting,
+    Spreadsheet,
     TrialRecord,
     correlation_quad,
     counterexample_model,
@@ -23,7 +24,13 @@ from lhvlab import (
     simulate_spreadsheet,
 )
 from lhvlab.corpus import random_contextual_model
-from lhvlab.montecarlo import ROWS_PER_BLOCK, _chi2_sf, _records_sheet
+from lhvlab.montecarlo import ROWS_PER_BLOCK, _chi2_sf
+
+
+def constant_sheet(n, x=1, y=1):
+    """A hand-built spreadsheet of ``n`` trials, all in context (x, y), with constant outcomes."""
+    column = lambda v: np.full(n, v, dtype=np.int8)
+    return Spreadsheet(("x", "x'"), ("y", "y'"), column(0), column(0), column(x), column(y))
 
 
 def all_plus_model():
@@ -74,19 +81,17 @@ class TestOutcomes:
     def test_records_view(self):
         dag = from_contextual(counterexample_model())
         sheet = simulate_spreadsheet(dag, 10, seed=5)
-        records = sheet.to_records()
+        records = [sheet.record(t) for t in range(len(sheet))]
         assert len(records) == 10
         assert isinstance(records[0], TrialRecord)
         assert records[0].a in ("+1", "-1")
         assert records[0].x in (-1, 1)
-
 
     def test_rows_are_the_per_trial_records(self):
         dag = from_contextual(counterexample_model())
         sheet = simulate_spreadsheet(dag, 300, seed=9)
         expected = [[t, *sheet.record(t)] for t in range(len(sheet))]
         assert list(sheet.rows()) == expected
-        assert sheet.to_records() == [sheet.record(t) for t in range(len(sheet))]
         buf = io.StringIO()
         sheet.write_csv(buf)
         lines = list(csv.reader(io.StringIO(buf.getvalue())))
@@ -112,21 +117,15 @@ class TestOutcomes:
 
     def test_empty_sheet_csv_is_the_header(self):
         buf = io.StringIO()
-        _records_sheet([]).write_csv(buf)
+        constant_sheet(0).write_csv(buf)
         assert buf.getvalue() == "trial,a,b,x,y\r\n"
 
-    def test_records_give_back_the_sheet(self):
-        dag = from_contextual(counterexample_model())
-        sheet = simulate_spreadsheet(dag, 2000, seed=4)
-        again = independence_diagnostic(sheet.to_records())
-        assert again == independence_diagnostic(sheet)
-        assert estimate_correlations(sheet.to_records()) == estimate_correlations(sheet)
 
 
 class TestEstimates:
     def test_constant_records_estimate_one_stderr_zero(self):
-        records = [TrialRecord("x", "y", 1, 1)] * 50
-        est = estimate_correlations(records)
+        est = estimate_correlations(constant_sheet(50))
+        assert set(est) == {("x", "y")}
         assert est[("x", "y")].estimate == 1.0
         assert est[("x", "y")].stderr == 0.0
         assert est[("x", "y")].count == 50
@@ -150,7 +149,7 @@ class TestEstimates:
         assert set(est) == {("+1", "+1"), ("+1", "-1")}
 
     def test_empty_input_gives_empty_dict(self):
-        assert estimate_correlations([]) == {}
+        assert estimate_correlations(constant_sheet(0)) == {}
 
     def test_large_run_matches_exact_within_4_sigma(self):
         rng = random.Random(2718)
@@ -241,7 +240,7 @@ class TestCoupling:
 
 class TestIndependenceDiagnostic:
     def test_zero_trials_empty_report(self):
-        report = independence_diagnostic([])
+        report = independence_diagnostic(constant_sheet(0))
         assert report.empty
 
     def test_clean_run_consistent_with_independence(self):
