@@ -158,16 +158,13 @@ def postselected_correlations(behavior: BehaviorTable) -> PostSelectionReport:
 
 def _coin_extend(setting: Setting) -> Setting:
     """Product the instrument space with a fair coin that resolves zero outcomes."""
-    atoms = []
-    for lab, mass in setting.instrument.items():
-        half = mass / 2
-        atoms.append(((lab, "H"), half))
-        atoms.append(((lab, "T"), half))
+    scale, weights = setting.instrument.integer_atoms()
+    atoms = [((lab, face), w) for lab, w in weights.items() for face in ("H", "T")]
     entries = {}
     for (src, lab), v in setting.outcomes.entries.items():
         entries[(src, (lab, "H"))] = v if v != 0 else Fraction(1)
         entries[(src, (lab, "T"))] = v if v != 0 else Fraction(-1)
-    return Setting(setting.name, Pmf(atoms), OutcomeTable(entries, ternary=False))
+    return Setting(setting.name, Pmf.from_integers(2 * scale, atoms), OutcomeTable(entries, ternary=False))
 
 
 def zero_to_coin(model: ContextualModel) -> ContextualModel:
@@ -181,11 +178,7 @@ def zero_to_coin(model: ContextualModel) -> ContextualModel:
     """
     for side_name, side in (("alice", model.alice), ("bob", model.bob)):
         for setting in side:
-            bad = [
-                v
-                for v in setting.outcomes.entries.values()
-                if v not in (Fraction(-1), Fraction(0), Fraction(1))
-            ]
+            bad = [v for v in setting.outcomes.entries.values() if v.denominator != 1 or abs(v.numerator) > 1]
             if bad:
                 raise ValueError(
                     f"{side_name} setting {setting.name!r} has non-ternary outcome {bad[0]}; "

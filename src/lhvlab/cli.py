@@ -23,7 +23,6 @@ from .loophole import (
     AngleSet,
     DetectionReport,
     SearchConfig,
-    detection_rates,
     quantum_singlet_behavior,
     search_postselection_violation,
 )
@@ -218,10 +217,7 @@ def _cmd_chsh(args) -> tuple[Any, int]:
     else:
         if len(args.values) != 4:
             raise UsageError("need exactly four correlation values (or --model)")
-        try:
-            vals = [as_fraction(v) for v in args.values]
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"malformed correlation value in {args.values}")
+        vals = [_arg_fraction(v, "correlation value") for v in args.values]
         quad = CorrelationQuad(
             ("x", "x'"),
             ("y", "y'"),
@@ -276,14 +272,19 @@ def _parse_bias(text: str, model: ContextualModel) -> Pmf:
     parts = text.split(",")
     if len(parts) != 4:
         raise UsageError("--bias needs four comma-separated probabilities (context order)")
-    try:
-        masses = [as_fraction(p.strip()) for p in parts]
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed probability in --bias {text!r}")
+    masses = [_arg_fraction(p.strip(), "--bias probability") for p in parts]
     pmf = Pmf(dict(zip(model.contexts(), masses)))
     if not pmf.is_normalized():
         raise UsageError(f"--bias masses sum to {pmf.total()}, not 1")
     return pmf
+
+
+def _arg_fraction(text: str, what: str) -> Fraction:
+    """A number argument through the bounded token grammar of :func:`as_fraction`."""
+    try:
+        return as_fraction(text)
+    except ValueError as exc:
+        raise UsageError(f"{what}: {exc}") from None
 
 
 def _check_seed(seed: int) -> None:
@@ -369,20 +370,20 @@ def _cmd_simulate(args) -> tuple[Any, int]:
 
 def _cmd_search(args) -> tuple[Any, int]:
     _check_seed(args.seed)
+    max_det = None if args.max_detection.lower() == "none" else _arg_fraction(args.max_detection, "--max-detection")
     try:
-        max_det = None if args.max_detection.lower() == "none" else as_fraction(args.max_detection)
         config = SearchConfig(
             seed=args.seed,
             source_atoms=args.source_atoms,
             instrument_atoms=args.instrument_atoms,
             budget=args.budget,
-            min_coincidence=as_fraction(args.min_rate),
+            min_coincidence=_arg_fraction(args.min_rate, "--min-rate"),
             max_detection=max_det,
             mass_denominator=args.denominator,
-            target_stat=as_fraction(args.target) if args.target else None,
+            target_stat=_arg_fraction(args.target, "--target") if args.target else None,
         )
         config.validate()
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
     try:
         outcome = search_postselection_violation(config)

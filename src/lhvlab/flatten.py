@@ -12,23 +12,27 @@ Three routes, all preserving the four context expectations exactly:
 
 Equality of expectations is exact rational equality, checkable with ==.
 
-The flat models are built and evaluated in integers: masses are integer
-weights over one common denominator until a single ``Fraction`` is made
-per atom, and :meth:`FlatModel.quad` sums each context over integer
+All three are built and evaluated in integers, with a ``Fraction`` made
+only where a mass, cell bound or bar is read: the builders hand integer
+weights to :meth:`Pmf.from_integers`, uniform cells are cut on integer
+cumulative points, each bar and each :meth:`AveragedModel.quad` context is
+one integer sum, and :meth:`FlatModel.quad` sums each context over integer
 columns of table values at the flat pmf's support tuples.  That
 evaluation walks the flat pmf only; it never calls the contextual kernel
-(``outcome_channel``, ``context_distributions``) it is used to check.
+(``setting_channel``, ``context_distributions``) it is used to check.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
+from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .model import (
-    Context,
     ContextualModel,
     CorrelationQuad,
     Label,
@@ -37,7 +41,8 @@ from .model import (
     SettingPairs,
     TwoByTwo,
     integer_scale,
-    outcome_channel,
+    setting_channel,
+    side_labels,
 )
 
 
@@ -92,12 +97,10 @@ class FlatModel(SettingPairs):
 
 def _column(setting: FlatSetting, lams: Sequence[tuple]) -> tuple[int, list[int]]:
     """A setting's table value at each tuple, as integers over the lcm of their denominators."""
-    i, j = setting.coords
-    keys = [(lam[i], lam[j]) for lam in lams]
+    keys = list(map(itemgetter(*setting.coords), lams))
     distinct = list(dict.fromkeys(keys))
     scale, ints = integer_scale([setting.outcomes.value(*key) for key in distinct])
-    scaled = dict(zip(distinct, ints))
-    return scale, [scaled[key] for key in keys]
+    return scale, list(map(dict(zip(distinct, ints)).__getitem__, keys))
 
 
 @dataclass(frozen=True)
@@ -115,20 +118,23 @@ class AveragedModel(TwoByTwo):
     alice_bar: Mapping[str, Mapping[Label, Fraction]]
     bob_bar: Mapping[str, Mapping[Label, Fraction]]
 
-    def expectation(self, context: Context) -> Fraction:
-        abar = self.alice_bar[context[0]]
-        bbar = self.bob_bar[context[1]]
-        total = Fraction(0)
-        for (l1, l2), mass in self.source.support():
-            total += abar[l1] * bbar[l2] * mass
-        return total
-
     def quad(self) -> CorrelationQuad:
-        return CorrelationQuad(
-            self.alice_settings,
-            self.bob_settings,
-            {ctx: self.expectation(ctx) for ctx in self.contexts()},
-        )
+        """All four expectations, each one integer dot product over the source weights."""
+        scale, src = self.source.integer_weights()
+        alice = {name: _scaled(self.alice_bar[name]) for name in self.alice_settings}
+        bob = {name: _scaled(self.bob_bar[name]) for name in self.bob_settings}
+        values = {}
+        for ctx in self.contexts():
+            a_scale, a = alice[ctx[0]]
+            b_scale, b = bob[ctx[1]]
+            values[ctx] = Fraction(sum(w * a[l1] * b[l2] for (l1, l2), w in src), scale * a_scale * b_scale)
+        return CorrelationQuad(self.alice_settings, self.bob_settings, values)
+
+
+def _scaled(bar: Mapping[Label, Fraction]) -> tuple[int, dict[Label, int]]:
+    """A bar's values as integers over the lcm of their denominators."""
+    scale, ints = integer_scale(list(bar.values()))
+    return scale, dict(zip(bar, ints))
 
 
 def product_flatten(model: ContextualModel) -> FlatModel:
@@ -155,8 +161,8 @@ def product_flatten(model: ContextualModel) -> FlatModel:
                 for lb, wb in inst_by:
                     w3 = w2 * wb
                     for lb2, wb2 in inst_by2:
-                        atoms.append(((l1, l2, la, la2, lb, lb2), Fraction(w3 * wb2, scale)))
-    lambda_pmf = Pmf(atoms)
+                        atoms.append(((l1, l2, la, la2, lb, lb2), w3 * wb2))
+    lambda_pmf = Pmf.from_integers(scale, atoms)
     alice = (
         FlatSetting(ax.name, (0, 2), ax.outcomes),
         FlatSetting(ax2.name, (0, 3), ax2.outcomes),
@@ -175,38 +181,29 @@ def refine_breakpoints(first: Pmf, second: Pmf) -> list[tuple[Fraction, Fraction
     cumulative breakpoints.  Cell lengths are exact and sum to 1; every
     cell lies inside exactly one atom interval of each pmf.
     """
-    points = {Fraction(0), Fraction(1)}
-    for pmf in (first, second):
-        cum = Fraction(0)
-        for _lab, mass in pmf.support():
-            cum += mass
-            points.add(cum)
-    grid = sorted(points)
-    return [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)]
+    scale, grid, _atoms = _quantile_cells(first, second)
+    points = [Fraction(p, scale) for p in grid]
+    return list(zip(points, points[1:]))
 
 
-def _cell_atom_map(pmf: Pmf, cells: Sequence[tuple[Fraction, Fraction]]) -> dict[tuple, Label]:
-    """Assign each cell to the pmf atom whose cumulative interval contains it."""
-    spans = []
-    cum = Fraction(0)
-    for lab, mass in pmf.support():
-        spans.append((cum, cum + mass, lab))
-        cum += mass
-    mapping: dict[tuple, Label] = {}
-    for lo, hi in cells:
-        for s_lo, s_hi, lab in spans:
-            if s_lo <= lo < s_hi:
-                if hi > s_hi:
-                    raise AssertionError("cell crosses an atom boundary; refinement is broken")
-                mapping[(lo, hi)] = lab
-                break
-        else:
-            raise AssertionError(f"cell [{lo}, {hi}) not covered by pmf")
-    return mapping
+def _quantile_cells(first: Pmf, second: Pmf) -> tuple[int, list[int], list[list[Label]]]:
+    """:func:`refine_breakpoints` in integers: ``(scale, grid, atoms)``.
 
-
-def _cell_label(cell: tuple[Fraction, Fraction]) -> str:
-    return f"[{cell[0]},{cell[1]})"
+    ``grid`` holds the sorted cut points over the two pmfs' common scale, 0 and
+    ``scale`` included; ``atoms`` per pmf the label of the atom holding each cell.
+    """
+    (s1, w1), (s2, w2) = first.integer_weights(), second.integer_weights()
+    scale = math.lcm(s1, s2)
+    ends = [list(accumulate(w * (scale // s) for _lab, w in weights)) for s, weights in ((s1, w1), (s2, w2))]
+    grid = sorted({0, scale}.union(*ends))
+    atoms = []
+    for cum, weights in zip(ends, (w1, w2)):
+        # every atom end is a grid point, so a cell's atom is the first one ending after its lo
+        at = [bisect_right(cum, lo) for lo in grid[:-1]]
+        if at[-1] == len(cum):
+            raise AssertionError(f"cell at {Fraction(grid[-2], scale)} not covered by pmf")
+        atoms.append([weights[i][0] for i in at])
+    return scale, grid, atoms
 
 
 def uniform_reduce(model: ContextualModel) -> FlatModel:
@@ -220,48 +217,46 @@ def uniform_reduce(model: ContextualModel) -> FlatModel:
     """
     ax, ax2 = model.alice
     by, by2 = model.bob
-    cells_a = refine_breakpoints(ax.instrument, ax2.instrument)
-    cells_b = refine_breakpoints(by.instrument, by2.instrument)
-    map_ax = _cell_atom_map(ax.instrument, cells_a)
-    map_ax2 = _cell_atom_map(ax2.instrument, cells_a)
-    map_by = _cell_atom_map(by.instrument, cells_b)
-    map_by2 = _cell_atom_map(by2.instrument, cells_b)
-
-    labels_a = [_cell_label(cell) for cell in cells_a]
-    labels_b = [_cell_label(cell) for cell in cells_b]
-    scale_a, lengths_a = integer_scale([hi - lo for lo, hi in cells_a])
-    scale_b, lengths_b = integer_scale([hi - lo for lo, hi in cells_b])
+    scale_a, grid_a, (atoms_ax, atoms_ax2) = _quantile_cells(ax.instrument, ax2.instrument)
+    scale_b, grid_b, (atoms_by, atoms_by2) = _quantile_cells(by.instrument, by2.instrument)
+    cells_a = _cells(scale_a, grid_a)
+    cells_b = _cells(scale_b, grid_b)
     src_scale, src = model.source.integer_weights()
     scale = src_scale * scale_a * scale_b
-    cells_b_weighted = list(zip(labels_b, lengths_b))
 
     atoms = []
     for (l1, l2), w_src in src:
-        for u1, wa in zip(labels_a, lengths_a):
+        for u1, wa in cells_a:
             w = w_src * wa
-            for u2, wb in cells_b_weighted:
-                atoms.append(((l1, l2, u1, u2), Fraction(w * wb, scale)))
-    lambda_pmf = Pmf(atoms)
+            for u2, wb in cells_b:
+                atoms.append(((l1, l2, u1, u2), w * wb))
+    lambda_pmf = Pmf.from_integers(scale, atoms)
 
-    def composed(setting, cell_map, cells, labels, source_labels) -> OutcomeTable:
-        cell_atoms = list(zip(labels, [cell_map[cell] for cell in cells]))
-        entries = {}
-        for l_src in source_labels:
-            for label, atom in cell_atoms:
-                entries[(l_src, label)] = setting.outcomes.value(l_src, atom)
+    def composed(setting, cell_atoms, cells, source_labels) -> OutcomeTable:
+        entries = {
+            (l_src, label): setting.outcomes.value(l_src, atom)
+            for l_src in source_labels
+            for (label, _w), atom in zip(cells, cell_atoms)
+        }
         return OutcomeTable(entries, ternary=setting.outcomes.ternary)
 
     first = model.source_first_labels()
     second = model.source_second_labels()
     alice = (
-        FlatSetting(ax.name, (0, 2), composed(ax, map_ax, cells_a, labels_a, first)),
-        FlatSetting(ax2.name, (0, 2), composed(ax2, map_ax2, cells_a, labels_a, first)),
+        FlatSetting(ax.name, (0, 2), composed(ax, atoms_ax, cells_a, first)),
+        FlatSetting(ax2.name, (0, 2), composed(ax2, atoms_ax2, cells_a, first)),
     )
     bob = (
-        FlatSetting(by.name, (1, 3), composed(by, map_by, cells_b, labels_b, second)),
-        FlatSetting(by2.name, (1, 3), composed(by2, map_by2, cells_b, labels_b, second)),
+        FlatSetting(by.name, (1, 3), composed(by, atoms_by, cells_b, second)),
+        FlatSetting(by2.name, (1, 3), composed(by2, atoms_by2, cells_b, second)),
     )
     return FlatModel(lambda_pmf, alice, bob)
+
+
+def _cells(scale: int, grid: Sequence[int]) -> list[tuple[str, int]]:
+    """Each cell's label "[lo,hi)" and its integer length over ``scale``."""
+    points = [str(Fraction(p, scale)) for p in grid]
+    return [(f"[{points[i]},{points[i + 1]})", grid[i + 1] - grid[i]) for i in range(len(grid) - 1)]
 
 
 def bell_average(model: ContextualModel) -> AveragedModel:
@@ -277,11 +272,14 @@ def bell_average(model: ContextualModel) -> AveragedModel:
     """
 
     def bars(side, settings) -> dict[str, dict[Label, Fraction]]:
+        labels = side_labels(model, side)
         out: dict[str, dict[Label, Fraction]] = {}
         for setting in settings:
-            scale, channel = outcome_channel(model, side, setting)
+            scale, channel = setting_channel(labels, setting)
+            # the values n/d over the lcm of their denominators: one integer sum per bar
+            vscale = math.lcm(*{d for dist in channel.values() for _n, d in dist})
             out[setting.name] = {
-                lab: sum((v * c for v, c in dist.items()), Fraction(0)) / scale
+                lab: Fraction(sum(n * (vscale // d) * c for (n, d), c in dist.items()), scale * vscale)
                 for lab, dist in channel.items()
             }
         return out

@@ -184,16 +184,14 @@ def _random_search_model(rng: random.Random, cfg: SearchConfig) -> ContextualMod
     n = cfg.source_atoms
     d = cfg.mass_denominator
     pairs = [(f"s{k}", f"s{k}") for k in range(n)]
-    source = Pmf({p: Fraction(w, d) for p, w in zip(pairs, _composition(rng, n, d))})
+    source = Pmf.from_integers(d, dict(zip(pairs, _composition(rng, n, d))))
 
     def make_setting(name: str) -> Setting:
         atoms = [f"u{i}" for i in range(cfg.instrument_atoms)]
         if len(atoms) == 1:
             instrument = Pmf.point(atoms[0])
         else:
-            instrument = Pmf(
-                {a: Fraction(w, d) for a, w in zip(atoms, _composition(rng, len(atoms), d))}
-            )
+            instrument = Pmf.from_integers(d, dict(zip(atoms, _composition(rng, len(atoms), d))))
         entries = {
             (f"s{k}", a): Fraction(rng.choice((-1, 0, 1)))
             for k in range(n)
@@ -209,13 +207,14 @@ def _random_search_model(rng: random.Random, cfg: SearchConfig) -> ContextualMod
 
 
 def _move_grid_unit(rng: random.Random, pmf: Pmf, d: int) -> Pmf:
-    weights = {lab: int(m * d) for lab, m in pmf.items()}
+    scale, weights = pmf.integer_atoms()
+    weights = {lab: w * (d // scale) for lab, w in weights.items()}
     donors = [lab for lab, w in weights.items() if w > 0]
     src = rng.choice(donors)
     dst = rng.choice(list(weights))
     weights[src] -= 1
     weights[dst] += 1
-    return Pmf({lab: Fraction(w, d) for lab, w in weights.items()})
+    return Pmf.from_integers(d, weights)
 
 
 def _replace_setting(model: ContextualModel, side: str, idx: int, new_setting: Setting):

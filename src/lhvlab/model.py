@@ -2,9 +2,9 @@
 
 The central object is :class:`ContextualModel`: a source distribution over
 hidden-variable pairs, plus two measurement settings per side, each carrying
-its own instrument distribution and outcome table.  All probability masses
-are `fractions.Fraction`, so expectation values and distribution identities
-can be checked with exact equality rather than tolerances.
+its own instrument distribution and outcome table.  Masses are exact: a
+:class:`Pmf` holds integer weights over one common denominator, and a
+``Fraction`` is made only where a number leaves the API.
 
 Exact numbers are projections of one product measure, source x
 instrument_a x instrument_b, computed by one integer kernel in two
@@ -22,13 +22,13 @@ and hands its mutation's children the ones they did not change.
 joint counts; :func:`side_distribution`, :func:`exact_side_expectation`,
 ``loophole.detection_rates`` and ``flatten.bell_average`` the channels.
 :func:`exact_expectation` sums term by term as the reference oracle;
-nothing in the package calls it.
+nothing in the package calls it, and it reads masses only as Fractions.
 
-:func:`integer_scale` and :meth:`Pmf.integer_weights` are the one place
-rationals become integers over the lcm of their denominators; the kernel
-and the flat models of :mod:`lhvlab.flatten` both use them.  The flat
-models are evaluated on integer columns over their own tuple pmf,
-independently of this kernel, so they can check it.
+:meth:`Pmf.from_integers` and :meth:`Pmf.integer_weights` move masses in
+and out as integers; :func:`integer_scale` brings other rationals over
+the lcm of their denominators.  The flat models of :mod:`lhvlab.flatten`
+are evaluated on integer columns over their own tuple pmf, independently
+of this kernel, so they can check it.
 
 Floats never enter this module; stochastic estimation lives in
 :mod:`lhvlab.montecarlo`.
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
@@ -47,17 +48,49 @@ Context = tuple[str, str]
 
 Numberish = Union[Fraction, int, str, float]
 
+# Fraction's grammar with the token length and exponent capped, so a parsed
+# value prints within Python's 4300-digit int-to-str limit
+MAX_TOKEN_CHARS = 1000
+MAX_EXPONENT = 1000
+_RATIONAL = re.compile(r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)(?:(?:/(?P<den>\d+(_\d+)*))?"
+                       r"|(?:\.(?P<dec>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*", re.IGNORECASE)
+
+
+def rational_parts(token: str) -> tuple[int, int]:
+    """A number token as ``(numerator, denominator)``, not necessarily reduced.
+
+    Accepts what ``Fraction(str)`` accepts ("1/6", "-0.25", "3e-2") within the
+    bounds, checked before any large integer is made; a ``ValueError`` names the rule.
+    """
+    if len(token) > MAX_TOKEN_CHARS:
+        raise ValueError(f"number token of {len(token)} characters exceeds the limit of {MAX_TOKEN_CHARS}")
+    m = _RATIONAL.fullmatch(token)
+    if m is None:
+        raise ValueError(f"malformed fraction {token!r}")
+    num, den = int(m["num"] or "0"), int(m["den"] or "1")
+    if den == 0:
+        raise ValueError(f"zero denominator in {token!r}")
+    if m["dec"]:
+        den = 10 ** len(m["dec"].replace("_", ""))
+        num = num * den + int(m["dec"])
+    exp = int(m["exp"] or "0")
+    if abs(exp) > MAX_EXPONENT:
+        raise ValueError(f"exponent {exp} of {token!r} lies outside ±{MAX_EXPONENT}")
+    return (-num if m["sign"] == "-" else num) * 10 ** max(exp, 0), den * 10 ** max(-exp, 0)
+
 
 def as_fraction(value: Numberish) -> Fraction:
     """Convert a number-like value to an exact Fraction.
 
     Accepts Fractions, ints, fraction strings ("1/6"), decimal strings
-    ("0.25", converted exactly), and floats (converted via their exact
-    binary expansion).
+    ("0.25", converted exactly; see :func:`rational_parts` for the bounds),
+    and floats (converted via their exact binary expansion).
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str, float)):
+    if isinstance(value, str):
+        return Fraction(*rational_parts(value))
+    if isinstance(value, (int, float)):
         return Fraction(value)
     raise TypeError(f"cannot convert {value!r} to a Fraction")
 
@@ -79,34 +112,47 @@ class DomainMismatchError(LookupError):
 class Pmf:
     """A finite probability mass function over opaque labels.
 
-    Labels may be any hashable token; masses are exact Fractions.
+    Labels may be any hashable token.  The masses are stored as integer
+    weights over their lcm denominator, ``scale``; a ``Fraction`` is made
+    only where a mass is read (:meth:`items`, :meth:`mass`, ...).
     Construction does not enforce normalization (so that ill-formed
     models can be built and then diagnosed by :func:`validate_model`);
     use :meth:`is_normalized` or the validator to check it.
     """
 
-    __slots__ = ("_atoms",)
+    __slots__ = ("_scale", "_weights")
 
     def __init__(self, atoms: Union[Mapping[Label, Numberish], Iterable[tuple[Label, Numberish]]]):
-        if isinstance(atoms, Mapping):
-            pairs = atoms.items()
-        else:
-            pairs = list(atoms)
-        d: dict[Label, Fraction] = {}
-        for label, mass in pairs:
-            if label in d:
-                raise ValueError(f"duplicate pmf label {label!r}")
-            d[label] = as_fraction(mass)
-        self._atoms = d
+        pairs = list(atoms.items() if isinstance(atoms, Mapping) else atoms)
+        scale, weights = integer_scale([as_fraction(m) for _lab, m in pairs])
+        pmf = Pmf.from_integers(scale, [(lab, w) for (lab, _m), w in zip(pairs, weights)])
+        self._scale, self._weights = pmf._scale, pmf._weights
+
+    @classmethod
+    def from_integers(cls, scale: int, atoms: Union[Mapping[Label, int], Sequence[tuple[Label, int]]]) -> "Pmf":
+        """The pmf with mass ``weight / scale`` at each label; ``scale`` must be positive."""
+        weights = dict(atoms)
+        if len(weights) != len(atoms):
+            seen: set = set()
+            label = next(lab for lab, _w in atoms if lab in seen or seen.add(lab))
+            raise ValueError(f"duplicate pmf label {label!r}")
+        if scale <= 0:
+            raise ValueError(f"pmf scale must be positive, got {scale}")
+        g = math.gcd(scale, *weights.values())
+        if g > 1:
+            scale //= g
+            weights = {lab: w // g for lab, w in weights.items()}
+        pmf = cls.__new__(cls)
+        pmf._scale, pmf._weights = scale, weights
+        return pmf
 
     @classmethod
     def uniform(cls, labels: Sequence[Label]) -> "Pmf":
-        n = len(labels)
-        return cls({lab: Fraction(1, n) for lab in labels})
+        return cls.from_integers(len(labels), dict.fromkeys(labels, 1))
 
     @classmethod
     def point(cls, label: Label) -> "Pmf":
-        return cls({label: Fraction(1)})
+        return cls.from_integers(1, {label: 1})
 
     @classmethod
     def from_weights(cls, weights: Mapping[Label, int]) -> "Pmf":
@@ -114,45 +160,53 @@ class Pmf:
         total = sum(weights.values())
         if total <= 0:
             raise ValueError("weights must have positive total")
-        return cls({lab: Fraction(w, total) for lab, w in weights.items()})
+        return cls.from_integers(total, weights)
 
     def labels(self) -> tuple[Label, ...]:
-        return tuple(self._atoms)
+        return tuple(self._weights)
 
     def mass(self, label: Label) -> Fraction:
-        return self._atoms.get(label, Fraction(0))
+        return Fraction(self._weights.get(label, 0), self._scale)
 
     def items(self) -> Iterator[tuple[Label, Fraction]]:
-        return iter(self._atoms.items())
+        scale = self._scale
+        return ((lab, Fraction(w, scale)) for lab, w in self._weights.items())
 
     def support(self) -> Iterator[tuple[Label, Fraction]]:
         """Atoms with strictly positive mass."""
-        # a Fraction's denominator is positive, so its sign is its numerator's
-        return ((lab, m) for lab, m in self._atoms.items() if m.numerator > 0)
+        scale = self._scale
+        return ((lab, Fraction(w, scale)) for lab, w in self._weights.items() if w > 0)
+
+    def integer_atoms(self) -> tuple[int, dict[Label, int]]:
+        """Every atom as ``(scale, {label: weight})``, the stored form; zero and negative weights included."""
+        return self._scale, dict(self._weights)
 
     def integer_weights(self) -> tuple[int, list[tuple[Label, int]]]:
         """The support as ``(scale, [(label, weight)])``: each mass is weight / scale.
 
         ``scale`` is the lcm of the support's mass denominators.
         """
-        atoms = list(self.support())
-        scale, weights = integer_scale([m for _lab, m in atoms])
-        return scale, [(lab, w) for (lab, _m), w in zip(atoms, weights)]
+        atoms = [(lab, w) for lab, w in self._weights.items() if w > 0]
+        # the stored scale is the lcm over every atom; only a negative atom left out can lower it
+        if min(self._weights.values(), default=0) < 0:
+            g = math.gcd(self._scale, *(w for _lab, w in atoms))
+            return self._scale // g, [(lab, w // g) for lab, w in atoms]
+        return self._scale, atoms
 
     def total(self) -> Fraction:
-        return sum(self._atoms.values(), Fraction(0))
+        return Fraction(sum(self._weights.values()), self._scale)
 
     def is_normalized(self) -> bool:
-        return all(m >= 0 for m in self._atoms.values()) and self.total() == 1
+        return min(self._weights.values(), default=0) >= 0 and sum(self._weights.values()) == self._scale
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self._weights)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Pmf) and self._atoms == other._atoms
+        return isinstance(other, Pmf) and (self._scale, self._weights) == (other._scale, other._weights)
 
     def __repr__(self) -> str:
-        return f"Pmf({self._atoms!r})"
+        return f"Pmf({dict(self.items())!r})"
 
 
 class OutcomeTable:
@@ -364,12 +418,11 @@ class ValidationReport:
 
 
 def _check_pmf(report: ValidationReport, pmf: Pmf, name: str) -> None:
-    negative = [lab for lab, m in pmf.items() if m < 0]
+    negative = [lab for lab, w in pmf._weights.items() if w < 0]
     if negative:
         report.add(f"{name}: negative mass at {negative!r}")
-    total = pmf.total()
-    if total != 1:
-        report.add(f"{name}: masses sum to {total}, not 1")
+    if sum(pmf._weights.values()) != pmf._scale:
+        report.add(f"{name}: masses sum to {pmf.total()}, not 1")
 
 
 def _check_table(
@@ -379,18 +432,19 @@ def _check_table(
     side: str,
 ) -> None:
     name = f"{side} setting {setting.name!r} outcome table"
+    entries = setting.outcomes.entries
     expected = set(itertools.product(source_labels, setting.instrument.labels()))
-    actual = set(setting.outcomes.entries)
-    missing = expected - actual
-    extra = actual - expected
+    missing = expected - entries.keys()
+    extra = entries.keys() - expected
     if missing:
         report.add(f"{name}: missing entries for {sorted(map(repr, missing))[:4]}")
     if extra:
         report.add(f"{name}: entries outside domain {sorted(map(repr, extra))[:4]}")
-    for key, v in setting.outcomes.entries.items():
-        if not -1 <= v <= 1:
+    for key, v in entries.items():
+        # within [-1, 1], an integer is -1, 0 or 1
+        if abs(v.numerator) > v.denominator:
             report.add(f"{name}: value {v} at {key!r} outside [-1, 1]")
-        elif setting.outcomes.ternary and v not in (Fraction(-1), Fraction(0), Fraction(1)):
+        elif setting.outcomes.ternary and v.denominator != 1:
             report.add(f"{name}: ternary table holds non-ternary value {v} at {key!r}")
 
 
@@ -491,19 +545,6 @@ def model_channels(model: ContextualModel) -> list[ValueChannel]:
     ]
 
 
-def _decode(codes: dict[tuple[int, int], int]) -> list[Fraction]:
-    """The outcome values indexed by their codes."""
-    return [Fraction(n, d) for n, d in codes]
-
-
-def outcome_channel(model: ContextualModel, side: str, setting: Setting) -> tuple[int, dict]:
-    """:func:`setting_channel` at the side's source labels, keyed by ``Fraction`` values."""
-    scale, channel = setting_channel(side_labels(model, side), setting)
-    keys = dict.fromkeys(key for dist in channel.values() for key in dist)
-    values = dict(zip(keys, _decode(keys)))
-    return scale, {lab: {values[k]: w for k, w in dist.items()} for lab, dist in channel.items()}
-
-
 def combine_channels(
     model: ContextualModel, channels: Sequence[ValueChannel]
 ) -> tuple[list[Fraction], dict[Context, tuple[int, dict[int, int]]]]:
@@ -551,7 +592,7 @@ def combine_channels(
                     key = base + y
                     counts[key] = counts.get(key, 0) + wx * cy
         out[ctx] = (src_scale * a_scale * b_scale, counts)
-    return _decode(codes), out
+    return [Fraction(n, d) for n, d in codes], out
 
 
 def context_distributions(

@@ -11,12 +11,13 @@ schemas/ in the repository root.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence, Union
 
 from .flatten import AveragedModel, FlatModel, FlatSetting
-from .model import BehaviorTable, ContextualModel, Label, OutcomeTable, Pmf, Setting
+from .model import BehaviorTable, ContextualModel, Label, OutcomeTable, Pmf, Setting, rational_parts
 
 Document = Union[ContextualModel, FlatModel, AveragedModel, BehaviorTable]
 
@@ -35,19 +36,25 @@ def _label_str(label) -> str:
     return str(label)
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
+def _parse_ratio(token: Any, where: str, source: str) -> tuple[int, int]:
+    """A JSON integer or number string as ``(numerator, denominator)``, by :func:`rational_parts`."""
+    if isinstance(token, (int, str)) and not isinstance(token, bool):
+        try:
+            return rational_parts(str(token))
+        except ValueError as exc:
+            raise ModelParseError(f"{source}: {exc} at {where}") from None
+    raise ModelParseError(f"{source}: malformed fraction {token!r} at {where}")
 
 
 def _parse_frac(token: Any, where: str, source: str) -> Fraction:
-    if isinstance(token, str):
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            pass
-    elif isinstance(token, int) and not isinstance(token, bool):
-        return Fraction(token)
-    raise ModelParseError(f"{source}: malformed fraction {token!r} at {where}")
+    return Fraction(*_parse_ratio(token, where, source))
+
+
+def _parse_label(token: Any, where: str, source: str) -> str:
+    """A label or setting name: JSON strings only, as the schema says."""
+    if not isinstance(token, str):
+        raise ModelParseError(f"{source}: {where} must be a string, got {token!r}")
+    return token
 
 
 def _parse_unit(token: Any, where: str, source: str) -> Fraction:
@@ -93,25 +100,20 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, 
 
 
 def _parse_pmf(atoms: list, where: str, source: str) -> Pmf:
-    """The pmf of parsed ``(label, mass)`` atoms; a repeated label or a bad sum is named."""
-    masses: dict = {}
-    for label, mass in atoms:
-        if label in masses:
+    """The pmf of parsed ``(label, (numerator, denominator))`` atoms; a repeated label or a bad sum is named."""
+    scale = math.lcm(*{d for _lab, (_n, d) in atoms})
+    weights: dict = {}
+    for label, (n, d) in atoms:
+        if label in weights:
             raise ModelParseError(f"{source}: duplicate label {_label_str(label)!r} in {where}")
-        masses[label] = mass
-    pmf = Pmf(masses)
-    _check_pmf_sum(pmf, where, source)
-    return pmf
-
-
-def _check_pmf_sum(pmf: Pmf, where: str, source: str) -> None:
-    total = pmf.total()
-    if any(m < 0 for _l, m in pmf.items()):
+        weights[label] = n * (scale // d)
+    if any(w < 0 for w in weights.values()):
         raise ModelParseError(f"{source}: negative mass in {where}")
-    if total != 1:
-        raise ModelParseError(
-            f"{source}: {where} sums to {total} (deficit {1 - total}), not 1"
-        )
+    total = sum(weights.values())
+    if total != scale:
+        total = Fraction(total, scale)
+        raise ModelParseError(f"{source}: {where} sums to {total} (deficit {1 - total}), not 1")
+    return Pmf.from_integers(scale, weights)
 
 
 # ---------------------------------------------------------------- serialize
@@ -138,7 +140,7 @@ def serialize(obj: Document) -> str:
 
 def _source_doc(source: Pmf) -> list:
     return [
-        {"pair": [_label_str(pair[0]), _label_str(pair[1])], "mass": _frac_str(m)}
+        {"pair": [_label_str(pair[0]), _label_str(pair[1])], "mass": str(m)}
         for pair, m in source.items()
     ]
 
@@ -177,13 +179,13 @@ def _side_text(settings: Sequence[str]) -> str:
 def _setting_doc(setting: Setting, source_labels: Sequence[Label]) -> dict:
     instrument_labels = setting.instrument.labels()
     rows = [
-        [_frac_str(setting.outcomes.value(sl, il)) for il in instrument_labels]
+        [str(setting.outcomes.value(sl, il)) for il in instrument_labels]
         for sl in source_labels
     ]
     return {
         "setting": setting.name,
         "instrument": [
-            {"label": _label_str(lab), "mass": _frac_str(m)}
+            {"label": _label_str(lab), "mass": str(m)}
             for lab, m in setting.instrument.items()
         ],
         "ternary": setting.outcomes.ternary,
@@ -198,7 +200,7 @@ def _flat_doc(model: FlatModel) -> dict:
             "coords": list(s.coords),
             "ternary": s.outcomes.ternary,
             "entries": [
-                {"key": [_label_str(k[0]), _label_str(k[1])], "value": _frac_str(v)}
+                {"key": [_label_str(k[0]), _label_str(k[1])], "value": str(v)}
                 for k, v in s.outcomes.entries.items()
             ],
         }
@@ -206,7 +208,7 @@ def _flat_doc(model: FlatModel) -> dict:
     return {
         "kind": "flat",
         "atoms": [
-            {"tuple": [_label_str(c) for c in lam], "mass": _frac_str(m)}
+            {"tuple": [_label_str(c) for c in lam], "mass": str(m)}
             for lam, m in model.lambda_pmf.items()
         ],
         "alice": [setting_doc(s) for s in model.alice],
@@ -220,7 +222,7 @@ def _averaged_doc(model: AveragedModel) -> dict:
             {
                 "setting": name,
                 "bar": [
-                    {"label": _label_str(lab), "value": _frac_str(v)}
+                    {"label": _label_str(lab), "value": str(v)}
                     for lab, v in bars[name].items()
                 ],
             }
@@ -239,7 +241,7 @@ def _behavior_doc(behavior: BehaviorTable) -> dict:
     contexts = []
     for (a, b) in behavior.contexts():
         cells = [
-            {"x": x, "y": y, "p": _frac_str(p)}
+            {"x": x, "y": y, "p": str(p)}
             for (x, y), p in behavior.context_pmf((a, b)).items()
         ]
         contexts.append({"alice": a, "bob": b, "cells": cells})
@@ -262,6 +264,8 @@ def parse_text(text: str, source: str = "<string>") -> Document:
         raise ModelParseError(
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:  # an integer literal past Python's int-conversion limit
+        raise ModelParseError(f"{source}: an integer literal exceeds 4300 digits") from None
     if not isinstance(doc, dict):
         raise ModelParseError(f"{source}: top level must be an object")
     kind = doc.get("kind")
@@ -288,7 +292,8 @@ def _parse_source(doc: dict, source: str) -> Pmf:
         pair = atom["pair"]
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ModelParseError(f"{source}: source atom {i} pair must have two labels")
-        atoms.append(((str(pair[0]), str(pair[1])), _parse_frac(atom["mass"], f"source atom {i}", source)))
+        pair = tuple(_parse_label(lab, f"source atom {i} pair label", source) for lab in pair)
+        atoms.append((pair, _parse_ratio(atom["mass"], f"source atom {i}", source)))
     return _parse_pmf(atoms, "source pmf", source)
 
 
@@ -296,7 +301,8 @@ def _parse_instrument(entries: list, where: str, source: str) -> Pmf:
     atoms = []
     for i, e in enumerate(_require_list(entries, where, source)):
         _require_keys(e, {"label", "mass"}, {"label", "mass"}, f"{where} atom {i}", source)
-        atoms.append((str(e["label"]), _parse_frac(e["mass"], f"{where} atom {i}", source)))
+        label = _parse_label(e["label"], f"{where} atom {i} label", source)
+        atoms.append((label, _parse_ratio(e["mass"], f"{where} atom {i}", source)))
     return _parse_pmf(atoms, where, source)
 
 
@@ -320,7 +326,7 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
             where,
             source,
         )
-        name = str(sdoc["setting"])
+        name = _parse_label(sdoc["setting"], f"{side} setting name", source)
         where = f"{side} setting {name!r}"
         instrument = _parse_instrument(sdoc["instrument"], f"{where} instrument pmf", source)
         rows = _require_list(sdoc["outcomes"], f"{where} outcomes", source)
@@ -359,7 +365,7 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatS
         f"{side} flat setting",
         source,
     )
-    name = str(sdoc["setting"])
+    name = _parse_label(sdoc["setting"], f"{side} flat setting name", source)
     coords = sdoc["coords"]
     if not (isinstance(coords, list) and len(coords) == 2):
         raise ModelParseError(f"{source}: flat setting {name!r} coords must be two indices")
@@ -377,7 +383,7 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatS
         key = e["key"]
         if not (isinstance(key, list) and len(key) == 2):
             raise ModelParseError(f"{source}: flat setting {name!r} entry {i} key must have 2 parts")
-        key = (str(key[0]), str(key[1]))
+        key = tuple(_parse_label(k, f"flat setting {name!r} entry {i} key", source) for k in key)
         if key in entries:
             raise ModelParseError(f"{source}: flat setting {name!r} key {_label_str(key)} is listed twice")
         value = _parse_unit(e["value"], f"flat setting {name!r} entry {i}", source)
@@ -396,7 +402,8 @@ def _parse_flat(doc: dict, source: str) -> FlatModel:
     for i, atom in enumerate(_require_list(doc["atoms"], "atoms", source)):
         _require_keys(atom, {"tuple", "mass"}, {"tuple", "mass"}, f"atom {i}", source)
         lam = _require_list(atom["tuple"], f"atom {i} tuple", source)
-        atoms.append((tuple(str(c) for c in lam), _parse_frac(atom["mass"], f"atom {i}", source)))
+        lam = tuple(_parse_label(c, f"atom {i} tuple", source) for c in lam)
+        atoms.append((lam, _parse_ratio(atom["mass"], f"atom {i}", source)))
     pmf = _parse_pmf(atoms, "tuple pmf", source)
     arity = min(len(lam) for lam, _m in atoms)
 
@@ -430,12 +437,12 @@ def _parse_averaged(doc: dict, source: str) -> AveragedModel:
         bars = {}
         for sdoc in _require_list(doc[side], side, source):
             _require_keys(sdoc, {"setting", "bar"}, {"setting", "bar"}, f"{side} setting", source)
-            name = str(sdoc["setting"])
+            name = _parse_label(sdoc["setting"], f"{side} setting name", source)
             names.append(name)
             bar = {}
             for i, e in enumerate(_require_list(sdoc["bar"], f"{side} setting {name!r} bar", source)):
                 _require_keys(e, {"label", "value"}, {"label", "value"}, f"{name!r} bar {i}", source)
-                label = str(e["label"])
+                label = _parse_label(e["label"], f"{side} setting {name!r} bar {i} label", source)
                 if label in bar:
                     raise ModelParseError(
                         f"{source}: {side} setting {name!r} bar label {label!r} is listed twice"
@@ -464,8 +471,10 @@ def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
         "behavior",
         source,
     )
-    alice = tuple(str(s) for s in _require_list(doc["aliceSettings"], "aliceSettings", source))
-    bob = tuple(str(s) for s in _require_list(doc["bobSettings"], "bobSettings", source))
+    alice, bob = (
+        tuple(_parse_label(s, key, source) for s in _require_list(doc[key], key, source))
+        for key in ("aliceSettings", "bobSettings")
+    )
     if len(alice) != 2 or len(bob) != 2:
         raise ModelParseError(f"{source}: behavior needs 2 settings per side")
     outcomes = tuple(
@@ -476,7 +485,7 @@ def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
     probs: dict = {}
     for cdoc in _require_list(doc["contexts"], "contexts", source):
         _require_keys(cdoc, {"alice", "bob", "cells"}, {"alice", "bob", "cells"}, "context", source)
-        ctx = (str(cdoc["alice"]), str(cdoc["bob"]))
+        ctx = tuple(_parse_label(cdoc[side], f"context {side}", source) for side in ("alice", "bob"))
         if ctx[0] not in alice or ctx[1] not in bob:
             raise ModelParseError(f"{source}: context {ctx} names unknown settings")
         if ctx in probs:

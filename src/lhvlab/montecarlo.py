@@ -27,7 +27,7 @@ from typing import IO, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .chsh import zero_to_coin
-from .flatten import refine_breakpoints, _cell_atom_map
+from .flatten import _quantile_cells
 from .model import (
     Context,
     ContextualModel,
@@ -176,15 +176,14 @@ class DagModel(TwoByTwo):
         self._setting_cum = np.cumsum(np.array([float(m) for _l, m in setting_pmf.items()]))
 
         def compile_side(settings, coord):
-            cells = refine_breakpoints(settings[0].instrument, settings[1].instrument)
-            breaks = np.array([float(hi) for _lo, hi in cells])
+            scale, grid, cell_atoms = _quantile_cells(settings[0].instrument, settings[1].instrument)
+            breaks = np.array([hi / scale for hi in grid[1:]])
             tables = []
-            for setting in settings:
-                atom_map = _cell_atom_map(setting.instrument, cells)
-                thresh = np.empty((len(self._pairs), len(cells)))
+            for setting, atoms in zip(settings, cell_atoms):
+                thresh = np.empty((len(self._pairs), len(atoms)))
                 for pi, pair in enumerate(self._pairs):
-                    for ci, cell in enumerate(cells):
-                        e = setting.outcomes.value(pair[coord], atom_map[cell])
+                    for ci, atom in enumerate(atoms):
+                        e = setting.outcomes.value(pair[coord], atom)
                         thresh[pi, ci] = float((1 + e) / 2)
                 tables.append(thresh)
             return breaks, tables

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -134,6 +135,20 @@ class TestChsh:
         status, out, err = run_cli(capsys, "chsh", "2", "0", "0", "0")
         assert status == 1
         assert "outside" in err
+
+    @pytest.mark.parametrize(
+        "token, rule",
+        [
+            ("1e-5000", "exponent -5000 of '1e-5000' lies outside ±1000"),
+            ("1e5000", "exponent 5000 of '1e5000' lies outside ±1000"),
+            ("1" * 1001, "number token of 1001 characters exceeds the limit of 1000"),
+            ("1/0", "zero denominator in '1/0'"),
+        ],
+    )
+    def test_unbounded_value_is_usage_error(self, capsys, token, rule):
+        status, out, err = run_cli(capsys, "chsh", token, "0", "0", "0")
+        assert status == 2 and out == ""
+        assert err == f"usage error: correlation value: {rule}\n"
 
 
 class TestExactFlattenChain:
@@ -345,6 +360,68 @@ class TestValidate:
             doc["bob"][1]["bar"][2]["value"] = value
         assert_rejected(capsys, doc, tmp_path, message)
 
+    @pytest.mark.parametrize(
+        "kind, path, token, message",
+        [
+            ("contextual", ("source", 0, "mass"), "1e5000",
+             "exponent 5000 of '1e5000' lies outside ±1000 at source atom 0"),
+            ("contextual", ("alice", 0, "instrument", 0, "mass"), "1e-5000",
+             "exponent -5000 of '1e-5000' lies outside ±1000 at alice setting '+1' instrument pmf atom 0"),
+            ("contextual", ("bob", 0, "outcomes", 1, 0), "1e10000000",
+             "exponent 10000000 of '1e10000000' lies outside ±1000 at bob setting '+1' outcome ('2', '*')"),
+            ("flat", ("atoms", 0, "mass"), "1" * 1001,
+             "number token of 1001 characters exceeds the limit of 1000 at atom 0"),
+            ("averaged", ("bob", 1, "bar", 0, "value"), "1e5000",
+             "exponent 5000 of '1e5000' lies outside ±1000 at bob setting '-1' bar 0"),
+            ("behavior", ("contexts", 0, "cells", 0, "p"), 10**4000,
+             "number token of 4001 characters exceeds the limit of 1000 at context ('x', 'y') cell 0"),
+        ],
+    )
+    def test_unbounded_number_token_exits_one(self, capsys, tmp_path, kind, path, token, message):
+        doc = kind_doc(kind)
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = token
+        assert_rejected(capsys, doc, tmp_path, message)
+
+    def test_huge_exponent_is_refused_before_any_fraction(self, monkeypatch):
+        """The bound is checked on the token's text, so no huge integer is ever built."""
+
+        class Forbidden(Fraction):
+            def __new__(cls, *_args):
+                raise AssertionError("Fraction called on an unbounded token")
+
+        monkeypatch.setattr(lhvlab.model, "Fraction", Forbidden)
+        with pytest.raises(ValueError, match="exponent 10000000 of '1e10000000' lies outside"):
+            lhvlab.as_fraction("1e10000000")
+
+    @pytest.mark.parametrize(
+        "kind, path, value, where",
+        [
+            ("contextual", ("source", 0, "pair", 0), 1, "source atom 0 pair label must be a string, got 1"),
+            ("contextual", ("source", 0, "pair", 1), None, "source atom 0 pair label must be a string, got None"),
+            ("contextual", ("alice", 1, "setting"), None, "alice setting name must be a string, got None"),
+            ("contextual", ("bob", 0, "instrument", 0, "label"), 1,
+             "bob setting '+1' instrument pmf atom 0 label must be a string, got 1"),
+            ("flat", ("atoms", 0, "tuple", 2), 1, "atom 0 tuple must be a string, got 1"),
+            ("flat", ("bob", 0, "setting"), 1, "bob flat setting name must be a string, got 1"),
+            ("flat", ("alice", 0, "entries", 0, "key", 1), None,
+             "flat setting '+1' entry 0 key must be a string, got None"),
+            ("averaged", ("alice", 0, "setting"), 1, "alice setting name must be a string, got 1"),
+            ("averaged", ("bob", 1, "bar", 0, "label"), None, "bob setting '-1' bar 0 label must be a string, got None"),
+            ("behavior", ("aliceSettings", 0), 1, "aliceSettings must be a string, got 1"),
+            ("behavior", ("contexts", 0, "bob"), None, "context bob must be a string, got None"),
+        ],
+    )
+    def test_label_must_be_a_json_string(self, capsys, tmp_path, kind, path, value, where):
+        doc = kind_doc(kind)
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        assert_rejected(capsys, doc, tmp_path, where)
+
     def test_parse_error_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  nope\n}")
@@ -366,8 +443,6 @@ class TestFine:
         assert len(payload["joint"]) == 16
 
     def test_quantum_fixture_infeasible_with_certificate(self, capsys):
-        from fractions import Fraction
-
         payload = run_json(
             capsys, "fine", str(FIXTURES / "quantum_chsh_optimal.behavior.json"), schema="fine"
         )
@@ -481,6 +556,14 @@ class TestSimulate:
         )
         assert status == 2
         assert "sum" in err
+
+    def test_unbounded_bias_is_usage_error(self, capsys):
+        status, out, err = run_cli(
+            capsys, "simulate", "--model", str(FIXTURES / "counterexample.model.json"),
+            "--trials", "10", "--seed", "1", "--bias", "1e-5000,1/2,1/4,1/4",
+        )
+        assert status == 2 and out == ""
+        assert err == "usage error: --bias probability: exponent -5000 of '1e-5000' lies outside ±1000\n"
 
     def test_confound_flag_runs(self, capsys):
         payload = run_json(

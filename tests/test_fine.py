@@ -7,7 +7,6 @@ import pytest
 from lhvlab import (
     AngleSet,
     BehaviorTable,
-    InternalInconsistencyError,
     JointDistribution16,
     behavior_from_model,
     check_no_signalling,

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
@@ -227,11 +226,10 @@ def test_flat_quad_is_independent_of_contextual_kernel(monkeypatch):
         raise AssertionError("flat evaluation called the contextual kernel")
 
     for module, name in (
-        (lhvlab.model, "outcome_channel"),
         (lhvlab.model, "setting_channel"),
         (lhvlab.model, "context_distributions"),
         (lhvlab.model, "combine_channels"),
-        (lhvlab.flatten, "outcome_channel"),
+        (lhvlab.flatten, "setting_channel"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     for flat in flats:

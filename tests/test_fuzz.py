@@ -1,11 +1,13 @@
 """Fuzzing of the model files through the parser and the CLI.
 
 Every malformed file must end in a documented exit status (0, 1 or 2)
-with no exception escaping ``cli.main``, and ``modelio.parse_text`` must
-return a document or raise ``ModelParseError``.  The mutants are the
+with no exception escaping ``cli.main``, under every subcommand that
+reads a model, and ``modelio.parse_text`` must return a document or
+raise ``ModelParseError``.  The mutants are the
 committed fixtures, plus the flat and averaged forms of the
 counterexample, with one nested value replaced or one key or element
-deleted.
+deleted; the replacements include number tokens past the parser's
+length and exponent bounds, which must be refused, not evaluated.
 """
 
 import contextlib
@@ -29,7 +31,9 @@ DOCUMENTS = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
 ]
 
 DELETE = object()
-REPLACEMENTS = [5, "x", [], {}, None, DELETE]
+# number tokens past the parser's bounds, or malformed, beside values of the wrong type
+NUMBER_TOKENS = ["1e10000000", "1e-5000", "1" * 1001, 10**4000, "1/0", "nan", "inf", " 1/2 ", True]
+REPLACEMENTS = [5, "x", [], {}, None, DELETE] + NUMBER_TOKENS
 
 
 def nested_paths(value, prefix=()):
@@ -64,14 +68,26 @@ def mutants(draw):
     return mutate(doc, path, draw(st.sampled_from(REPLACEMENTS)))
 
 
+# every subcommand that reads a model file, the file's path going last
+COMMANDS = [
+    ["validate"],
+    ["exact"],
+    *(["flatten", "--method", method] for method in ("product", "uniform", "average")),
+    ["chsh", "--model"],
+    ["fine"],
+    ["simulate", "--trials", "20", "--seed", "1", "--model"],
+]
+
+
+@settings(deadline=None)
 @given(mutants())
 def test_mutated_fixtures_exit_with_a_status(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "mutant.json")
         Path(path).write_text(json.dumps(doc))
-        for command in ("validate", "exact"):
+        for command in COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                status = main([command, path])
+                status = main([*command, path])
             assert status in (0, 1, 2), (command, status)
 
 

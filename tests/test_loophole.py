@@ -29,7 +29,6 @@ from lhvlab import (
 )
 from lhvlab import loophole, modelio
 from lhvlab.cli import main as cli_main
-from lhvlab.corpus import random_contextual_model
 from lhvlab.loophole import _mutate, _postselected_detection, _random_search_model
 from lhvlab.modelio import parse_path, serialize
 
