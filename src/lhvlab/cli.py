@@ -326,9 +326,7 @@ def _cmd_simulate(args) -> tuple[Any, int]:
     bias = _parse_bias(args.bias, model) if args.bias else None
     try:
         dag = from_contextual(model, setting_bias=bias)
-        sheet = simulate_spreadsheet(
-            dag, args.trials, args.seed, confound=args.confound, keep_hidden=True
-        )
+        sheet = simulate_spreadsheet(dag, args.trials, args.seed, confound=args.confound)
     except ValueError as exc:
         raise CliError(str(exc))
     if args.format == "csv":
@@ -571,6 +569,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # Python will not print an int past its digit limit, and a product of
+        # bounded input numbers can exceed it
+        if "integer string conversion" not in str(exc):
+            raise
+        path = getattr(args, "model", None) or getattr(args, "behavior", None)
+        where = f"{path}: " if path else ""
+        limit = sys.get_int_max_str_digits()
+        print(f"error: {where}a number to print exceeds Python's {limit}-digit limit", file=sys.stderr)
         return 1
     if not isinstance(payload, dict):
         chunks = payload

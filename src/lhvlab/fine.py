@@ -127,23 +127,22 @@ def check_no_signalling(behavior: BehaviorTable) -> NoSignallingReport:
         raise ValueError(
             "no-signalling check expects a binary behavior; reduce ternary input first"
         )
-    alice: dict[str, dict[str, dict[int, Fraction]]] = {}
-    bob: dict[str, dict[str, dict[int, Fraction]]] = {}
+    sides: list[dict[str, dict[str, dict[int, Fraction]]]] = []
     per_setting: dict[tuple[str, str], Fraction] = {}
-    for a in behavior.alice_settings:
-        alice[a] = {b: behavior.alice_marginal((a, b)) for b in behavior.bob_settings}
-        b0, b1 = behavior.bob_settings
-        per_setting[("alice", a)] = max(
-            abs(alice[a][b0][x] - alice[a][b1][x]) for x in behavior.outcomes
-        )
-    for b in behavior.bob_settings:
-        bob[b] = {a: behavior.bob_marginal((a, b)) for a in behavior.alice_settings}
-        a0, a1 = behavior.alice_settings
-        per_setting[("bob", b)] = max(
-            abs(bob[b][a0][y] - bob[b][a1][y]) for y in behavior.outcomes
-        )
+    settings = (behavior.alice_settings, behavior.bob_settings)
+    for coord, side in enumerate(("alice", "bob")):
+        # marginals[own setting][other setting], both in the order of the settings
+        marginals: dict[str, dict[str, dict[int, Fraction]]] = {}
+        for ctx in behavior.contexts():
+            marginals.setdefault(ctx[coord], {})[ctx[1 - coord]] = behavior.marginal(ctx, coord)
+        other0, other1 = settings[1 - coord]
+        for name, by_other in marginals.items():
+            per_setting[(side, name)] = max(
+                abs(by_other[other0][v] - by_other[other1][v]) for v in behavior.outcomes
+            )
+        sides.append(marginals)
     max_dev = max(per_setting.values())
-    return NoSignallingReport(alice, bob, per_setting, max_dev)
+    return NoSignallingReport(*sides, per_setting, max_dev)
 
 
 @dataclass

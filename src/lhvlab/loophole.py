@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +32,9 @@ from .model import (
 )
 
 DETECTION_THRESHOLD = Fraction(2, 3)
+
+# non-improving steps in a row after which the search restarts from a fresh random model
+STALL_LIMIT = 80
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,11 @@ class DetectionReport:
         return "above"
 
     def relations(self) -> dict[tuple[str, str], str]:
-        out = {}
-        for name, rate in self.alice.items():
-            out[("alice", name)] = self.relation(rate)
-        for name, rate in self.bob.items():
-            out[("bob", name)] = self.relation(rate)
-        return out
+        return {
+            (side, name): self.relation(rate)
+            for side in ("alice", "bob")
+            for name, rate in getattr(self, side).items()
+        }
 
     @property
     def all_below(self) -> bool:
@@ -145,7 +147,6 @@ class SearchConfig:
     max_detection: Optional[Fraction] = DETECTION_THRESHOLD
     mass_denominator: int = 32
     target_stat: Optional[Fraction] = None
-    stall_limit: int = 80
 
     def validate(self) -> None:
         if self.budget < 1 or self.source_atoms < 1 or self.instrument_atoms < 1:
@@ -218,39 +219,29 @@ def _move_grid_unit(rng: random.Random, pmf: Pmf, d: int) -> Pmf:
 
 
 def _replace_setting(model: ContextualModel, side: str, idx: int, new_setting: Setting):
-    settings = model.alice if side == "alice" else model.bob
-    new_side = tuple(new_setting if i == idx else s for i, s in enumerate(settings))
-    if side == "alice":
-        return ContextualModel(model.source, new_side, model.bob)
-    return ContextualModel(model.source, model.alice, new_side)
+    new_side = tuple(new_setting if i == idx else s for i, s in enumerate(getattr(model, side)))
+    return replace(model, **{side: new_side})
 
 
 def _mutate(rng: random.Random, model: ContextualModel, cfg: SearchConfig) -> ContextualModel:
     kind = rng.random()
-    if kind < 0.6:
-        # flip one outcome entry
+    if kind < 0.6 or (kind >= 0.85 and cfg.instrument_atoms > 1):
         side = rng.choice(("alice", "bob"))
-        settings = model.alice if side == "alice" else model.bob
         idx = rng.randrange(2)
-        setting = settings[idx]
-        key = rng.choice(list(setting.outcomes.entries))
-        old = setting.outcomes.entries[key]
-        new = Fraction(rng.choice([v for v in (-1, 0, 1) if v != old]))
-        entries = dict(setting.outcomes.entries)
-        entries[key] = new
-        return _replace_setting(
-            model, side, idx, Setting(setting.name, setting.instrument, OutcomeTable(entries, ternary=True))
-        )
-    if kind >= 0.85 and cfg.instrument_atoms > 1:
-        # move one grid unit of instrument mass within a random setting
-        side = rng.choice(("alice", "bob"))
-        settings = model.alice if side == "alice" else model.bob
-        idx = rng.randrange(2)
-        setting = settings[idx]
-        instrument = _move_grid_unit(rng, setting.instrument, cfg.mass_denominator)
-        return _replace_setting(
-            model, side, idx, Setting(setting.name, instrument, setting.outcomes)
-        )
+        setting = getattr(model, side)[idx]
+        if kind < 0.6:
+            # flip one outcome entry
+            key = rng.choice(list(setting.outcomes.entries))
+            old = setting.outcomes.entries[key]
+            new = Fraction(rng.choice([v for v in (-1, 0, 1) if v != old]))
+            entries = dict(setting.outcomes.entries)
+            entries[key] = new
+            setting = Setting(setting.name, setting.instrument, OutcomeTable(entries, ternary=True))
+        else:
+            # move one grid unit of instrument mass within the setting
+            instrument = _move_grid_unit(rng, setting.instrument, cfg.mass_denominator)
+            setting = Setting(setting.name, instrument, setting.outcomes)
+        return _replace_setting(model, side, idx, setting)
     # move one grid unit of source mass between atoms
     source = _move_grid_unit(rng, model.source, cfg.mass_denominator)
     return ContextualModel(source, model.alice, model.bob)
@@ -418,7 +409,7 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     stall = 0
     evaluations = 0
     while evaluations < config.budget:
-        restarting = current is None or stall >= config.stall_limit
+        restarting = current is None or stall >= STALL_LIMIT
         if restarting:
             feasible, key, ps = _score(_random_search_model(rng, config), None, config)
         else:

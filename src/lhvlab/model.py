@@ -148,7 +148,7 @@ class Pmf:
 
     @classmethod
     def uniform(cls, labels: Sequence[Label]) -> "Pmf":
-        return cls.from_integers(len(labels), dict.fromkeys(labels, 1))
+        return cls.from_integers(len(labels), [(lab, 1) for lab in labels])
 
     @classmethod
     def point(cls, label: Label) -> "Pmf":
@@ -280,16 +280,17 @@ class SettingPairs(TwoByTwo):
         return tuple(s.name for s in self.bob)
 
     def alice_setting(self, name: str):
-        for s in self.alice:
-            if s.name == name:
-                return s
-        raise KeyError(f"unknown Alice setting {name!r}")
+        return self._setting(0, name)
 
     def bob_setting(self, name: str):
-        for s in self.bob:
+        return self._setting(1, name)
+
+    def _setting(self, coord: int, name: str):
+        """The named setting of the side at ``coord`` (0 for Alice, 1 for Bob)."""
+        for s in (self.alice, self.bob)[coord]:
             if s.name == name:
                 return s
-        raise KeyError(f"unknown Bob setting {name!r}")
+        raise KeyError(f"unknown {('Alice', 'Bob')[coord]} setting {name!r}")
 
 
 @dataclass(frozen=True)
@@ -299,6 +300,11 @@ class Setting:
     name: str
     instrument: Pmf
     outcomes: OutcomeTable
+
+
+def _coordinate_labels(source: Pmf, coord: int) -> tuple[Label, ...]:
+    """The distinct labels at one coordinate of a source's pairs, in first-appearance order."""
+    return tuple(dict.fromkeys(pair[coord] for pair in source.labels()))
 
 
 @dataclass(frozen=True)
@@ -316,10 +322,10 @@ class ContextualModel(SettingPairs):
     bob: tuple[Setting, Setting]
 
     def source_first_labels(self) -> tuple[Label, ...]:
-        return tuple(dict.fromkeys(pair[0] for pair in self.source.labels()))
+        return _coordinate_labels(self.source, 0)
 
     def source_second_labels(self) -> tuple[Label, ...]:
-        return tuple(dict.fromkeys(pair[1] for pair in self.source.labels()))
+        return _coordinate_labels(self.source, 1)
 
     def is_ternary(self) -> bool:
         return any(s.outcomes.ternary for s in self.alice + self.bob)
@@ -390,16 +396,11 @@ class BehaviorTable(TwoByTwo):
             )
         return CorrelationQuad(self.alice_settings, self.bob_settings, values)
 
-    def alice_marginal(self, context: Context) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {x: Fraction(0) for x in self.outcomes}
-        for (x, _y), p in self.probs[context].items():
-            out[x] += p
-        return out
-
-    def bob_marginal(self, context: Context) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {y: Fraction(0) for y in self.outcomes}
-        for (_x, y), p in self.probs[context].items():
-            out[y] += p
+    def marginal(self, context: Context, coord: int) -> dict[int, Fraction]:
+        """One side's outcome pmf in a context: ``coord`` 0 for Alice's, 1 for Bob's."""
+        out: dict[int, Fraction] = {v: Fraction(0) for v in self.outcomes}
+        for cell, p in self.probs[context].items():
+            out[cell[coord]] += p
         return out
 
 
@@ -460,15 +461,14 @@ def validate_model(model: ContextualModel) -> ValidationReport:
             report.add(f"source pmf: label {pair!r} is not a (lambda1, lambda2) pair")
             return report
     _check_pmf(report, model.source, "source pmf")
-    for side_name, side in (("alice", model.alice), ("bob", model.bob)):
+    for coord, side_name in enumerate(("alice", "bob")):
+        side = getattr(model, side_name)
         if len(side) != 2:
             report.add(f"{side_name}: needs exactly 2 settings, has {len(side)}")
             continue
         if side[0].name == side[1].name:
             report.add(f"{side_name}: duplicate setting name {side[0].name!r}")
-        source_labels = (
-            model.source_first_labels() if side_name == "alice" else model.source_second_labels()
-        )
+        source_labels = _coordinate_labels(model.source, coord)
         for setting in side:
             _check_pmf(
                 report, setting.instrument, f"{side_name} setting {setting.name!r} instrument pmf"
@@ -509,7 +509,7 @@ ValueChannel = tuple[int, dict[Label, dict[tuple[int, int], int]]]
 
 def side_labels(model: ContextualModel, side: str) -> tuple[Label, ...]:
     """The labels of the source coordinate a side's settings read."""
-    return model.source_first_labels() if _coord(side) == 0 else model.source_second_labels()
+    return _coordinate_labels(model.source, _coord(side))
 
 
 def setting_channel(labels: Sequence[Label], setting: Setting) -> ValueChannel:
@@ -619,8 +619,7 @@ def side_distribution(model: ContextualModel, side: str, setting: Setting) -> di
 
 def exact_side_expectation(model: ContextualModel, side: str, setting_name: str) -> Fraction:
     """E(A_a) or E(B_b): the single-outcome expectation for one setting."""
-    lookup = model.alice_setting if _coord(side) == 0 else model.bob_setting
-    law = side_distribution(model, side, lookup(setting_name))
+    law = side_distribution(model, side, model._setting(_coord(side), setting_name))
     return sum((v * p for v, p in law.items()), Fraction(0))
 
 
@@ -687,9 +686,9 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
     ternary-flagged tables).  Models with fractional entries represent
     conditional expectations, not distributions, and are rejected.
     """
-    for side_name, side in (("alice", model.alice), ("bob", model.bob)):
-        for setting in side:
-            require_point_outcomes(side_name, setting)
+    for side in ("alice", "bob"):
+        for setting in getattr(model, side):
+            require_point_outcomes(side, setting)
     return behavior_from_channels(model, model_channels(model))
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Sequence, Union
 
 from .flatten import AveragedModel, FlatModel, FlatSetting
-from .model import BehaviorTable, ContextualModel, Label, OutcomeTable, Pmf, Setting, rational_parts
+from .model import BehaviorTable, ContextualModel, Label, OutcomeTable, Pmf, Setting, _coordinate_labels, rational_parts
 
 Document = Union[ContextualModel, FlatModel, AveragedModel, BehaviorTable]
 
@@ -309,15 +309,8 @@ def _parse_instrument(entries: list, where: str, source: str) -> Pmf:
 def _parse_contextual(doc: dict, source: str) -> ContextualModel:
     _require_keys(doc, {"kind", "source", "alice", "bob"}, {"source", "alice", "bob"}, "model", source)
     src = _parse_source(doc, source)
-    first: list[str] = []
-    second: list[str] = []
-    for pair in src.labels():
-        if pair[0] not in first:
-            first.append(pair[0])
-        if pair[1] not in second:
-            second.append(pair[1])
 
-    def parse_setting(sdoc: dict, side: str, labels: list[str]) -> Setting:
+    def parse_setting(sdoc: dict, side: str, labels: tuple[str, ...]) -> Setting:
         where = f"{side} setting"
         _require_keys(
             sdoc,
@@ -347,13 +340,14 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
                 entries[(sl, il)] = _parse_frac(token, f"{where} outcome ({sl!r}, {il!r})", source)
         return Setting(name, instrument, OutcomeTable(entries, ternary=_parse_ternary(sdoc, where, source)))
 
-    def parse_side(side: str, labels: list[str]):
+    def parse_side(coord: int, side: str):
         docs = _require_list(doc[side], side, source)
         if len(docs) != 2:
             raise ModelParseError(f"{source}: {side} needs exactly 2 settings, has {len(docs)}")
+        labels = _coordinate_labels(src, coord)
         return tuple(parse_setting(d, side, labels) for d in docs)
 
-    return ContextualModel(src, parse_side("alice", first), parse_side("bob", second))
+    return ContextualModel(src, *(parse_side(coord, side) for coord, side in enumerate(("alice", "bob"))))
 
 
 def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatSetting:

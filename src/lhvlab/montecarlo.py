@@ -188,20 +188,18 @@ class DagModel(TwoByTwo):
                 tables.append(thresh)
             return breaks, tables
 
-        self._alice_breaks, self._alice_thresh = compile_side(model.alice, 0)
-        self._bob_breaks, self._bob_thresh = compile_side(model.bob, 1)
+        # (breaks, tables) per side, indexed by source coordinate: 0 Alice, 1 Bob
+        self._sides = tuple(compile_side(side, coord) for coord, side in enumerate((model.alice, model.bob)))
 
     def _draw_hidden(self, n: int, seed: int):
+        """The source pair index per trial, and each side's (quantile, auxiliary) uniforms."""
         u_src = _stream(seed, TAG_SOURCE).random(n)
         pair_idx = np.searchsorted(self._source_cum, u_src, side="right")
         pair_idx = np.minimum(pair_idx, len(self._pairs) - 1)
-        ua, va = _stream(seed, TAG_ALICE).random((2, n))
-        ub, vb = _stream(seed, TAG_BOB).random((2, n))
-        return pair_idx, ua, va, ub, vb
+        return pair_idx, [_stream(seed, tag).random((2, n)) for tag in (TAG_ALICE, TAG_BOB)]
 
-    def _evaluate(self, side: str, s: int, pair_idx, u, v) -> np.ndarray:
-        breaks = self._alice_breaks if side == "alice" else self._bob_breaks
-        thresh = self._alice_thresh if side == "alice" else self._bob_thresh
+    def _evaluate(self, coord: int, s: int, pair_idx, u, v) -> np.ndarray:
+        breaks, thresh = self._sides[coord]
         cells = np.searchsorted(breaks, u, side="right")
         cells = np.minimum(cells, len(breaks) - 1)
         th = thresh[s][pair_idx, cells]
@@ -285,16 +283,15 @@ def simulate_given_settings(
 
 
 def _simulate_outcomes(dag, a_idx, b_idx, n, seed, keep_hidden) -> Spreadsheet:
-    pair_idx, ua, va, ub, vb = dag._draw_hidden(n, seed)
+    pair_idx, uniforms = dag._draw_hidden(n, seed)
     x = np.empty(n, dtype=np.int8)
     y = np.empty(n, dtype=np.int8)
-    for s in (0, 1):
-        m = a_idx == s
-        if m.any():
-            x[m] = dag._evaluate("alice", s, pair_idx[m], ua[m], va[m])
-        m = b_idx == s
-        if m.any():
-            y[m] = dag._evaluate("bob", s, pair_idx[m], ub[m], vb[m])
+    for coord, (idx, out) in enumerate(((a_idx, x), (b_idx, y))):
+        u, v = uniforms[coord]
+        for s in (0, 1):
+            m = idx == s
+            if m.any():
+                out[m] = dag._evaluate(coord, s, pair_idx[m], u[m], v[m])
     return Spreadsheet(
         dag.alice_settings,
         dag.bob_settings,
@@ -373,12 +370,10 @@ def sample_coupling(dag: DagModel, n_trials: int, seed: int) -> CouplingSamples:
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    pair_idx, ua, va, ub, vb = dag._draw_hidden(n_trials, seed)
-    x1 = dag._evaluate("alice", 0, pair_idx, ua, va)
-    x2 = dag._evaluate("alice", 1, pair_idx, ua, va)
-    y1 = dag._evaluate("bob", 0, pair_idx, ub, vb)
-    y2 = dag._evaluate("bob", 1, pair_idx, ub, vb)
-    return CouplingSamples(x1, x2, y1, y2)
+    pair_idx, uniforms = dag._draw_hidden(n_trials, seed)
+    return CouplingSamples(
+        *(dag._evaluate(coord, s, pair_idx, u, v) for coord, (u, v) in enumerate(uniforms) for s in (0, 1))
+    )
 
 
 def _chi2_sf(stat: float, dof: int) -> float:
@@ -445,42 +440,33 @@ class IndependenceReport:
     hidden_p: Optional[float] = None
 
 
-def independence_diagnostic(
-    data: Spreadsheet,
-    hidden_trace: Optional[np.ndarray] = None,
-) -> IndependenceReport:
+def independence_diagnostic(data: Spreadsheet) -> IndependenceReport:
     """Chi-squared screen for setting/hidden-variable dependence in a spreadsheet.
 
     A clean run (independent streams) produces a statistic consistent
     with its degrees of freedom; a run whose settings share randomness
     with the hidden variables shows a statistic growing linearly with
-    the trial count.  ``hidden_trace`` defaults to the spreadsheet's own
-    logged trace, if any; an empty spreadsheet gives
+    the trial count.  The hidden test runs when the spreadsheet logged
+    its hidden trace; an empty spreadsheet gives
     ``IndependenceReport(empty=True)``.
     """
     if len(data) == 0:
         return IndependenceReport(empty=True)
-    if hidden_trace is None:
-        hidden_trace = data.hidden
 
     xi = ((data.x + 1) // 2).astype(np.intp)  # -1/+1 -> 0/1
     yi = ((data.y + 1) // 2).astype(np.intp)
     cross_stat, cross_dof = 0.0, 0
+    # per side: (own setting index, own outcome, other setting index)
+    sides = ((data.a_index, xi, data.b_index), (data.b_index, yi, data.a_index))
     for s in (0, 1):
-        m = data.a_index == s
-        if m.any():
-            table = np.zeros((2, 2))
-            np.add.at(table, (xi[m], data.b_index[m].astype(np.intp)), 1)
-            st, df = _chi2_stat(table)
-            cross_stat += st
-            cross_dof += df
-        m = data.b_index == s
-        if m.any():
-            table = np.zeros((2, 2))
-            np.add.at(table, (yi[m], data.a_index[m].astype(np.intp)), 1)
-            st, df = _chi2_stat(table)
-            cross_stat += st
-            cross_dof += df
+        for own, outcome, other in sides:
+            m = own == s
+            if m.any():
+                table = np.zeros((2, 2))
+                np.add.at(table, (outcome[m], other[m].astype(np.intp)), 1)
+                st, df = _chi2_stat(table)
+                cross_stat += st
+                cross_dof += df
 
     ctx = (data.a_index.astype(np.intp) * 2 + data.b_index).astype(np.intp)
     lag_stat, lag_dof = 0.0, 0
@@ -502,8 +488,8 @@ def independence_diagnostic(
         lagged_statistic=lag_stat,
         lagged_dof=lag_dof,
     )
-    if hidden_trace is not None:
-        trace = np.asarray(hidden_trace).astype(np.intp)
+    if data.hidden is not None:
+        trace = np.asarray(data.hidden).astype(np.intp)
         values = np.unique(trace)
         remap = np.searchsorted(values, trace)
         table = np.zeros((4, len(values)))

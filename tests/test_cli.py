@@ -396,6 +396,51 @@ class TestValidate:
         with pytest.raises(ValueError, match="exponent 10000000 of '1e10000000' lies outside"):
             lhvlab.as_fraction("1e10000000")
 
+    @staticmethod
+    def long_decimal_model() -> dict:
+        """A valid model whose source and four instruments each hold two 1000-character decimal masses."""
+        third, two_thirds = "0." + "3" * 997 + "1", "0." + "6" * 997 + "9"
+
+        def setting(name):
+            return {
+                "setting": name,
+                "instrument": [{"label": "u", "mass": third}, {"label": "v", "mass": two_thirds}],
+                "outcomes": [["1", "-1"], ["-1", "1"]],
+            }
+
+        return {
+            "kind": "contextual",
+            "source": [{"pair": ["1", "1"], "mass": third}, {"pair": ["2", "2"], "mass": two_thirds}],
+            "alice": [setting("x"), setting("x'")],
+            "bob": [setting("y"), setting("y'")],
+        }
+
+    @staticmethod
+    def huge_denominator_sum() -> dict:
+        """The counterexample with six source masses 1/(10**900 + 7j + 1): a sum past 4300 digits."""
+        doc = kind_doc("contextual")
+        for j, atom in enumerate(doc["source"]):
+            atom["mass"] = f"1/{10**900 + 7 * j + 1}"
+        return doc
+
+    @pytest.mark.parametrize(
+        "argv, make",
+        [
+            (["validate"], "huge_denominator_sum"),
+            (["flatten", "--method", "product"], "long_decimal_model"),
+        ],
+    )
+    def test_number_past_the_print_limit_exits_one(self, capsys, tmp_path, argv, make):
+        """A number derived from bounded tokens can still exceed Python's int-to-str limit."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(getattr(self, make)()))
+        out_path = tmp_path / "out.txt"
+        for extra in ([], ["--out", str(out_path)]):
+            status, out, err = run_cli(capsys, *argv, str(path), *extra)
+            assert status == 1 and out == ""
+            assert f"error: {path}: a number to print exceeds" in err and "Traceback" not in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize(
         "kind, path, value, where",
         [

@@ -2,31 +2,49 @@
 
 Each helper hashes one output, in corpus order, over the first ``n``
 models of the acceptance corpus (seed 20240913, alternating ternary and
-interval outcomes).  A change that claims the same outputs must leave
-every pin here unchanged; cite this module instead of a one-off script.
-Over the whole 1000-model corpus, :func:`serialize_digest` gives the
-``serialize`` hashes recorded for the flattenings in CHANGES.md.
+interval outcomes).  The Monte Carlo helpers hash seeded runs instead,
+and the demo pins hash each ``demos/*.py`` script's stdout.  A change
+that claims the same outputs must leave every pin here unchanged; cite
+this module instead of a one-off script.  Over the whole 1000-model
+corpus, :func:`serialize_digest` gives the ``serialize`` hashes recorded
+for the flattenings in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import corpus_models
 from lhvlab import (
+    BehaviorTable,
     ContextualModel,
     OutcomeTable,
     Pmf,
     Setting,
+    behavior_from_model,
     bell_average,
+    check_no_signalling,
+    counterexample_model,
+    detection_rates,
+    find_joint,
     product_flatten,
     serialize,
     uniform_reduce,
     validate_model,
+    zero_to_coin,
 )
+from lhvlab.corpus import random_nosignalling_behavior
+from lhvlab.modelio import parse_path
+from test_cli import child_env
+
+ROOT = Path(__file__).parents[1]
 
 CORPUS_SEED = 20240913
 PIN_MODELS = 100
@@ -81,6 +99,88 @@ def validate_digest(n: int = PIN_MODELS) -> str:
     return digest.hexdigest()
 
 
+def fine_behaviors(n: int = PIN_MODELS):
+    """Coin-reduced behaviors of the ternary half of ``n`` corpus models, then ``n // 2`` others.
+
+    The others are no-signalling tables, alternating generic and near-quantum.
+    """
+    for i, model in enumerate(corpus_models(n, seed=CORPUS_SEED)):
+        if i % 2 == 0:
+            yield behavior_from_model(zero_to_coin(model))
+    rng = random.Random(CORPUS_SEED)
+    for i in range(n // 2):
+        yield random_nosignalling_behavior(rng, mode="generic" if i % 2 == 0 else "near_quantum")
+
+
+def signalling(behavior: BehaviorTable) -> BehaviorTable:
+    """The behavior with Alice's outcome flipped in its first context only."""
+    first = behavior.contexts()[0]
+    probs = dict(behavior.probs)
+    probs[first] = {(-x, y): p for (x, y), p in probs[first].items()}
+    return BehaviorTable(behavior.alice_settings, behavior.bob_settings, behavior.outcomes, probs)
+
+
+def no_signalling_digest(n: int = PIN_MODELS) -> str:
+    """``check_no_signalling`` reports of each :func:`fine_behaviors` table and its :func:`signalling` copy."""
+    digest = hashlib.sha256()
+    for behavior in fine_behaviors(n):
+        for b in (behavior, signalling(behavior)):
+            r = check_no_signalling(b)
+            digest.update(repr((r.alice, r.bob, r.per_setting_deviation, r.max_deviation, r.holds)).encode())
+    return digest.hexdigest()
+
+
+def find_joint_digest(n: int = PIN_MODELS) -> str:
+    """``find_joint`` verdicts of each :func:`fine_behaviors` table, with the witness or the certificate."""
+    digest = hashlib.sha256()
+    for behavior in fine_behaviors(n):
+        result = find_joint(behavior)
+        witness = result.joint.mass if result.feasible else vars(result.certificate)
+        digest.update(repr((result.feasible, witness)).encode())
+    return digest.hexdigest()
+
+
+def detection_digest(n: int = PIN_MODELS) -> str:
+    """``detection_rates`` of each model, with its relations to the threshold."""
+    digest = hashlib.sha256()
+    for model in corpus_models(n, seed=CORPUS_SEED):
+        det = detection_rates(model)
+        digest.update(repr((det.alice, det.bob, det.relations(), det.all_below)).encode())
+    return digest.hexdigest()
+
+
+def dag_models() -> list[ContextualModel]:
+    """The counterexample, the committed search winner and the first four corpus models."""
+    winner = parse_path(ROOT / "fixtures" / "loophole_winner.model.json")
+    return [counterexample_model(), winner, *corpus_models(4, seed=CORPUS_SEED)]
+
+
+def montecarlo_digest(trials: int = 3000) -> str:
+    """Seeded runs on each of :func:`dag_models`.
+
+    Per model and seed: the spreadsheet bytes of a clean and a confounded
+    run, each run's ``independence_diagnostic`` fields with and without
+    its hidden trace, and the ``sample_coupling`` columns.  One model
+    runs under a biased setting pmf.
+    """
+    from lhvlab import from_contextual, independence_diagnostic, sample_coupling, simulate_spreadsheet
+
+    digest = hashlib.sha256()
+    for k, model in enumerate(dag_models()):
+        bias = Pmf(dict(zip(model.contexts(), ("1/2", "1/4", "1/8", "1/8")))) if k == 2 else None
+        dag = from_contextual(model, setting_bias=bias)
+        for seed in (0, 11, 2**64 - 1):
+            for confound in (False, True):
+                for keep_hidden in (False, True):
+                    sheet = simulate_spreadsheet(dag, trials, seed, confound=confound, keep_hidden=keep_hidden)
+                    digest.update(sheet.tobytes())
+                    digest.update(repr(vars(independence_diagnostic(sheet))).encode())
+            coupling = sample_coupling(dag, trials, seed)
+            for column in (coupling.x1, coupling.x2, coupling.y1, coupling.y2):
+                digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
 # recorded with the Fraction-valued Pmf, before masses were stored as integer weights
 SERIALIZE_PINS = {
     "product": "55369b02b6e06ac6de6b3792e933d322b49e1fd9d9e3cb4b3231266448c0301b",
@@ -90,6 +190,19 @@ SERIALIZE_PINS = {
 # the three flattenings keep the quad, so they share one pin
 QUAD_PIN = "9303202202a4fae23ad369d72e6b7a3254feec24e86c080bac939ff17b0e8220"
 VALIDATE_PIN = "9e3905179b5a8466a2959bdece22617997b31cd42648fffbb7e264d05ebcbb83"
+# recorded before the Alice and Bob code paths were merged into one side-indexed path
+NO_SIGNALLING_PIN = "0138eb0292adf18c6f28209dc04f5cade7c3b2cc5506e7e70ed9aaf6c14e80a0"
+FIND_JOINT_PIN = "5a8d588c0c7b64502588a607e340431a26613f32fabe40b2780bddc46d5987ec"
+DETECTION_PIN = "0f309a4e78e2bb0f03298bd14a8eb2100c8bb5521c66f6f60f3ca46d1e1bf60a"
+MONTECARLO_PIN = "bafbf7fe06d99fd4b7f87dd4f1d4d8a02d796f0daf52fc8f6a2956b5c75a7509"
+# SHA-256 of each demo's stdout, run from the checkout root
+DEMO_PINS = {
+    "counterexample_walkthrough": "a966a010567cef5279f47804d4bc6eabfe8a3d89c37c37d7c13beefd119b6586",
+    "detection_loophole": "08772a01becb5c9e6acba7bb1634f018c1877de174aa5829686256de00e27a65",
+    "fine_theorem_boundary": "abe1ed2bab559bd51dcc7f22db95608ee366c47edd75bb918acdba73f88284be",
+    "flatten_equivalence": "fcae701cbf9a3be8ba50672b5dd868d681027948dd02fef0406c3519f9ca604a",
+    "simulate_and_diagnose": "5eed4e62f3c11e5389b3a1ded842b0580c2fcd8bdd3ef5be996dd46d957c9af5",
+}
 
 
 @pytest.mark.parametrize("method", sorted(FLATTENINGS))
@@ -104,3 +217,33 @@ def test_flattening_quad_is_pinned(method):
 
 def test_validation_reports_are_pinned():
     assert validate_digest() == VALIDATE_PIN
+
+
+def test_no_signalling_reports_are_pinned():
+    assert no_signalling_digest() == NO_SIGNALLING_PIN
+
+
+def test_find_joint_verdicts_are_pinned():
+    assert find_joint_digest() == FIND_JOINT_PIN
+
+
+def test_detection_rates_are_pinned():
+    assert detection_digest() == DETECTION_PIN
+
+
+def test_montecarlo_runs_are_pinned():
+    assert montecarlo_digest() == MONTECARLO_PIN
+
+
+def demo_digest(name: str) -> str:
+    """SHA-256 of one demo script's stdout."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        cwd=ROOT, env=child_env(), capture_output=True, check=True,
+    ).stdout
+    return hashlib.sha256(out).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_PINS))
+def test_demo_output_is_pinned(name):
+    assert demo_digest(name) == DEMO_PINS[name]

@@ -66,6 +66,12 @@ def test_from_integers_keeps_the_duplicate_check():
         Pmf([("a", 1), ("a", Fraction(0))])
 
 
+def test_uniform_refuses_a_repeated_label():
+    with pytest.raises(ValueError, match="duplicate pmf label 'a'"):
+        Pmf.uniform(["a", "a", "b"])
+    assert list(Pmf.uniform(["a", "b"]).items()) == [("a", Fraction(1, 2)), ("b", Fraction(1, 2))]
+
+
 def test_from_integers_needs_a_positive_scale():
     for scale in (0, -3):
         with pytest.raises(ValueError, match="scale must be positive"):
