@@ -3,8 +3,9 @@
 The search looks for small ternary models whose detected-only
 correlations break the CHSH bound while their raw (coin-reduced)
 correlations necessarily satisfy it.  Every candidate is scored by exact
-rational evaluation, so a reported violation is a theorem about the
-returned model, not a numerical artifact.
+integer sums over its source and its settings' channels, and the winner
+is re-derived through the Fraction report, so a reported violation is a
+theorem about the returned model, not a numerical artifact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .model import (
     OutcomeTable,
     Pmf,
     Setting,
-    behavior_from_channels,
+    behavior_from_model,
     correlation_quad,
     require_point_outcomes,
     setting_channel,
@@ -247,39 +248,38 @@ def _mutate(rng: random.Random, model: ContextualModel, cfg: SearchConfig) -> Co
     return ContextualModel(source, model.alice, model.bob)
 
 
-def _postselected_detection(model: ContextualModel, ps: PostSelectionReport) -> DetectionReport:
-    """Per-setting detection rates read off the post-selection marginals.
-
-    In a normalized model a context's marginal detection probability is
-    its setting's detection rate, whatever the other side measures, so
-    one context per setting gives :func:`detection_rates` exactly.
-    """
-    alice0, bob0 = model.alice_settings[0], model.bob_settings[0]
-    return DetectionReport(
-        {a: ps.alice_detect[(a, bob0)] for a in model.alice_settings},
-        {b: ps.bob_detect[(alice0, b)] for b in model.bob_settings},
-    )
-
-
 class _Part:
     """One part of a candidate, the source or a setting, with what is derived from it.
 
-    A setting part carries its side's source labels and its
-    :func:`setting_channel`; the source part carries neither.  The part's
-    canonical text is built on first use.  A mutation's child shares
-    every part whose object and labels it kept, so each part's channel
-    and text are built once for all the candidates holding it.
+    ``weights`` holds the part's integers for scoring: the source support
+    ``(scale, [(pair, weight)])``, or a setting's ``(scale, {label:
+    (detected, signed)})``, read off its :func:`setting_channel`: the
+    instrument weight with a nonzero outcome and the sum of outcome x
+    weight.  Building a part checks that its weights sum to their
+    scale; its canonical text is built on first use.  A mutation's child
+    shares every part whose object and labels it kept, so each part's
+    integers and text are built once for all the candidates holding it.
     """
 
-    __slots__ = ("obj", "labels", "channel", "_text")
+    __slots__ = ("obj", "labels", "weights", "_text")
 
     def __init__(self, obj, labels=None, side: str = ""):
         self.obj = obj
         self.labels = labels
-        self.channel = None
-        if labels is not None:
+        if labels is None:
+            scale, atoms = obj.integer_weights()
+            rows = [[w for _pair, w in atoms]]
+            self.weights = scale, atoms
+        else:
             require_point_outcomes(side, obj)
-            self.channel = setting_channel(labels, obj)
+            scale, channel = setting_channel(labels, obj)
+            rows = [dist.values() for dist in channel.values()]
+            self.weights = scale, {
+                lab: (sum(w for (v, _d), w in dist.items() if v), sum(v * w for (v, _d), w in dist.items()))
+                for lab, dist in channel.items()
+            }
+        if any(sum(row) != scale for row in rows):
+            raise ValueError("behavior table is not normalized")
         self._text: Optional[str] = None
 
     def text(self) -> str:
@@ -295,7 +295,7 @@ def _parts(model: ContextualModel, parent: Optional["_Key"]) -> tuple[_Part, ...
     """The candidate's parts: source, Alice's two settings, Bob's two.
 
     A part of the parent is reused when it holds the same object, and for
-    a setting the same side labels, which is all its channel and text
+    a setting the same side labels, which is all its integers and text
     depend on; the rest are built.
     """
     inherited = parent.parts if parent is not None else (None,) * 5
@@ -339,38 +339,68 @@ class _Key:
         return self._text
 
 
-def _score(model: ContextualModel, parent: Optional[_Key], cfg: SearchConfig):
-    """Rank a candidate: (feasible, key, post-selection report).
+def _score(model: ContextualModel, parent: Optional[_Key], cfg: SearchConfig) -> tuple[bool, _Key]:
+    """Rank a candidate: (feasible, key).
 
     Feasible candidates rank by post-selected max |S|; candidates outside
     the rate constraints rank by the negated constraint violation, which
     lets the greedy walk climb back into the feasible region but keeps
-    every infeasible rank below every feasible one.  The behavior is
-    combined from the parts' channels, reusing the parent's for every
-    setting the mutation kept.  The detection penalty reads the rates
-    off the post-selection marginals, so no channel is built twice.
-    Search candidates are normalized by construction, which makes those
-    marginals the exact rates.  The tie-break text is not built here:
-    the key assembles it only when :func:`_better` needs it.
+    every infeasible rank below every feasible one.  The penalty adds
+    min_coincidence - rate for each context below the floor, 1 for each
+    context with no coincidence, and rate - max_detection + 1/256 for
+    each setting rate at or above the cap.
+
+    All sums are integer, over the parts' ``weights``, reusing the
+    parent's for every part the mutation kept: per context the
+    coincidence weight sum w detA detB and the post-selected product
+    sum w sgnA sgnB, per setting its detection weight.  Rates share the
+    product of the five scales as denominator; the rank and coincidence
+    total are one Fraction each, equal to what the Fraction report
+    (built only for the winner) and ``chsh_values`` give.  The tie-break
+    text is not built here: the key assembles it only when
+    :func:`_better` needs it.
     """
     parts = _parts(model, parent)
-    ps = postselected_correlations(behavior_from_channels(model, [p.channel for p in parts[1:]]))
-    penalty = Fraction(0)
-    for ctx, rate in ps.coincidence_rate.items():
-        if ps.conditional[ctx] is None:
-            penalty += 1
-        if rate < cfg.min_coincidence:
-            penalty += cfg.min_coincidence - rate
-    if cfg.max_detection is not None:
-        det = _postselected_detection(model, ps)
-        for rate in list(det.alice.values()) + list(det.bob.values()):
-            if rate >= cfg.max_detection:
-                # the cap is exclusive, so sitting exactly on it still counts
-                penalty += rate - cfg.max_detection + Fraction(1, 256)
+    (scale, src), *settings = (p.weights for p in parts)
+    alice, bob = settings[:2], settings[2:]
+    denom = scale * math.prod(s for s, _table in settings)
+    contexts = []
+    for a_scale, a in alice:
+        for b_scale, b in bob:
+            both = product = 0
+            for (l1, l2), w in src:
+                det_a, sgn_a = a[l1]
+                det_b, sgn_b = b[l2]
+                both += w * det_a * det_b
+                product += w * sgn_a * sgn_b
+            contexts.append((both * (denom // (scale * a_scale * b_scale)), both, product))
+    # the penalty in integers over denom * q, which every threshold's denominator divides
+    floor, cap = cfg.min_coincidence, cfg.max_detection
+    q = math.lcm(floor.denominator, 256, 1 if cap is None else cap.denominator)
+    penalty = 0
+    for rate, both, _product in contexts:
+        if both == 0:
+            penalty += denom * q
+        penalty += max(0, floor.numerator * q // floor.denominator * denom - rate * q)
+    if cap is not None:
+        for coord, side in enumerate((alice, bob)):
+            for s, table in side:
+                rate = sum(w * table[pair[coord]][0] for pair, w in src) * (denom // (scale * s))
+                over = rate * q - cap.numerator * q // cap.denominator * denom
+                if over >= 0:
+                    # the cap is exclusive, so sitting exactly on it still counts
+                    penalty += over + q // 256 * denom
     feasible = penalty == 0
-    rank = chsh_values(ps.conditional_quad()).max_abs if feasible else -penalty
-    coincidence_total = sum(ps.coincidence_rate.values(), Fraction(0))
-    return feasible, _Key(rank, coincidence_total, model, parts), ps
+    if feasible:
+        # max over the flipped context f of |T - 2 E_f|, every E over the lcm of the coincidences
+        lcm = math.lcm(*(both for _rate, both, _product in contexts))
+        scaled = [product * (lcm // both) for _rate, both, product in contexts]
+        total = sum(scaled)
+        rank = Fraction(max(abs(total - 2 * e) for e in scaled), lcm)
+    else:
+        rank = Fraction(-penalty, denom * q)
+    coincidence_total = Fraction(sum(rate for rate, _both, _product in contexts), denom)
+    return feasible, _Key(rank, coincidence_total, model, parts)
 
 
 def _better(key: _Key, other: _Key) -> bool:
@@ -389,20 +419,19 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     the post-selected max |S| subject to every context's coincidence rate
     meeting the configured minimum.  Ties prefer lower total coincidence,
     then the smaller canonical serialization, so the outcome is a pure
-    function of the config.  Each candidate carries its settings'
-    channels and, on first use, the texts of its parts; a mutation
-    reuses its parent's for every part it kept, so it builds one channel
-    (none for a source move) and renders no kept part's text again.
-    The tie-break text is assembled only when rank and coincidence tie,
-    and the detection penalties come from the post-selection marginals.
-    The returned model's raw coin-reduced quad is re-verified to satisfy
-    CHSH exactly; if the budget never produces a violation the best
-    model is still returned, flagged accordingly.
+    function of the config.  :func:`_score` ranks each candidate in
+    integers; a mutation reuses its parent's parts for everything it
+    kept, so it builds one channel (none for a source move) and renders
+    no kept part's text again, and the tie-break text is assembled only
+    when rank and coincidence tie.  Fractions are built for the history
+    and the winner: its report comes from ``postselected_correlations``
+    and must give the integer score, and its raw coin-reduced quad is
+    re-verified to satisfy CHSH exactly.  If the budget never produces a
+    violation the best model is still returned, flagged accordingly.
     """
     config.validate()
     rng = random.Random(config.seed)
     best: Optional[_Key] = None
-    best_ps: Optional[PostSelectionReport] = None
     history: list[tuple[int, Fraction]] = []
 
     current: Optional[_Key] = None
@@ -411,9 +440,9 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     while evaluations < config.budget:
         restarting = current is None or stall >= STALL_LIMIT
         if restarting:
-            feasible, key, ps = _score(_random_search_model(rng, config), None, config)
+            feasible, key = _score(_random_search_model(rng, config), None, config)
         else:
-            feasible, key, ps = _score(_mutate(rng, current.model, config), current, config)
+            feasible, key = _score(_mutate(rng, current.model, config), current, config)
         evaluations += 1
         if restarting or _better(key, current):
             current = key
@@ -421,19 +450,21 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
         else:
             stall += 1
         if feasible and (best is None or _better(key, best)):
-            best, best_ps = key, ps
+            best = key
             history.append((evaluations, key.rank))
             if config.target_stat is not None and key.rank >= config.target_stat:
                 break
 
-    if best is None or best_ps is None:
+    if best is None:
         raise RuntimeError(
             "no candidate met the coincidence-rate constraint within the budget; "
             "lower min_coincidence or raise the budget"
         )
 
-    raw_model = zero_to_coin(best.model)
-    raw_quad = correlation_quad(raw_model)
+    report = postselected_correlations(behavior_from_model(best.model))
+    if chsh_values(report.conditional_quad()).max_abs != best.rank:
+        raise RuntimeError("the winner's post-selection report disagrees with its integer score: a bug")
+    raw_quad = correlation_quad(zero_to_coin(best.model))
     raw_chsh = chsh_values(raw_quad)
     if not raw_chsh.satisfied:
         raise RuntimeError(
@@ -443,7 +474,7 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     score = best.rank
     return SearchOutcome(
         model=best.model,
-        report=best_ps,
+        report=report,
         score=score,
         violating=score > 2,
         evaluations=evaluations,

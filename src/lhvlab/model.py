@@ -16,8 +16,10 @@ model once as a small int code and counts each context's joint values
 on those codes in integers, so no Fraction is hashed or added in its
 loops; its callers build one Fraction per cell or reported number.
 :func:`context_distributions` is both steps over a model's own
-settings; the loophole search instead keeps each candidate's channels
-and hands its mutation's children the ones they did not change.
+settings.  The loophole search scores candidates from integer moments
+of their channels, handing its mutation's children the ones they did
+not change; it combines channels, through :func:`behavior_from_model`,
+only for its winner's report.
 :func:`correlation_quad` and :func:`behavior_from_model` project the
 joint counts; :func:`side_distribution`, :func:`exact_side_expectation`,
 ``loophole.detection_rates`` and ``flatten.bell_average`` the channels.

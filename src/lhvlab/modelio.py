@@ -471,6 +471,9 @@ def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
     )
     if len(alice) != 2 or len(bob) != 2:
         raise ModelParseError(f"{source}: behavior needs 2 settings per side")
+    for key, names in (("aliceSettings", alice), ("bobSettings", bob)):
+        if names[0] == names[1]:
+            raise ModelParseError(f"{source}: {key}: duplicate setting name {names[0]!r}")
     outcomes = tuple(
         _parse_int(o, "outcomes", source) for o in _require_list(doc["outcomes"], "outcomes", source)
     )

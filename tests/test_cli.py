@@ -467,6 +467,22 @@ class TestValidate:
         parent[path[-1]] = value
         assert_rejected(capsys, doc, tmp_path, where)
 
+    @pytest.mark.parametrize("key", ["aliceSettings", "bobSettings"])
+    def test_behavior_repeated_setting_name_exits_one(self, capsys, tmp_path, key):
+        """A repeated name with only its own contexts must not pass as a behavior."""
+        doc = kind_doc("behavior")
+        coord = "alice" if key == "aliceSettings" else "bob"
+        name = doc[key][0]
+        doc[key] = [name, name]
+        doc["contexts"] = [c for c in doc["contexts"] if c[coord] == name]
+        message = f"{key}: duplicate setting name {name!r}"
+        assert_rejected(capsys, doc, tmp_path, message)
+        bad = tmp_path / "bad.json"
+        for argv in (["chsh", "--model", str(bad)], ["fine", str(bad)]):
+            status, out, err = run_cli(capsys, *argv)
+            assert status == 1 and out == ""
+            assert message in err and "Traceback" not in err
+
     def test_parse_error_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  nope\n}")

@@ -29,7 +29,7 @@ from lhvlab import (
 )
 from lhvlab import loophole, modelio
 from lhvlab.cli import main as cli_main
-from lhvlab.loophole import _mutate, _postselected_detection, _random_search_model
+from lhvlab.loophole import _mutate, _random_search_model, _score
 from lhvlab.modelio import parse_path, serialize
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
@@ -154,6 +154,36 @@ class TestSearch:
             SearchConfig(seed=1, mass_denominator=128).validate()
 
 
+# rate constraints for the score cross-check; on a grid of eighths the
+# "on_grid" floor and cap are reached exactly by some candidates
+SCORE_LIMITS = {
+    "default": {},
+    "uncapped": {"max_detection": None},
+    "on_grid": {"min_coincidence": Fraction(1, 4), "max_detection": Fraction(3, 4)},
+}
+
+
+def fraction_score(ps, det, cfg: SearchConfig):
+    """Feasibility, rank and coincidence total by the search's rule, in Fractions.
+
+    The penalty adds min_coincidence - rate below the floor, 1 for an
+    undefined conditional, and rate - cap + 1/256 at or above the cap.
+    """
+    penalty = Fraction(0)
+    for ctx, rate in ps.coincidence_rate.items():
+        if ps.conditional[ctx] is None:
+            penalty += 1
+        if rate < cfg.min_coincidence:
+            penalty += cfg.min_coincidence - rate
+    if cfg.max_detection is not None:
+        for rate in [*det.alice.values(), *det.bob.values()]:
+            if rate >= cfg.max_detection:
+                penalty += rate - cfg.max_detection + Fraction(1, 256)
+    feasible = penalty == 0
+    rank = chsh_values(ps.conditional_quad()).max_abs if feasible else -penalty
+    return feasible, rank, sum(ps.coincidence_rate.values(), Fraction(0))
+
+
 class TestDetectionFromPostSelection:
     @pytest.mark.parametrize("instrument_atoms", [1, 2])
     def test_marginals_equal_detection_rates_along_a_walk(self, instrument_atoms):
@@ -170,13 +200,52 @@ class TestDetectionFromPostSelection:
                 for ctx in model.contexts():
                     assert ps.alice_detect[ctx] == det.alice[ctx[0]]
                     assert ps.bob_detect[ctx] == det.bob[ctx[1]]
-                assert _postselected_detection(model, ps) == det
                 child = _mutate(rng, model, cfg)
                 instruments = [s.instrument for s in model.alice + model.bob]
                 if instruments != [s.instrument for s in child.alice + child.bob]:
                     instrument_moves += 1
                 model = child
         assert (instrument_moves > 0) == (instrument_atoms > 1)
+
+    @pytest.mark.parametrize("instrument_atoms", [1, 2])
+    @pytest.mark.parametrize("limits", sorted(SCORE_LIMITS))
+    def test_integer_score_matches_the_fraction_report(self, instrument_atoms, limits):
+        """On every candidate of a seeded greedy walk, _score's feasibility, rank
+        and coincidence total equal those derived from the Fraction report."""
+        cfg = SearchConfig(seed=0, source_atoms=6, instrument_atoms=instrument_atoms, mass_denominator=8,
+                           **SCORE_LIMITS[limits])
+        rng = random.Random(71 + instrument_atoms)
+        floor_hits = cap_hits = feasible_seen = 0
+        for _restart in range(4):
+            model, parent, parent_rank = _random_search_model(rng, cfg), None, None
+            for _step in range(60):
+                feasible, key = _score(model, parent, cfg)
+                ps = postselected_correlations(behavior_from_model(model))
+                det = detection_rates(model)
+                expected = fraction_score(ps, det, cfg)
+                assert (feasible, key.rank, key.coincidence) == expected
+                floor_hits += cfg.min_coincidence in ps.coincidence_rate.values()
+                cap_hits += cfg.max_detection in [*det.alice.values(), *det.bob.values()]
+                feasible_seen += feasible
+                # climb like the search, so the walk reaches the feasible region
+                if parent is None or expected[1] >= parent_rank:
+                    parent, parent_rank = key, expected[1]
+                model = _mutate(rng, parent.model, cfg)
+        assert feasible_seen > 0
+        if limits == "on_grid":
+            assert floor_hits > 0 and cap_hits > 0
+
+    def test_unnormalized_candidate_is_rejected(self):
+        model = _random_search_model(random.Random(5), SearchConfig(seed=0, instrument_atoms=2))
+        halved = Pmf({pair: m / 2 for pair, m in model.source.items()})
+        a0, a1 = model.alice
+        heavy = Setting(a0.name, Pmf({lab: 2 * m for lab, m in a0.instrument.items()}), a0.outcomes)
+        for bad in (
+            ContextualModel(halved, model.alice, model.bob),
+            ContextualModel(model.source, (heavy, a1), model.bob),
+        ):
+            with pytest.raises(ValueError, match="behavior table is not normalized"):
+                _score(bad, None, SearchConfig(seed=0))
 
 
 # SHA-256 of five seeded budget-400 searches per instrument-atom count, as

@@ -27,6 +27,7 @@ from lhvlab import (
     ContextualModel,
     OutcomeTable,
     Pmf,
+    SearchConfig,
     Setting,
     behavior_from_model,
     bell_average,
@@ -34,7 +35,9 @@ from lhvlab import (
     counterexample_model,
     detection_rates,
     find_joint,
+    postselected_correlations,
     product_flatten,
+    search_postselection_violation,
     serialize,
     uniform_reduce,
     validate_model,
@@ -149,6 +152,41 @@ def detection_digest(n: int = PIN_MODELS) -> str:
     return digest.hexdigest()
 
 
+def postselection_digest(n: int = PIN_MODELS) -> str:
+    """``postselected_correlations`` of the behavior of the ternary half of ``n`` models."""
+    digest = hashlib.sha256()
+    for i, model in enumerate(corpus_models(n, seed=CORPUS_SEED)):
+        if i % 2 == 0:
+            ps = postselected_correlations(behavior_from_model(model))
+            digest.update(repr((ps.raw_quad.values, ps.conditional, ps.coincidence_rate,
+                                ps.alice_detect, ps.bob_detect)).encode())
+    return digest.hexdigest()
+
+
+# budget-400 searches: one and two instrument atoms, no detection cap, and a
+# target score that ends the walk early
+SEARCH_CONFIGS = {
+    "one_atom": {},
+    "two_atoms": {"instrument_atoms": 2},
+    "uncapped": {"max_detection": None},
+    "target": {"target_stat": Fraction(3)},
+}
+
+
+def search_digest(config: str, seeds=(0, 1)) -> str:
+    """Every field of each seeded search's outcome, the post-selection report included."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        out = search_postselection_violation(SearchConfig(seed=seed, budget=400, **SEARCH_CONFIGS[config]))
+        ps, det = out.report, out.detection
+        for part in (serialize(out.model), ps.raw_quad.values, ps.conditional, ps.coincidence_rate,
+                     ps.alice_detect, ps.bob_detect, out.score, out.violating, out.evaluations, out.history,
+                     out.raw_quad.values, [(c.flipped, c.sign, c.value) for c in out.raw_chsh.combinations],
+                     det.alice, det.bob, det.threshold):
+            digest.update(repr(part).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def dag_models() -> list[ContextualModel]:
     """The counterexample, the committed search winner and the first four corpus models."""
     winner = parse_path(ROOT / "fixtures" / "loophole_winner.model.json")
@@ -194,6 +232,14 @@ VALIDATE_PIN = "9e3905179b5a8466a2959bdece22617997b31cd42648fffbb7e264d05ebcbb83
 NO_SIGNALLING_PIN = "0138eb0292adf18c6f28209dc04f5cade7c3b2cc5506e7e70ed9aaf6c14e80a0"
 FIND_JOINT_PIN = "5a8d588c0c7b64502588a607e340431a26613f32fabe40b2780bddc46d5987ec"
 DETECTION_PIN = "0f309a4e78e2bb0f03298bd14a8eb2100c8bb5521c66f6f60f3ca46d1e1bf60a"
+# recorded while the search still scored every candidate through the Fraction report
+POSTSELECTION_PIN = "3c458d489368e08444de539c436d502eb8918dd1822ebbe66fd30c9521059c19"
+SEARCH_PINS = {
+    "one_atom": "1ce985a34f5cb8ee4cb30295dbfc1d69de16e1486e602a4a15b83ac931a7254e",
+    "target": "dde2e8de5208c34d7dbc9942d8bdd4551a7e59cfff92410db7677976bccc796f",
+    "two_atoms": "cdd70954e53b98cb2c49459ab7854ec35fc5c5ca18675d32f31a28d5d748cdac",
+    "uncapped": "b73a10cc5d1a7c2d2cd11f09a2be33caa99046872e15521364cd4a8002950de2",
+}
 MONTECARLO_PIN = "bafbf7fe06d99fd4b7f87dd4f1d4d8a02d796f0daf52fc8f6a2956b5c75a7509"
 # SHA-256 of each demo's stdout, run from the checkout root
 DEMO_PINS = {
@@ -229,6 +275,21 @@ def test_find_joint_verdicts_are_pinned():
 
 def test_detection_rates_are_pinned():
     assert detection_digest() == DETECTION_PIN
+
+
+def test_postselection_reports_are_pinned():
+    assert postselection_digest() == POSTSELECTION_PIN
+
+
+@pytest.mark.parametrize("config", sorted(SEARCH_CONFIGS))
+def test_search_outcomes_are_pinned(config):
+    assert search_digest(config) == SEARCH_PINS[config]
+
+
+def test_target_search_pin_stops_early():
+    for seed in (0, 1):
+        cfg = SearchConfig(seed=seed, budget=400, **SEARCH_CONFIGS["target"])
+        assert search_postselection_violation(cfg).evaluations < cfg.budget
 
 
 def test_montecarlo_runs_are_pinned():
