@@ -19,7 +19,8 @@ cumulative points, each bar and each :meth:`AveragedModel.quad` context is
 one integer sum, and :meth:`FlatModel.quad` sums each context over integer
 columns of table values at the flat pmf's support tuples.  That
 evaluation walks the flat pmf only; it never calls the contextual kernel
-(``setting_channel``, ``context_distributions``) it is used to check.
+(``setting_channel``, ``channel_moments``) it is used to check.  The
+bars themselves are the kernel's per-label first moments.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .model import (
     Pmf,
     SettingPairs,
     TwoByTwo,
+    channel_moments,
     integer_scale,
-    setting_channel,
     side_labels,
 )
 
@@ -263,25 +264,20 @@ def bell_average(model: ContextualModel) -> AveragedModel:
     """Integrate out the instrument variables, per setting and source coordinate.
 
     The averaged outcome for Alice's setting a at source label l1 is
-    sum over la of A_a(l1, la) p_a(la), the first moment of the setting's
-    outcome channel at l1; likewise for Bob.  The averaged
-    model's expectations equal the original's for every context, and
-    every averaged value is bounded by 1 in absolute value.  Fractional
-    outcome tables are welcome (averaging is linear), so the output
-    drops any ternary flag.
+    sum over la of A_a(l1, la) p_a(la), the first moment that
+    :func:`~lhvlab.model.channel_moments` gives at l1; likewise for Bob.
+    The averaged model's expectations equal the original's for every
+    context, and every averaged value is bounded by 1 in absolute value.
+    Fractional outcome tables are welcome (averaging is linear), so the
+    output drops any ternary flag.
     """
 
     def bars(side, settings) -> dict[str, dict[Label, Fraction]]:
         labels = side_labels(model, side)
         out: dict[str, dict[Label, Fraction]] = {}
         for setting in settings:
-            scale, channel = setting_channel(labels, setting)
-            # the values n/d over the lcm of their denominators: one integer sum per bar
-            vscale = math.lcm(*{d for dist in channel.values() for _n, d in dist})
-            out[setting.name] = {
-                lab: Fraction(sum(n * (vscale // d) * c for (n, d), c in dist.items()), scale * vscale)
-                for lab, dist in channel.items()
-            }
+            scale, vscale, moments = channel_moments(labels, setting)
+            out[setting.name] = {lab: Fraction(first, scale * vscale) for lab, (_det, first) in moments.items()}
         return out
 
     return AveragedModel(

@@ -26,10 +26,10 @@ from .model import (
     Pmf,
     Setting,
     behavior_from_model,
+    channel_moments,
     correlation_quad,
     require_point_outcomes,
-    setting_channel,
-    side_distribution,
+    side_labels,
 )
 
 DETECTION_THRESHOLD = Fraction(2, 3)
@@ -116,17 +116,22 @@ class DetectionReport:
 
 
 def detection_rates(model: ContextualModel) -> DetectionReport:
-    """Exact probability that each side's outcome is nonzero, per setting."""
+    """Exact probability that each side's outcome is nonzero, per setting.
 
-    def side_rates(side, settings) -> dict[str, Fraction]:
-        return {
-            s.name: sum(
-                (p for v, p in side_distribution(model, side, s).items() if v != 0), Fraction(0)
-            )
-            for s in settings
-        }
+    Each rate is the source-weighted sum of the setting's per-label
+    detected weights, one integer sum and one Fraction.
+    """
+    src_scale, src = model.source.integer_weights()
 
-    return DetectionReport(side_rates("alice", model.alice), side_rates("bob", model.bob))
+    def side_rates(coord: int, side: str) -> dict[str, Fraction]:
+        labels = side_labels(model, side)
+        rates = {}
+        for s in getattr(model, side):
+            scale, _vscale, moments = channel_moments(labels, s)
+            rates[s.name] = Fraction(sum(w * moments[pair[coord]][0] for pair, w in src), src_scale * scale)
+        return rates
+
+    return DetectionReport(side_rates(0, "alice"), side_rates(1, "bob"))
 
 
 @dataclass
@@ -252,13 +257,16 @@ class _Part:
     """One part of a candidate, the source or a setting, with what is derived from it.
 
     ``weights`` holds the part's integers for scoring: the source support
-    ``(scale, [(pair, weight)])``, or a setting's ``(scale, {label:
-    (detected, signed)})``, read off its :func:`setting_channel`: the
-    instrument weight with a nonzero outcome and the sum of outcome x
-    weight.  Building a part checks that its weights sum to their
-    scale; its canonical text is built on first use.  A mutation's child
-    shares every part whose object and labels it kept, so each part's
-    integers and text are built once for all the candidates holding it.
+    ``(scale, [(pair, weight)])``, or a setting's :func:`channel_moments`
+    ``(scale, {label: (detected, signed)})``: the instrument weight with a
+    nonzero outcome, and the first moment, which for point outcomes is
+    the sum of outcome x weight over the same scale.  Building a part
+    checks that its weights sum to their scale (every channel row
+    regroups the instrument's support weights, so checking the
+    instrument checks each row); its canonical text is built on first
+    use.  A mutation's child shares every part whose object and labels
+    it kept, so each part's integers and text are built once for all
+    the candidates holding it.
     """
 
     __slots__ = ("obj", "labels", "weights", "_text")
@@ -267,18 +275,13 @@ class _Part:
         self.obj = obj
         self.labels = labels
         if labels is None:
-            scale, atoms = obj.integer_weights()
-            rows = [[w for _pair, w in atoms]]
-            self.weights = scale, atoms
+            scale, atoms = self.weights = obj.integer_weights()
         else:
             require_point_outcomes(side, obj)
-            scale, channel = setting_channel(labels, obj)
-            rows = [dist.values() for dist in channel.values()]
-            self.weights = scale, {
-                lab: (sum(w for (v, _d), w in dist.items() if v), sum(v * w for (v, _d), w in dist.items()))
-                for lab, dist in channel.items()
-            }
-        if any(sum(row) != scale for row in rows):
+            scale, _vscale, moments = channel_moments(labels, obj)
+            self.weights = scale, moments
+            _scale, atoms = obj.instrument.integer_weights()
+        if sum(w for _lab, w in atoms) != scale:
             raise ValueError("behavior table is not normalized")
         self._text: Optional[str] = None
 
@@ -351,13 +354,15 @@ def _score(model: ContextualModel, parent: Optional[_Key], cfg: SearchConfig) ->
     each setting rate at or above the cap.
 
     All sums are integer, over the parts' ``weights``, reusing the
-    parent's for every part the mutation kept: per context the
-    coincidence weight sum w detA detB and the post-selected product
-    sum w sgnA sgnB, per setting its detection weight.  Rates share the
-    product of the five scales as denominator; the rank and coincidence
-    total are one Fraction each, equal to what the Fraction report
-    (built only for the winner) and ``chsh_values`` give.  The tie-break
-    text is not built here: the key assembles it only when
+    parent's for every part the mutation kept.  The source pair
+    factorizes each context, as in ``correlation_quad``: its coincidence
+    weight is sum w detA detB and its post-selected product sum w sgnA
+    sgnB over the source support, with each setting's moments of
+    :func:`channel_moments`; a setting's detection weight is sum w det.
+    Rates share the product of the five scales as denominator; the rank
+    and coincidence total are one Fraction each, equal to what the
+    Fraction report (built only for the winner) and ``chsh_values`` give.
+    The tie-break text is not built here: the key assembles it only when
     :func:`_better` needs it.
     """
     parts = _parts(model, parent)

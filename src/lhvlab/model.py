@@ -7,24 +7,22 @@ its own instrument distribution and outcome table.  Masses are exact: a
 ``Fraction`` is made only where a number leaves the API.
 
 Exact numbers are projections of one product measure, source x
-instrument_a x instrument_b, computed by one integer kernel in two
-steps.  :func:`setting_channel` integrates one setting's instrument out
-per source label, keyed by each value's ``(numerator, denominator)``;
-it depends on the setting and its side's source labels only.
-:func:`combine_channels` interns each distinct outcome value of the
-model once as a small int code and counts each context's joint values
-on those codes in integers, so no Fraction is hashed or added in its
-loops; its callers build one Fraction per cell or reported number.
-:func:`context_distributions` is both steps over a model's own
-settings.  The loophole search scores candidates from integer moments
-of their channels, handing its mutation's children the ones they did
-not change; it combines channels, through :func:`behavior_from_model`,
-only for its winner's report.
-:func:`correlation_quad` and :func:`behavior_from_model` project the
-joint counts; :func:`side_distribution`, :func:`exact_side_expectation`,
-``loophole.detection_rates`` and ``flatten.bell_average`` the channels.
-:func:`exact_expectation` sums term by term as the reference oracle;
-nothing in the package calls it, and it reads masses only as Fractions.
+instrument_a x instrument_b, computed in integers in two steps.
+:func:`setting_channel` integrates one setting's instrument out per
+source label, keyed by each value's ``(numerator, denominator)``; it
+depends on the setting and its side's source labels only.
+:func:`channel_moments` reads each label's detected weight and first
+moment off a channel.  Given the source pair the two sides' outcomes are
+independent, so :func:`correlation_quad` factorizes through the source
+pair: each context is the source-weighted sum of the two sides' first
+moments.  :func:`exact_side_expectation`, ``loophole.detection_rates``,
+``flatten.bell_average`` and the loophole search's scoring read the
+moments too.  :func:`behavior_from_model`, the one projection that needs
+joint cells, counts each context's ``(x, y)`` cells from the two
+channels.  Callers build one Fraction per cell or reported number.
+:func:`exact_expectation` sums term by term over every hidden variable
+as the reference oracle, with no factorization; nothing in the package
+calls it, and it reads masses only as Fractions.
 
 :meth:`Pmf.from_integers` and :meth:`Pmf.integer_weights` move masses in
 and out as integers; :func:`integer_scale` brings other rationals over
@@ -539,107 +537,52 @@ def setting_channel(labels: Sequence[Label], setting: Setting) -> ValueChannel:
     return scale, channel
 
 
-def model_channels(model: ContextualModel) -> list[ValueChannel]:
-    """The four settings' channels, Alice's two then Bob's two."""
-    first, second = side_labels(model, "alice"), side_labels(model, "bob")
-    return [setting_channel(first, s) for s in model.alice] + [
-        setting_channel(second, s) for s in model.bob
-    ]
+def channel_moments(labels: Sequence[Label], setting: Setting) -> tuple[int, int, dict[Label, tuple[int, int]]]:
+    """One setting's detected weight and first moment per source label, in integers.
 
-
-def combine_channels(
-    model: ContextualModel, channels: Sequence[ValueChannel]
-) -> tuple[list[Fraction], dict[Context, tuple[int, dict[int, int]]]]:
-    """Each context's joint value counts from the four settings' channels.
-
-    ``channels`` are the model's settings' channels in :func:`model_channels`
-    order.  Each distinct value is interned as a small int code, in
-    first-appearance order over the channels in that order; then source
-    weight x Alice channel x Bob channel is summed in integers over one
-    common denominator, keyed on the codes.  Returns
-    ``(values, {context: (scale, counts)})``: with ``n = len(values)``,
-    ``counts[x * n + y]`` is the weight over ``scale`` of the cell
-    ``(values[x], values[y])``.  Counts appear in first-appearance order
-    over the source support, then the two channels; callers build one
-    Fraction per cell they report.
+    Returns ``(scale, vscale, {label: (detected, first)})``: ``detected``
+    is the instrument weight over ``scale`` with a nonzero value at the
+    label, and ``first`` the outcome averaged over the instrument, an
+    integer over ``scale * vscale``, where ``vscale`` is the lcm of the
+    channel's value denominators (1 for point outcomes).
     """
-    codes: dict[tuple[int, int], int] = {}
-    coded = []
-    for scale, channel in channels:
-        by_label: dict[Label, dict[int, int]] = {}
-        for lab, dist in channel.items():
-            by_code: dict[int, int] = {}
-            for key, w in dist.items():
-                code = codes.get(key)
-                if code is None:
-                    code = codes[key] = len(codes)
-                by_code[code] = w
-            by_label[lab] = by_code
-        coded.append((scale, by_label))
-    alice = {s.name: chan for s, chan in zip(model.alice, coded)}
-    bob = {s.name: chan for s, chan in zip(model.bob, coded[len(model.alice):])}
-    src_scale, src = model.source.integer_weights()
-    n = len(codes)
-    out = {}
-    for ctx in model.contexts():
-        a_scale, chan_a = alice[ctx[0]]
-        b_scale, chan_b = bob[ctx[1]]
-        counts: dict[int, int] = {}
-        for (l1, l2), w in src:
-            row = chan_b[l2].items()
-            for x, cx in chan_a[l1].items():
-                wx = w * cx
-                base = x * n
-                for y, cy in row:
-                    key = base + y
-                    counts[key] = counts.get(key, 0) + wx * cy
-        out[ctx] = (src_scale * a_scale * b_scale, counts)
-    return [Fraction(n, d) for n, d in codes], out
-
-
-def context_distributions(
-    model: ContextualModel,
-) -> tuple[list[Fraction], dict[Context, tuple[int, dict[int, int]]]]:
-    """Each context's joint law of the outcome values (A_a, B_b), as integer counts.
-
-    :func:`combine_channels` over the model's own :func:`model_channels`.
-    """
-    return combine_channels(model, model_channels(model))
-
-
-def side_distribution(model: ContextualModel, side: str, setting: Setting) -> dict[Fraction, Fraction]:
-    """The pmf of one setting's outcome value, source and instrument integrated out."""
-    coord = _coord(side)
-    src_scale, src = model.source.integer_weights()
-    scale, channel = setting_channel(side_labels(model, side), setting)
-    counts: dict[tuple[int, int], int] = {}
-    for pair, w in src:
-        for key, c in channel[pair[coord]].items():
-            counts[key] = counts.get(key, 0) + w * c
-    return {Fraction(n, d): Fraction(c, src_scale * scale) for (n, d), c in counts.items()}
+    scale, channel = setting_channel(labels, setting)
+    vscale = math.lcm(*{d for dist in channel.values() for _n, d in dist})
+    moments = {
+        lab: (sum(w for (n, _d), w in dist.items() if n), sum(n * (vscale // d) * w for (n, d), w in dist.items()))
+        for lab, dist in channel.items()
+    }
+    return scale, vscale, moments
 
 
 def exact_side_expectation(model: ContextualModel, side: str, setting_name: str) -> Fraction:
     """E(A_a) or E(B_b): the single-outcome expectation for one setting."""
-    law = side_distribution(model, side, model._setting(_coord(side), setting_name))
-    return sum((v * p for v, p in law.items()), Fraction(0))
+    coord = _coord(side)
+    src_scale, src = model.source.integer_weights()
+    scale, vscale, moments = channel_moments(side_labels(model, side), model._setting(coord, setting_name))
+    return Fraction(sum(w * moments[pair[coord]][1] for pair, w in src), src_scale * scale * vscale)
 
 
 def correlation_quad(model: ContextualModel) -> CorrelationQuad:
-    """All four context expectations: the first moment of each context's joint pmf.
+    """All four context expectations, factorized through the source pair.
 
-    The outcome values are scaled to integers over one common denominator,
-    so each expectation is one integer sum and one Fraction.
+    Given (lambda1, lambda2) the two sides' outcomes are independent, so
+    E(A_a B_b) is the sum over the source support of p(lambda1, lambda2)
+    times each side's outcome averaged over its own instrument, the first
+    moments of :func:`channel_moments`: one integer sum and one Fraction
+    per context.
     """
-    values, coded = context_distributions(model)
-    n = len(values)
-    vscale, ints = integer_scale(values)
-    quad = {
-        ctx: Fraction(
-            sum(ints[k // n] * ints[k % n] * c for k, c in counts.items()), scale * vscale * vscale
-        )
-        for ctx, (scale, counts) in coded.items()
-    }
+    src_scale, src = model.source.integer_weights()
+    first, second = side_labels(model, "alice"), side_labels(model, "bob")
+    bob = [(b.name, channel_moments(second, b)) for b in model.bob]
+    quad = {}
+    for a in model.alice:
+        a_scale, a_vscale, ma = channel_moments(first, a)
+        for name, (b_scale, b_vscale, mb) in bob:
+            quad[a.name, name] = Fraction(
+                sum(w * ma[l1][1] * mb[l2][1] for (l1, l2), w in src),
+                src_scale * a_scale * a_vscale * b_scale * b_vscale,
+            )
     return CorrelationQuad(model.alice_settings, model.bob_settings, quad)
 
 
@@ -687,24 +630,29 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
     Requires every outcome table to hold actual outcomes (+/-1, or 0 in
     ternary-flagged tables).  Models with fractional entries represent
     conditional expectations, not distributions, and are rejected.
+    Each context's cells are counted in integers from the two settings'
+    channels, in first-appearance order over the source support, then
+    Alice's channel, then Bob's, with one Fraction per cell.
     """
     for side in ("alice", "bob"):
         for setting in getattr(model, side):
             require_point_outcomes(side, setting)
-    return behavior_from_channels(model, model_channels(model))
-
-
-def behavior_from_channels(model: ContextualModel, channels: Sequence[ValueChannel]) -> BehaviorTable:
-    """:func:`behavior_from_model` from the settings' channels, already built.
-
-    The caller has checked every setting with :func:`require_point_outcomes`.
-    """
     outcomes = (-1, 0, 1) if model.is_ternary() else (-1, 1)
-    values, coded = combine_channels(model, channels)
-    n = len(values)
-    ints = [int(v) for v in values]
-    probs = {
-        ctx: {(ints[k // n], ints[k % n]): Fraction(c, scale) for k, c in counts.items()}
-        for ctx, (scale, counts) in coded.items()
-    }
+    src_scale, src = model.source.integer_weights()
+    first, second = side_labels(model, "alice"), side_labels(model, "bob")
+    bob = [(b.name, setting_channel(second, b)) for b in model.bob]
+    probs = {}
+    for a in model.alice:
+        a_scale, chan_a = setting_channel(first, a)
+        for name, (b_scale, chan_b) in bob:
+            # point outcomes have denominator 1, so each value is its numerator
+            counts: dict[tuple[int, int], int] = {}
+            for (l1, l2), w in src:
+                row = chan_b[l2].items()
+                for (x, _d), cx in chan_a[l1].items():
+                    wx = w * cx
+                    for (y, _e), cy in row:
+                        counts[x, y] = counts.get((x, y), 0) + wx * cy
+            scale = src_scale * a_scale * b_scale
+            probs[a.name, name] = {cell: Fraction(c, scale) for cell, c in counts.items()}
     return BehaviorTable(model.alice_settings, model.bob_settings, outcomes, probs)

@@ -350,6 +350,12 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
     return ContextualModel(src, *(parse_side(coord, side) for coord, side in enumerate(("alice", "bob"))))
 
 
+def _require_distinct(names: Sequence[str], where: str, source: str) -> None:
+    """Reject a side whose two settings share a name: each context must be named once."""
+    if names[0] == names[1]:
+        raise ModelParseError(f"{source}: {where}: duplicate setting name {names[0]!r}")
+
+
 def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatSetting:
     """One flat setting; ``arity`` is the shortest atom tuple, which its coords must index."""
     _require_keys(
@@ -408,6 +414,8 @@ def _parse_flat(doc: dict, source: str) -> FlatModel:
     alice, bob = parse_side("alice"), parse_side("bob")
     if len(alice) != 2 or len(bob) != 2:
         raise ModelParseError(f"{source}: flat model needs 2 settings per side")
+    for side, settings in (("alice", alice), ("bob", bob)):
+        _require_distinct([s.name for s in settings], side, source)
     support = [lam for lam, _m in pmf.support()]
     for setting in alice + bob:
         i, j = setting.coords
@@ -450,6 +458,7 @@ def _parse_averaged(doc: dict, source: str) -> AveragedModel:
             bars[name] = bar
         if len(names) != 2:
             raise ModelParseError(f"{source}: {side} needs exactly 2 settings")
+        _require_distinct(names, side, source)
         return tuple(names), bars
 
     alice_names, alice_bar = parse_side("alice", 0)
@@ -472,8 +481,7 @@ def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
     if len(alice) != 2 or len(bob) != 2:
         raise ModelParseError(f"{source}: behavior needs 2 settings per side")
     for key, names in (("aliceSettings", alice), ("bobSettings", bob)):
-        if names[0] == names[1]:
-            raise ModelParseError(f"{source}: {key}: duplicate setting name {names[0]!r}")
+        _require_distinct(names, key, source)
     outcomes = tuple(
         _parse_int(o, "outcomes", source) for o in _require_list(doc["outcomes"], "outcomes", source)
     )

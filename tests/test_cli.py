@@ -483,6 +483,19 @@ class TestValidate:
             assert status == 1 and out == ""
             assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["flat", "averaged"])
+    @pytest.mark.parametrize("side", ["alice", "bob"])
+    def test_repeated_setting_name_exits_one(self, capsys, tmp_path, kind, side):
+        """A repeated name would list one context twice and read the first setting for both."""
+        doc = kind_doc(kind)
+        name = doc[side][0]["setting"]
+        doc[side][1]["setting"] = name
+        message = f"{side}: duplicate setting name {name!r}"
+        assert_rejected(capsys, doc, tmp_path, message)
+        status, out, err = run_cli(capsys, "chsh", "--model", str(tmp_path / "bad.json"))
+        assert status == 1 and out == ""
+        assert message in err and "Traceback" not in err
+
     def test_parse_error_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  nope\n}")

@@ -227,9 +227,8 @@ def test_flat_quad_is_independent_of_contextual_kernel(monkeypatch):
 
     for module, name in (
         (lhvlab.model, "setting_channel"),
-        (lhvlab.model, "context_distributions"),
-        (lhvlab.model, "combine_channels"),
-        (lhvlab.flatten, "setting_channel"),
+        (lhvlab.model, "channel_moments"),
+        (lhvlab.flatten, "channel_moments"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     for flat in flats:

@@ -1,4 +1,5 @@
-"""Every top-level import in ``src/`` and ``tests/`` is used by its module.
+"""Every top-level import in ``src/`` and ``tests/`` is used by its module,
+and every top-level function and class of the package is reached.
 
 A name counts as used when the module reads it anywhere, in code or in a
 string annotation, or when the module is a package ``__init__`` (which
@@ -11,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import lhvlab
+
 ROOT = Path(__file__).parents[1]
 MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "lhvlab").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -28,8 +32,8 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def read_names(tree: ast.Module) -> set[str]:
-    """Every name the module reads, including those inside string annotations."""
+def read_names(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, including those inside string annotations."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -60,3 +64,41 @@ def test_every_top_level_import_is_used(path):
 def test_the_scan_sees_an_unused_import():
     source = "import os\nimport sys\nfrom typing import Optional, Union\n\nx: 'Optional[int]' = sys.argv\n"
     assert unused_imports(source) == [(1, "os"), (3, "Union")]
+
+
+def unreached_definitions(sources: dict[str, str], public: set[str]) -> list[str]:
+    """``module.name`` of each top-level function or class that nothing reaches.
+
+    A definition is reached when its name is public, or when some top-level
+    statement other than the definition itself reads it, in any of the
+    modules; dunders are exempt.
+    """
+    reads = {}  # (module, statement index) -> the names and attributes that statement reads
+    defined = []
+    for module, source in sources.items():
+        for k, node in enumerate(ast.parse(source).body):
+            attributes = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            reads[module, k] = read_names(node) | attributes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((module, k, node.name))
+    return [
+        f"{module}.{name}"
+        for module, k, name in defined
+        if name not in public and not any(name in names for key, names in reads.items() if key != (module, k))
+    ]
+
+
+def test_every_package_definition_is_reached():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unreached_definitions(sources, set(lhvlab.__all__)) == []
+
+
+def test_the_scan_sees_an_unreached_definition():
+    sources = {
+        "a": "def used():\n    return 1\n\ndef recursive(n):\n    return recursive(n - 1)\n\n"
+             "def public():\n    return used()\n\nclass _Dead:\n    pass\n\ndef __getattr__(name):\n    pass\n\n"
+             "def helper():\n    pass\n",
+        "b": "import a\n\nx: 'a.Optional' = a.helper()\n",
+    }
+    assert unreached_definitions(sources, {"public"}) == ["a.recursive", "a._Dead"]

@@ -285,14 +285,14 @@ class TestIncrementalCandidates:
         assert walk_digest(instrument_atoms) == WALK_SHA256[instrument_atoms]
 
     def test_mutation_rebuilds_only_what_it_changed(self, monkeypatch):
-        """A source move builds no channel, a setting change exactly one, a
-        restart four; no part's text is built twice."""
+        """A source move builds no channel moments, a setting change exactly
+        one, a restart four; no part's text is built twice."""
         channels = []
         points = []
         texts = []
         events = []
         for module, name, log, logged_arg in (
-            (loophole, "setting_channel", channels, 1),
+            (loophole, "channel_moments", channels, 1),
             (loophole, "require_point_outcomes", points, 1),
             (modelio, "setting_text", texts, 0),
             (modelio, "source_text", texts, 0),
@@ -316,18 +316,28 @@ class TestIncrementalCandidates:
             events.append(("restart", len(channels)))
             return real_restart(rng, cfg)
 
+        # the winner's report closes the walk; its detection rates read the moments again
+        walk_end = []
+        real_behavior = loophole.behavior_from_model
+
+        def behavior(model):
+            walk_end.append(len(channels))
+            return real_behavior(model)
+
         monkeypatch.setattr(loophole, "_mutate", mutate)
         monkeypatch.setattr(loophole, "_random_search_model", restart)
+        monkeypatch.setattr(loophole, "behavior_from_model", behavior)
         out = search_postselection_violation(SearchConfig(seed=3, budget=400, instrument_atoms=2))
         assert out.evaluations == len(events) == 400
+        assert len(walk_end) == 1
 
-        marks = [count for _kind, count in events] + [len(channels)]
+        marks = [count for _kind, count in events] + walk_end
         built = {"restart": set(), "source": set(), "flip": set(), "instrument": set()}
         for (kind, start), end in zip(events, marks[1:]):
             built[kind].add(end - start)
         assert built == {"restart": {4}, "source": {0}, "flip": {1}, "instrument": {1}}
         # the point-outcome check runs once for each new setting
-        assert [id(s) for s in points] == [id(s) for s in channels]
+        assert [id(s) for s in points] == [id(s) for s in channels[:walk_end[0]]]
         # each part's text is built once, shared by every candidate that keeps it
         assert assembled
         assert len({id(obj) for obj in texts}) == len(texts) < 5 * len(assembled)

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_quad, corpus_models
+from conftest import (
+    brute_bars,
+    brute_behavior,
+    brute_detection_rates,
+    brute_quad,
+    brute_side_expectation,
+    corpus_models,
+)
 from lhvlab import (
     ContextualModel,
     DomainMismatchError,
@@ -98,6 +105,27 @@ class TestExactExpectation:
                 rng, max_source_side=2, max_instrument=2, outcome_kind="interval"
             )
             assert correlation_quad(m).values == brute_quad(m).values
+
+    def test_reference_oracles_never_call_the_kernel(self, monkeypatch):
+        """``exact_expectation`` and the ``brute_*`` oracles check the kernel, so they must not use it."""
+        import lhvlab.model
+
+        models = list(corpus_models(6, seed=34, max_source_side=3, max_instrument=3))
+        quads = [correlation_quad(m).values for m in models]
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a reference oracle called the contextual kernel")
+
+        for name in ("setting_channel", "channel_moments"):
+            monkeypatch.setattr(lhvlab.model, name, forbidden)
+        for m, quad in zip(models, quads):
+            assert {ctx: exact_expectation(m, ctx) for ctx in m.contexts()} == quad == brute_quad(m).values
+            brute_behavior(m)
+            brute_detection_rates(m)
+            brute_bars(m)
+            for side in ("alice", "bob"):
+                for s in getattr(m, side):
+                    brute_side_expectation(m, side, s)
 
     def test_expectations_in_unit_interval(self):
         for m in corpus_models(40, seed=5):

@@ -32,8 +32,10 @@ from lhvlab import (
     behavior_from_model,
     bell_average,
     check_no_signalling,
+    correlation_quad,
     counterexample_model,
     detection_rates,
+    exact_side_expectation,
     find_joint,
     postselected_correlations,
     product_flatten,
@@ -68,6 +70,38 @@ def quad_digest(method: str, n: int = PIN_MODELS) -> str:
     for model in corpus_models(n, seed=CORPUS_SEED):
         values = FLATTENINGS[method](model).quad().values
         digest.update(repr([(ctx, type(v).__name__, str(v)) for ctx, v in values.items()]).encode())
+    return digest.hexdigest()
+
+
+def contextual_quad_digest(n: int = PIN_MODELS) -> str:
+    """The ``correlation_quad`` items of each model, with their value types."""
+    digest = hashlib.sha256()
+    for model in corpus_models(n, seed=CORPUS_SEED):
+        values = correlation_quad(model).values
+        digest.update(repr([(ctx, type(v).__name__, str(v)) for ctx, v in values.items()]).encode())
+    return digest.hexdigest()
+
+
+def behavior_digest(n: int = PIN_MODELS) -> str:
+    """``serialize`` of the raw and the coin-reduced behavior of the ternary half of ``n`` models.
+
+    The text keeps each context's cells in their order, so this pins the cell order too.
+    """
+    digest = hashlib.sha256()
+    for i, model in enumerate(corpus_models(n, seed=CORPUS_SEED)):
+        if i % 2 == 0:
+            for m in (model, zero_to_coin(model)):
+                digest.update(serialize(behavior_from_model(m)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def side_expectation_digest(n: int = PIN_MODELS) -> str:
+    """``exact_side_expectation`` of each model's four settings."""
+    digest = hashlib.sha256()
+    for model in corpus_models(n, seed=CORPUS_SEED):
+        for side in ("alice", "bob"):
+            for name in getattr(model, f"{side}_settings"):
+                digest.update(repr(exact_side_expectation(model, side, name)).encode())
     return digest.hexdigest()
 
 
@@ -219,13 +253,26 @@ def montecarlo_digest(trials: int = 3000) -> str:
     return digest.hexdigest()
 
 
+def simulate_csv_digest(trials: int = 3000, seed: int = 7) -> str:
+    """The ``simulate`` CSV text of a clean and a confounded run on each of :func:`dag_models`."""
+    from lhvlab import from_contextual, simulate_spreadsheet
+
+    digest = hashlib.sha256()
+    for model in dag_models():
+        dag = from_contextual(model)
+        for confound in (False, True):
+            sheet = simulate_spreadsheet(dag, trials, seed, confound=confound)
+            digest.update("".join(sheet.csv_chunks()).encode())
+    return digest.hexdigest()
+
+
 # recorded with the Fraction-valued Pmf, before masses were stored as integer weights
 SERIALIZE_PINS = {
     "product": "55369b02b6e06ac6de6b3792e933d322b49e1fd9d9e3cb4b3231266448c0301b",
     "uniform": "084b349b92cb036cbe52606e9b8424cb018e23c79ab93e8163741d46492b7237",
     "average": "b0c099b5553cfb75d1ec3b52390c45ebe102f052de5bbd393acd56dfe01642f6",
 }
-# the three flattenings keep the quad, so they share one pin
+# the three flattenings keep the contextual model's quad, so all four share one pin
 QUAD_PIN = "9303202202a4fae23ad369d72e6b7a3254feec24e86c080bac939ff17b0e8220"
 VALIDATE_PIN = "9e3905179b5a8466a2959bdece22617997b31cd42648fffbb7e264d05ebcbb83"
 # recorded before the Alice and Bob code paths were merged into one side-indexed path
@@ -240,6 +287,10 @@ SEARCH_PINS = {
     "two_atoms": "cdd70954e53b98cb2c49459ab7854ec35fc5c5ca18675d32f31a28d5d748cdac",
     "uncapped": "b73a10cc5d1a7c2d2cd11f09a2be33caa99046872e15521364cd4a8002950de2",
 }
+# recorded while the kernel still counted joint values on interned value codes
+BEHAVIOR_PIN = "950d3cc0a61a152142adb5d4014381113144b02af2fab20bcdf8f4e437ac07cf"
+SIDE_EXPECTATION_PIN = "2487e9e507ecc355080a678210c32497b5d67bf4555467bf43001aad74c22062"
+SIMULATE_CSV_PIN = "5c5fe2575526fac06464275202a5e8bc6f12d2f3cd5451612999b2ea9b833099"
 MONTECARLO_PIN = "bafbf7fe06d99fd4b7f87dd4f1d4d8a02d796f0daf52fc8f6a2956b5c75a7509"
 # SHA-256 of each demo's stdout, run from the checkout root
 DEMO_PINS = {
@@ -259,6 +310,18 @@ def test_flattening_text_is_pinned(method):
 @pytest.mark.parametrize("method", sorted(FLATTENINGS))
 def test_flattening_quad_is_pinned(method):
     assert quad_digest(method) == QUAD_PIN
+
+
+def test_contextual_quads_are_pinned():
+    assert contextual_quad_digest() == QUAD_PIN
+
+
+def test_behaviors_are_pinned():
+    assert behavior_digest() == BEHAVIOR_PIN
+
+
+def test_side_expectations_are_pinned():
+    assert side_expectation_digest() == SIDE_EXPECTATION_PIN
 
 
 def test_validation_reports_are_pinned():
@@ -294,6 +357,10 @@ def test_target_search_pin_stops_early():
 
 def test_montecarlo_runs_are_pinned():
     assert montecarlo_digest() == MONTECARLO_PIN
+
+
+def test_simulate_csv_is_pinned():
+    assert simulate_csv_digest() == SIMULATE_CSV_PIN
 
 
 def demo_digest(name: str) -> str:
