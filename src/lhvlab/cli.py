@@ -132,11 +132,19 @@ def _detection_json(det: DetectionReport) -> dict[str, Any]:
     }
 
 
-def _load(path: str):
+def _read(path: str):
+    """The parsed model file; a path that cannot be read ends as a ``CliError`` naming it."""
     try:
         return modelio.parse_path(path)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _load(path: str):
+    try:
+        return _read(path)
     except ModelParseError as exc:
         raise CliError(str(exc))
 
@@ -169,9 +177,7 @@ def _quad_of(obj) -> CorrelationQuad:
 
 def _cmd_validate(args) -> tuple[Any, int]:
     try:
-        obj = modelio.parse_path(args.model)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {args.model}")
+        obj = _read(args.model)
     except ModelParseError as exc:
         return {"valid": False, "violations": [str(exc)]}, 1
     if isinstance(obj, ContextualModel):
@@ -293,24 +299,27 @@ def _check_seed(seed: int) -> None:
         raise UsageError(f"--seed must lie in [0, 2**64), got {seed}")
 
 
-# One record of ``json.dumps(payload, indent=2)`` at the depth of
-# "records": the trial, the two JSON-encoded setting names, the outcomes.
-_RECORD = "    [\n      %d,\n      %s,\n      %s,\n      %d,\n      %d\n    ]"
-
-
 def _json_with_records(payload: dict[str, Any], sheet) -> Iterator[str]:
     """``json.dumps({**payload, "records": list(sheet.rows())}, indent=2) + "\\n"``, in chunks.
 
     The payload is dumped as usual without its closing brace; the records
-    follow as its last key, one block of rows per chunk, each row through
-    the fixed ``_RECORD`` template.  The sheet must hold at least one trial.
+    follow as its last key, one block of rows per chunk.  A record at the
+    depth of "records" is the trial, the two JSON-encoded setting names
+    and the two +/-1 outcomes; everything after the trial is one of 16
+    suffixes keyed by ``(a, b, x, y)``, written once, so each row formats
+    only its trial number.  The sheet must hold at least one trial.
     """
-    alice = {name: json.dumps(name) for name in sheet.alice_settings}
-    bob = {name: json.dumps(name) for name in sheet.bob_settings}
+    suffix = {
+        (a, b, x, y): ",\n      %s,\n      %s,\n      %d,\n      %d\n    ]" % (json.dumps(a), json.dumps(b), x, y)
+        for a in sheet.alice_settings
+        for b in sheet.bob_settings
+        for x in (-1, 1)
+        for y in (-1, 1)
+    }
     yield json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "records": [\n'
     sep = ""
     for block in sheet.row_blocks():
-        yield sep + ",\n".join([_RECORD % (t, alice[a], bob[b], x, y) for t, a, b, x, y in block])
+        yield sep + ",\n".join(["    [\n      %d%s" % (t, suffix[a, b, x, y]) for t, a, b, x, y in block])
         sep = ",\n"
     yield "\n  ]\n}\n"
 

@@ -41,6 +41,7 @@ from .model import (
     Pmf,
     SettingPairs,
     TwoByTwo,
+    _factorized_quad,
     channel_moments,
     integer_scale,
     side_labels,
@@ -121,21 +122,15 @@ class AveragedModel(TwoByTwo):
 
     def quad(self) -> CorrelationQuad:
         """All four expectations, each one integer dot product over the source weights."""
-        scale, src = self.source.integer_weights()
-        alice = {name: _scaled(self.alice_bar[name]) for name in self.alice_settings}
-        bob = {name: _scaled(self.bob_bar[name]) for name in self.bob_settings}
-        values = {}
-        for ctx in self.contexts():
-            a_scale, a = alice[ctx[0]]
-            b_scale, b = bob[ctx[1]]
-            values[ctx] = Fraction(sum(w * a[l1] * b[l2] for (l1, l2), w in src), scale * a_scale * b_scale)
-        return CorrelationQuad(self.alice_settings, self.bob_settings, values)
+        alice = [_scaled(name, self.alice_bar[name]) for name in self.alice_settings]
+        bob = [_scaled(name, self.bob_bar[name]) for name in self.bob_settings]
+        return CorrelationQuad(self.alice_settings, self.bob_settings, _factorized_quad(self.source, alice, bob))
 
 
-def _scaled(bar: Mapping[Label, Fraction]) -> tuple[int, dict[Label, int]]:
-    """A bar's values as integers over the lcm of their denominators."""
+def _scaled(name: str, bar: Mapping[Label, Fraction]) -> tuple[str, int, dict[Label, int]]:
+    """A named bar's values as integers over the lcm of their denominators."""
     scale, ints = integer_scale(list(bar.values()))
-    return scale, dict(zip(bar, ints))
+    return name, scale, dict(zip(bar, ints))
 
 
 def product_flatten(model: ContextualModel) -> FlatModel:

@@ -229,12 +229,27 @@ def _replace_setting(model: ContextualModel, side: str, idx: int, new_setting: S
     return replace(model, **{side: new_side})
 
 
-def _mutate(rng: random.Random, model: ContextualModel, cfg: SearchConfig) -> ContextualModel:
+# What an outcome flip changed: the index of the setting among the
+# candidate's parts (1 and 2 for Alice's settings, 3 and 4 for Bob's) and
+# the flipped entry's (source label, instrument atom) key.
+_Change = tuple[int, tuple]
+
+
+def _mutate(
+    rng: random.Random, model: ContextualModel, cfg: SearchConfig
+) -> tuple[ContextualModel, Optional[_Change]]:
+    """One random move: the child, and for an outcome flip the :data:`_Change`.
+
+    A move flips one outcome entry, moves one grid unit of instrument
+    mass within a setting, or moves one grid unit of source mass between
+    atoms; only a flip reports what it changed, the mass moves None.
+    """
     kind = rng.random()
     if kind < 0.6 or (kind >= 0.85 and cfg.instrument_atoms > 1):
         side = rng.choice(("alice", "bob"))
         idx = rng.randrange(2)
         setting = getattr(model, side)[idx]
+        change = None
         if kind < 0.6:
             # flip one outcome entry
             key = rng.choice(list(setting.outcomes.entries))
@@ -243,14 +258,15 @@ def _mutate(rng: random.Random, model: ContextualModel, cfg: SearchConfig) -> Co
             entries = dict(setting.outcomes.entries)
             entries[key] = new
             setting = Setting(setting.name, setting.instrument, OutcomeTable(entries, ternary=True))
+            change = ((1 if side == "alice" else 3) + idx, key)
         else:
             # move one grid unit of instrument mass within the setting
             instrument = _move_grid_unit(rng, setting.instrument, cfg.mass_denominator)
             setting = Setting(setting.name, instrument, setting.outcomes)
-        return _replace_setting(model, side, idx, setting)
+        return _replace_setting(model, side, idx, setting), change
     # move one grid unit of source mass between atoms
     source = _move_grid_unit(rng, model.source, cfg.mass_denominator)
-    return ContextualModel(source, model.alice, model.bob)
+    return ContextualModel(source, model.alice, model.bob), None
 
 
 class _Part:
@@ -260,30 +276,60 @@ class _Part:
     ``(scale, [(pair, weight)])``, or a setting's :func:`channel_moments`
     ``(scale, {label: (detected, signed)})``: the instrument weight with a
     nonzero outcome, and the first moment, which for point outcomes is
-    the sum of outcome x weight over the same scale.  Building a part
-    checks that its weights sum to their scale (every channel row
-    regroups the instrument's support weights, so checking the
-    instrument checks each row); its canonical text is built on first
-    use.  A mutation's child shares every part whose object and labels
-    it kept, so each part's integers and text are built once for all
-    the candidates holding it.
+    the sum of outcome x weight over the same scale.  ``support`` is a
+    setting's instrument support ``(scale, [(atom, weight)])``, None for
+    the source.
+    Building a part checks that its weights sum to their scale (every
+    channel row regroups the instrument's support weights, so checking
+    the instrument checks each row).  :meth:`flipped` derives the part of
+    a one-entry flip from its parent's in one row.  The canonical text is
+    rendered on first use.  A mutation's child shares every part whose
+    object and labels it kept, so each part's integers and text are
+    built once for all the candidates holding it.
     """
 
-    __slots__ = ("obj", "labels", "weights", "_text")
+    __slots__ = ("obj", "labels", "weights", "support", "_text")
 
     def __init__(self, obj, labels=None, side: str = ""):
         self.obj = obj
         self.labels = labels
         if labels is None:
             scale, atoms = self.weights = obj.integer_weights()
+            self.support = None
         else:
             require_point_outcomes(side, obj)
             scale, _vscale, moments = channel_moments(labels, obj)
             self.weights = scale, moments
-            _scale, atoms = obj.instrument.integer_weights()
+            _scale, atoms = self.support = obj.instrument.integer_weights()
         if sum(w for _lab, w in atoms) != scale:
             raise ValueError("behavior table is not normalized")
         self._text: Optional[str] = None
+
+    def flipped(self, setting: Setting, key: tuple, side: str) -> "_Part":
+        """The part of ``setting``, equal to this part's setting but for the entry at ``key``.
+
+        Only the new entry needs the point-outcome test, and only its
+        source label's ``(detected, signed)`` row changes, recomputed over
+        the instrument's support.  The instrument is the same object, so
+        this part's normalization check holds for the new one.
+        """
+        require_point_outcomes(side, setting, (key,))
+        label = key[0]
+        entries = setting.outcomes.entries
+        detected = signed = 0
+        for atom, w in self.support[1]:
+            n = entries[label, atom].numerator
+            if n:
+                detected += w
+                signed += n * w
+        scale, moments = self.weights
+        moments = dict(moments)
+        moments[label] = (detected, signed)
+        part = _Part.__new__(_Part)
+        part.obj, part.labels, part.weights, part.support, part._text = (
+            setting, self.labels, (scale, moments), self.support, None
+        )
+        return part
 
     def text(self) -> str:
         if self._text is None:
@@ -294,37 +340,46 @@ class _Part:
         return self._text
 
 
-def _parts(model: ContextualModel, parent: Optional["_Key"]) -> tuple[_Part, ...]:
+def _parts(model: ContextualModel, parent: Optional["_Key"], change: Optional[_Change]) -> tuple[_Part, ...]:
     """The candidate's parts: source, Alice's two settings, Bob's two.
 
     A part of the parent is reused when it holds the same object, and for
     a setting the same side labels, which is all its integers and text
-    depend on; the rest are built.
+    depend on.  The part a flip changed is derived from the parent's by
+    :meth:`_Part.flipped`; the rest are built.
     """
-    inherited = parent.parts if parent is not None else (None,) * 5
     first, second = model.source_first_labels(), model.source_second_labels()
     wanted = (
         (model.source, None, ""),
         *((s, first, "alice") for s in model.alice),
         *((s, second, "bob") for s in model.bob),
     )
-    return tuple(
-        old if old is not None and old.obj is obj and old.labels == labels else _Part(obj, labels, side)
-        for old, (obj, labels, side) in zip(inherited, wanted)
-    )
+    if parent is None:
+        return tuple(_Part(obj, labels, side) for obj, labels, side in wanted)
+    parts = []
+    for index, (old, (obj, labels, side)) in enumerate(zip(parent.parts, wanted)):
+        if old.labels != labels:
+            parts.append(_Part(obj, labels, side))
+        elif old.obj is obj:
+            parts.append(old)
+        elif change is not None and change[0] == index:
+            parts.append(old.flipped(obj, change[1], side))
+        else:
+            parts.append(_Part(obj, labels, side))
+    return tuple(parts)
 
 
 class _Key:
     """A scored candidate: its model, rank, coincidence total and parts.
 
-    The canonical text of the tie-break is assembled from the parts'
-    texts on first use, and a part shared with the parent renders its
-    text once for both, so a tie usually renders only the part the
-    mutation changed.  Keys live only as the walk's candidate, current
-    and best, so the derived data is bounded by those three models.
+    There is no whole canonical text: :func:`_better` breaks a tie on the
+    texts of the parts that differ, each rendered once and shared with
+    every candidate that keeps the part.  Keys live only as the walk's
+    candidate, current and best, so the derived data is bounded by those
+    three models.
     """
 
-    __slots__ = ("rank", "coincidence", "model", "parts", "_text")
+    __slots__ = ("rank", "coincidence", "model", "parts")
 
     def __init__(
         self, rank: Fraction, coincidence: Fraction, model: ContextualModel, parts: tuple[_Part, ...]
@@ -333,16 +388,11 @@ class _Key:
         self.coincidence = coincidence
         self.model = model
         self.parts = parts
-        self._text: Optional[str] = None
-
-    def text(self) -> str:
-        if self._text is None:
-            source, a0, a1, b0, b1 = (p.text() for p in self.parts)
-            self._text = modelio.contextual_text(source, (a0, a1), (b0, b1))
-        return self._text
 
 
-def _score(model: ContextualModel, parent: Optional[_Key], cfg: SearchConfig) -> tuple[bool, _Key]:
+def _score(
+    model: ContextualModel, parent: Optional[_Key], cfg: SearchConfig, change: Optional[_Change] = None
+) -> tuple[bool, _Key]:
     """Rank a candidate: (feasible, key).
 
     Feasible candidates rank by post-selected max |S|; candidates outside
@@ -354,7 +404,9 @@ def _score(model: ContextualModel, parent: Optional[_Key], cfg: SearchConfig) ->
     each setting rate at or above the cap.
 
     All sums are integer, over the parts' ``weights``, reusing the
-    parent's for every part the mutation kept.  The source pair
+    parent's for every part the mutation kept; ``change``, from
+    :func:`_mutate`, lets a flip's setting derive its moments from the
+    parent's in one row.  The source pair
     factorizes each context, as in ``correlation_quad``: its coincidence
     weight is sum w detA detB and its post-selected product sum w sgnA
     sgnB over the source support, with each setting's moments of
@@ -362,10 +414,10 @@ def _score(model: ContextualModel, parent: Optional[_Key], cfg: SearchConfig) ->
     Rates share the product of the five scales as denominator; the rank
     and coincidence total are one Fraction each, equal to what the
     Fraction report (built only for the winner) and ``chsh_values`` give.
-    The tie-break text is not built here: the key assembles it only when
-    :func:`_better` needs it.
+    No text is rendered here: :func:`_better` renders part texts only
+    when rank and coincidence tie.
     """
-    parts = _parts(model, parent)
+    parts = _parts(model, parent, change)
     (scale, src), *settings = (p.weights for p in parts)
     alice, bob = settings[:2], settings[2:]
     denom = scale * math.prod(s for s, _table in settings)
@@ -409,12 +461,31 @@ def _score(model: ContextualModel, parent: Optional[_Key], cfg: SearchConfig) ->
 
 
 def _better(key: _Key, other: _Key) -> bool:
-    """Higher score wins; ties prefer lower coincidence, then smaller text."""
+    """Higher score wins; ties prefer lower coincidence, then the smaller canonical text.
+
+    The texts are compared part by part, never assembled.  A candidate's
+    canonical text is the five part texts (source, Alice's two settings,
+    Bob's two) set into the fixed frame of
+    :func:`~lhvlab.modelio.contextual_text`, which is the same for both
+    keys.  Take the first part pair whose texts differ: everything before
+    it in the two documents is equal, and since each part text is one
+    complete JSON value, neither text can be a proper prefix of the
+    other, so the two documents first differ inside this pair, where the
+    texts do.  Comparing that pair therefore orders the documents.  Parts
+    that are one object are equal without rendering, and the walk stops
+    at the first pair that differs, so a tie renders only the texts of
+    parts a mutation changed, each once.
+    """
     if key.rank != other.rank:
         return key.rank > other.rank
     if key.coincidence != other.coincidence:
         return key.coincidence < other.coincidence
-    return key.text() < other.text()
+    for mine, theirs in zip(key.parts, other.parts):
+        if mine is not theirs:
+            text, other_text = mine.text(), theirs.text()
+            if text != other_text:
+                return text < other_text
+    return False
 
 
 def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
@@ -425,10 +496,12 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     meeting the configured minimum.  Ties prefer lower total coincidence,
     then the smaller canonical serialization, so the outcome is a pure
     function of the config.  :func:`_score` ranks each candidate in
-    integers; a mutation reuses its parent's parts for everything it
-    kept, so it builds one channel (none for a source move) and renders
-    no kept part's text again, and the tie-break text is assembled only
-    when rank and coincidence tie.  Fractions are built for the history
+    integers, and a candidate costs what its mutation changed: it reuses
+    its parent's parts for everything the mutation kept, a flip
+    recomputes one source label's row of one setting, an instrument move
+    builds one channel and a source move none.  When rank and
+    coincidence tie, :func:`_better` compares part texts, rendering only
+    the parts that differ, each once.  Fractions are built for the history
     and the winner: its report comes from ``postselected_correlations``
     and must give the integer score, and its raw coin-reduced quad is
     re-verified to satisfy CHSH exactly.  If the budget never produces a
@@ -447,7 +520,8 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
         if restarting:
             feasible, key = _score(_random_search_model(rng, config), None, config)
         else:
-            feasible, key = _score(_mutate(rng, current.model, config), current, config)
+            child, change = _mutate(rng, current.model, config)
+            feasible, key = _score(child, current, config, change)
         evaluations += 1
         if restarting or _better(key, current):
             current = key

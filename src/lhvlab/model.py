@@ -41,7 +41,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 Label = Hashable
 Context = tuple[str, str]
@@ -232,8 +232,8 @@ class OutcomeTable:
                 f"no outcome for (source={source_label!r}, instrument={instrument_label!r})"
             ) from None
 
-    def values_are_point(self) -> bool:
-        """True when every entry is an actual outcome, not an expectation.
+    def values_are_point(self, keys: Optional[Iterable[tuple[Label, Label]]] = None) -> bool:
+        """True when every entry, or every entry at ``keys``, is an actual outcome, not an expectation.
 
         +/-1 entries always qualify; a 0 entry qualifies only in a
         ternary-flagged table (in an unflagged table 0 reads as the
@@ -241,7 +241,8 @@ class OutcomeTable:
         """
         # integer tests, no Fraction hashing: the search calls this per candidate
         low = 0 if self.ternary else 1
-        return all(v.denominator == 1 and low <= abs(v.numerator) <= 1 for v in self.entries.values())
+        values = self.entries.values() if keys is None else map(self.entries.__getitem__, keys)
+        return all(v.denominator == 1 and low <= abs(v.numerator) <= 1 for v in values)
 
     def has_zero(self) -> bool:
         return any(v == 0 for v in self.entries.values())
@@ -569,21 +570,36 @@ def correlation_quad(model: ContextualModel) -> CorrelationQuad:
     Given (lambda1, lambda2) the two sides' outcomes are independent, so
     E(A_a B_b) is the sum over the source support of p(lambda1, lambda2)
     times each side's outcome averaged over its own instrument, the first
-    moments of :func:`channel_moments`: one integer sum and one Fraction
-    per context.
+    moments of :func:`channel_moments`: :func:`_factorized_quad`, one
+    integer sum and one Fraction per context.
     """
-    src_scale, src = model.source.integer_weights()
-    first, second = side_labels(model, "alice"), side_labels(model, "bob")
-    bob = [(b.name, channel_moments(second, b)) for b in model.bob]
-    quad = {}
-    for a in model.alice:
-        a_scale, a_vscale, ma = channel_moments(first, a)
-        for name, (b_scale, b_vscale, mb) in bob:
-            quad[a.name, name] = Fraction(
-                sum(w * ma[l1][1] * mb[l2][1] for (l1, l2), w in src),
-                src_scale * a_scale * a_vscale * b_scale * b_vscale,
-            )
+
+    def firsts(side: str, settings) -> list:
+        labels = side_labels(model, side)
+        out = []
+        for s in settings:
+            scale, vscale, moments = channel_moments(labels, s)
+            out.append((s.name, scale * vscale, {lab: first for lab, (_det, first) in moments.items()}))
+        return out
+
+    quad = _factorized_quad(model.source, firsts("alice", model.alice), firsts("bob", model.bob))
     return CorrelationQuad(model.alice_settings, model.bob_settings, quad)
+
+
+def _factorized_quad(source: Pmf, alice: Sequence[tuple], bob: Sequence[tuple]) -> dict[Context, Fraction]:
+    """Sum over the source support of p(l1, l2) * Abar(l1) * Bbar(l2), per context, in Alice-major order.
+
+    Each side lists its settings as ``(name, scale, {label: value})``, the
+    bar's value at each source label an integer over ``scale``; one
+    integer sum and one Fraction per context.  ``correlation_quad``
+    passes the first moments, ``AveragedModel.quad`` its bars.
+    """
+    src_scale, src = source.integer_weights()
+    quad = {}
+    for a_name, a_scale, a in alice:
+        for b_name, b_scale, b in bob:
+            quad[a_name, b_name] = Fraction(sum(w * a[l1] * b[l2] for (l1, l2), w in src), src_scale * a_scale * b_scale)
+    return quad
 
 
 def counterexample_model() -> ContextualModel:
@@ -615,9 +631,9 @@ def counterexample_model() -> ContextualModel:
     return ContextualModel(source, alice, bob)
 
 
-def require_point_outcomes(side: str, setting: Setting) -> None:
-    """Raise ``ValueError`` unless the setting's table holds actual outcomes."""
-    if not setting.outcomes.values_are_point():
+def require_point_outcomes(side: str, setting: Setting, keys: Optional[Iterable[tuple[Label, Label]]] = None) -> None:
+    """Raise ``ValueError`` unless the setting's table holds actual outcomes, at ``keys`` if given."""
+    if not setting.outcomes.values_are_point(keys):
         raise ValueError(
             f"{side} setting {setting.name!r} has fractional outcomes; "
             "behavior tables need point outcomes"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence, Union
@@ -145,52 +146,73 @@ def _source_doc(source: Pmf) -> list:
     ]
 
 
-# A contextual document is assembled from part texts: each part is dumped
-# alone with indent=2 and re-indented to its depth in the frame (1 for the
-# source list, 2 for a setting inside its side's list).  JSON escapes
-# every newline inside a string, so each raw newline starts a line.
+# A contextual document is assembled from part texts, each written into a
+# fixed frame at its depth in the document: the source list at depth 1, a
+# setting object at depth 2 inside its side's list.  The frames are the
+# layout of json.dumps(indent=2), and strings go through the same
+# encode_basestring_ascii that json.dumps applies by default, so the
+# assembled text equals json.dumps of the whole document (the tests keep
+# that as the oracle).  Flat, averaged and behavior documents are
+# dumped whole.
+
+def _list_text(items: Sequence[str], indent: str) -> str:
+    """A JSON list of already written items, its closing bracket at ``indent``."""
+    if not items:
+        return "[]"
+    inner = ",\n  " + indent
+    return "[\n  " + indent + inner.join(items) + "\n" + indent + "]"
+
+
+def _mass_text(weight: int, scale: int) -> str:
+    """The quoted ``str(Fraction(weight, scale))``, reduced from the integers."""
+    g = math.gcd(weight, scale)
+    return f'"{weight // g}"' if g == scale else f'"{weight // g}/{scale // g}"'
+
 
 def source_text(source: Pmf) -> str:
     """The ``"source"`` list of a contextual document, as it sits in the document."""
-    return json.dumps(_source_doc(source), indent=2).replace("\n", "\n  ")
+    scale, weights = source.integer_atoms()
+    return _list_text(
+        [
+            '{\n      "pair": [\n        %s,\n        %s\n      ],\n      "mass": %s\n    }'
+            % (_quote(_label_str(pair[0])), _quote(_label_str(pair[1])), _mass_text(w, scale))
+            for pair, w in weights.items()
+        ],
+        "  ",
+    )
 
 
 def setting_text(setting: Setting, source_labels: Sequence[Label]) -> str:
     """One setting object of a contextual document, rows in ``source_labels`` order."""
-    return json.dumps(_setting_doc(setting, source_labels), indent=2).replace("\n", "\n    ")
+    scale, weights = setting.instrument.integer_atoms()
+    instrument = _list_text(
+        [
+            '{\n          "label": %s,\n          "mass": %s\n        }' % (_quote(_label_str(lab)), _mass_text(w, scale))
+            for lab, w in weights.items()
+        ],
+        "      ",
+    )
+    value = setting.outcomes.value
+    rows = _list_text(
+        [_list_text(['"%s"' % value(sl, il) for il in weights], "        ") for sl in source_labels],
+        "      ",
+    )
+    return '{\n      "setting": %s,\n      "instrument": %s,\n      "ternary": %s,\n      "outcomes": %s\n    }' % (
+        _quote(setting.name),
+        instrument,
+        "true" if setting.outcomes.ternary else "false",
+        rows,
+    )
 
 
 def contextual_text(source: str, alice: Sequence[str], bob: Sequence[str]) -> str:
     """The canonical contextual document from its part texts."""
     return (
         '{\n  "kind": "contextual",\n  "source": ' + source
-        + ',\n  "alice": ' + _side_text(alice)
-        + ',\n  "bob": ' + _side_text(bob)
+        + ',\n  "alice": ' + _list_text(alice, "  ")
+        + ',\n  "bob": ' + _list_text(bob, "  ")
         + "\n}\n"
     )
-
-
-def _side_text(settings: Sequence[str]) -> str:
-    if not settings:
-        return "[]"
-    return "[\n    " + ",\n    ".join(settings) + "\n  ]"
-
-
-def _setting_doc(setting: Setting, source_labels: Sequence[Label]) -> dict:
-    instrument_labels = setting.instrument.labels()
-    rows = [
-        [str(setting.outcomes.value(sl, il)) for il in instrument_labels]
-        for sl in source_labels
-    ]
-    return {
-        "setting": setting.name,
-        "instrument": [
-            {"label": _label_str(lab), "mass": str(m)}
-            for lab, m in setting.instrument.items()
-        ],
-        "ternary": setting.outcomes.ternary,
-        "outcomes": rows,
-    }
 
 
 def _flat_doc(model: FlatModel) -> dict:
@@ -266,6 +288,8 @@ def parse_text(text: str, source: str = "<string>") -> Document:
         ) from None
     except ValueError:  # an integer literal past Python's int-conversion limit
         raise ModelParseError(f"{source}: an integer literal exceeds 4300 digits") from None
+    except RecursionError:
+        raise ModelParseError(f"{source}: lists and objects nest too deeply") from None
     if not isinstance(doc, dict):
         raise ModelParseError(f"{source}: top level must be an object")
     kind = doc.get("kind")
@@ -281,8 +305,14 @@ def parse_text(text: str, source: str = "<string>") -> Document:
 
 
 def parse_path(path: Union[str, Path]) -> Document:
+    """Parse a model file, which must be UTF-8; an ``OSError`` from reading it propagates."""
     path = Path(path)
-    return parse_text(path.read_text(), source=str(path))
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelParseError(f"{path}: not UTF-8 text: byte {exc.start} ({data[exc.start]:#04x}) {exc.reason}") from None
+    return parse_text(text, source=str(path))
 
 
 def _parse_source(doc: dict, source: str) -> Pmf:

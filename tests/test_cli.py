@@ -496,6 +496,33 @@ class TestValidate:
         assert status == 1 and out == ""
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("utf16", "not UTF-8 text: byte 0 (0xff)"),
+            ("nested", "lists and objects nest too deeply"),
+            ("directory", "cannot read"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "exact", "fine"])
+    def test_unreadable_file_exits_one(self, capsys, tmp_path, case, message, command):
+        """File bytes that are not a model end in exit 1 naming the file, never a traceback."""
+        path = tmp_path / "model.json"
+        if case == "utf16":
+            path.write_bytes(b"\xff\xfe{}")
+        elif case == "nested":
+            path.write_text("[" * 100_000)
+        else:
+            path.mkdir()
+        status, out, err = run_cli(capsys, command, str(path))
+        assert status == 1 and "Traceback" not in err
+        if command == "validate" and case != "directory":
+            [where] = json.loads(out)["violations"]
+        else:
+            assert out == ""
+            where = err
+        assert str(path) in where and message in where
+
     def test_parse_error_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  nope\n}")
@@ -730,6 +757,23 @@ class TestSimulateStreaming:
         assert status == 0
         assert out == cli._render_text(doc) + "\n"
         assert "\nrecords:\n  -\n    - 0\n" in out
+
+    def test_records_writer_equals_the_generic_encoder(self):
+        """The suffix-table records writer, on setting names that need escaping."""
+        import numpy as np
+
+        sheet = lhvlab.Spreadsheet(
+            ('a"\\', "é\n"),
+            ("\t'", "λ/🎲"),
+            np.array([0, 1, 1, 0, 1], dtype=np.int8),
+            np.array([1, 1, 0, 0, 1], dtype=np.int8),
+            np.array([1, -1, -1, 1, 1], dtype=np.int8),
+            np.array([-1, -1, 1, 1, 1], dtype=np.int8),
+        )
+        payload = {"trials": len(sheet), "aliceSettings": list(sheet.alice_settings)}
+        rows = list(sheet.rows())
+        text = "".join(cli._json_with_records(payload, sheet))
+        assert text == json.dumps(payload | {"records": rows}, indent=2) + "\n"
 
 
 class TestSearch:

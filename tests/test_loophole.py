@@ -1,8 +1,10 @@
 import gc
 import hashlib
+import itertools
 import math
 import random
 import weakref
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from lhvlab import (
 )
 from lhvlab import loophole, modelio
 from lhvlab.cli import main as cli_main
-from lhvlab.loophole import _mutate, _random_search_model, _score
+from lhvlab.loophole import _better, _mutate, _random_search_model, _score
 from lhvlab.modelio import parse_path, serialize
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
@@ -200,7 +202,7 @@ class TestDetectionFromPostSelection:
                 for ctx in model.contexts():
                     assert ps.alice_detect[ctx] == det.alice[ctx[0]]
                     assert ps.bob_detect[ctx] == det.bob[ctx[1]]
-                child = _mutate(rng, model, cfg)
+                child, _change = _mutate(rng, model, cfg)
                 instruments = [s.instrument for s in model.alice + model.bob]
                 if instruments != [s.instrument for s in child.alice + child.bob]:
                     instrument_moves += 1
@@ -211,15 +213,17 @@ class TestDetectionFromPostSelection:
     @pytest.mark.parametrize("limits", sorted(SCORE_LIMITS))
     def test_integer_score_matches_the_fraction_report(self, instrument_atoms, limits):
         """On every candidate of a seeded greedy walk, _score's feasibility, rank
-        and coincidence total equal those derived from the Fraction report."""
+        and coincidence total equal those derived from the Fraction report; a
+        flip's candidate is scored through its parent's flipped part."""
         cfg = SearchConfig(seed=0, source_atoms=6, instrument_atoms=instrument_atoms, mass_denominator=8,
                            **SCORE_LIMITS[limits])
         rng = random.Random(71 + instrument_atoms)
-        floor_hits = cap_hits = feasible_seen = 0
+        floor_hits = cap_hits = feasible_seen = flips = 0
         for _restart in range(4):
-            model, parent, parent_rank = _random_search_model(rng, cfg), None, None
+            model, parent, parent_rank, change = _random_search_model(rng, cfg), None, None, None
             for _step in range(60):
-                feasible, key = _score(model, parent, cfg)
+                feasible, key = _score(model, parent, cfg, change)
+                flips += change is not None
                 ps = postselected_correlations(behavior_from_model(model))
                 det = detection_rates(model)
                 expected = fraction_score(ps, det, cfg)
@@ -230,8 +234,8 @@ class TestDetectionFromPostSelection:
                 # climb like the search, so the walk reaches the feasible region
                 if parent is None or expected[1] >= parent_rank:
                     parent, parent_rank = key, expected[1]
-                model = _mutate(rng, parent.model, cfg)
-        assert feasible_seen > 0
+                model, change = _mutate(rng, parent.model, cfg)
+        assert feasible_seen > 0 and flips > 100
         if limits == "on_grid":
             assert floor_hits > 0 and cap_hits > 0
 
@@ -285,35 +289,44 @@ class TestIncrementalCandidates:
         assert walk_digest(instrument_atoms) == WALK_SHA256[instrument_atoms]
 
     def test_mutation_rebuilds_only_what_it_changed(self, monkeypatch):
-        """A source move builds no channel moments, a setting change exactly
-        one, a restart four; no part's text is built twice."""
-        channels = []
-        points = []
-        texts = []
-        events = []
-        for module, name, log, logged_arg in (
-            (loophole, "channel_moments", channels, 1),
-            (loophole, "require_point_outcomes", points, 1),
-            (modelio, "setting_text", texts, 0),
-            (modelio, "source_text", texts, 0),
+        """A source move builds no channel moments, an instrument move one, a
+        restart four; a flip builds none and recomputes one label row, after
+        the point-outcome test of its one new entry.  No whole document is
+        assembled, and no part's text is rendered twice."""
+        channels, points, rows, texts, events = [], [], [], [], []
+        for module, name, log in (
+            (loophole, "channel_moments", channels),
+            (loophole, "require_point_outcomes", points),
+            (modelio, "setting_text", texts),
+            (modelio, "source_text", texts),
         ):
-            def counted(*args, _real=getattr(module, name), _log=log, _arg=logged_arg):
-                _log.append(args[_arg])
+            def counted(*args, _real=getattr(module, name), _log=log):
+                _log.append(args)
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counted)
-        assembled = []
-        real_assemble = modelio.contextual_text
-        monkeypatch.setattr(modelio, "contextual_text", lambda *a: assembled.append(a) or real_assemble(*a))
+        real_flipped = loophole._Part.flipped
+
+        def flipped(part, setting, key, side):
+            rows.append(key)
+            return real_flipped(part, setting, key, side)
+
+        def assembled(*_args):
+            raise AssertionError("the tie-break assembled a whole document")
+
+        monkeypatch.setattr(loophole._Part, "flipped", flipped)
+        monkeypatch.setattr(modelio, "contextual_text", assembled)
         real_mutate, real_restart = loophole._mutate, loophole._random_search_model
 
         def mutate(rng, model, cfg):
-            child = real_mutate(rng, model, cfg)
-            events.append((_mutation_kind(model, child), len(channels)))
-            return child
+            child, change = real_mutate(rng, model, cfg)
+            kind = _mutation_kind(model, child)
+            assert (kind == "flip") == (change is not None)
+            events.append((kind, len(channels), len(rows)))
+            return child, change
 
         def restart(rng, cfg):
-            events.append(("restart", len(channels)))
+            events.append(("restart", len(channels), len(rows)))
             return real_restart(rng, cfg)
 
         # the winner's report closes the walk; its detection rates read the moments again
@@ -321,7 +334,7 @@ class TestIncrementalCandidates:
         real_behavior = loophole.behavior_from_model
 
         def behavior(model):
-            walk_end.append(len(channels))
+            walk_end.append((len(channels), len(rows)))
             return real_behavior(model)
 
         monkeypatch.setattr(loophole, "_mutate", mutate)
@@ -331,25 +344,76 @@ class TestIncrementalCandidates:
         assert out.evaluations == len(events) == 400
         assert len(walk_end) == 1
 
-        marks = [count for _kind, count in events] + walk_end
+        marks = [(c, r) for _kind, c, r in events] + walk_end
         built = {"restart": set(), "source": set(), "flip": set(), "instrument": set()}
-        for (kind, start), end in zip(events, marks[1:]):
-            built[kind].add(end - start)
-        assert built == {"restart": {4}, "source": {0}, "flip": {1}, "instrument": {1}}
-        # the point-outcome check runs once for each new setting
-        assert [id(s) for s in points] == [id(s) for s in channels[:walk_end[0]]]
-        # each part's text is built once, shared by every candidate that keeps it
-        assert assembled
-        assert len({id(obj) for obj in texts}) == len(texts) < 5 * len(assembled)
+        for (kind, c0, r0), (c1, r1) in zip(events, marks[1:]):
+            built[kind].add((c1 - c0, r1 - r0))
+        assert built == {"restart": {(4, 0)}, "source": {(0, 0)}, "flip": {(0, 1)}, "instrument": {(1, 0)}}
+        # the point-outcome check runs on each built setting, and on each flip's new entry only
+        assert [id(args[1]) for args in points if len(args) == 2] == [id(args[1]) for args in channels[:walk_end[0][0]]]
+        assert [args[2] for args in points if len(args) == 3] == [(key,) for key in rows]
+        # each part's text is rendered once, shared by every candidate that keeps it
+        assert texts
+        assert len({id(args[0]) for args in texts}) == len(texts)
+
+    @pytest.mark.parametrize("instrument_atoms", [1, 2])
+    def test_flipped_parts_equal_fresh_builds(self, instrument_atoms):
+        """Along a seeded walk, the part a flip derives from its parent's equals
+        one built from scratch, and every other part is the parent's own."""
+        cfg = SearchConfig(seed=0, instrument_atoms=instrument_atoms)
+        rng = random.Random(83 + instrument_atoms)
+        flips = 0
+        for _restart in range(3):
+            _feasible, parent = _score(_random_search_model(rng, cfg), None, cfg)
+            for _step in range(100):
+                child, change = _mutate(rng, parent.model, cfg)
+                _feasible, key = _score(child, parent, cfg, change)
+                if change is not None:
+                    flips += 1
+                    index = change[0]
+                    part = key.parts[index]
+                    fresh = loophole._Part(part.obj, part.labels, "alice" if index < 3 else "bob")
+                    assert part.weights == fresh.weights
+                    assert part.support == fresh.support
+                    assert [p is q for p, q in zip(key.parts, parent.parts)] == [i != index for i in range(5)]
+                parent = key
+        assert flips > 100
+
+    @pytest.mark.parametrize("instrument_atoms", [1, 2])
+    def test_part_wise_tie_break_orders_like_the_assembled_text(self, instrument_atoms):
+        """On keys of seeded walks that tie in rank and coincidence, _better
+        agrees with comparing the whole serialize() texts."""
+        cfg = SearchConfig(seed=0, source_atoms=3, instrument_atoms=instrument_atoms, mass_denominator=4)
+        rng = random.Random(97 + instrument_atoms)
+        keys = []
+        for _restart in range(3):
+            _feasible, key = _score(_random_search_model(rng, cfg), None, cfg)
+            keys.append(key)
+            for _step in range(150):
+                child, change = _mutate(rng, key.model, cfg)
+                _feasible, key = _score(child, key, cfg, change)
+                keys.append(key)
+        ties = defaultdict(list)
+        for key in keys:
+            ties[key.rank, key.coincidence].append(key)
+        compared = shared = 0
+        for group in ties.values():
+            for a, b in itertools.combinations(group[:30], 2):
+                text_a, text_b = serialize(a.model), serialize(b.model)
+                assert _better(a, b) == (text_a < text_b)
+                assert _better(b, a) == (text_b < text_a)
+                compared += text_a != text_b
+                shared += any(p is q for p, q in zip(a.parts, b.parts))
+        assert compared > 300 and shared > 300
 
     def test_only_the_winner_outlives_the_search(self, monkeypatch):
         refs = []
         real_mutate, real_restart = loophole._mutate, loophole._random_search_model
 
         def mutate(*args):
-            child = real_mutate(*args)
+            child, change = real_mutate(*args)
             refs.append(weakref.ref(child))
-            return child
+            return child, change
 
         def restart(*args):
             model = real_restart(*args)

@@ -116,7 +116,7 @@ class TestExactExpectation:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a reference oracle called the contextual kernel")
 
-        for name in ("setting_channel", "channel_moments"):
+        for name in ("setting_channel", "channel_moments", "_factorized_quad"):
             monkeypatch.setattr(lhvlab.model, name, forbidden)
         for m, quad in zip(models, quads):
             assert {ctx: exact_expectation(m, ctx) for ctx in m.contexts()} == quad == brute_quad(m).values

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_serialize, corpus_models
+from conftest import _contextual_doc, brute_serialize, corpus_models
 from lhvlab import (
     AngleSet,
     AveragedModel,
@@ -29,7 +29,7 @@ from lhvlab import (
 )
 from lhvlab.corpus import random_contextual_model
 from lhvlab.loophole import _mutate, _random_search_model
-from lhvlab.modelio import ModelParseError, parse_path, parse_text, serialize
+from lhvlab.modelio import ModelParseError, parse_path, parse_text, serialize, setting_text, source_text
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
 
@@ -269,22 +269,26 @@ class TestParseErrors:
 CORPUS_SERIALIZE_SHA256 = "17f255c9ab4b7f519d07de7022bdc091317443ed0d44d681da2e880f9bfedb14"
 
 AWKWARD_TEXT = st.text(
-    alphabet=st.sampled_from(['"', "\\", "\n", "\t", "é", "λ", "🎲", "'", "a", "/", " ", ","]), max_size=4
+    alphabet=st.sampled_from(
+        ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "λ", "🎲", "'", "a", "/", " ", ","]
+    ),
+    max_size=4,
 )
-LABELS = st.one_of(AWKWARD_TEXT, st.tuples(AWKWARD_TEXT, st.sampled_from(["H", "T"])))
+LABELS = st.one_of(AWKWARD_TEXT, st.integers(-3, 3), st.tuples(AWKWARD_TEXT, st.sampled_from(["H", "T"])))
 UNIT_VALUES = st.fractions(min_value=-1, max_value=1, max_denominator=6)
 
 
 @st.composite
 def awkward_models(draw):
-    """Contextual models whose labels and names are quotes, backslashes, newlines, non-ASCII or tuples."""
-    pairs = draw(st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=4, unique=True))
+    """Contextual models whose labels and names are quotes, backslashes, control characters, non-ASCII,
+    integers or tuples, with empty sources and instrument lists allowed."""
+    pairs = draw(st.lists(st.tuples(LABELS, LABELS), max_size=4, unique=True))
     source = Pmf({pair: draw(UNIT_VALUES) for pair in pairs})
     first = tuple(dict.fromkeys(p[0] for p in pairs))
     second = tuple(dict.fromkeys(p[1] for p in pairs))
 
     def setting(labels):
-        atoms = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+        atoms = draw(st.lists(LABELS, max_size=3, unique=True))
         entries = {(sl, il): draw(UNIT_VALUES) for sl in labels for il in atoms}
         return Setting(
             draw(AWKWARD_TEXT),
@@ -314,7 +318,7 @@ def search_model(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     model = _random_search_model(rng, cfg)
     for _ in range(draw(st.integers(0, 30))):
-        model = _mutate(rng, model, cfg)
+        model, _change = _mutate(rng, model, cfg)
     return model
 
 
@@ -337,3 +341,15 @@ class TestSerializeOracle:
             ContextualModel(model.source, model.alice[:1], ()),
         ):
             assert serialize(bare) == brute_serialize(bare)
+
+
+class TestPartWriters:
+    @settings(max_examples=60, deadline=None)
+    @given(awkward_models())
+    def test_part_texts_equal_the_dumped_parts_reindented(self, model):
+        """Each fixed-frame part text is json.dumps(indent=2) of the part, re-indented to its depth."""
+        doc = _contextual_doc(model)
+        assert source_text(model.source) == json.dumps(doc["source"], indent=2).replace("\n", "\n  ")
+        for side, labels in (("alice", model.source_first_labels()), ("bob", model.source_second_labels())):
+            for s, sdoc in zip(getattr(model, side), doc[side]):
+                assert setting_text(s, labels) == json.dumps(sdoc, indent=2).replace("\n", "\n    ")
