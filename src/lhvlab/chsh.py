@@ -14,7 +14,6 @@ from .model import (
     OutcomeTable,
     Pmf,
     Setting,
-    integer_scale,
 )
 
 Value = Union[Fraction, float]
@@ -115,9 +114,8 @@ def postselected_correlations(behavior: BehaviorTable) -> PostSelectionReport:
 
     This is what an experimenter does when discarding no-detection
     trials.  The conditioned values are free to leave the CHSH polytope
-    even though the raw ones cannot.  Each context's cells are scaled to
-    integers over the lcm of their denominators once; every sum is an
-    integer sum, and each reported number is one Fraction.
+    even though the raw ones cannot.  Every sum runs over the table's
+    integer weights, and each reported number is one Fraction.
     """
     if not behavior.ternary:
         raise ValueError("post-selection needs a ternary behavior (no zero outcomes to discard)")
@@ -126,13 +124,12 @@ def postselected_correlations(behavior: BehaviorTable) -> PostSelectionReport:
     coincidence: dict[Context, Fraction] = {}
     alice_detect: dict[Context, Fraction] = {}
     bob_detect: dict[Context, Fraction] = {}
+    if not behavior.is_normalized():
+        raise ValueError("behavior table is not normalized")
+    scale, cells = behavior.integer_cells()
     for ctx in behavior.contexts():
-        cells = behavior.context_pmf(ctx)
-        scale, weights = integer_scale(list(cells.values()))
-        if sum(weights) != scale or any(w < 0 for w in weights):
-            raise ValueError("behavior table is not normalized")
         corr = num = den = a_det = b_det = 0
-        for (x, y), w in zip(cells, weights):
+        for (x, y), w in cells[ctx].items():
             xyw = x * y * w
             corr += xyw
             if x != 0:

@@ -40,6 +40,15 @@ from .model import (
 from .modelio import ModelParseError
 
 
+# Size bounds on flags, checked before anything is read or allocated: far
+# above what the fixtures and demos use, below what exhausts a machine's memory
+# (a simulated trial holds about 80 bytes at its peak; a search model holds
+# source atoms x instrument atoms outcome entries per setting).
+MAX_TRIALS = 10**7
+MAX_SOURCE_ATOMS = 1000
+MAX_INSTRUMENT_ATOMS = 100
+
+
 class CliError(Exception):
     """A handled failure; message goes to stderr, exit status is 1."""
 
@@ -293,6 +302,11 @@ def _arg_fraction(text: str, what: str) -> Fraction:
         raise UsageError(f"{what}: {exc}") from None
 
 
+def _check_bound(flag: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise UsageError(f"{flag} must be at most {bound}, got {value}")
+
+
 def _check_seed(seed: int) -> None:
     """Seeds key the Philox streams as one uint64, so they must fit in one."""
     if not 0 <= seed < 2**64:
@@ -327,6 +341,7 @@ def _json_with_records(payload: dict[str, Any], sheet) -> Iterator[str]:
 def _cmd_simulate(args) -> tuple[Any, int]:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    _check_bound("--trials", args.trials, MAX_TRIALS)
     _check_seed(args.seed)
     # numpy loads here, for this subcommand only
     from .montecarlo import estimate_correlations, from_contextual, independence_diagnostic, simulate_spreadsheet
@@ -377,6 +392,8 @@ def _cmd_simulate(args) -> tuple[Any, int]:
 
 def _cmd_search(args) -> tuple[Any, int]:
     _check_seed(args.seed)
+    _check_bound("--source-atoms", args.source_atoms, MAX_SOURCE_ATOMS)
+    _check_bound("--instrument-atoms", args.instrument_atoms, MAX_INSTRUMENT_ATOMS)
     max_det = None if args.max_detection.lower() == "none" else _arg_fraction(args.max_detection, "--max-detection")
     try:
         config = SearchConfig(

@@ -69,10 +69,6 @@ def random_contextual_model(
     return ContextualModel(source, alice, bob)
 
 
-def _clamped_correlation(rng: random.Random, denominator: int) -> Fraction:
-    return Fraction(rng.randint(-denominator, denominator), denominator)
-
-
 def random_nosignalling_behavior(
     rng: random.Random,
     mode: str = "generic",
@@ -86,35 +82,31 @@ def random_nosignalling_behavior(
     (rejecting parameter sets with negative cells); ``mode="near_quantum"``
     keeps the singles at zero and interpolates the correlations toward a
     CHSH-violating corner, so the output population straddles the local
-    polytope boundary.
+    polytope boundary.  Every parameter is an integer over one unit
+    ``u``, so each cell is an integer weight over ``4 u``.
     """
     settings_a = ("x", "x'")
     settings_b = ("y", "y'")
+    contexts = [(a, b) for a in settings_a for b in settings_b]
     if mode == "near_quantum":
-        corner = {
-            ("x", "y"): Fraction(-7, 10),
-            ("x", "y'"): Fraction(7, 10),
-            ("x'", "y"): Fraction(-7, 10),
-            ("x'", "y'"): Fraction(-7, 10),
-        }
-        t = Fraction(rng.randint(0, denominator), denominator)
-        m_a = {a: Fraction(0) for a in settings_a}
-        m_b = {b: Fraction(0) for b in settings_b}
-        noise = {ctx: _clamped_correlation(rng, 4) for ctx in corner}
-        c = {ctx: t * corner[ctx] + (1 - t) * noise[ctx] for ctx in corner}
+        # c = t * corner + (1 - t) * noise, with t = k / denominator, corner
+        # entries +/-7/10 and noise j / 4: integers over u = 20 * denominator
+        corner = dict(zip(contexts, (-7, 7, -7, -7)))
+        k = rng.randint(0, denominator)
+        unit = 20 * denominator
+        m_a = dict.fromkeys(settings_a, 0)
+        m_b = dict.fromkeys(settings_b, 0)
+        noise = {ctx: rng.randint(-4, 4) for ctx in contexts}
+        c = {ctx: 2 * k * corner[ctx] + 5 * (denominator - k) * noise[ctx] for ctx in contexts}
     elif mode == "generic":
+        unit = denominator
         while True:
-            m_a = {a: _clamped_correlation(rng, denominator) for a in settings_a}
-            m_b = {b: _clamped_correlation(rng, denominator) for b in settings_b}
-            c = {
-                (a, b): _clamped_correlation(rng, denominator)
-                for a in settings_a
-                for b in settings_b
-            }
+            m_a = {a: rng.randint(-unit, unit) for a in settings_a}
+            m_b = {b: rng.randint(-unit, unit) for b in settings_b}
+            c = {ctx: rng.randint(-unit, unit) for ctx in contexts}
             ok = all(
-                1 + x * m_a[a] + y * m_b[b] + x * y * c[(a, b)] >= 0
-                for a in settings_a
-                for b in settings_b
+                unit + x * m_a[a] + y * m_b[b] + x * y * c[(a, b)] >= 0
+                for a, b in contexts
                 for x in (-1, 1)
                 for y in (-1, 1)
             )
@@ -123,12 +115,12 @@ def random_nosignalling_behavior(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    probs = {}
-    for a in settings_a:
-        for b in settings_b:
-            probs[(a, b)] = {
-                (x, y): (1 + x * m_a[a] + y * m_b[b] + x * y * c[(a, b)]) / 4
-                for x in (-1, 1)
-                for y in (-1, 1)
-            }
-    return BehaviorTable(settings_a, settings_b, (-1, 1), probs)
+    cells = {
+        (a, b): {
+            (x, y): unit + x * m_a[a] + y * m_b[b] + x * y * c[(a, b)]
+            for x in (-1, 1)
+            for y in (-1, 1)
+        }
+        for a, b in contexts
+    }
+    return BehaviorTable.from_integers(settings_a, settings_b, (-1, 1), 4 * unit, cells)

@@ -11,12 +11,13 @@ other.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .chsh import ChshCombination, chsh_values
-from .model import BehaviorTable, Context, ContextualModel
+from .model import BehaviorTable, Context, ContextualModel, integer_scale
 from .simplex import find_feasible
 from . import flatten as _flatten
 
@@ -35,6 +36,7 @@ _INCIDENCE = [[1] * 16] + [
     for x in SIGNS
     for y in SIGNS
 ]
+_INDEX = {pattern: k for k, pattern in enumerate(_PATTERNS)}
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -46,8 +48,12 @@ class JointDistribution16:
 
     Nonnegativity and exact unit total are enforced on construction.
     Coordinates follow (alice_settings[0], alice_settings[1],
-    bob_settings[0], bob_settings[1]).
+    bob_settings[0], bob_settings[1]).  The masses are stored as integer
+    weights over one positive scale, reduced by their gcd; :attr:`mass`
+    and :meth:`prob` build the Fractions when read.
     """
+
+    __slots__ = ("alice_settings", "bob_settings", "_scale", "_weights")
 
     def __init__(
         self,
@@ -55,31 +61,47 @@ class JointDistribution16:
         bob_settings: tuple[str, str],
         mass: Mapping[tuple[int, int, int, int], Fraction],
     ):
-        self.alice_settings = alice_settings
-        self.bob_settings = bob_settings
-        full: dict[tuple[int, int, int, int], Fraction] = {}
-        for key in itertools.product(SIGNS, SIGNS, SIGNS, SIGNS):
-            full[key] = Fraction(mass.get(key, Fraction(0)))
-        extra = set(mass) - set(full)
+        extra = set(mass) - set(_PATTERNS)
         if extra:
             raise ValueError(f"mass on non-sign pattern {sorted(extra)[0]!r}")
-        if any(v < 0 for v in full.values()):
+        scale, weights = integer_scale([Fraction(mass.get(key, 0)) for key in _PATTERNS])
+        self._set(alice_settings, bob_settings, scale, weights)
+
+    @classmethod
+    def _from_integers(
+        cls, alice_settings: tuple[str, str], bob_settings: tuple[str, str], scale: int, weights: list[int]
+    ) -> "JointDistribution16":
+        """The joint with mass ``weights[k] / scale`` on the k-th of the 16 patterns in product order."""
+        joint = cls.__new__(cls)
+        joint._set(alice_settings, bob_settings, scale, weights)
+        return joint
+
+    def _set(self, alice_settings, bob_settings, scale: int, weights: list[int]) -> None:
+        if min(weights) < 0:
             raise ValueError("negative mass in joint distribution")
-        total = sum(full.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"joint distribution mass sums to {total}, not 1")
-        self.mass = full
+        total = sum(weights)
+        if total != scale:
+            raise ValueError(f"joint distribution mass sums to {Fraction(total, scale)}, not 1")
+        g = math.gcd(scale, *weights)
+        self.alice_settings = alice_settings
+        self.bob_settings = bob_settings
+        self._scale = scale // g
+        self._weights = [w // g for w in weights]
+
+    @property
+    def mass(self) -> dict[tuple[int, int, int, int], Fraction]:
+        scale = self._scale
+        return {key: Fraction(w, scale) for key, w in zip(_PATTERNS, self._weights)}
 
     def prob(self, pattern: tuple[int, int, int, int]) -> Fraction:
-        return self.mass[pattern]
+        return Fraction(self._weights[_INDEX[pattern]], self._scale)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, JointDistribution16)
-            and self.alice_settings == other.alice_settings
-            and self.bob_settings == other.bob_settings
-            and self.mass == other.mass
+        return isinstance(other, JointDistribution16) and all(
+            getattr(self, name) == getattr(other, name) for name in JointDistribution16.__slots__
         )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def marginalize_context(
@@ -88,12 +110,11 @@ def marginalize_context(
     """Sum out the two coordinates not selected by (alice setting, bob setting)."""
     ai = joint.alice_settings.index(context[0])
     bi = joint.bob_settings.index(context[1])
-    out: dict[tuple[int, int], Fraction] = {
-        (x, y): Fraction(0) for x in SIGNS for y in SIGNS
-    }
-    for pattern, p in joint.mass.items():
-        out[(pattern[ai], pattern[2 + bi])] += p
-    return out
+    out = {(x, y): 0 for x in SIGNS for y in SIGNS}
+    for pattern, w in zip(_PATTERNS, joint._weights):
+        out[pattern[ai], pattern[2 + bi]] += w
+    scale = joint._scale
+    return {cell: Fraction(w, scale) for cell, w in out.items()}
 
 
 @dataclass
@@ -116,31 +137,60 @@ class NoSignallingReport:
         return self.max_deviation == 0
 
 
+def _integer_marginals(behavior: BehaviorTable) -> list[dict[str, dict[str, dict[int, int]]]]:
+    """Each side's outcome marginals as integer weights over the table's scale.
+
+    ``sides[coord][own setting][other setting][v]``, both setting keys in
+    the order of the contexts.
+    """
+    sides = []
+    for coord in (0, 1):
+        marginals: dict[str, dict[str, dict[int, int]]] = {}
+        for ctx in behavior.contexts():
+            marginals.setdefault(ctx[coord], {})[ctx[1 - coord]] = behavior.integer_marginal(ctx, coord)
+        sides.append(marginals)
+    return sides
+
+
+def _signals(behavior: BehaviorTable) -> bool:
+    """True when some outcome marginal depends on the other side's setting.
+
+    The whole table shares one scale, so equal marginals are equal integers.
+    """
+    settings = (behavior.alice_settings, behavior.bob_settings)
+    for coord, marginals in enumerate(_integer_marginals(behavior)):
+        other0, other1 = settings[1 - coord]
+        if any(by_other[other0] != by_other[other1] for by_other in marginals.values()):
+            return True
+    return False
+
+
 def check_no_signalling(behavior: BehaviorTable) -> NoSignallingReport:
     """Compare each side's outcome marginal across the other side's settings.
 
-    The comparison is exact equality of Fractions, with no tolerance: a
-    table whose probabilities went through floating point and lost their
-    equalities does not pass.
+    The comparison is exact, with no tolerance: a table whose
+    probabilities went through floating point and lost their equalities
+    does not pass.  The marginals are integer sums over the table's
+    scale; each reported number is one Fraction.
     """
     if behavior.ternary:
         raise ValueError(
             "no-signalling check expects a binary behavior; reduce ternary input first"
         )
+    scale = behavior.scale
     sides: list[dict[str, dict[str, dict[int, Fraction]]]] = []
     per_setting: dict[tuple[str, str], Fraction] = {}
     settings = (behavior.alice_settings, behavior.bob_settings)
-    for coord, side in enumerate(("alice", "bob")):
-        # marginals[own setting][other setting], both in the order of the settings
-        marginals: dict[str, dict[str, dict[int, Fraction]]] = {}
-        for ctx in behavior.contexts():
-            marginals.setdefault(ctx[coord], {})[ctx[1 - coord]] = behavior.marginal(ctx, coord)
+    for coord, (side, marginals) in enumerate(zip(("alice", "bob"), _integer_marginals(behavior))):
         other0, other1 = settings[1 - coord]
         for name, by_other in marginals.items():
-            per_setting[(side, name)] = max(
-                abs(by_other[other0][v] - by_other[other1][v]) for v in behavior.outcomes
+            per_setting[(side, name)] = Fraction(
+                max(abs(by_other[other0][v] - by_other[other1][v]) for v in behavior.outcomes), scale
             )
-        sides.append(marginals)
+        sides.append({
+            own: {other: {v: Fraction(w, scale) for v, w in m.items()} for other, m in by_other.items()}
+            for own, by_other in marginals.items()
+        })
     max_dev = max(per_setting.values())
     return NoSignallingReport(*sides, per_setting, max_dev)
 
@@ -168,26 +218,39 @@ def find_joint(behavior: BehaviorTable) -> JointSearchResult:
         raise ValueError("joint feasibility expects a binary behavior; reduce ternary input first")
     if not behavior.is_normalized():
         raise ValueError("behavior table is not normalized")
-    report = check_no_signalling(behavior)
-    if not report.holds:
+    if _signals(behavior):
+        report = check_no_signalling(behavior)
         raise ValueError(
             "behavior signals (marginal deviation "
             f"{report.max_deviation}); no joint distribution can match its marginals"
         )
 
-    rhs: list[Fraction] = [Fraction(1)]
+    # The LP is posed on the table's integer weights: the unit total's
+    # right-hand side is the scale, each context row's is its cell weight,
+    # so its solution is scale times the joint.  This is the Fraction
+    # system with b multiplied by scale > 0, and it pivots the same way.
+    # The tableau's coefficient columns do not involve b, so the reduced
+    # costs, and with them each entering column, are unchanged.  Every
+    # rhs entry is multiplied by the same positive number, so the ratio
+    # test orders its rows the same, ties included.  (find_feasible also
+    # scales each row by a positive integer of its own; that keeps each
+    # row's signs and ratios, so it changes nothing either.)  Under
+    # Bland's rule the pivots are therefore the same, and so is the vertex.
+    scale, cells = behavior.integer_cells()
+    rhs = [scale]
     for a in behavior.alice_settings:
         for b in behavior.bob_settings:
+            context = cells[a, b]
             for x in SIGNS:
                 for y in SIGNS:
-                    rhs.append(behavior.prob((a, b), x, y))
+                    rhs.append(context.get((x, y), 0))
 
     solution = find_feasible(_INCIDENCE, rhs)
     if solution is not None:
-        joint = JointDistribution16(
-            behavior.alice_settings,
-            behavior.bob_settings,
-            dict(zip(_PATTERNS, solution)),
+        # solution[k] == joint mass * scale; bring it over one denominator
+        lcd, weights = integer_scale(solution)
+        joint = JointDistribution16._from_integers(
+            behavior.alice_settings, behavior.bob_settings, scale * lcd, weights
         )
         return JointSearchResult(feasible=True, joint=joint)
 
@@ -209,9 +272,17 @@ def fine_criterion(behavior: BehaviorTable) -> bool:
     """
     if behavior.ternary:
         raise ValueError("criterion applies to binary behaviors; reduce ternary input first")
-    if not check_no_signalling(behavior).holds:
+    if _signals(behavior):
         return False
-    return chsh_values(behavior.quad()).satisfied
+    # the eight combinations of chsh_values are +/-(total - 2 E_f) for each
+    # context f; over the table's scale, |S| <= 2 is an integer comparison
+    scale, cells = behavior.integer_cells()
+    corr = [sum(x * y * w for (x, y), w in cells[ctx].items()) for ctx in behavior.contexts()]
+    for ctx, c in zip(behavior.contexts(), corr):
+        if abs(c) > scale:
+            raise ValueError(f"correlation {Fraction(c, scale)} at context {ctx} outside [-1, 1]")
+    total = sum(corr)
+    return all(abs(total - 2 * c) <= 2 * scale for c in corr)
 
 
 def coupling_joint(model: ContextualModel) -> JointDistribution16:

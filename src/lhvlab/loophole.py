@@ -255,9 +255,7 @@ def _mutate(
             key = rng.choice(list(setting.outcomes.entries))
             old = setting.outcomes.entries[key]
             new = Fraction(rng.choice([v for v in (-1, 0, 1) if v != old]))
-            entries = dict(setting.outcomes.entries)
-            entries[key] = new
-            setting = Setting(setting.name, setting.instrument, OutcomeTable(entries, ternary=True))
+            setting = Setting(setting.name, setting.instrument, setting.outcomes._with_entry(key, new))
             change = ((1 if side == "alice" else 3) + idx, key)
         else:
             # move one grid unit of instrument mass within the setting
@@ -348,7 +346,11 @@ def _parts(model: ContextualModel, parent: Optional["_Key"], change: Optional[_C
     depend on.  The part a flip changed is derived from the parent's by
     :meth:`_Part.flipped`; the rest are built.
     """
-    first, second = model.source_first_labels(), model.source_second_labels()
+    if parent is not None and parent.parts[0].obj is model.source:
+        # the same source has the same side labels as the parent's settings
+        first, second = parent.parts[1].labels, parent.parts[3].labels
+    else:
+        first, second = model.source_first_labels(), model.source_second_labels()
     wanted = (
         (model.source, None, ""),
         *((s, first, "alice") for s in model.alice),

@@ -19,14 +19,17 @@ moments.  :func:`exact_side_expectation`, ``loophole.detection_rates``,
 ``flatten.bell_average`` and the loophole search's scoring read the
 moments too.  :func:`behavior_from_model`, the one projection that needs
 joint cells, counts each context's ``(x, y)`` cells from the two
-channels.  Callers build one Fraction per cell or reported number.
+channels and hands them to :class:`BehaviorTable` as integers.  Callers
+build one Fraction per reported number.
 :func:`exact_expectation` sums term by term over every hidden variable
 as the reference oracle, with no factorization; nothing in the package
 calls it, and it reads masses only as Fractions.
 
 :meth:`Pmf.from_integers` and :meth:`Pmf.integer_weights` move masses in
-and out as integers; :func:`integer_scale` brings other rationals over
-the lcm of their denominators.  The flat models of :mod:`lhvlab.flatten`
+and out as integers, as :meth:`BehaviorTable.from_integers` and
+:meth:`BehaviorTable.integer_cells` do a table's cells;
+:func:`integer_scale` brings other rationals over the lcm of their
+denominators.  The flat models of :mod:`lhvlab.flatten`
 are evaluated on integer columns over their own tuple pmf, independently
 of this kernel, so they can check it.
 
@@ -224,6 +227,18 @@ class OutcomeTable:
         self.entries = {key: as_fraction(v) for key, v in entries.items()}
         self.ternary = ternary
 
+    def _with_entry(self, key: tuple[Label, Label], value: Fraction) -> "OutcomeTable":
+        """This table with the entry at ``key`` set to ``value``, a Fraction.
+
+        The other entries are copied as they are, already Fractions, so
+        nothing is converted again.
+        """
+        table = OutcomeTable.__new__(OutcomeTable)
+        table.entries = dict(self.entries)
+        table.entries[key] = value
+        table.ternary = self.ternary
+        return table
+
     def value(self, source_label: Label, instrument_label: Label) -> Fraction:
         try:
             return self.entries[(source_label, instrument_label)]
@@ -355,54 +370,122 @@ class CorrelationQuad(TwoByTwo):
         return all(-1 <= v <= 1 for v in self.values.values())
 
 
-@dataclass(frozen=True)
 class BehaviorTable(TwoByTwo):
     """The experimentally accessible object: P(x, y | a, b) per context.
 
     ``outcomes`` is the shared outcome alphabet, (-1, 1) or (-1, 0, 1).
-    Probabilities are exact Fractions.
+    The probabilities are stored as integer weights over one positive
+    ``scale`` for the whole table, reduced by their gcd, with each
+    context's cells in the order given and explicit zero cells kept; a
+    ``Fraction`` is made only where a probability is read (:attr:`probs`,
+    :meth:`prob`, :meth:`context_pmf`, :meth:`marginal`, :meth:`quad`).
+    Construction does not enforce normalization; :meth:`is_normalized`
+    checks it.
     """
 
-    alice_settings: tuple[str, str]
-    bob_settings: tuple[str, str]
-    outcomes: tuple[int, ...]
-    probs: Mapping[Context, Mapping[tuple[int, int], Fraction]]
+    __slots__ = ("alice_settings", "bob_settings", "outcomes", "_scale", "_cells")
+
+    def __init__(
+        self,
+        alice_settings: tuple[str, str],
+        bob_settings: tuple[str, str],
+        outcomes: tuple[int, ...],
+        probs: Mapping[Context, Mapping[tuple[int, int], Numberish]],
+    ):
+        fractions = {ctx: {cell: as_fraction(p) for cell, p in pmf.items()} for ctx, pmf in probs.items()}
+        scale = math.lcm(*(p.denominator for pmf in fractions.values() for p in pmf.values()))
+        cells = {
+            ctx: {cell: p.numerator * (scale // p.denominator) for cell, p in pmf.items()}
+            for ctx, pmf in fractions.items()
+        }
+        self._set(alice_settings, bob_settings, outcomes, scale, cells)
+
+    @classmethod
+    def from_integers(
+        cls,
+        alice_settings: tuple[str, str],
+        bob_settings: tuple[str, str],
+        outcomes: tuple[int, ...],
+        scale: int,
+        cells: Mapping[Context, Mapping[tuple[int, int], int]],
+    ) -> "BehaviorTable":
+        """The table with P(x, y | context) = ``cells[context][x, y] / scale``; ``scale`` must be positive."""
+        table = cls.__new__(cls)
+        table._set(alice_settings, bob_settings, outcomes, scale, cells)
+        return table
+
+    def _set(self, alice_settings, bob_settings, outcomes, scale: int, cells: Mapping[Context, Mapping]) -> None:
+        if scale <= 0:
+            raise ValueError(f"behavior scale must be positive, got {scale}")
+        g = math.gcd(scale, *(w for pmf in cells.values() for w in pmf.values()))
+        self.alice_settings, self.bob_settings, self.outcomes = alice_settings, bob_settings, outcomes
+        self._scale = scale // g
+        self._cells = {ctx: {cell: w // g for cell, w in pmf.items()} for ctx, pmf in cells.items()}
 
     @property
     def ternary(self) -> bool:
         return 0 in self.outcomes
 
-    def prob(self, context: Context, x: int, y: int) -> Fraction:
-        return self.probs[context].get((x, y), Fraction(0))
+    @property
+    def probs(self) -> dict[Context, dict[tuple[int, int], Fraction]]:
+        return {ctx: self.context_pmf(ctx) for ctx in self._cells}
 
-    def context_pmf(self, context: Context) -> Mapping[tuple[int, int], Fraction]:
-        return self.probs[context]
+    @property
+    def scale(self) -> int:
+        """The positive denominator that every stored weight is over."""
+        return self._scale
+
+    def integer_cells(self) -> tuple[int, dict[Context, dict[tuple[int, int], int]]]:
+        """Every context's cells as ``(scale, {context: {(x, y): weight}})``, the stored form."""
+        return self._scale, {ctx: dict(pmf) for ctx, pmf in self._cells.items()}
+
+    def integer_marginal(self, context: Context, coord: int) -> dict[int, int]:
+        """:meth:`marginal` as integer weights over :attr:`scale`."""
+        out = dict.fromkeys(self.outcomes, 0)
+        for cell, w in self._cells[context].items():
+            out[cell[coord]] += w
+        return out
+
+    def prob(self, context: Context, x: int, y: int) -> Fraction:
+        return Fraction(self._cells[context].get((x, y), 0), self._scale)
+
+    def context_pmf(self, context: Context) -> dict[tuple[int, int], Fraction]:
+        scale = self._scale
+        return {cell: Fraction(w, scale) for cell, w in self._cells[context].items()}
 
     def is_normalized(self) -> bool:
+        scale = self._scale
         for ctx in self.contexts():
-            cells = self.probs[ctx]
-            if any(p < 0 for p in cells.values()):
-                return False
-            if sum(cells.values(), Fraction(0)) != 1:
+            weights = self._cells[ctx].values()
+            if min(weights, default=0) < 0 or sum(weights) != scale:
                 return False
         return True
 
     def quad(self) -> CorrelationQuad:
-        """Correlations E(XY | a, b) recovered from the table."""
-        values = {}
-        for ctx in self.contexts():
-            values[ctx] = sum(
-                (Fraction(x * y) * p for (x, y), p in self.probs[ctx].items()),
-                Fraction(0),
-            )
+        """Correlations E(XY | a, b) recovered from the table: one integer sum and one Fraction per context."""
+        values = {
+            ctx: Fraction(sum(x * y * w for (x, y), w in self._cells[ctx].items()), self._scale)
+            for ctx in self.contexts()
+        }
         return CorrelationQuad(self.alice_settings, self.bob_settings, values)
 
     def marginal(self, context: Context, coord: int) -> dict[int, Fraction]:
         """One side's outcome pmf in a context: ``coord`` 0 for Alice's, 1 for Bob's."""
-        out: dict[int, Fraction] = {v: Fraction(0) for v in self.outcomes}
-        for cell, p in self.probs[context].items():
-            out[cell[coord]] += p
-        return out
+        scale = self._scale
+        return {v: Fraction(w, scale) for v, w in self.integer_marginal(context, coord).items()}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BehaviorTable) and all(
+            getattr(self, name) == getattr(other, name) for name in BehaviorTable.__slots__
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"BehaviorTable(alice_settings={self.alice_settings!r}, bob_settings={self.bob_settings!r}, "
+            f"outcomes={self.outcomes!r}, probs={self.probs!r})"
+        )
 
 
 @dataclass
@@ -648,7 +731,7 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
     conditional expectations, not distributions, and are rejected.
     Each context's cells are counted in integers from the two settings'
     channels, in first-appearance order over the source support, then
-    Alice's channel, then Bob's, with one Fraction per cell.
+    Alice's channel, then Bob's, and handed to the table as integers.
     """
     for side in ("alice", "bob"):
         for setting in getattr(model, side):
@@ -656,11 +739,13 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
     outcomes = (-1, 0, 1) if model.is_ternary() else (-1, 1)
     src_scale, src = model.source.integer_weights()
     first, second = side_labels(model, "alice"), side_labels(model, "bob")
+    alice = [(a.name, setting_channel(first, a)) for a in model.alice]
     bob = [(b.name, setting_channel(second, b)) for b in model.bob]
-    probs = {}
-    for a in model.alice:
-        a_scale, chan_a = setting_channel(first, a)
-        for name, (b_scale, chan_b) in bob:
+    # a context's counts are over src_scale * a_scale * b_scale; the table's one scale is over the lcms
+    a_lcm, b_lcm = (math.lcm(*(scale for _name, (scale, _chan) in side)) for side in (alice, bob))
+    cells = {}
+    for a_name, (a_scale, chan_a) in alice:
+        for b_name, (b_scale, chan_b) in bob:
             # point outcomes have denominator 1, so each value is its numerator
             counts: dict[tuple[int, int], int] = {}
             for (l1, l2), w in src:
@@ -669,6 +754,8 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
                     wx = w * cx
                     for (y, _e), cy in row:
                         counts[x, y] = counts.get((x, y), 0) + wx * cy
-            scale = src_scale * a_scale * b_scale
-            probs[a.name, name] = {cell: Fraction(c, scale) for cell, c in counts.items()}
-    return BehaviorTable(model.alice_settings, model.bob_settings, outcomes, probs)
+            factor = (a_lcm // a_scale) * (b_lcm // b_scale)
+            cells[a_name, b_name] = {cell: c * factor for cell, c in counts.items()}
+    return BehaviorTable.from_integers(
+        model.alice_settings, model.bob_settings, outcomes, src_scale * a_lcm * b_lcm, cells
+    )

@@ -29,6 +29,16 @@ class ModelParseError(ValueError):
     """A model file failed to parse; the message names file and token."""
 
 
+# the most characters of an offending value that an error message quotes
+QUOTE_LIMIT = 80
+
+
+def _excerpt(value: Any) -> str:
+    """``repr(value)``, cut to :data:`QUOTE_LIMIT` characters ending in "...", so a message stays short."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[: QUOTE_LIMIT - 3] + "..."
+
+
 def _label_str(label) -> str:
     if isinstance(label, str):
         return label
@@ -44,7 +54,7 @@ def _parse_ratio(token: Any, where: str, source: str) -> tuple[int, int]:
             return rational_parts(str(token))
         except ValueError as exc:
             raise ModelParseError(f"{source}: {exc} at {where}") from None
-    raise ModelParseError(f"{source}: malformed fraction {token!r} at {where}")
+    raise ModelParseError(f"{source}: malformed fraction {_excerpt(token)} at {where}")
 
 
 def _parse_frac(token: Any, where: str, source: str) -> Fraction:
@@ -54,7 +64,7 @@ def _parse_frac(token: Any, where: str, source: str) -> Fraction:
 def _parse_label(token: Any, where: str, source: str) -> str:
     """A label or setting name: JSON strings only, as the schema says."""
     if not isinstance(token, str):
-        raise ModelParseError(f"{source}: {where} must be a string, got {token!r}")
+        raise ModelParseError(f"{source}: {where} must be a string, got {_excerpt(token)}")
     return token
 
 
@@ -72,29 +82,29 @@ def _parse_int(token: Any, where: str, source: str) -> int:
         return token
     if isinstance(token, float) and token.is_integer():
         return int(token)
-    raise ModelParseError(f"{source}: malformed integer {token!r} at {where}")
+    raise ModelParseError(f"{source}: malformed integer {_excerpt(token)} at {where}")
 
 
 def _parse_ternary(sdoc: dict, where: str, source: str) -> bool:
     """A setting's optional ``ternary`` flag: a JSON boolean, false when absent."""
     flag = sdoc.get("ternary", False)
     if not isinstance(flag, bool):
-        raise ModelParseError(f"{source}: {where} ternary flag must be true or false, got {flag!r}")
+        raise ModelParseError(f"{source}: {where} ternary flag must be true or false, got {_excerpt(flag)}")
     return flag
 
 
 def _require_list(value: Any, where: str, source: str) -> list:
     if not isinstance(value, list):
-        raise ModelParseError(f"{source}: {where} must be a list, got {value!r}")
+        raise ModelParseError(f"{source}: {where} must be a list, got {_excerpt(value)}")
     return value
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, source: str):
     if not isinstance(obj, dict):
-        raise ModelParseError(f"{source}: {where} must be an object, got {obj!r}")
+        raise ModelParseError(f"{source}: {where} must be an object, got {_excerpt(obj)}")
     unknown = set(obj) - allowed
     if unknown:
-        raise ModelParseError(f"{source}: unknown key {sorted(unknown)[0]!r} in {where}")
+        raise ModelParseError(f"{source}: unknown key {_excerpt(sorted(unknown)[0])} in {where}")
     missing = required - set(obj)
     if missing:
         raise ModelParseError(f"{source}: missing key {sorted(missing)[0]!r} in {where}")
@@ -294,7 +304,7 @@ def parse_text(text: str, source: str = "<string>") -> Document:
         raise ModelParseError(f"{source}: top level must be an object")
     kind = doc.get("kind")
     if kind not in KINDS:
-        raise ModelParseError(f"{source}: unknown kind {kind!r}; expected one of {KINDS}")
+        raise ModelParseError(f"{source}: unknown kind {_excerpt(kind)}; expected one of {KINDS}")
     if kind == "contextual":
         return _parse_contextual(doc, source)
     if kind == "flat":

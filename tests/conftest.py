@@ -5,7 +5,8 @@ so it shares no code path with the integer kernel in :mod:`lhvlab.model`
 or the integer columns of :meth:`lhvlab.FlatModel.quad`; the LP oracle
 pivots a Fraction tableau, sharing no code with the integer simplex in
 :mod:`lhvlab.simplex`; the post-selection oracle adds the cells as
-Fractions, sharing no code with the integer sums of
+Fractions read through ``context_pmf``, sharing no code with the integer
+weights of :class:`lhvlab.BehaviorTable` or the integer sums of
 :func:`lhvlab.postselected_correlations`; the serializer oracle dumps a
 contextual model as one whole document, sharing no code with the part
 texts :func:`lhvlab.serialize` assembles.
@@ -96,17 +97,23 @@ def brute_behavior(model: ContextualModel) -> dict:
 
 
 def brute_postselect(behavior: BehaviorTable) -> PostSelectionReport:
-    """Reference post-selection: each context's cells added one by one as Fractions."""
+    """Reference post-selection: each context's cells added one by one as Fractions.
+
+    It reads the table only through ``context_pmf``, never its integer
+    weights, normalization check or quad.
+    """
     if not behavior.ternary:
         raise ValueError("post-selection needs a ternary behavior (no zero outcomes to discard)")
-    if not behavior.is_normalized():
+    pmfs = {ctx: behavior.context_pmf(ctx) for ctx in behavior.contexts()}
+    if any(min(cells.values(), default=0) < 0 or sum(cells.values(), Fraction(0)) != 1 for cells in pmfs.values()):
         raise ValueError("behavior table is not normalized")
+    raw: dict = {}
     conditional: dict = {}
     coincidence: dict = {}
     alice_detect: dict = {}
     bob_detect: dict = {}
-    for ctx in behavior.contexts():
-        cells = behavior.context_pmf(ctx)
+    for ctx, cells in pmfs.items():
+        raw[ctx] = sum((x * y * p for (x, y), p in cells.items()), Fraction(0))
         num = Fraction(0)
         den = Fraction(0)
         a_det = Fraction(0)
@@ -124,12 +131,45 @@ def brute_postselect(behavior: BehaviorTable) -> PostSelectionReport:
         bob_detect[ctx] = b_det
         conditional[ctx] = num / den if den > 0 else None
     return PostSelectionReport(
-        raw_quad=behavior.quad(),
+        raw_quad=CorrelationQuad(behavior.alice_settings, behavior.bob_settings, raw),
         conditional=conditional,
         coincidence_rate=coincidence,
         alice_detect=alice_detect,
         bob_detect=bob_detect,
     )
+
+
+def brute_no_signalling(behavior: BehaviorTable) -> tuple[dict, dict, dict, Fraction]:
+    """Reference no-signalling marginals, from the ``context_pmf`` Fractions cell by cell.
+
+    Returns ``(alice, bob, per_setting_deviation, max_deviation)`` as a
+    :class:`lhvlab.NoSignallingReport` holds them: ``alice[a][b][v]`` is
+    the probability that Alice sees ``v`` in context (a, b).
+    """
+    sides = []
+    for coord in (0, 1):
+        own_settings = (behavior.alice_settings, behavior.bob_settings)[coord]
+        other_settings = (behavior.bob_settings, behavior.alice_settings)[coord]
+        marginals: dict = {}
+        for own in own_settings:
+            for other in other_settings:
+                ctx = (own, other) if coord == 0 else (other, own)
+                out = {v: Fraction(0) for v in behavior.outcomes}
+                for cell, p in behavior.context_pmf(ctx).items():
+                    out[cell[coord]] += p
+                marginals.setdefault(own, {})[other] = out
+        sides.append(marginals)
+    deviation = {
+        (side, own): max(
+            abs(by_other[first][v] - by_other[second][v])
+            for first in by_other
+            for second in by_other
+            for v in behavior.outcomes
+        )
+        for side, marginals in zip(("alice", "bob"), sides)
+        for own, by_other in marginals.items()
+    }
+    return sides[0], sides[1], deviation, max(deviation.values())
 
 
 def _side_terms(model: ContextualModel, side: str, setting):

@@ -215,6 +215,36 @@ class TestValidate:
         assert status == 1
         assert "source must be a list" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("source", 0, "pair", 0), "deep", "source atom 0 pair label must be a string, got [[["),
+            (("source",), {"k": "v" * 5000}, "source must be a list, got {'k': 'vvv"),
+            (("alice", 0, "instrument", 0, "mass"), [1] * 5000, "malformed fraction [1, 1, 1"),
+            (("alice", 0, "ternary"), "t" * 5000, "ternary flag must be true or false, got 'ttt"),
+            (("bob", 0, "instrument", 0), list(range(5000)), "must be an object, got [0, 1, 2"),
+        ],
+        ids=["nested-label", "object-for-list", "list-for-fraction", "string-for-flag", "list-for-object"],
+    )
+    def test_quoted_value_is_capped(self, capsys, tmp_path, path, value, field):
+        """A wrong value is quoted up to a fixed length, however large or deep it is."""
+        from lhvlab.modelio import QUOTE_LIMIT
+
+        doc = json.loads((FIXTURES / "counterexample.model.json").read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        # a list nested 400 deep, written as text: 800 brackets
+        bad.write_text(json.dumps(doc).replace('"deep"', "[" * 400 + "]" * 400))
+        status, out, err = run_cli(capsys, "validate", str(bad))
+        assert status == 1 and "Traceback" not in err
+        [violation] = [v for v in json.loads(out)["violations"] if field in v]
+        # the file name, at most QUOTE_LIMIT characters of the value, and the field's fixed words
+        assert violation.startswith(f"{bad}: ") and "..." in violation
+        assert len(violation) <= len(f"{bad}: ") + QUOTE_LIMIT + 70
+
     def test_non_list_instrument_exits_one(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "counterexample.model.json").read_text())
         doc["alice"][0]["instrument"] = 5
@@ -695,6 +725,15 @@ class TestSimulate:
         assert err == f"usage error: --trials must be >= 1, got {trials}\n"
         assert out == "" and not target.exists()
 
+    @pytest.mark.parametrize("trials", [cli.MAX_TRIALS + 1, 10**11])
+    def test_trials_past_the_bound_is_usage_error(self, capsys, trials):
+        # refused before the model is read, so before any trial array exists
+        status, out, err = run_cli(
+            capsys, "simulate", "--model", "no-such-model.json", "--trials", str(trials), "--seed", "1"
+        )
+        assert status == 2 and out == ""
+        assert err == f"usage error: --trials must be at most {cli.MAX_TRIALS}, got {trials}\n"
+
 
 def _forbidden(*_args, **_kwargs):
     raise AssertionError("the oracle must not use the streaming writer")
@@ -811,6 +850,21 @@ class TestSearch:
     def test_bad_min_rate_usage_error(self, capsys):
         status, _out, err = run_cli(capsys, "search", "--seed", "1", "--min-rate", "3/0")
         assert status == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, bound",
+        [
+            ("--source-atoms", 10**8, cli.MAX_SOURCE_ATOMS),
+            ("--source-atoms", cli.MAX_SOURCE_ATOMS + 1, cli.MAX_SOURCE_ATOMS),
+            ("--instrument-atoms", 3 * 10**6, cli.MAX_INSTRUMENT_ATOMS),
+            ("--instrument-atoms", cli.MAX_INSTRUMENT_ATOMS + 1, cli.MAX_INSTRUMENT_ATOMS),
+        ],
+    )
+    def test_space_size_past_the_bound_is_usage_error(self, capsys, monkeypatch, flag, value, bound):
+        monkeypatch.setattr(cli, "search_postselection_violation", _forbidden)
+        status, out, err = run_cli(capsys, "search", "--seed", "1", flag, str(value))
+        assert status == 2 and out == ""
+        assert err == f"usage error: {flag} must be at most {bound}, got {value}\n"
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_is_usage_error(self, capsys, seed):
