@@ -18,7 +18,7 @@ from typing import Any, Iterator, Optional, Union
 from . import modelio
 from .chsh import ChshReport, PostSelectionReport, chsh_values, postselected_correlations
 from .fine import JointDistribution16, NoSignallingReport, check_no_signalling, find_joint, fine_criterion
-from .flatten import AveragedModel, FlatModel, bell_average, product_flatten, uniform_reduce
+from .flatten import AveragedModel, FlatModel, bell_average, product_flatten, product_size, uniform_reduce
 from .loophole import (
     AngleSet,
     DetectionReport,
@@ -47,6 +47,9 @@ from .modelio import ModelParseError
 MAX_TRIALS = 10**7
 MAX_SOURCE_ATOMS = 1000
 MAX_INSTRUMENT_ATOMS = 100
+# Bound on a model-derived size, checked after the parse and before the build:
+# an atom of the product flattening holds about 1.5 KB at the peak of `flatten`.
+MAX_PRODUCT_ATOMS = 10**6
 
 
 class CliError(Exception):
@@ -207,6 +210,11 @@ def _cmd_exact(args) -> tuple[Any, int]:
 def _cmd_flatten(args) -> tuple[Any, int]:
     model = _require_contextual(_load(args.model))
     if args.method == "product":
+        atoms = product_size(model)
+        if atoms > MAX_PRODUCT_ATOMS:
+            raise CliError(
+                f"{args.model}: the product flattening has {atoms} atoms, more than the limit of {MAX_PRODUCT_ATOMS}"
+            )
         out = product_flatten(model)
     elif args.method == "uniform":
         out = uniform_reduce(model)
@@ -319,22 +327,22 @@ def _json_with_records(payload: dict[str, Any], sheet) -> Iterator[str]:
     The payload is dumped as usual without its closing brace; the records
     follow as its last key, one block of rows per chunk.  A record at the
     depth of "records" is the trial, the two JSON-encoded setting names
-    and the two +/-1 outcomes; everything after the trial is one of 16
-    suffixes keyed by ``(a, b, x, y)``, written once, so each row formats
-    only its trial number.  The sheet must hold at least one trial.
+    and the two +/-1 outcomes.  Everything after the trial number, with
+    the frame that opens the next record, is one of 16 suffixes of
+    :meth:`Spreadsheet.text_blocks`; the last block drops the frame after
+    its last record.  The sheet must hold at least one trial.
     """
-    suffix = {
-        (a, b, x, y): ",\n      %s,\n      %s,\n      %d,\n      %d\n    ]" % (json.dumps(a), json.dumps(b), x, y)
-        for a in sheet.alice_settings
-        for b in sheet.bob_settings
-        for x in (-1, 1)
-        for y in (-1, 1)
-    }
-    yield json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "records": [\n'
-    sep = ""
-    for block in sheet.row_blocks():
-        yield sep + ",\n".join(["    [\n      %d%s" % (t, suffix[a, b, x, y]) for t, a, b, x, y in block])
-        sep = ",\n"
+    from .montecarlo import ROWS_PER_BLOCK
+
+    frame = ",\n    [\n      "
+
+    def suffix(a: str, b: str, x: int, y: int) -> str:
+        return ",\n      %s,\n      %s,\n      %d,\n      %d\n    ]%s" % (json.dumps(a), json.dumps(b), x, y, frame)
+
+    yield json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "records": [' + frame[1:]
+    last = (len(sheet) - 1) // ROWS_PER_BLOCK
+    for k, text in enumerate(sheet.text_blocks(suffix)):
+        yield text if k < last else text[: -len(frame)]
     yield "\n  ]\n}\n"
 
 
@@ -581,13 +589,38 @@ def _cannot_write(path: str, exc: OSError) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one subcommand and write its artifact.
+    """Run one subcommand; the exit status.
+
+    Two failures that no subcommand can foresee end here as exit 1 with a
+    message naming the input file: running out of memory, and a number
+    too long to print.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    path = getattr(args, "model", None) or getattr(args, "behavior", None)
+    where = f"{path}: " if path else ""
+    try:
+        return _run(args)
+    except MemoryError:
+        # the last resort: the MAX_* bounds refuse the sizes they can foresee
+        print(f"error: {where}{args.command} ran out of memory", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # Python will not print an int past its digit limit, and a product of
+        # bounded input numbers can exceed it
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: {where}a number to print exceeds Python's {limit}-digit limit", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
+    """Run the parsed subcommand and write its artifact; the exit status.
 
     A subcommand returns a payload dict, rendered here as JSON or text,
     or an iterable of text chunks, written as they come.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
         payload, status = args.func(args)
     except UsageError as exc:
@@ -595,16 +628,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # Python will not print an int past its digit limit, and a product of
-        # bounded input numbers can exceed it
-        if "integer string conversion" not in str(exc):
-            raise
-        path = getattr(args, "model", None) or getattr(args, "behavior", None)
-        where = f"{path}: " if path else ""
-        limit = sys.get_int_max_str_digits()
-        print(f"error: {where}a number to print exceeds Python's {limit}-digit limit", file=sys.stderr)
         return 1
     if not isinstance(payload, dict):
         chunks = payload
@@ -614,9 +637,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         chunks = [json.dumps(payload, indent=2) + "\n"]
     if args.out:
         try:
-            with open(args.out, "w") as fp:
-                fp.writelines(chunks)
+            fp = open(args.out, "w")
         except OSError as exc:
+            print(f"error: {_cannot_write(args.out, exc)}", file=sys.stderr)
+            return 1
+        try:
+            with fp:
+                fp.writelines(chunks)
+        except BaseException as exc:
+            # a failed run leaves no file, not even a streamed artifact cut short;
+            # a device such as /dev/stdout is no artifact and stays
+            if os.path.isfile(args.out):
+                os.remove(args.out)
+            if not isinstance(exc, OSError):
+                raise
             print(f"error: {_cannot_write(args.out, exc)}", file=sys.stderr)
             return 1
         return status

@@ -133,6 +133,12 @@ def _scaled(name: str, bar: Mapping[Label, Fraction]) -> tuple[str, int, dict[La
     return name, scale, dict(zip(bar, ints))
 
 
+def product_size(model: ContextualModel) -> int:
+    """The number of atoms :func:`product_flatten` builds: the source support times the four instrument supports."""
+    supports = [model.source] + [s.instrument for s in model.alice + model.bob]
+    return math.prod(len(pmf.integer_weights()[1]) for pmf in supports)
+
+
 def product_flatten(model: ContextualModel) -> FlatModel:
     """Rebuild a contextual model on the product of all its hidden-variable spaces.
 

@@ -51,6 +51,19 @@ Context = tuple[str, str]
 
 Numberish = Union[Fraction, int, str, float]
 
+# the most characters of an offending value or name that an error message quotes
+QUOTE_LIMIT = 80
+
+
+def _cut(text: str) -> str:
+    """``text`` cut to :data:`QUOTE_LIMIT` characters ending in "...", so a message stays short."""
+    return text if len(text) <= QUOTE_LIMIT else text[: QUOTE_LIMIT - 3] + "..."
+
+
+def _excerpt(value: object) -> str:
+    """``repr(value)``, cut by :func:`_cut`."""
+    return _cut(repr(value))
+
 # Fraction's grammar with the token length and exponent capped, so a parsed
 # value prints within Python's 4300-digit int-to-str limit
 MAX_TOKEN_CHARS = 1000
@@ -69,16 +82,16 @@ def rational_parts(token: str) -> tuple[int, int]:
         raise ValueError(f"number token of {len(token)} characters exceeds the limit of {MAX_TOKEN_CHARS}")
     m = _RATIONAL.fullmatch(token)
     if m is None:
-        raise ValueError(f"malformed fraction {token!r}")
+        raise ValueError(f"malformed fraction {_excerpt(token)}")
     num, den = int(m["num"] or "0"), int(m["den"] or "1")
     if den == 0:
-        raise ValueError(f"zero denominator in {token!r}")
+        raise ValueError(f"zero denominator in {_excerpt(token)}")
     if m["dec"]:
         den = 10 ** len(m["dec"].replace("_", ""))
         num = num * den + int(m["dec"])
     exp = int(m["exp"] or "0")
     if abs(exp) > MAX_EXPONENT:
-        raise ValueError(f"exponent {exp} of {token!r} lies outside ±{MAX_EXPONENT}")
+        raise ValueError(f"exponent {exp} of {_excerpt(token)} lies outside ±{MAX_EXPONENT}")
     return (-num if m["sign"] == "-" else num) * 10 ** max(exp, 0), den * 10 ** max(-exp, 0)
 
 
@@ -138,7 +151,7 @@ class Pmf:
         if len(weights) != len(atoms):
             seen: set = set()
             label = next(lab for lab, _w in atoms if lab in seen or seen.add(lab))
-            raise ValueError(f"duplicate pmf label {label!r}")
+            raise ValueError(f"duplicate pmf label {_excerpt(label)}")
         if scale <= 0:
             raise ValueError(f"pmf scale must be positive, got {scale}")
         g = math.gcd(scale, *weights.values())
@@ -244,7 +257,7 @@ class OutcomeTable:
             return self.entries[(source_label, instrument_label)]
         except KeyError:
             raise DomainMismatchError(
-                f"no outcome for (source={source_label!r}, instrument={instrument_label!r})"
+                f"no outcome for (source={_excerpt(source_label)}, instrument={_excerpt(instrument_label)})"
             ) from None
 
     def values_are_point(self, keys: Optional[Iterable[tuple[Label, Label]]] = None) -> bool:
@@ -306,7 +319,7 @@ class SettingPairs(TwoByTwo):
         for s in (self.alice, self.bob)[coord]:
             if s.name == name:
                 return s
-        raise KeyError(f"unknown {('Alice', 'Bob')[coord]} setting {name!r}")
+        raise KeyError(f"unknown {('Alice', 'Bob')[coord]} setting {_excerpt(name)}")
 
 
 @dataclass(frozen=True)
@@ -505,7 +518,7 @@ class ValidationReport:
 def _check_pmf(report: ValidationReport, pmf: Pmf, name: str) -> None:
     negative = [lab for lab, w in pmf._weights.items() if w < 0]
     if negative:
-        report.add(f"{name}: negative mass at {negative!r}")
+        report.add(f"{name}: negative mass at {_excerpt(negative)}")
     if sum(pmf._weights.values()) != pmf._scale:
         report.add(f"{name}: masses sum to {pmf.total()}, not 1")
 
@@ -516,21 +529,21 @@ def _check_table(
     source_labels: Sequence[Label],
     side: str,
 ) -> None:
-    name = f"{side} setting {setting.name!r} outcome table"
+    name = f"{side} setting {_excerpt(setting.name)} outcome table"
     entries = setting.outcomes.entries
     expected = set(itertools.product(source_labels, setting.instrument.labels()))
     missing = expected - entries.keys()
     extra = entries.keys() - expected
     if missing:
-        report.add(f"{name}: missing entries for {sorted(map(repr, missing))[:4]}")
+        report.add(f"{name}: missing entries for {sorted(map(_excerpt, missing))[:4]}")
     if extra:
-        report.add(f"{name}: entries outside domain {sorted(map(repr, extra))[:4]}")
+        report.add(f"{name}: entries outside domain {sorted(map(_excerpt, extra))[:4]}")
     for key, v in entries.items():
         # within [-1, 1], an integer is -1, 0 or 1
         if abs(v.numerator) > v.denominator:
-            report.add(f"{name}: value {v} at {key!r} outside [-1, 1]")
+            report.add(f"{name}: value {v} at {_excerpt(key)} outside [-1, 1]")
         elif setting.outcomes.ternary and v.denominator != 1:
-            report.add(f"{name}: ternary table holds non-ternary value {v} at {key!r}")
+            report.add(f"{name}: ternary table holds non-ternary value {v} at {_excerpt(key)}")
 
 
 def validate_model(model: ContextualModel) -> ValidationReport:
@@ -542,7 +555,7 @@ def validate_model(model: ContextualModel) -> ValidationReport:
     report = ValidationReport()
     for pair in model.source.labels():
         if not (isinstance(pair, tuple) and len(pair) == 2):
-            report.add(f"source pmf: label {pair!r} is not a (lambda1, lambda2) pair")
+            report.add(f"source pmf: label {_excerpt(pair)} is not a (lambda1, lambda2) pair")
             return report
     _check_pmf(report, model.source, "source pmf")
     for coord, side_name in enumerate(("alice", "bob")):
@@ -551,11 +564,11 @@ def validate_model(model: ContextualModel) -> ValidationReport:
             report.add(f"{side_name}: needs exactly 2 settings, has {len(side)}")
             continue
         if side[0].name == side[1].name:
-            report.add(f"{side_name}: duplicate setting name {side[0].name!r}")
+            report.add(f"{side_name}: duplicate setting name {_excerpt(side[0].name)}")
         source_labels = _coordinate_labels(model.source, coord)
         for setting in side:
             _check_pmf(
-                report, setting.instrument, f"{side_name} setting {setting.name!r} instrument pmf"
+                report, setting.instrument, f"{side_name} setting {_excerpt(setting.name)} instrument pmf"
             )
             _check_table(report, setting, source_labels, side_name)
     return report
@@ -718,7 +731,7 @@ def require_point_outcomes(side: str, setting: Setting, keys: Optional[Iterable[
     """Raise ``ValueError`` unless the setting's table holds actual outcomes, at ``keys`` if given."""
     if not setting.outcomes.values_are_point(keys):
         raise ValueError(
-            f"{side} setting {setting.name!r} has fractional outcomes; "
+            f"{side} setting {_excerpt(setting.name)} has fractional outcomes; "
             "behavior tables need point outcomes"
         )
 

@@ -18,7 +18,18 @@ from pathlib import Path
 from typing import Any, Sequence, Union
 
 from .flatten import AveragedModel, FlatModel, FlatSetting
-from .model import BehaviorTable, ContextualModel, Label, OutcomeTable, Pmf, Setting, _coordinate_labels, rational_parts
+from .model import (
+    BehaviorTable,
+    ContextualModel,
+    Label,
+    OutcomeTable,
+    Pmf,
+    Setting,
+    _coordinate_labels,
+    _cut,
+    _excerpt,
+    rational_parts,
+)
 
 Document = Union[ContextualModel, FlatModel, AveragedModel, BehaviorTable]
 
@@ -27,16 +38,6 @@ KINDS = ("contextual", "flat", "averaged", "behavior")
 
 class ModelParseError(ValueError):
     """A model file failed to parse; the message names file and token."""
-
-
-# the most characters of an offending value that an error message quotes
-QUOTE_LIMIT = 80
-
-
-def _excerpt(value: Any) -> str:
-    """``repr(value)``, cut to :data:`QUOTE_LIMIT` characters ending in "...", so a message stays short."""
-    text = repr(value)
-    return text if len(text) <= QUOTE_LIMIT else text[: QUOTE_LIMIT - 3] + "..."
 
 
 def _label_str(label) -> str:
@@ -107,7 +108,7 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, 
         raise ModelParseError(f"{source}: unknown key {_excerpt(sorted(unknown)[0])} in {where}")
     missing = required - set(obj)
     if missing:
-        raise ModelParseError(f"{source}: missing key {sorted(missing)[0]!r} in {where}")
+        raise ModelParseError(f"{source}: missing key {_excerpt(sorted(missing)[0])} in {where}")
 
 
 def _parse_pmf(atoms: list, where: str, source: str) -> Pmf:
@@ -116,7 +117,7 @@ def _parse_pmf(atoms: list, where: str, source: str) -> Pmf:
     weights: dict = {}
     for label, (n, d) in atoms:
         if label in weights:
-            raise ModelParseError(f"{source}: duplicate label {_label_str(label)!r} in {where}")
+            raise ModelParseError(f"{source}: duplicate label {_excerpt(_label_str(label))} in {where}")
         weights[label] = n * (scale // d)
     if any(w < 0 for w in weights.values()):
         raise ModelParseError(f"{source}: negative mass in {where}")
@@ -360,7 +361,7 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
             source,
         )
         name = _parse_label(sdoc["setting"], f"{side} setting name", source)
-        where = f"{side} setting {name!r}"
+        where = f"{side} setting {_excerpt(name)}"
         instrument = _parse_instrument(sdoc["instrument"], f"{where} instrument pmf", source)
         rows = _require_list(sdoc["outcomes"], f"{where} outcomes", source)
         inst_labels = instrument.labels()
@@ -369,15 +370,17 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
                 f"{source}: {where} outcome table has {len(rows)} rows, needs {len(labels)}"
             )
         entries = {}
+        shown_il = [_excerpt(il) for il in inst_labels]
         for sl, row in zip(labels, rows):
-            row = _require_list(row, f"{where} outcome row for {sl!r}", source)
+            shown_sl = _excerpt(sl)
+            row = _require_list(row, f"{where} outcome row for {shown_sl}", source)
             if len(row) != len(inst_labels):
                 raise ModelParseError(
-                    f"{source}: {where} outcome row for {sl!r} has {len(row)} entries, "
+                    f"{source}: {where} outcome row for {shown_sl} has {len(row)} entries, "
                     f"needs {len(inst_labels)}"
                 )
-            for il, token in zip(inst_labels, row):
-                entries[(sl, il)] = _parse_frac(token, f"{where} outcome ({sl!r}, {il!r})", source)
+            for il, shown, token in zip(inst_labels, shown_il, row):
+                entries[(sl, il)] = _parse_frac(token, f"{where} outcome ({shown_sl}, {shown})", source)
         return Setting(name, instrument, OutcomeTable(entries, ternary=_parse_ternary(sdoc, where, source)))
 
     def parse_side(coord: int, side: str):
@@ -393,7 +396,7 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
 def _require_distinct(names: Sequence[str], where: str, source: str) -> None:
     """Reject a side whose two settings share a name: each context must be named once."""
     if names[0] == names[1]:
-        raise ModelParseError(f"{source}: {where}: duplicate setting name {names[0]!r}")
+        raise ModelParseError(f"{source}: {where}: duplicate setting name {_excerpt(names[0])}")
 
 
 def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatSetting:
@@ -406,31 +409,32 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatS
         source,
     )
     name = _parse_label(sdoc["setting"], f"{side} flat setting name", source)
+    shown = _excerpt(name)
     coords = sdoc["coords"]
     if not (isinstance(coords, list) and len(coords) == 2):
-        raise ModelParseError(f"{source}: flat setting {name!r} coords must be two indices")
-    coords = tuple(_parse_int(c, f"flat setting {name!r} coords", source) for c in coords)
+        raise ModelParseError(f"{source}: flat setting {shown} coords must be two indices")
+    coords = tuple(_parse_int(c, f"flat setting {shown} coords", source) for c in coords)
     for c in coords:
         if not 0 <= c < arity:
             raise ModelParseError(
-                f"{source}: flat setting {name!r} coordinate {c} lies outside the atom tuples "
+                f"{source}: flat setting {shown} coordinate {c} lies outside the atom tuples "
                 f"(shortest has length {arity})"
             )
-    ternary = _parse_ternary(sdoc, f"flat setting {name!r}", source)
+    ternary = _parse_ternary(sdoc, f"flat setting {shown}", source)
     entries = {}
-    for i, e in enumerate(_require_list(sdoc["entries"], f"flat setting {name!r} entries", source)):
-        _require_keys(e, {"key", "value"}, {"key", "value"}, f"{name!r} entry {i}", source)
+    for i, e in enumerate(_require_list(sdoc["entries"], f"flat setting {shown} entries", source)):
+        _require_keys(e, {"key", "value"}, {"key", "value"}, f"{shown} entry {i}", source)
         key = e["key"]
         if not (isinstance(key, list) and len(key) == 2):
-            raise ModelParseError(f"{source}: flat setting {name!r} entry {i} key must have 2 parts")
-        key = tuple(_parse_label(k, f"flat setting {name!r} entry {i} key", source) for k in key)
+            raise ModelParseError(f"{source}: flat setting {shown} entry {i} key must have 2 parts")
+        key = tuple(_parse_label(k, f"flat setting {shown} entry {i} key", source) for k in key)
         if key in entries:
-            raise ModelParseError(f"{source}: flat setting {name!r} key {_label_str(key)} is listed twice")
-        value = _parse_unit(e["value"], f"flat setting {name!r} entry {i}", source)
+            raise ModelParseError(f"{source}: flat setting {shown} key {_cut(_label_str(key))} is listed twice")
+        value = _parse_unit(e["value"], f"flat setting {shown} entry {i}", source)
         # within [-1, 1], an integer is -1, 0 or 1
         if ternary and value.denominator != 1:
             raise ModelParseError(
-                f"{source}: flat setting {name!r} is ternary but entry {i} value {value} is not -1, 0 or 1"
+                f"{source}: flat setting {shown} is ternary but entry {i} value {value} is not -1, 0 or 1"
             )
         entries[key] = value
     return FlatSetting(name, coords, OutcomeTable(entries, ternary=ternary))
@@ -462,8 +466,8 @@ def _parse_flat(doc: dict, source: str) -> FlatModel:
         for lam in support:
             if (lam[i], lam[j]) not in setting.outcomes.entries:
                 raise ModelParseError(
-                    f"{source}: flat setting {setting.name!r} has no entry for key "
-                    f"{_label_str((lam[i], lam[j]))} of atom {_label_str(lam)}"
+                    f"{source}: flat setting {_excerpt(setting.name)} has no entry for key "
+                    f"{_cut(_label_str((lam[i], lam[j])))} of atom {_cut(_label_str(lam))}"
                 )
     return FlatModel(pmf, alice, bob)
 
@@ -480,20 +484,21 @@ def _parse_averaged(doc: dict, source: str) -> AveragedModel:
         for sdoc in _require_list(doc[side], side, source):
             _require_keys(sdoc, {"setting", "bar"}, {"setting", "bar"}, f"{side} setting", source)
             name = _parse_label(sdoc["setting"], f"{side} setting name", source)
+            shown = _excerpt(name)
             names.append(name)
             bar = {}
-            for i, e in enumerate(_require_list(sdoc["bar"], f"{side} setting {name!r} bar", source)):
-                _require_keys(e, {"label", "value"}, {"label", "value"}, f"{name!r} bar {i}", source)
-                label = _parse_label(e["label"], f"{side} setting {name!r} bar {i} label", source)
+            for i, e in enumerate(_require_list(sdoc["bar"], f"{side} setting {shown} bar", source)):
+                _require_keys(e, {"label", "value"}, {"label", "value"}, f"{shown} bar {i}", source)
+                label = _parse_label(e["label"], f"{side} setting {shown} bar {i} label", source)
                 if label in bar:
                     raise ModelParseError(
-                        f"{source}: {side} setting {name!r} bar label {label!r} is listed twice"
+                        f"{source}: {side} setting {shown} bar label {_excerpt(label)} is listed twice"
                     )
-                bar[label] = _parse_unit(e["value"], f"{side} setting {name!r} bar {i}", source)
+                bar[label] = _parse_unit(e["value"], f"{side} setting {shown} bar {i}", source)
             missing = [lab for lab in labels if lab not in bar]
             if missing:
                 raise ModelParseError(
-                    f"{source}: {side} setting {name!r} bar has no value for source label {missing[0]!r}"
+                    f"{source}: {side} setting {shown} bar has no value for source label {_excerpt(missing[0])}"
                 )
             bars[name] = bar
         if len(names) != 2:
@@ -531,26 +536,27 @@ def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
     for cdoc in _require_list(doc["contexts"], "contexts", source):
         _require_keys(cdoc, {"alice", "bob", "cells"}, {"alice", "bob", "cells"}, "context", source)
         ctx = tuple(_parse_label(cdoc[side], f"context {side}", source) for side in ("alice", "bob"))
+        shown = _excerpt(ctx)
         if ctx[0] not in alice or ctx[1] not in bob:
-            raise ModelParseError(f"{source}: context {ctx} names unknown settings")
+            raise ModelParseError(f"{source}: context {shown} names unknown settings")
         if ctx in probs:
-            raise ModelParseError(f"{source}: context {ctx} is listed twice")
+            raise ModelParseError(f"{source}: context {shown} is listed twice")
         cells = {}
-        for i, cell in enumerate(_require_list(cdoc["cells"], f"context {ctx} cells", source)):
-            where = f"context {ctx} cell {i}"
+        for i, cell in enumerate(_require_list(cdoc["cells"], f"context {shown} cells", source)):
+            where = f"context {shown} cell {i}"
             _require_keys(cell, {"x", "y", "p"}, {"x", "y", "p"}, where, source)
             x, y = _parse_int(cell["x"], where, source), _parse_int(cell["y"], where, source)
             if x not in outcomes or y not in outcomes:
-                raise ModelParseError(f"{source}: context {ctx} cell ({x}, {y}) outside alphabet")
+                raise ModelParseError(f"{source}: context {shown} cell ({x}, {y}) outside alphabet")
             if (x, y) in cells:
-                raise ModelParseError(f"{source}: context {ctx} cell ({x}, {y}) is listed twice")
+                raise ModelParseError(f"{source}: context {shown} cell ({x}, {y}) is listed twice")
             cells[(x, y)] = _parse_frac(cell["p"], where, source)
         total = sum(cells.values(), Fraction(0))
         if any(p < 0 for p in cells.values()):
-            raise ModelParseError(f"{source}: context {ctx} has a negative probability")
+            raise ModelParseError(f"{source}: context {shown} has a negative probability")
         if total != 1:
             raise ModelParseError(
-                f"{source}: context {ctx} pmf sums to {total} (deficit {1 - total}), not 1"
+                f"{source}: context {shown} pmf sums to {total} (deficit {1 - total}), not 1"
             )
         probs[ctx] = cells
     expected = {(a, b) for a in alice for b in bob}

@@ -20,9 +20,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
-from typing import IO, Iterator, NamedTuple, Optional
+from itertools import chain, product
+from typing import IO, Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -97,20 +96,41 @@ class Spreadsheet:
         )
 
     def rows(self) -> Iterator[list]:
-        """One ``[t, a, b, x, y]`` row per trial: the CSV lines and the JSON records."""
+        """One ``[t, a, b, x, y]`` row per trial: the records of the text format, and what the writers encode."""
         return chain.from_iterable(self.row_blocks())
 
     def row_blocks(self) -> Iterator[Iterator[list]]:
         """:meth:`rows` in consecutive blocks of at most ``ROWS_PER_BLOCK`` rows.
 
         Each block converts its slice of the columns when it is reached,
-        and yields its rows lazily, so a writer that finishes one block
-        before taking the next holds one block of columns at a time.
+        and yields its rows lazily.
         """
         trials = range(len(self))
         for start in trials[::ROWS_PER_BLOCK]:
             part = slice(start, start + ROWS_PER_BLOCK)
             yield map(list, zip(trials[part], *self._columns(part)))
+
+    def codes(self, part: slice = slice(None)) -> np.ndarray:
+        """Each trial of a slice as one ``uint8`` code ``8a + 4b + (x + 1) + (y + 1) / 2``, 0 to 15.
+
+        ``code >> 2`` is the context ``2a + b`` and ``code & 3`` the outcome
+        pair ``2x' + y'``, with x' and y' the outcomes read as 0/1.
+        """
+        a, b, x, y = (column[part] for column in (self.a_index, self.b_index, self.x, self.y))
+        return (a * 8 + b * 4 + x + 1 + (y + 1) // 2).astype(np.uint8)
+
+    def text_blocks(self, suffix: Callable[[str, str, int, int], str]) -> Iterator[str]:
+        """The rows as text, each ``str(t) + suffix(a, b, x, y)``, one text per block of rows.
+
+        ``suffix`` is called once for each of the 16 codes of :meth:`codes`,
+        and each row looks its suffix up by code, so a row costs one integer
+        formatting.  A block holds at most ``ROWS_PER_BLOCK`` rows.
+        """
+        table = [suffix(*key) for key in product(self.alice_settings, self.bob_settings, (-1, 1), (-1, 1))]
+        for start in range(0, len(self), ROWS_PER_BLOCK):
+            stop = min(start + ROWS_PER_BLOCK, len(self))
+            codes = self.codes(slice(start, stop)).tobytes()
+            yield "".join(chain.from_iterable(zip(map(str, range(start, stop)), map(table.__getitem__, codes))))
 
     def record(self, t: int) -> TrialRecord:
         return TrialRecord(
@@ -130,17 +150,23 @@ class Spreadsheet:
         )
 
     def csv_chunks(self) -> Iterator[str]:
-        """The CSV text, header first, then one chunk per block of rows."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for block in chain([[("trial", "a", "b", "x", "y")]], self.row_blocks()):
-            writer.writerows(block)
-            yield buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
+        """The CSV text of ``csv.writer``, header first, then one chunk per block of rows.
+
+        ``csv.writer`` quotes each field on its own content, so a row is its
+        trial number followed by the row ``("", a, b, x, y)`` as the writer
+        renders it.
+        """
+        yield _csv_row("trial", "a", "b", "x", "y")
+        yield from self.text_blocks(lambda a, b, x, y: _csv_row("", a, b, x, y))
 
     def write_csv(self, fp: IO[str]) -> None:
         fp.writelines(self.csv_chunks())
+
+
+def _csv_row(*fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
 
 
 class DagModel(TwoByTwo):
@@ -186,9 +212,10 @@ class DagModel(TwoByTwo):
                         e = setting.outcomes.value(pair[coord], atom)
                         thresh[pi, ci] = float((1 + e) / 2)
                 tables.append(thresh)
-            return breaks, tables
+            return breaks, np.stack(tables)
 
-        # (breaks, tables) per side, indexed by source coordinate: 0 Alice, 1 Bob
+        # (breaks, thresholds) per side, indexed by source coordinate: 0 Alice, 1 Bob;
+        # the thresholds are indexed by (setting, source pair, quantile cell)
         self._sides = tuple(compile_side(side, coord) for coord, side in enumerate((model.alice, model.bob)))
 
     def _draw_hidden(self, n: int, seed: int):
@@ -198,11 +225,12 @@ class DagModel(TwoByTwo):
         pair_idx = np.minimum(pair_idx, len(self._pairs) - 1)
         return pair_idx, [_stream(seed, tag).random((2, n)) for tag in (TAG_ALICE, TAG_BOB)]
 
-    def _evaluate(self, coord: int, s: int, pair_idx, u, v) -> np.ndarray:
+    def _evaluate(self, coord: int, s, pair_idx, u, v) -> np.ndarray:
+        """One side's outcomes; ``s`` is one setting index for every trial, or an array of them."""
         breaks, thresh = self._sides[coord]
         cells = np.searchsorted(breaks, u, side="right")
         cells = np.minimum(cells, len(breaks) - 1)
-        th = thresh[s][pair_idx, cells]
+        th = thresh[s, pair_idx, cells]
         return np.where(v < th, 1, -1).astype(np.int8)
 
 
@@ -218,8 +246,7 @@ def from_contextual(model: ContextualModel, setting_bias: Optional[Pmf] = None) 
     if not report.ok:
         raise ValueError("model is not well-formed: " + "; ".join(report.violations))
     point_ternary = all(
-        set(s.outcomes.entries.values()) <= {Fraction(-1), Fraction(0), Fraction(1)}
-        for s in model.alice + model.bob
+        v.denominator == 1 and abs(v.numerator) <= 1 for s in model.alice + model.bob for v in s.outcomes.entries.values()
     )
     has_zero = any(s.outcomes.has_zero() for s in model.alice + model.bob)
     if point_ternary and has_zero:
@@ -284,14 +311,7 @@ def simulate_given_settings(
 
 def _simulate_outcomes(dag, a_idx, b_idx, n, seed, keep_hidden) -> Spreadsheet:
     pair_idx, uniforms = dag._draw_hidden(n, seed)
-    x = np.empty(n, dtype=np.int8)
-    y = np.empty(n, dtype=np.int8)
-    for coord, (idx, out) in enumerate(((a_idx, x), (b_idx, y))):
-        u, v = uniforms[coord]
-        for s in (0, 1):
-            m = idx == s
-            if m.any():
-                out[m] = dag._evaluate(coord, s, pair_idx[m], u[m], v[m])
+    x, y = (dag._evaluate(coord, idx, pair_idx, *uniforms[coord]) for coord, idx in enumerate((a_idx, b_idx)))
     return Spreadsheet(
         dag.alice_settings,
         dag.bob_settings,
@@ -453,27 +473,24 @@ def independence_diagnostic(data: Spreadsheet) -> IndependenceReport:
     if len(data) == 0:
         return IndependenceReport(empty=True)
 
-    xi = ((data.x + 1) // 2).astype(np.intp)  # -1/+1 -> 0/1
-    yi = ((data.y + 1) // 2).astype(np.intp)
+    # every table counts the codes of Spreadsheet.codes: exact integers, held
+    # as C-ordered float64 like the tables of the np.add.at oracle in the
+    # tests, so each sum in _chi2_stat adds the same floats in the same order
+    code = data.codes().astype(np.intp)
+    ctx = code >> 2
+    counts = np.bincount(code, minlength=16).astype(np.float64).reshape(2, 2, 2, 2)  # a, b, x', y'
     cross_stat, cross_dof = 0.0, 0
-    # per side: (own setting index, own outcome, other setting index)
-    sides = ((data.a_index, xi, data.b_index), (data.b_index, yi, data.a_index))
     for s in (0, 1):
-        for own, outcome, other in sides:
-            m = own == s
-            if m.any():
-                table = np.zeros((2, 2))
-                np.add.at(table, (outcome[m], other[m].astype(np.intp)), 1)
-                st, df = _chi2_stat(table)
+        # each side's outcome against the other side's setting, within own setting s
+        for table in (counts[s].sum(axis=2).T, counts[:, s].sum(axis=1).T):
+            if table.any():
+                st, df = _chi2_stat(np.ascontiguousarray(table))
                 cross_stat += st
                 cross_dof += df
 
-    ctx = (data.a_index.astype(np.intp) * 2 + data.b_index).astype(np.intp)
     lag_stat, lag_dof = 0.0, 0
     if len(data) >= 2:
-        prev_outcome = (xi[:-1] * 2 + yi[:-1]).astype(np.intp)
-        table = np.zeros((4, 4))
-        np.add.at(table, (ctx[1:], prev_outcome), 1)
+        table = np.bincount(ctx[1:] * 4 + (code[:-1] & 3), minlength=16).astype(np.float64).reshape(4, 4)
         lag_stat, lag_dof = _chi2_stat(table)
 
     stat = cross_stat + lag_stat
@@ -489,11 +506,9 @@ def independence_diagnostic(data: Spreadsheet) -> IndependenceReport:
         lagged_dof=lag_dof,
     )
     if data.hidden is not None:
-        trace = np.asarray(data.hidden).astype(np.intp)
-        values = np.unique(trace)
-        remap = np.searchsorted(values, trace)
-        table = np.zeros((4, len(values)))
-        np.add.at(table, (ctx, remap), 1)
+        values, remap = np.unique(np.asarray(data.hidden), return_inverse=True)
+        k = len(values)
+        table = np.bincount(ctx * k + remap, minlength=4 * k).astype(np.float64).reshape(4, k)
         h_stat, h_dof = _chi2_stat(table)
         report.hidden_statistic = h_stat
         report.hidden_dof = h_dof

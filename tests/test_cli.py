@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -164,6 +165,24 @@ class TestExactFlattenChain:
             derived = run_json(capsys, "exact", str(out_path), schema="exact")
             assert derived["quad"] == base["quad"]
 
+    def test_product_past_the_bound_exits_one_before_the_build(self, capsys, monkeypatch, tmp_path):
+        """A small file that validates, with 60 instrument atoms per setting: 6 * 60**4 product atoms."""
+        doc = kind_doc("contextual")
+        for side in ("alice", "bob"):
+            for setting in doc[side]:
+                setting["instrument"] = [{"label": f"i{j}", "mass": "1/60"} for j in range(60)]
+                setting["outcomes"] = [row * 60 for row in setting["outcomes"]]
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(doc))
+        assert run_cli(capsys, "validate", str(wide))[0] == 0
+        monkeypatch.setattr(cli, "product_flatten", _forbidden)
+        status, out, err = run_cli(capsys, "flatten", str(wide), "--method", "product")
+        assert (status, out) == (1, "")
+        assert err == (
+            f"error: {wide}: the product flattening has {6 * 60**4} atoms, "
+            f"more than the limit of {cli.MAX_PRODUCT_ATOMS}\n"
+        )
+
     def test_flat_output_parses_as_model_schema(self, capsys, tmp_path):
         out_path = tmp_path / "flat.json"
         run_cli(capsys, "flatten", str(FIXTURES / "counterexample.model.json"), "--out", str(out_path))
@@ -228,7 +247,7 @@ class TestValidate:
     )
     def test_quoted_value_is_capped(self, capsys, tmp_path, path, value, field):
         """A wrong value is quoted up to a fixed length, however large or deep it is."""
-        from lhvlab.modelio import QUOTE_LIMIT
+        from lhvlab.model import QUOTE_LIMIT
 
         doc = json.loads((FIXTURES / "counterexample.model.json").read_text())
         target = doc
@@ -525,6 +544,31 @@ class TestValidate:
         status, out, err = run_cli(capsys, "chsh", "--model", str(tmp_path / "bad.json"))
         assert status == 1 and out == ""
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["contextual", "flat", "averaged", "behavior"])
+    def test_repeated_long_setting_name_is_quoted_short(self, capsys, tmp_path, kind):
+        """Two Alice settings that share a 100 000-character name give a short document, exit 1."""
+        from lhvlab.model import QUOTE_LIMIT
+
+        name = "n" * 100_000
+        doc = kind_doc(kind)
+        if kind == "behavior":
+            doc["aliceSettings"] = [name, name]
+            for context in doc["contexts"]:
+                context["alice"] = name
+        else:
+            for setting in doc["alice"]:
+                setting["setting"] = name
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        status, out, err = run_cli(capsys, "validate", str(bad))
+        assert status == 1 and "Traceback" not in err
+        [violation] = json.loads(out)["violations"]
+        assert "duplicate setting name 'nnn" in violation and "..." in violation
+        assert len(out) <= len(str(bad)) + QUOTE_LIMIT + 100
+        status, out, err = run_cli(capsys, "exact", str(bad))
+        assert (status, out) == (1, "") and "duplicate setting name 'nnn" in err
+        assert len(err) <= len(str(bad)) + QUOTE_LIMIT + 100
 
     @pytest.mark.parametrize(
         "case, message",
@@ -909,6 +953,50 @@ class TestPlumbing:
     @staticmethod
     def run_child(*argv):
         return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=child_env())
+
+    @pytest.mark.parametrize(
+        "argv, owner, worker",
+        [
+            (["flatten", str(FIXTURES / "counterexample.model.json")], cli, "product_flatten"),
+            # the streamed output: the handler covers the writer as well
+            (["simulate", "--model", str(FIXTURES / "counterexample.model.json"), "--trials", "10", "--seed", "1",
+              "--format", "csv"], lhvlab.montecarlo.Spreadsheet, "text_blocks"),
+        ],
+        ids=["flatten", "simulate-csv"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_memory_error_exits_one_with_a_message(self, capsys, monkeypatch, tmp_path, argv, owner, worker, to_file):
+        """The last-resort handler, on a worker patched to raise: nothing is allocated."""
+
+        def exhausted(*_args, **_kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(owner, worker, exhausted)
+        target = tmp_path / "artifact"
+        status, out, err = run_cli(capsys, *argv, *(["--out", str(target)] if to_file else []))
+        assert status == 1
+        assert err == f"error: {FIXTURES / 'counterexample.model.json'}: {argv[0]} ran out of memory\n"
+        # the streamed CSV may have sent its header to stdout; a file is removed
+        assert not target.exists()
+        if to_file:
+            assert out == ""
+
+    def test_out_removed_when_a_streamed_write_fails(self, capsys, monkeypatch, tmp_path):
+        """A disk that fills after the first block: exit 1, and no partial file is left."""
+
+        def first_block_then_full(*_args, **_kwargs):
+            yield "0,x,y,1,1\r\n"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(lhvlab.montecarlo.Spreadsheet, "text_blocks", first_block_then_full)
+        target = tmp_path / "sim.csv"
+        status, out, err = run_cli(
+            capsys, "simulate", "--model", str(FIXTURES / "counterexample.model.json"), "--trials", "10",
+            "--seed", "1", "--format", "csv", "--out", str(target),
+        )
+        assert (status, out) == (1, "")
+        assert err == f"error: cannot write {target}: No space left on device\n"
+        assert not target.exists()
 
     def test_entry_point_runs_as_module(self):
         result = self.run_child("-m", "lhvlab.cli", "chsh", "1", "0", "0", "-1")

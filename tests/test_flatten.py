@@ -29,6 +29,7 @@ from lhvlab import (
     zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model
+from lhvlab.flatten import product_size
 
 
 class TestProductFlatten:
@@ -51,6 +52,10 @@ class TestProductFlatten:
     def test_random_models_reproduce_quads_exactly(self):
         for m in corpus_models(60, seed=31, max_source_side=4, max_instrument=3):
             assert product_flatten(m).quad().values == brute_quad(m).values
+
+    def test_product_size_counts_the_atoms_built(self):
+        for m in [counterexample_model(), *corpus_models(60, seed=32, max_source_side=4, max_instrument=3)]:
+            assert product_size(m) == len(product_flatten(m).lambda_pmf)
 
 
 class TestRefineBreakpoints:

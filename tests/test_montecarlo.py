@@ -22,15 +22,60 @@ from lhvlab import (
     sample_coupling,
     simulate_given_settings,
     simulate_spreadsheet,
+    zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model
-from lhvlab.montecarlo import ROWS_PER_BLOCK, _chi2_sf
+from lhvlab.montecarlo import ROWS_PER_BLOCK, IndependenceReport, _chi2_sf, _chi2_stat
 
 
 def constant_sheet(n, x=1, y=1):
     """A hand-built spreadsheet of ``n`` trials, all in context (x, y), with constant outcomes."""
     column = lambda v: np.full(n, v, dtype=np.int8)
     return Spreadsheet(("x", "x'"), ("y", "y'"), column(0), column(0), column(x), column(y))
+
+
+def random_sheet(n, seed, alice=("x", "x'"), bob=("y", "y'"), hidden=None):
+    """A hand-built spreadsheet of ``n`` trials with seeded columns."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    index = lambda: gen.integers(0, 2, n).astype(np.int8)
+    outcome = lambda: (2 * gen.integers(0, 2, n) - 1).astype(np.int8)
+    return Spreadsheet(alice, bob, index(), index(), outcome(), outcome(), hidden=hidden)
+
+
+def add_at_diagnostic(data):
+    """The independence report with every table filled by ``np.add.at``, one trial at a time."""
+    xi = ((data.x + 1) // 2).astype(np.intp)
+    yi = ((data.y + 1) // 2).astype(np.intp)
+    cross_stat, cross_dof = 0.0, 0
+    sides = ((data.a_index, xi, data.b_index), (data.b_index, yi, data.a_index))
+    for s in (0, 1):
+        for own, outcome, other in sides:
+            m = own == s
+            if m.any():
+                table = np.zeros((2, 2))
+                np.add.at(table, (outcome[m], other[m].astype(np.intp)), 1)
+                st, df = _chi2_stat(table)
+                cross_stat += st
+                cross_dof += df
+    ctx = data.a_index.astype(np.intp) * 2 + data.b_index
+    lag_stat, lag_dof = 0.0, 0
+    if len(data) >= 2:
+        table = np.zeros((4, 4))
+        np.add.at(table, (ctx[1:], xi[:-1] * 2 + yi[:-1]), 1)
+        lag_stat, lag_dof = _chi2_stat(table)
+    stat, dof = cross_stat + lag_stat, cross_dof + lag_dof
+    report = IndependenceReport(
+        False, stat, dof, _chi2_sf(stat, dof) if dof > 0 else 1.0, cross_stat, cross_dof, lag_stat, lag_dof
+    )
+    if data.hidden is not None:
+        trace = np.asarray(data.hidden).astype(np.intp)
+        values = np.unique(trace)
+        table = np.zeros((4, len(values)))
+        np.add.at(table, (ctx, np.searchsorted(values, trace)), 1)
+        h_stat, h_dof = _chi2_stat(table)
+        report.hidden_statistic, report.hidden_dof = h_stat, h_dof
+        report.hidden_p = _chi2_sf(h_stat, h_dof) if h_dof > 0 else 1.0
+    return report
 
 
 def all_plus_model():
@@ -115,6 +160,15 @@ class TestOutcomes:
         sheet.write_csv(buf)
         assert buf.getvalue() == want.getvalue()
 
+    @pytest.mark.parametrize("n", [1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1])
+    def test_csv_equals_csv_writer_on_names_that_need_quoting(self, n):
+        sheet = random_sheet(n, seed=n, alice=("a,b", 'say "x"'), bob=("two\r\nlines", " é λ/🎲"))
+        want = io.StringIO()
+        csv.writer(want).writerows([["trial", "a", "b", "x", "y"], *sheet.rows()])
+        buf = io.StringIO()
+        sheet.write_csv(buf)
+        assert buf.getvalue() == want.getvalue()
+
     def test_empty_sheet_csv_is_the_header(self):
         buf = io.StringIO()
         constant_sheet(0).write_csv(buf)
@@ -191,6 +245,30 @@ class TestFromContextual:
         with pytest.raises(ValueError, match="not well-formed"):
             from_contextual(broken)
 
+    @staticmethod
+    def alice_model(vx, vx2):
+        """:func:`all_plus_model` with Alice's two unflagged table values set to ``vx`` and ``vx2``."""
+        m = all_plus_model()
+        unit = m.alice[0].instrument
+        x, x2 = (Setting(s.name, unit, OutcomeTable({("a", "*"): Fraction(v)})) for s, v in zip(m.alice, (vx, vx2)))
+        return ContextualModel(m.source, (x, x2), m.bob)
+
+    @pytest.mark.parametrize(
+        "vx, vx2, coin, thresholds",
+        [
+            ("0", "1", True, [[[1.0, 0.0]], [[1.0, 1.0]]]),  # an unflagged 0 with +/-1: the coin reduction
+            ("1/2", "1", False, [[[0.75]], [[1.0]]]),  # a fractional table: the auxiliary uniform
+            ("0", "1/2", False, [[[0.5]], [[0.75]]]),  # a 0 beside a fraction reads as an expectation
+            ("-1", "1", False, [[[0.0]], [[1.0]]]),  # no 0: nothing to reduce
+        ],
+    )
+    def test_point_tables_are_coin_reduced(self, vx, vx2, coin, thresholds):
+        m = self.alice_model(vx, vx2)
+        dag = from_contextual(m)
+        assert dag.model == (zero_to_coin(m) if coin else m)
+        assert dag._sides[0][1].tolist() == thresholds
+        assert dag.exact_quad.values == correlation_quad(m).values
+
     def test_bad_bias_rejected(self):
         with pytest.raises(ValueError, match="contexts"):
             from_contextual(all_plus_model(), setting_bias=Pmf({("x", "y"): Fraction(1)}))
@@ -262,6 +340,26 @@ class TestIndependenceDiagnostic:
         below_half = sum(p < 0.5 for p in ps) / len(ps)
         assert 0.2 <= below_half <= 0.8
         assert min(ps) > 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 4096])
+    def test_tables_equal_the_add_at_oracle(self, n):
+        gen = np.random.Generator(np.random.Philox(key=n))
+        # pair indices that are neither contiguous nor starting at 0
+        hidden = gen.choice(np.array([3, 17, 1000, 5]), n)
+        sheets = [
+            random_sheet(n, seed=n),
+            random_sheet(n, seed=n + 1, hidden=hidden),
+            constant_sheet(n),  # every trial in context (0, 0): the strata of own setting 1 never occur
+            constant_sheet(n, x=-1, y=1),
+        ]
+        for sheet in sheets:
+            assert vars(independence_diagnostic(sheet)) == vars(add_at_diagnostic(sheet))
+
+    def test_simulated_tables_equal_the_add_at_oracle(self):
+        dag = from_contextual(counterexample_model())
+        for confound in (False, True):
+            sheet = simulate_spreadsheet(dag, 20_000, seed=3, confound=confound, keep_hidden=True)
+            assert vars(independence_diagnostic(sheet)) == vars(add_at_diagnostic(sheet))
 
     def test_confounded_run_statistic_grows_with_n(self):
         dag = from_contextual(counterexample_model())
