@@ -18,7 +18,15 @@ from typing import Any, Iterator, Optional, Union
 from . import modelio
 from .chsh import ChshReport, PostSelectionReport, chsh_values, postselected_correlations
 from .fine import JointDistribution16, NoSignallingReport, check_no_signalling, find_joint, fine_criterion
-from .flatten import AveragedModel, FlatModel, bell_average, product_flatten, product_size, uniform_reduce
+from .flatten import (
+    AveragedModel,
+    FlatModel,
+    bell_average,
+    product_flatten,
+    product_size,
+    uniform_reduce,
+    uniform_size,
+)
 from .loophole import (
     AngleSet,
     DetectionReport,
@@ -47,9 +55,11 @@ from .modelio import ModelParseError
 MAX_TRIALS = 10**7
 MAX_SOURCE_ATOMS = 1000
 MAX_INSTRUMENT_ATOMS = 100
-# Bound on a model-derived size, checked after the parse and before the build:
-# an atom of the product flattening holds about 1.5 KB at the peak of `flatten`.
+# Bounds on model-derived sizes, checked after the parse and before the build:
+# an atom of the product or the uniform flattening holds about 1.5 KB at the
+# peak of `flatten`.
 MAX_PRODUCT_ATOMS = 10**6
+MAX_UNIFORM_ATOMS = 10**6
 
 
 class CliError(Exception):
@@ -209,17 +219,17 @@ def _cmd_exact(args) -> tuple[Any, int]:
 
 def _cmd_flatten(args) -> tuple[Any, int]:
     model = _require_contextual(_load(args.model))
-    if args.method == "product":
-        atoms = product_size(model)
-        if atoms > MAX_PRODUCT_ATOMS:
-            raise CliError(
-                f"{args.model}: the product flattening has {atoms} atoms, more than the limit of {MAX_PRODUCT_ATOMS}"
-            )
-        out = product_flatten(model)
-    elif args.method == "uniform":
-        out = uniform_reduce(model)
-    else:
+    if args.method == "average":
         out = bell_average(model)
+    else:
+        size, build, bound = {
+            "product": (product_size, product_flatten, MAX_PRODUCT_ATOMS),
+            "uniform": (uniform_size, uniform_reduce, MAX_UNIFORM_ATOMS),
+        }[args.method]
+        atoms = size(model)
+        if atoms > bound:
+            raise CliError(f"{args.model}: the {args.method} flattening has {atoms} atoms, more than the limit of {bound}")
+        out = build(model)
     return [modelio.serialize(out)], 0
 
 
@@ -322,7 +332,7 @@ def _check_seed(seed: int) -> None:
 
 
 def _json_with_records(payload: dict[str, Any], sheet) -> Iterator[str]:
-    """``json.dumps({**payload, "records": list(sheet.rows())}, indent=2) + "\\n"``, in chunks.
+    """``json.dumps({**payload, "records": sheet.rows()}, indent=2) + "\\n"``, in chunks.
 
     The payload is dumped as usual without its closing brace; the records
     follow as its last key, one block of rows per chunk.  A record at the
@@ -394,7 +404,7 @@ def _cmd_simulate(args) -> tuple[Any, int]:
     }
     if args.format == "json":
         return _json_with_records(payload, sheet), 0
-    payload["records"] = list(sheet.rows())
+    payload["records"] = sheet.rows()
     return payload, 0
 
 

@@ -17,10 +17,17 @@ only where a mass, cell bound or bar is read: the builders hand integer
 weights to :meth:`Pmf.from_integers`, uniform cells are cut on integer
 cumulative points, each bar and each :meth:`AveragedModel.quad` context is
 one integer sum, and :meth:`FlatModel.quad` sums each context over integer
-columns of table values at the flat pmf's support tuples.  That
-evaluation walks the flat pmf only; it never calls the contextual kernel
-(``setting_channel``, ``channel_moments``) it is used to check.  The
-bars themselves are the kernel's per-label first moments.
+columns of table values at the flat pmf's support tuples.  A column is
+read off the table itself: the table's entries are brought over the lcm
+of their denominators once, and each support tuple's key is one lookup in
+that integer table, so an entry no tuple reads costs no lookup and a
+zero-mass atom's key need not be listed.  That evaluation walks the flat
+pmf only; it never calls the contextual kernel (``setting_channel``,
+``channel_moments``) it is used to check.  The bars themselves are the
+kernel's per-label first moments.
+
+:func:`product_size` and :func:`uniform_size` count the atoms a flattening
+would build, without building it, so a caller can refuse a size first.
 """
 
 from __future__ import annotations
@@ -98,11 +105,15 @@ class FlatModel(SettingPairs):
 
 
 def _column(setting: FlatSetting, lams: Sequence[tuple]) -> tuple[int, list[int]]:
-    """A setting's table value at each tuple, as integers over the lcm of their denominators."""
-    keys = list(map(itemgetter(*setting.coords), lams))
-    distinct = list(dict.fromkeys(keys))
-    scale, ints = integer_scale([setting.outcomes.value(*key) for key in distinct])
-    return scale, list(map(dict(zip(distinct, ints)).__getitem__, keys))
+    """A setting's table value at each tuple, as integers over the lcm of the table's denominators."""
+    entries = setting.outcomes.entries
+    scale, ints = integer_scale(list(entries.values()))
+    try:
+        return scale, list(map(dict(zip(entries, ints)).__getitem__, map(itemgetter(*setting.coords), lams)))
+    except KeyError as exc:
+        # the map stops at the first tuple whose key is missing; value() names it
+        setting.outcomes.value(*exc.args[0])
+        raise
 
 
 @dataclass(frozen=True)
@@ -139,6 +150,14 @@ def product_size(model: ContextualModel) -> int:
     return math.prod(len(pmf.integer_weights()[1]) for pmf in supports)
 
 
+def uniform_size(model: ContextualModel) -> int:
+    """The number of atoms :func:`uniform_reduce` builds: the source support times each side's cell count."""
+    (ax, ax2), (by, by2) = model.alice, model.bob
+    cells_a = len(_quantile_cells(ax.instrument, ax2.instrument)[1]) - 1
+    cells_b = len(_quantile_cells(by.instrument, by2.instrument)[1]) - 1
+    return len(model.source.integer_weights()[1]) * cells_a * cells_b
+
+
 def product_flatten(model: ContextualModel) -> FlatModel:
     """Rebuild a contextual model on the product of all its hidden-variable spaces.
 
@@ -154,16 +173,18 @@ def product_flatten(model: ContextualModel) -> FlatModel:
         s.instrument.integer_weights() for s in (ax, ax2, by, by2)
     )
     scale = src_scale * sa * sa2 * sb * sb2
-    atoms = []
-    for (l1, l2), w_src in src:
-        for la, wa in inst_ax:
-            w1 = w_src * wa
-            for la2, wa2 in inst_ax2:
-                w2 = w1 * wa2
-                for lb, wb in inst_by:
-                    w3 = w2 * wb
-                    for lb2, wb2 in inst_by2:
-                        atoms.append(((l1, l2, la, la2, lb, lb2), w3 * wb2))
+    # one comprehension; each "for w in [...]" binds a partial product once per outer atom
+    atoms = [
+        ((l1, l2, la, la2, lb, lb2), w3 * wb2)
+        for (l1, l2), w_src in src
+        for la, wa in inst_ax
+        for w1 in [w_src * wa]
+        for la2, wa2 in inst_ax2
+        for w2 in [w1 * wa2]
+        for lb, wb in inst_by
+        for w3 in [w2 * wb]
+        for lb2, wb2 in inst_by2
+    ]
     lambda_pmf = Pmf.from_integers(scale, atoms)
     alice = (
         FlatSetting(ax.name, (0, 2), ax.outcomes),
@@ -226,12 +247,13 @@ def uniform_reduce(model: ContextualModel) -> FlatModel:
     src_scale, src = model.source.integer_weights()
     scale = src_scale * scale_a * scale_b
 
-    atoms = []
-    for (l1, l2), w_src in src:
-        for u1, wa in cells_a:
-            w = w_src * wa
-            for u2, wb in cells_b:
-                atoms.append(((l1, l2, u1, u2), w * wb))
+    atoms = [
+        ((l1, l2, u1, u2), w * wb)
+        for (l1, l2), w_src in src
+        for u1, wa in cells_a
+        for w in [w_src * wa]
+        for u2, wb in cells_b
+    ]
     lambda_pmf = Pmf.from_integers(scale, atoms)
 
     def composed(setting, cell_atoms, cells, source_labels) -> OutcomeTable:

@@ -48,18 +48,30 @@ def _label_str(label) -> str:
     return str(label)
 
 
-def _parse_ratio(token: Any, where: str, source: str) -> tuple[int, int]:
-    """A JSON integer or number string as ``(numerator, denominator)``, by :func:`rational_parts`."""
-    if isinstance(token, (int, str)) and not isinstance(token, bool):
-        try:
-            return rational_parts(str(token))
-        except ValueError as exc:
-            raise ModelParseError(f"{source}: {exc} at {where}") from None
+def _parse_frac(token: Any, where: str, source: str, numbers: dict[str, Fraction]) -> Fraction:
+    """A JSON integer or number string as a Fraction, by :func:`rational_parts`.
+
+    ``numbers`` holds the number strings this document has already
+    converted; :func:`parse_text` makes it empty for each call.  It is
+    keyed on strings only, so a JSON ``true`` (equal to ``1`` as a dict
+    key) never reaches it, and a failed conversion is never stored, so an
+    error names the occurrence that raised it.
+    """
+    if type(token) is str:
+        value = numbers.get(token)
+        if value is None:
+            value = numbers[token] = _fraction(token, where, source)
+        return value
+    if isinstance(token, int) and not isinstance(token, bool):
+        return _fraction(str(token), where, source)
     raise ModelParseError(f"{source}: malformed fraction {_excerpt(token)} at {where}")
 
 
-def _parse_frac(token: Any, where: str, source: str) -> Fraction:
-    return Fraction(*_parse_ratio(token, where, source))
+def _fraction(text: str, where: str, source: str) -> Fraction:
+    try:
+        return Fraction(*rational_parts(text))
+    except ValueError as exc:
+        raise ModelParseError(f"{source}: {exc} at {where}") from None
 
 
 def _parse_label(token: Any, where: str, source: str) -> str:
@@ -69,9 +81,9 @@ def _parse_label(token: Any, where: str, source: str) -> str:
     return token
 
 
-def _parse_unit(token: Any, where: str, source: str) -> Fraction:
+def _parse_unit(token: Any, where: str, source: str, numbers: dict[str, Fraction]) -> Fraction:
     """A fraction in [-1, 1]: a flat table entry or an averaged bar value."""
-    value = _parse_frac(token, where, source)
+    value = _parse_frac(token, where, source, numbers)
     if not -1 <= value <= 1:
         raise ModelParseError(f"{source}: {where} value {value} lies outside [-1, 1]")
     return value
@@ -112,10 +124,11 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, 
 
 
 def _parse_pmf(atoms: list, where: str, source: str) -> Pmf:
-    """The pmf of parsed ``(label, (numerator, denominator))`` atoms; a repeated label or a bad sum is named."""
-    scale = math.lcm(*{d for _lab, (_n, d) in atoms})
+    """The pmf of parsed ``(label, mass)`` atoms; a repeated label or a bad sum is named."""
+    ratios = [m.as_integer_ratio() for _lab, m in atoms]
+    scale = math.lcm(*{d for _n, d in ratios})
     weights: dict = {}
-    for label, (n, d) in atoms:
+    for (label, _m), (n, d) in zip(atoms, ratios):
         if label in weights:
             raise ModelParseError(f"{source}: duplicate label {_excerpt(_label_str(label))} in {where}")
         weights[label] = n * (scale // d)
@@ -306,13 +319,15 @@ def parse_text(text: str, source: str = "<string>") -> Document:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ModelParseError(f"{source}: unknown kind {_excerpt(kind)}; expected one of {KINDS}")
+    # each distinct number string of this document, converted once; see _parse_frac
+    numbers: dict[str, Fraction] = {}
     if kind == "contextual":
-        return _parse_contextual(doc, source)
+        return _parse_contextual(doc, source, numbers)
     if kind == "flat":
-        return _parse_flat(doc, source)
+        return _parse_flat(doc, source, numbers)
     if kind == "averaged":
-        return _parse_averaged(doc, source)
-    return _parse_behavior(doc, source)
+        return _parse_averaged(doc, source, numbers)
+    return _parse_behavior(doc, source, numbers)
 
 
 def parse_path(path: Union[str, Path]) -> Document:
@@ -326,7 +341,7 @@ def parse_path(path: Union[str, Path]) -> Document:
     return parse_text(text, source=str(path))
 
 
-def _parse_source(doc: dict, source: str) -> Pmf:
+def _parse_source(doc: dict, source: str, numbers: dict[str, Fraction]) -> Pmf:
     atoms = []
     for i, atom in enumerate(_require_list(doc["source"], "source", source)):
         _require_keys(atom, {"pair", "mass"}, {"pair", "mass"}, f"source atom {i}", source)
@@ -334,22 +349,22 @@ def _parse_source(doc: dict, source: str) -> Pmf:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ModelParseError(f"{source}: source atom {i} pair must have two labels")
         pair = tuple(_parse_label(lab, f"source atom {i} pair label", source) for lab in pair)
-        atoms.append((pair, _parse_ratio(atom["mass"], f"source atom {i}", source)))
+        atoms.append((pair, _parse_frac(atom["mass"], f"source atom {i}", source, numbers)))
     return _parse_pmf(atoms, "source pmf", source)
 
 
-def _parse_instrument(entries: list, where: str, source: str) -> Pmf:
+def _parse_instrument(entries: list, where: str, source: str, numbers: dict[str, Fraction]) -> Pmf:
     atoms = []
     for i, e in enumerate(_require_list(entries, where, source)):
         _require_keys(e, {"label", "mass"}, {"label", "mass"}, f"{where} atom {i}", source)
         label = _parse_label(e["label"], f"{where} atom {i} label", source)
-        atoms.append((label, _parse_ratio(e["mass"], f"{where} atom {i}", source)))
+        atoms.append((label, _parse_frac(e["mass"], f"{where} atom {i}", source, numbers)))
     return _parse_pmf(atoms, where, source)
 
 
-def _parse_contextual(doc: dict, source: str) -> ContextualModel:
+def _parse_contextual(doc: dict, source: str, numbers: dict[str, Fraction]) -> ContextualModel:
     _require_keys(doc, {"kind", "source", "alice", "bob"}, {"source", "alice", "bob"}, "model", source)
-    src = _parse_source(doc, source)
+    src = _parse_source(doc, source, numbers)
 
     def parse_setting(sdoc: dict, side: str, labels: tuple[str, ...]) -> Setting:
         where = f"{side} setting"
@@ -362,7 +377,7 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
         )
         name = _parse_label(sdoc["setting"], f"{side} setting name", source)
         where = f"{side} setting {_excerpt(name)}"
-        instrument = _parse_instrument(sdoc["instrument"], f"{where} instrument pmf", source)
+        instrument = _parse_instrument(sdoc["instrument"], f"{where} instrument pmf", source, numbers)
         rows = _require_list(sdoc["outcomes"], f"{where} outcomes", source)
         inst_labels = instrument.labels()
         if len(rows) != len(labels):
@@ -380,7 +395,7 @@ def _parse_contextual(doc: dict, source: str) -> ContextualModel:
                     f"needs {len(inst_labels)}"
                 )
             for il, shown, token in zip(inst_labels, shown_il, row):
-                entries[(sl, il)] = _parse_frac(token, f"{where} outcome ({shown_sl}, {shown})", source)
+                entries[(sl, il)] = _parse_frac(token, f"{where} outcome ({shown_sl}, {shown})", source, numbers)
         return Setting(name, instrument, OutcomeTable(entries, ternary=_parse_ternary(sdoc, where, source)))
 
     def parse_side(coord: int, side: str):
@@ -399,7 +414,7 @@ def _require_distinct(names: Sequence[str], where: str, source: str) -> None:
         raise ModelParseError(f"{source}: {where}: duplicate setting name {_excerpt(names[0])}")
 
 
-def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatSetting:
+def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str, numbers: dict[str, Fraction]) -> FlatSetting:
     """One flat setting; ``arity`` is the shortest atom tuple, which its coords must index."""
     _require_keys(
         sdoc,
@@ -430,7 +445,7 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatS
         key = tuple(_parse_label(k, f"flat setting {shown} entry {i} key", source) for k in key)
         if key in entries:
             raise ModelParseError(f"{source}: flat setting {shown} key {_cut(_label_str(key))} is listed twice")
-        value = _parse_unit(e["value"], f"flat setting {shown} entry {i}", source)
+        value = _parse_unit(e["value"], f"flat setting {shown} entry {i}", source, numbers)
         # within [-1, 1], an integer is -1, 0 or 1
         if ternary and value.denominator != 1:
             raise ModelParseError(
@@ -440,20 +455,20 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str) -> FlatS
     return FlatSetting(name, coords, OutcomeTable(entries, ternary=ternary))
 
 
-def _parse_flat(doc: dict, source: str) -> FlatModel:
+def _parse_flat(doc: dict, source: str, numbers: dict[str, Fraction]) -> FlatModel:
     _require_keys(doc, {"kind", "atoms", "alice", "bob"}, {"atoms", "alice", "bob"}, "flat model", source)
     atoms = []
     for i, atom in enumerate(_require_list(doc["atoms"], "atoms", source)):
         _require_keys(atom, {"tuple", "mass"}, {"tuple", "mass"}, f"atom {i}", source)
         lam = _require_list(atom["tuple"], f"atom {i} tuple", source)
         lam = tuple(_parse_label(c, f"atom {i} tuple", source) for c in lam)
-        atoms.append((lam, _parse_ratio(atom["mass"], f"atom {i}", source)))
+        atoms.append((lam, _parse_frac(atom["mass"], f"atom {i}", source, numbers)))
     pmf = _parse_pmf(atoms, "tuple pmf", source)
     arity = min(len(lam) for lam, _m in atoms)
 
     def parse_side(side: str) -> tuple:
         docs = _require_list(doc[side], side, source)
-        return tuple(_parse_flat_setting(d, side, arity, source) for d in docs)
+        return tuple(_parse_flat_setting(d, side, arity, source, numbers) for d in docs)
 
     alice, bob = parse_side("alice"), parse_side("bob")
     if len(alice) != 2 or len(bob) != 2:
@@ -472,9 +487,9 @@ def _parse_flat(doc: dict, source: str) -> FlatModel:
     return FlatModel(pmf, alice, bob)
 
 
-def _parse_averaged(doc: dict, source: str) -> AveragedModel:
+def _parse_averaged(doc: dict, source: str, numbers: dict[str, Fraction]) -> AveragedModel:
     _require_keys(doc, {"kind", "source", "alice", "bob"}, {"source", "alice", "bob"}, "averaged model", source)
-    src = _parse_source(doc, source)
+    src = _parse_source(doc, source, numbers)
 
     def parse_side(side: str, coord: int):
         # the source labels this side's bars are evaluated at
@@ -494,7 +509,7 @@ def _parse_averaged(doc: dict, source: str) -> AveragedModel:
                     raise ModelParseError(
                         f"{source}: {side} setting {shown} bar label {_excerpt(label)} is listed twice"
                     )
-                bar[label] = _parse_unit(e["value"], f"{side} setting {shown} bar {i}", source)
+                bar[label] = _parse_unit(e["value"], f"{side} setting {shown} bar {i}", source, numbers)
             missing = [lab for lab in labels if lab not in bar]
             if missing:
                 raise ModelParseError(
@@ -511,7 +526,7 @@ def _parse_averaged(doc: dict, source: str) -> AveragedModel:
     return AveragedModel(src, alice_names, bob_names, alice_bar, bob_bar)
 
 
-def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
+def _parse_behavior(doc: dict, source: str, numbers: dict[str, Fraction]) -> BehaviorTable:
     _require_keys(
         doc,
         {"kind", "aliceSettings", "bobSettings", "outcomes", "contexts"},
@@ -550,7 +565,7 @@ def _parse_behavior(doc: dict, source: str) -> BehaviorTable:
                 raise ModelParseError(f"{source}: context {shown} cell ({x}, {y}) outside alphabet")
             if (x, y) in cells:
                 raise ModelParseError(f"{source}: context {shown} cell ({x}, {y}) is listed twice")
-            cells[(x, y)] = _parse_frac(cell["p"], where, source)
+            cells[(x, y)] = _parse_frac(cell["p"], where, source, numbers)
         total = sum(cells.values(), Fraction(0))
         if any(p < 0 for p in cells.values()):
             raise ModelParseError(f"{source}: context {shown} has a negative probability")

@@ -86,29 +86,11 @@ class Spreadsheet:
     def __len__(self) -> int:
         return len(self.x)
 
-    def _columns(self, part: slice) -> tuple[list, list, list, list]:
-        """A slice of the a, b, x, y columns as Python lists of setting names and +/-1 ints."""
-        return (
-            np.asarray(self.alice_settings, dtype=object)[self.a_index[part]].tolist(),
-            np.asarray(self.bob_settings, dtype=object)[self.b_index[part]].tolist(),
-            self.x[part].tolist(),
-            self.y[part].tolist(),
-        )
-
-    def rows(self) -> Iterator[list]:
+    def rows(self) -> list[list]:
         """One ``[t, a, b, x, y]`` row per trial: the records of the text format, and what the writers encode."""
-        return chain.from_iterable(self.row_blocks())
-
-    def row_blocks(self) -> Iterator[Iterator[list]]:
-        """:meth:`rows` in consecutive blocks of at most ``ROWS_PER_BLOCK`` rows.
-
-        Each block converts its slice of the columns when it is reached,
-        and yields its rows lazily.
-        """
-        trials = range(len(self))
-        for start in trials[::ROWS_PER_BLOCK]:
-            part = slice(start, start + ROWS_PER_BLOCK)
-            yield map(list, zip(trials[part], *self._columns(part)))
+        a = map(self.alice_settings.__getitem__, self.a_index.tolist())
+        b = map(self.bob_settings.__getitem__, self.b_index.tolist())
+        return list(map(list, zip(range(len(self)), a, b, self.x.tolist(), self.y.tolist())))
 
     def codes(self, part: slice = slice(None)) -> np.ndarray:
         """Each trial of a slice as one ``uint8`` code ``8a + 4b + (x + 1) + (y + 1) / 2``, 0 to 15.

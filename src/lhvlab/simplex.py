@@ -46,8 +46,12 @@ def find_feasible(
         if len(coeffs) != n:
             raise ValueError("ragged constraint matrix")
         rhs = b_vector[i]
-        scale = lcm(rhs.denominator, *(v.denominator for v in coeffs))
-        row = [v.numerator * (scale // v.denominator) for v in coeffs]
+        if type(rhs) is int and all(type(v) is int for v in coeffs):
+            # already integers, as the constant rows of fine.find_joint are: scale 1
+            scale, row = 1, list(coeffs)
+        else:
+            scale = lcm(rhs.denominator, *(v.denominator for v in coeffs))
+            row = [v.numerator * (scale // v.denominator) for v in coeffs]
         row.extend([0] * (m + 1))
         row[n + i] = scale
         row[width] = rhs.numerator * (scale // rhs.denominator)

@@ -183,6 +183,24 @@ class TestExactFlattenChain:
             f"more than the limit of {cli.MAX_PRODUCT_ATOMS}\n"
         )
 
+    def test_uniform_past_the_bound_exits_one_before_the_build(self, capsys, monkeypatch, tmp_path):
+        """Instruments of 300 and 301 atoms cut each side into 600 cells: 6 * 600**2 uniform atoms."""
+        doc = kind_doc("contextual")
+        for side in ("alice", "bob"):
+            for n, setting in zip((300, 301), doc[side]):
+                setting["instrument"] = [{"label": f"i{j}", "mass": f"1/{n}"} for j in range(n)]
+                setting["outcomes"] = [row * n for row in setting["outcomes"]]
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(doc))
+        assert run_cli(capsys, "validate", str(wide))[0] == 0
+        monkeypatch.setattr(cli, "uniform_reduce", _forbidden)
+        status, out, err = run_cli(capsys, "flatten", str(wide), "--method", "uniform")
+        assert (status, out) == (1, "")
+        assert err == (
+            f"error: {wide}: the uniform flattening has {6 * 600**2} atoms, "
+            f"more than the limit of {cli.MAX_UNIFORM_ATOMS}\n"
+        )
+
     def test_flat_output_parses_as_model_schema(self, capsys, tmp_path):
         out_path = tmp_path / "flat.json"
         run_cli(capsys, "flatten", str(FIXTURES / "counterexample.model.json"), "--out", str(out_path))

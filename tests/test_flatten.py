@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
@@ -13,6 +14,7 @@ from conftest import (
     corpus_models,
 )
 from lhvlab import (
+    DomainMismatchError,
     FlatModel,
     FlatSetting,
     OutcomeTable,
@@ -29,7 +31,7 @@ from lhvlab import (
     zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model
-from lhvlab.flatten import product_size
+from lhvlab.flatten import product_size, uniform_size
 
 
 class TestProductFlatten:
@@ -86,6 +88,10 @@ class TestUniformReduce:
     def test_counterexample_quad_preserved(self):
         fm = uniform_reduce(counterexample_model())
         assert fm.quad().ordered() == (1, 0, 0, -1)
+
+    def test_uniform_size_counts_the_atoms_built(self):
+        for m in [counterexample_model(), *corpus_models(60, seed=35, max_source_side=4, max_instrument=4)]:
+            assert uniform_size(m) == len(uniform_reduce(m).lambda_pmf)
 
     def test_tuple_arity_is_four(self):
         fm = uniform_reduce(counterexample_model())
@@ -238,3 +244,52 @@ def test_flat_quad_is_independent_of_contextual_kernel(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     for flat in flats:
         assert flat.quad().values == brute_flat_quad(flat).values
+
+
+@st.composite
+def flat_models_with_spare_entries(draw):
+    """Flat models whose tables list what the support reads, plus entries nothing reads.
+
+    The unread entries have denominators near 10**30, so they set each
+    table's integer scale; the zero-mass atoms carry a label "z" that no
+    table lists, so some of their keys are missing.
+    """
+    arity = draw(st.integers(min_value=1, max_value=6))
+    support = draw(st.lists(st.tuples(*[st.sampled_from("pqr")] * arity), min_size=1, max_size=8, unique=True))
+    marked = st.tuples(st.tuples(*[st.sampled_from("pqr")] * arity), st.integers(0, arity - 1))
+    idle = list(dict.fromkeys(lam[:k] + ("z",) + lam[k + 1 :] for lam, k in draw(st.lists(marked, max_size=4))))
+    mass = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+    atoms = [(lam, draw(mass)) for lam in support] + [(lam, Fraction(0)) for lam in idle]
+    pmf = Pmf(draw(st.permutations(atoms)))
+    coord = st.integers(min_value=0, max_value=arity - 1)
+    read = st.fractions(min_value=-1, max_value=1, max_denominator=10)
+    spare = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(10**30, 10**30 + 10**6))
+    settings_ = []
+    for k in range(4):
+        i, j = draw(coord), draw(coord)
+        entries = {(lam[i], lam[j]): draw(read) for lam in support}
+        for key in draw(st.lists(st.tuples(st.sampled_from("stu"), st.sampled_from("stu")), max_size=4)):
+            entries[key] = draw(spare)
+        settings_.append(FlatSetting(f"s{k}", (i, j), OutcomeTable(entries)))
+    return FlatModel(pmf, tuple(settings_[:2]), tuple(settings_[2:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_models_with_spare_entries())
+def test_flat_quad_ignores_unread_entries_and_idle_atoms(flat):
+    assert_flat_quad_matches_oracle(flat)
+
+
+def test_flat_quad_names_the_first_missing_key_of_the_support():
+    """The message is the one recorded before the columns were read off the table entries."""
+    pmf = Pmf([(("a", "x"), 0), (("p", "q"), Fraction(1, 2)), (("r", "s"), Fraction(1, 4)), (("t", "u"), Fraction(1, 4))])
+    full = OutcomeTable({("p", "q"): 1, ("r", "s"): -1, ("t", "u"): 0})
+    holey = OutcomeTable({("p", "q"): 1})
+    alice = (FlatSetting("x", (0, 1), full), FlatSetting("x'", (0, 1), full))
+    bob = (FlatSetting("y", (0, 1), full), FlatSetting("y'", (0, 1), full))
+    # the zero-mass atom's key ("a", "x") is in no table, and is not an error
+    assert FlatModel(pmf, alice, bob).quad().ordered() == (Fraction(3, 4),) * 4
+    flat = FlatModel(pmf, alice, (bob[0], FlatSetting("y'", (0, 1), holey)))
+    with pytest.raises(DomainMismatchError) as info:
+        flat.quad()
+    assert str(info.value) == "no outcome for (source='r', instrument='s')"

@@ -29,7 +29,8 @@ from lhvlab import (
 )
 from lhvlab.corpus import random_contextual_model
 from lhvlab.loophole import _mutate, _random_search_model
-from lhvlab.modelio import ModelParseError, parse_path, parse_text, serialize, setting_text, source_text
+from lhvlab.modelio import KINDS, ModelParseError, parse_path, parse_text, serialize, setting_text, source_text
+from test_fuzz import DOCUMENTS, REPLACEMENTS, mutate, nested_paths
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
 
@@ -260,6 +261,106 @@ class TestParseErrors:
         b = json.loads(serialize(quantum_singlet_behavior(AngleSet.chsh_optimal())))
         b["contexts"] = b["contexts"][:3]
         self.expect_error(b, "all four contexts")
+
+
+# ------------------------------------------------------------ one conversion per number string
+
+# SHA-256 of parse_text's outcome ("ok" or the ModelParseError message, one per
+# line) on every mutant of test_fuzz's documents that get past the kind check,
+# recorded before parse_text converted each distinct number string once.
+FUZZ_MESSAGES_SHA256 = "b670f0b193ada3402e7e0d52110a0df31daf914a5c9c735ab76d7b6a766e65e5"
+
+
+def renamed_flat_doc():
+    """The counterexample's product flattening, its settings renamed so that each message names one."""
+    doc = json.loads(serialize(product_flatten(counterexample_model())))
+    for side, names in (("alice", ("a", "a2")), ("bob", ("b", "b2"))):
+        for setting, name in zip(doc[side], names):
+            setting["setting"] = name
+    return doc
+
+
+class TestNumberMemo:
+    """parse_text converts each distinct number string once; every check still runs per occurrence."""
+
+    def error(self, doc):
+        with pytest.raises(ModelParseError) as info:
+            parse_text(json.dumps(doc), source="test.json")
+        return str(info.value)
+
+    def test_true_after_one_is_still_a_malformed_fraction(self):
+        doc = json.loads(serialize(counterexample_model()))
+        doc["alice"][0]["outcomes"][0][0] = 1
+        doc["alice"][0]["outcomes"][1][0] = "1"
+        doc["alice"][1]["outcomes"][2][0] = True
+        assert self.error(doc) == "test.json: malformed fraction True at alice setting '-1' outcome ('3', '*')"
+        doc = json.loads(serialize(counterexample_model()))
+        doc["source"][1]["mass"] = True
+        assert self.error(doc) == "test.json: malformed fraction True at source atom 1"
+        doc = renamed_flat_doc()
+        doc["alice"][0]["entries"][0]["value"] = 1
+        doc["bob"][1]["entries"][1]["value"] = True
+        assert self.error(doc) == "test.json: malformed fraction True at flat setting 'b2' entry 1"
+
+    @pytest.mark.parametrize(
+        "spots, message",
+        [
+            ([("alice", 1, 2), ("bob", 0, 0)], "flat setting 'a2' entry 2 value 3/2 lies outside [-1, 1]"),
+            ([("bob", 0, 0), ("bob", 1, 3)], "flat setting 'b' entry 0 value 3/2 lies outside [-1, 1]"),
+            ([("bob", 1, 3), ("bob", 1, 5)], "flat setting 'b2' entry 3 value 3/2 lies outside [-1, 1]"),
+        ],
+    )
+    def test_a_repeated_out_of_range_entry_names_its_own_location(self, spots, message):
+        doc = renamed_flat_doc()
+        for side, setting, entry in spots:
+            doc[side][setting]["entries"][entry]["value"] = "3/2"
+        assert self.error(doc) == f"test.json: {message}"
+
+    def test_a_value_accepted_once_is_checked_again_where_the_rule_differs(self):
+        doc = renamed_flat_doc()
+        doc["alice"][0]["entries"][0]["value"] = "1/2"
+        doc["bob"][0]["ternary"] = True
+        doc["bob"][0]["entries"][1]["value"] = "1/2"
+        assert self.error(doc) == "test.json: flat setting 'b' is ternary but entry 1 value 1/2 is not -1, 0 or 1"
+        doc = json.loads(serialize(counterexample_model()))
+        doc["alice"][0]["outcomes"][0][0] = "-1/2"
+        doc["bob"][1]["instrument"] = [{"label": "a", "mass": "-1/2"}, {"label": "b", "mass": "3/2"}]
+        doc["bob"][1]["outcomes"] = [row * 2 for row in doc["bob"][1]["outcomes"]]
+        assert self.error(doc) == "test.json: negative mass in bob setting '-1' instrument pmf"
+
+    def test_fuzz_corpus_messages_are_unchanged(self):
+        digest = hashlib.sha256()
+        for doc in DOCUMENTS:
+            # a document without a known kind stops at the kind check, whatever its mutation
+            if doc.get("kind") not in KINDS:
+                continue
+            for path in nested_paths(doc):
+                for replacement in REPLACEMENTS:
+                    try:
+                        parse_text(json.dumps(mutate(doc, path, replacement)), source="m.json")
+                        outcome = "ok"
+                    except ModelParseError as exc:
+                        outcome = str(exc)
+                    digest.update(outcome.encode() + b"\n")
+        assert digest.hexdigest() == FUZZ_MESSAGES_SHA256
+
+    def test_no_state_outlives_a_call(self):
+        import lhvlab.modelio as modelio
+
+        def module_state():
+            return {
+                name: (id(value), len(value) if isinstance(value, (dict, list, set)) else None)
+                for name, value in vars(modelio).items()
+            }
+
+        text = serialize(counterexample_model())
+        before = module_state()
+        first, second = parse_text(text), parse_text(text)
+        assert module_state() == before
+        # within a call one string gives one Fraction; across calls nothing is shared
+        entries = [first.alice[0].outcomes.entries, second.alice[0].outcomes.entries]
+        assert entries[0][("1", "*")] is entries[0][("2", "*")]
+        assert entries[0][("1", "*")] is not entries[1][("1", "*")]
 
 
 # ------------------------------------------------------------ serializer oracle

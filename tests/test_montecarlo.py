@@ -143,17 +143,15 @@ class TestOutcomes:
         assert lines[0] == ["trial", "a", "b", "x", "y"]
         assert lines[1:] == [[str(v) for v in row] for row in expected]
 
-    def test_row_blocks_cover_the_rows_across_a_block_boundary(self):
+    def test_rows_cover_a_block_boundary(self):
         dag = from_contextual(counterexample_model())
         sheet = simulate_spreadsheet(dag, ROWS_PER_BLOCK + 1, seed=9)
         expected = [
             [t, sheet.alice_settings[a], sheet.bob_settings[b], int(x), int(y)]
             for t, (a, b, x, y) in enumerate(zip(sheet.a_index, sheet.b_index, sheet.x, sheet.y))
         ]
-        blocks = [list(block) for block in sheet.row_blocks()]
-        assert [len(block) for block in blocks] == [ROWS_PER_BLOCK, 1]
-        assert blocks[0] + blocks[1] == expected
-        assert list(sheet.rows()) == expected
+        assert len(expected) == ROWS_PER_BLOCK + 1
+        assert sheet.rows() == expected
         want = io.StringIO()
         csv.writer(want).writerows([["trial", "a", "b", "x", "y"], *expected])
         buf = io.StringIO()
