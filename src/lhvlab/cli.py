@@ -13,27 +13,10 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
 
-from . import modelio
-from .chsh import ChshReport, PostSelectionReport, chsh_values, postselected_correlations
-from .fine import JointDistribution16, NoSignallingReport, check_no_signalling, find_joint, fine_criterion
-from .flatten import (
-    AveragedModel,
-    FlatModel,
-    bell_average,
-    product_flatten,
-    product_size,
-    uniform_reduce,
-    uniform_size,
-)
-from .loophole import (
-    AngleSet,
-    DetectionReport,
-    SearchConfig,
-    quantum_singlet_behavior,
-    search_postselection_violation,
-)
+# Only the model layer loads with the CLI; each subcommand imports the
+# modules it runs, so a small call pays for no module it leaves unused.
 from .model import (
     BehaviorTable,
     ContextualModel,
@@ -45,7 +28,11 @@ from .model import (
     counterexample_model,
     validate_model,
 )
-from .modelio import ModelParseError
+
+if TYPE_CHECKING:
+    from .chsh import ChshReport, PostSelectionReport
+    from .fine import JointDistribution16, NoSignallingReport
+    from .loophole import DetectionReport
 
 
 # Size bounds on flags, checked before anything is read or allocated: far
@@ -156,8 +143,10 @@ def _detection_json(det: DetectionReport) -> dict[str, Any]:
 
 def _read(path: str):
     """The parsed model file; a path that cannot be read ends as a ``CliError`` naming it."""
+    from .modelio import parse_path
+
     try:
-        return modelio.parse_path(path)
+        return parse_path(path)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
     except OSError as exc:
@@ -165,6 +154,8 @@ def _read(path: str):
 
 
 def _load(path: str):
+    from .modelio import ModelParseError
+
     try:
         return _read(path)
     except ModelParseError as exc:
@@ -181,6 +172,8 @@ def _require_contextual(obj) -> ContextualModel:
 
 
 def _kind_of(obj) -> str:
+    from .flatten import AveragedModel, FlatModel
+
     return {
         ContextualModel: "contextual",
         FlatModel: "flat",
@@ -198,6 +191,8 @@ def _quad_of(obj) -> CorrelationQuad:
 # ------------------------------------------------------------- subcommands
 
 def _cmd_validate(args) -> tuple[Any, int]:
+    from .modelio import ModelParseError
+
     try:
         obj = _read(args.model)
     except ModelParseError as exc:
@@ -218,6 +213,9 @@ def _cmd_exact(args) -> tuple[Any, int]:
 
 
 def _cmd_flatten(args) -> tuple[Any, int]:
+    from .flatten import bell_average, product_flatten, product_size, uniform_reduce, uniform_size
+    from .modelio import serialize
+
     model = _require_contextual(_load(args.model))
     if args.method == "average":
         out = bell_average(model)
@@ -230,10 +228,12 @@ def _cmd_flatten(args) -> tuple[Any, int]:
         if atoms > bound:
             raise CliError(f"{args.model}: the {args.method} flattening has {atoms} atoms, more than the limit of {bound}")
         out = build(model)
-    return [modelio.serialize(out)], 0
+    return [serialize(out)], 0
 
 
 def _cmd_chsh(args) -> tuple[Any, int]:
+    from .chsh import chsh_values, postselected_correlations
+
     payload: dict[str, Any] = {}
     if args.model:
         if args.values:
@@ -245,7 +245,11 @@ def _cmd_chsh(args) -> tuple[Any, int]:
         if isinstance(obj, BehaviorTable) and obj.ternary:
             payload["postSelection"] = _postselection_json(postselected_correlations(obj))
         elif isinstance(obj, ContextualModel) and obj.is_ternary():
-            behavior = behavior_from_model(obj)
+            try:
+                behavior = behavior_from_model(obj)
+            except ValueError as exc:
+                # an unflagged setting of a ternary model may hold expectations (a 0 among them), not outcomes
+                raise CliError(f"{args.model}: {exc}")
             payload["postSelection"] = _postselection_json(postselected_correlations(behavior))
     else:
         if len(args.values) != 4:
@@ -270,6 +274,8 @@ def _cmd_chsh(args) -> tuple[Any, int]:
 
 
 def _cmd_fine(args) -> tuple[Any, int]:
+    from .fine import check_no_signalling, find_joint, fine_criterion
+
     obj = _load(args.behavior)
     if not isinstance(obj, BehaviorTable):
         raise CliError(f"expected a behavior file, got kind {_kind_of(obj)!r}")
@@ -361,11 +367,11 @@ def _cmd_simulate(args) -> tuple[Any, int]:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     _check_bound("--trials", args.trials, MAX_TRIALS)
     _check_seed(args.seed)
-    # numpy loads here, for this subcommand only
-    from .montecarlo import estimate_correlations, from_contextual, independence_diagnostic, simulate_spreadsheet
-
     model = _require_contextual(_load(args.model))
     bias = _parse_bias(args.bias, model) if args.bias else None
+    # numpy loads here, for this subcommand only, once the model is known good
+    from .montecarlo import estimate_correlations, from_contextual, independence_diagnostic, simulate_spreadsheet
+
     try:
         dag = from_contextual(model, setting_bias=bias)
         sheet = simulate_spreadsheet(dag, args.trials, args.seed, confound=args.confound)
@@ -409,6 +415,9 @@ def _cmd_simulate(args) -> tuple[Any, int]:
 
 
 def _cmd_search(args) -> tuple[Any, int]:
+    from .loophole import SearchConfig, search_postselection_violation
+    from .modelio import serialize
+
     _check_seed(args.seed)
     _check_bound("--source-atoms", args.source_atoms, MAX_SOURCE_ATOMS)
     _check_bound("--instrument-atoms", args.instrument_atoms, MAX_INSTRUMENT_ATOMS)
@@ -431,7 +440,7 @@ def _cmd_search(args) -> tuple[Any, int]:
         outcome = search_postselection_violation(config)
     except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc))
-    model_text = modelio.serialize(outcome.model)
+    model_text = serialize(outcome.model)
     if args.out_model:
         try:
             with open(args.out_model, "w") as fp:
@@ -462,13 +471,17 @@ def _cmd_search(args) -> tuple[Any, int]:
 
 
 def _cmd_demo_counterexample(args) -> tuple[Any, int]:
+    from .chsh import chsh_values
+    from .fine import find_joint
+    from .modelio import serialize
+
     model = counterexample_model()
     quad = correlation_quad(model)
     report = chsh_values(quad)
     behavior = behavior_from_model(model)
     result = find_joint(behavior)
     payload = {
-        "model": json.loads(modelio.serialize(model)),
+        "model": json.loads(serialize(model)),
         "quad": _quad_json(quad),
         "chsh": _chsh_json(report),
         "fineFeasible": result.feasible,
@@ -478,6 +491,10 @@ def _cmd_demo_counterexample(args) -> tuple[Any, int]:
 
 
 def _cmd_demo_quantum(args) -> tuple[Any, int]:
+    from .chsh import chsh_values
+    from .loophole import AngleSet, quantum_singlet_behavior
+    from .modelio import serialize
+
     if args.angles:
         parts = args.angles.split(",")
         if len(parts) != 4:
@@ -496,7 +513,7 @@ def _cmd_demo_quantum(args) -> tuple[Any, int]:
     report = chsh_values(behavior.quad())
     payload = {
         "angles": [_num(a) for a in (angles.theta_x, angles.theta_xp, angles.theta_y, angles.theta_yp)],
-        "behavior": json.loads(modelio.serialize(behavior)),
+        "behavior": json.loads(serialize(behavior)),
         "chsh": _chsh_json(report),
         "maxAbs": _num(float(report.max_abs)),
         "satisfied": report.satisfied,

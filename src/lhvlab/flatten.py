@@ -262,7 +262,8 @@ def uniform_reduce(model: ContextualModel) -> FlatModel:
             for l_src in source_labels
             for (label, _w), atom in zip(cells, cell_atoms)
         }
-        return OutcomeTable(entries, ternary=setting.outcomes.ternary)
+        # the values are the source table's Fractions: nothing to convert again
+        return OutcomeTable._of_fractions(entries, setting.outcomes.ternary)
 
     first = model.source_first_labels()
     second = model.source_second_labels()

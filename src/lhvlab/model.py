@@ -240,17 +240,22 @@ class OutcomeTable:
         self.entries = {key: as_fraction(v) for key, v in entries.items()}
         self.ternary = ternary
 
-    def _with_entry(self, key: tuple[Label, Label], value: Fraction) -> "OutcomeTable":
-        """This table with the entry at ``key`` set to ``value``, a Fraction.
+    @classmethod
+    def _of_fractions(cls, entries: dict[tuple[Label, Label], Fraction], ternary: bool) -> "OutcomeTable":
+        """The table holding ``entries``, whose values are Fractions already: nothing is converted.
 
-        The other entries are copied as they are, already Fractions, so
-        nothing is converted again.
+        The table takes ``entries`` as it is, so the caller must not change it afterwards.
         """
-        table = OutcomeTable.__new__(OutcomeTable)
-        table.entries = dict(self.entries)
-        table.entries[key] = value
-        table.ternary = self.ternary
+        table = cls.__new__(cls)
+        table.entries = entries
+        table.ternary = ternary
         return table
+
+    def _with_entry(self, key: tuple[Label, Label], value: Fraction) -> "OutcomeTable":
+        """This table with the entry at ``key`` set to ``value``, a Fraction."""
+        entries = dict(self.entries)
+        entries[key] = value
+        return OutcomeTable._of_fractions(entries, self.ternary)
 
     def value(self, source_label: Label, instrument_label: Label) -> Fraction:
         try:

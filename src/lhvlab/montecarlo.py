@@ -44,13 +44,19 @@ TAG_SOURCE = np.uint64(1)
 TAG_ALICE = np.uint64(2)
 TAG_BOB = np.uint64(3)
 
-# rows converted and written per block by the streaming writers
-ROWS_PER_BLOCK = 1 << 16
+# rows converted and written per block by the streaming writers; a JSON block
+# of 2**14 rows holds about 2 MB of text and row strings at its peak
+ROWS_PER_BLOCK = 1 << 14
 
 
 def _stream(seed: int, tag: np.uint64) -> np.random.Generator:
     key = np.array([np.uint64(seed), tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _side_uniforms(coord: int, n: int, seed: int) -> np.ndarray:
+    """One side's (quantile, auxiliary) uniforms per trial, from that side's own stream."""
+    return _stream(seed, (TAG_ALICE, TAG_BOB)[coord]).random((2, n))
 
 
 class TrialRecord(NamedTuple):
@@ -200,20 +206,24 @@ class DagModel(TwoByTwo):
         # the thresholds are indexed by (setting, source pair, quantile cell)
         self._sides = tuple(compile_side(side, coord) for coord, side in enumerate((model.alice, model.bob)))
 
-    def _draw_hidden(self, n: int, seed: int):
-        """The source pair index per trial, and each side's (quantile, auxiliary) uniforms."""
-        u_src = _stream(seed, TAG_SOURCE).random(n)
-        pair_idx = np.searchsorted(self._source_cum, u_src, side="right")
-        pair_idx = np.minimum(pair_idx, len(self._pairs) - 1)
-        return pair_idx, [_stream(seed, tag).random((2, n)) for tag in (TAG_ALICE, TAG_BOB)]
+    def _draw_settings(self, n: int, seed: int, tag: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+        """Each side's setting index per trial; the uniforms and context indices are freed on return."""
+        ctx_idx = np.searchsorted(self._setting_cum, _stream(seed, tag).random(n), side="right")
+        np.minimum(ctx_idx, len(self._setting_cum) - 1, out=ctx_idx)
+        return self._ctx_a[ctx_idx], self._ctx_b[ctx_idx]
+
+    def _draw_source(self, n: int, seed: int) -> np.ndarray:
+        """The source pair index per trial."""
+        pair_idx = np.searchsorted(self._source_cum, _stream(seed, TAG_SOURCE).random(n), side="right")
+        return np.minimum(pair_idx, len(self._pairs) - 1, out=pair_idx)
 
     def _evaluate(self, coord: int, s, pair_idx, u, v) -> np.ndarray:
         """One side's outcomes; ``s`` is one setting index for every trial, or an array of them."""
         breaks, thresh = self._sides[coord]
         cells = np.searchsorted(breaks, u, side="right")
-        cells = np.minimum(cells, len(breaks) - 1)
+        np.minimum(cells, len(breaks) - 1, out=cells)
         th = thresh[s, pair_idx, cells]
-        return np.where(v < th, 1, -1).astype(np.int8)
+        return np.where(v < th, np.int8(1), np.int8(-1))
 
 
 def from_contextual(model: ContextualModel, setting_bias: Optional[Pmf] = None) -> DagModel:
@@ -261,13 +271,8 @@ def simulate_spreadsheet(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    tag = TAG_SOURCE if confound else TAG_SETTINGS
-    u_set = _stream(seed, tag).random(n_trials)
-    ctx_idx = np.searchsorted(dag._setting_cum, u_set, side="right")
-    ctx_idx = np.minimum(ctx_idx, len(dag._setting_cum) - 1)
-    a_idx = dag._ctx_a[ctx_idx]
-    b_idx = dag._ctx_b[ctx_idx]
-    return _simulate_outcomes(dag, a_idx, b_idx, n_trials, seed, keep_hidden)
+    a_idx, b_idx = dag._draw_settings(n_trials, seed, TAG_SOURCE if confound else TAG_SETTINGS)
+    return _simulate_outcomes(dag, a_idx, b_idx, seed, keep_hidden)
 
 
 def simulate_given_settings(
@@ -288,12 +293,17 @@ def simulate_given_settings(
     for arr in (a_idx, b_idx):
         if arr.min() < 0 or arr.max() > 1:
             raise ValueError("setting indices must be 0 or 1")
-    return _simulate_outcomes(dag, a_idx, b_idx, len(a_idx), seed, False)
+    return _simulate_outcomes(dag, a_idx, b_idx, seed, False)
 
 
-def _simulate_outcomes(dag, a_idx, b_idx, n, seed, keep_hidden) -> Spreadsheet:
-    pair_idx, uniforms = dag._draw_hidden(n, seed)
-    x, y = (dag._evaluate(coord, idx, pair_idx, *uniforms[coord]) for coord, idx in enumerate((a_idx, b_idx)))
+def _simulate_outcomes(dag, a_idx, b_idx, seed, keep_hidden) -> Spreadsheet:
+    n = len(a_idx)
+    pair_idx = dag._draw_source(n, seed)
+    # one side's uniforms at a time: each is freed once its outcomes are evaluated
+    x, y = (
+        dag._evaluate(coord, idx, pair_idx, *_side_uniforms(coord, n, seed))
+        for coord, idx in enumerate((a_idx, b_idx))
+    )
     return Spreadsheet(
         dag.alice_settings,
         dag.bob_settings,
@@ -372,9 +382,14 @@ def sample_coupling(dag: DagModel, n_trials: int, seed: int) -> CouplingSamples:
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    pair_idx, uniforms = dag._draw_hidden(n_trials, seed)
+    pair_idx = dag._draw_source(n_trials, seed)
     return CouplingSamples(
-        *(dag._evaluate(coord, s, pair_idx, u, v) for coord, (u, v) in enumerate(uniforms) for s in (0, 1))
+        *(
+            dag._evaluate(coord, s, pair_idx, u, v)
+            for coord in (0, 1)
+            for u, v in [_side_uniforms(coord, n_trials, seed)]
+            for s in (0, 1)
+        )
     )
 
 

@@ -56,6 +56,27 @@ def child_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
+LOADED = (
+    "import contextlib, io, json, sys\n"
+    "from lhvlab.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    status = main(sys.argv[1:])\n"
+    "print(json.dumps({\n"
+    "    'status': status,\n"
+    "    'lhvlab': sorted(m for m in sys.modules if m.startswith('lhvlab.') and m != 'lhvlab.cli'),\n"
+    "    'numpy': 'numpy' in sys.modules,\n"
+    "}))\n"
+)
+
+
+def loaded_modules(*argv):
+    """Run one CLI call in a child interpreter: its exit status, the lhvlab modules it left loaded, and whether numpy loaded."""
+    result = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    return report["status"], {m.removeprefix("lhvlab.") for m in report["lhvlab"]}, report["numpy"]
+
+
 def run_json(capsys, *argv, schema=None):
     status, out, err = run_cli(capsys, *argv)
     assert status == 0, err
@@ -127,6 +148,17 @@ class TestChsh:
         assert "postSelection" in payload
         assert payload["satisfied"] is True  # raw quad satisfies even though conditionals do not
 
+    def test_zero_in_an_unflagged_setting_of_a_ternary_model_exits_one(self, capsys, tmp_path):
+        """Alice's first setting loses its ternary flag, so its 0 entries read as expectations, not outcomes."""
+        doc = json.loads((FIXTURES / "loophole_winner.model.json").read_text())
+        del doc["alice"][0]["ternary"]
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps(doc))
+        assert run_cli(capsys, "validate", str(mixed))[0] == 0
+        status, out, err = run_cli(capsys, "chsh", "--model", str(mixed))
+        assert (status, out) == (1, "")
+        assert err == f"error: {mixed}: alice setting 'x' has fractional outcomes; behavior tables need point outcomes\n"
+
     def test_wrong_arity_is_usage_error(self, capsys):
         status, out, err = run_cli(capsys, "chsh", "1", "0")
         assert status == 2
@@ -175,7 +207,7 @@ class TestExactFlattenChain:
         wide = tmp_path / "wide.json"
         wide.write_text(json.dumps(doc))
         assert run_cli(capsys, "validate", str(wide))[0] == 0
-        monkeypatch.setattr(cli, "product_flatten", _forbidden)
+        monkeypatch.setattr(lhvlab.flatten, "product_flatten", _forbidden)
         status, out, err = run_cli(capsys, "flatten", str(wide), "--method", "product")
         assert (status, out) == (1, "")
         assert err == (
@@ -193,7 +225,7 @@ class TestExactFlattenChain:
         wide = tmp_path / "wide.json"
         wide.write_text(json.dumps(doc))
         assert run_cli(capsys, "validate", str(wide))[0] == 0
-        monkeypatch.setattr(cli, "uniform_reduce", _forbidden)
+        monkeypatch.setattr(lhvlab.flatten, "uniform_reduce", _forbidden)
         status, out, err = run_cli(capsys, "flatten", str(wide), "--method", "uniform")
         assert (status, out) == (1, "")
         assert err == (
@@ -774,6 +806,19 @@ class TestSimulate:
         assert payload["confound"] is True
         assert float(payload["independence"]["statistic"]) > 30
 
+    @pytest.mark.parametrize(
+        "doc, extra, expected",
+        [('{"kind": "contextual"}', [], 1), (None, ["--bias", "1,0,0,1"], 2)],
+        ids=["bad-model", "bad-bias"],
+    )
+    def test_bad_input_exits_before_numpy_loads(self, tmp_path, doc, extra, expected):
+        model = FIXTURES / "counterexample.model.json"
+        if doc is not None:
+            model = tmp_path / "bad.json"
+            model.write_text(doc)
+        status, modules, numpy = loaded_modules("simulate", "--model", str(model), "--trials", "10", "--seed", "1", *extra)
+        assert status == expected
+        assert "montecarlo" not in modules and numpy is False
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_is_usage_error(self, capsys, tmp_path, trials):
@@ -923,7 +968,7 @@ class TestSearch:
         ],
     )
     def test_space_size_past_the_bound_is_usage_error(self, capsys, monkeypatch, flag, value, bound):
-        monkeypatch.setattr(cli, "search_postselection_violation", _forbidden)
+        monkeypatch.setattr(lhvlab.loophole, "search_postselection_violation", _forbidden)
         status, out, err = run_cli(capsys, "search", "--seed", "1", flag, str(value))
         assert status == 2 and out == ""
         assert err == f"usage error: {flag} must be at most {bound}, got {value}\n"
@@ -933,6 +978,30 @@ class TestSearch:
         status, _out, err = run_cli(capsys, "search", "--seed", str(seed), "--budget", "10")
         assert status == 2
         assert "--seed" in err
+
+
+# each call shape of the benchmark's cli workload, with the lhvlab modules it loads besides lhvlab.cli
+_READ = {"model", "modelio", "flatten"}
+_SIMULATE = ["simulate", "--model", str(FIXTURES / "counterexample.model.json"), "--trials", "10", "--seed", "1"]
+_WINNER = str(FIXTURES / "loophole_winner.model.json")
+CALL_SHAPES = [
+    pytest.param(_SIMULATE, _READ | {"chsh", "montecarlo"}, id="simulate_json"),
+    pytest.param(_SIMULATE + ["--format", "csv"], _READ | {"chsh", "montecarlo"}, id="simulate_csv"),
+    pytest.param(["validate", _WINNER], _READ, id="validate"),
+    pytest.param(["exact", _WINNER], _READ, id="exact"),
+    *(
+        pytest.param(["flatten", _WINNER, "--method", method], _READ, id=f"flatten_{method}")
+        for method in ("product", "uniform", "average")
+    ),
+    pytest.param(["chsh", "1", "0", "0", "-1"], {"model", "chsh"}, id="chsh_values"),
+    pytest.param(["chsh", "--model", _WINNER], _READ | {"chsh"}, id="chsh_model"),
+    pytest.param(
+        ["fine", str(FIXTURES / "quantum_chsh_optimal.behavior.json")], _READ | {"chsh", "fine", "simplex"}, id="fine"
+    ),
+    pytest.param(["demo-counterexample"], _READ | {"chsh", "fine", "simplex"}, id="demo_counterexample"),
+    pytest.param(["demo-quantum"], _READ | {"chsh", "loophole"}, id="demo_quantum"),
+    pytest.param(["search", "--seed", "9", "--budget", "400"], _READ | {"chsh", "loophole"}, id="search"),
+]
 
 
 class TestPlumbing:
@@ -975,7 +1044,7 @@ class TestPlumbing:
     @pytest.mark.parametrize(
         "argv, owner, worker",
         [
-            (["flatten", str(FIXTURES / "counterexample.model.json")], cli, "product_flatten"),
+            (["flatten", str(FIXTURES / "counterexample.model.json")], lhvlab.flatten, "product_flatten"),
             # the streamed output: the handler covers the writer as well
             (["simulate", "--model", str(FIXTURES / "counterexample.model.json"), "--trials", "10", "--seed", "1",
               "--format", "csv"], lhvlab.montecarlo.Spreadsheet, "text_blocks"),
@@ -1049,6 +1118,19 @@ class TestPlumbing:
         assert report["unbound"] == []
         assert report["lazy"] is True
 
+    def test_import_loads_no_submodule(self):
+        code = "import sys, lhvlab; print(sorted(m for m in sys.modules if m.startswith('lhvlab')))"
+        result = self.run_child("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "['lhvlab']"
+
+    @pytest.mark.parametrize("argv, expected", CALL_SHAPES)
+    def test_each_subcommand_loads_only_the_modules_it_runs(self, argv, expected):
+        status, modules, numpy = loaded_modules(*argv)
+        assert status == 0
+        assert modules == expected
+        assert numpy is ("montecarlo" in expected)
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_early_closed_stdout_exits_zero_quietly(self, fmt):
         # far more output than a pipe buffers, so the writer meets the closed pipe
@@ -1065,9 +1147,10 @@ class TestPlumbing:
         assert err == b""
 
 
-# lhvlab.__all__: the 76 names of the eager-import package, less the five that only
+# lhvlab.__all__: the 76 names the package once imported eagerly, less the five that only
 # tests reached (NonlocalPairModel, FactorizationReport, is_setting_factorizable,
-# nonlocal_quad, finite_sample_bound), removed on purpose; serving names lazily must keep it
+# nonlocal_quad, finite_sample_bound), removed on purpose; the package now serves every
+# name and submodule on first use, from its name table, and must keep these 71
 PUBLIC_NAMES = {
     "AngleSet", "AveragedModel", "BehaviorTable", "ChshCombination", "ChshReport", "ContextualModel",
     "CorrelationEstimate", "CorrelationQuad", "CouplingSamples", "DagModel", "DetectionReport",

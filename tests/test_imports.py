@@ -1,5 +1,6 @@
 """Every top-level import in ``src/`` and ``tests/`` is used by its module,
-and every top-level function and class of the package is reached.
+every top-level function and class of the package is reached, and the
+package's name table serves each public name from the module defining it.
 
 A name counts as used when the module reads it anywhere, in code or in a
 string annotation, or when the module is a package ``__init__`` (which
@@ -8,6 +9,7 @@ names.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -102,3 +104,33 @@ def test_the_scan_sees_an_unreached_definition():
         "b": "import a\n\nx: 'a.Optional' = a.helper()\n",
     }
     assert unreached_definitions(sources, {"public"}) == ["a.recursive", "a._Dead"]
+
+
+# every submodule of the package is public, except the CLI entry point
+SUBMODULES = {path.stem for path in PACKAGE} - {"__init__", "cli"}
+
+
+@pytest.mark.parametrize("name, module", sorted(lhvlab._MODULE_OF.items()))
+def test_each_table_entry_names_where_it_is_defined(name, module):
+    owner = importlib.import_module(f"lhvlab.{module}")
+    assert name in vars(owner)
+    assert getattr(vars(owner)[name], "__module__", owner.__name__) == owner.__name__
+
+
+def test_all_is_the_table_and_the_submodules():
+    assert lhvlab._SUBMODULES == SUBMODULES
+    assert sorted(lhvlab.__all__) == lhvlab.__all__
+    assert set(lhvlab.__all__) == lhvlab._MODULE_OF.keys() | SUBMODULES
+    assert len(lhvlab.__all__) == len(lhvlab._MODULE_OF) + len(SUBMODULES)
+    # served names are listed before their first use, as eagerly imported ones were
+    assert set(lhvlab.__all__) <= set(dir(lhvlab))
+
+
+def test_star_import_binds_each_name_to_its_definition():
+    names = {}
+    exec("from lhvlab import *", names)
+    for name, module in lhvlab._MODULE_OF.items():
+        assert names[name] is getattr(importlib.import_module(f"lhvlab.{module}"), name), name
+    for module in SUBMODULES:
+        assert names[module] is importlib.import_module(f"lhvlab.{module}"), module
+    assert set(names) - {"__builtins__"} == set(lhvlab.__all__)
