@@ -15,8 +15,7 @@ _MODULE_OF = {
         "counterexample_model", "exact_expectation", "exact_side_expectation", "validate_model",
     ), "model"),
     **dict.fromkeys((
-        "AveragedModel", "FlatModel", "FlatSetting", "bell_average", "product_flatten", "refine_breakpoints",
-        "uniform_reduce",
+        "AveragedModel", "FlatModel", "FlatSetting", "bell_average", "product_flatten", "uniform_reduce",
     ), "flatten"),
     **dict.fromkeys((
         "ChshCombination", "ChshReport", "PostSelectionReport", "chsh_values", "postselected_correlations",

@@ -14,6 +14,8 @@ from .model import (
     OutcomeTable,
     Pmf,
     Setting,
+    _cut,
+    _excerpt,
 )
 
 Value = Union[Fraction, float]
@@ -72,7 +74,7 @@ def chsh_values(quad: CorrelationQuad) -> ChshReport:
     for ctx in contexts:
         v = quad.values[ctx]
         if not -1 <= v <= 1:
-            raise ValueError(f"correlation {v} at context {ctx} outside [-1, 1]")
+            raise ValueError(f"correlation {_cut(v)} at context {_excerpt(ctx)} outside [-1, 1]")
     total = sum(quad.values[ctx] for ctx in contexts)
     combos = []
     for flipped in contexts:
@@ -178,7 +180,7 @@ def zero_to_coin(model: ContextualModel) -> ContextualModel:
             bad = [v for v in setting.outcomes.entries.values() if v.denominator != 1 or abs(v.numerator) > 1]
             if bad:
                 raise ValueError(
-                    f"{side_name} setting {setting.name!r} has non-ternary outcome {bad[0]}; "
+                    f"{side_name} setting {_excerpt(setting.name)} has non-ternary outcome {_cut(bad[0])}; "
                     "the coin reduction applies to outcomes in {-1, 0, +1}"
                 )
 

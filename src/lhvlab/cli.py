@@ -13,15 +13,17 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Union
 
 # Only the model layer loads with the CLI; each subcommand imports the
 # modules it runs, so a small call pays for no module it leaves unused.
 from .model import (
     BehaviorTable,
+    Context,
     ContextualModel,
     CorrelationQuad,
     Pmf,
+    _cut,
     as_fraction,
     behavior_from_model,
     correlation_quad,
@@ -30,7 +32,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .chsh import ChshReport, PostSelectionReport
+    from .chsh import ChshCombination, ChshReport, PostSelectionReport
     from .fine import JointDistribution16, NoSignallingReport
     from .loophole import DetectionReport
 
@@ -68,45 +70,32 @@ def _num(value: Union[Fraction, float, int, None]) -> Optional[str]:
     return format(float(value), ".17g")
 
 
-def _quad_json(quad: CorrelationQuad) -> list[dict[str, Any]]:
-    return [
-        {"alice": a, "bob": b, "value": _num(quad.values[(a, b)])}
-        for a in quad.alice_settings
-        for b in quad.bob_settings
-    ]
+def _quad_json(quad: CorrelationQuad, values: Optional[Mapping[Context, Any]] = None) -> list[dict[str, Any]]:
+    """Each of the quad's contexts, Alice-major, with its value: the quad's own, or the one in ``values``."""
+    values = quad.values if values is None else values
+    return [{"alice": a, "bob": b, "value": _num(values[a, b])} for a, b in quad.contexts()]
+
+
+def _combination_json(c: ChshCombination) -> dict[str, Any]:
+    return {"flippedAlice": c.flipped[0], "flippedBob": c.flipped[1], "sign": c.sign, "value": _num(c.value)}
 
 
 def _chsh_json(report: ChshReport) -> dict[str, Any]:
     return {
         "quad": _quad_json(report.quad),
-        "combinations": [
-            {
-                "flippedAlice": c.flipped[0],
-                "flippedBob": c.flipped[1],
-                "sign": c.sign,
-                "value": _num(c.value),
-            }
-            for c in report.combinations
-        ],
+        "combinations": [_combination_json(c) for c in report.combinations],
         "maxAbs": _num(report.max_abs),
         "satisfied": report.satisfied,
     }
 
 
 def _postselection_json(ps: PostSelectionReport) -> dict[str, Any]:
-    def per_context(mapping):
-        return [
-            {"alice": a, "bob": b, "value": _num(mapping[(a, b)])}
-            for a in ps.raw_quad.alice_settings
-            for b in ps.raw_quad.bob_settings
-        ]
-
     return {
         "rawQuad": _quad_json(ps.raw_quad),
-        "conditional": per_context(ps.conditional),
-        "coincidenceRate": per_context(ps.coincidence_rate),
-        "aliceDetect": per_context(ps.alice_detect),
-        "bobDetect": per_context(ps.bob_detect),
+        "conditional": _quad_json(ps.raw_quad, ps.conditional),
+        "coincidenceRate": _quad_json(ps.raw_quad, ps.coincidence_rate),
+        "aliceDetect": _quad_json(ps.raw_quad, ps.alice_detect),
+        "bobDetect": _quad_json(ps.raw_quad, ps.bob_detect),
     }
 
 
@@ -183,8 +172,9 @@ def _kind_of(obj) -> str:
 
 
 def _quad_of(obj) -> CorrelationQuad:
+    """The quad of a loaded document; a contextual model must pass validation first."""
     if isinstance(obj, ContextualModel):
-        return correlation_quad(obj)
+        return correlation_quad(_require_contextual(obj))
     return obj.quad()
 
 
@@ -206,10 +196,7 @@ def _cmd_validate(args) -> tuple[Any, int]:
 
 def _cmd_exact(args) -> tuple[Any, int]:
     obj = _load(args.model)
-    if isinstance(obj, ContextualModel):
-        _require_contextual(obj)
-    quad = _quad_of(obj)
-    return {"kind": _kind_of(obj), "quad": _quad_json(quad)}, 0
+    return {"kind": _kind_of(obj), "quad": _quad_json(_quad_of(obj))}, 0
 
 
 def _cmd_flatten(args) -> tuple[Any, int]:
@@ -239,8 +226,6 @@ def _cmd_chsh(args) -> tuple[Any, int]:
         if args.values:
             raise UsageError("give either --model or four quad values, not both")
         obj = _load(args.model)
-        if isinstance(obj, ContextualModel):
-            _require_contextual(obj)
         quad = _quad_of(obj)
         if isinstance(obj, BehaviorTable) and obj.ternary:
             payload["postSelection"] = _postselection_json(postselected_correlations(obj))
@@ -297,13 +282,7 @@ def _cmd_fine(args) -> tuple[Any, int]:
     if result.feasible:
         payload["joint"] = _joint_json(result.joint)
     else:
-        c = result.certificate
-        payload["certificate"] = {
-            "flippedAlice": c.flipped[0],
-            "flippedBob": c.flipped[1],
-            "sign": c.sign,
-            "value": _num(c.value),
-        }
+        payload["certificate"] = _combination_json(result.certificate)
     return payload, 0
 
 
@@ -314,7 +293,7 @@ def _parse_bias(text: str, model: ContextualModel) -> Pmf:
     masses = [_arg_fraction(p.strip(), "--bias probability") for p in parts]
     pmf = Pmf(dict(zip(model.contexts(), masses)))
     if not pmf.is_normalized():
-        raise UsageError(f"--bias masses sum to {pmf.total()}, not 1")
+        raise UsageError(f"--bias masses sum to {_cut(pmf.total())}, not 1")
     return pmf
 
 
@@ -328,13 +307,13 @@ def _arg_fraction(text: str, what: str) -> Fraction:
 
 def _check_bound(flag: str, value: int, bound: int) -> None:
     if value > bound:
-        raise UsageError(f"{flag} must be at most {bound}, got {value}")
+        raise UsageError(f"{flag} must be at most {bound}, got {_cut(value)}")
 
 
 def _check_seed(seed: int) -> None:
     """Seeds key the Philox streams as one uint64, so they must fit in one."""
     if not 0 <= seed < 2**64:
-        raise UsageError(f"--seed must lie in [0, 2**64), got {seed}")
+        raise UsageError(f"--seed must lie in [0, 2**64), got {_cut(seed)}")
 
 
 def _json_with_records(payload: dict[str, Any], sheet) -> Iterator[str]:

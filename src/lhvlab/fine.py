@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .chsh import ChshCombination, chsh_values
-from .model import BehaviorTable, Context, ContextualModel, integer_scale
+from .model import BehaviorTable, Context, ContextualModel, _cut, _excerpt, integer_scale
 from .simplex import find_feasible
 from . import flatten as _flatten
 
@@ -222,7 +222,7 @@ def find_joint(behavior: BehaviorTable) -> JointSearchResult:
         report = check_no_signalling(behavior)
         raise ValueError(
             "behavior signals (marginal deviation "
-            f"{report.max_deviation}); no joint distribution can match its marginals"
+            f"{_cut(report.max_deviation)}); no joint distribution can match its marginals"
         )
 
     # The LP is posed on the table's integer weights: the unit total's
@@ -280,7 +280,7 @@ def fine_criterion(behavior: BehaviorTable) -> bool:
     corr = [sum(x * y * w for (x, y), w in cells[ctx].items()) for ctx in behavior.contexts()]
     for ctx, c in zip(behavior.contexts(), corr):
         if abs(c) > scale:
-            raise ValueError(f"correlation {Fraction(c, scale)} at context {ctx} outside [-1, 1]")
+            raise ValueError(f"correlation {_cut(Fraction(c, scale))} at context {_excerpt(ctx)} outside [-1, 1]")
     total = sum(corr)
     return all(abs(total - 2 * c) <= 2 * scale for c in corr)
 
@@ -300,7 +300,7 @@ def coupling_joint(model: ContextualModel) -> JointDistribution16:
         for setting in flat.alice + flat.bob:
             v = setting.evaluate(lam)
             if v not in (Fraction(-1), Fraction(1)):
-                raise ValueError(f"outcome {v} is not +/-1; coupling needs a binary model")
+                raise ValueError(f"outcome {_cut(v)} is not +/-1; coupling needs a binary model")
             vals.append(int(v))
         key = (vals[0], vals[1], vals[2], vals[3])
         mass[key] = mass.get(key, Fraction(0)) + p

@@ -6,7 +6,7 @@ Three routes, all preserving the four context expectations exactly:
   at once, with a single setting-independent pmf;
 * :func:`uniform_reduce` - replaces each side's two instrument
   distributions by one shared discrete uniform-like variable via
-  inverse-CDF cells;
+  inverse-CDF cells, the tuple product over :func:`_quantile_model`;
 * :func:`bell_average` - integrates the instrument variables out,
   leaving per-source-label conditional expectations.
 
@@ -46,8 +46,10 @@ from .model import (
     Label,
     OutcomeTable,
     Pmf,
+    Setting,
     SettingPairs,
     TwoByTwo,
+    _excerpt,
     _factorized_quad,
     channel_moments,
     integer_scale,
@@ -152,9 +154,7 @@ def product_size(model: ContextualModel) -> int:
 
 def uniform_size(model: ContextualModel) -> int:
     """The number of atoms :func:`uniform_reduce` builds: the source support times each side's cell count."""
-    (ax, ax2), (by, by2) = model.alice, model.bob
-    cells_a = len(_quantile_cells(ax.instrument, ax2.instrument)[1]) - 1
-    cells_b = len(_quantile_cells(by.instrument, by2.instrument)[1]) - 1
+    cells_a, cells_b = (len(_side_cells(side)[1]) - 1 for side in (model.alice, model.bob))
     return len(model.source.integer_weights()[1]) * cells_a * cells_b
 
 
@@ -197,56 +197,79 @@ def product_flatten(model: ContextualModel) -> FlatModel:
     return FlatModel(lambda_pmf, alice, bob)
 
 
-def refine_breakpoints(first: Pmf, second: Pmf) -> list[tuple[Fraction, Fraction]]:
-    """Common inverse-CDF cells for two pmfs over the unit interval.
-
-    Returns the half-open cells [lo, hi) cut by the union of both pmfs'
-    cumulative breakpoints.  Cell lengths are exact and sum to 1; every
-    cell lies inside exactly one atom interval of each pmf.
-    """
-    scale, grid, _atoms = _quantile_cells(first, second)
-    points = [Fraction(p, scale) for p in grid]
-    return list(zip(points, points[1:]))
-
-
 def _quantile_cells(first: Pmf, second: Pmf) -> tuple[int, list[int], list[list[Label]]]:
-    """:func:`refine_breakpoints` in integers: ``(scale, grid, atoms)``.
+    """Common inverse-CDF cells of two pmfs over the unit interval, in integers: ``(scale, grid, atoms)``.
 
-    ``grid`` holds the sorted cut points over the two pmfs' common scale, 0 and
-    ``scale`` included; ``atoms`` per pmf the label of the atom holding each cell.
+    ``grid`` holds the sorted cut points, the union of both pmfs' cumulative
+    masses over their common scale, 0 and ``scale`` included; the cells are
+    the half-open intervals between neighbours.  ``atoms`` gives per pmf the
+    label of the atom whose interval holds each cell.  Both pmfs must sum to 1
+    with no negative mass.
     """
     (s1, w1), (s2, w2) = first.integer_weights(), second.integer_weights()
     scale = math.lcm(s1, s2)
     ends = [list(accumulate(w * (scale // s) for _lab, w in weights)) for s, weights in ((s1, w1), (s2, w2))]
     grid = sorted({0, scale}.union(*ends))
-    atoms = []
-    for cum, weights in zip(ends, (w1, w2)):
-        # every atom end is a grid point, so a cell's atom is the first one ending after its lo
-        at = [bisect_right(cum, lo) for lo in grid[:-1]]
-        if at[-1] == len(cum):
-            raise AssertionError(f"cell at {Fraction(grid[-2], scale)} not covered by pmf")
-        atoms.append([weights[i][0] for i in at])
+    # every atom end is a grid point, so a cell's atom is the first one ending after its lo
+    atoms = [[weights[bisect_right(cum, lo)][0] for lo in grid[:-1]] for cum, weights in zip(ends, (w1, w2))]
     return scale, grid, atoms
+
+
+def _side_cells(side: Sequence[Setting]) -> tuple[int, list[int], list[list[Label]]]:
+    """:func:`_quantile_cells` of one side's two instruments; a ``ValueError`` unless each is a pmf."""
+    for s in side:
+        if not s.instrument.is_normalized():
+            raise ValueError(
+                f"quantile cells of settings {_excerpt(side[0].name)} and {_excerpt(side[1].name)}: "
+                f"the instrument of {_excerpt(s.name)} does not sum to 1 with nonnegative masses"
+            )
+    return _quantile_cells(side[0].instrument, side[1].instrument)
+
+
+def _quantile_model(model: ContextualModel) -> ContextualModel:
+    """The model with each side's two instruments replaced by one shared pmf of quantile cells.
+
+    This is the one place the cells are cut.  A side's cells are those of
+    :func:`_quantile_cells` on its two instruments, each labelled "[lo,hi)"
+    and weighing its width; each setting's table reads, at a cell, the
+    input's own Fraction at the instrument atom that holds the cell.  So
+    every setting's outcome law given its source label is the input's, and
+    the four context expectations are the input's exactly.
+    :func:`uniform_reduce` takes the product over this model, and
+    ``montecarlo.DagModel`` samples it.
+    """
+
+    def side(settings: Sequence[Setting], labels: Sequence[Label]) -> tuple[Setting, Setting]:
+        scale, grid, cell_atoms = _side_cells(settings)
+        points = [str(Fraction(p, scale)) for p in grid]
+        cells = [f"[{lo},{hi})" for lo, hi in zip(points, points[1:])]
+        pmf = Pmf.from_integers(scale, [(cell, hi - lo) for cell, lo, hi in zip(cells, grid, grid[1:])])
+        return tuple(
+            # the values are the input table's Fractions: nothing to convert again
+            Setting(s.name, pmf, OutcomeTable._of_fractions(
+                {(lab, cell): s.outcomes.value(lab, atom) for lab in labels for cell, atom in zip(cells, atoms)},
+                s.outcomes.ternary,
+            ))
+            for s, atoms in zip(settings, cell_atoms)
+        )
+
+    alice = side(model.alice, model.source_first_labels())
+    bob = side(model.bob, model.source_second_labels())
+    return ContextualModel(model.source, alice, bob)
 
 
 def uniform_reduce(model: ContextualModel) -> FlatModel:
     """Flatten with one shared quantile variable per side instead of two instrument spaces.
 
-    Each side's two instrument pmfs are realized as functions of a single
-    variable u ranging over the common refinement of their cumulative
-    breakpoints; the per-setting outcome tables compose with the
-    inverse-CDF cell map.  The tuple is (l1, l2, u1-cell, u2-cell) and
-    context expectations match the original model exactly.
+    The tuple product over :func:`_quantile_model`: the tuple is
+    (l1, l2, u1-cell, u2-cell) with the product pmf, and each setting reads
+    its own source coordinate and its side's cell.  Context expectations
+    match the original model exactly.
     """
-    ax, ax2 = model.alice
-    by, by2 = model.bob
-    scale_a, grid_a, (atoms_ax, atoms_ax2) = _quantile_cells(ax.instrument, ax2.instrument)
-    scale_b, grid_b, (atoms_by, atoms_by2) = _quantile_cells(by.instrument, by2.instrument)
-    cells_a = _cells(scale_a, grid_a)
-    cells_b = _cells(scale_b, grid_b)
-    src_scale, src = model.source.integer_weights()
-    scale = src_scale * scale_a * scale_b
-
+    quantile = _quantile_model(model)
+    src_scale, src = quantile.source.integer_weights()
+    scale_a, cells_a = quantile.alice[0].instrument.integer_weights()
+    scale_b, cells_b = quantile.bob[0].instrument.integer_weights()
     atoms = [
         ((l1, l2, u1, u2), w * wb)
         for (l1, l2), w_src in src
@@ -254,34 +277,12 @@ def uniform_reduce(model: ContextualModel) -> FlatModel:
         for w in [w_src * wa]
         for u2, wb in cells_b
     ]
-    lambda_pmf = Pmf.from_integers(scale, atoms)
-
-    def composed(setting, cell_atoms, cells, source_labels) -> OutcomeTable:
-        entries = {
-            (l_src, label): setting.outcomes.value(l_src, atom)
-            for l_src in source_labels
-            for (label, _w), atom in zip(cells, cell_atoms)
-        }
-        # the values are the source table's Fractions: nothing to convert again
-        return OutcomeTable._of_fractions(entries, setting.outcomes.ternary)
-
-    first = model.source_first_labels()
-    second = model.source_second_labels()
-    alice = (
-        FlatSetting(ax.name, (0, 2), composed(ax, atoms_ax, cells_a, first)),
-        FlatSetting(ax2.name, (0, 2), composed(ax2, atoms_ax2, cells_a, first)),
-    )
-    bob = (
-        FlatSetting(by.name, (1, 3), composed(by, atoms_by, cells_b, second)),
-        FlatSetting(by2.name, (1, 3), composed(by2, atoms_by2, cells_b, second)),
+    lambda_pmf = Pmf.from_integers(src_scale * scale_a * scale_b, atoms)
+    alice, bob = (
+        tuple(FlatSetting(s.name, (coord, coord + 2), s.outcomes) for s in side)
+        for coord, side in enumerate((quantile.alice, quantile.bob))
     )
     return FlatModel(lambda_pmf, alice, bob)
-
-
-def _cells(scale: int, grid: Sequence[int]) -> list[tuple[str, int]]:
-    """Each cell's label "[lo,hi)" and its integer length over ``scale``."""
-    points = [str(Fraction(p, scale)) for p in grid]
-    return [(f"[{points[i]},{points[i + 1]})", grid[i + 1] - grid[i]) for i in range(len(grid) - 1)]
 
 
 def bell_average(model: ContextualModel) -> AveragedModel:

@@ -55,8 +55,9 @@ Numberish = Union[Fraction, int, str, float]
 QUOTE_LIMIT = 80
 
 
-def _cut(text: str) -> str:
-    """``text`` cut to :data:`QUOTE_LIMIT` characters ending in "...", so a message stays short."""
+def _cut(value: object) -> str:
+    """``str(value)`` cut to :data:`QUOTE_LIMIT` characters ending in "...", so a message stays short."""
+    text = str(value)
     return text if len(text) <= QUOTE_LIMIT else text[: QUOTE_LIMIT - 3] + "..."
 
 
@@ -369,8 +370,8 @@ class ContextualModel(SettingPairs):
 class CorrelationQuad(TwoByTwo):
     """The four context expectations E(A_a B_b).
 
-    Values are exact Fractions for rational models, floats where the
-    inputs were irrational (e.g. the singlet reference fixture).
+    Every quad the package derives holds exact Fractions, the singlet
+    behavior's included; floats appear only in a quad built by hand.
     """
 
     alice_settings: tuple[str, str]
@@ -383,9 +384,6 @@ class CorrelationQuad(TwoByTwo):
     def ordered(self) -> tuple:
         """Values in Alice-major context order (xy, xy', x'y, x'y')."""
         return tuple(self.values[ctx] for ctx in self.contexts())
-
-    def in_range(self) -> bool:
-        return all(-1 <= v <= 1 for v in self.values.values())
 
 
 class BehaviorTable(TwoByTwo):
@@ -525,7 +523,7 @@ def _check_pmf(report: ValidationReport, pmf: Pmf, name: str) -> None:
     if negative:
         report.add(f"{name}: negative mass at {_excerpt(negative)}")
     if sum(pmf._weights.values()) != pmf._scale:
-        report.add(f"{name}: masses sum to {pmf.total()}, not 1")
+        report.add(f"{name}: masses sum to {_cut(pmf.total())}, not 1")
 
 
 def _check_table(
@@ -546,9 +544,9 @@ def _check_table(
     for key, v in entries.items():
         # within [-1, 1], an integer is -1, 0 or 1
         if abs(v.numerator) > v.denominator:
-            report.add(f"{name}: value {v} at {_excerpt(key)} outside [-1, 1]")
+            report.add(f"{name}: value {_cut(v)} at {_excerpt(key)} outside [-1, 1]")
         elif setting.outcomes.ternary and v.denominator != 1:
-            report.add(f"{name}: ternary table holds non-ternary value {v} at {_excerpt(key)}")
+            report.add(f"{name}: ternary table holds non-ternary value {_cut(v)} at {_excerpt(key)}")
 
 
 def validate_model(model: ContextualModel) -> ValidationReport:

@@ -24,6 +24,7 @@ from .model import (
     Label,
     OutcomeTable,
     Pmf,
+    QUOTE_LIMIT,
     Setting,
     _coordinate_labels,
     _cut,
@@ -85,7 +86,7 @@ def _parse_unit(token: Any, where: str, source: str, numbers: dict[str, Fraction
     """A fraction in [-1, 1]: a flat table entry or an averaged bar value."""
     value = _parse_frac(token, where, source, numbers)
     if not -1 <= value <= 1:
-        raise ModelParseError(f"{source}: {where} value {value} lies outside [-1, 1]")
+        raise ModelParseError(f"{source}: {where} value {_cut(value)} lies outside [-1, 1]")
     return value
 
 
@@ -123,6 +124,12 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str, 
         raise ModelParseError(f"{source}: missing key {_excerpt(sorted(missing)[0])} in {where}")
 
 
+def _sum_text(total: Fraction) -> str:
+    """A wrong total and its deficit from 1; a total longer than the quote limit is quoted alone, cut."""
+    text = str(total)
+    return _cut(text) if len(text) > QUOTE_LIMIT else f"{text} (deficit {_cut(1 - total)})"
+
+
 def _parse_pmf(atoms: list, where: str, source: str) -> Pmf:
     """The pmf of parsed ``(label, mass)`` atoms; a repeated label or a bad sum is named."""
     ratios = [m.as_integer_ratio() for _lab, m in atoms]
@@ -137,7 +144,7 @@ def _parse_pmf(atoms: list, where: str, source: str) -> Pmf:
     total = sum(weights.values())
     if total != scale:
         total = Fraction(total, scale)
-        raise ModelParseError(f"{source}: {where} sums to {total} (deficit {1 - total}), not 1")
+        raise ModelParseError(f"{source}: {where} sums to {_sum_text(total)}, not 1")
     return Pmf.from_integers(scale, weights)
 
 
@@ -449,7 +456,7 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str, numbers:
         # within [-1, 1], an integer is -1, 0 or 1
         if ternary and value.denominator != 1:
             raise ModelParseError(
-                f"{source}: flat setting {shown} is ternary but entry {i} value {value} is not -1, 0 or 1"
+                f"{source}: flat setting {shown} is ternary but entry {i} value {_cut(value)} is not -1, 0 or 1"
             )
         entries[key] = value
     return FlatSetting(name, coords, OutcomeTable(entries, ternary=ternary))
@@ -546,7 +553,7 @@ def _parse_behavior(doc: dict, source: str, numbers: dict[str, Fraction]) -> Beh
         _parse_int(o, "outcomes", source) for o in _require_list(doc["outcomes"], "outcomes", source)
     )
     if outcomes not in ((-1, 1), (-1, 0, 1)):
-        raise ModelParseError(f"{source}: outcomes must be [-1, 1] or [-1, 0, 1], got {outcomes}")
+        raise ModelParseError(f"{source}: outcomes must be [-1, 1] or [-1, 0, 1], got {_excerpt(outcomes)}")
     probs: dict = {}
     for cdoc in _require_list(doc["contexts"], "contexts", source):
         _require_keys(cdoc, {"alice", "bob", "cells"}, {"alice", "bob", "cells"}, "context", source)
@@ -562,7 +569,7 @@ def _parse_behavior(doc: dict, source: str, numbers: dict[str, Fraction]) -> Beh
             _require_keys(cell, {"x", "y", "p"}, {"x", "y", "p"}, where, source)
             x, y = _parse_int(cell["x"], where, source), _parse_int(cell["y"], where, source)
             if x not in outcomes or y not in outcomes:
-                raise ModelParseError(f"{source}: context {shown} cell ({x}, {y}) outside alphabet")
+                raise ModelParseError(f"{source}: context {shown} cell {_excerpt((x, y))} outside alphabet")
             if (x, y) in cells:
                 raise ModelParseError(f"{source}: context {shown} cell ({x}, {y}) is listed twice")
             cells[(x, y)] = _parse_frac(cell["p"], where, source, numbers)
@@ -571,7 +578,7 @@ def _parse_behavior(doc: dict, source: str, numbers: dict[str, Fraction]) -> Beh
             raise ModelParseError(f"{source}: context {shown} has a negative probability")
         if total != 1:
             raise ModelParseError(
-                f"{source}: context {shown} pmf sums to {total} (deficit {1 - total}), not 1"
+                f"{source}: context {shown} pmf sums to {_sum_text(total)}, not 1"
             )
         probs[ctx] = cells
     expected = {(a, b) for a in alice for b in bob}

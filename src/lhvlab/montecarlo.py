@@ -20,13 +20,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import accumulate, chain, product, repeat
 from typing import IO, Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .chsh import zero_to_coin
-from .flatten import _quantile_cells
+from .flatten import _quantile_model
 from .model import (
     Context,
     ContextualModel,
@@ -167,6 +167,12 @@ class DagModel(TwoByTwo):
     falls below (1 + e) / 2.  For +/-1 table values the auxiliary has no
     effect and the outcome is a deterministic function of the setting
     and the bundle.
+
+    The tables are those of ``flatten._quantile_model``, compiled from its
+    integers: the source and cell cumulative masses as ``w / scale`` and
+    each threshold e = n/d as ``(n + d) / (2 * d)``, the correctly rounded
+    floats of the exact values.  ``exact_quad`` is ``correlation_quad`` of
+    that quantile model, the law that is sampled.
     """
 
     def __init__(self, model: ContextualModel, setting_pmf: Pmf):
@@ -174,11 +180,12 @@ class DagModel(TwoByTwo):
         self.alice_settings = model.alice_settings
         self.bob_settings = model.bob_settings
         self.setting_pmf = setting_pmf
-        self.exact_quad: CorrelationQuad = correlation_quad(model)
+        quantile = _quantile_model(model)
+        self.exact_quad: CorrelationQuad = correlation_quad(quantile)
 
-        self._pairs = [pair for pair, _m in model.source.support()]
-        masses = [m for _p, m in model.source.support()]
-        self._source_cum = np.cumsum(np.array([float(m) for m in masses]))
+        src_scale, src = quantile.source.integer_weights()
+        self._pairs = [pair for pair, _w in src]
+        self._source_cum = np.cumsum([w / src_scale for _pair, w in src])
 
         ctx_labels = list(setting_pmf.labels())
         self._ctx_a = np.array(
@@ -190,21 +197,20 @@ class DagModel(TwoByTwo):
         self._setting_cum = np.cumsum(np.array([float(m) for _l, m in setting_pmf.items()]))
 
         def compile_side(settings, coord):
-            scale, grid, cell_atoms = _quantile_cells(settings[0].instrument, settings[1].instrument)
-            breaks = np.array([hi / scale for hi in grid[1:]])
-            tables = []
-            for setting, atoms in zip(settings, cell_atoms):
-                thresh = np.empty((len(self._pairs), len(atoms)))
-                for pi, pair in enumerate(self._pairs):
-                    for ci, atom in enumerate(atoms):
-                        e = setting.outcomes.value(pair[coord], atom)
-                        thresh[pi, ci] = float((1 + e) / 2)
-                tables.append(thresh)
-            return breaks, np.stack(tables)
+            scale, cells = settings[0].instrument.integer_weights()
+            labels, widths = zip(*cells)
+            breaks = np.array([hi / scale for hi in accumulate(widths)])
+            # each value e = n/d at (setting, source pair, cell) gives the threshold (1 + e) / 2
+            thresh = [
+                [[(e.numerator + e.denominator) / (2 * e.denominator) for e in map(value, repeat(pair[coord]), labels)]
+                 for pair in self._pairs]
+                for value in (s.outcomes.value for s in settings)
+            ]
+            return breaks, np.array(thresh)
 
         # (breaks, thresholds) per side, indexed by source coordinate: 0 Alice, 1 Bob;
         # the thresholds are indexed by (setting, source pair, quantile cell)
-        self._sides = tuple(compile_side(side, coord) for coord, side in enumerate((model.alice, model.bob)))
+        self._sides = tuple(compile_side(side, coord) for coord, side in enumerate((quantile.alice, quantile.bob)))
 
     def _draw_settings(self, n: int, seed: int, tag: np.uint64) -> tuple[np.ndarray, np.ndarray]:
         """Each side's setting index per trial; the uniforms and context indices are freed on return."""
@@ -231,7 +237,8 @@ def from_contextual(model: ContextualModel, setting_bias: Optional[Pmf] = None) 
 
     Ternary tables are first put through the coin reduction; fractional
     tables are realized through the per-side auxiliary uniform.  The
-    compiled model's exact quad equals the input model's.  ``setting_bias``
+    compiled model's ``exact_quad`` is ``correlation_quad`` of the quantile
+    model that is sampled, equal to the input model's.  ``setting_bias``
     is a pmf over the four (a, b) contexts and defaults to uniform.
     """
     report = validate_model(model)
@@ -361,16 +368,6 @@ class CouplingSamples:
         y1 = self.y1.astype(np.int16)
         y2 = self.y2.astype(np.int16)
         return x1 * y1 - x2 * y1 - x1 * y2 - x2 * y2
-
-    def counts(self) -> dict[tuple[int, int, int, int], int]:
-        stacked = np.stack([self.x1, self.x2, self.y1, self.y2], axis=1)
-        patterns, counts = np.unique(stacked, axis=0, return_counts=True)
-        return {tuple(int(v) for v in row): int(c) for row, c in zip(patterns, counts)}
-
-    def pair_mean(self, a_pos: int, b_pos: int) -> float:
-        xa = (self.x1, self.x2)[a_pos].astype(np.float64)
-        yb = (self.y1, self.y2)[b_pos].astype(np.float64)
-        return float((xa * yb).mean())
 
 
 def sample_coupling(dag: DagModel, n_trials: int, seed: int) -> CouplingSamples:

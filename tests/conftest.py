@@ -260,6 +260,11 @@ def _contextual_doc(model: ContextualModel) -> dict:
     }
 
 
+# the acceptance corpus: corpus_models(CORPUS_SIZE, seed=CORPUS_SEED)
+CORPUS_SEED = 20240913
+CORPUS_SIZE = 1000
+
+
 def corpus_models(n: int, seed: int = 2024, **kwargs):
     """Yield n random models alternating ternary and interval outcomes."""
     rng = random.Random(seed)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import corpus_models
+from conftest import CORPUS_SEED, CORPUS_SIZE, corpus_models
 from lhvlab import (
     AngleSet,
     behavior_from_model,
@@ -46,8 +46,6 @@ from lhvlab.corpus import random_contextual_model, random_nosignalling_behavior
 from lhvlab.modelio import parse_path, serialize
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
-CORPUS_SEED = 20240913
-CORPUS_SIZE = 1000
 
 
 @contextmanager

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +15,13 @@ from conftest import (
     corpus_models,
 )
 from lhvlab import (
+    ContextualModel,
     DomainMismatchError,
     FlatModel,
     FlatSetting,
     OutcomeTable,
     Pmf,
+    Setting,
     behavior_from_model,
     bell_average,
     correlation_quad,
@@ -26,12 +29,19 @@ from lhvlab import (
     detection_rates,
     exact_side_expectation,
     product_flatten,
-    refine_breakpoints,
     uniform_reduce,
+    validate_model,
     zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model
-from lhvlab.flatten import product_size, uniform_size
+from lhvlab.flatten import _quantile_cells, _quantile_model, product_size, uniform_size
+
+
+def cell_bounds(first, second):
+    """The cells of :func:`_quantile_cells` as ``(lo, hi)`` Fractions."""
+    scale, grid, _atoms = _quantile_cells(first, second)
+    points = [Fraction(p, scale) for p in grid]
+    return list(zip(points, points[1:]))
 
 
 class TestProductFlatten:
@@ -61,17 +71,20 @@ class TestProductFlatten:
 
 
 class TestRefineBreakpoints:
+    """The common refinement of two pmfs' cumulative breakpoints: :func:`_quantile_cells`."""
+
     def test_merge_of_half_and_thirds(self):
         two = Pmf.uniform(["a", "b"])
         three = Pmf.uniform(["p", "q", "r"])
-        cells = refine_breakpoints(two, three)
+        cells = cell_bounds(two, three)
         bounds = [c[0] for c in cells] + [cells[-1][1]]
         assert bounds == [0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1]
         assert len(cells) == 4
+        assert _quantile_cells(two, three)[2] == [["a", "a", "b", "b"], ["p", "q", "q", "r"]]
 
     def test_identical_pmfs_give_quantile_partition(self):
         p = Pmf({"a": Fraction(1, 4), "b": Fraction(3, 4)})
-        cells = refine_breakpoints(p, p)
+        cells = cell_bounds(p, p)
         assert cells == [(0, Fraction(1, 4)), (Fraction(1, 4), 1)]
 
     def test_lengths_sum_to_one(self):
@@ -79,9 +92,15 @@ class TestRefineBreakpoints:
         for _ in range(50):
             p = Pmf.from_weights({f"a{i}": rng.randint(0, 9) + (1 if i == 0 else 0) for i in range(4)})
             q = Pmf.from_weights({f"b{i}": rng.randint(0, 9) + (1 if i == 0 else 0) for i in range(3)})
-            cells = refine_breakpoints(p, q)
+            cells = cell_bounds(p, q)
             assert sum(hi - lo for lo, hi in cells) == 1
             assert all(hi > lo for lo, hi in cells)
+            for pmf, atoms in zip((p, q), _quantile_cells(p, q)[2]):
+                # the atom named for a cell is the one whose inverse-CDF interval holds the cell
+                support = list(pmf.support())
+                starts = dict(zip([lab for lab, _m in support], accumulate([0] + [m for _lab, m in support])))
+                for (lo, hi), atom in zip(cells, atoms):
+                    assert starts[atom] <= lo and hi <= starts[atom] + pmf.mass(atom)
 
 
 class TestUniformReduce:
@@ -107,11 +126,31 @@ class TestUniformReduce:
     def test_cell_lengths_recoverable_and_sum_to_one(self):
         rng = random.Random(4)
         m = random_contextual_model(rng, max_source_side=3, max_instrument=4)
-        cells_a = refine_breakpoints(m.alice[0].instrument, m.alice[1].instrument)
+        cells_a = cell_bounds(m.alice[0].instrument, m.alice[1].instrument)
         fm = uniform_reduce(m)
         u1_labels = {lam[2] for lam in fm.lambda_pmf.labels()}
         assert len(u1_labels) == len(cells_a)
         assert sum(hi - lo for lo, hi in cells_a) == 1
+
+    def test_quantile_model_is_well_formed_and_keeps_the_quad(self):
+        for m in [counterexample_model(), *corpus_models(40, seed=36, max_source_side=4, max_instrument=4)]:
+            quantile = _quantile_model(m)
+            assert validate_model(quantile).ok
+            assert correlation_quad(quantile).values == brute_quad(m).values
+            # one shared cell pmf per side
+            assert quantile.alice[0].instrument is quantile.alice[1].instrument
+            assert quantile.bob[0].instrument is quantile.bob[1].instrument
+
+    @pytest.mark.parametrize(
+        "masses", [{"*": "1/2"}, {"*": "3/2"}, {"*": "3/2", "q": "-1/2"}], ids=["short", "over", "negative"]
+    )
+    def test_instrument_not_summing_to_one_is_a_value_error(self, masses):
+        m = counterexample_model()
+        x, x2 = m.alice
+        broken = ContextualModel(m.source, (Setting(x.name, Pmf(masses), x.outcomes), x2), m.bob)
+        for build in (uniform_reduce, uniform_size):
+            with pytest.raises(ValueError, match=r"settings '\+1' and '-1': the instrument of '\+1' does not sum to 1"):
+                build(broken)
 
 
 class TestBellAverage:

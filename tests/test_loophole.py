@@ -64,7 +64,7 @@ class TestQuantumFixture:
             b = quantum_singlet_behavior(angles)
             assert b.is_normalized()
             assert check_no_signalling(b).holds
-            assert b.quad().in_range()
+            assert all(-1 <= v <= 1 for v in b.quad().values.values())
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position, name", [(0, "theta_x"), (3, "theta_yp")])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import CORPUS_SEED, CORPUS_SIZE, corpus_models
 from lhvlab import (
     ContextualModel,
     OutcomeTable,
@@ -219,11 +220,17 @@ class TestEstimates:
 
 class TestFromContextual:
     def test_exact_quad_equals_model_quad(self):
+        # the exact quad is the quantile model's, the law that is sampled; the acceptance
+        # corpus alternates ternary (coin-reduced where it holds a 0) and interval models
         rng = random.Random(6)
-        for kind in ("binary", "ternary", "interval"):
-            m = random_contextual_model(rng, max_source_side=3, max_instrument=3, outcome_kind=kind)
+        binary = [random_contextual_model(rng, max_source_side=3, max_instrument=3, outcome_kind="binary")
+                  for _ in range(20)]
+        coin_reduced = 0
+        for m in [*corpus_models(CORPUS_SIZE, seed=CORPUS_SEED), *binary]:
             dag = from_contextual(m)
+            coin_reduced += dag.model != m
             assert dag.exact_quad.values == correlation_quad(m).values
+        assert coin_reduced > 0
 
     def test_fractional_model_simulates_consistently(self):
         rng = random.Random(62)
@@ -303,7 +310,9 @@ class TestCoupling:
     def test_deterministic_model_repeats_one_sample(self):
         dag = from_contextual(all_plus_model())
         samples = sample_coupling(dag, 1000, seed=2)
-        assert samples.counts() == {(1, 1, 1, 1): 1000}
+        assert len(samples) == 1000
+        for column in (samples.x1, samples.x2, samples.y1, samples.y2):
+            assert column.tolist() == [1] * 1000
 
     def test_pair_means_converge_to_exact_quad(self):
         dag = from_contextual(counterexample_model())
@@ -311,7 +320,9 @@ class TestCoupling:
         for i, a in enumerate(dag.alice_settings):
             for j, b in enumerate(dag.bob_settings):
                 exact = float(dag.exact_quad.values[(a, b)])
-                assert abs(samples.pair_mean(i, j) - exact) <= 4 / math.sqrt(len(samples))
+                xa = (samples.x1, samples.x2)[i].astype(np.float64)
+                yb = (samples.y1, samples.y2)[j].astype(np.float64)
+                assert abs(float((xa * yb).mean()) - exact) <= 4 / math.sqrt(len(samples))
 
 
 class TestIndependenceDiagnostic:
