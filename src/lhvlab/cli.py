@@ -45,8 +45,8 @@ MAX_TRIALS = 10**7
 MAX_SOURCE_ATOMS = 1000
 MAX_INSTRUMENT_ATOMS = 100
 # Bounds on model-derived sizes, checked after the parse and before the build:
-# an atom of the product or the uniform flattening holds about 1.5 KB at the
-# peak of `flatten`.
+# an atom of the product or the uniform flattening holds about 0.9 KB at the
+# peak of `flatten` (the flat model, its atom texts and the joined document).
 MAX_PRODUCT_ATOMS = 10**6
 MAX_UNIFORM_ATOMS = 10**6
 

@@ -164,8 +164,9 @@ def product_flatten(model: ContextualModel) -> FlatModel:
     The tuple is (l1, l2, la, la', lb, lb') with the product pmf; each
     setting reads its own source coordinate and its own instrument
     coordinate.  All four context expectations equal the original's
-    exactly.
+    exactly.  Each instrument must be a pmf (:func:`_require_pmfs`).
     """
+    _require_pmfs(model.alice, model.bob)
     ax, ax2 = model.alice
     by, by2 = model.bob
     src_scale, src = model.source.integer_weights()
@@ -215,14 +216,25 @@ def _quantile_cells(first: Pmf, second: Pmf) -> tuple[int, list[int], list[list[
     return scale, grid, atoms
 
 
+def _require_pmfs(*sides: Sequence[Setting]) -> None:
+    """A ``ValueError`` naming a side's two settings unless each of its instruments is a pmf.
+
+    The product and uniform flattenings weigh each atom by instrument
+    masses that its context may not read, and a bar is an expectation only
+    over a pmf, so each instrument must sum to 1 with no negative mass.
+    """
+    for side in sides:
+        for s in side:
+            if not s.instrument.is_normalized():
+                raise ValueError(
+                    f"settings {_excerpt(side[0].name)} and {_excerpt(side[1].name)}: "
+                    f"the instrument of {_excerpt(s.name)} does not sum to 1 with nonnegative masses"
+                )
+
+
 def _side_cells(side: Sequence[Setting]) -> tuple[int, list[int], list[list[Label]]]:
-    """:func:`_quantile_cells` of one side's two instruments; a ``ValueError`` unless each is a pmf."""
-    for s in side:
-        if not s.instrument.is_normalized():
-            raise ValueError(
-                f"quantile cells of settings {_excerpt(side[0].name)} and {_excerpt(side[1].name)}: "
-                f"the instrument of {_excerpt(s.name)} does not sum to 1 with nonnegative masses"
-            )
+    """:func:`_quantile_cells` of one side's two instruments, which :func:`_require_pmfs` checks."""
+    _require_pmfs(side)
     return _quantile_cells(side[0].instrument, side[1].instrument)
 
 
@@ -294,8 +306,10 @@ def bell_average(model: ContextualModel) -> AveragedModel:
     The averaged model's expectations equal the original's for every
     context, and every averaged value is bounded by 1 in absolute value.
     Fractional outcome tables are welcome (averaging is linear), so the
-    output drops any ternary flag.
+    output drops any ternary flag.  Each instrument must be a pmf
+    (:func:`_require_pmfs`).
     """
+    _require_pmfs(model.alice, model.bob)
 
     def bars(side, settings) -> dict[str, dict[Label, Fraction]]:
         labels = side_labels(model, side)

@@ -15,7 +15,7 @@ import math
 from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 from .flatten import AveragedModel, FlatModel, FlatSetting
 from .model import (
@@ -150,6 +150,15 @@ def _parse_pmf(atoms: list, where: str, source: str) -> Pmf:
 
 # ---------------------------------------------------------------- serialize
 
+# Every document is assembled from texts written into fixed frames at their
+# depth in the document: _list_text and _object_text frame values already
+# written, and the search's hot parts, a contextual source list and setting
+# object, have literal frames of their own.  The frames are the layout of
+# json.dumps(indent=2), and strings go through the encode_basestring_ascii
+# that json.dumps applies by default, so each text equals json.dumps of the
+# whole document (the tests keep that as the oracle).  Masses are reduced
+# from integer atoms; the str of a Fraction value needs no escaping.
+
 def serialize(obj: Document) -> str:
     """Canonical text form of a model or behavior (JSON, fraction strings)."""
     if isinstance(obj, ContextualModel):
@@ -160,31 +169,13 @@ def serialize(obj: Document) -> str:
             [setting_text(s, second) for s in obj.bob],
         )
     if isinstance(obj, FlatModel):
-        doc = _flat_doc(obj)
-    elif isinstance(obj, AveragedModel):
-        doc = _averaged_doc(obj)
-    elif isinstance(obj, BehaviorTable):
-        doc = _behavior_doc(obj)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return json.dumps(doc, indent=2) + "\n"
+        return _flat_text(obj)
+    if isinstance(obj, AveragedModel):
+        return _averaged_text(obj)
+    if isinstance(obj, BehaviorTable):
+        return _behavior_text(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
-
-def _source_doc(source: Pmf) -> list:
-    return [
-        {"pair": [_label_str(pair[0]), _label_str(pair[1])], "mass": str(m)}
-        for pair, m in source.items()
-    ]
-
-
-# A contextual document is assembled from part texts, each written into a
-# fixed frame at its depth in the document: the source list at depth 1, a
-# setting object at depth 2 inside its side's list.  The frames are the
-# layout of json.dumps(indent=2), and strings go through the same
-# encode_basestring_ascii that json.dumps applies by default, so the
-# assembled text equals json.dumps of the whole document (the tests keep
-# that as the oracle).  Flat, averaged and behavior documents are
-# dumped whole.
 
 def _list_text(items: Sequence[str], indent: str) -> str:
     """A JSON list of already written items, its closing bracket at ``indent``."""
@@ -194,6 +185,12 @@ def _list_text(items: Sequence[str], indent: str) -> str:
     return "[\n  " + indent + inner.join(items) + "\n" + indent + "]"
 
 
+def _object_text(indent: str, **fields: str) -> str:
+    """A JSON object of already written values in keyword order, its closing brace at ``indent``."""
+    inner = ",\n  " + indent
+    return "{\n  " + indent + inner.join(f'"{key}": {text}' for key, text in fields.items()) + "\n" + indent + "}"
+
+
 def _mass_text(weight: int, scale: int) -> str:
     """The quoted ``str(Fraction(weight, scale))``, reduced from the integers."""
     g = math.gcd(weight, scale)
@@ -201,7 +198,7 @@ def _mass_text(weight: int, scale: int) -> str:
 
 
 def source_text(source: Pmf) -> str:
-    """The ``"source"`` list of a contextual document, as it sits in the document."""
+    """The ``"source"`` list of a contextual or averaged document, as it sits in the document."""
     scale, weights = source.integer_atoms()
     return _list_text(
         [
@@ -238,73 +235,62 @@ def setting_text(setting: Setting, source_labels: Sequence[Label]) -> str:
 
 def contextual_text(source: str, alice: Sequence[str], bob: Sequence[str]) -> str:
     """The canonical contextual document from its part texts."""
-    return (
-        '{\n  "kind": "contextual",\n  "source": ' + source
-        + ',\n  "alice": ' + _list_text(alice, "  ")
-        + ',\n  "bob": ' + _list_text(bob, "  ")
-        + "\n}\n"
+    return _object_text(
+        "", kind='"contextual"', source=source, alice=_list_text(alice, "  "), bob=_list_text(bob, "  ")
+    ) + "\n"
+
+
+def _flat_text(model: FlatModel) -> str:
+    scale, weights = model.lambda_pmf.integer_atoms()
+    atoms = [
+        _object_text("    ", tuple=_list_text([_quote(_label_str(c)) for c in lam], "      "), mass=_mass_text(w, scale))
+        for lam, w in weights.items()
+    ]
+
+    def setting(s: FlatSetting) -> str:
+        entries = [
+            _object_text("        ", key=_list_text([_quote(_label_str(k)) for k in key], "          "), value='"%s"' % v)
+            for key, v in s.outcomes.entries.items()
+        ]
+        return _object_text(
+            "    ",
+            setting=_quote(s.name),
+            coords=_list_text([str(c) for c in s.coords], "      "),
+            ternary="true" if s.outcomes.ternary else "false",
+            entries=_list_text(entries, "      "),
+        )
+
+    alice, bob = (_list_text([setting(s) for s in side], "  ") for side in (model.alice, model.bob))
+    return _object_text("", kind='"flat"', atoms=_list_text(atoms, "  "), alice=alice, bob=bob) + "\n"
+
+
+def _averaged_text(model: AveragedModel) -> str:
+    def setting(name: str, bar: Mapping[Label, Fraction]) -> str:
+        values = [_object_text("        ", label=_quote(_label_str(lab)), value='"%s"' % v) for lab, v in bar.items()]
+        return _object_text("    ", setting=_quote(name), bar=_list_text(values, "      "))
+
+    alice, bob = (
+        _list_text([setting(name, bars[name]) for name in names], "  ")
+        for names, bars in ((model.alice_settings, model.alice_bar), (model.bob_settings, model.bob_bar))
     )
+    return _object_text("", kind='"averaged"', source=source_text(model.source), alice=alice, bob=bob) + "\n"
 
 
-def _flat_doc(model: FlatModel) -> dict:
-    def setting_doc(s: FlatSetting) -> dict:
-        return {
-            "setting": s.name,
-            "coords": list(s.coords),
-            "ternary": s.outcomes.ternary,
-            "entries": [
-                {"key": [_label_str(k[0]), _label_str(k[1])], "value": str(v)}
-                for k, v in s.outcomes.entries.items()
-            ],
-        }
+def _behavior_text(behavior: BehaviorTable) -> str:
+    scale, cells = behavior.integer_cells()
 
-    return {
-        "kind": "flat",
-        "atoms": [
-            {"tuple": [_label_str(c) for c in lam], "mass": str(m)}
-            for lam, m in model.lambda_pmf.items()
-        ],
-        "alice": [setting_doc(s) for s in model.alice],
-        "bob": [setting_doc(s) for s in model.bob],
-    }
+    def context(a: str, b: str) -> str:
+        written = [_object_text("        ", x=str(x), y=str(y), p=_mass_text(w, scale)) for (x, y), w in cells[a, b].items()]
+        return _object_text("    ", alice=_quote(a), bob=_quote(b), cells=_list_text(written, "      "))
 
-
-def _averaged_doc(model: AveragedModel) -> dict:
-    def side_doc(names, bars) -> list:
-        return [
-            {
-                "setting": name,
-                "bar": [
-                    {"label": _label_str(lab), "value": str(v)}
-                    for lab, v in bars[name].items()
-                ],
-            }
-            for name in names
-        ]
-
-    return {
-        "kind": "averaged",
-        "source": _source_doc(model.source),
-        "alice": side_doc(model.alice_settings, model.alice_bar),
-        "bob": side_doc(model.bob_settings, model.bob_bar),
-    }
-
-
-def _behavior_doc(behavior: BehaviorTable) -> dict:
-    contexts = []
-    for (a, b) in behavior.contexts():
-        cells = [
-            {"x": x, "y": y, "p": str(p)}
-            for (x, y), p in behavior.context_pmf((a, b)).items()
-        ]
-        contexts.append({"alice": a, "bob": b, "cells": cells})
-    return {
-        "kind": "behavior",
-        "aliceSettings": list(behavior.alice_settings),
-        "bobSettings": list(behavior.bob_settings),
-        "outcomes": list(behavior.outcomes),
-        "contexts": contexts,
-    }
+    return _object_text(
+        "",
+        kind='"behavior"',
+        aliceSettings=_list_text([_quote(s) for s in behavior.alice_settings], "  "),
+        bobSettings=_list_text([_quote(s) for s in behavior.bob_settings], "  "),
+        outcomes=_list_text([str(o) for o in behavior.outcomes], "  "),
+        contexts=_list_text([context(a, b) for a, b in behavior.contexts()], "  "),
+    ) + "\n"
 
 
 # ------------------------------------------------------------------- parse

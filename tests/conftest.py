@@ -7,9 +7,10 @@ pivots a Fraction tableau, sharing no code with the integer simplex in
 :mod:`lhvlab.simplex`; the post-selection oracle adds the cells as
 Fractions read through ``context_pmf``, sharing no code with the integer
 weights of :class:`lhvlab.BehaviorTable` or the integer sums of
-:func:`lhvlab.postselected_correlations`; the serializer oracle dumps a
-contextual model as one whole document, sharing no code with the part
-texts :func:`lhvlab.serialize` assembles.
+:func:`lhvlab.postselected_correlations`; the serializer oracle builds a
+model or behavior of any kind as one whole document of dicts and lists
+and dumps it with ``json.dumps(indent=2)``, sharing no code with the
+fixed frames :func:`lhvlab.serialize` writes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from lhvlab import BehaviorTable, ContextualModel, CorrelationQuad, FlatModel, PostSelectionReport
+from lhvlab import AveragedModel, BehaviorTable, ContextualModel, CorrelationQuad, FlatModel, PostSelectionReport
 from lhvlab.corpus import random_contextual_model
 
 
@@ -217,9 +218,15 @@ def brute_bars(model: ContextualModel) -> tuple[dict, dict]:
     return tuple(out)
 
 
-def brute_serialize(model: ContextualModel) -> str:
-    """Reference contextual serialization: the whole document dumped at once."""
-    return json.dumps(_contextual_doc(model), indent=2) + "\n"
+def brute_serialize(obj) -> str:
+    """Reference serialization of any of the four kinds: the whole document dumped at once."""
+    builders = {
+        ContextualModel: _contextual_doc,
+        FlatModel: _flat_doc,
+        AveragedModel: _averaged_doc,
+        BehaviorTable: _behavior_doc,
+    }
+    return json.dumps(builders[type(obj)](obj), indent=2) + "\n"
 
 
 def _label_str(label) -> str:
@@ -251,14 +258,73 @@ def _contextual_doc(model: ContextualModel) -> dict:
     second = model.source_second_labels()
     return {
         "kind": "contextual",
-        "source": [
-            {"pair": [_label_str(pair[0]), _label_str(pair[1])], "mass": str(m)}
-            for pair, m in model.source.items()
-        ],
+        "source": _source_doc(model.source),
         "alice": [setting_doc(s, first) for s in model.alice],
         "bob": [setting_doc(s, second) for s in model.bob],
     }
 
+
+
+def _source_doc(source) -> list:
+    return [
+        {"pair": [_label_str(pair[0]), _label_str(pair[1])], "mass": str(m)}
+        for pair, m in source.items()
+    ]
+
+
+def _flat_doc(model: FlatModel) -> dict:
+    def setting_doc(s) -> dict:
+        return {
+            "setting": s.name,
+            "coords": list(s.coords),
+            "ternary": s.outcomes.ternary,
+            "entries": [
+                {"key": [_label_str(k[0]), _label_str(k[1])], "value": str(v)}
+                for k, v in s.outcomes.entries.items()
+            ],
+        }
+
+    return {
+        "kind": "flat",
+        "atoms": [
+            {"tuple": [_label_str(c) for c in lam], "mass": str(m)}
+            for lam, m in model.lambda_pmf.items()
+        ],
+        "alice": [setting_doc(s) for s in model.alice],
+        "bob": [setting_doc(s) for s in model.bob],
+    }
+
+
+def _averaged_doc(model: AveragedModel) -> dict:
+    def side_doc(names, bars) -> list:
+        return [
+            {
+                "setting": name,
+                "bar": [{"label": _label_str(lab), "value": str(v)} for lab, v in bars[name].items()],
+            }
+            for name in names
+        ]
+
+    return {
+        "kind": "averaged",
+        "source": _source_doc(model.source),
+        "alice": side_doc(model.alice_settings, model.alice_bar),
+        "bob": side_doc(model.bob_settings, model.bob_bar),
+    }
+
+
+def _behavior_doc(behavior: BehaviorTable) -> dict:
+    contexts = []
+    for (a, b) in behavior.contexts():
+        cells = [{"x": x, "y": y, "p": str(p)} for (x, y), p in behavior.context_pmf((a, b)).items()]
+        contexts.append({"alice": a, "bob": b, "cells": cells})
+    return {
+        "kind": "behavior",
+        "aliceSettings": list(behavior.alice_settings),
+        "bobSettings": list(behavior.bob_settings),
+        "outcomes": list(behavior.outcomes),
+        "contexts": contexts,
+    }
 
 # the acceptance corpus: corpus_models(CORPUS_SIZE, seed=CORPUS_SEED)
 CORPUS_SEED = 20240913

@@ -1,19 +1,24 @@
+import contextlib
 import csv
 import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lhvlab
 from lhvlab import cli
 from lhvlab.cli import build_parser, main
+from lhvlab.corpus import random_contextual_model
 
 ROOT = Path(__file__).parents[1]
 SCHEMAS = ROOT / "schemas"
@@ -1196,3 +1201,47 @@ PUBLIC_NAMES = {
     "serialize", "simplex", "simulate_given_settings", "simulate_spreadsheet", "uniform_reduce",
     "validate_model", "zero_to_coin",
 }
+
+
+SCHEMA_VALIDATORS = {
+    name: jsonschema.validators.validator_for(schema)(schema)
+    for name in ("model", "validate", "exact", "chsh", "fine")
+    for schema in [json.loads((SCHEMAS / f"{name}.schema.json").read_text())]
+}
+
+
+def artifact(*argv):
+    """One in-process CLI call that must succeed: its stdout as parsed JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(list(argv))
+    assert status == 0, err.getvalue()
+    return json.loads(out.getvalue())
+
+
+class TestArtifactSchemas:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["binary", "ternary", "interval"]))
+    def test_random_models_give_schema_valid_artifacts(self, seed, kind):
+        """Each flattening is a valid model file; each report on the model, a flattening or a behavior fits its schema."""
+        model = random_contextual_model(
+            random.Random(seed), max_source_side=3, max_instrument=3, outcome_kind=kind
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / "model.json"]
+            paths[0].write_text(lhvlab.serialize(model))
+            for method in ("product", "uniform", "average"):
+                doc = artifact("flatten", str(paths[0]), "--method", method)
+                SCHEMA_VALIDATORS["model"].validate(doc)
+                paths.append(Path(tmp) / f"{method}.json")
+                paths[-1].write_text(json.dumps(doc))
+            if kind != "interval":
+                paths.append(Path(tmp) / "behavior.json")
+                paths[-1].write_text(lhvlab.serialize(lhvlab.behavior_from_model(model)))
+                coin = Path(tmp) / "coin.json"
+                coin.write_text(lhvlab.serialize(lhvlab.behavior_from_model(lhvlab.zero_to_coin(model))))
+                SCHEMA_VALIDATORS["fine"].validate(artifact("fine", str(coin)))
+            for path in paths:
+                SCHEMA_VALIDATORS["validate"].validate(artifact("validate", str(path)))
+                SCHEMA_VALIDATORS["exact"].validate(artifact("exact", str(path)))
+                SCHEMA_VALIDATORS["chsh"].validate(artifact("chsh", "--model", str(path)))

@@ -147,10 +147,15 @@ class TestUniformReduce:
     def test_instrument_not_summing_to_one_is_a_value_error(self, masses):
         m = counterexample_model()
         x, x2 = m.alice
-        broken = ContextualModel(m.source, (Setting(x.name, Pmf(masses), x.outcomes), x2), m.bob)
-        for build in (uniform_reduce, uniform_size):
-            with pytest.raises(ValueError, match=r"settings '\+1' and '-1': the instrument of '\+1' does not sum to 1"):
-                build(broken)
+        y, y2 = m.bob
+        alice_broken = ContextualModel(m.source, (Setting(x.name, Pmf(masses), x.outcomes), x2), m.bob)
+        bob_broken = ContextualModel(m.source, m.alice, (y, Setting(y2.name, Pmf(masses), y2.outcomes)))
+        # every builder, and the size count the CLI reads before the uniform build
+        for build in (product_flatten, uniform_reduce, bell_average, uniform_size):
+            with pytest.raises(ValueError, match=r"^settings '\+1' and '-1': the instrument of '\+1' does not sum to 1"):
+                build(alice_broken)
+            with pytest.raises(ValueError, match=r"^settings '\+1' and '-1': the instrument of '-1' does not sum to 1"):
+                build(bob_broken)
 
 
 class TestBellAverage:

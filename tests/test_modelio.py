@@ -15,10 +15,12 @@ from lhvlab import (
     BehaviorTable,
     ContextualModel,
     FlatModel,
+    FlatSetting,
     OutcomeTable,
     Pmf,
     SearchConfig,
     Setting,
+    behavior_from_model,
     bell_average,
     correlation_quad,
     counterexample_model,
@@ -426,11 +428,80 @@ def search_model(draw):
     return model
 
 
+NAMES = st.lists(AWKWARD_TEXT, max_size=2, unique=True).map(tuple)
+
+
+@st.composite
+def awkward_flats(draw):
+    """Flat models built directly: awkward tuple labels and names, any coords, empty lists allowed."""
+    tuples = draw(st.lists(st.lists(LABELS, max_size=3).map(tuple), max_size=4, unique=True))
+
+    def setting(name):
+        keys = draw(st.lists(st.tuples(LABELS, LABELS), max_size=3, unique=True))
+        table = OutcomeTable({key: draw(UNIT_VALUES) for key in keys}, ternary=draw(st.booleans()))
+        return FlatSetting(name, draw(st.tuples(st.integers(0, 5), st.integers(0, 5))), table)
+
+    alice, bob = (tuple(setting(name) for name in draw(NAMES)) for _side in range(2))
+    return FlatModel(Pmf({lam: draw(UNIT_VALUES) for lam in tuples}), alice, bob)
+
+
+@st.composite
+def awkward_averaged(draw):
+    """Averaged models built directly, with bars over any labels and sides of up to two settings."""
+    pairs = draw(st.lists(st.tuples(LABELS, LABELS), max_size=4, unique=True))
+    sides = []
+    for _side in range(2):
+        names = draw(NAMES)
+        labels = {name: draw(st.lists(LABELS, max_size=3, unique=True)) for name in names}
+        sides.append((names, {name: {lab: draw(UNIT_VALUES) for lab in labels[name]} for name in names}))
+    (alice, alice_bar), (bob, bob_bar) = sides
+    return AveragedModel(Pmf({pair: draw(UNIT_VALUES) for pair in pairs}), alice, bob, alice_bar, bob_bar)
+
+
+@st.composite
+def awkward_behaviors(draw):
+    """Behavior tables with awkward setting names and any cells, empty context lists included."""
+    alice, bob = (draw(st.lists(AWKWARD_TEXT, min_size=2, max_size=2, unique=True).map(tuple)) for _side in range(2))
+    outcomes = draw(st.sampled_from([(-1, 1), (-1, 0, 1)]))
+    cells = st.lists(st.tuples(st.sampled_from(outcomes), st.sampled_from(outcomes)), max_size=9, unique=True)
+    probs = {(a, b): {cell: draw(UNIT_VALUES) for cell in draw(cells)} for a in alice for b in bob}
+    return BehaviorTable(alice, bob, outcomes, probs)
+
+
+@st.composite
+def derived_documents(draw):
+    """A flattening or the behavior of a corpus or search model, whose instruments are pmfs."""
+    model = draw(st.one_of(corpus_model(), search_model()))
+    build = draw(st.sampled_from([product_flatten, uniform_reduce, bell_average, behavior_from_model]))
+    if build is behavior_from_model and not all(
+        s.outcomes.values_are_point() for s in model.alice + model.bob
+    ):
+        build = bell_average
+    return build(model)
+
+
 class TestSerializeOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(corpus_model(), search_model(), awkward_models()))
     def test_assembled_text_equals_the_whole_document(self, model):
         assert serialize(model) == brute_serialize(model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(awkward_flats(), awkward_averaged(), awkward_behaviors(), derived_documents()))
+    def test_flat_averaged_and_behavior_texts_equal_the_whole_document(self, doc):
+        assert serialize(doc) == brute_serialize(doc)
+
+    def test_no_kind_calls_json_dumps(self, monkeypatch):
+        m = counterexample_model()
+        docs = [m, product_flatten(m), uniform_reduce(m), bell_average(m), behavior_from_model(m)]
+        want = [brute_serialize(doc) for doc in docs]
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("serialize called the json encoder")
+
+        monkeypatch.setattr(json, "dumps", forbidden)
+        monkeypatch.setattr(json.JSONEncoder, "encode", forbidden)
+        assert [serialize(doc) for doc in docs] == want
 
     def test_acceptance_corpus_text_is_pinned(self):
         digest = hashlib.sha256()

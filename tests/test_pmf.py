@@ -20,7 +20,15 @@ from conftest import (
     corpus_models,
     fraction_find_feasible,
 )
-from lhvlab import Pmf, behavior_from_model, exact_expectation, product_flatten, uniform_reduce, zero_to_coin
+from lhvlab import (
+    Pmf,
+    behavior_from_model,
+    bell_average,
+    exact_expectation,
+    product_flatten,
+    uniform_reduce,
+    zero_to_coin,
+)
 
 MASSES = st.fractions(min_value=-2, max_value=2, max_denominator=60)
 
@@ -90,6 +98,7 @@ def test_oracles_never_touch_the_integer_form(monkeypatch):
     models = list(corpus_models(8, seed=515, max_source_side=3, max_instrument=3))
     flats = [f(m) for m in models for f in (product_flatten, uniform_reduce)]
     behaviors = [behavior_from_model(m) for m in models[::2]]
+    averaged = [bell_average(m) for m in models]
     coin = [behavior_from_model(zero_to_coin(m)) for m in models[::2]]
     # Fine-style equality systems: the four cells of a context as variables, plus normalization
     lp = [
@@ -111,6 +120,7 @@ def test_oracles_never_touch_the_integer_form(monkeypatch):
             out.append(brute_serialize(m))
         out.extend(brute_behavior(m) for m in models[::2])
         out.extend(brute_flat_quad(f).values for f in flats)
+        out.extend(brute_serialize(doc) for doc in flats + averaged + behaviors)
         out.extend(brute_postselect(b) for b in behaviors)
         out.extend(fraction_find_feasible(a, b) for a, b in lp)
         return out
