@@ -39,8 +39,8 @@ if TYPE_CHECKING:
 
 # Size bounds on flags, checked before anything is read or allocated: far
 # above what the fixtures and demos use, below what exhausts a machine's memory
-# (a simulated trial holds about 80 bytes at its peak; a search model holds
-# source atoms x instrument atoms outcome entries per setting).
+# (a simulated trial holds about 45 bytes at its peak, in every format; a search
+# model holds source atoms x instrument atoms outcome entries per setting).
 MAX_TRIALS = 10**7
 MAX_SOURCE_ATOMS = 1000
 MAX_INSTRUMENT_ATOMS = 100
@@ -316,29 +316,22 @@ def _check_seed(seed: int) -> None:
         raise UsageError(f"--seed must lie in [0, 2**64), got {_cut(seed)}")
 
 
-def _json_with_records(payload: dict[str, Any], sheet) -> Iterator[str]:
-    """``json.dumps({**payload, "records": sheet.rows()}, indent=2) + "\\n"``, in chunks.
+def _with_records(sheet, head: str, row, frame: str, tail: str) -> Iterator[str]:
+    """A document that ends in the sheet's records, in chunks: ``head``, one chunk per block of rows, ``tail``.
 
-    The payload is dumped as usual without its closing brace; the records
-    follow as its last key, one block of rows per chunk.  A record at the
-    depth of "records" is the trial, the two JSON-encoded setting names
-    and the two +/-1 outcomes.  Everything after the trial number, with
-    the frame that opens the next record, is one of 16 suffixes of
-    :meth:`Spreadsheet.text_blocks`; the last block drops the frame after
-    its last record.  The sheet must hold at least one trial.
+    Record t is ``str(t) + row(a, b, x, y)``, and ``frame`` opens the next
+    one; ``head`` opens the first.  Everything after the trial number is
+    one of 16 suffixes of :meth:`Spreadsheet.text_blocks`, and the last
+    block drops the frame after its last record.  The sheet must hold at
+    least one trial.
     """
     from .montecarlo import ROWS_PER_BLOCK
 
-    frame = ",\n    [\n      "
-
-    def suffix(a: str, b: str, x: int, y: int) -> str:
-        return ",\n      %s,\n      %s,\n      %d,\n      %d\n    ]%s" % (json.dumps(a), json.dumps(b), x, y, frame)
-
-    yield json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "records": [' + frame[1:]
+    yield head
     last = (len(sheet) - 1) // ROWS_PER_BLOCK
-    for k, text in enumerate(sheet.text_blocks(suffix)):
+    for k, text in enumerate(sheet.text_blocks(lambda *key: row(*key) + frame)):
         yield text if k < last else text[: -len(frame)]
-    yield "\n  ]\n}\n"
+    yield tail
 
 
 def _cmd_simulate(args) -> tuple[Any, int]:
@@ -387,10 +380,16 @@ def _cmd_simulate(args) -> tuple[Any, int]:
             "laggedDof": diag.lagged_dof,
         },
     }
+    # the records are the document's last key, a list of [t, a, b, x, y] lists
     if args.format == "json":
-        return _json_with_records(payload, sheet), 0
-    payload["records"] = sheet.rows()
-    return payload, 0
+        frame, quote = ",\n    [\n      ", json.dumps
+        head = json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "records": [' + frame[1:]
+        row, tail = ",\n      %s,\n      %s,\n      %d,\n      %d\n    ]", "\n  ]\n}\n"
+    else:
+        frame, quote = "\n  -\n    - ", str
+        head = _render_text(payload) + "\nrecords:" + frame
+        row, tail = "\n    - %s\n    - %s\n    - %d\n    - %d", "\n"
+    return _with_records(sheet, head, lambda a, b, x, y: row % (quote(a), quote(b), x, y), frame, tail), 0
 
 
 def _cmd_search(args) -> tuple[Any, int]:
@@ -581,12 +580,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", help="four comma-separated radians (default: CHSH-optimal)")
     p.set_defaults(func=_cmd_demo_quantum)
 
+    # flatten's artifact is a model file, which is JSON only
+    formats = {"simulate": ("json", "csv", "text"), "flatten": ("json",)}
     for name, sp in sub.choices.items():
         sp.add_argument("--out", help="write the artifact to this path instead of stdout")
-        if name == "simulate":
-            sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        else:
-            sp.add_argument("--format", choices=("json", "text"), default="json")
+        sp.add_argument("--format", choices=formats.get(name, ("json", "text")), default="json")
     return parser
 
 

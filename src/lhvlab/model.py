@@ -62,8 +62,18 @@ def _cut(value: object) -> str:
 
 
 def _excerpt(value: object) -> str:
-    """``repr(value)``, cut by :func:`_cut`."""
-    return _cut(repr(value))
+    """``repr(value)``, cut by :func:`_cut`.
+
+    A value nested almost as deep as the JSON parser allows leaves ``repr``
+    too little stack; it is quoted to six levels by ``reprlib`` instead.
+    """
+    try:
+        text = repr(value)
+    except RecursionError:
+        import reprlib
+
+        text = reprlib.repr(value)
+    return _cut(text)
 
 # Fraction's grammar with the token length and exponent capped, so a parsed
 # value prints within Python's 4300-digit int-to-str limit

@@ -92,12 +92,6 @@ class Spreadsheet:
     def __len__(self) -> int:
         return len(self.x)
 
-    def rows(self) -> list[list]:
-        """One ``[t, a, b, x, y]`` row per trial: the records of the text format, and what the writers encode."""
-        a = map(self.alice_settings.__getitem__, self.a_index.tolist())
-        b = map(self.bob_settings.__getitem__, self.b_index.tolist())
-        return list(map(list, zip(range(len(self)), a, b, self.x.tolist(), self.y.tolist())))
-
     def codes(self, part: slice = slice(None)) -> np.ndarray:
         """Each trial of a slice as one ``uint8`` code ``8a + 4b + (x + 1) + (y + 1) / 2``, 0 to 15.
 

@@ -181,7 +181,7 @@ def test_criterion_6_detection_loophole_witness():
 
         # reproduce the search from its recorded config, < 60 s
         start = time.perf_counter()
-        recorded = json.load(open(FIXTURES / "loophole_winner.search.json"))
+        recorded = json.loads((FIXTURES / "loophole_winner.search.json").read_text())
         cfg = recorded["config"]
         outcome = search_postselection_violation(
             SearchConfig(
@@ -194,7 +194,7 @@ def test_criterion_6_detection_loophole_witness():
                 mass_denominator=cfg["denominator"],
             )
         )
-        assert serialize(outcome.model) == open(FIXTURES / "loophole_winner.model.json").read()
+        assert serialize(outcome.model) == (FIXTURES / "loophole_winner.model.json").read_text()
         assert outcome.score == Fraction(recorded["score"])
         assert time.perf_counter() - start < 60
 

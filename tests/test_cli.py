@@ -880,34 +880,51 @@ def _forbidden(*_args, **_kwargs):
 
 
 def simulate_payload(monkeypatch, *argv):
-    """simulate's whole payload, records included, as the text format builds it."""
+    """simulate's whole payload: the dict it renders, with records built trial by trial from ``Spreadsheet.record``.
+
+    No writer runs: the text format's renderer hands over the payload, and
+    the record writer the spreadsheet.
+    """
     args = build_parser().parse_args(["simulate", *argv, "--format", "text"])
+    seen = {}
+
+    def render(payload):
+        seen["payload"] = payload
+        return ""
+
+    def with_records(sheet, *_frames):
+        seen["sheet"] = sheet
+        return []
+
     with monkeypatch.context() as m:
-        m.setattr(cli, "_json_with_records", _forbidden)
+        m.setattr(cli, "_render_text", render)
+        m.setattr(cli, "_with_records", with_records)
         m.setattr(lhvlab.Spreadsheet, "csv_chunks", _forbidden)
-        payload, status = args.func(args)
-    assert status == 0 and list(payload)[-1] == "records"
-    return payload
+        _chunks, status = args.func(args)
+    assert status == 0 and "records" not in seen["payload"]
+    sheet = seen["sheet"]
+    return seen["payload"] | {"records": [[t, *sheet.record(t)] for t in range(len(sheet))]}
+
+
+BLOCK = lhvlab.montecarlo.ROWS_PER_BLOCK
+# trial counts at and around a block's edge, and the two flags that change the settings stream
+SIMULATE_CASES = [
+    ["--trials", "1", "--seed", "7"],
+    ["--trials", "2", "--seed", "7"],
+    ["--trials", str(BLOCK - 1), "--seed", "3"],
+    ["--trials", str(BLOCK), "--seed", "3"],
+    ["--trials", str(BLOCK + 1), "--seed", "3"],
+    ["--trials", "3000", "--seed", "5", "--confound"],
+    ["--trials", "3000", "--seed", "5", "--bias", "1/2,1/4,1/8,1/8"],
+]
 
 
 class TestSimulateStreaming:
     """simulate streams its records; the bytes are those of the generic encoders."""
 
-    BLOCK = lhvlab.montecarlo.ROWS_PER_BLOCK
     MODEL = str(FIXTURES / "counterexample.model.json")
 
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            ["--trials", "1", "--seed", "7"],
-            ["--trials", "2", "--seed", "7"],
-            ["--trials", str(BLOCK - 1), "--seed", "3"],
-            ["--trials", str(BLOCK), "--seed", "3"],
-            ["--trials", str(BLOCK + 1), "--seed", "3"],
-            ["--trials", "3000", "--seed", "5", "--confound"],
-            ["--trials", "3000", "--seed", "5", "--bias", "1/2,1/4,1/8,1/8"],
-        ],
-    )
+    @pytest.mark.parametrize("extra", SIMULATE_CASES)
     def test_json_and_csv_match_the_generic_encoders(self, capsys, monkeypatch, extra):
         argv = ["--model", self.MODEL, *extra]
         payload = simulate_payload(monkeypatch, *argv)
@@ -922,7 +939,7 @@ class TestSimulateStreaming:
         assert out == want.getvalue()
 
     def test_out_file_matches_the_generic_encoder(self, capsys, monkeypatch, tmp_path):
-        argv = ["--model", self.MODEL, "--trials", str(self.BLOCK + 1), "--seed", "11"]
+        argv = ["--model", self.MODEL, "--trials", str(BLOCK + 1), "--seed", "11"]
         payload = simulate_payload(monkeypatch, *argv)
         target = tmp_path / "sim.json"
         status, out, err = run_cli(capsys, "simulate", *argv, "--out", str(target))
@@ -930,15 +947,16 @@ class TestSimulateStreaming:
         assert target.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
     def test_text_renders_the_json_document(self, capsys):
-        argv = ["simulate", "--model", self.MODEL, "--trials", "300", "--seed", "1"]
-        doc = run_json(capsys, *argv, schema="simulate")
-        status, out, _err = run_cli(capsys, *argv, "--format", "text")
-        assert status == 0
-        assert out == cli._render_text(doc) + "\n"
-        assert "\nrecords:\n  -\n    - 0\n" in out
+        for extra in SIMULATE_CASES:
+            argv = ["simulate", "--model", self.MODEL, *extra]
+            doc = run_json(capsys, *argv, schema="simulate")
+            status, out, err = run_cli(capsys, *argv, "--format", "text")
+            assert status == 0, err
+            assert out == cli._render_text(doc) + "\n", extra
+            assert "\nrecords:\n  -\n    - 0\n" in out
 
-    def test_records_writer_equals_the_generic_encoder(self):
-        """The suffix-table records writer, on setting names that need escaping."""
+    def test_records_writer_equals_the_generic_encoder(self, capsys, monkeypatch):
+        """Every format's records writer, on setting names that need escaping."""
         import numpy as np
 
         sheet = lhvlab.Spreadsheet(
@@ -949,10 +967,38 @@ class TestSimulateStreaming:
             np.array([1, -1, -1, 1, 1], dtype=np.int8),
             np.array([-1, -1, 1, 1, 1], dtype=np.int8),
         )
-        payload = {"trials": len(sheet), "aliceSettings": list(sheet.alice_settings)}
-        rows = list(sheet.rows())
-        text = "".join(cli._json_with_records(payload, sheet))
-        assert text == json.dumps(payload | {"records": rows}, indent=2) + "\n"
+        monkeypatch.setattr(lhvlab.montecarlo, "simulate_spreadsheet", lambda *_args, **_kwargs: sheet)
+        argv = ["--model", self.MODEL, "--trials", str(len(sheet)), "--seed", "1"]
+        payload = simulate_payload(monkeypatch, *argv)
+        assert payload["records"][0] == [0, 'a"\\', "λ/🎲", 1, -1]
+        csv_text = io.StringIO()
+        csv.writer(csv_text).writerows([["trial", "a", "b", "x", "y"], *payload["records"]])
+        expected = {
+            "json": json.dumps(payload, indent=2) + "\n",
+            "text": cli._render_text(payload) + "\n",
+            "csv": csv_text.getvalue(),
+        }
+        for fmt, want in expected.items():
+            status, out, err = run_cli(capsys, "simulate", *argv, "--format", fmt)
+            assert (status, err) == (0, "") and out == want, fmt
+
+    def test_text_format_holds_no_trial_beyond_its_block(self):
+        """The text format's traced peak grows by under 100 bytes a trial, as JSON's and CSV's do."""
+        import tracemalloc
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                status = main(["simulate", "--model", self.MODEL, "--trials", str(trials), "--seed", "3",
+                               "--format", "text", "--out", os.devnull])
+                assert status == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(BLOCK)  # loads numpy and the modules, so both measured runs start warm
+        small, large = peak(4 * BLOCK), peak(8 * BLOCK)
+        assert (large - small) / (4 * BLOCK) < 100
 
 
 class TestSearch:
@@ -1054,6 +1100,18 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("method", ["product", "uniform", "average"])
+    def test_flatten_has_no_text_format(self, capsys, tmp_path, method):
+        # flatten's artifact is a model file, so JSON is its one format
+        target = tmp_path / "flat.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["flatten", str(FIXTURES / "counterexample.model.json"), "--method", method, "--format", "text",
+                  "--out", str(target)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not target.exists()
+        assert "argument --format: invalid choice: 'text'" in err
 
     @pytest.mark.parametrize("command", [["demo-counterexample"], ["flatten", str(FIXTURES / "counterexample.model.json")]])
     def test_out_to_unwritable_path_exits_one(self, capsys, tmp_path, command):
@@ -1164,7 +1222,7 @@ class TestPlumbing:
         assert modules == expected
         assert numpy is ("montecarlo" in expected)
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_early_closed_stdout_exits_zero_quietly(self, fmt):
         # far more output than a pipe buffers, so the writer meets the closed pipe
         argv = ["simulate", "--model", str(FIXTURES / "counterexample.model.json"), "--trials", "100000",

@@ -29,6 +29,11 @@ from lhvlab.corpus import random_contextual_model
 from lhvlab.montecarlo import ROWS_PER_BLOCK, IndependenceReport, _chi2_sf, _chi2_stat
 
 
+def records(sheet):
+    """One ``[t, a, b, x, y]`` row per trial, built trial by trial from ``Spreadsheet.record``."""
+    return [[t, *sheet.record(t)] for t in range(len(sheet))]
+
+
 def constant_sheet(n, x=1, y=1):
     """A hand-built spreadsheet of ``n`` trials, all in context (x, y), with constant outcomes."""
     column = lambda v: np.full(n, v, dtype=np.int8)
@@ -136,8 +141,7 @@ class TestOutcomes:
     def test_rows_are_the_per_trial_records(self):
         dag = from_contextual(counterexample_model())
         sheet = simulate_spreadsheet(dag, 300, seed=9)
-        expected = [[t, *sheet.record(t)] for t in range(len(sheet))]
-        assert list(sheet.rows()) == expected
+        expected = records(sheet)
         buf = io.StringIO()
         sheet.write_csv(buf)
         lines = list(csv.reader(io.StringIO(buf.getvalue())))
@@ -152,7 +156,7 @@ class TestOutcomes:
             for t, (a, b, x, y) in enumerate(zip(sheet.a_index, sheet.b_index, sheet.x, sheet.y))
         ]
         assert len(expected) == ROWS_PER_BLOCK + 1
-        assert sheet.rows() == expected
+        assert records(sheet) == expected
         want = io.StringIO()
         csv.writer(want).writerows([["trial", "a", "b", "x", "y"], *expected])
         buf = io.StringIO()
@@ -163,7 +167,7 @@ class TestOutcomes:
     def test_csv_equals_csv_writer_on_names_that_need_quoting(self, n):
         sheet = random_sheet(n, seed=n, alice=("a,b", 'say "x"'), bob=("two\r\nlines", " é λ/🎲"))
         want = io.StringIO()
-        csv.writer(want).writerows([["trial", "a", "b", "x", "y"], *sheet.rows()])
+        csv.writer(want).writerows([["trial", "a", "b", "x", "y"], *records(sheet)])
         buf = io.StringIO()
         sheet.write_csv(buf)
         assert buf.getvalue() == want.getvalue()
