@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .model import (
     BehaviorTable,
@@ -57,28 +57,33 @@ class ChshReport:
     def satisfied(self) -> bool:
         return self.max_abs <= 2
 
-    def worst(self) -> ChshCombination:
-        return max(self.combinations, key=lambda c: abs(c.value))
+
+def _flip_sums(values: Sequence[Value]) -> list[Value]:
+    """T - 2 v_f for each value v_f, T the sum of all four: the CHSH rule.
+
+    The eight one-sided combinations of a quad are +/- these four sums,
+    so the quad meets CHSH iff each is at most 2 in absolute value.  The
+    arithmetic stays in the values' own number type.
+    """
+    total = sum(values)
+    return [total - 2 * v for v in values]
 
 
 def chsh_values(quad: CorrelationQuad) -> ChshReport:
     """Evaluate all 8 one-sided CHSH combinations of a quad exactly.
 
     For each choice of the single opposite-sign term and each overall
-    sign, the combination is sign * (sum of the four values - 2 * flipped
-    value).  The quad satisfies CHSH iff every combination is at most 2
-    in absolute value.  Arithmetic stays in the quad's own number type
-    (Fraction in, Fraction out).
+    sign, the combination is sign times the flipped context's
+    :func:`_flip_sums` entry.  Arithmetic stays in the quad's own number
+    type (Fraction in, Fraction out).
     """
     contexts = quad.contexts()
-    for ctx in contexts:
-        v = quad.values[ctx]
+    values = [quad.values[ctx] for ctx in contexts]
+    for ctx, v in zip(contexts, values):
         if not -1 <= v <= 1:
             raise ValueError(f"correlation {_cut(v)} at context {_excerpt(ctx)} outside [-1, 1]")
-    total = sum(quad.values[ctx] for ctx in contexts)
     combos = []
-    for flipped in contexts:
-        base = total - 2 * quad.values[flipped]
+    for flipped, base in zip(contexts, _flip_sums(values)):
         for sign in (1, -1):
             combos.append(ChshCombination(flipped, sign, sign * base, contexts))
     return ChshReport(quad, combos)

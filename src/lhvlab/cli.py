@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional, Union
 
 # Only the model layer loads with the CLI; each subcommand imports the
 # modules it runs, so a small call pays for no module it leaves unused.
@@ -291,6 +291,9 @@ def _parse_bias(text: str, model: ContextualModel) -> Pmf:
     if len(parts) != 4:
         raise UsageError("--bias needs four comma-separated probabilities (context order)")
     masses = [_arg_fraction(p.strip(), "--bias probability") for p in parts]
+    negative = next((m for m in masses if m < 0), None)
+    if negative is not None:
+        raise UsageError(f"--bias probability {_cut(negative)} is negative")
     pmf = Pmf(dict(zip(model.contexts(), masses)))
     if not pmf.is_normalized():
         raise UsageError(f"--bias masses sum to {_cut(pmf.total())}, not 1")
@@ -386,7 +389,7 @@ def _cmd_simulate(args) -> tuple[Any, int]:
         head = json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "records": [' + frame[1:]
         row, tail = ",\n      %s,\n      %s,\n      %d,\n      %d\n    ]", "\n  ]\n}\n"
     else:
-        frame, quote = "\n  -\n    - ", str
+        frame, quote = "\n  -\n    - ", _text_scalar
         head = _render_text(payload) + "\nrecords:" + frame
         row, tail = "\n    - %s\n    - %s\n    - %d\n    - %d", "\n"
     return _with_records(sheet, head, lambda a, b, x, y: row % (quote(a), quote(b), x, y), frame, tail), 0
@@ -420,11 +423,8 @@ def _cmd_search(args) -> tuple[Any, int]:
         raise CliError(str(exc))
     model_text = serialize(outcome.model)
     if args.out_model:
-        try:
-            with open(args.out_model, "w") as fp:
-                fp.write(model_text)
-        except OSError as exc:
-            raise CliError(_cannot_write(args.out_model, exc))
+        # written beside the artifact, so a failed run leaves neither file
+        args.files.append((args.out_model, [model_text]))
     payload = {
         "config": {
             "seed": config.seed,
@@ -501,16 +501,29 @@ def _cmd_demo_quantum(args) -> tuple[Any, int]:
 
 # ---------------------------------------------------------------- plumbing
 
+def _text_scalar(value: Any) -> str:
+    """A key or scalar as the text format writes it.
+
+    A string holding a line break, any that :meth:`str.splitlines` breaks
+    on, would start a line of its own, so it is written as its JSON
+    string; everything else as ``str`` writes it.
+    """
+    text = str(value)
+    if isinstance(value, str) and "".join(text.splitlines()) != text:
+        return json.dumps(text)
+    return text
+
+
 def _render_text(value: Any, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
         lines = []
         for k, v in value.items():
             if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
+                lines.append(f"{pad}{_text_scalar(k)}:")
                 lines.append(_render_text(v, indent + 1))
             else:
-                lines.append(f"{pad}{k}: {v}")
+                lines.append(f"{pad}{_text_scalar(k)}: {_text_scalar(v)}")
         return "\n".join(lines)
     if isinstance(value, list):
         lines = []
@@ -519,9 +532,9 @@ def _render_text(value: Any, indent: int = 0) -> str:
                 lines.append(f"{pad}-")
                 lines.append(_render_text(v, indent + 1))
             else:
-                lines.append(f"{pad}- {v}")
+                lines.append(f"{pad}- {_text_scalar(v)}")
         return "\n".join(lines)
-    return f"{pad}{value}"
+    return f"{pad}{_text_scalar(value)}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -588,8 +601,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cannot_write(path: str, exc: OSError) -> str:
-    return f"cannot write {path}: {exc.strerror or exc}"
+def _write_files(files: list[tuple[str, Iterable[str]]]) -> Optional[str]:
+    """Write each ``(path, chunks)`` in turn; None, or the message of the write that failed.
+
+    A failed run leaves no file, not even a streamed artifact cut short:
+    every file this call opened is removed.  A device such as /dev/stdout
+    is no artifact and stays.
+    """
+    opened = []
+    try:
+        for path, chunks in files:
+            fp = open(path, "w")
+            opened.append(path)
+            with fp:
+                fp.writelines(chunks)
+    except BaseException as exc:
+        for done in opened:
+            if os.path.isfile(done):
+                os.remove(done)
+        if not isinstance(exc, OSError):
+            raise
+        return f"cannot write {path}: {exc.strerror or exc}"
+    return None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -623,8 +656,11 @@ def _run(args) -> int:
     """Run the parsed subcommand and write its artifact; the exit status.
 
     A subcommand returns a payload dict, rendered here as JSON or text,
-    or an iterable of text chunks, written as they come.
+    or an iterable of text chunks, written as they come.  It may also
+    add ``(path, chunks)`` files to ``args.files``, written before the
+    artifact by the same writer.
     """
+    args.files = []
     try:
         payload, status = args.func(args)
     except UsageError as exc:
@@ -639,24 +675,11 @@ def _run(args) -> int:
         chunks = [_render_text(payload) + "\n"]
     else:
         chunks = [json.dumps(payload, indent=2) + "\n"]
+    error = _write_files(args.files + ([(args.out, chunks)] if args.out else []))
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     if args.out:
-        try:
-            fp = open(args.out, "w")
-        except OSError as exc:
-            print(f"error: {_cannot_write(args.out, exc)}", file=sys.stderr)
-            return 1
-        try:
-            with fp:
-                fp.writelines(chunks)
-        except BaseException as exc:
-            # a failed run leaves no file, not even a streamed artifact cut short;
-            # a device such as /dev/stdout is no artifact and stays
-            if os.path.isfile(args.out):
-                os.remove(args.out)
-            if not isinstance(exc, OSError):
-                raise
-            print(f"error: {_cannot_write(args.out, exc)}", file=sys.stderr)
-            return 1
         return status
     try:
         sys.stdout.writelines(chunks)

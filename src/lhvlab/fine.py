@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .chsh import ChshCombination, chsh_values
+from .chsh import ChshCombination, _flip_sums
 from .model import BehaviorTable, Context, ContextualModel, _cut, _excerpt, integer_scale
 from .simplex import find_feasible
 from . import flatten as _flatten
@@ -157,11 +157,11 @@ def _signals(behavior: BehaviorTable) -> bool:
 
     The whole table shares one scale, so equal marginals are equal integers.
     """
-    settings = (behavior.alice_settings, behavior.bob_settings)
-    for coord, marginals in enumerate(_integer_marginals(behavior)):
-        other0, other1 = settings[1 - coord]
-        if any(by_other[other0] != by_other[other1] for by_other in marginals.values()):
-            return True
+    for marginals in _integer_marginals(behavior):
+        for by_other in marginals.values():
+            m0, m1 = by_other.values()
+            if m0 != m1:
+                return True
     return False
 
 
@@ -180,13 +180,10 @@ def check_no_signalling(behavior: BehaviorTable) -> NoSignallingReport:
     scale = behavior.scale
     sides: list[dict[str, dict[str, dict[int, Fraction]]]] = []
     per_setting: dict[tuple[str, str], Fraction] = {}
-    settings = (behavior.alice_settings, behavior.bob_settings)
-    for coord, (side, marginals) in enumerate(zip(("alice", "bob"), _integer_marginals(behavior))):
-        other0, other1 = settings[1 - coord]
+    for side, marginals in zip(("alice", "bob"), _integer_marginals(behavior)):
         for name, by_other in marginals.items():
-            per_setting[(side, name)] = Fraction(
-                max(abs(by_other[other0][v] - by_other[other1][v]) for v in behavior.outcomes), scale
-            )
+            m0, m1 = by_other.values()
+            per_setting[(side, name)] = Fraction(max(abs(m0[v] - m1[v]) for v in behavior.outcomes), scale)
         sides.append({
             own: {other: {v: Fraction(w, scale) for v, w in m.items()} for other, m in by_other.items()}
             for own, by_other in marginals.items()
@@ -232,19 +229,10 @@ def find_joint(behavior: BehaviorTable) -> JointSearchResult:
     # The tableau's coefficient columns do not involve b, so the reduced
     # costs, and with them each entering column, are unchanged.  Every
     # rhs entry is multiplied by the same positive number, so the ratio
-    # test orders its rows the same, ties included.  (find_feasible also
-    # scales each row by a positive integer of its own; that keeps each
-    # row's signs and ratios, so it changes nothing either.)  Under
-    # Bland's rule the pivots are therefore the same, and so is the vertex.
+    # test orders its rows the same, ties included.  Under Bland's rule
+    # the pivots are therefore the same, and so is the vertex.
     scale, cells = behavior.integer_cells()
-    rhs = [scale]
-    for a in behavior.alice_settings:
-        for b in behavior.bob_settings:
-            context = cells[a, b]
-            for x in SIGNS:
-                for y in SIGNS:
-                    rhs.append(context.get((x, y), 0))
-
+    rhs = [scale] + [cells[ctx].get((x, y), 0) for ctx in behavior.contexts() for x in SIGNS for y in SIGNS]
     solution = find_feasible(_INCIDENCE, rhs)
     if solution is not None:
         # solution[k] == joint mass * scale; bring it over one denominator
@@ -254,14 +242,29 @@ def find_joint(behavior: BehaviorTable) -> JointSearchResult:
         )
         return JointSearchResult(feasible=True, joint=joint)
 
-    report = chsh_values(behavior.quad())
-    worst = report.worst()
-    if abs(worst.value) <= 2:
+    # the certificate is chsh_values' first combination with the largest |S|
+    scale, corr = _integer_correlations(behavior)
+    sums = _flip_sums(corr)
+    f = max(range(4), key=lambda k: abs(sums[k]))
+    if abs(sums[f]) <= 2 * scale:
         raise InternalInconsistencyError(
             "LP found no joint yet every CHSH combination holds; "
-            f"max |S| = {report.max_abs}"
+            f"max |S| = {Fraction(abs(sums[f]), scale)}"
         )
-    return JointSearchResult(feasible=False, certificate=worst)
+    contexts = behavior.contexts()
+    certificate = ChshCombination(contexts[f], 1, Fraction(sums[f], scale), contexts)
+    return JointSearchResult(feasible=False, certificate=certificate)
+
+
+def _integer_correlations(behavior: BehaviorTable) -> tuple[int, list[int]]:
+    """``(scale, [E * scale per context])`` from the table's integer cells; each E must lie in [-1, 1]."""
+    scale, cells = behavior.integer_cells()
+    contexts = behavior.contexts()
+    corr = [sum(x * y * w for (x, y), w in cells[ctx].items()) for ctx in contexts]
+    for ctx, c in zip(contexts, corr):
+        if abs(c) > scale:
+            raise ValueError(f"correlation {_cut(Fraction(c, scale))} at context {_excerpt(ctx)} outside [-1, 1]")
+    return scale, corr
 
 
 def fine_criterion(behavior: BehaviorTable) -> bool:
@@ -274,15 +277,9 @@ def fine_criterion(behavior: BehaviorTable) -> bool:
         raise ValueError("criterion applies to binary behaviors; reduce ternary input first")
     if _signals(behavior):
         return False
-    # the eight combinations of chsh_values are +/-(total - 2 E_f) for each
-    # context f; over the table's scale, |S| <= 2 is an integer comparison
-    scale, cells = behavior.integer_cells()
-    corr = [sum(x * y * w for (x, y), w in cells[ctx].items()) for ctx in behavior.contexts()]
-    for ctx, c in zip(behavior.contexts(), corr):
-        if abs(c) > scale:
-            raise ValueError(f"correlation {_cut(Fraction(c, scale))} at context {_excerpt(ctx)} outside [-1, 1]")
-    total = sum(corr)
-    return all(abs(total - 2 * c) <= 2 * scale for c in corr)
+    # over the table's scale, |S| <= 2 is an integer comparison
+    scale, corr = _integer_correlations(behavior)
+    return all(abs(s) <= 2 * scale for s in _flip_sums(corr))
 
 
 def coupling_joint(model: ContextualModel) -> JointDistribution16:

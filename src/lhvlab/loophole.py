@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import modelio
-from .chsh import ChshReport, PostSelectionReport, chsh_values, postselected_correlations, zero_to_coin
+from .chsh import ChshReport, PostSelectionReport, _flip_sums, chsh_values, postselected_correlations, zero_to_coin
 from .model import (
     BehaviorTable,
     ContextualModel,
@@ -451,11 +451,10 @@ def _score(
                     penalty += over + q // 256 * denom
     feasible = penalty == 0
     if feasible:
-        # max over the flipped context f of |T - 2 E_f|, every E over the lcm of the coincidences
+        # the CHSH rule with every E over the lcm of the coincidences
         lcm = math.lcm(*(both for _rate, both, _product in contexts))
         scaled = [product * (lcm // both) for _rate, both, product in contexts]
-        total = sum(scaled)
-        rank = Fraction(max(abs(total - 2 * e) for e in scaled), lcm)
+        rank = Fraction(max(abs(s) for s in _flip_sums(scaled)), lcm)
     else:
         rank = Fraction(-penalty, denom * q)
     coincidence_total = Fraction(sum(rate for rate, _both, _product in contexts), denom)

@@ -1,35 +1,35 @@
-"""Exact rational linear feasibility via a fraction-free phase-1 simplex.
+"""Exact linear feasibility over integer rows via a fraction-free phase-1 simplex.
 
-Solves: does x >= 0 with A x = b exist?  Each row, its right-hand side
-and the phase-1 objective are held as Python integers: a row is scaled
-by the lcm of its denominators on the way in, and every tableau row is
-a positive integer multiple of the textbook row.  A pivot
-cross-multiplies instead of dividing (row_i <- piv*row_i - f*row_r, as
-in Bareiss 1968) and then divides the row by its gcd, so entries stay
-small and no Fraction is built inside the loop.  The pivot sequence is
-Bland's rule (first negative reduced cost enters; the ratio test,
-compared by cross-multiplication, breaks ties by the lower basis
-index), so there are no tolerances, no cycling, and the same vertex as
-a Fraction tableau would find.  The solution is returned as exact
-Fractions.  Sized for small instances; the joint-distribution problems
-in this package have 16 variables and 17 rows.
+Solves: does x >= 0 with A x = b exist, for integer A and b?  Each row,
+its right-hand side and the phase-1 objective are held as Python
+integers, and every tableau row is a positive integer multiple of the
+textbook row.  A pivot cross-multiplies instead of dividing
+(row_i <- piv*row_i - f*row_r, as in Bareiss 1968) and then divides the
+row by its gcd, so entries stay small and no Fraction is built inside
+the loop.  The pivot sequence is Bland's rule (first negative reduced
+cost enters; the ratio test, compared by cross-multiplication, breaks
+ties by the lower basis index), so there are no tolerances, no
+cycling, and the same vertex as a Fraction tableau would find.  The
+solution is returned as exact Fractions.  Sized for small instances;
+the joint-distribution problems in this package have 16 variables and
+17 rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 _ZERO = Fraction(0)
 
 
-def find_feasible(
-    a_matrix: Sequence[Sequence[Fraction]], b_vector: Sequence[Fraction]
-) -> Optional[list[Fraction]]:
+def find_feasible(a_matrix: Sequence[Sequence[int]], b_vector: Sequence[int]) -> Optional[list[Fraction]]:
     """Return some x >= 0 solving A x = b exactly, or None if infeasible.
 
-    Entries may be Fractions or ints.
+    Every entry is an int.  Scale a rational system to integers by one
+    positive multiplier: that keeps the pivots and the vertex, where a
+    multiplier per row would reweight the phase-1 objective.
     """
     m = len(a_matrix)
     if m == 0:
@@ -37,39 +37,27 @@ def find_feasible(
     n = len(a_matrix[0])
     width = n + m
 
-    # scale each row to integers, standardize to rhs >= 0, and append one
-    # artificial column holding the row's scale
+    # standardize to rhs >= 0 and append one artificial column per row
     rows: list[list[int]] = []
-    scales: list[int] = []
     for i in range(m):
         coeffs = a_matrix[i]
         if len(coeffs) != n:
             raise ValueError("ragged constraint matrix")
-        rhs = b_vector[i]
-        if type(rhs) is int and all(type(v) is int for v in coeffs):
-            # already integers, as the constant rows of fine.find_joint are: scale 1
-            scale, row = 1, list(coeffs)
-        else:
-            scale = lcm(rhs.denominator, *(v.denominator for v in coeffs))
-            row = [v.numerator * (scale // v.denominator) for v in coeffs]
-        row.extend([0] * (m + 1))
-        row[n + i] = scale
-        row[width] = rhs.numerator * (scale // rhs.denominator)
+        row = list(coeffs) + [0] * (m + 1)
+        row[n + i] = 1
+        row[width] = b_vector[i]
         if row[width] < 0:
             for j in range(n):
                 row[j] = -row[j]
             row[width] = -row[width]
         rows.append(row)
-        scales.append(scale)
     basis = [n + i for i in range(m)]
 
     # phase-1 objective: minimize the artificial sum; reduced costs after
-    # pricing out the artificial basis, scaled by the lcm of the row scales
-    total = lcm(*scales)
-    weights = [total // s for s in scales]
+    # pricing out the artificial basis
     zrow = [0] * (width + 1)
     for j in [*range(n), width]:
-        zrow[j] = -sum(w * row[j] for w, row in zip(weights, rows))
+        zrow[j] = -sum(row[j] for row in rows)
 
     while True:
         entering = next((j for j in range(width) if zrow[j] < 0), None)

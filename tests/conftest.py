@@ -10,7 +10,9 @@ weights of :class:`lhvlab.BehaviorTable` or the integer sums of
 :func:`lhvlab.postselected_correlations`; the serializer oracle builds a
 model or behavior of any kind as one whole document of dicts and lists
 and dumps it with ``json.dumps(indent=2)``, sharing no code with the
-fixed frames :func:`lhvlab.serialize` writes.
+fixed frames :func:`lhvlab.serialize` writes; the CHSH oracle writes
+each of the eight combinations out term by term, sharing no code with
+the one rule behind :func:`lhvlab.chsh_values`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,17 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from lhvlab import AveragedModel, BehaviorTable, ContextualModel, CorrelationQuad, FlatModel, PostSelectionReport
-from lhvlab.corpus import random_contextual_model
+from lhvlab import (
+    AveragedModel,
+    BehaviorTable,
+    ContextualModel,
+    CorrelationQuad,
+    FlatModel,
+    PostSelectionReport,
+    behavior_from_model,
+    zero_to_coin,
+)
+from lhvlab.corpus import random_contextual_model, random_nosignalling_behavior
 
 
 def brute_expectation(model: ContextualModel, context) -> Fraction:
@@ -337,6 +348,40 @@ def corpus_models(n: int, seed: int = 2024, **kwargs):
     for i in range(n):
         kind = "ternary" if i % 2 == 0 else "interval"
         yield random_contextual_model(rng, outcome_kind=kind, **kwargs)
+
+
+def fine_lp_behaviors(n_corpus: int, n_tables: int, seed: int):
+    """Binary behaviors as the fine_lp benchmark draws them.
+
+    Every other corpus model, coin-reduced, then random no-signalling
+    tables alternating generic and near-quantum draws; only the last
+    straddle the CHSH boundary.
+    """
+    for i, model in enumerate(corpus_models(n_corpus, seed=seed)):
+        if i % 2 == 0:
+            yield behavior_from_model(zero_to_coin(model))
+    rng = random.Random(seed + 1)
+    for i in range(n_tables):
+        yield random_nosignalling_behavior(rng, mode="generic" if i % 2 == 0 else "near_quantum")
+
+
+def brute_chsh(e_xy, e_xy2, e_x2y, e_x2y2) -> list:
+    """Reference oracle: the eight one-sided CHSH combinations, each written out.
+
+    The arguments are the quad's correlations in context order (x, y),
+    (x, y'), (x', y), (x', y').  The combinations follow ``chsh_values``:
+    for each flipped context in that order, overall sign +1 then -1.
+    """
+    return [
+        -e_xy + e_xy2 + e_x2y + e_x2y2,
+        e_xy - e_xy2 - e_x2y - e_x2y2,
+        e_xy - e_xy2 + e_x2y + e_x2y2,
+        -e_xy + e_xy2 - e_x2y - e_x2y2,
+        e_xy + e_xy2 - e_x2y + e_x2y2,
+        -e_xy - e_xy2 + e_x2y - e_x2y2,
+        e_xy + e_xy2 + e_x2y - e_x2y2,
+        -e_xy - e_xy2 - e_x2y + e_x2y2,
+    ]
 
 
 def fraction_find_feasible(

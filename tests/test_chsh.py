@@ -12,19 +12,21 @@ from lhvlab import (
     chsh_values,
     correlation_quad,
     counterexample_model,
+    fine_criterion,
     postselected_correlations,
     product_flatten,
     validate_model,
     zero_to_coin,
 )
-from conftest import brute_postselect
-from lhvlab.corpus import random_contextual_model
+from conftest import brute_chsh, brute_postselect
+from lhvlab.corpus import random_contextual_model, random_nosignalling_behavior
+
+
+CONTEXTS = [("x", "y"), ("x", "y'"), ("x'", "y"), ("x'", "y'")]
 
 
 def quad_of(values):
-    a, b = ("x", "x'"), ("y", "y'")
-    contexts = [(i, j) for i in a for j in b]
-    return CorrelationQuad(a, b, dict(zip(contexts, map(Fraction, values))))
+    return CorrelationQuad(("x", "x'"), ("y", "y'"), dict(zip(CONTEXTS, map(Fraction, values))))
 
 
 class TestChshValues:
@@ -95,6 +97,32 @@ def test_value_multiset_closed_under_setting_relabel(e1, e2, e3, e4):
     swapped_bob = sorted(c.value for c in chsh_values(quad_of([e2, e1, e4, e3])).combinations)
     assert swapped_alice == base
     assert swapped_bob == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational, rational, rational, rational)
+def test_combinations_match_the_longhand_oracle(e1, e2, e3, e4):
+    combos = chsh_values(quad_of([e1, e2, e3, e4])).combinations
+    assert [(c.flipped, c.sign) for c in combos] == [(ctx, s) for ctx in CONTEXTS for s in (1, -1)]
+    assert [c.value for c in combos] == brute_chsh(e1, e2, e3, e4)
+    assert all(type(c.value) is Fraction for c in combos)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1, 1), min_size=4, max_size=4))
+def test_float_quads_give_float_combinations(values):
+    combos = chsh_values(CorrelationQuad(("x", "x'"), ("y", "y'"), dict(zip(CONTEXTS, values)))).combinations
+    assert all(type(c.value) is float for c in combos)
+    assert [c.value for c in combos] == pytest.approx(brute_chsh(*values), abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(("generic", "near_quantum")))
+def test_fine_criterion_matches_the_longhand_oracle(seed, mode):
+    # no-signalling by construction, so the criterion is the eight CHSH inequalities alone
+    table = random_nosignalling_behavior(random.Random(seed), mode=mode)
+    values = [sum(x * y * table.prob(ctx, x, y) for x in (-1, 1) for y in (-1, 1)) for ctx in table.contexts()]
+    assert fine_criterion(table) == all(abs(v) <= 2 for v in brute_chsh(*values))
 
 
 def test_per_atom_combinations_are_plus_minus_two():

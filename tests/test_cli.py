@@ -815,6 +815,20 @@ class TestSimulate:
         assert status == 2
         assert "sum" in err
 
+    @pytest.mark.parametrize(
+        "bias, named",
+        [("1,1,-1,0", "-1"), ("1/2,-1/4,1/2,1/4", "-1/4"), ("2,-" + "7" * 100 + ",0,0", "-" + "7" * 76 + "...")],
+        ids=["sum-one", "first-of-two", "cut"],
+    )
+    def test_negative_bias_mass_is_named(self, capsys, bias, named):
+        # a negative mass is named before the sum is checked, even when the masses sum to 1
+        status, out, err = run_cli(
+            capsys, "simulate", "--model", str(FIXTURES / "counterexample.model.json"),
+            "--trials", "10", "--seed", "1", "--bias", bias,
+        )
+        assert (status, out) == (2, "")
+        assert err == f"usage error: --bias probability {named} is negative\n"
+
     def test_unbounded_bias_is_usage_error(self, capsys):
         status, out, err = run_cli(
             capsys, "simulate", "--model", str(FIXTURES / "counterexample.model.json"),
@@ -1028,6 +1042,16 @@ class TestSearch:
         assert status == 1 and out == ""
         assert err.startswith(f"error: cannot write {target}: ")
 
+    @pytest.mark.parametrize("bad", ["--out", "--out-model"])
+    def test_failed_write_leaves_neither_file(self, capsys, tmp_path, bad):
+        paths = {"--out": tmp_path / "search.json", "--out-model": tmp_path / "winner.json"}
+        paths[bad] = tmp_path / "missing" / paths[bad].name
+        flags = [str(part) for flag, path in paths.items() for part in (flag, path)]
+        status, out, err = run_cli(capsys, "search", "--seed", "9", "--budget", "400", *flags)
+        assert (status, out) == (1, "")
+        assert err == f"error: cannot write {paths[bad]}: No such file or directory\n"
+        assert not any(path.exists() for path in paths.values())
+
     def test_search_deterministic(self, capsys):
         p1 = run_json(capsys, "search", "--seed", "9", "--budget", "400")
         p2 = run_json(capsys, "search", "--seed", "9", "--budget", "400")
@@ -1095,6 +1119,33 @@ class TestPlumbing:
         status, out, _err = run_cli(capsys, "chsh", "0", "0", "0", "0", "--format", "text")
         assert status == 0
         assert "maxAbs: 0" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["exact"], ["chsh", "--model"], ["simulate", "--trials", "3", "--seed", "1", "--model"]],
+        ids=["exact", "chsh", "simulate"],
+    )
+    def test_text_format_quotes_a_name_that_breaks_a_line(self, capsys, tmp_path, argv):
+        """A setting name cannot forge a record: one holding a line break is written as its JSON string."""
+        doc = json.loads((FIXTURES / "counterexample.model.json").read_text())
+
+        def text_of(name):
+            doc["alice"][0]["setting"] = name
+            path = tmp_path / "named.json"
+            path.write_text(json.dumps(doc))
+            status, out, err = run_cli(capsys, *argv, str(path), "--format", "text")
+            assert (status, err) == (0, "")
+            return out
+
+        plain = text_of("plain")
+        # every character str.splitlines breaks on, each in a would-be forged record
+        for brk in ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]:
+            name = f"x{brk}  -{brk}    - 7"
+            out = text_of(name)
+            assert json.dumps(name) in out and out.replace(json.dumps(name), "plain") == plain, repr(brk)
+        # a name without a line break is written as it is, quotes, tabs and all
+        name = 'a"\t\\é'
+        assert text_of(name) == plain.replace("plain", name)
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

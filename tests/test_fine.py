@@ -19,6 +19,7 @@ from lhvlab import (
     quantum_singlet_behavior,
     zero_to_coin,
 )
+from conftest import fine_lp_behaviors
 from lhvlab.corpus import random_contextual_model, random_nosignalling_behavior
 
 SIGNS = (-1, 1)
@@ -161,6 +162,19 @@ class TestFindJoint:
         assert not result.feasible
         assert result.certificate is not None
         assert abs(result.certificate.value) > 2
+
+    def test_certificate_is_the_first_largest_chsh_combination(self):
+        infeasible = 0
+        for b in fine_lp_behaviors(40, 200, seed=20240913):
+            result = find_joint(b)
+            if result.feasible:
+                continue
+            combos = chsh_values(b.quad()).combinations
+            top = max(abs(c.value) for c in combos)
+            assert result.certificate == next(c for c in combos if abs(c.value) == top)
+            assert type(result.certificate.value) is Fraction
+            infeasible += 1
+        assert infeasible > 0
 
     def test_signalling_behavior_rejected(self):
         probs = {}

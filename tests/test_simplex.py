@@ -1,16 +1,32 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corpus_models, fraction_find_feasible
-from lhvlab import behavior_from_model, find_joint, zero_to_coin
-from lhvlab.corpus import random_nosignalling_behavior
+from conftest import fine_lp_behaviors, fraction_find_feasible
+from lhvlab import find_joint
 from lhvlab.simplex import find_feasible
 
 F = Fraction
+
+
+def integer_rows(a, b):
+    """A x = b in integers: every row and right-hand side times the lcm of all denominators.
+
+    One multiplier for the whole system keeps the phase-1 objective's
+    reduced costs in proportion, so the pivots and the vertex are those of
+    the rational system.  A multiplier per row would weight each
+    artificial variable by its row's and could end at another vertex.
+    """
+    scale = lcm(*(F(v).denominator for v in itertools.chain(b, *a)))
+    return [[int(c * scale) for c in row] for row in a], [int(v * scale) for v in b]
+
+
+def solve(a, b):
+    return find_feasible(*integer_rows(a, b))
 
 
 def check_solution(a, b, x):
@@ -23,45 +39,45 @@ def check_solution(a, b, x):
 def test_identity_system():
     a = [[F(1), F(0)], [F(0), F(1)]]
     b = [F(2), F(3)]
-    check_solution(a, b, find_feasible(a, b))
+    check_solution(a, b, solve(a, b))
 
 
 def test_single_equation_many_solutions():
     a = [[F(1), F(1), F(1)]]
     b = [F(1)]
-    check_solution(a, b, find_feasible(a, b))
+    check_solution(a, b, solve(a, b))
 
 
 def test_negative_rhs_handled_by_row_flip():
     a = [[F(-1), F(0)]]
     b = [F(-5)]
-    check_solution(a, b, find_feasible(a, b))
+    check_solution(a, b, solve(a, b))
 
 
 def test_contradictory_rows_infeasible():
     a = [[F(1), F(0)], [F(1), F(0)]]
     b = [F(1), F(2)]
-    assert find_feasible(a, b) is None
+    assert solve(a, b) is None
 
 
 def test_zero_row_nonzero_rhs_infeasible():
     a = [[F(0), F(0)]]
     b = [F(1)]
-    assert find_feasible(a, b) is None
+    assert solve(a, b) is None
 
 
 def test_nonnegativity_can_force_infeasibility():
     # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
     a = [[F(1), F(1)], [F(1), F(1)]]
     b = [F(1), F(2)]
-    assert find_feasible(a, b) is None
+    assert solve(a, b) is None
 
 
 def test_negative_only_solution_is_infeasible():
     # x = -1 has no nonnegative solution
     a = [[F(1)]]
     b = [F(-1)]
-    assert find_feasible(a, b) is None
+    assert solve(a, b) is None
 
 
 def test_empty_system_is_trivially_feasible():
@@ -75,7 +91,7 @@ def test_random_consistent_systems_are_solved_exactly():
         a = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(m)]
         x_true = [F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n)]
         b = [sum(c * v for c, v in zip(row, x_true)) for row in a]
-        check_solution(a, b, find_feasible(a, b))
+        check_solution(a, b, solve(a, b))
 
 
 def test_random_systems_with_poison_row_are_infeasible():
@@ -87,19 +103,19 @@ def test_random_systems_with_poison_row_are_infeasible():
         b = [sum(c * v for c, v in zip(row, x_true)) for row in a]
         a.append([F(0)] * n)
         b.append(F(1))
-        assert find_feasible(a, b) is None
+        assert solve(a, b) is None
 
 
 def test_degenerate_pivots_terminate():
     # highly degenerate: many redundant rows sharing one solution
     a = [[F(1), F(2)], [F(2), F(4)], [F(3), F(6)], [F(1), F(2)]]
     b = [F(2), F(4), F(6), F(2)]
-    check_solution(a, b, find_feasible(a, b))
+    check_solution(a, b, solve(a, b))
 
 
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError, match="ragged"):
-        find_feasible([[F(1), F(0)], [F(1)]], [F(1), F(1)])
+        find_feasible([[1, 0], [1]], [1, 1])
 
 
 def test_integer_entries_give_fraction_solution():
@@ -150,7 +166,7 @@ def linear_systems(draw):
 @given(linear_systems())
 def test_integer_simplex_matches_fraction_oracle(system):
     a, b = system
-    x = find_feasible(a, b)
+    x = solve(a, b)
     assert x == fraction_find_feasible(a, b)
     if x is not None:
         assert all(type(v) is Fraction for v in x)
@@ -166,22 +182,13 @@ def test_degenerate_zero_one_systems_match_fraction_oracle():
         a = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
         x = [rng.choice(SPARSE_POINTS) for _ in range(n)]
         b = [sum((c * v for c, v in zip(row, x)), F(0)) for row in a]
-        assert find_feasible(a, b) == fraction_find_feasible(a, b)
-
-
-def _fine_lp_behaviors(n_corpus: int, n_tables: int, seed: int):
-    for i, model in enumerate(corpus_models(n_corpus, seed=seed)):
-        if i % 2 == 0:
-            yield behavior_from_model(zero_to_coin(model))
-    rng = random.Random(seed + 1)
-    for i in range(n_tables):
-        yield random_nosignalling_behavior(rng, mode="generic" if i % 2 == 0 else "near_quantum")
+        assert solve(a, b) == fraction_find_feasible(a, b)
 
 
 def test_find_joint_witnesses_match_fraction_oracle():
     patterns = list(itertools.product((-1, 1), repeat=4))
     feasible = infeasible = 0
-    for behavior in _fine_lp_behaviors(100, 200, seed=20240913):
+    for behavior in fine_lp_behaviors(100, 200, seed=20240913):
         rows, rhs = [[F(1)] * 16], [F(1)]
         for ai, a in enumerate(behavior.alice_settings):
             for bi, b in enumerate(behavior.bob_settings):
