@@ -313,6 +313,13 @@ def _check_bound(flag: str, value: int, bound: int) -> None:
         raise UsageError(f"{flag} must be at most {bound}, got {_cut(value)}")
 
 
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths name one file: by ``os.path.samefile`` when both exist, else as absolute paths."""
+    if os.path.exists(first) and os.path.exists(second):
+        return os.path.samefile(first, second)
+    return os.path.abspath(first) == os.path.abspath(second)
+
+
 def _check_seed(seed: int) -> None:
     """Seeds key the Philox streams as one uint64, so they must fit in one."""
     if not 0 <= seed < 2**64:
@@ -402,6 +409,9 @@ def _cmd_search(args) -> tuple[Any, int]:
     _check_seed(args.seed)
     _check_bound("--source-atoms", args.source_atoms, MAX_SOURCE_ATOMS)
     _check_bound("--instrument-atoms", args.instrument_atoms, MAX_INSTRUMENT_ATOMS)
+    if args.out and args.out_model and _same_file(args.out, args.out_model):
+        # the artifact would overwrite the model
+        raise UsageError(f"--out and --out-model name the same file: {_cut(args.out)}")
     max_det = None if args.max_detection.lower() == "none" else _arg_fraction(args.max_detection, "--max-detection")
     try:
         config = SearchConfig(

@@ -3,18 +3,19 @@
 The search looks for small ternary models whose detected-only
 correlations break the CHSH bound while their raw (coin-reduced)
 correlations necessarily satisfy it.  Every candidate is scored by exact
-integer sums over its source and its settings' channels, and the winner
-is re-derived through the Fraction report, so a reported violation is a
-theorem about the returned model, not a numerical artifact.
+integer sums over its source and its settings' rows, updated from its
+parent's by what its mutation moved, and the winner is re-derived
+through the Fraction report, so a reported violation is a theorem about
+the returned model, not a numerical artifact.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import modelio
 from .chsh import ChshReport, PostSelectionReport, _flip_sums, chsh_values, postselected_correlations, zero_to_coin
@@ -22,11 +23,11 @@ from .model import (
     BehaviorTable,
     ContextualModel,
     CorrelationQuad,
+    Label,
     OutcomeTable,
     Pmf,
     Setting,
     behavior_from_model,
-    channel_moments,
     correlation_quad,
     require_point_outcomes,
     side_labels,
@@ -127,8 +128,9 @@ def detection_rates(model: ContextualModel) -> DetectionReport:
         labels = side_labels(model, side)
         rates = {}
         for s in getattr(model, side):
-            scale, _vscale, moments = channel_moments(labels, s)
-            rates[s.name] = Fraction(sum(w * moments[pair[coord]][0] for pair, w in src), src_scale * scale)
+            scale, atoms = s.instrument.integer_weights()
+            rows = _setting_rows(s, labels, atoms)
+            rates[s.name] = Fraction(sum(w * rows[pair[coord]][0] for pair, w in src), src_scale * scale)
         return rates
 
     return DetectionReport(side_rates(0, "alice"), side_rates(1, "bob"))
@@ -213,7 +215,8 @@ def _random_search_model(rng: random.Random, cfg: SearchConfig) -> ContextualMod
     )
 
 
-def _move_grid_unit(rng: random.Random, pmf: Pmf, d: int) -> Pmf:
+def _move_grid_unit(rng: random.Random, pmf: Pmf, d: int) -> tuple[Pmf, Label, Label]:
+    """``pmf`` with one 1/d grid unit moved from a random donor atom to a random atom; and those two atoms."""
     scale, weights = pmf.integer_atoms()
     weights = {lab: w * (d // scale) for lab, w in weights.items()}
     donors = [lab for lab, w in weights.items() if w > 0]
@@ -221,113 +224,74 @@ def _move_grid_unit(rng: random.Random, pmf: Pmf, d: int) -> Pmf:
     dst = rng.choice(list(weights))
     weights[src] -= 1
     weights[dst] += 1
-    return Pmf.from_integers(d, weights)
+    return Pmf.from_integers(d, weights), src, dst
 
 
-def _replace_setting(model: ContextualModel, side: str, idx: int, new_setting: Setting):
-    new_side = tuple(new_setting if i == idx else s for i, s in enumerate(getattr(model, side)))
-    return replace(model, **{side: new_side})
+# What a mutation changed, by the index of the part it replaced (0 the
+# source, 1 and 2 Alice's settings, 3 and 4 Bob's): an outcome flip is
+# ``(part, key)``, the flipped entry's (source label, instrument atom);
+# a mass move is ``(part, src, dst)``, one grid unit taken from atom
+# ``src`` and given to atom ``dst`` (source atoms are pairs).
+_Change = tuple
 
 
-# What an outcome flip changed: the index of the setting among the
-# candidate's parts (1 and 2 for Alice's settings, 3 and 4 for Bob's) and
-# the flipped entry's (source label, instrument atom) key.
-_Change = tuple[int, tuple]
-
-
-def _mutate(
-    rng: random.Random, model: ContextualModel, cfg: SearchConfig
-) -> tuple[ContextualModel, Optional[_Change]]:
-    """One random move: the child, and for an outcome flip the :data:`_Change`.
+def _mutate(rng: random.Random, model: ContextualModel, cfg: SearchConfig) -> tuple[ContextualModel, _Change]:
+    """One random move: the child and its :data:`_Change`.
 
     A move flips one outcome entry, moves one grid unit of instrument
     mass within a setting, or moves one grid unit of source mass between
-    atoms; only a flip reports what it changed, the mass moves None.
+    atoms.  Every move reports what it changed, so :func:`_score` can
+    update the parent's sums by that alone.
     """
     kind = rng.random()
     if kind < 0.6 or (kind >= 0.85 and cfg.instrument_atoms > 1):
         side = rng.choice(("alice", "bob"))
-        idx = rng.randrange(2)
-        setting = getattr(model, side)[idx]
-        change = None
+        part = (1 if side == "alice" else 3) + rng.randrange(2)
+        setting = (model.alice + model.bob)[part - 1]
         if kind < 0.6:
             # flip one outcome entry
             key = rng.choice(list(setting.outcomes.entries))
             old = setting.outcomes.entries[key]
             new = Fraction(rng.choice([v for v in (-1, 0, 1) if v != old]))
             setting = Setting(setting.name, setting.instrument, setting.outcomes._with_entry(key, new))
-            change = ((1 if side == "alice" else 3) + idx, key)
+            change: _Change = (part, key)
         else:
             # move one grid unit of instrument mass within the setting
-            instrument = _move_grid_unit(rng, setting.instrument, cfg.mass_denominator)
+            instrument, src, dst = _move_grid_unit(rng, setting.instrument, cfg.mass_denominator)
             setting = Setting(setting.name, instrument, setting.outcomes)
-        return _replace_setting(model, side, idx, setting), change
+            change = (part, src, dst)
+        settings = [*model.alice, *model.bob]
+        settings[part - 1] = setting
+        return ContextualModel(model.source, (settings[0], settings[1]), (settings[2], settings[3])), change
     # move one grid unit of source mass between atoms
-    source = _move_grid_unit(rng, model.source, cfg.mass_denominator)
-    return ContextualModel(source, model.alice, model.bob), None
+    source, src, dst = _move_grid_unit(rng, model.source, cfg.mass_denominator)
+    return ContextualModel(source, model.alice, model.bob), (0, src, dst)
 
 
 class _Part:
-    """One part of a candidate, the source or a setting, with what is derived from it.
+    """One part of a candidate, the source or a setting, and its canonical text.
 
-    ``weights`` holds the part's integers for scoring: the source support
-    ``(scale, [(pair, weight)])``, or a setting's :func:`channel_moments`
-    ``(scale, {label: (detected, signed)})``: the instrument weight with a
-    nonzero outcome, and the first moment, which for point outcomes is
-    the sum of outcome x weight over the same scale.  ``support`` is a
-    setting's instrument support ``(scale, [(atom, weight)])``, None for
-    the source.
-    Building a part checks that its weights sum to their scale (every
-    channel row regroups the instrument's support weights, so checking
-    the instrument checks each row).  :meth:`flipped` derives the part of
-    a one-entry flip from its parent's in one row.  The canonical text is
-    rendered on first use.  A mutation's child shares every part whose
-    object and labels it kept, so each part's integers and text are
-    built once for all the candidates holding it.
+    Building a setting part runs the point-outcome test: over the whole
+    table, or for a flip's part only at the flipped entry, since the rest
+    of the table is its parent's.  A flip's part records the parent
+    part's setting in ``flipped_from`` and the flipped entry's key in
+    ``key``, which is all :func:`_better` needs to order the two; holding
+    the setting, not the part, keeps no chain of ancestors alive.  The
+    text is rendered on first use.  A mutation's child shares every part
+    it kept, so each part's text is rendered at most once for all the
+    candidates holding it.
     """
 
-    __slots__ = ("obj", "labels", "weights", "support", "_text")
+    __slots__ = ("obj", "labels", "flipped_from", "key", "_text")
 
-    def __init__(self, obj, labels=None, side: str = ""):
+    def __init__(self, obj, labels=None, side: str = "", flipped_from: Optional[Setting] = None, key=None):
+        if labels is not None:
+            require_point_outcomes(side, obj, None if key is None else (key,))
         self.obj = obj
         self.labels = labels
-        if labels is None:
-            scale, atoms = self.weights = obj.integer_weights()
-            self.support = None
-        else:
-            require_point_outcomes(side, obj)
-            scale, _vscale, moments = channel_moments(labels, obj)
-            self.weights = scale, moments
-            _scale, atoms = self.support = obj.instrument.integer_weights()
-        if sum(w for _lab, w in atoms) != scale:
-            raise ValueError("behavior table is not normalized")
+        self.flipped_from = flipped_from
+        self.key = key
         self._text: Optional[str] = None
-
-    def flipped(self, setting: Setting, key: tuple, side: str) -> "_Part":
-        """The part of ``setting``, equal to this part's setting but for the entry at ``key``.
-
-        Only the new entry needs the point-outcome test, and only its
-        source label's ``(detected, signed)`` row changes, recomputed over
-        the instrument's support.  The instrument is the same object, so
-        this part's normalization check holds for the new one.
-        """
-        require_point_outcomes(side, setting, (key,))
-        label = key[0]
-        entries = setting.outcomes.entries
-        detected = signed = 0
-        for atom, w in self.support[1]:
-            n = entries[label, atom].numerator
-            if n:
-                detected += w
-                signed += n * w
-        scale, moments = self.weights
-        moments = dict(moments)
-        moments[label] = (detected, signed)
-        part = _Part.__new__(_Part)
-        part.obj, part.labels, part.weights, part.support, part._text = (
-            setting, self.labels, (scale, moments), self.support, None
-        )
-        return part
 
     def text(self) -> str:
         if self._text is None:
@@ -338,58 +302,206 @@ class _Part:
         return self._text
 
 
-def _parts(model: ContextualModel, parent: Optional["_Key"], change: Optional[_Change]) -> tuple[_Part, ...]:
-    """The candidate's parts: source, Alice's two settings, Bob's two.
+# each context's (Alice setting, Bob setting), Alice-major, as indexes of
+# the four settings (0 and 1 Alice's, 2 and 3 Bob's) ...
+_CONTEXTS = ((0, 2), (0, 3), (1, 2), (1, 3))
+# ... and each setting's two (context, other setting)
+_PARTNERS = tuple(
+    tuple((c, pair[1 - (s >> 1)]) for c, pair in enumerate(_CONTEXTS) if pair[s >> 1] == s) for s in range(4)
+)
 
-    A part of the parent is reused when it holds the same object, and for
-    a setting the same side labels, which is all its integers and text
-    depend on.  The part a flip changed is derived from the parent's by
-    :meth:`_Part.flipped`; the rest are built.
+
+class _Grid:
+    """What a walk shares: the grid scale G, its penalty thresholds, and the source's label index.
+
+    ``index[coord][label]`` lists ``(pair, other label)`` for every source
+    pair holding ``label`` at ``coord``, zero-weight pairs included; the
+    labels never change within a walk.  The thresholds are integers over
+    G**3 * q, the penalty's denominator.
     """
-    if parent is not None and parent.parts[0].obj is model.source:
-        # the same source has the same side labels as the parent's settings
-        first, second = parent.parts[1].labels, parent.parts[3].labels
+
+    __slots__ = ("scale", "unit", "labels", "index", "q", "cube", "denom", "floor", "cap", "lift", "margin")
+
+    def __init__(self, scale: int, pairs, cfg: SearchConfig):
+        self.scale = scale
+        self.unit = scale // cfg.mass_denominator
+        self.labels = tuple(tuple(dict.fromkeys(pair[coord] for pair in pairs)) for coord in (0, 1))
+        self.index = tuple({lab: [] for lab in labels} for labels in self.labels)
+        for pair in pairs:
+            self.index[0][pair[0]].append((pair, pair[1]))
+            self.index[1][pair[1]].append((pair, pair[0]))
+        floor, cap = cfg.min_coincidence, cfg.max_detection
+        self.q = q = math.lcm(floor.denominator, 256, 1 if cap is None else cap.denominator)
+        self.cube = cube = scale**3
+        self.denom = cube * q
+        self.floor = floor.numerator * q // floor.denominator * cube
+        self.cap = None if cap is None else cap.numerator * q // cap.denominator * cube
+        # a detection sum over G**2 lifted to the penalty's denominator
+        self.lift = scale * q
+        self.margin = q // 256 * cube
+
+
+class _State(NamedTuple):
+    """A candidate's integers over its walk's grid scale G.
+
+    ``source`` is each pair's weight over G, zero weights kept.  ``rows``
+    maps each source label of a setting's side to ``(detected, signed)``
+    over G: the instrument weight with a nonzero outcome and the sum of
+    outcome x weight.  ``both`` and ``product`` are each context's
+    coincidence weight sum w detA detB and post-selected product sum
+    w sgnA sgnB over the source pairs, over G**3; ``detected`` is each
+    setting's sum w det, over G**2.
+    """
+
+    source: dict
+    rows: list
+    both: list
+    product: list
+    detected: list
+
+
+def _normalized_weights(pmf: Pmf, scale: int) -> dict:
+    """The pmf's weights over ``scale``, which its own scale divides; ValueError unless they sum to 1."""
+    own, weights = pmf.integer_atoms()
+    if min(weights.values(), default=0) < 0 or sum(weights.values()) != own:
+        raise ValueError("behavior table is not normalized")
+    return {lab: w * (scale // own) for lab, w in weights.items()}
+
+
+def _setting_rows(setting: Setting, labels, instrument) -> dict:
+    """``{label: (detected, signed)}`` of one setting over ``instrument``'s ``(atom, weight)`` pairs.
+
+    ``detected`` is the weight of atoms with a nonzero outcome at the
+    label; ``signed``, the outcome x weight sum, is the first moment for
+    point outcomes.  Zero-weight atoms are not read.
+    """
+    value = setting.outcomes.value
+    rows = {}
+    for lab in labels:
+        detected = signed = 0
+        for atom, w in instrument:
+            if w:
+                n = value(lab, atom).numerator
+                if n:
+                    detected += w
+                    signed += n * w
+        rows[lab] = (detected, signed)
+    return rows
+
+
+def _build(model: ContextualModel, cfg: SearchConfig) -> tuple[_Grid, _State, tuple[_Part, ...]]:
+    """A restart: the walk's grid, and the candidate's state and parts built in full.
+
+    The grid scale G is the lcm of ``mass_denominator`` and the model's
+    mass scales.  A restart model is drawn on the 1/d grid and every move
+    shifts one grid unit, so every candidate of the walk stays on it.
+    """
+    settings = model.alice + model.bob
+    scale = math.lcm(cfg.mass_denominator, model.source.integer_atoms()[0],
+                     *(s.instrument.integer_atoms()[0] for s in settings))
+    source = _normalized_weights(model.source, scale)
+    grid = _Grid(scale, tuple(source), cfg)
+    parts = [_Part(model.source)]
+    rows = []
+    for s, setting in enumerate(settings):
+        labels = grid.labels[s >> 1]
+        parts.append(_Part(setting, labels, ("alice", "bob")[s >> 1]))
+        rows.append(_setting_rows(setting, labels, _normalized_weights(setting.instrument, scale).items()))
+    both, product = [], []
+    for a, b in ((rows[i], rows[j]) for i, j in _CONTEXTS):
+        both.append(sum(w * a[l1][0] * b[l2][0] for (l1, l2), w in source.items()))
+        product.append(sum(w * a[l1][1] * b[l2][1] for (l1, l2), w in source.items()))
+    detected = [sum(w * rows[s][pair[s >> 1]][0] for pair, w in source.items()) for s in range(4)]
+    return grid, _State(source, rows, both, product, detected), tuple(parts)
+
+
+def _shift_row(grid: _Grid, state: _State, s: int, label, d_det: int, d_sgn: int) -> None:
+    """Add ``(d_det, d_sgn)`` to setting ``s``'s row at ``label``, and each sum the terms that moved.
+
+    Only the pairs holding ``label`` carry the row, in the two contexts
+    of setting ``s`` and in its detection sum.  ``state``'s row dict of
+    ``s`` and its sum lists must be the caller's own copies.
+    """
+    det, sgn = state.rows[s][label]
+    state.rows[s][label] = (det + d_det, sgn + d_sgn)
+    for pair, other in grid.index[s >> 1][label]:
+        w = state.source[pair]
+        if w:
+            for c, o in _PARTNERS[s]:
+                o_det, o_sgn = state.rows[o][other]
+                state.both[c] += w * d_det * o_det
+                state.product[c] += w * d_sgn * o_sgn
+            state.detected[s] += w * d_det
+
+
+def _moved(parent: "_Key", model: ContextualModel, change: _Change) -> tuple[_State, tuple[_Part, ...]]:
+    """The child's state and parts from its parent's, by the delta of ``change``.
+
+    A source move moves each sum by two pairs' terms; a flip moves one
+    row by the flipped atom's weight; an instrument move moves, by one
+    grid unit, the rows whose entries differ at its two atoms.  Everything
+    the move kept is the parent's own object.
+    """
+    grid, old = parent.grid, parent.state
+    parts = list(parent.parts)
+    part, *moved = change
+    sums = list(old.both), list(old.product), list(old.detected)
+    if part == 0:
+        state = _State(dict(old.source), old.rows, *sums)
+        src, dst = moved
+        for pair, w in ((src, -grid.unit), (dst, grid.unit)):
+            state.source[pair] += w
+            at = [old.rows[t][pair[t >> 1]] for t in range(4)]
+            for c, (i, j) in enumerate(_CONTEXTS):
+                state.both[c] += w * at[i][0] * at[j][0]
+                state.product[c] += w * at[i][1] * at[j][1]
+            for t in range(4):
+                state.detected[t] += w * at[t][0]
+        parts[0] = _Part(model.source)
+        return state, tuple(parts)
+    s = part - 1
+    setting = (model.alice + model.bob)[s]
+    labels, side = grid.labels[s >> 1], ("alice", "bob")[s >> 1]
+    rows = list(old.rows)
+    rows[s] = dict(rows[s])
+    state = _State(old.source, rows, *sums)
+    if len(moved) == 1:
+        key = moved[0]
+        flipped_from = parent.parts[part].obj
+        parts[part] = _Part(setting, labels, side, flipped_from, key)
+        before, after = flipped_from.outcomes.entries[key].numerator, setting.outcomes.entries[key].numerator
+        scale, weights = setting.instrument.integer_atoms()
+        w = weights[key[1]] * (grid.scale // scale)
+        _shift_row(grid, state, s, key[0], w * (abs(after) - abs(before)), w * (after - before))
     else:
-        first, second = model.source_first_labels(), model.source_second_labels()
-    wanted = (
-        (model.source, None, ""),
-        *((s, first, "alice") for s in model.alice),
-        *((s, second, "bob") for s in model.bob),
-    )
-    if parent is None:
-        return tuple(_Part(obj, labels, side) for obj, labels, side in wanted)
-    parts = []
-    for index, (old, (obj, labels, side)) in enumerate(zip(parent.parts, wanted)):
-        if old.labels != labels:
-            parts.append(_Part(obj, labels, side))
-        elif old.obj is obj:
-            parts.append(old)
-        elif change is not None and change[0] == index:
-            parts.append(old.flipped(obj, change[1], side))
-        else:
-            parts.append(_Part(obj, labels, side))
-    return tuple(parts)
+        src, dst = moved
+        parts[part] = _Part(setting, labels, side)
+        entries = setting.outcomes.entries
+        for label in labels:
+            before, after = entries[label, src].numerator, entries[label, dst].numerator
+            if before != after:
+                _shift_row(grid, state, s, label, grid.unit * (abs(after) - abs(before)), grid.unit * (after - before))
+    return state, tuple(parts)
 
 
 class _Key:
-    """A scored candidate: its model, rank, coincidence total and parts.
+    """A scored candidate: its model, rank, coincidence total, parts, walk grid and state.
 
     There is no whole canonical text: :func:`_better` breaks a tie on the
-    texts of the parts that differ, each rendered once and shared with
-    every candidate that keeps the part.  Keys live only as the walk's
-    candidate, current and best, so the derived data is bounded by those
-    three models.
+    parts that differ.  Keys live only as the walk's candidate, current
+    and best, so the derived data is bounded by those three models.
     """
 
-    __slots__ = ("rank", "coincidence", "model", "parts")
+    __slots__ = ("rank", "coincidence", "model", "parts", "grid", "state")
 
-    def __init__(
-        self, rank: Fraction, coincidence: Fraction, model: ContextualModel, parts: tuple[_Part, ...]
-    ):
+    def __init__(self, rank: Fraction, coincidence: Fraction, model: ContextualModel,
+                 parts: tuple[_Part, ...], grid: _Grid, state: _State):
         self.rank = rank
         self.coincidence = coincidence
         self.model = model
         self.parts = parts
+        self.grid = grid
+        self.state = state
 
 
 def _score(
@@ -405,60 +517,54 @@ def _score(
     context with no coincidence, and rate - max_detection + 1/256 for
     each setting rate at or above the cap.
 
-    All sums are integer, over the parts' ``weights``, reusing the
-    parent's for every part the mutation kept; ``change``, from
-    :func:`_mutate`, lets a flip's setting derive its moments from the
-    parent's in one row.  The source pair
-    factorizes each context, as in ``correlation_quad``: its coincidence
-    weight is sum w detA detB and its post-selected product sum w sgnA
-    sgnB over the source support, with each setting's moments of
-    :func:`channel_moments`; a setting's detection weight is sum w det.
-    Rates share the product of the five scales as denominator; the rank
-    and coincidence total are one Fraction each, equal to what the
-    Fraction report (built only for the winner) and ``chsh_values`` give.
-    No text is rendered here: :func:`_better` renders part texts only
-    when rank and coincidence tie.
+    A restart, with no parent or no change, builds the :class:`_State`
+    in full (:func:`_build`); a mutation's child, given its parent and
+    ``change`` from :func:`_mutate`, updates the parent's state by what
+    the move changed (:func:`_moved`).  The source pair factorizes each context,
+    as in ``correlation_quad``, so every sum is bilinear in the rows and
+    the source weights, and a move adds only the terms it changed.
+
+    Every sum is an integer over a power of the walk's grid scale G: a
+    coincidence weight over G**3, a detection sum over G**2, lifted by G.
+    The penalty is an integer over G**3 * q, where q is the lcm of the
+    thresholds' denominators and 256, and the rank and coincidence total
+    are one Fraction each.  These equal what the Fraction report (built
+    only for the winner) and ``chsh_values`` give: every penalty term and
+    the coincidence total are homogeneous of degree one in the rates, so
+    writing the rates over G**3 rather than over their own denominators
+    scales the numerator and denominator alike, and ``Fraction`` reduces
+    both to the same value; each correlation product / both is free of
+    the scale.  No text is rendered here: :func:`_better` renders part
+    texts only when rank and coincidence tie.
     """
-    parts = _parts(model, parent, change)
-    (scale, src), *settings = (p.weights for p in parts)
-    alice, bob = settings[:2], settings[2:]
-    denom = scale * math.prod(s for s, _table in settings)
-    contexts = []
-    for a_scale, a in alice:
-        for b_scale, b in bob:
-            both = product = 0
-            for (l1, l2), w in src:
-                det_a, sgn_a = a[l1]
-                det_b, sgn_b = b[l2]
-                both += w * det_a * det_b
-                product += w * sgn_a * sgn_b
-            contexts.append((both * (denom // (scale * a_scale * b_scale)), both, product))
-    # the penalty in integers over denom * q, which every threshold's denominator divides
-    floor, cap = cfg.min_coincidence, cfg.max_detection
-    q = math.lcm(floor.denominator, 256, 1 if cap is None else cap.denominator)
+    if parent is None or change is None:
+        grid, state, parts = _build(model, cfg)
+    else:
+        grid = parent.grid
+        state, parts = _moved(parent, model, change)
     penalty = 0
-    for rate, both, _product in contexts:
+    for both in state.both:
         if both == 0:
-            penalty += denom * q
-        penalty += max(0, floor.numerator * q // floor.denominator * denom - rate * q)
-    if cap is not None:
-        for coord, side in enumerate((alice, bob)):
-            for s, table in side:
-                rate = sum(w * table[pair[coord]][0] for pair, w in src) * (denom // (scale * s))
-                over = rate * q - cap.numerator * q // cap.denominator * denom
-                if over >= 0:
-                    # the cap is exclusive, so sitting exactly on it still counts
-                    penalty += over + q // 256 * denom
+            penalty += grid.denom
+        short = grid.floor - both * grid.q
+        if short > 0:
+            penalty += short
+    if grid.cap is not None:
+        for detected in state.detected:
+            over = detected * grid.lift - grid.cap
+            if over >= 0:
+                # the cap is exclusive, so sitting exactly on it still counts
+                penalty += over + grid.margin
     feasible = penalty == 0
     if feasible:
         # the CHSH rule with every E over the lcm of the coincidences
-        lcm = math.lcm(*(both for _rate, both, _product in contexts))
-        scaled = [product * (lcm // both) for _rate, both, product in contexts]
+        lcm = math.lcm(*state.both)
+        scaled = [product * (lcm // both) for both, product in zip(state.both, state.product)]
         rank = Fraction(max(abs(s) for s in _flip_sums(scaled)), lcm)
     else:
-        rank = Fraction(-penalty, denom * q)
-    coincidence_total = Fraction(sum(rate for rate, _both, _product in contexts), denom)
-    return feasible, _Key(rank, coincidence_total, model, parts)
+        rank = Fraction(-penalty, grid.denom)
+    coincidence_total = Fraction(sum(state.both), grid.cube)
+    return feasible, _Key(rank, coincidence_total, model, parts, grid, state)
 
 
 def _better(key: _Key, other: _Key) -> bool:
@@ -474,8 +580,13 @@ def _better(key: _Key, other: _Key) -> bool:
     other, so the two documents first differ inside this pair, where the
     texts do.  Comparing that pair therefore orders the documents.  Parts
     that are one object are equal without rendering, and the walk stops
-    at the first pair that differs, so a tie renders only the texts of
-    parts a mutation changed, each once.
+    at the first pair that differs.
+
+    When one part of the pair is the other's flip, nothing is rendered:
+    the two texts differ only at the flipped entry's quoted value, whose
+    first character, ``-``, ``0`` or ``1``, orders as the numbers -1, 0
+    and 1 do, so the entries' values order the texts.  Otherwise the
+    pair's texts are rendered, each once for every key sharing its part.
     """
     if key.rank != other.rank:
         return key.rank > other.rank
@@ -483,6 +594,9 @@ def _better(key: _Key, other: _Key) -> bool:
         return key.coincidence < other.coincidence
     for mine, theirs in zip(key.parts, other.parts):
         if mine is not theirs:
+            if mine.flipped_from is theirs.obj or theirs.flipped_from is mine.obj:
+                flip = mine.key if mine.flipped_from is theirs.obj else theirs.key
+                return mine.obj.outcomes.entries[flip] < theirs.obj.outcomes.entries[flip]
             text, other_text = mine.text(), theirs.text()
             if text != other_text:
                 return text < other_text
@@ -497,16 +611,17 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     meeting the configured minimum.  Ties prefer lower total coincidence,
     then the smaller canonical serialization, so the outcome is a pure
     function of the config.  :func:`_score` ranks each candidate in
-    integers, and a candidate costs what its mutation changed: it reuses
-    its parent's parts for everything the mutation kept, a flip
-    recomputes one source label's row of one setting, an instrument move
-    builds one channel and a source move none.  When rank and
-    coincidence tie, :func:`_better` compares part texts, rendering only
-    the parts that differ, each once.  Fractions are built for the history
-    and the winner: its report comes from ``postselected_correlations``
-    and must give the integer score, and its raw coin-reduced quad is
-    re-verified to satisfy CHSH exactly.  If the budget never produces a
-    violation the best model is still returned, flagged accordingly.
+    integers over the walk's grid scale, and a candidate costs what its
+    mutation moved: a restart builds its state in full, and a child's
+    state is its parent's plus the delta of the one flip or grid-unit
+    move that made it.  When rank and coincidence tie, :func:`_better`
+    orders a flip and its parent on the flipped entry and otherwise
+    compares part texts, rendering only the parts that differ, each once.
+    Fractions are built for the history and the winner: its report comes
+    from ``postselected_correlations`` and must give the integer score,
+    and its raw coin-reduced quad is re-verified to satisfy CHSH exactly.
+    If the budget never produces a violation the best model is still
+    returned, flagged accordingly.
     """
     config.validate()
     rng = random.Random(config.seed)

@@ -15,9 +15,8 @@ depends on the setting and its side's source labels only.
 moment off a channel.  Given the source pair the two sides' outcomes are
 independent, so :func:`correlation_quad` factorizes through the source
 pair: each context is the source-weighted sum of the two sides' first
-moments.  :func:`exact_side_expectation`, ``loophole.detection_rates``,
-``flatten.bell_average`` and the loophole search's scoring read the
-moments too.  :func:`behavior_from_model`, the one projection that needs
+moments.  :func:`exact_side_expectation` and ``flatten.bell_average``
+read the moments too.  :func:`behavior_from_model`, the one projection that needs
 joint cells, counts each context's ``(x, y)`` cells from the two
 channels and hands them to :class:`BehaviorTable` as integers.  Callers
 build one Fraction per reported number.

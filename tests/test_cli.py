@@ -1052,6 +1052,25 @@ class TestSearch:
         assert err == f"error: cannot write {paths[bad]}: No such file or directory\n"
         assert not any(path.exists() for path in paths.values())
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted", "link"])
+    def test_out_and_out_model_naming_one_file_is_usage_error(self, capsys, monkeypatch, tmp_path, spelling):
+        monkeypatch.setattr(lhvlab.loophole, "search_postselection_violation", _forbidden)
+        target = tmp_path / "same.json"
+        if spelling == "link":
+            # both exist, so they are compared as files
+            target.write_text("kept\n")
+            other = tmp_path / "alias.json"
+            other.symlink_to(target)
+        else:
+            other = target if spelling == "same" else tmp_path / "sub" / ".." / "same.json"
+        status, out, err = run_cli(
+            capsys, "search", "--seed", "9", "--budget", "400", "--out", str(target), "--out-model", str(other)
+        )
+        assert (status, out) == (2, "")
+        assert err == f"usage error: --out and --out-model name the same file: {target}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == (["alias.json", "same.json"] if spelling == "link" else [])
+        assert spelling != "link" or target.read_text() == "kept\n"
+
     def test_search_deterministic(self, capsys):
         p1 = run_json(capsys, "search", "--seed", "9", "--budget", "400")
         p2 = run_json(capsys, "search", "--seed", "9", "--budget", "400")

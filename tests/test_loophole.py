@@ -186,6 +186,17 @@ def fraction_score(ps, det, cfg: SearchConfig):
     return feasible, rank, sum(ps.coincidence_rate.values(), Fraction(0))
 
 
+def _halfway(rng: random.Random, pmf: Pmf) -> Pmf:
+    """``pmf`` over 1/64 with 1/64 of mass moved from one atom with mass to another atom."""
+    scale, weights = pmf.integer_atoms()
+    weights = {lab: w * (64 // scale) for lab, w in weights.items()}
+    src = rng.choice([lab for lab, w in weights.items() if w > 0])
+    dst = rng.choice([lab for lab in weights if lab != src])
+    weights[src] -= 1
+    weights[dst] += 1
+    return Pmf.from_integers(64, weights)
+
+
 class TestDetectionFromPostSelection:
     @pytest.mark.parametrize("instrument_atoms", [1, 2])
     def test_marginals_equal_detection_rates_along_a_walk(self, instrument_atoms):
@@ -239,6 +250,31 @@ class TestDetectionFromPostSelection:
         if limits == "on_grid":
             assert floor_hits > 0 and cap_hits > 0
 
+    @pytest.mark.parametrize("limits", sorted(SCORE_LIMITS))
+    def test_off_grid_model_scores_like_the_fraction_report(self, limits):
+        """A normalized model with masses of 1/64 where mass_denominator is 32
+        is scored over the finer grid scale 64, and its feasibility, rank and
+        coincidence total equal those derived from the Fraction report."""
+        cfg = SearchConfig(seed=0, source_atoms=4, instrument_atoms=2, **SCORE_LIMITS[limits])
+        rng = random.Random(13)
+        winner = parse_path(FIXTURES / "loophole_winner.model.json")
+        feasible_seen = 0
+        for model in [winner] * 10 + [_random_search_model(rng, cfg) for _ in range(30)]:
+            # move 1/64 of the source's mass, and of one setting's instrument mass if it has two atoms
+            source = _halfway(rng, model.source)
+            settings = [*model.alice, *model.bob]
+            k = rng.randrange(4)
+            if len(settings[k].instrument) > 1:
+                settings[k] = Setting(settings[k].name, _halfway(rng, settings[k].instrument), settings[k].outcomes)
+            model = ContextualModel(source, tuple(settings[:2]), tuple(settings[2:]))
+            assert model.source.integer_atoms()[0] == 64 and validate_model(model).ok
+            feasible, key = _score(model, None, cfg)
+            assert key.grid.scale == 64
+            ps = postselected_correlations(behavior_from_model(model))
+            assert (feasible, key.rank, key.coincidence) == fraction_score(ps, detection_rates(model), cfg)
+            feasible_seen += feasible
+        assert feasible_seen > 0
+
     def test_unnormalized_candidate_is_rejected(self):
         model = _random_search_model(random.Random(5), SearchConfig(seed=0, instrument_atoms=2))
         halved = Pmf({pair: m / 2 for pair, m in model.source.items()})
@@ -274,13 +310,32 @@ def walk_digest(instrument_atoms: int) -> str:
     return digest.hexdigest()
 
 
-def _mutation_kind(parent: ContextualModel, child: ContextualModel) -> str:
-    if child.source is not parent.source:
-        return "source"
-    (old, new), = [
-        (a, b) for a, b in zip(parent.alice + parent.bob, child.alice + child.bob) if a is not b
-    ]
-    return "flip" if new.instrument is old.instrument else "instrument"
+def _change_kind(change) -> str:
+    """The move a :func:`_mutate` change reports: a flip, or a source or instrument mass move."""
+    if len(change) == 2:
+        return "flip"
+    return "source" if change[0] == 0 else "instrument"
+
+
+def _check_change(parent: ContextualModel, child: ContextualModel, change, cfg: SearchConfig) -> None:
+    """The change names exactly what the child changed: the flipped entry, or the two atoms of a mass move."""
+    kind = _change_kind(change)
+    old_parts, new_parts = [parent.source, *parent.alice, *parent.bob], [child.source, *child.alice, *child.bob]
+    assert [p is not q for p, q in zip(old_parts, new_parts)] == [i == change[0] for i in range(5)]
+    old, new = old_parts[change[0]], new_parts[change[0]]
+    if kind == "flip":
+        assert new.instrument is old.instrument
+        differ = [k for k, v in new.outcomes.entries.items() if v != old.outcomes.entries[k]]
+        assert differ == [change[1]]
+        return
+    pmf, moved = (old, new) if kind == "source" else (old.instrument, new.instrument)
+    if kind == "instrument":
+        assert new.outcomes is old.outcomes
+    src, dst = change[1:]
+    expected = dict(pmf.items())
+    expected[src] -= Fraction(1, cfg.mass_denominator)
+    expected[dst] += Fraction(1, cfg.mass_denominator)
+    assert dict(moved.items()) == expected
 
 
 class TestIncrementalCandidates:
@@ -288,14 +343,15 @@ class TestIncrementalCandidates:
     def test_walk_is_pinned(self, instrument_atoms):
         assert walk_digest(instrument_atoms) == WALK_SHA256[instrument_atoms]
 
-    def test_mutation_rebuilds_only_what_it_changed(self, monkeypatch):
-        """A source move builds no channel moments, an instrument move one, a
-        restart four; a flip builds none and recomputes one label row, after
-        the point-outcome test of its one new entry.  No whole document is
-        assembled, and no part's text is rendered twice."""
-        channels, points, rows, texts, events = [], [], [], [], []
+    def test_mutation_updates_only_what_it_moved(self, monkeypatch):
+        """A restart builds four settings' rows in full and point-tests four
+        settings; after it no row is built over a whole setting: an
+        instrument move point-tests its one new setting, a flip its one new
+        entry, a source move nothing.  No whole document is assembled, and
+        no part's text is rendered twice."""
+        builds, points, texts, events = [], [], [], []
         for module, name, log in (
-            (loophole, "channel_moments", channels),
+            (loophole, "_setting_rows", builds),
             (loophole, "require_point_outcomes", points),
             (modelio, "setting_text", texts),
             (modelio, "source_text", texts),
@@ -305,94 +361,104 @@ class TestIncrementalCandidates:
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counted)
-        real_flipped = loophole._Part.flipped
-
-        def flipped(part, setting, key, side):
-            rows.append(key)
-            return real_flipped(part, setting, key, side)
 
         def assembled(*_args):
             raise AssertionError("the tie-break assembled a whole document")
 
-        monkeypatch.setattr(loophole._Part, "flipped", flipped)
         monkeypatch.setattr(modelio, "contextual_text", assembled)
         real_mutate, real_restart = loophole._mutate, loophole._random_search_model
+        cfg = SearchConfig(seed=3, budget=400, instrument_atoms=2)
 
         def mutate(rng, model, cfg):
             child, change = real_mutate(rng, model, cfg)
-            kind = _mutation_kind(model, child)
-            assert (kind == "flip") == (change is not None)
-            events.append((kind, len(channels), len(rows)))
+            _check_change(model, child, change, cfg)
+            events.append((_change_kind(change), change, len(builds), len(points)))
             return child, change
 
         def restart(rng, cfg):
-            events.append(("restart", len(channels), len(rows)))
+            events.append(("restart", None, len(builds), len(points)))
             return real_restart(rng, cfg)
 
-        # the winner's report closes the walk; its detection rates read the moments again
+        # the winner's report closes the walk; its detection rates build rows again
         walk_end = []
         real_behavior = loophole.behavior_from_model
 
         def behavior(model):
-            walk_end.append((len(channels), len(rows)))
+            walk_end.append((len(builds), len(points)))
             return real_behavior(model)
 
         monkeypatch.setattr(loophole, "_mutate", mutate)
         monkeypatch.setattr(loophole, "_random_search_model", restart)
         monkeypatch.setattr(loophole, "behavior_from_model", behavior)
-        out = search_postselection_violation(SearchConfig(seed=3, budget=400, instrument_atoms=2))
+        out = search_postselection_violation(cfg)
         assert out.evaluations == len(events) == 400
-        assert len(walk_end) == 1
+        assert len(walk_end) == 1 and len(builds) == walk_end[0][0] + 4
 
-        marks = [(c, r) for _kind, c, r in events] + walk_end
-        built = {"restart": set(), "source": set(), "flip": set(), "instrument": set()}
-        for (kind, c0, r0), (c1, r1) in zip(events, marks[1:]):
-            built[kind].add((c1 - c0, r1 - r0))
-        assert built == {"restart": {(4, 0)}, "source": {(0, 0)}, "flip": {(0, 1)}, "instrument": {(1, 0)}}
-        # the point-outcome check runs on each built setting, and on each flip's new entry only
-        assert [id(args[1]) for args in points if len(args) == 2] == [id(args[1]) for args in channels[:walk_end[0][0]]]
-        assert [args[2] for args in points if len(args) == 3] == [(key,) for key in rows]
+        marks = [(b, p) for _kind, _change, b, p in events] + walk_end
+        for (kind, change, b0, p0), (b1, p1) in zip(events, marks[1:]):
+            # each point test as "all" for a whole table, or the keys it was limited to
+            tested = [args[2] if args[2:] not in ((), (None,)) else "all" for args in points[p0:p1]]
+            expected = {"restart": ["all"] * 4, "source": [], "instrument": ["all"]}
+            expected_tests = [(change[1],)] if kind == "flip" else expected[kind]
+            assert (b1 - b0, tested) == (4 if kind == "restart" else 0, expected_tests)
+        assert {kind for kind, *_rest in events} == {"restart", "source", "flip", "instrument"}
         # each part's text is rendered once, shared by every candidate that keeps it
         assert texts
         assert len({id(args[0]) for args in texts}) == len(texts)
 
     @pytest.mark.parametrize("instrument_atoms", [1, 2])
-    def test_flipped_parts_equal_fresh_builds(self, instrument_atoms):
-        """Along a seeded walk, the part a flip derives from its parent's equals
-        one built from scratch, and every other part is the parent's own."""
-        cfg = SearchConfig(seed=0, instrument_atoms=instrument_atoms)
+    @pytest.mark.parametrize("limits", ["default", "uncapped"])
+    def test_delta_state_equals_a_fresh_build(self, instrument_atoms, limits):
+        """Along seeded greedy walks, the state a candidate derives from its
+        parent's by the delta of its move equals the state built in full from
+        its model, and so do its rank and coincidence total."""
+        cfg = SearchConfig(seed=0, instrument_atoms=instrument_atoms, **SCORE_LIMITS[limits])
         rng = random.Random(83 + instrument_atoms)
-        flips = 0
-        for _restart in range(3):
+        kinds = defaultdict(int)
+        for _restart in range(4):
             _feasible, parent = _score(_random_search_model(rng, cfg), None, cfg)
-            for _step in range(100):
+            for _step in range(250):
                 child, change = _mutate(rng, parent.model, cfg)
-                _feasible, key = _score(child, parent, cfg, change)
-                if change is not None:
-                    flips += 1
-                    index = change[0]
-                    part = key.parts[index]
-                    fresh = loophole._Part(part.obj, part.labels, "alice" if index < 3 else "bob")
-                    assert part.weights == fresh.weights
-                    assert part.support == fresh.support
-                    assert [p is q for p, q in zip(key.parts, parent.parts)] == [i != index for i in range(5)]
-                parent = key
-        assert flips > 100
+                kinds[_change_kind(change)] += 1
+                feasible, key = _score(child, parent, cfg, change)
+                fresh_feasible, fresh = _score(child, None, cfg)
+                assert key.grid.scale == fresh.grid.scale == cfg.mass_denominator
+                assert key.state == fresh.state
+                assert (feasible, key.rank, key.coincidence) == (fresh_feasible, fresh.rank, fresh.coincidence)
+                if _better(key, parent):
+                    parent = key
+        assert kinds["flip"] > 100 and kinds["source"] > 100
+        assert (kinds["instrument"] > 100) if instrument_atoms > 1 else ("instrument" not in kinds)
 
     @pytest.mark.parametrize("instrument_atoms", [1, 2])
-    def test_part_wise_tie_break_orders_like_the_assembled_text(self, instrument_atoms):
+    def test_part_wise_tie_break_orders_like_the_assembled_text(self, instrument_atoms, monkeypatch):
         """On keys of seeded walks that tie in rank and coincidence, _better
-        agrees with comparing the whole serialize() texts."""
+        agrees with comparing the whole serialize() texts.  A flip that ties
+        with its parent is decided on the flipped entry, rendering nothing."""
         cfg = SearchConfig(seed=0, source_atoms=3, instrument_atoms=instrument_atoms, mass_denominator=4)
         rng = random.Random(97 + instrument_atoms)
-        keys = []
+        keys, flip_ties = [], []
         for _restart in range(3):
             _feasible, key = _score(_random_search_model(rng, cfg), None, cfg)
             keys.append(key)
             for _step in range(150):
                 child, change = _mutate(rng, key.model, cfg)
-                _feasible, key = _score(child, key, cfg, change)
+                parent = key
+                _feasible, key = _score(child, parent, cfg, change)
                 keys.append(key)
+                if len(change) == 2 and (key.rank, key.coincidence) == (parent.rank, parent.coincidence):
+                    flip_ties.append((key, parent))
+        # before anything renders a part text, so no cached text can answer
+        orders = [(serialize(a.model) < serialize(b.model), serialize(b.model) < serialize(a.model))
+                  for a, b in flip_ties]
+
+        def unrendered(*_args):
+            raise AssertionError("a flip's tie with its parent rendered a setting text")
+
+        with monkeypatch.context() as stubbed:
+            stubbed.setattr(modelio, "setting_text", unrendered)
+            assert [(_better(a, b), _better(b, a)) for a, b in flip_ties] == orders
+        assert len(flip_ties) > 100
         ties = defaultdict(list)
         for key in keys:
             ties[key.rank, key.coincidence].append(key)
