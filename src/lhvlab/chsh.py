@@ -34,13 +34,6 @@ class ChshCombination:
     value: Value
     contexts: tuple[Context, ...] = ()
 
-    def describe(self) -> str:
-        terms = []
-        for ctx in self.contexts:
-            term_sign = self.sign if ctx != self.flipped else -self.sign
-            terms.append(f"{'+' if term_sign > 0 else '-'}E{ctx}")
-        return " ".join(terms)
-
 
 @dataclass
 class ChshReport:

@@ -22,9 +22,9 @@ read off the table itself: the table's entries are brought over the lcm
 of their denominators once, and each support tuple's key is one lookup in
 that integer table, so an entry no tuple reads costs no lookup and a
 zero-mass atom's key need not be listed.  That evaluation walks the flat
-pmf only; it never calls the contextual kernel (``setting_channel``,
-``channel_moments``) it is used to check.  The bars themselves are the
-kernel's per-label first moments.
+pmf only; it never calls the contextual kernel, ``model.setting_rows``,
+that it is used to check.  The bars themselves are that kernel's
+per-label first moments.
 
 :func:`product_size` and :func:`uniform_size` count the atoms a flattening
 would build, without building it, so a caller can refuse a size first.
@@ -51,8 +51,8 @@ from .model import (
     TwoByTwo,
     _excerpt,
     _factorized_quad,
-    channel_moments,
     integer_scale,
+    setting_rows,
     side_labels,
 )
 
@@ -302,7 +302,7 @@ def bell_average(model: ContextualModel) -> AveragedModel:
 
     The averaged outcome for Alice's setting a at source label l1 is
     sum over la of A_a(l1, la) p_a(la), the first moment that
-    :func:`~lhvlab.model.channel_moments` gives at l1; likewise for Bob.
+    :func:`~lhvlab.model.setting_rows` gives at l1; likewise for Bob.
     The averaged model's expectations equal the original's for every
     context, and every averaged value is bounded by 1 in absolute value.
     Fractional outcome tables are welcome (averaging is linear), so the
@@ -315,8 +315,9 @@ def bell_average(model: ContextualModel) -> AveragedModel:
         labels = side_labels(model, side)
         out: dict[str, dict[Label, Fraction]] = {}
         for setting in settings:
-            scale, vscale, moments = channel_moments(labels, setting)
-            out[setting.name] = {lab: Fraction(first, scale * vscale) for lab, (_det, first) in moments.items()}
+            scale, atoms = setting.instrument.integer_weights()
+            vscale, rows = setting_rows(setting, labels, atoms)
+            out[setting.name] = {lab: Fraction(first, scale * vscale) for lab, (_det, first) in rows.items()}
         return out
 
     return AveragedModel(

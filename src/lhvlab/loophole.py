@@ -30,6 +30,7 @@ from .model import (
     behavior_from_model,
     correlation_quad,
     require_point_outcomes,
+    setting_rows,
     side_labels,
 )
 
@@ -129,7 +130,7 @@ def detection_rates(model: ContextualModel) -> DetectionReport:
         rates = {}
         for s in getattr(model, side):
             scale, atoms = s.instrument.integer_weights()
-            rows = _setting_rows(s, labels, atoms)
+            _vscale, rows = setting_rows(s, labels, atoms)
             rates[s.name] = Fraction(sum(w * rows[pair[coord]][0] for pair, w in src), src_scale * scale)
         return rates
 
@@ -346,11 +347,11 @@ class _State(NamedTuple):
 
     ``source`` is each pair's weight over G, zero weights kept.  ``rows``
     maps each source label of a setting's side to ``(detected, signed)``
-    over G: the instrument weight with a nonzero outcome and the sum of
-    outcome x weight.  ``both`` and ``product`` are each context's
-    coincidence weight sum w detA detB and post-selected product sum
-    w sgnA sgnB over the source pairs, over G**3; ``detected`` is each
-    setting's sum w det, over G**2.
+    over G, the ``setting_rows`` pair: the instrument weight with a
+    nonzero outcome and the sum of outcome x weight.  ``both`` and
+    ``product`` are each context's coincidence weight sum w detA detB and
+    post-selected product sum w sgnA sgnB over the source pairs, over
+    G**3; ``detected`` is each setting's sum w det, over G**2.
     """
 
     source: dict
@@ -361,32 +362,11 @@ class _State(NamedTuple):
 
 
 def _normalized_weights(pmf: Pmf, scale: int) -> dict:
-    """The pmf's weights over ``scale``, which its own scale divides; ValueError unless they sum to 1."""
-    own, weights = pmf.integer_atoms()
-    if min(weights.values(), default=0) < 0 or sum(weights.values()) != own:
+    """The pmf's weights over ``scale``, which its own scale divides; ValueError unless it is normalized."""
+    if not pmf.is_normalized():
         raise ValueError("behavior table is not normalized")
+    own, weights = pmf.integer_atoms()
     return {lab: w * (scale // own) for lab, w in weights.items()}
-
-
-def _setting_rows(setting: Setting, labels, instrument) -> dict:
-    """``{label: (detected, signed)}`` of one setting over ``instrument``'s ``(atom, weight)`` pairs.
-
-    ``detected`` is the weight of atoms with a nonzero outcome at the
-    label; ``signed``, the outcome x weight sum, is the first moment for
-    point outcomes.  Zero-weight atoms are not read.
-    """
-    value = setting.outcomes.value
-    rows = {}
-    for lab in labels:
-        detected = signed = 0
-        for atom, w in instrument:
-            if w:
-                n = value(lab, atom).numerator
-                if n:
-                    detected += w
-                    signed += n * w
-        rows[lab] = (detected, signed)
-    return rows
 
 
 def _build(model: ContextualModel, cfg: SearchConfig) -> tuple[_Grid, _State, tuple[_Part, ...]]:
@@ -406,7 +386,8 @@ def _build(model: ContextualModel, cfg: SearchConfig) -> tuple[_Grid, _State, tu
     for s, setting in enumerate(settings):
         labels = grid.labels[s >> 1]
         parts.append(_Part(setting, labels, ("alice", "bob")[s >> 1]))
-        rows.append(_setting_rows(setting, labels, _normalized_weights(setting.instrument, scale).items()))
+        # the part's point test passed, so every value is an integer and vscale is 1
+        rows.append(setting_rows(setting, labels, _normalized_weights(setting.instrument, scale).items())[1])
     both, product = [], []
     for a, b in ((rows[i], rows[j]) for i, j in _CONTEXTS):
         both.append(sum(w * a[l1][0] * b[l2][0] for (l1, l2), w in source.items()))

@@ -7,19 +7,20 @@ its own instrument distribution and outcome table.  Masses are exact: a
 ``Fraction`` is made only where a number leaves the API.
 
 Exact numbers are projections of one product measure, source x
-instrument_a x instrument_b, computed in integers in two steps.
-:func:`setting_channel` integrates one setting's instrument out per
-source label, keyed by each value's ``(numerator, denominator)``; it
-depends on the setting and its side's source labels only.
-:func:`channel_moments` reads each label's detected weight and first
-moment off a channel.  Given the source pair the two sides' outcomes are
-independent, so :func:`correlation_quad` factorizes through the source
-pair: each context is the source-weighted sum of the two sides' first
-moments.  :func:`exact_side_expectation` and ``flatten.bell_average``
-read the moments too.  :func:`behavior_from_model`, the one projection that needs
-joint cells, counts each context's ``(x, y)`` cells from the two
-channels and hands them to :class:`BehaviorTable` as integers.  Callers
-build one Fraction per reported number.
+instrument_a x instrument_b, computed in integers.  One kernel,
+:func:`setting_rows`, integrates one setting's instrument out per source
+label: each label's detected weight and first moment, over the
+``(atom, weight)`` pairs its caller passes.  Given the source pair the
+two sides' outcomes are independent, so :func:`correlation_quad`
+factorizes through the source pair: each context is the source-weighted
+sum of the two sides' first moments.  :func:`exact_side_expectation`,
+``flatten.bell_average``, ``loophole.detection_rates`` and the search's
+integer state read the kernel too.  :func:`behavior_from_model`, the one
+projection that needs joint cells, keeps its own per-label count of each
+outcome value in first-appearance order, since the cell order it writes
+is not a function of the kernel's pair; it hands each context's
+``(x, y)`` cells to :class:`BehaviorTable` as integers.  Callers build
+one Fraction per reported number.
 :func:`exact_expectation` sums term by term over every hidden variable
 as the reference oracle, with no factorization; nothing in the package
 calls it, and it reads masses only as Fractions.
@@ -613,63 +614,44 @@ def _coord(side: str) -> int:
     return 0 if side == "alice" else 1
 
 
-ValueChannel = tuple[int, dict[Label, dict[tuple[int, int], int]]]
-
-
 def side_labels(model: ContextualModel, side: str) -> tuple[Label, ...]:
     """The labels of the source coordinate a side's settings read."""
     return _coordinate_labels(model.source, _coord(side))
 
 
-def setting_channel(labels: Sequence[Label], setting: Setting) -> ValueChannel:
-    """One setting's outcome-value law per source label, as integers keyed by value.
-
-    Returns ``(scale, channel)``: ``channel[l][(n, d)]`` is the instrument
-    weight of the outcome value n/d at source label ``l``, an integer
-    over ``scale`` (the lcm of the instrument's mass denominators).
-    Every label in ``labels`` is present, and values appear in
-    first-appearance order over ``instrument.support()``.  Keying on the
-    integer pair keeps ``Fraction.__hash__`` out of the loop.  The
-    channel depends on the setting and the labels only, never on the
-    source masses.
-    """
-    scale, weights = setting.instrument.integer_weights()
-    value = setting.outcomes.value
-    channel: dict[Label, dict[tuple[int, int], int]] = {}
-    for lab in labels:
-        dist: dict[tuple[int, int], int] = {}
-        for atom, w in weights:
-            v = value(lab, atom)
-            key = (v.numerator, v.denominator)
-            dist[key] = dist.get(key, 0) + w
-        channel[lab] = dist
-    return scale, channel
-
-
-def channel_moments(labels: Sequence[Label], setting: Setting) -> tuple[int, int, dict[Label, tuple[int, int]]]:
+def setting_rows(setting: Setting, labels: Sequence[Label], atoms: Iterable) -> tuple[int, dict[Label, tuple[int, int]]]:
     """One setting's detected weight and first moment per source label, in integers.
 
-    Returns ``(scale, vscale, {label: (detected, first)})``: ``detected``
-    is the instrument weight over ``scale`` with a nonzero value at the
-    label, and ``first`` the outcome averaged over the instrument, an
-    integer over ``scale * vscale``, where ``vscale`` is the lcm of the
-    channel's value denominators (1 for point outcomes).
+    ``atoms`` are the caller's ``(instrument atom, weight)`` pairs over its own scale:
+    ``instrument.integer_weights()``, or the search's over its grid scale with zero weights
+    kept; a zero-weight atom's value is not read.  Returns ``(vscale, {label: (detected,
+    first)})``: ``detected`` is the weight of the atoms with a nonzero value at the label, and
+    ``first`` the sum of n * (vscale // d) * weight over its values n/d, where ``vscale`` is
+    the lcm of the value denominators (1 for point outcomes).
     """
-    scale, channel = setting_channel(labels, setting)
-    vscale = math.lcm(*{d for dist in channel.values() for _n, d in dist})
-    moments = {
-        lab: (sum(w for (n, _d), w in dist.items() if n), sum(n * (vscale // d) * w for (n, d), w in dist.items()))
-        for lab, dist in channel.items()
-    }
-    return scale, vscale, moments
+    value = setting.outcomes.value
+    atoms = [(atom, w) for atom, w in atoms if w]
+    read = [[(value(lab, atom), w) for atom, w in atoms] for lab in labels]
+    vscale = math.lcm(*{v.denominator for row in read for v, _w in row})
+    rows = {}
+    for lab, row in zip(labels, read):
+        detected = first = 0
+        for v, w in row:
+            if v.numerator:
+                detected += w
+                first += v.numerator * (vscale // v.denominator) * w
+        rows[lab] = (detected, first)
+    return vscale, rows
 
 
 def exact_side_expectation(model: ContextualModel, side: str, setting_name: str) -> Fraction:
     """E(A_a) or E(B_b): the single-outcome expectation for one setting."""
     coord = _coord(side)
+    setting = model._setting(coord, setting_name)
     src_scale, src = model.source.integer_weights()
-    scale, vscale, moments = channel_moments(side_labels(model, side), model._setting(coord, setting_name))
-    return Fraction(sum(w * moments[pair[coord]][1] for pair, w in src), src_scale * scale * vscale)
+    scale, atoms = setting.instrument.integer_weights()
+    vscale, rows = setting_rows(setting, side_labels(model, side), atoms)
+    return Fraction(sum(w * rows[pair[coord]][1] for pair, w in src), src_scale * scale * vscale)
 
 
 def correlation_quad(model: ContextualModel) -> CorrelationQuad:
@@ -678,7 +660,7 @@ def correlation_quad(model: ContextualModel) -> CorrelationQuad:
     Given (lambda1, lambda2) the two sides' outcomes are independent, so
     E(A_a B_b) is the sum over the source support of p(lambda1, lambda2)
     times each side's outcome averaged over its own instrument, the first
-    moments of :func:`channel_moments`: :func:`_factorized_quad`, one
+    moments of :func:`setting_rows`: :func:`_factorized_quad`, one
     integer sum and one Fraction per context.
     """
 
@@ -686,8 +668,9 @@ def correlation_quad(model: ContextualModel) -> CorrelationQuad:
         labels = side_labels(model, side)
         out = []
         for s in settings:
-            scale, vscale, moments = channel_moments(labels, s)
-            out.append((s.name, scale * vscale, {lab: first for lab, (_det, first) in moments.items()}))
+            scale, atoms = s.instrument.integer_weights()
+            vscale, rows = setting_rows(s, labels, atoms)
+            out.append((s.name, scale * vscale, {lab: first for lab, (_det, first) in rows.items()}))
         return out
 
     quad = _factorized_quad(model.source, firsts("alice", model.alice), firsts("bob", model.bob))
@@ -755,29 +738,44 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
     ternary-flagged tables).  Models with fractional entries represent
     conditional expectations, not distributions, and are rejected.
     Each context's cells are counted in integers from the two settings'
-    channels, in first-appearance order over the source support, then
-    Alice's channel, then Bob's, and handed to the table as integers.
+    outcome laws, in first-appearance order over the source support, then
+    Alice's law, then Bob's, and handed to the table as integers.
+
+    A law here is each label's weight per outcome value in that order, not
+    the :func:`setting_rows` pair: the cell order is part of every
+    serialized behavior, and the pair cannot recover it.
     """
     for side in ("alice", "bob"):
         for setting in getattr(model, side):
             require_point_outcomes(side, setting)
     outcomes = (-1, 0, 1) if model.is_ternary() else (-1, 1)
     src_scale, src = model.source.integer_weights()
-    first, second = side_labels(model, "alice"), side_labels(model, "bob")
-    alice = [(a.name, setting_channel(first, a)) for a in model.alice]
-    bob = [(b.name, setting_channel(second, b)) for b in model.bob]
+
+    def laws(side: str) -> list:
+        """Each setting's ``(name, scale, {label: {value: weight}})``; a point value is its numerator."""
+        out = []
+        for s in getattr(model, side):
+            scale, atoms = s.instrument.integer_weights()
+            law: dict[Label, dict[int, int]] = {lab: {} for lab in side_labels(model, side)}
+            for lab, dist in law.items():
+                for atom, w in atoms:
+                    x = s.outcomes.value(lab, atom).numerator
+                    dist[x] = dist.get(x, 0) + w
+            out.append((s.name, scale, law))
+        return out
+
+    alice, bob = laws("alice"), laws("bob")
     # a context's counts are over src_scale * a_scale * b_scale; the table's one scale is over the lcms
-    a_lcm, b_lcm = (math.lcm(*(scale for _name, (scale, _chan) in side)) for side in (alice, bob))
+    a_lcm, b_lcm = (math.lcm(*(scale for _name, scale, _law in side)) for side in (alice, bob))
     cells = {}
-    for a_name, (a_scale, chan_a) in alice:
-        for b_name, (b_scale, chan_b) in bob:
-            # point outcomes have denominator 1, so each value is its numerator
+    for a_name, a_scale, law_a in alice:
+        for b_name, b_scale, law_b in bob:
             counts: dict[tuple[int, int], int] = {}
             for (l1, l2), w in src:
-                row = chan_b[l2].items()
-                for (x, _d), cx in chan_a[l1].items():
+                row = law_b[l2].items()
+                for x, cx in law_a[l1].items():
                     wx = w * cx
-                    for (y, _e), cy in row:
+                    for y, cy in row:
                         counts[x, y] = counts.get((x, y), 0) + wx * cy
             factor = (a_lcm // a_scale) * (b_lcm // b_scale)
             cells[a_name, b_name] = {cell: c * factor for cell, c in counts.items()}

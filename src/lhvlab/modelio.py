@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
 from pathlib import Path
@@ -295,8 +297,22 @@ def _behavior_text(behavior: BehaviorTable) -> str:
 
 # ------------------------------------------------------------------- parse
 
+# the deepest a document's lists and objects may nest; a model needs a handful of levels
+MAX_NESTING = 512
+# a JSON string, or an unterminated one running to the end of the text
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\Z)', re.DOTALL)
+_BRACKET = re.compile(r"[\[\]{}]")
+_BRACKET_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
 def parse_text(text: str, source: str = "<string>") -> Document:
     """Parse model/behavior text; errors name the file, line, and token."""
+    # the bound is checked before the parser recurses, so the verdict does not depend on the
+    # caller's stack; only a text with more opening brackets than the bound can nest past it
+    if text.count("[") + text.count("{") > MAX_NESTING:
+        brackets = _BRACKET.findall(_STRING.sub("", text))
+        if max(accumulate(map(_BRACKET_STEP.__getitem__, brackets)), default=0) > MAX_NESTING:
+            raise ModelParseError(f"{source}: lists and objects nest too deeply (more than {MAX_NESTING} levels)")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -18,6 +18,7 @@ the one rule behind :func:`lhvlab.chsh_values`.
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -227,6 +228,27 @@ def brute_bars(model: ContextualModel) -> tuple[dict, dict]:
             }
         )
     return tuple(out)
+
+
+def brute_setting_rows(setting, labels, atoms, scale: int) -> tuple[int, dict]:
+    """Per label, (detected mass, first moment) of ``(atom, weight)`` pairs over ``scale``, as Fractions.
+
+    Also the lcm of the value denominators at the atoms of nonzero weight,
+    by which the integer kernel scales its first moments.
+    """
+    vscale = 1
+    out = {}
+    for lab in labels:
+        detected = first = Fraction(0)
+        for atom, w in atoms:
+            if w != 0:
+                v = setting.outcomes.value(lab, atom)
+                vscale = vscale * v.denominator // math.gcd(vscale, v.denominator)
+                first += v * Fraction(w, scale)
+                if v != 0:
+                    detected += Fraction(w, scale)
+        out[lab] = (detected, first)
+    return vscale, out
 
 
 def brute_serialize(obj) -> str:

@@ -64,11 +64,6 @@ class TestChshValues:
         with pytest.raises(ValueError, match="outside"):
             chsh_values(quad_of([Fraction(3, 2), 0, 0, 0]))
 
-    def test_describe_names_four_terms(self):
-        report = chsh_values(quad_of([1, 0, 0, -1]))
-        text = report.combinations[0].describe()
-        assert text.count("E") == 4
-
 
 rational = st.integers(min_value=-8, max_value=8).map(lambda k: Fraction(k, 8))
 

@@ -272,6 +272,7 @@ def test_flat_quad_with_no_support_is_zero():
 def test_flat_quad_is_independent_of_contextual_kernel(monkeypatch):
     """The flat quads check the kernel, so they must not be computed by it."""
     import lhvlab.flatten
+    import lhvlab.loophole
     import lhvlab.model
 
     models = list(corpus_models(6, seed=34, max_source_side=3, max_instrument=3))
@@ -280,12 +281,8 @@ def test_flat_quad_is_independent_of_contextual_kernel(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("flat evaluation called the contextual kernel")
 
-    for module, name in (
-        (lhvlab.model, "setting_channel"),
-        (lhvlab.model, "channel_moments"),
-        (lhvlab.flatten, "channel_moments"),
-    ):
-        monkeypatch.setattr(module, name, forbidden)
+    for module in (lhvlab.model, lhvlab.flatten, lhvlab.loophole):
+        monkeypatch.setattr(module, "setting_rows", forbidden)
     for flat in flats:
         assert flat.quad().values == brute_flat_quad(flat).values
 

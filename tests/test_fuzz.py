@@ -10,13 +10,12 @@ deleted; the replacements include number tokens past the parser's
 length and exponent bounds, which must be refused, not evaluated.
 
 Byte-level mutants of the same texts (truncations, inserted and deleted
-bytes, invalid UTF-8, a BOM, nesting at the parser's depth limit) must
-also end in a documented status, each subcommand within a fixed wall
-time per input.
+bytes, invalid UTF-8, a BOM, nesting at the parser's bound
+``MAX_NESTING``) must also end in a documented status, each subcommand
+within a fixed wall time per input.
 """
 
 import contextlib
-import functools
 import io
 import json
 import tempfile
@@ -30,7 +29,7 @@ from hypothesis import strategies as st
 from lhvlab import bell_average, counterexample_model, product_flatten, serialize
 from lhvlab.cli import main
 from lhvlab.flatten import uniform_reduce
-from lhvlab.modelio import KINDS, ModelParseError, parse_text
+from lhvlab.modelio import KINDS, MAX_NESTING, ModelParseError, parse_text
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
 
@@ -192,17 +191,35 @@ def test_byte_mutants_exit_with_a_status_in_time(data):
     assert_statuses_in_time(data)
 
 
-@functools.cache
-def depth_limit() -> int:
-    """The deepest list ``parse_text`` accepts, called from a test: the parser's limit on nesting."""
-    lo, hi = 1, 100_000
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        with pytest.raises(ModelParseError) as exc:
-            parse_text("[" * mid + "]" * mid)
-        # a list the parser accepts is refused as no object
-        lo, hi = (lo, mid) if "nest too deeply" in str(exc.value) else (mid, hi)
-    return lo
+def at_stack_depth(frames: int, call):
+    """``call()``, made ``frames`` Python frames deeper than this call."""
+    return call() if frames == 0 else at_stack_depth(frames - 1, call)
+
+
+def verdict(text: str) -> str:
+    """What ``parse_text`` makes of ``text``: its error message, or "parsed"."""
+    try:
+        parse_text(text)
+    except ModelParseError as exc:
+        return str(exc)
+    return "parsed"
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
+def test_nesting_verdict_does_not_depend_on_the_callers_stack(depth):
+    """The behavior fixture with an extra key holding lists nested to ``depth`` in all.
+
+    Within the bound the unknown key is refused; past it the nesting is,
+    and either way the same from callers 250 frames apart.
+    """
+    doc = json.loads((FIXTURES / "quantum_chsh_optimal.behavior.json").read_text())
+    doc["extra"] = "@nested@"
+    text = json.dumps(doc).replace('"@nested@"', "[" * (depth - 1) + "]" * (depth - 1))
+    verdicts = {at_stack_depth(frames, lambda: verdict(text)) for frames in (0, 250)}
+    assert len(verdicts) == 1
+    [message] = verdicts
+    assert ("nest too deeply" in message) == (depth > MAX_NESTING)
+    assert "extra" in message or depth > MAX_NESTING
 
 
 # a label, a flag, a mass and a list of the counterexample, and the whole document
@@ -211,7 +228,7 @@ NEST_PATHS = [("alice", 0, "setting"), ("bob", 1, "ternary"), ("source", 0, "mas
 
 @pytest.mark.parametrize("path", NEST_PATHS, ids=lambda path: "/".join(map(str, path)) or "document")
 def test_nesting_at_the_depth_limit_exits_with_a_status_in_time(path):
-    """One value wrapped in lists from 24 levels under the parser's limit to just past it.
+    """One value wrapped in lists from 24 levels under ``MAX_NESTING`` to just past it.
 
     Just under the limit the document parses, and an error message that
     quotes the value must not run out of stack.
@@ -227,6 +244,5 @@ def test_nesting_at_the_depth_limit_exits_with_a_status_in_time(path):
     else:
         inner, doc = json.dumps(doc), marker
     text = json.dumps(doc, indent=2)
-    limit = depth_limit()
-    for depth in range(limit - 24, limit + 3):
+    for depth in range(MAX_NESTING - 24, MAX_NESTING + 3):
         assert_statuses_in_time(text.replace(json.dumps(marker), "[" * depth + inner + "]" * depth).encode())

@@ -1,5 +1,6 @@
 """Every top-level import in ``src/`` and ``tests/`` is used by its module,
-every top-level function and class of the package is reached, and the
+as is every import of a package module, in a function body too, every
+top-level function and class of the package is reached, and the
 package's name table serves each public name from the module defining it.
 
 A name counts as used when the module reads it anywhere, in code or in a
@@ -21,10 +22,10 @@ MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("
 PACKAGE = sorted((ROOT / "src" / "lhvlab").glob("*.py"))
 
 
-def imported_names(tree: ast.Module) -> dict[str, int]:
-    """Each name the module's top-level imports bind, with its line."""
+def imported_names(tree: ast.Module, nested: bool = False) -> dict[str, int]:
+    """Each name the module's top-level imports bind, with its line; with ``nested``, every import's."""
     names = {}
-    for node in tree.body:
+    for node in ast.walk(tree) if nested else tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 names[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -49,11 +50,11 @@ def read_names(tree: ast.AST) -> set[str]:
     return used
 
 
-def unused_imports(source: str) -> list[tuple[int, str]]:
-    """``(line, name)`` of each top-level import the module never reads."""
+def unused_imports(source: str, nested: bool = False) -> list[tuple[int, str]]:
+    """``(line, name)`` of each top-level import, or with ``nested`` each import, the module never reads."""
     tree = ast.parse(source)
     used = read_names(tree)
-    return [(line, name) for name, line in imported_names(tree).items() if name not in used]
+    return [(line, name) for name, line in imported_names(tree, nested).items() if name not in used]
 
 
 @pytest.mark.parametrize(
@@ -63,9 +64,19 @@ def test_every_top_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "__init__.py"], ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_every_package_import_is_read(path):
+    """A package module reads every name it imports, in a function body too."""
+    assert unused_imports(path.read_text(), nested=True) == []
+
+
 def test_the_scan_sees_an_unused_import():
     source = "import os\nimport sys\nfrom typing import Optional, Union\n\nx: 'Optional[int]' = sys.argv\n"
     assert unused_imports(source) == [(1, "os"), (3, "Union")]
+    source += "\n\ndef f():\n    import reprlib\n    from json import dumps, loads\n    return loads\n"
+    assert unused_imports(source, nested=True) == [(1, "os"), (3, "Union"), (9, "reprlib"), (10, "dumps")]
 
 
 def unreached_definitions(sources: dict[str, str], public: set[str]) -> list[str]:

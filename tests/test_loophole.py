@@ -351,7 +351,7 @@ class TestIncrementalCandidates:
         no part's text is rendered twice."""
         builds, points, texts, events = [], [], [], []
         for module, name, log in (
-            (loophole, "_setting_rows", builds),
+            (loophole, "setting_rows", builds),
             (loophole, "require_point_outcomes", points),
             (modelio, "setting_text", texts),
             (modelio, "source_text", texts),

@@ -4,12 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lhvlab.flatten
+import lhvlab.loophole
+import lhvlab.model
 from conftest import (
     brute_bars,
     brute_behavior,
     brute_detection_rates,
     brute_quad,
+    brute_setting_rows,
     brute_side_expectation,
     corpus_models,
 )
@@ -18,15 +24,20 @@ from lhvlab import (
     DomainMismatchError,
     OutcomeTable,
     Pmf,
+    SearchConfig,
     Setting,
     behavior_from_model,
+    bell_average,
     correlation_quad,
     counterexample_model,
+    detection_rates,
     exact_expectation,
     exact_side_expectation,
+    search_postselection_violation,
     validate_model,
 )
 from lhvlab.corpus import random_contextual_model
+from lhvlab.model import setting_rows
 
 
 def constant_model(value=1):
@@ -108,16 +119,15 @@ class TestExactExpectation:
 
     def test_reference_oracles_never_call_the_kernel(self, monkeypatch):
         """``exact_expectation`` and the ``brute_*`` oracles check the kernel, so they must not use it."""
-        import lhvlab.model
-
         models = list(corpus_models(6, seed=34, max_source_side=3, max_instrument=3))
         quads = [correlation_quad(m).values for m in models]
 
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a reference oracle called the contextual kernel")
 
-        for name in ("setting_channel", "channel_moments", "_factorized_quad"):
-            monkeypatch.setattr(lhvlab.model, name, forbidden)
+        for module in (lhvlab.model, lhvlab.flatten, lhvlab.loophole):
+            monkeypatch.setattr(module, "setting_rows", forbidden)
+        monkeypatch.setattr(lhvlab.model, "_factorized_quad", forbidden)
         for m, quad in zip(models, quads):
             assert {ctx: exact_expectation(m, ctx) for ctx in m.contexts()} == quad == brute_quad(m).values
             brute_behavior(m)
@@ -241,6 +251,70 @@ class TestBehavior:
         bad = ContextualModel(m.source, (z, m.alice[1]), m.bob)
         with pytest.raises(ValueError, match="fractional"):
             behavior_from_model(bad)
+
+
+@st.composite
+def rows_cases(draw):
+    """A setting over 1-4 source labels and 1-4 atoms, and a caller's ``(atom, weight)`` pairs over a scale.
+
+    Values are ternary or in [-1, 1] with denominators up to 12; weights
+    may be zero or negative.  The kernel reads the caller's pairs, not the
+    setting's own instrument.
+    """
+    labels = [f"l{i}" for i in range(draw(st.integers(1, 4)))]
+    atoms = [f"u{i}" for i in range(draw(st.integers(1, 4)))]
+    value = st.one_of(
+        st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)]),
+        st.fractions(min_value=-1, max_value=1, max_denominator=12),
+    )
+    table = OutcomeTable({(lab, atom): draw(value) for lab in labels for atom in atoms})
+    weights = draw(st.lists(st.integers(-6, 6), min_size=len(atoms), max_size=len(atoms)))
+    return Setting("x", Pmf.point(atoms[0]), table), labels, list(zip(atoms, weights)), draw(st.integers(1, 64))
+
+
+class TestSettingRows:
+    @settings(max_examples=300, deadline=None)
+    @given(rows_cases(), st.integers(1, 8))
+    def test_rows_equal_the_fraction_sums(self, case, grid):
+        """Each label's (detected, first) over the caller's scale equals the term-by-term
+        Fraction sums, and weights over a grid scale G, a multiple of the caller's, scale the
+        rows by G over that scale and keep vscale."""
+        setting, labels, atoms, scale = case
+        vscale, rows = setting_rows(setting, labels, atoms)
+        assert list(rows) == labels
+        assert (vscale, {lab: (Fraction(d, scale), Fraction(f, scale * vscale)) for lab, (d, f) in rows.items()}) == (
+            brute_setting_rows(setting, labels, atoms, scale)
+        )
+        scaled = setting_rows(setting, labels, [(atom, w * grid) for atom, w in atoms])
+        assert scaled == (vscale, {lab: (d * grid, f * grid) for lab, (d, f) in rows.items()})
+
+    def test_zero_weight_atoms_are_not_read(self):
+        table = OutcomeTable({("l", "u"): Fraction(1, 2)})
+        assert setting_rows(Setting("x", Pmf.point("u"), table), ["l"], [("u", 3), ("v", 0)]) == (2, {"l": (3, 3)})
+
+    def test_every_reader_routes_through_the_kernel(self, monkeypatch):
+        """With the kernel stubbed out, each of its readers fails; ``behavior_from_model`` keeps its own count."""
+        class Routed(Exception):
+            pass
+
+        def stub(*_args):
+            raise Routed
+
+        for module in (lhvlab.model, lhvlab.flatten, lhvlab.loophole):
+            monkeypatch.setattr(module, "setting_rows", stub)
+        m = counterexample_model()
+        readers = {
+            "correlation_quad": lambda: correlation_quad(m),
+            "bell_average": lambda: bell_average(m),
+            "exact_side_expectation": lambda: exact_side_expectation(m, "alice", "+1"),
+            "detection_rates": lambda: detection_rates(m),
+            "search restart": lambda: search_postselection_violation(SearchConfig(seed=0, budget=1)),
+        }
+        for name, reader in readers.items():
+            with pytest.raises(Routed):
+                reader()
+                pytest.fail(f"{name} did not read setting_rows")
+        behavior_from_model(m)
 
 
 TRUTH_VALUES = ["-1", "0", "1", "1/2", "-1/3", "2", "-2"]
