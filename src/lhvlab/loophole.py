@@ -2,11 +2,11 @@
 
 The search looks for small ternary models whose detected-only
 correlations break the CHSH bound while their raw (coin-reduced)
-correlations necessarily satisfy it.  Every candidate is scored by exact
-integer sums over its source and its settings' rows, updated from its
-parent's by what its mutation moved, and the winner is re-derived
-through the Fraction report, so a reported violation is a theorem about
-the returned model, not a numerical artifact.
+correlations necessarily satisfy it.  A candidate is integer state, its
+parts' weights and outcomes and the sums over them, updated from its
+parent's by what its move changed and ranked by unreduced integer
+pairs.  Only the winner becomes a model, re-derived through the Fraction
+report: a reported violation is a theorem, not a numerical artifact.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import modelio
 from .chsh import ChshReport, PostSelectionReport, _flip_sums, chsh_values, postselected_correlations, zero_to_coin
@@ -23,7 +23,6 @@ from .model import (
     BehaviorTable,
     ContextualModel,
     CorrelationQuad,
-    Label,
     OutcomeTable,
     Pmf,
     Setting,
@@ -158,13 +157,31 @@ class SearchConfig:
     target_stat: Optional[Fraction] = None
 
     def validate(self) -> None:
-        if self.budget < 1 or self.source_atoms < 1 or self.instrument_atoms < 1:
-            raise ValueError("budgets and space sizes must be positive")
+        """Raise ``ValueError`` naming the field unless the config can be searched exactly.
+
+        Sizes, budget and grid denominator must be positive ints, and the
+        thresholds ints or Fractions, never bools, floats or strings: the
+        walk compares them exactly in integers.  ``min_coincidence`` must
+        lie below ``max_detection``: a context's coincidence rate is at most
+        each side's detection rate, which must stay below the cap.
+        """
+        for name in ("source_atoms", "instrument_atoms", "budget", "mass_denominator"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        for name in ("min_coincidence", "max_detection", "target_stat"):
+            value = getattr(self, name)
+            optional = value is None and name != "min_coincidence"
+            if isinstance(value, bool) or not (optional or isinstance(value, (int, Fraction))):
+                raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
         if not 0 < self.min_coincidence <= 1:
             raise ValueError("min_coincidence must lie in (0, 1]")
         if self.max_detection is not None and not 0 < self.max_detection <= 1:
             raise ValueError("max_detection must lie in (0, 1] or be None")
-        if not 1 <= self.mass_denominator <= 64:
+        if self.max_detection is not None and self.min_coincidence >= self.max_detection:
+            raise ValueError(f"min_coincidence {self.min_coincidence} must lie below max_detection "
+                             f"{self.max_detection}, which caps every coincidence rate")
+        if self.mass_denominator > 64:
             raise ValueError("mass grid denominator must lie in 1..64")
 
 
@@ -216,91 +233,27 @@ def _random_search_model(rng: random.Random, cfg: SearchConfig) -> ContextualMod
     )
 
 
-def _move_grid_unit(rng: random.Random, pmf: Pmf, d: int) -> tuple[Pmf, Label, Label]:
-    """``pmf`` with one 1/d grid unit moved from a random donor atom to a random atom; and those two atoms."""
-    scale, weights = pmf.integer_atoms()
-    weights = {lab: w * (d // scale) for lab, w in weights.items()}
-    donors = [lab for lab, w in weights.items() if w > 0]
-    src = rng.choice(donors)
-    dst = rng.choice(list(weights))
-    weights[src] -= 1
-    weights[dst] += 1
-    return Pmf.from_integers(d, weights), src, dst
-
-
-# What a mutation changed, by the index of the part it replaced (0 the
-# source, 1 and 2 Alice's settings, 3 and 4 Bob's): an outcome flip is
-# ``(part, key)``, the flipped entry's (source label, instrument atom);
-# a mass move is ``(part, src, dst)``, one grid unit taken from atom
-# ``src`` and given to atom ``dst`` (source atoms are pairs).
-_Change = tuple
-
-
-def _mutate(rng: random.Random, model: ContextualModel, cfg: SearchConfig) -> tuple[ContextualModel, _Change]:
-    """One random move: the child and its :data:`_Change`.
-
-    A move flips one outcome entry, moves one grid unit of instrument
-    mass within a setting, or moves one grid unit of source mass between
-    atoms.  Every move reports what it changed, so :func:`_score` can
-    update the parent's sums by that alone.
-    """
-    kind = rng.random()
-    if kind < 0.6 or (kind >= 0.85 and cfg.instrument_atoms > 1):
-        side = rng.choice(("alice", "bob"))
-        part = (1 if side == "alice" else 3) + rng.randrange(2)
-        setting = (model.alice + model.bob)[part - 1]
-        if kind < 0.6:
-            # flip one outcome entry
-            key = rng.choice(list(setting.outcomes.entries))
-            old = setting.outcomes.entries[key]
-            new = Fraction(rng.choice([v for v in (-1, 0, 1) if v != old]))
-            setting = Setting(setting.name, setting.instrument, setting.outcomes._with_entry(key, new))
-            change: _Change = (part, key)
-        else:
-            # move one grid unit of instrument mass within the setting
-            instrument, src, dst = _move_grid_unit(rng, setting.instrument, cfg.mass_denominator)
-            setting = Setting(setting.name, instrument, setting.outcomes)
-            change = (part, src, dst)
-        settings = [*model.alice, *model.bob]
-        settings[part - 1] = setting
-        return ContextualModel(model.source, (settings[0], settings[1]), (settings[2], settings[3])), change
-    # move one grid unit of source mass between atoms
-    source, src, dst = _move_grid_unit(rng, model.source, cfg.mass_denominator)
-    return ContextualModel(source, model.alice, model.bob), (0, src, dst)
-
-
 class _Part:
-    """One part of a candidate, the source or a setting, and its canonical text.
+    """One part of a candidate, the source or a setting, in integers over its walk's grid scale G.
 
-    Building a setting part runs the point-outcome test: over the whole
-    table, or for a flip's part only at the flipped entry, since the rest
-    of the table is its parent's.  A flip's part records the parent
-    part's setting in ``flipped_from`` and the flipped entry's key in
-    ``key``, which is all :func:`_better` needs to order the two; holding
-    the setting, not the part, keeps no chain of ancestors alive.  The
-    text is rendered on first use.  A mutation's child shares every part
-    it kept, so each part's text is rendered at most once for all the
-    candidates holding it.
+    ``weights`` maps the source's pairs, or the instrument's atoms, to
+    their weights over G, zero weights kept.  A setting's ``values`` maps
+    each (source label, instrument atom) to -1, 0 or 1 in its table's key
+    order; the source's is None.  A part made by a move records it for
+    :func:`_better`: ``moved`` is a flip's key or a mass move's ``(src,
+    dst)``, and ``origin`` the parent's dict that the move replaced (not
+    the parent part, so no chain of ancestors stays alive).  ``text``,
+    the canonical text, is rendered on first use, for every holder.
     """
 
-    __slots__ = ("obj", "labels", "flipped_from", "key", "_text")
+    __slots__ = ("values", "weights", "moved", "origin", "text")
 
-    def __init__(self, obj, labels=None, side: str = "", flipped_from: Optional[Setting] = None, key=None):
-        if labels is not None:
-            require_point_outcomes(side, obj, None if key is None else (key,))
-        self.obj = obj
-        self.labels = labels
-        self.flipped_from = flipped_from
-        self.key = key
-        self._text: Optional[str] = None
-
-    def text(self) -> str:
-        if self._text is None:
-            if self.labels is None:
-                self._text = modelio.source_text(self.obj)
-            else:
-                self._text = modelio.setting_text(self.obj, self.labels)
-        return self._text
+    def __init__(self, values: Optional[dict], weights: dict, moved=None, origin: Optional[dict] = None):
+        self.values = values
+        self.weights = weights
+        self.moved = moved
+        self.origin = origin
+        self.text: Optional[str] = None
 
 
 # each context's (Alice setting, Bob setting), Alice-major, as indexes of
@@ -313,17 +266,18 @@ _PARTNERS = tuple(
 
 
 class _Grid:
-    """What a walk shares: the grid scale G, its penalty thresholds, and the source's label index.
+    """What a walk shares: the grid scale G, its penalty thresholds, the source's label index, setting names.
 
-    ``index[coord][label]`` lists ``(pair, other label)`` for every source
-    pair holding ``label`` at ``coord``, zero-weight pairs included; the
-    labels never change within a walk.  The thresholds are integers over
-    G**3 * q, the penalty's denominator.
+    ``ternary`` is each setting's table flag.  ``index[coord][label]``
+    lists ``(pair, other label)`` for each source pair holding ``label``
+    at ``coord``, zero weights included; labels never change in a walk.
+    The thresholds are integers over G**3 * q, the penalty's denominator.
     """
 
-    __slots__ = ("scale", "unit", "labels", "index", "q", "cube", "denom", "floor", "cap", "lift", "margin")
+    __slots__ = ("scale", "unit", "labels", "index", "names", "ternary", "q", "cube", "denom", "floor", "cap", "lift",
+                 "margin")
 
-    def __init__(self, scale: int, pairs, cfg: SearchConfig):
+    def __init__(self, scale: int, pairs, settings: tuple[Setting, ...], cfg: SearchConfig):
         self.scale = scale
         self.unit = scale // cfg.mass_denominator
         self.labels = tuple(tuple(dict.fromkeys(pair[coord] for pair in pairs)) for coord in (0, 1))
@@ -331,6 +285,8 @@ class _Grid:
         for pair in pairs:
             self.index[0][pair[0]].append((pair, pair[1]))
             self.index[1][pair[1]].append((pair, pair[0]))
+        self.names = tuple(s.name for s in settings)
+        self.ternary = tuple(s.outcomes.ternary for s in settings)
         floor, cap = cfg.min_coincidence, cfg.max_detection
         self.q = q = math.lcm(floor.denominator, 256, 1 if cap is None else cap.denominator)
         self.cube = cube = scale**3
@@ -342,23 +298,29 @@ class _Grid:
         self.margin = q // 256 * cube
 
 
-class _State(NamedTuple):
-    """A candidate's integers over its walk's grid scale G.
+class _Key:
+    """A scored candidate: its five parts (source, Alice's two settings, Bob's two), sums and rank.
 
-    ``source`` is each pair's weight over G, zero weights kept.  ``rows``
-    maps each source label of a setting's side to ``(detected, signed)``
-    over G, the ``setting_rows`` pair: the instrument weight with a
-    nonzero outcome and the sum of outcome x weight.  ``both`` and
+    ``rows`` maps each source label of a setting's side to ``(detected,
+    signed)`` over G, the ``setting_rows`` pair: the instrument weight
+    with a nonzero outcome and the sum of outcome x weight.  ``both`` and
     ``product`` are each context's coincidence weight sum w detA detB and
     post-selected product sum w sgnA sgnB over the source pairs, over
-    G**3; ``detected`` is each setting's sum w det, over G**2.
+    G**3; ``detected`` is each setting's sum w det, over G**2.  ``rank``
+    and ``coincidence`` are unreduced ``(numerator, denominator)`` pairs
+    set by :func:`_score`.  Keys live only as the walk's candidate,
+    current and best, so the walk holds the data of those three.
     """
 
-    source: dict
-    rows: list
-    both: list
-    product: list
-    detected: list
+    __slots__ = ("grid", "parts", "rows", "both", "product", "detected", "feasible", "rank", "coincidence")
+
+    def __init__(self, grid: _Grid, parts: tuple[_Part, ...], rows: list, both: list, product: list, detected: list):
+        self.grid = grid
+        self.parts = parts
+        self.rows = rows
+        self.both = both
+        self.product = product
+        self.detected = detected
 
 
 def _normalized_weights(pmf: Pmf, scale: int) -> dict:
@@ -369,8 +331,8 @@ def _normalized_weights(pmf: Pmf, scale: int) -> dict:
     return {lab: w * (scale // own) for lab, w in weights.items()}
 
 
-def _build(model: ContextualModel, cfg: SearchConfig) -> tuple[_Grid, _State, tuple[_Part, ...]]:
-    """A restart: the walk's grid, and the candidate's state and parts built in full.
+def _build(model: ContextualModel, cfg: SearchConfig) -> _Key:
+    """A restart: the walk's grid, and the candidate's parts and sums built in full from ``model``, scored.
 
     The grid scale G is the lcm of ``mass_denominator`` and the model's
     mass scales.  A restart model is drawn on the 1/d grid and every move
@@ -380,115 +342,146 @@ def _build(model: ContextualModel, cfg: SearchConfig) -> tuple[_Grid, _State, tu
     scale = math.lcm(cfg.mass_denominator, model.source.integer_atoms()[0],
                      *(s.instrument.integer_atoms()[0] for s in settings))
     source = _normalized_weights(model.source, scale)
-    grid = _Grid(scale, tuple(source), cfg)
-    parts = [_Part(model.source)]
-    rows = []
+    grid = _Grid(scale, tuple(source), settings, cfg)
+    parts, rows = [_Part(None, source)], []
     for s, setting in enumerate(settings):
-        labels = grid.labels[s >> 1]
-        parts.append(_Part(setting, labels, ("alice", "bob")[s >> 1]))
-        # the part's point test passed, so every value is an integer and vscale is 1
-        rows.append(setting_rows(setting, labels, _normalized_weights(setting.instrument, scale).items())[1])
+        require_point_outcomes(("alice", "bob")[s >> 1], setting)
+        weights = _normalized_weights(setting.instrument, scale)
+        # the point test passed, so every value is an integer and vscale is 1
+        parts.append(_Part({key: v.numerator for key, v in setting.outcomes.entries.items()}, weights))
+        rows.append(setting_rows(setting, grid.labels[s >> 1], weights.items())[1])
     both, product = [], []
     for a, b in ((rows[i], rows[j]) for i, j in _CONTEXTS):
         both.append(sum(w * a[l1][0] * b[l2][0] for (l1, l2), w in source.items()))
         product.append(sum(w * a[l1][1] * b[l2][1] for (l1, l2), w in source.items()))
     detected = [sum(w * rows[s][pair[s >> 1]][0] for pair, w in source.items()) for s in range(4)]
-    return grid, _State(source, rows, both, product, detected), tuple(parts)
+    return _score(_Key(grid, tuple(parts), rows, both, product, detected))
 
 
-def _shift_row(grid: _Grid, state: _State, s: int, label, d_det: int, d_sgn: int) -> None:
+def _setting(grid: _Grid, s: int, part: _Part) -> Setting:
+    """Setting ``s`` of a candidate as a model object, its entries Fractions."""
+    entries = {key: Fraction(v) for key, v in part.values.items()}
+    return Setting(grid.names[s], Pmf.from_integers(grid.scale, part.weights),
+                   OutcomeTable._of_fractions(entries, grid.ternary[s]))
+
+
+def _model(key: _Key) -> ContextualModel:
+    """The candidate as a model, equal to the one its moves would give: built for the winner only."""
+    a0, a1, b0, b1 = (_setting(key.grid, s, part) for s, part in enumerate(key.parts[1:]))
+    return ContextualModel(Pmf.from_integers(key.grid.scale, key.parts[0].weights), (a0, a1), (b0, b1))
+
+
+# the point outcomes of an unflagged table, and of a ternary one
+_POINTS = (frozenset((-1, 1)), frozenset((-1, 0, 1)))
+
+
+def _require_point(grid: _Grid, s: int, part: _Part, keys=None) -> None:
+    """The point-outcome test of setting ``s`` on its integer values, at ``keys`` if given."""
+    values = part.values.values() if keys is None else map(part.values.__getitem__, keys)
+    if not _POINTS[grid.ternary[s]].issuperset(values):
+        # only a 0 in an unflagged table fails; the model's test words the error
+        require_point_outcomes(("alice", "bob")[s >> 1], _setting(grid, s, part), keys)
+
+
+def _shift_row(key: _Key, s: int, label, d_det: int, d_sgn: int) -> None:
     """Add ``(d_det, d_sgn)`` to setting ``s``'s row at ``label``, and each sum the terms that moved.
 
     Only the pairs holding ``label`` carry the row, in the two contexts
-    of setting ``s`` and in its detection sum.  ``state``'s row dict of
-    ``s`` and its sum lists must be the caller's own copies.
+    of setting ``s`` and in its detection sum.  ``key``'s row dict of
+    ``s`` and its sum lists must be its own copies.
     """
-    det, sgn = state.rows[s][label]
-    state.rows[s][label] = (det + d_det, sgn + d_sgn)
-    for pair, other in grid.index[s >> 1][label]:
-        w = state.source[pair]
+    det, sgn = key.rows[s][label]
+    key.rows[s][label] = (det + d_det, sgn + d_sgn)
+    source = key.parts[0].weights
+    for pair, other in key.grid.index[s >> 1][label]:
+        w = source[pair]
         if w:
             for c, o in _PARTNERS[s]:
-                o_det, o_sgn = state.rows[o][other]
-                state.both[c] += w * d_det * o_det
-                state.product[c] += w * d_sgn * o_sgn
-            state.detected[s] += w * d_det
+                o_det, o_sgn = key.rows[o][other]
+                key.both[c] += w * d_det * o_det
+                key.product[c] += w * d_sgn * o_sgn
+            key.detected[s] += w * d_det
 
 
-def _moved(parent: "_Key", model: ContextualModel, change: _Change) -> tuple[_State, tuple[_Part, ...]]:
-    """The child's state and parts from its parent's, by the delta of ``change``.
+def _unit_move(rng: random.Random, part: _Part, unit: int) -> _Part:
+    """``part`` with one grid unit of mass moved from a random donor atom to a random atom."""
+    weights = dict(part.weights)
+    src = rng.choice([lab for lab, w in weights.items() if w >= unit])
+    dst = rng.choice(list(weights))
+    weights[src] -= unit
+    weights[dst] += unit
+    return _Part(part.values, weights, (src, dst), part.weights)
 
-    A source move moves each sum by two pairs' terms; a flip moves one
-    row by the flipped atom's weight; an instrument move moves, by one
-    grid unit, the rows whose entries differ at its two atoms.  Everything
-    the move kept is the parent's own object.
+
+def _mutate(rng: random.Random, parent: _Key, cfg: SearchConfig) -> _Key:
+    """One random move from ``parent``: the child, scored from its parent's sums by the move's delta.
+
+    A move flips one outcome entry, moves one grid unit of instrument mass
+    within a setting, or moves one grid unit of source mass between atoms.
+    A flip point-tests its one entry and an instrument move its whole
+    table; a source move changes no outcome.  The rng draws are those of
+    the model-level walk: the same choices over the same key, value,
+    donor and atom lists, in the same order.
     """
-    grid, old = parent.grid, parent.state
-    parts = list(parent.parts)
-    part, *moved = change
-    sums = list(old.both), list(old.product), list(old.detected)
-    if part == 0:
-        state = _State(dict(old.source), old.rows, *sums)
-        src, dst = moved
-        for pair, w in ((src, -grid.unit), (dst, grid.unit)):
-            state.source[pair] += w
-            at = [old.rows[t][pair[t >> 1]] for t in range(4)]
-            for c, (i, j) in enumerate(_CONTEXTS):
-                state.both[c] += w * at[i][0] * at[j][0]
-                state.product[c] += w * at[i][1] * at[j][1]
-            for t in range(4):
-                state.detected[t] += w * at[t][0]
-        parts[0] = _Part(model.source)
-        return state, tuple(parts)
-    s = part - 1
-    setting = (model.alice + model.bob)[s]
-    labels, side = grid.labels[s >> 1], ("alice", "bob")[s >> 1]
-    rows = list(old.rows)
-    rows[s] = dict(rows[s])
-    state = _State(old.source, rows, *sums)
-    if len(moved) == 1:
-        key = moved[0]
-        flipped_from = parent.parts[part].obj
-        parts[part] = _Part(setting, labels, side, flipped_from, key)
-        before, after = flipped_from.outcomes.entries[key].numerator, setting.outcomes.entries[key].numerator
-        scale, weights = setting.instrument.integer_atoms()
-        w = weights[key[1]] * (grid.scale // scale)
-        _shift_row(grid, state, s, key[0], w * (abs(after) - abs(before)), w * (after - before))
+    kind = rng.random()
+    if kind < 0.6 or (kind >= 0.85 and cfg.instrument_atoms > 1):
+        side = rng.choice(("alice", "bob"))
+        index = (1 if side == "alice" else 3) + rng.randrange(2)
+        old = parent.parts[index]
+        if kind < 0.6:
+            # flip one outcome entry
+            key = rng.choice(list(old.values))
+            values = dict(old.values)
+            values[key] = rng.choice([v for v in (-1, 0, 1) if v != values[key]])
+            part, tested = _Part(values, old.weights, key, old.values), (key,)
+        else:
+            # move one grid unit of instrument mass within the setting
+            part, tested = _unit_move(rng, old, parent.grid.unit), None
+        _require_point(parent.grid, index - 1, part, tested)
     else:
-        src, dst = moved
-        parts[part] = _Part(setting, labels, side)
-        entries = setting.outcomes.entries
-        for label in labels:
-            before, after = entries[label, src].numerator, entries[label, dst].numerator
-            if before != after:
-                _shift_row(grid, state, s, label, grid.unit * (abs(after) - abs(before)), grid.unit * (after - before))
-    return state, tuple(parts)
+        # move one grid unit of source mass between atoms
+        index, part = 0, _unit_move(rng, parent.parts[0], parent.grid.unit)
+    return _score(_moved(parent, index, part))
 
 
-class _Key:
-    """A scored candidate: its model, rank, coincidence total, parts, walk grid and state.
+def _moved(parent: _Key, index: int, part: _Part) -> _Key:
+    """The child that one move made from ``parent`` by replacing its part at ``index`` with ``part``, unscored.
 
-    There is no whole canonical text: :func:`_better` breaks a tie on the
-    parts that differ.  Keys live only as the walk's candidate, current
-    and best, so the derived data is bounded by those three models.
+    Its sums are the parent's plus the move's delta: a source move moves
+    each sum by two pairs' terms, a flip moves one row by the flipped
+    atom's weight, and an instrument move moves, by one grid unit, the
+    rows whose entries differ at its two atoms.  The child's sum lists
+    and rows are its own copies; everything else is the parent's object.
     """
+    grid, old = parent.grid, parent.parts[index]
+    parts, rows = list(parent.parts), list(parent.rows)
+    parts[index] = part
+    child = _Key(grid, tuple(parts), rows, list(parent.both), list(parent.product), list(parent.detected))
+    if index == 0:
+        for pair, w in zip(part.moved, (-grid.unit, grid.unit)):
+            at = [rows[t][pair[t >> 1]] for t in range(4)]
+            for c, (i, j) in enumerate(_CONTEXTS):
+                child.both[c] += w * at[i][0] * at[j][0]
+                child.product[c] += w * at[i][1] * at[j][1]
+            for t in range(4):
+                child.detected[t] += w * at[t][0]
+        return child
+    s = index - 1
+    rows[s] = dict(rows[s])
+    if part.weights is old.weights:
+        key = part.moved
+        deltas = [(key[0], old.weights[key[1]], old.values[key], part.values[key])]
+    else:
+        src, dst = part.moved
+        deltas = [(label, grid.unit, old.values[label, src], old.values[label, dst]) for label in grid.labels[s >> 1]]
+    for label, w, before, after in deltas:
+        if before != after:
+            _shift_row(child, s, label, w * (abs(after) - abs(before)), w * (after - before))
+    return child
 
-    __slots__ = ("rank", "coincidence", "model", "parts", "grid", "state")
 
-    def __init__(self, rank: Fraction, coincidence: Fraction, model: ContextualModel,
-                 parts: tuple[_Part, ...], grid: _Grid, state: _State):
-        self.rank = rank
-        self.coincidence = coincidence
-        self.model = model
-        self.parts = parts
-        self.grid = grid
-        self.state = state
-
-
-def _score(
-    model: ContextualModel, parent: Optional[_Key], cfg: SearchConfig, change: Optional[_Change] = None
-) -> tuple[bool, _Key]:
-    """Rank a candidate: (feasible, key).
+def _score(key: _Key) -> _Key:
+    """Rank a candidate from its sums: set its feasibility, rank and coincidence total, and return it.
 
     Feasible candidates rank by post-selected max |S|; candidates outside
     the rate constraints rank by the negated constraint violation, which
@@ -498,89 +491,102 @@ def _score(
     context with no coincidence, and rate - max_detection + 1/256 for
     each setting rate at or above the cap.
 
-    A restart, with no parent or no change, builds the :class:`_State`
-    in full (:func:`_build`); a mutation's child, given its parent and
-    ``change`` from :func:`_mutate`, updates the parent's state by what
-    the move changed (:func:`_moved`).  The source pair factorizes each context,
-    as in ``correlation_quad``, so every sum is bilinear in the rows and
-    the source weights, and a move adds only the terms it changed.
-
     Every sum is an integer over a power of the walk's grid scale G: a
     coincidence weight over G**3, a detection sum over G**2, lifted by G.
     The penalty is an integer over G**3 * q, where q is the lcm of the
-    thresholds' denominators and 256, and the rank and coincidence total
-    are one Fraction each.  These equal what the Fraction report (built
-    only for the winner) and ``chsh_values`` give: every penalty term and
-    the coincidence total are homogeneous of degree one in the rates, so
-    writing the rates over G**3 rather than over their own denominators
-    scales the numerator and denominator alike, and ``Fraction`` reduces
-    both to the same value; each correlation product / both is free of
-    the scale.  No text is rendered here: :func:`_better` renders part
-    texts only when rank and coincidence tie.
+    thresholds' denominators and 256.  Rank and coincidence total are
+    unreduced integer pairs whose values equal what the Fraction report
+    and ``chsh_values`` give: every penalty term and the coincidence total
+    are homogeneous of degree one in the rates, so writing the rates over
+    G**3 scales numerator and denominator alike, and each correlation
+    product / both is free of the scale.
     """
-    if parent is None or change is None:
-        grid, state, parts = _build(model, cfg)
-    else:
-        grid = parent.grid
-        state, parts = _moved(parent, model, change)
+    grid = key.grid
     penalty = 0
-    for both in state.both:
+    for both in key.both:
         if both == 0:
             penalty += grid.denom
         short = grid.floor - both * grid.q
         if short > 0:
             penalty += short
     if grid.cap is not None:
-        for detected in state.detected:
+        for detected in key.detected:
             over = detected * grid.lift - grid.cap
             if over >= 0:
                 # the cap is exclusive, so sitting exactly on it still counts
                 penalty += over + grid.margin
-    feasible = penalty == 0
-    if feasible:
+    key.feasible = penalty == 0
+    if key.feasible:
         # the CHSH rule with every E over the lcm of the coincidences
-        lcm = math.lcm(*state.both)
-        scaled = [product * (lcm // both) for both, product in zip(state.both, state.product)]
-        rank = Fraction(max(abs(s) for s in _flip_sums(scaled)), lcm)
+        lcm = math.lcm(*key.both)
+        scaled = [product * (lcm // both) for both, product in zip(key.both, key.product)]
+        key.rank = (max(map(abs, _flip_sums(scaled))), lcm)
     else:
-        rank = Fraction(-penalty, grid.denom)
-    coincidence_total = Fraction(sum(state.both), grid.cube)
-    return feasible, _Key(rank, coincidence_total, model, parts, grid, state)
+        key.rank = (-penalty, grid.denom)
+    key.coincidence = (sum(key.both), grid.cube)
+    return key
+
+
+def _text(grid: _Grid, index: int, part: _Part) -> str:
+    """The canonical text of the part at ``index``, rendered from its integers once."""
+    if part.text is None:
+        s = index - 1
+        part.text = (modelio.setting_text(_setting(grid, s, part), grid.labels[s >> 1]) if index
+                     else modelio.source_text(Pmf.from_integers(grid.scale, part.weights)))
+    return part.text
+
+
+def _text_order(index: int, key: _Key, mine: _Part, other: _Key, theirs: _Part) -> tuple:
+    """Two values that order as the two parts' texts do, and are equal when the texts are."""
+    for child, parent in ((mine, theirs), (theirs, mine)):
+        if child.origin is parent.values and child.weights is parent.weights:
+            # a flip: the texts differ only at the flipped entry's quoted value
+            return mine.values[child.moved], theirs.values[child.moved]
+        if child.origin is parent.weights and child.values is parent.values:
+            # a mass move: the texts first differ at the first moved atom's quoted mass
+            first = next(atom for atom in child.weights if atom in child.moved)
+            mass = modelio._mass_text
+            return mass(mine.weights[first], key.grid.scale), mass(theirs.weights[first], key.grid.scale)
+    return _text(key.grid, index, mine), _text(other.grid, index, theirs)
 
 
 def _better(key: _Key, other: _Key) -> bool:
     """Higher score wins; ties prefer lower coincidence, then the smaller canonical text.
 
-    The texts are compared part by part, never assembled.  A candidate's
-    canonical text is the five part texts (source, Alice's two settings,
-    Bob's two) set into the fixed frame of
-    :func:`~lhvlab.modelio.contextual_text`, which is the same for both
-    keys.  Take the first part pair whose texts differ: everything before
-    it in the two documents is equal, and since each part text is one
-    complete JSON value, neither text can be a proper prefix of the
-    other, so the two documents first differ inside this pair, where the
-    texts do.  Comparing that pair therefore orders the documents.  Parts
-    that are one object are equal without rendering, and the walk stops
-    at the first pair that differs.
+    Rank and coincidence are unreduced integer pairs compared by
+    cross-multiplication, so keys of walks on different grid scales
+    compare by value.  The texts are compared part by part, never
+    assembled.  A candidate's canonical text is the five part texts
+    (source, Alice's two settings, Bob's two) set into the fixed frame of
+    :func:`~lhvlab.modelio.contextual_text`, the same for both keys.
+    Take the first part pair whose texts differ: everything before it in
+    the two documents is equal, and since each part text is one complete
+    JSON value, neither text can be a proper prefix of the other, so the
+    documents first differ inside this pair, where the texts do, and
+    comparing the pair orders the documents.  Parts that are one object
+    are equal without rendering; the walk stops at the first pair that
+    differs.
 
-    When one part of the pair is the other's flip, nothing is rendered:
-    the two texts differ only at the flipped entry's quoted value, whose
-    first character, ``-``, ``0`` or ``1``, orders as the numbers -1, 0
-    and 1 do, so the entries' values order the texts.  Otherwise the
+    When one part of the pair was made from the other by one move,
+    nothing is rendered.  A flip's texts differ only at the flipped
+    entry's quoted value, whose first character, ``-``, ``0`` or ``1``,
+    orders as -1, 0 and 1 do.  A mass move's texts first differ at the
+    quoted mass of the first moved atom in the part's atom order; quoted
+    strings cannot be prefixes of each other, so these order the texts,
+    and a move from an atom to itself leaves them equal.  Otherwise the
     pair's texts are rendered, each once for every key sharing its part.
     """
-    if key.rank != other.rank:
-        return key.rank > other.rank
-    if key.coincidence != other.coincidence:
-        return key.coincidence < other.coincidence
-    for mine, theirs in zip(key.parts, other.parts):
+    (n, d), (m, e) = key.rank, other.rank
+    if n * e != m * d:
+        return n * e > m * d
+    (n, d), (m, e) = key.coincidence, other.coincidence
+    if n * e != m * d:
+        return n * e < m * d
+    for index, (mine, theirs) in enumerate(zip(key.parts, other.parts)):
         if mine is not theirs:
-            if mine.flipped_from is theirs.obj or theirs.flipped_from is mine.obj:
-                flip = mine.key if mine.flipped_from is theirs.obj else theirs.key
-                return mine.obj.outcomes.entries[flip] < theirs.obj.outcomes.entries[flip]
-            text, other_text = mine.text(), theirs.text()
-            if text != other_text:
-                return text < other_text
+            a, b = _text_order(index, key, mine, other, theirs)
+            if a != b:
+                return a < b
     return False
 
 
@@ -591,65 +597,59 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     the post-selected max |S| subject to every context's coincidence rate
     meeting the configured minimum.  Ties prefer lower total coincidence,
     then the smaller canonical serialization, so the outcome is a pure
-    function of the config.  :func:`_score` ranks each candidate in
-    integers over the walk's grid scale, and a candidate costs what its
-    mutation moved: a restart builds its state in full, and a child's
-    state is its parent's plus the delta of the one flip or grid-unit
-    move that made it.  When rank and coincidence tie, :func:`_better`
-    orders a flip and its parent on the flipped entry and otherwise
-    compares part texts, rendering only the parts that differ, each once.
-    Fractions are built for the history and the winner: its report comes
-    from ``postselected_correlations`` and must give the integer score,
-    and its raw coin-reduced quad is re-verified to satisfy CHSH exactly.
-    If the budget never produces a violation the best model is still
-    returned, flagged accordingly.
+    function of the config.  A candidate is integer state plus the move
+    that made it: a restart is built in full from a drawn model, and a
+    child's sums are its parent's plus the delta of its one move.  Ranks
+    are integer pairs compared by cross-multiplication (:func:`_better`).
+    The winner alone becomes a model, and Fractions are made only for it
+    and the history: its report from ``postselected_correlations`` must
+    give the integer score, and its raw coin-reduced quad is re-verified
+    to satisfy CHSH exactly.  If the budget never produces a violation
+    the best model is still returned, flagged accordingly.
     """
     config.validate()
     rng = random.Random(config.seed)
     best: Optional[_Key] = None
     history: list[tuple[int, Fraction]] = []
-
     current: Optional[_Key] = None
     stall = 0
     evaluations = 0
+    target = config.target_stat
     while evaluations < config.budget:
         restarting = current is None or stall >= STALL_LIMIT
-        if restarting:
-            feasible, key = _score(_random_search_model(rng, config), None, config)
-        else:
-            child, change = _mutate(rng, current.model, config)
-            feasible, key = _score(child, current, config, change)
+        key = _build(_random_search_model(rng, config), config) if restarting else _mutate(rng, current, config)
         evaluations += 1
         if restarting or _better(key, current):
             current = key
             stall = 0
         else:
             stall += 1
-        if feasible and (best is None or _better(key, best)):
+        if key.feasible and (best is None or _better(key, best)):
             best = key
-            history.append((evaluations, key.rank))
-            if config.target_stat is not None and key.rank >= config.target_stat:
+            history.append((evaluations, Fraction(*key.rank)))
+            if target is not None and key.rank[0] * target.denominator >= target.numerator * key.rank[1]:
                 break
 
     if best is None:
-        raise RuntimeError(
-            "no candidate met the coincidence-rate constraint within the budget; "
-            "lower min_coincidence or raise the budget"
-        )
+        cap = config.max_detection
+        limits = f"min_coincidence {config.min_coincidence}" + ("" if cap is None else f" and max_detection {cap}")
+        raise RuntimeError(f"no candidate within the budget of {config.budget} met {limits}; lower min_coincidence"
+                           f"{'' if cap is None else ', raise max_detection'} or raise the budget")
 
-    report = postselected_correlations(behavior_from_model(best.model))
-    if chsh_values(report.conditional_quad()).max_abs != best.rank:
+    model = _model(best)
+    score = Fraction(*best.rank)
+    report = postselected_correlations(behavior_from_model(model))
+    if chsh_values(report.conditional_quad()).max_abs != score:
         raise RuntimeError("the winner's post-selection report disagrees with its integer score: a bug")
-    raw_quad = correlation_quad(zero_to_coin(best.model))
+    raw_quad = correlation_quad(zero_to_coin(model))
     raw_chsh = chsh_values(raw_quad)
     if not raw_chsh.satisfied:
         raise RuntimeError(
             "search returned a model whose raw quad violates CHSH; "
             "this cannot happen for a well-formed model and indicates a bug"
         )
-    score = best.rank
     return SearchOutcome(
-        model=best.model,
+        model=model,
         report=report,
         score=score,
         violating=score > 2,
@@ -657,5 +657,5 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
         history=history,
         raw_quad=raw_quad,
         raw_chsh=raw_chsh,
-        detection=detection_rates(best.model),
+        detection=detection_rates(model),
     )

@@ -262,12 +262,6 @@ class OutcomeTable:
         table.ternary = ternary
         return table
 
-    def _with_entry(self, key: tuple[Label, Label], value: Fraction) -> "OutcomeTable":
-        """This table with the entry at ``key`` set to ``value``, a Fraction."""
-        entries = dict(self.entries)
-        entries[key] = value
-        return OutcomeTable._of_fractions(entries, self.ternary)
-
     def value(self, source_label: Label, instrument_label: Label) -> Fraction:
         try:
             return self.entries[(source_label, instrument_label)]
@@ -283,7 +277,7 @@ class OutcomeTable:
         ternary-flagged table (in an unflagged table 0 reads as the
         expectation of a fair coin).
         """
-        # integer tests, no Fraction hashing: the search calls this per candidate
+        # integer tests, with no Fraction hashing
         low = 0 if self.ternary else 1
         values = self.entries.values() if keys is None else map(self.entries.__getitem__, keys)
         return all(v.denominator == 1 and low <= abs(v.numerator) <= 1 for v in values)

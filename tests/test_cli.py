@@ -1080,6 +1080,26 @@ class TestSearch:
         status, _out, err = run_cli(capsys, "search", "--seed", "1", "--min-rate", "3/0")
         assert status == 2
 
+    @pytest.mark.parametrize("min_rate, cap", [("1/2", "1/2"), ("3/4", "2/3")])
+    def test_floor_at_or_above_the_cap_is_usage_error(self, capsys, monkeypatch, min_rate, cap):
+        """A context's coincidence rate is at most each side's detection rate, so the floor must lie below the cap."""
+        monkeypatch.setattr(lhvlab.loophole, "search_postselection_violation", _forbidden)
+        status, out, err = run_cli(capsys, "search", "--seed", "3", "--min-rate", min_rate, "--max-detection", cap)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"usage error: min_coincidence {min_rate} must lie below max_detection {cap}")
+
+    @pytest.mark.parametrize("cap, names", [
+        ("1/20", "met min_coincidence 1/100 and max_detection 1/20; lower min_coincidence, raise max_detection or"),
+        ("none", "met min_coincidence 1; lower min_coincidence or"),
+    ])
+    def test_exhausted_budget_names_the_rate_constraints(self, capsys, cap, names):
+        """A budget that finds no feasible candidate names each rate constraint with its value, the cap when set."""
+        min_rate = "1/100" if cap != "none" else "1"
+        status, out, err = run_cli(capsys, "search", "--seed", "3", "--budget", "400" if cap != "none" else "2",
+                                   "--min-rate", min_rate, "--max-detection", cap)
+        assert (status, out) == (1, "")
+        assert names in err and "within the budget of " in err
+
     @pytest.mark.parametrize(
         "flag, value, bound",
         [

@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lhvlab import (
     AngleSet,
@@ -31,7 +33,7 @@ from lhvlab import (
 )
 from lhvlab import loophole, modelio
 from lhvlab.cli import main as cli_main
-from lhvlab.loophole import _better, _mutate, _random_search_model, _score
+from lhvlab.loophole import _better, _build, _model, _mutate, _random_search_model
 from lhvlab.modelio import parse_path, serialize
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
@@ -155,6 +157,29 @@ class TestSearch:
         with pytest.raises(ValueError):
             SearchConfig(seed=1, mass_denominator=128).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("min_coincidence", 0.3),
+        ("min_coincidence", "3/10"),
+        ("min_coincidence", None),
+        ("max_detection", 0.5),
+        ("max_detection", True),
+        ("target_stat", 2.5),
+        ("mass_denominator", 32.0),
+        ("source_atoms", 2.5),
+        ("instrument_atoms", "2"),
+        ("budget", True),
+    ])
+    def test_inexact_field_is_named(self, field, value):
+        """A threshold must be an int or a Fraction, a size or budget a positive non-bool int."""
+        with pytest.raises(ValueError, match=f"^{field} must be a"):
+            SearchConfig(seed=1, **{field: value}).validate()
+
+    @pytest.mark.parametrize("floor, cap", [(Fraction(2, 3), Fraction(2, 3)), (Fraction(1), Fraction(1, 2))])
+    def test_floor_at_or_above_the_cap_is_rejected(self, floor, cap):
+        """A coincidence rate is at most each side's detection rate, so no candidate can meet both."""
+        with pytest.raises(ValueError, match=f"min_coincidence {floor} must lie below max_detection {cap}"):
+            SearchConfig(seed=1, min_coincidence=floor, max_detection=cap).validate()
+
 
 # rate constraints for the score cross-check; on a grid of eighths the
 # "on_grid" floor and cap are reached exactly by some candidates
@@ -206,47 +231,46 @@ class TestDetectionFromPostSelection:
         rng = random.Random(61 + instrument_atoms)
         instrument_moves = 0
         for _restart in range(5):
-            model = _random_search_model(rng, cfg)
+            key = _build(_random_search_model(rng, cfg), cfg)
             for _step in range(80):
+                model = _model(key)
                 ps = postselected_correlations(behavior_from_model(model))
                 det = detection_rates(model)
                 for ctx in model.contexts():
                     assert ps.alice_detect[ctx] == det.alice[ctx[0]]
                     assert ps.bob_detect[ctx] == det.bob[ctx[1]]
-                child, _change = _mutate(rng, model, cfg)
-                instruments = [s.instrument for s in model.alice + model.bob]
-                if instruments != [s.instrument for s in child.alice + child.bob]:
-                    instrument_moves += 1
-                model = child
+                child = _mutate(rng, key, cfg)
+                instrument_moves += _change_kind(key, child) == "instrument"
+                key = child
         assert (instrument_moves > 0) == (instrument_atoms > 1)
 
     @pytest.mark.parametrize("instrument_atoms", [1, 2])
     @pytest.mark.parametrize("limits", sorted(SCORE_LIMITS))
     def test_integer_score_matches_the_fraction_report(self, instrument_atoms, limits):
         """On every candidate of a seeded greedy walk, _score's feasibility, rank
-        and coincidence total equal those derived from the Fraction report; a
-        flip's candidate is scored through its parent's flipped part."""
+        and coincidence total equal those derived from the Fraction report of
+        the candidate's model; a child is scored from its parent's sums."""
         cfg = SearchConfig(seed=0, source_atoms=6, instrument_atoms=instrument_atoms, mass_denominator=8,
                            **SCORE_LIMITS[limits])
         rng = random.Random(71 + instrument_atoms)
-        floor_hits = cap_hits = feasible_seen = flips = 0
+        floor_hits = cap_hits = feasible_seen = children = 0
         for _restart in range(4):
-            model, parent, parent_rank, change = _random_search_model(rng, cfg), None, None, None
+            key, parent, parent_rank = _build(_random_search_model(rng, cfg), cfg), None, None
             for _step in range(60):
-                feasible, key = _score(model, parent, cfg, change)
-                flips += change is not None
+                children += parent is not None
+                model = _model(key)
                 ps = postselected_correlations(behavior_from_model(model))
                 det = detection_rates(model)
                 expected = fraction_score(ps, det, cfg)
-                assert (feasible, key.rank, key.coincidence) == expected
+                assert (key.feasible, Fraction(*key.rank), Fraction(*key.coincidence)) == expected
                 floor_hits += cfg.min_coincidence in ps.coincidence_rate.values()
                 cap_hits += cfg.max_detection in [*det.alice.values(), *det.bob.values()]
-                feasible_seen += feasible
+                feasible_seen += key.feasible
                 # climb like the search, so the walk reaches the feasible region
                 if parent is None or expected[1] >= parent_rank:
                     parent, parent_rank = key, expected[1]
-                model, change = _mutate(rng, parent.model, cfg)
-        assert feasible_seen > 0 and flips > 100
+                key = _mutate(rng, parent, cfg)
+        assert feasible_seen > 0 and children > 100
         if limits == "on_grid":
             assert floor_hits > 0 and cap_hits > 0
 
@@ -268,11 +292,12 @@ class TestDetectionFromPostSelection:
                 settings[k] = Setting(settings[k].name, _halfway(rng, settings[k].instrument), settings[k].outcomes)
             model = ContextualModel(source, tuple(settings[:2]), tuple(settings[2:]))
             assert model.source.integer_atoms()[0] == 64 and validate_model(model).ok
-            feasible, key = _score(model, None, cfg)
+            key = _build(model, cfg)
             assert key.grid.scale == 64
             ps = postselected_correlations(behavior_from_model(model))
-            assert (feasible, key.rank, key.coincidence) == fraction_score(ps, detection_rates(model), cfg)
-            feasible_seen += feasible
+            expected = fraction_score(ps, detection_rates(model), cfg)
+            assert (key.feasible, Fraction(*key.rank), Fraction(*key.coincidence)) == expected
+            feasible_seen += key.feasible
         assert feasible_seen > 0
 
     def test_unnormalized_candidate_is_rejected(self):
@@ -285,7 +310,7 @@ class TestDetectionFromPostSelection:
             ContextualModel(model.source, (heavy, a1), model.bob),
         ):
             with pytest.raises(ValueError, match="behavior table is not normalized"):
-                _score(bad, None, SearchConfig(seed=0))
+                _build(bad, SearchConfig(seed=0))
 
 
 # SHA-256 of five seeded budget-400 searches per instrument-atom count, as
@@ -310,32 +335,56 @@ def walk_digest(instrument_atoms: int) -> str:
     return digest.hexdigest()
 
 
-def _change_kind(change) -> str:
-    """The move a :func:`_mutate` change reports: a flip, or a source or instrument mass move."""
-    if len(change) == 2:
-        return "flip"
-    return "source" if change[0] == 0 else "instrument"
+def _moved_index(parent, child) -> int:
+    """The index of the one part (0 the source, 1 to 4 the settings) that ``child``'s move replaced."""
+    (index,) = [i for i, (p, q) in enumerate(zip(parent.parts, child.parts)) if p is not q]
+    return index
 
 
-def _check_change(parent: ContextualModel, child: ContextualModel, change, cfg: SearchConfig) -> None:
-    """The change names exactly what the child changed: the flipped entry, or the two atoms of a mass move."""
-    kind = _change_kind(change)
-    old_parts, new_parts = [parent.source, *parent.alice, *parent.bob], [child.source, *child.alice, *child.bob]
-    assert [p is not q for p, q in zip(old_parts, new_parts)] == [i == change[0] for i in range(5)]
-    old, new = old_parts[change[0]], new_parts[change[0]]
+def _change_kind(parent, child) -> str:
+    """The move that made ``child`` from ``parent``: a flip, or a source or instrument mass move."""
+    index = _moved_index(parent, child)
+    if index == 0:
+        return "source"
+    return "flip" if child.parts[index].origin is parent.parts[index].values else "instrument"
+
+
+def _integers(key):
+    """Everything a key holds in integers: each part's values and weights, the rows and the sums."""
+    return [(p.values, p.weights) for p in key.parts], key.rows, key.both, key.product, key.detected
+
+
+def _check_change(parent, child, cfg: SearchConfig) -> None:
+    """The child's model differs from its parent's in the one part its move replaced, by exactly
+    that move: the flipped entry, or one grid unit between the two atoms of a mass move."""
+    index, kind = _moved_index(parent, child), _change_kind(parent, child)
+    moved = child.parts[index].moved
+    old_model, new_model = _model(parent), _model(child)
+    old_parts, new_parts = [old_model.source, *old_model.alice, *old_model.bob], [new_model.source, *new_model.alice,
+                                                                                *new_model.bob]
+    assert all(p == q for i, (p, q) in enumerate(zip(old_parts, new_parts)) if i != index)
+    old, new = old_parts[index], new_parts[index]
     if kind == "flip":
-        assert new.instrument is old.instrument
+        assert new.instrument == old.instrument
         differ = [k for k, v in new.outcomes.entries.items() if v != old.outcomes.entries[k]]
-        assert differ == [change[1]]
+        assert differ == [moved]
         return
-    pmf, moved = (old, new) if kind == "source" else (old.instrument, new.instrument)
+    pmf, moved_pmf = (old, new) if kind == "source" else (old.instrument, new.instrument)
     if kind == "instrument":
-        assert new.outcomes is old.outcomes
-    src, dst = change[1:]
+        assert new.outcomes == old.outcomes
+    src, dst = moved
     expected = dict(pmf.items())
     expected[src] -= Fraction(1, cfg.mass_denominator)
     expected[dst] += Fraction(1, cfg.mass_denominator)
-    assert dict(moved.items()) == expected
+    assert dict(moved_pmf.items()) == expected
+
+
+def _value(key):
+    """A key's rank and coincidence total as Fractions."""
+    return Fraction(*key.rank), Fraction(*key.coincidence)
+
+
+RATIOS = st.tuples(st.integers(-40, 40), st.integers(1, 30))
 
 
 class TestIncrementalCandidates:
@@ -348,11 +397,12 @@ class TestIncrementalCandidates:
         settings; after it no row is built over a whole setting: an
         instrument move point-tests its one new setting, a flip its one new
         entry, a source move nothing.  No whole document is assembled, and
-        no part's text is rendered twice."""
+        no part's text is rendered: every tie the walk meets is with the
+        candidate's parent, decided on the moved entry or mass."""
         builds, points, texts, events = [], [], [], []
+
         for module, name, log in (
             (loophole, "setting_rows", builds),
-            (loophole, "require_point_outcomes", points),
             (modelio, "setting_text", texts),
             (modelio, "source_text", texts),
         ):
@@ -361,6 +411,19 @@ class TestIncrementalCandidates:
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counted)
+        real_model_test, real_integer_test = loophole.require_point_outcomes, loophole._require_point
+
+        # each point test as "all" for a whole table, or the keys it was limited to
+        def model_test(side, setting, keys=None):
+            points.append("all" if keys is None else keys)
+            return real_model_test(side, setting, keys)
+
+        def integer_test(grid, s, part, keys=None):
+            points.append("all" if keys is None else keys)
+            return real_integer_test(grid, s, part, keys)
+
+        monkeypatch.setattr(loophole, "require_point_outcomes", model_test)
+        monkeypatch.setattr(loophole, "_require_point", integer_test)
 
         def assembled(*_args):
             raise AssertionError("the tie-break assembled a whole document")
@@ -369,11 +432,12 @@ class TestIncrementalCandidates:
         real_mutate, real_restart = loophole._mutate, loophole._random_search_model
         cfg = SearchConfig(seed=3, budget=400, instrument_atoms=2)
 
-        def mutate(rng, model, cfg):
-            child, change = real_mutate(rng, model, cfg)
-            _check_change(model, child, change, cfg)
-            events.append((_change_kind(change), change, len(builds), len(points)))
-            return child, change
+        def mutate(rng, parent, cfg):
+            marks = (len(builds), len(points))
+            child = real_mutate(rng, parent, cfg)
+            events.append((_change_kind(parent, child), child.parts[_moved_index(parent, child)].moved, *marks))
+            _check_change(parent, child, cfg)
+            return child
 
         def restart(rng, cfg):
             events.append(("restart", None, len(builds), len(points)))
@@ -394,37 +458,32 @@ class TestIncrementalCandidates:
         assert out.evaluations == len(events) == 400
         assert len(walk_end) == 1 and len(builds) == walk_end[0][0] + 4
 
-        marks = [(b, p) for _kind, _change, b, p in events] + walk_end
-        for (kind, change, b0, p0), (b1, p1) in zip(events, marks[1:]):
-            # each point test as "all" for a whole table, or the keys it was limited to
-            tested = [args[2] if args[2:] not in ((), (None,)) else "all" for args in points[p0:p1]]
+        marks = [(b, p) for _kind, _moved, b, p in events] + walk_end
+        for (kind, moved, b0, p0), (b1, p1) in zip(events, marks[1:]):
             expected = {"restart": ["all"] * 4, "source": [], "instrument": ["all"]}
-            expected_tests = [(change[1],)] if kind == "flip" else expected[kind]
-            assert (b1 - b0, tested) == (4 if kind == "restart" else 0, expected_tests)
+            expected_tests = [(moved,)] if kind == "flip" else expected[kind]
+            assert (b1 - b0, points[p0:p1]) == (4 if kind == "restart" else 0, expected_tests)
         assert {kind for kind, *_rest in events} == {"restart", "source", "flip", "instrument"}
-        # each part's text is rendered once, shared by every candidate that keeps it
-        assert texts
-        assert len({id(args[0]) for args in texts}) == len(texts)
+        assert texts == []
 
     @pytest.mark.parametrize("instrument_atoms", [1, 2])
     @pytest.mark.parametrize("limits", ["default", "uncapped"])
     def test_delta_state_equals_a_fresh_build(self, instrument_atoms, limits):
-        """Along seeded greedy walks, the state a candidate derives from its
-        parent's by the delta of its move equals the state built in full from
-        its model, and so do its rank and coincidence total."""
+        """Along seeded greedy walks, the integers a candidate derives from its
+        parent's by the delta of its move equal those built in full from its
+        model, and so do its feasibility, rank and coincidence pairs."""
         cfg = SearchConfig(seed=0, instrument_atoms=instrument_atoms, **SCORE_LIMITS[limits])
         rng = random.Random(83 + instrument_atoms)
         kinds = defaultdict(int)
         for _restart in range(4):
-            _feasible, parent = _score(_random_search_model(rng, cfg), None, cfg)
+            parent = _build(_random_search_model(rng, cfg), cfg)
             for _step in range(250):
-                child, change = _mutate(rng, parent.model, cfg)
-                kinds[_change_kind(change)] += 1
-                feasible, key = _score(child, parent, cfg, change)
-                fresh_feasible, fresh = _score(child, None, cfg)
+                key = _mutate(rng, parent, cfg)
+                kinds[_change_kind(parent, key)] += 1
+                fresh = _build(_model(key), cfg)
                 assert key.grid.scale == fresh.grid.scale == cfg.mass_denominator
-                assert key.state == fresh.state
-                assert (feasible, key.rank, key.coincidence) == (fresh_feasible, fresh.rank, fresh.coincidence)
+                assert _integers(key) == _integers(fresh)
+                assert (key.feasible, key.rank, key.coincidence) == (fresh.feasible, fresh.rank, fresh.coincidence)
                 if _better(key, parent):
                     parent = key
         assert kinds["flip"] > 100 and kinds["source"] > 100
@@ -433,66 +492,175 @@ class TestIncrementalCandidates:
     @pytest.mark.parametrize("instrument_atoms", [1, 2])
     def test_part_wise_tie_break_orders_like_the_assembled_text(self, instrument_atoms, monkeypatch):
         """On keys of seeded walks that tie in rank and coincidence, _better
-        agrees with comparing the whole serialize() texts.  A flip that ties
-        with its parent is decided on the flipped entry, rendering nothing."""
+        agrees with comparing the whole serialize() texts.  A flip, a source
+        move or an instrument move that ties with its parent is decided on the
+        flipped entry or the first moved mass, rendering nothing; other ties
+        render each differing part's text once."""
         cfg = SearchConfig(seed=0, source_atoms=3, instrument_atoms=instrument_atoms, mass_denominator=4)
         rng = random.Random(97 + instrument_atoms)
-        keys, flip_ties = [], []
+        keys, parent_ties = [], defaultdict(list)
         for _restart in range(3):
-            _feasible, key = _score(_random_search_model(rng, cfg), None, cfg)
+            key = _build(_random_search_model(rng, cfg), cfg)
             keys.append(key)
             for _step in range(150):
-                child, change = _mutate(rng, key.model, cfg)
-                parent = key
-                _feasible, key = _score(child, parent, cfg, change)
+                parent, key = key, _mutate(rng, key, cfg)
                 keys.append(key)
-                if len(change) == 2 and (key.rank, key.coincidence) == (parent.rank, parent.coincidence):
-                    flip_ties.append((key, parent))
+                if _value(key) == _value(parent):
+                    parent_ties[_change_kind(parent, key)].append((key, parent))
+        ties = [pair for pairs in parent_ties.values() for pair in pairs]
         # before anything renders a part text, so no cached text can answer
-        orders = [(serialize(a.model) < serialize(b.model), serialize(b.model) < serialize(a.model))
-                  for a, b in flip_ties]
+        texts = {id(key): serialize(_model(key)) for key in keys}
+        orders = [(texts[id(a)] < texts[id(b)], texts[id(b)] < texts[id(a)]) for a, b in ties]
 
         def unrendered(*_args):
-            raise AssertionError("a flip's tie with its parent rendered a setting text")
+            raise AssertionError("a tie with the parent rendered a part text")
 
         with monkeypatch.context() as stubbed:
             stubbed.setattr(modelio, "setting_text", unrendered)
-            assert [(_better(a, b), _better(b, a)) for a, b in flip_ties] == orders
-        assert len(flip_ties) > 100
+            stubbed.setattr(modelio, "source_text", unrendered)
+            assert [(_better(a, b), _better(b, a)) for a, b in ties] == orders
+        assert len(parent_ties["flip"]) > 100 and len(parent_ties["source"]) > 20
+        assert (len(parent_ties["instrument"]) > 20) == (instrument_atoms > 1)
+
+        rendered = []
+        real_text = loophole._text
+
+        def text(grid, index, part):
+            if part.text is None:
+                rendered.append(id(part))
+            return real_text(grid, index, part)
+
+        monkeypatch.setattr(loophole, "_text", text)
         ties = defaultdict(list)
         for key in keys:
-            ties[key.rank, key.coincidence].append(key)
+            ties[_value(key)].append(key)
         compared = shared = 0
         for group in ties.values():
             for a, b in itertools.combinations(group[:30], 2):
-                text_a, text_b = serialize(a.model), serialize(b.model)
+                text_a, text_b = texts[id(a)], texts[id(b)]
                 assert _better(a, b) == (text_a < text_b)
                 assert _better(b, a) == (text_b < text_a)
                 compared += text_a != text_b
                 shared += any(p is q for p, q in zip(a.parts, b.parts))
         assert compared > 300 and shared > 300
+        # each part's text is rendered once, shared by every candidate that keeps it
+        assert rendered and len(set(rendered)) == len(rendered)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ranks=st.tuples(RATIOS, st.none() | RATIOS),
+        coincidences=st.tuples(RATIOS, st.none() | RATIOS),
+        factors=st.tuples(*[st.integers(1, 6)] * 4),
+        denominators=st.lists(st.sampled_from((4, 6, 8, 32)), min_size=2, max_size=2, unique=True),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cross_multiplied_order_is_the_fraction_order(self, ranks, coincidences, factors, denominators, seed):
+        """_better orders unreduced rank and coincidence pairs as the Fractions
+        they stand for: negative penalties included, equal values written over
+        different denominators tying, and keys of walks on different grid
+        scales compared; a tie in both falls to the canonical texts."""
+        rng = random.Random(seed)
+        configs = [SearchConfig(seed=0, source_atoms=3, instrument_atoms=2, mass_denominator=d) for d in denominators]
+        keys = [_build(_random_search_model(rng, cfg), cfg) for cfg in configs]
+        # a missing second value repeats the first, written over another denominator
+        values = [(r, r2 or r) for r, r2 in (ranks, coincidences)]
+        for k, key in enumerate(keys):
+            (n, d), (m, e) = values[0][k], values[1][k]
+            key.rank = (n * factors[k], d * factors[k])
+            key.coincidence = (abs(m) * factors[2 + k], e * factors[2 + k])
+        a, b = keys
+        assert a.grid.scale != b.grid.scale
+
+        def expected(x, y) -> bool:
+            (rank_x, coin_x), (rank_y, coin_y) = _value(x), _value(y)
+            if rank_x != rank_y:
+                return rank_x > rank_y
+            if coin_x != coin_y:
+                return coin_x < coin_y
+            return serialize(_model(x)) < serialize(_model(y))
+
+        assert (_better(a, b), _better(b, a)) == (expected(a, b), expected(b, a))
+
+    def test_the_walk_builds_no_model_objects(self, monkeypatch):
+        """Between its restarts and the winner, a budget-400 search builds no
+        ContextualModel, Setting, OutcomeTable or Fraction, apart from the
+        Fraction of each history entry."""
+        phase, built, restarts = ["config"], defaultdict(int), []
+
+        def counted(real, name):
+            def make(*args, **kwargs):
+                built[phase[0], name] += 1
+                return real(*args, **kwargs)
+
+            return make
+
+        def install():
+            # after validate, whose isinstance tests read the real Fraction
+            for name in ("ContextualModel", "Setting", "OutcomeTable", "Fraction"):
+                monkeypatch.setattr(loophole, name, counted(getattr(loophole, name), name))
+            loophole.OutcomeTable._of_fractions = counted(OutcomeTable._of_fractions, "OutcomeTable")
+
+        real_restart, real_build, real_model = loophole._random_search_model, loophole._build, loophole._model
+
+        def restart(rng, cfg):
+            if phase[0] == "config":
+                install()
+            phase[0] = "restart"
+            restarts.append(rng)
+            return real_restart(rng, cfg)
+
+        def build(model, cfg):
+            key = real_build(model, cfg)
+            phase[0] = "walk"
+            return key
+
+        def winner(key):
+            phase[0] = "winner"
+            return real_model(key)
+
+        monkeypatch.setattr(loophole, "_random_search_model", restart)
+        monkeypatch.setattr(loophole, "_build", build)
+        monkeypatch.setattr(loophole, "_model", winner)
+        out = search_postselection_violation(SearchConfig(seed=3, budget=400, instrument_atoms=2))
+        walk = {name: n for (when, name), n in built.items() if when == "walk"}
+        assert walk == {"Fraction": len(out.history)}
+        assert built["restart", "Setting"] == 4 * len(restarts) and built["winner", "ContextualModel"] == 1
+
+    def test_flip_to_zero_in_an_unflagged_table_is_refused(self):
+        """A walk from a model whose tables are not ternary stops at its first
+        flip to 0, which the point test of the flipped entry refuses."""
+        cfg = SearchConfig(seed=0)
+        key, rng = _build(counterexample_model(), cfg), random.Random(5)
+        with pytest.raises(ValueError, match="has fractional outcomes; behavior tables need point outcomes"):
+            for _step in range(200):
+                key = _mutate(rng, key, cfg)
 
     def test_only_the_winner_outlives_the_search(self, monkeypatch):
-        refs = []
-        real_mutate, real_restart = loophole._mutate, loophole._random_search_model
+        """No candidate key, part or walk grid outlives the search, nor any
+        restart's model; the one model left is the winner's, built once."""
+        def walk_objects() -> int:
+            gc.collect()
+            return sum(type(obj) in (loophole._Key, loophole._Part, loophole._Grid) for obj in gc.get_objects())
 
-        def mutate(*args):
-            child, change = real_mutate(*args)
-            refs.append(weakref.ref(child))
-            return child, change
+        refs, winners = [], []
+        real_restart, real_model = loophole._random_search_model, loophole._model
 
         def restart(*args):
             model = real_restart(*args)
             refs.append(weakref.ref(model))
             return model
 
-        monkeypatch.setattr(loophole, "_mutate", mutate)
+        def winner(key):
+            winners.append(real_model(key))
+            return winners[-1]
+
         monkeypatch.setattr(loophole, "_random_search_model", restart)
+        monkeypatch.setattr(loophole, "_model", winner)
+        before = walk_objects()
         out = search_postselection_violation(SearchConfig(seed=3, budget=400, instrument_atoms=2))
-        gc.collect()
-        alive = [model for model in (ref() for ref in refs) if model is not None]
-        assert len(refs) == 400
-        assert len(alive) == 1 and alive[0] is out.model
+        assert walk_objects() == before
+        assert refs and all(ref() is None for ref in refs)
+        assert len(winners) == 1 and winners[0] is out.model
 
 
 class TestCommittedWinner:

@@ -30,7 +30,7 @@ from lhvlab import (
     zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model
-from lhvlab.loophole import _mutate, _random_search_model
+from lhvlab.loophole import _build, _model, _mutate, _random_search_model
 from lhvlab.modelio import KINDS, ModelParseError, parse_path, parse_text, serialize, setting_text, source_text
 from test_fuzz import DOCUMENTS, REPLACEMENTS, mutate, nested_paths
 
@@ -422,10 +422,10 @@ def search_model(draw):
         seed=0, source_atoms=draw(st.integers(1, 6)), instrument_atoms=atoms, mass_denominator=8
     )
     rng = random.Random(draw(st.integers(0, 2**32)))
-    model = _random_search_model(rng, cfg)
+    key = _build(_random_search_model(rng, cfg), cfg)
     for _ in range(draw(st.integers(0, 30))):
-        model, _change = _mutate(rng, model, cfg)
-    return model
+        key = _mutate(rng, key, cfg)
+    return _model(key)
 
 
 NAMES = st.lists(AWKWARD_TEXT, max_size=2, unique=True).map(tuple)
