@@ -157,11 +157,12 @@ def _coin_extend(setting: Setting) -> Setting:
     """Product the instrument space with a fair coin that resolves zero outcomes."""
     scale, weights = setting.instrument.integer_atoms()
     atoms = [((lab, face), w) for lab, w in weights.items() for face in ("H", "T")]
-    entries = {}
-    for (src, lab), v in setting.outcomes.entries.items():
-        entries[(src, (lab, "H"))] = v if v != 0 else Fraction(1)
-        entries[(src, (lab, "T"))] = v if v != 0 else Fraction(-1)
-    return Setting(setting.name, Pmf.from_integers(2 * scale, atoms), OutcomeTable(entries, ternary=False))
+    table = setting.outcomes
+    numerators = {}
+    for (src, lab), n in table.numerators.items():
+        numerators[(src, (lab, "H"))] = n or table.scale
+        numerators[(src, (lab, "T"))] = n or -table.scale
+    return Setting(setting.name, Pmf.from_integers(2 * scale, atoms), OutcomeTable.from_integers(table.scale, numerators))
 
 
 def zero_to_coin(model: ContextualModel) -> ContextualModel:
@@ -175,22 +176,19 @@ def zero_to_coin(model: ContextualModel) -> ContextualModel:
     """
     for side_name, side in (("alice", model.alice), ("bob", model.bob)):
         for setting in side:
-            bad = [v for v in setting.outcomes.entries.values() if v.denominator != 1 or abs(v.numerator) > 1]
-            if bad:
+            bad = setting.outcomes.first_non_ternary()
+            if bad is not None:
                 raise ValueError(
-                    f"{side_name} setting {_excerpt(setting.name)} has non-ternary outcome {_cut(bad[0])}; "
+                    f"{side_name} setting {_excerpt(setting.name)} has non-ternary outcome {_cut(bad)}; "
                     "the coin reduction applies to outcomes in {-1, 0, +1}"
                 )
 
     def convert(setting: Setting) -> Setting:
         if setting.outcomes.has_zero():
             return _coin_extend(setting)
-        if setting.outcomes.ternary:
-            return Setting(
-                setting.name,
-                setting.instrument,
-                OutcomeTable(setting.outcomes.entries, ternary=False),
-            )
+        table = setting.outcomes
+        if table.ternary:
+            return Setting(setting.name, setting.instrument, OutcomeTable.from_integers(table.scale, table.numerators))
         return setting
 
     return ContextualModel(

@@ -291,14 +291,13 @@ def coupling_joint(model: ContextualModel) -> JointDistribution16:
     the coin reduction first if there are zeros).
     """
     flat = _flatten.product_flatten(model)
-    mass: dict[tuple[int, int, int, int], Fraction] = {}
-    for lam, p in flat.lambda_pmf.support():
-        vals = []
-        for setting in flat.alice + flat.bob:
-            v = setting.evaluate(lam)
-            if v not in (Fraction(-1), Fraction(1)):
-                raise ValueError(f"outcome {_cut(v)} is not +/-1; coupling needs a binary model")
-            vals.append(int(v))
-        key = (vals[0], vals[1], vals[2], vals[3])
-        mass[key] = mass.get(key, Fraction(0)) + p
-    return JointDistribution16(flat.alice_settings, flat.bob_settings, mass)
+    scale, atoms = flat.lambda_pmf.integer_weights()
+    # each setting's integer column over its table's scale, one entry per support atom
+    columns = [_flatten._column(setting, [lam for lam, _w in atoms]) for setting in flat.alice + flat.bob]
+    weights = dict.fromkeys(_PATTERNS, 0)
+    for k, (_lam, w) in enumerate(atoms):
+        for vscale, column in columns:
+            if abs(column[k]) != vscale:
+                raise ValueError(f"outcome {_cut(Fraction(column[k], vscale))} is not +/-1; coupling needs a binary model")
+        weights[tuple(column[k] // vscale for vscale, column in columns)] += w
+    return JointDistribution16._from_integers(flat.alice_settings, flat.bob_settings, scale, list(weights.values()))

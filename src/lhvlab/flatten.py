@@ -18,12 +18,11 @@ weights to :meth:`Pmf.from_integers`, uniform cells are cut on integer
 cumulative points, each bar and each :meth:`AveragedModel.quad` context is
 one integer sum, and :meth:`FlatModel.quad` sums each context over integer
 columns of table values at the flat pmf's support tuples.  A column is
-read off the table itself: the table's entries are brought over the lcm
-of their denominators once, and each support tuple's key is one lookup in
-that integer table, so an entry no tuple reads costs no lookup and a
-zero-mass atom's key need not be listed.  That evaluation walks the flat
-pmf only; it never calls the contextual kernel, ``model.setting_rows``,
-that it is used to check.  The bars themselves are that kernel's
+the table's stored numerators, over its one scale, read at each support
+tuple's key, one lookup each, so an entry no tuple reads costs nothing
+and a zero-mass atom's key need not be listed.  That evaluation walks
+the flat pmf only; it never calls the contextual kernel,
+``model.setting_rows``, that it is used to check.  The bars themselves are that kernel's
 per-label first moments.
 
 :func:`product_size` and :func:`uniform_size` count the atoms a flattening
@@ -107,14 +106,13 @@ class FlatModel(SettingPairs):
 
 
 def _column(setting: FlatSetting, lams: Sequence[tuple]) -> tuple[int, list[int]]:
-    """A setting's table value at each tuple, as integers over the lcm of the table's denominators."""
-    entries = setting.outcomes.entries
-    scale, ints = integer_scale(list(entries.values()))
+    """A setting's table value at each tuple, as integers over the table's scale."""
+    table = setting.outcomes
     try:
-        return scale, list(map(dict(zip(entries, ints)).__getitem__, map(itemgetter(*setting.coords), lams)))
+        return table.scale, list(map(table.numerators.__getitem__, map(itemgetter(*setting.coords), lams)))
     except KeyError as exc:
-        # the map stops at the first tuple whose key is missing; value() names it
-        setting.outcomes.value(*exc.args[0])
+        # the map stops at the first tuple whose key is missing; numerator() names it
+        table.numerator(*exc.args[0])
         raise
 
 
@@ -244,9 +242,10 @@ def _quantile_model(model: ContextualModel) -> ContextualModel:
     This is the one place the cells are cut.  A side's cells are those of
     :func:`_quantile_cells` on its two instruments, each labelled "[lo,hi)"
     and weighing its width; each setting's table reads, at a cell, the
-    input's own Fraction at the instrument atom that holds the cell.  So
-    every setting's outcome law given its source label is the input's, and
-    the four context expectations are the input's exactly.
+    input table's numerator at the instrument atom that holds the cell,
+    over the input table's scale.  So every setting's outcome law given
+    its source label is the input's, and the four context expectations
+    are the input's exactly.
     :func:`uniform_reduce` takes the product over this model, and
     ``montecarlo.DagModel`` samples it.
     """
@@ -257,9 +256,9 @@ def _quantile_model(model: ContextualModel) -> ContextualModel:
         cells = [f"[{lo},{hi})" for lo, hi in zip(points, points[1:])]
         pmf = Pmf.from_integers(scale, [(cell, hi - lo) for cell, lo, hi in zip(cells, grid, grid[1:])])
         return tuple(
-            # the values are the input table's Fractions: nothing to convert again
-            Setting(s.name, pmf, OutcomeTable._of_fractions(
-                {(lab, cell): s.outcomes.value(lab, atom) for lab in labels for cell, atom in zip(cells, atoms)},
+            Setting(s.name, pmf, OutcomeTable.from_integers(
+                s.outcomes.scale,
+                {(lab, cell): s.outcomes.numerator(lab, atom) for lab in labels for cell, atom in zip(cells, atoms)},
                 s.outcomes.ternary,
             ))
             for s, atoms in zip(settings, cell_atoms)

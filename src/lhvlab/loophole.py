@@ -159,12 +159,15 @@ class SearchConfig:
     def validate(self) -> None:
         """Raise ``ValueError`` naming the field unless the config can be searched exactly.
 
-        Sizes, budget and grid denominator must be positive ints, and the
+        The seed must be an int, so that it alone fixes the walk; sizes,
+        budget and grid denominator must be positive ints, and the
         thresholds ints or Fractions, never bools, floats or strings: the
         walk compares them exactly in integers.  ``min_coincidence`` must
         lie below ``max_detection``: a context's coincidence rate is at most
         each side's detection rate, which must stay below the cap.
         """
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         for name in ("source_atoms", "instrument_atoms", "budget", "mass_denominator"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -219,12 +222,8 @@ def _random_search_model(rng: random.Random, cfg: SearchConfig) -> ContextualMod
             instrument = Pmf.point(atoms[0])
         else:
             instrument = Pmf.from_integers(d, dict(zip(atoms, _composition(rng, len(atoms), d))))
-        entries = {
-            (f"s{k}", a): Fraction(rng.choice((-1, 0, 1)))
-            for k in range(n)
-            for a in atoms
-        }
-        return Setting(name, instrument, OutcomeTable(entries, ternary=True))
+        values = {(f"s{k}", a): rng.choice((-1, 0, 1)) for k in range(n) for a in atoms}
+        return Setting(name, instrument, OutcomeTable.from_integers(1, values, ternary=True))
 
     return ContextualModel(
         source,
@@ -347,8 +346,8 @@ def _build(model: ContextualModel, cfg: SearchConfig) -> _Key:
     for s, setting in enumerate(settings):
         require_point_outcomes(("alice", "bob")[s >> 1], setting)
         weights = _normalized_weights(setting.instrument, scale)
-        # the point test passed, so every value is an integer and vscale is 1
-        parts.append(_Part({key: v.numerator for key, v in setting.outcomes.entries.items()}, weights))
+        # the point test passed, so the table's scale and vscale are 1 and its numerators are its values
+        parts.append(_Part(setting.outcomes.numerators, weights))
         rows.append(setting_rows(setting, grid.labels[s >> 1], weights.items())[1])
     both, product = [], []
     for a, b in ((rows[i], rows[j]) for i, j in _CONTEXTS):
@@ -359,10 +358,9 @@ def _build(model: ContextualModel, cfg: SearchConfig) -> _Key:
 
 
 def _setting(grid: _Grid, s: int, part: _Part) -> Setting:
-    """Setting ``s`` of a candidate as a model object, its entries Fractions."""
-    entries = {key: Fraction(v) for key, v in part.values.items()}
+    """Setting ``s`` of a candidate as a model object."""
     return Setting(grid.names[s], Pmf.from_integers(grid.scale, part.weights),
-                   OutcomeTable._of_fractions(entries, grid.ternary[s]))
+                   OutcomeTable.from_integers(1, part.values, grid.ternary[s]))
 
 
 def _model(key: _Key) -> ContextualModel:

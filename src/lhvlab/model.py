@@ -2,9 +2,10 @@
 
 The central object is :class:`ContextualModel`: a source distribution over
 hidden-variable pairs, plus two measurement settings per side, each carrying
-its own instrument distribution and outcome table.  Masses are exact: a
-:class:`Pmf` holds integer weights over one common denominator, and a
-``Fraction`` is made only where a number leaves the API.
+its own instrument distribution and outcome table.  Numbers are exact: a
+:class:`Pmf`, an :class:`OutcomeTable` and a :class:`BehaviorTable` each
+hold integers over one common denominator, and a ``Fraction`` is made
+only where a number leaves the API.
 
 Exact numbers are projections of one product measure, source x
 instrument_a x instrument_b, computed in integers.  One kernel,
@@ -25,9 +26,8 @@ one Fraction per reported number.
 as the reference oracle, with no factorization; nothing in the package
 calls it, and it reads masses only as Fractions.
 
-:meth:`Pmf.from_integers` and :meth:`Pmf.integer_weights` move masses in
-and out as integers, as :meth:`BehaviorTable.from_integers` and
-:meth:`BehaviorTable.integer_cells` do a table's cells;
+:meth:`Pmf.from_integers`, :meth:`OutcomeTable.from_integers` and
+:meth:`BehaviorTable.from_integers` take those integers in;
 :func:`integer_scale` brings other rationals over the lcm of their
 denominators.  The flat models of :mod:`lhvlab.flatten`
 are evaluated on integer columns over their own tuple pmf, independently
@@ -239,36 +239,45 @@ class Pmf:
 class OutcomeTable:
     """Measurement outcomes indexed by (source label, instrument label).
 
-    Values are Fractions in [-1, +1].  A table flagged ``ternary``
-    restricts values to {-1, 0, +1}, the three-valued reading where 0
-    means "no detection".  Unflagged tables may hold any rational in
-    [-1, +1], read as conditional expectations of a +/-1 outcome.
+    Values are rationals in [-1, +1], stored as integer ``numerators`` in
+    key order over one positive ``scale``, reduced by their gcd, so the
+    scale is the lcm of the value denominators (1 for point outcomes) and
+    ``==`` compares values; :meth:`value` makes a ``Fraction``.  A table
+    flagged ``ternary`` restricts values to {-1, 0, +1}, the three-valued
+    reading where 0 means "no detection".  Unflagged tables may hold any
+    rational in [-1, +1], read as conditional expectations of a +/-1 outcome.
     """
 
-    __slots__ = ("entries", "ternary")
+    __slots__ = ("scale", "numerators", "ternary")
 
     def __init__(self, entries: Mapping[tuple[Label, Label], Numberish], ternary: bool = False):
-        self.entries = {key: as_fraction(v) for key, v in entries.items()}
-        self.ternary = ternary
+        # the lcm of the denominators is already the reduced scale
+        self.scale, numerators = integer_scale([as_fraction(v) for v in entries.values()])
+        self.numerators, self.ternary = dict(zip(entries, numerators)), ternary
 
     @classmethod
-    def _of_fractions(cls, entries: dict[tuple[Label, Label], Fraction], ternary: bool) -> "OutcomeTable":
-        """The table holding ``entries``, whose values are Fractions already: nothing is converted.
-
-        The table takes ``entries`` as it is, so the caller must not change it afterwards.
-        """
+    def from_integers(
+        cls, scale: int, numerators: Mapping[tuple[Label, Label], int], ternary: bool = False
+    ) -> "OutcomeTable":
+        """The table with value ``numerators[key] / scale`` at each key; ``scale`` must be positive."""
+        if scale <= 0:
+            raise ValueError(f"outcome table scale must be positive, got {scale}")
+        g = math.gcd(scale, *numerators.values())
         table = cls.__new__(cls)
-        table.entries = entries
-        table.ternary = ternary
+        table.scale, table.numerators, table.ternary = scale // g, {k: n // g for k, n in numerators.items()}, ternary
         return table
 
-    def value(self, source_label: Label, instrument_label: Label) -> Fraction:
+    def numerator(self, source_label: Label, instrument_label: Label) -> int:
+        """The value at the key as an integer over :attr:`scale`."""
         try:
-            return self.entries[(source_label, instrument_label)]
+            return self.numerators[(source_label, instrument_label)]
         except KeyError:
             raise DomainMismatchError(
                 f"no outcome for (source={_excerpt(source_label)}, instrument={_excerpt(instrument_label)})"
             ) from None
+
+    def value(self, source_label: Label, instrument_label: Label) -> Fraction:
+        return Fraction(self.numerator(source_label, instrument_label), self.scale)
 
     def values_are_point(self, keys: Optional[Iterable[tuple[Label, Label]]] = None) -> bool:
         """True when every entry, or every entry at ``keys``, is an actual outcome, not an expectation.
@@ -277,23 +286,26 @@ class OutcomeTable:
         ternary-flagged table (in an unflagged table 0 reads as the
         expectation of a fair coin).
         """
-        # integer tests, with no Fraction hashing
-        low = 0 if self.ternary else 1
-        values = self.entries.values() if keys is None else map(self.entries.__getitem__, keys)
-        return all(v.denominator == 1 and low <= abs(v.numerator) <= 1 for v in values)
+        s = self.scale
+        values = self.numerators.values() if keys is None else map(self.numerators.__getitem__, keys)
+        return ({-s, 0, s} if self.ternary else {-s, s}).issuperset(values)
+
+    def first_non_ternary(self) -> Optional[Fraction]:
+        """The first value in key order outside {-1, 0, 1}, or None when there is none."""
+        s = self.scale
+        return next((Fraction(n, s) for n in self.numerators.values() if abs(n) not in (0, s)), None)
 
     def has_zero(self) -> bool:
-        return any(v == 0 for v in self.entries.values())
+        return 0 in self.numerators.values()
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OutcomeTable)
-            and self.entries == other.entries
-            and self.ternary == other.ternary
+        return isinstance(other, OutcomeTable) and all(
+            getattr(self, name) == getattr(other, name) for name in OutcomeTable.__slots__
         )
 
     def __repr__(self) -> str:
-        return f"OutcomeTable({self.entries!r}, ternary={self.ternary})"
+        entries = {key: Fraction(n, self.scale) for key, n in self.numerators.items()}
+        return f"OutcomeTable({entries!r}, ternary={self.ternary})"
 
 
 class TwoByTwo:
@@ -537,20 +549,21 @@ def _check_table(
     side: str,
 ) -> None:
     name = f"{side} setting {_excerpt(setting.name)} outcome table"
-    entries = setting.outcomes.entries
+    table = setting.outcomes
     expected = set(itertools.product(source_labels, setting.instrument.labels()))
-    missing = expected - entries.keys()
-    extra = entries.keys() - expected
+    missing = expected - table.numerators.keys()
+    extra = table.numerators.keys() - expected
     if missing:
         report.add(f"{name}: missing entries for {sorted(map(_excerpt, missing))[:4]}")
     if extra:
         report.add(f"{name}: entries outside domain {sorted(map(_excerpt, extra))[:4]}")
-    for key, v in entries.items():
+    for key, n in table.numerators.items():
         # within [-1, 1], an integer is -1, 0 or 1
-        if abs(v.numerator) > v.denominator:
-            report.add(f"{name}: value {_cut(v)} at {_excerpt(key)} outside [-1, 1]")
-        elif setting.outcomes.ternary and v.denominator != 1:
-            report.add(f"{name}: ternary table holds non-ternary value {_cut(v)} at {_excerpt(key)}")
+        if abs(n) > table.scale:
+            report.add(f"{name}: value {_cut(Fraction(n, table.scale))} at {_excerpt(key)} outside [-1, 1]")
+        elif table.ternary and n % table.scale:
+            report.add(f"{name}: ternary table holds non-ternary value {_cut(Fraction(n, table.scale))} "
+                       f"at {_excerpt(key)}")
 
 
 def validate_model(model: ContextualModel) -> ValidationReport:
@@ -620,22 +633,21 @@ def setting_rows(setting: Setting, labels: Sequence[Label], atoms: Iterable) -> 
     ``instrument.integer_weights()``, or the search's over its grid scale with zero weights
     kept; a zero-weight atom's value is not read.  Returns ``(vscale, {label: (detected,
     first)})``: ``detected`` is the weight of the atoms with a nonzero value at the label, and
-    ``first`` the sum of n * (vscale // d) * weight over its values n/d, where ``vscale`` is
-    the lcm of the value denominators (1 for point outcomes).
+    ``first`` the sum of n * weight over its values n / vscale, where ``vscale`` is the
+    table's :attr:`~OutcomeTable.scale` (1 for point outcomes).
     """
-    value = setting.outcomes.value
+    numerator = setting.outcomes.numerator
     atoms = [(atom, w) for atom, w in atoms if w]
-    read = [[(value(lab, atom), w) for atom, w in atoms] for lab in labels]
-    vscale = math.lcm(*{v.denominator for row in read for v, _w in row})
     rows = {}
-    for lab, row in zip(labels, read):
+    for lab in labels:
         detected = first = 0
-        for v, w in row:
-            if v.numerator:
+        for atom, w in atoms:
+            n = numerator(lab, atom)
+            if n:
                 detected += w
-                first += v.numerator * (vscale // v.denominator) * w
+                first += n * w
         rows[lab] = (detected, first)
-    return vscale, rows
+    return setting.outcomes.scale, rows
 
 
 def exact_side_expectation(model: ContextualModel, side: str, setting_name: str) -> Fraction:
@@ -699,21 +711,14 @@ def counterexample_model() -> ContextualModel:
     source = Pmf.uniform([(k, k) for k in die])
     unit = Pmf.point("*")
 
-    def alice_table(a: int) -> OutcomeTable:
-        return OutcomeTable({(k, "*"): Fraction(a ** int(k)) for k in die})
+    def side(shift: int) -> tuple[Setting, Setting]:
+        """The settings "+1" and "-1", whose outcome at die face k is the setting to the power k + shift."""
+        return tuple(
+            Setting(name, unit, OutcomeTable.from_integers(1, {(k, "*"): int(name) ** (int(k) + shift) for k in die}))
+            for name in ("+1", "-1")
+        )
 
-    def bob_table(b: int) -> OutcomeTable:
-        return OutcomeTable({(k, "*"): Fraction(b ** (int(k) + 1)) for k in die})
-
-    alice = (
-        Setting("+1", unit, alice_table(1)),
-        Setting("-1", unit, alice_table(-1)),
-    )
-    bob = (
-        Setting("+1", unit, bob_table(1)),
-        Setting("-1", unit, bob_table(-1)),
-    )
-    return ContextualModel(source, alice, bob)
+    return ContextualModel(source, side(0), side(1))
 
 
 def require_point_outcomes(side: str, setting: Setting, keys: Optional[Iterable[tuple[Label, Label]]] = None) -> None:
@@ -746,14 +751,14 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
     src_scale, src = model.source.integer_weights()
 
     def laws(side: str) -> list:
-        """Each setting's ``(name, scale, {label: {value: weight}})``; a point value is its numerator."""
+        """Each setting's ``(name, scale, {label: {value: weight}})``; a point value is its numerator over scale 1."""
         out = []
         for s in getattr(model, side):
             scale, atoms = s.instrument.integer_weights()
             law: dict[Label, dict[int, int]] = {lab: {} for lab in side_labels(model, side)}
             for lab, dist in law.items():
                 for atom, w in atoms:
-                    x = s.outcomes.value(lab, atom).numerator
+                    x = s.outcomes.numerator(lab, atom)
                     dist[x] = dist.get(x, 0) + w
             out.append((s.name, scale, law))
         return out

@@ -194,7 +194,7 @@ def _object_text(indent: str, **fields: str) -> str:
 
 
 def _mass_text(weight: int, scale: int) -> str:
-    """The quoted ``str(Fraction(weight, scale))``, reduced from the integers."""
+    """The quoted ``str(Fraction(weight, scale))``, reduced from the integers: a mass or an outcome value."""
     g = math.gcd(weight, scale)
     return f'"{weight // g}"' if g == scale else f'"{weight // g}/{scale // g}"'
 
@@ -222,9 +222,9 @@ def setting_text(setting: Setting, source_labels: Sequence[Label]) -> str:
         ],
         "      ",
     )
-    value = setting.outcomes.value
+    numerator, vscale = setting.outcomes.numerator, setting.outcomes.scale
     rows = _list_text(
-        [_list_text(['"%s"' % value(sl, il) for il in weights], "        ") for sl in source_labels],
+        [_list_text([_mass_text(numerator(sl, il), vscale) for il in weights], "        ") for sl in source_labels],
         "      ",
     )
     return '{\n      "setting": %s,\n      "instrument": %s,\n      "ternary": %s,\n      "outcomes": %s\n    }' % (
@@ -250,15 +250,17 @@ def _flat_text(model: FlatModel) -> str:
     ]
 
     def setting(s: FlatSetting) -> str:
+        table = s.outcomes
         entries = [
-            _object_text("        ", key=_list_text([_quote(_label_str(k)) for k in key], "          "), value='"%s"' % v)
-            for key, v in s.outcomes.entries.items()
+            _object_text("        ", key=_list_text([_quote(_label_str(k)) for k in key], "          "),
+                         value=_mass_text(n, table.scale))
+            for key, n in table.numerators.items()
         ]
         return _object_text(
             "    ",
             setting=_quote(s.name),
             coords=_list_text([str(c) for c in s.coords], "      "),
-            ternary="true" if s.outcomes.ternary else "false",
+            ternary="true" if table.ternary else "false",
             entries=_list_text(entries, "      "),
         )
 
@@ -488,7 +490,7 @@ def _parse_flat(doc: dict, source: str, numbers: dict[str, Fraction]) -> FlatMod
     for setting in alice + bob:
         i, j = setting.coords
         for lam in support:
-            if (lam[i], lam[j]) not in setting.outcomes.entries:
+            if (lam[i], lam[j]) not in setting.outcomes.numerators:
                 raise ModelParseError(
                     f"{source}: flat setting {_excerpt(setting.name)} has no entry for key "
                     f"{_cut(_label_str((lam[i], lam[j])))} of atom {_cut(_label_str(lam))}"

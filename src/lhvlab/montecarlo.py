@@ -194,11 +194,12 @@ class DagModel(TwoByTwo):
             scale, cells = settings[0].instrument.integer_weights()
             labels, widths = zip(*cells)
             breaks = np.array([hi / scale for hi in accumulate(widths)])
-            # each value e = n/d at (setting, source pair, cell) gives the threshold (1 + e) / 2
+            # each value n / scale at (setting, source pair, cell) gives the threshold (1 + n / scale) / 2,
+            # one correctly rounded int division
             thresh = [
-                [[(e.numerator + e.denominator) / (2 * e.denominator) for e in map(value, repeat(pair[coord]), labels)]
+                [[(n + t.scale) / (2 * t.scale) for n in map(t.numerator, repeat(pair[coord]), labels)]
                  for pair in self._pairs]
-                for value in (s.outcomes.value for s in settings)
+                for t in (s.outcomes for s in settings)
             ]
             return breaks, np.array(thresh)
 
@@ -238,11 +239,8 @@ def from_contextual(model: ContextualModel, setting_bias: Optional[Pmf] = None) 
     report = validate_model(model)
     if not report.ok:
         raise ValueError("model is not well-formed: " + "; ".join(report.violations))
-    point_ternary = all(
-        v.denominator == 1 and abs(v.numerator) <= 1 for s in model.alice + model.bob for v in s.outcomes.entries.values()
-    )
-    has_zero = any(s.outcomes.has_zero() for s in model.alice + model.bob)
-    if point_ternary and has_zero:
+    tables = [s.outcomes for s in model.alice + model.bob]
+    if all(t.first_non_ternary() is None for t in tables) and any(t.has_zero() for t in tables):
         model = zero_to_coin(model)
 
     contexts = model.contexts()

@@ -233,17 +233,18 @@ def brute_bars(model: ContextualModel) -> tuple[dict, dict]:
 def brute_setting_rows(setting, labels, atoms, scale: int) -> tuple[int, dict]:
     """Per label, (detected mass, first moment) of ``(atom, weight)`` pairs over ``scale``, as Fractions.
 
-    Also the lcm of the value denominators at the atoms of nonzero weight,
-    by which the integer kernel scales its first moments.
+    Also the lcm of the value denominators at every label and atom, zero
+    weights included, by which the integer kernel scales its first moments:
+    the table's scale when the table holds exactly those keys.
     """
     vscale = 1
     out = {}
     for lab in labels:
         detected = first = Fraction(0)
         for atom, w in atoms:
+            v = setting.outcomes.value(lab, atom)
+            vscale = vscale * v.denominator // math.gcd(vscale, v.denominator)
             if w != 0:
-                v = setting.outcomes.value(lab, atom)
-                vscale = vscale * v.denominator // math.gcd(vscale, v.denominator)
                 first += v * Fraction(w, scale)
                 if v != 0:
                     detected += Fraction(w, scale)
@@ -312,8 +313,8 @@ def _flat_doc(model: FlatModel) -> dict:
             "coords": list(s.coords),
             "ternary": s.outcomes.ternary,
             "entries": [
-                {"key": [_label_str(k[0]), _label_str(k[1])], "value": str(v)}
-                for k, v in s.outcomes.entries.items()
+                {"key": [_label_str(k[0]), _label_str(k[1])], "value": str(s.outcomes.value(*k))}
+                for k in s.outcomes.numerators
             ],
         }
 

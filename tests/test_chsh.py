@@ -271,7 +271,7 @@ class TestZeroToCoin:
             assert correlation_quad(out).values == correlation_quad(m).values
             assert not out.is_ternary()
             for s in out.alice + out.bob:
-                assert set(s.outcomes.entries.values()) <= {Fraction(-1), Fraction(1)}
+                assert {s.outcomes.value(*key) for key in s.outcomes.numerators} <= {Fraction(-1), Fraction(1)}
 
     def test_behavior_of_reduced_model_has_no_zeros(self):
         rng = random.Random(18)
@@ -283,7 +283,7 @@ class TestZeroToCoin:
         rng = random.Random(19)
         m = random_contextual_model(rng, max_source_side=2, max_instrument=2, outcome_kind="interval")
         if all(
-            set(s.outcomes.entries.values()) <= {Fraction(-1), Fraction(0), Fraction(1)}
+            {s.outcomes.value(*key) for key in s.outcomes.numerators} <= {Fraction(-1), Fraction(0), Fraction(1)}
             for s in m.alice + m.bob
         ):
             pytest.skip("random draw produced a ternary-valued model")

@@ -21,6 +21,8 @@ from lhvlab import (
 )
 from conftest import fine_lp_behaviors
 from lhvlab.corpus import random_contextual_model, random_nosignalling_behavior
+from lhvlab.flatten import product_flatten
+from lhvlab.model import OutcomeTable, Setting
 
 SIGNS = (-1, 1)
 CONTEXTS = [("x", "y"), ("x", "y'"), ("x'", "y"), ("x'", "y'")]
@@ -255,6 +257,32 @@ class TestCouplingJoint:
         assert roundtrips(joint, b)
         quad = chsh_values(b.quad()).quad
         assert quad.ordered() == (1, 0, 0, -1)
+
+    def test_pushforward_equals_the_atom_by_atom_fraction_sum(self):
+        """The joint read off integer columns is the sum of each support atom's Fraction mass under
+        its four evaluated outcomes."""
+        rng = random.Random(62)
+        for _ in range(10):
+            m = zero_to_coin(random_contextual_model(rng, max_source_side=3, max_instrument=2, outcome_kind="ternary"))
+            flat = product_flatten(m)
+            mass = {}
+            for lam, p in flat.lambda_pmf.support():
+                key = tuple(int(s.evaluate(lam)) for s in flat.alice + flat.bob)
+                mass[key] = mass.get(key, 0) + p
+            assert coupling_joint(m) == JointDistribution16(flat.alice_settings, flat.bob_settings, mass)
+
+    def test_first_non_binary_outcome_in_atom_order_is_named(self):
+        """Bob's 1/2 sits at the first die face and Alice's 1/3 at the second, so the message names 1/2."""
+        m = counterexample_model()
+
+        def with_value(setting: Setting, face: str, value: Fraction) -> Setting:
+            values = {key: setting.outcomes.value(*key) for key in setting.outcomes.numerators}
+            return Setting(setting.name, setting.instrument, OutcomeTable({**values, (face, "*"): value}))
+
+        alice = (m.alice[0], with_value(m.alice[1], "2", Fraction(1, 3)))
+        bob = (with_value(m.bob[0], "1", Fraction(1, 2)), m.bob[1])
+        with pytest.raises(ValueError, match=r"^outcome 1/2 is not \+/-1; coupling needs a binary model$"):
+            coupling_joint(type(m)(m.source, alice, bob))
 
     def test_nonbinary_model_rejected(self):
         rng = random.Random(61)

@@ -37,7 +37,7 @@ from lhvlab import (
     validate_model,
 )
 from lhvlab.corpus import random_contextual_model
-from lhvlab.model import setting_rows
+from lhvlab.model import as_fraction, setting_rows
 
 
 def constant_model(value=1):
@@ -160,7 +160,7 @@ class TestExactExpectation:
                     s.name,
                     Pmf({f"I{lab}": mass for lab, mass in s.instrument.items()}),
                     OutcomeTable(
-                        {(f"A{k[0]}", f"I{k[1]}"): v for k, v in s.outcomes.entries.items()},
+                        {(f"A{k[0]}", f"I{k[1]}"): s.outcomes.value(*k) for k in s.outcomes.numerators},
                         ternary=s.outcomes.ternary,
                     ),
                 )
@@ -171,7 +171,7 @@ class TestExactExpectation:
                     s.name,
                     Pmf({f"I{lab}": mass for lab, mass in s.instrument.items()}),
                     OutcomeTable(
-                        {(f"B{k[1 - 1]}", f"I{k[1]}"): v for k, v in s.outcomes.entries.items()},
+                        {(f"B{k[1 - 1]}", f"I{k[1]}"): s.outcomes.value(*k) for k in s.outcomes.numerators},
                         ternary=s.outcomes.ternary,
                     ),
                 )
@@ -208,7 +208,7 @@ class TestExactExpectation:
             Setting(
                 s.name,
                 s.instrument,
-                OutcomeTable({k: c * v for k, v in s.outcomes.entries.items()}),
+                OutcomeTable({k: c * s.outcomes.value(*k) for k in s.outcomes.numerators}),
             )
             for s in m.alice
         )
@@ -316,6 +316,44 @@ class TestSettingRows:
                 pytest.fail(f"{name} did not read setting_rows")
         behavior_from_model(m)
 
+    def test_readers_use_the_stored_integers(self, monkeypatch):
+        """With ``OutcomeTable.value`` stubbed out, every package reader of a table still runs;
+        ``exact_expectation``, the Fraction oracle, does not."""
+        from lhvlab.chsh import zero_to_coin
+        from lhvlab.flatten import product_flatten, uniform_reduce
+        from lhvlab.modelio import serialize
+        from lhvlab.montecarlo import from_contextual
+
+        rng = random.Random(29)
+        models = [
+            counterexample_model(),
+            random_contextual_model(rng, max_source_side=3, max_instrument=3, outcome_kind="ternary"),
+            random_contextual_model(rng, max_source_side=3, max_instrument=3, outcome_kind="interval"),
+        ]
+        # two point models, the second with zeros, and one with fractional values
+        assert [all(s.outcomes.values_are_point() for s in m.alice + m.bob) for m in models] == [True, True, False]
+        assert models[1].is_ternary() and any(s.outcomes.has_zero() for s in models[1].alice + models[1].bob)
+
+        def stub(*_args):
+            raise AssertionError("OutcomeTable.value read")
+
+        monkeypatch.setattr(OutcomeTable, "value", stub)
+        for m in models:
+            correlation_quad(m)
+            bell_average(m).quad()
+            product_flatten(m).quad()
+            uniform_reduce(m).quad()
+            detection_rates(m)
+            from_contextual(m)
+            serialize(m)
+            serialize(product_flatten(m))
+            with pytest.raises(AssertionError, match="OutcomeTable.value read"):
+                exact_expectation(m, m.contexts()[0])
+        for m in models[:2]:
+            behavior_from_model(m)
+            serialize(zero_to_coin(m))
+        assert search_postselection_violation(SearchConfig(seed=0, budget=50, instrument_atoms=2, max_detection=None)).history
+
 
 TRUTH_VALUES = ["-1", "0", "1", "1/2", "-1/3", "2", "-2"]
 
@@ -338,7 +376,39 @@ def test_values_are_point_on_whole_tables(ternary):
     for _ in range(200):
         entries = {(str(k), "*"): rng.choice(TRUTH_VALUES) for k in range(rng.randrange(1, 5))}
         table = OutcomeTable(entries, ternary=ternary)
-        assert table.values_are_point() == all(v in allowed for v in table.entries.values())
+        assert table.values_are_point() == all(Fraction(v) in allowed for v in entries.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(TRUTH_VALUES), st.sampled_from([-1, 0, 1, 0.5, -0.25]),
+                  st.fractions(min_value=-2, max_value=2, max_denominator=12)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.fractions(min_value=-1, max_value=1, max_denominator=12).filter(lambda v: v.denominator > 1),
+    st.booleans(),
+    st.integers(1, 12),
+    st.data(),
+)
+def test_tables_store_integers_over_one_scale(values, spare, ternary, c, data):
+    """A table built from any number-like values reads them back exactly, is the same table as its
+    integers over any multiple of its scale, and keeps its repr; ``values_are_point`` at a subset of
+    keys is right although a spare fractional entry keeps the table's scale above 1."""
+    entries = {(f"l{i}", "*"): v for i, v in enumerate(values)}
+    table = OutcomeTable({**entries, ("spare", "*"): spare}, ternary=ternary)
+    assert table.scale > 1
+    assert all(table.value(*key) == as_fraction(v) for key, v in entries.items())
+    scaled = OutcomeTable.from_integers(c * table.scale, {k: c * n for k, n in table.numerators.items()}, ternary)
+    assert scaled == OutcomeTable.from_integers(table.scale, table.numerators, ternary) == table
+    assert (scaled.scale, scaled.numerators) == (table.scale, table.numerators)
+    assert list(scaled.numerators) == [*entries, ("spare", "*")]
+    shown = {key: as_fraction(v) for key, v in entries.items()} | {("spare", "*"): spare}
+    assert repr(table) == f"OutcomeTable({shown!r}, ternary={ternary})"
+    keys = data.draw(st.lists(st.sampled_from(list(entries)), unique=True))
+    allowed = {Fraction(-1), Fraction(1)} | ({Fraction(0)} if ternary else set())
+    assert table.values_are_point(keys) == all(as_fraction(entries[k]) in allowed for k in keys)
 
 
 EXACT_MODULES = ("model", "chsh", "fine", "flatten", "loophole", "modelio", "simplex")

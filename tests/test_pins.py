@@ -116,7 +116,7 @@ def broken(model: ContextualModel) -> ContextualModel:
     a0, a1 = model.alice
     a0 = Setting(a0.name, Pmf({lab: -m for lab, m in a0.instrument.items()}), a0.outcomes)
     b0, b1 = model.bob
-    entries = dict(b0.outcomes.entries)
+    entries = {key: b0.outcomes.value(*key) for key in b0.outcomes.numerators}
     keys = list(entries)
     entries[keys[0]] = Fraction(3, 2)
     if len(keys) > 1:
