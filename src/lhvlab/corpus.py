@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .model import BehaviorTable, ContextualModel, OutcomeTable, Pmf, Setting
 
 OutcomeKind = str  # "binary" | "ternary" | "interval"
+
+# each outcome kind's scale, and the numerators over it that an outcome is drawn from
+OUTCOME_KINDS = {"binary": (1, (-1, 1)), "ternary": (1, (-1, 0, 1)), "interval": (8, range(-8, 9))}
 
 
 def _random_weights(rng: random.Random, n: int, max_weight: int = 12) -> list[int]:
@@ -21,16 +23,6 @@ def _random_weights(rng: random.Random, n: int, max_weight: int = 12) -> list[in
 def _random_pmf(rng: random.Random, labels) -> Pmf:
     weights = _random_weights(rng, len(labels))
     return Pmf.from_weights(dict(zip(labels, weights)))
-
-
-def _random_outcome(rng: random.Random, kind: OutcomeKind) -> Fraction:
-    if kind == "binary":
-        return Fraction(rng.choice((-1, 1)))
-    if kind == "ternary":
-        return Fraction(rng.choice((-1, 0, 1)))
-    if kind == "interval":
-        return Fraction(rng.randint(-8, 8), 8)
-    raise ValueError(f"unknown outcome kind {kind!r}")
 
 
 def random_contextual_model(
@@ -47,6 +39,9 @@ def random_contextual_model(
     picks the outcome alphabet: strict +/-1, ternary with zeros, or
     rational values in [-1, 1] with denominator 8.
     """
+    if outcome_kind not in OUTCOME_KINDS:
+        raise ValueError(f"unknown outcome kind {outcome_kind!r}")
+    scale, values = OUTCOME_KINDS[outcome_kind]
     n1 = rng.randint(1, max_source_side)
     n2 = rng.randint(1, max_source_side)
     first = [f"a{i}" for i in range(n1)]
@@ -57,12 +52,8 @@ def random_contextual_model(
     def make_setting(name: str, source_labels) -> Setting:
         atoms = [f"u{i}" for i in range(rng.randint(1, max_instrument))]
         instrument = _random_pmf(rng, atoms)
-        entries = {
-            (sl, il): _random_outcome(rng, outcome_kind)
-            for sl in source_labels
-            for il in atoms
-        }
-        return Setting(name, instrument, OutcomeTable(entries, ternary=outcome_kind == "ternary"))
+        entries = {(sl, il): rng.choice(values) for sl in source_labels for il in atoms}
+        return Setting(name, instrument, OutcomeTable.from_integers(scale, entries, ternary=outcome_kind == "ternary"))
 
     alice = (make_setting("x", first), make_setting("x'", first))
     bob = (make_setting("y", second), make_setting("y'", second))

@@ -64,7 +64,7 @@ class JointDistribution16:
         extra = set(mass) - set(_PATTERNS)
         if extra:
             raise ValueError(f"mass on non-sign pattern {sorted(extra)[0]!r}")
-        scale, weights = integer_scale([Fraction(mass.get(key, 0)) for key in _PATTERNS])
+        scale, weights = integer_scale([Fraction(mass.get(key, 0)).as_integer_ratio() for key in _PATTERNS])
         self._set(alice_settings, bob_settings, scale, weights)
 
     @classmethod
@@ -236,7 +236,7 @@ def find_joint(behavior: BehaviorTable) -> JointSearchResult:
     solution = find_feasible(_INCIDENCE, rhs)
     if solution is not None:
         # solution[k] == joint mass * scale; bring it over one denominator
-        lcd, weights = integer_scale(solution)
+        lcd, weights = integer_scale([x.as_integer_ratio() for x in solution])
         joint = JointDistribution16._from_integers(
             behavior.alice_settings, behavior.bob_settings, scale * lcd, weights
         )

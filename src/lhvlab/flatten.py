@@ -140,7 +140,7 @@ class AveragedModel(TwoByTwo):
 
 def _scaled(name: str, bar: Mapping[Label, Fraction]) -> tuple[str, int, dict[Label, int]]:
     """A named bar's values as integers over the lcm of their denominators."""
-    scale, ints = integer_scale(list(bar.values()))
+    scale, ints = integer_scale([v.as_integer_ratio() for v in bar.values()])
     return name, scale, dict(zip(bar, ints))
 
 

@@ -27,11 +27,13 @@ as the reference oracle, with no factorization; nothing in the package
 calls it, and it reads masses only as Fractions.
 
 :meth:`Pmf.from_integers`, :meth:`OutcomeTable.from_integers` and
-:meth:`BehaviorTable.from_integers` take those integers in;
-:func:`integer_scale` brings other rationals over the lcm of their
-denominators.  The flat models of :mod:`lhvlab.flatten`
-are evaluated on integer columns over their own tuple pmf, independently
-of this kernel, so they can check it.
+:meth:`BehaviorTable.from_integers` take those integers in.
+:func:`integer_scale` is the one place that puts rationals over the lcm of
+their denominators, from ``(numerator, denominator)`` pairs: the parser
+passes each token's reduced pair, and the constructors that take
+Fractions pass ``as_integer_ratio()``.  The flat models of
+:mod:`lhvlab.flatten` are evaluated on integer columns over their own
+tuple pmf, independently of this kernel, so they can check it.
 
 Floats never enter this module; stochastic estimation lives in
 :mod:`lhvlab.montecarlo`.
@@ -122,14 +124,16 @@ def as_fraction(value: Numberish) -> Fraction:
     raise TypeError(f"cannot convert {value!r} to a Fraction")
 
 
-def integer_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """Rationals as integers over one common denominator, the lcm of theirs.
+def integer_scale(ratios: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """Rationals given as ``(numerator, denominator)`` pairs, as integers over the lcm of the denominators.
 
-    Returns ``(scale, ints)`` with ``ints[k] / scale == values[k]``; an
-    empty sequence gives scale 1.
+    Returns ``(scale, ints)`` with ``ints[k] / scale == n_k / d_k``; every
+    denominator must be positive, and an empty sequence gives scale 1.
+    The scale is the least one when the pairs are reduced, as
+    ``Fraction.as_integer_ratio()`` gives them.
     """
-    scale = math.lcm(*{v.denominator for v in values})
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    scale = math.lcm(*{d for _n, d in ratios})
+    return scale, [n * (scale // d) for n, d in ratios]
 
 
 class DomainMismatchError(LookupError):
@@ -151,7 +155,7 @@ class Pmf:
 
     def __init__(self, atoms: Union[Mapping[Label, Numberish], Iterable[tuple[Label, Numberish]]]):
         pairs = list(atoms.items() if isinstance(atoms, Mapping) else atoms)
-        scale, weights = integer_scale([as_fraction(m) for _lab, m in pairs])
+        scale, weights = integer_scale([as_fraction(m).as_integer_ratio() for _lab, m in pairs])
         pmf = Pmf.from_integers(scale, [(lab, w) for (lab, _m), w in zip(pairs, weights)])
         self._scale, self._weights = pmf._scale, pmf._weights
 
@@ -252,7 +256,7 @@ class OutcomeTable:
 
     def __init__(self, entries: Mapping[tuple[Label, Label], Numberish], ternary: bool = False):
         # the lcm of the denominators is already the reduced scale
-        self.scale, numerators = integer_scale([as_fraction(v) for v in entries.values()])
+        self.scale, numerators = integer_scale([as_fraction(v).as_integer_ratio() for v in entries.values()])
         self.numerators, self.ternary = dict(zip(entries, numerators)), ternary
 
     @classmethod
@@ -402,6 +406,13 @@ class CorrelationQuad(TwoByTwo):
         return tuple(self.values[ctx] for ctx in self.contexts())
 
 
+def cells_over_one_scale(ratios: Mapping[Context, Mapping]) -> tuple[int, dict]:
+    """Nested ``(n, d)`` cell probabilities as ``(scale, {context: {cell: weight}})``, by :func:`integer_scale`."""
+    scale, weights = integer_scale([r for cells in ratios.values() for r in cells.values()])
+    weight = iter(weights)
+    return scale, {ctx: {cell: next(weight) for cell in cells} for ctx, cells in ratios.items()}
+
+
 class BehaviorTable(TwoByTwo):
     """The experimentally accessible object: P(x, y | a, b) per context.
 
@@ -424,13 +435,9 @@ class BehaviorTable(TwoByTwo):
         outcomes: tuple[int, ...],
         probs: Mapping[Context, Mapping[tuple[int, int], Numberish]],
     ):
-        fractions = {ctx: {cell: as_fraction(p) for cell, p in pmf.items()} for ctx, pmf in probs.items()}
-        scale = math.lcm(*(p.denominator for pmf in fractions.values() for p in pmf.values()))
-        cells = {
-            ctx: {cell: p.numerator * (scale // p.denominator) for cell, p in pmf.items()}
-            for ctx, pmf in fractions.items()
-        }
-        self._set(alice_settings, bob_settings, outcomes, scale, cells)
+        ratios = {ctx: {cell: as_fraction(p).as_integer_ratio() for cell, p in pmf.items()}
+                  for ctx, pmf in probs.items()}
+        self._set(alice_settings, bob_settings, outcomes, *cells_over_one_scale(ratios))
 
     @classmethod
     def from_integers(

@@ -31,12 +31,15 @@ from .model import (
     _coordinate_labels,
     _cut,
     _excerpt,
+    cells_over_one_scale,
+    integer_scale,
     rational_parts,
 )
 
 Document = Union[ContextualModel, FlatModel, AveragedModel, BehaviorTable]
 
 KINDS = ("contextual", "flat", "averaged", "behavior")
+Numbers = dict[str, tuple[int, int]]  # one document's number texts, each with its reduced (numerator, denominator)
 
 
 class ModelParseError(ValueError):
@@ -51,30 +54,27 @@ def _label_str(label) -> str:
     return str(label)
 
 
-def _parse_frac(token: Any, where: str, source: str, numbers: dict[str, Fraction]) -> Fraction:
-    """A JSON integer or number string as a Fraction, by :func:`rational_parts`.
+def _parse_frac(token: Any, where: str, source: str, numbers: Numbers) -> tuple[int, int]:
+    """A JSON integer or number string as ``Fraction(token).as_integer_ratio()``, by :func:`rational_parts`.
 
-    ``numbers`` holds the number strings this document has already
-    converted; :func:`parse_text` makes it empty for each call.  It is
-    keyed on strings only, so a JSON ``true`` (equal to ``1`` as a dict
-    key) never reaches it, and a failed conversion is never stored, so an
-    error names the occurrence that raised it.
+    ``numbers`` maps the number texts this document has already converted to
+    their reduced pairs; :func:`parse_text` makes it empty for each call.  A
+    JSON ``true`` is refused before the lookup, and a failed conversion is
+    never stored, so an error names the occurrence that raised it.
     """
-    if type(token) is str:
-        value = numbers.get(token)
-        if value is None:
-            value = numbers[token] = _fraction(token, where, source)
-        return value
-    if isinstance(token, int) and not isinstance(token, bool):
-        return _fraction(str(token), where, source)
-    raise ModelParseError(f"{source}: malformed fraction {_excerpt(token)} at {where}")
-
-
-def _fraction(text: str, where: str, source: str) -> Fraction:
-    try:
-        return Fraction(*rational_parts(text))
-    except ValueError as exc:
-        raise ModelParseError(f"{source}: {exc} at {where}") from None
+    if type(token) is not str:
+        if not isinstance(token, int) or isinstance(token, bool):
+            raise ModelParseError(f"{source}: malformed fraction {_excerpt(token)} at {where}")
+        token = str(token)
+    pair = numbers.get(token)
+    if pair is None:
+        try:
+            n, d = rational_parts(token)
+        except ValueError as exc:
+            raise ModelParseError(f"{source}: {exc} at {where}") from None
+        g = math.gcd(n, d)
+        pair = numbers[token] = n // g, d // g
+    return pair
 
 
 def _parse_label(token: Any, where: str, source: str) -> str:
@@ -84,12 +84,12 @@ def _parse_label(token: Any, where: str, source: str) -> str:
     return token
 
 
-def _parse_unit(token: Any, where: str, source: str, numbers: dict[str, Fraction]) -> Fraction:
-    """A fraction in [-1, 1]: a flat table entry or an averaged bar value."""
-    value = _parse_frac(token, where, source, numbers)
-    if not -1 <= value <= 1:
-        raise ModelParseError(f"{source}: {where} value {_cut(value)} lies outside [-1, 1]")
-    return value
+def _parse_unit(token: Any, where: str, source: str, numbers: Numbers) -> tuple[int, int]:
+    """A fraction in [-1, 1] as its reduced ``(n, d)``: a flat table entry or an averaged bar value."""
+    n, d = _parse_frac(token, where, source, numbers)
+    if abs(n) > d:
+        raise ModelParseError(f"{source}: {where} value {_cut(Fraction(n, d))} lies outside [-1, 1]")
+    return n, d
 
 
 def _parse_int(token: Any, where: str, source: str) -> int:
@@ -133,20 +133,17 @@ def _sum_text(total: Fraction) -> str:
 
 
 def _parse_pmf(atoms: list, where: str, source: str) -> Pmf:
-    """The pmf of parsed ``(label, mass)`` atoms; a repeated label or a bad sum is named."""
-    ratios = [m.as_integer_ratio() for _lab, m in atoms]
-    scale = math.lcm(*{d for _n, d in ratios})
+    """The pmf of parsed ``(label, (n, d))`` atoms; a repeated label or a bad sum is named."""
+    scale, ints = integer_scale([m for _lab, m in atoms])
     weights: dict = {}
-    for (label, _m), (n, d) in zip(atoms, ratios):
+    for (label, _m), w in zip(atoms, ints):
         if label in weights:
             raise ModelParseError(f"{source}: duplicate label {_excerpt(_label_str(label))} in {where}")
-        weights[label] = n * (scale // d)
-    if any(w < 0 for w in weights.values()):
+        weights[label] = w
+    if any(w < 0 for w in ints):
         raise ModelParseError(f"{source}: negative mass in {where}")
-    total = sum(weights.values())
-    if total != scale:
-        total = Fraction(total, scale)
-        raise ModelParseError(f"{source}: {where} sums to {_sum_text(total)}, not 1")
+    if sum(ints) != scale:
+        raise ModelParseError(f"{source}: {where} sums to {_sum_text(Fraction(sum(ints), scale))}, not 1")
     return Pmf.from_integers(scale, weights)
 
 
@@ -330,8 +327,8 @@ def parse_text(text: str, source: str = "<string>") -> Document:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ModelParseError(f"{source}: unknown kind {_excerpt(kind)}; expected one of {KINDS}")
-    # each distinct number string of this document, converted once; see _parse_frac
-    numbers: dict[str, Fraction] = {}
+    # each distinct number of this document, converted once; see _parse_frac
+    numbers: Numbers = {}
     if kind == "contextual":
         return _parse_contextual(doc, source, numbers)
     if kind == "flat":
@@ -352,7 +349,7 @@ def parse_path(path: Union[str, Path]) -> Document:
     return parse_text(text, source=str(path))
 
 
-def _parse_source(doc: dict, source: str, numbers: dict[str, Fraction]) -> Pmf:
+def _parse_source(doc: dict, source: str, numbers: Numbers) -> Pmf:
     atoms = []
     for i, atom in enumerate(_require_list(doc["source"], "source", source)):
         _require_keys(atom, {"pair", "mass"}, {"pair", "mass"}, f"source atom {i}", source)
@@ -364,7 +361,7 @@ def _parse_source(doc: dict, source: str, numbers: dict[str, Fraction]) -> Pmf:
     return _parse_pmf(atoms, "source pmf", source)
 
 
-def _parse_instrument(entries: list, where: str, source: str, numbers: dict[str, Fraction]) -> Pmf:
+def _parse_instrument(entries: list, where: str, source: str, numbers: Numbers) -> Pmf:
     atoms = []
     for i, e in enumerate(_require_list(entries, where, source)):
         _require_keys(e, {"label", "mass"}, {"label", "mass"}, f"{where} atom {i}", source)
@@ -373,7 +370,7 @@ def _parse_instrument(entries: list, where: str, source: str, numbers: dict[str,
     return _parse_pmf(atoms, where, source)
 
 
-def _parse_contextual(doc: dict, source: str, numbers: dict[str, Fraction]) -> ContextualModel:
+def _parse_contextual(doc: dict, source: str, numbers: Numbers) -> ContextualModel:
     _require_keys(doc, {"kind", "source", "alice", "bob"}, {"source", "alice", "bob"}, "model", source)
     src = _parse_source(doc, source, numbers)
 
@@ -407,7 +404,7 @@ def _parse_contextual(doc: dict, source: str, numbers: dict[str, Fraction]) -> C
                 )
             for il, shown, token in zip(inst_labels, shown_il, row):
                 entries[(sl, il)] = _parse_frac(token, f"{where} outcome ({shown_sl}, {shown})", source, numbers)
-        return Setting(name, instrument, OutcomeTable(entries, ternary=_parse_ternary(sdoc, where, source)))
+        return Setting(name, instrument, _outcome_table(entries, _parse_ternary(sdoc, where, source)))
 
     def parse_side(coord: int, side: str):
         docs = _require_list(doc[side], side, source)
@@ -419,13 +416,19 @@ def _parse_contextual(doc: dict, source: str, numbers: dict[str, Fraction]) -> C
     return ContextualModel(src, *(parse_side(coord, side) for coord, side in enumerate(("alice", "bob"))))
 
 
+def _outcome_table(entries: dict, ternary: bool) -> OutcomeTable:
+    """The outcome table of parsed ``{key: (n, d)}`` entries."""
+    scale, numerators = integer_scale(list(entries.values()))
+    return OutcomeTable.from_integers(scale, dict(zip(entries, numerators)), ternary)
+
+
 def _require_distinct(names: Sequence[str], where: str, source: str) -> None:
     """Reject a side whose two settings share a name: each context must be named once."""
     if names[0] == names[1]:
         raise ModelParseError(f"{source}: {where}: duplicate setting name {_excerpt(names[0])}")
 
 
-def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str, numbers: dict[str, Fraction]) -> FlatSetting:
+def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str, numbers: Numbers) -> FlatSetting:
     """One flat setting; ``arity`` is the shortest atom tuple, which its coords must index."""
     _require_keys(
         sdoc,
@@ -443,7 +446,7 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str, numbers:
     for c in coords:
         if not 0 <= c < arity:
             raise ModelParseError(
-                f"{source}: flat setting {shown} coordinate {c} lies outside the atom tuples "
+                f"{source}: flat setting {shown} coordinate {_cut(c)} lies outside the atom tuples "
                 f"(shortest has length {arity})"
             )
     ternary = _parse_ternary(sdoc, f"flat setting {shown}", source)
@@ -456,17 +459,16 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str, numbers:
         key = tuple(_parse_label(k, f"flat setting {shown} entry {i} key", source) for k in key)
         if key in entries:
             raise ModelParseError(f"{source}: flat setting {shown} key {_cut(_label_str(key))} is listed twice")
-        value = _parse_unit(e["value"], f"flat setting {shown} entry {i}", source, numbers)
+        n, d = entries[key] = _parse_unit(e["value"], f"flat setting {shown} entry {i}", source, numbers)
         # within [-1, 1], an integer is -1, 0 or 1
-        if ternary and value.denominator != 1:
+        if ternary and d != 1:
             raise ModelParseError(
-                f"{source}: flat setting {shown} is ternary but entry {i} value {_cut(value)} is not -1, 0 or 1"
+                f"{source}: flat setting {shown} is ternary but entry {i} value {_cut(f'{n}/{d}')} is not -1, 0 or 1"
             )
-        entries[key] = value
-    return FlatSetting(name, coords, OutcomeTable(entries, ternary=ternary))
+    return FlatSetting(name, coords, _outcome_table(entries, ternary))
 
 
-def _parse_flat(doc: dict, source: str, numbers: dict[str, Fraction]) -> FlatModel:
+def _parse_flat(doc: dict, source: str, numbers: Numbers) -> FlatModel:
     _require_keys(doc, {"kind", "atoms", "alice", "bob"}, {"atoms", "alice", "bob"}, "flat model", source)
     atoms = []
     for i, atom in enumerate(_require_list(doc["atoms"], "atoms", source)):
@@ -486,7 +488,7 @@ def _parse_flat(doc: dict, source: str, numbers: dict[str, Fraction]) -> FlatMod
         raise ModelParseError(f"{source}: flat model needs 2 settings per side")
     for side, settings in (("alice", alice), ("bob", bob)):
         _require_distinct([s.name for s in settings], side, source)
-    support = [lam for lam, _m in pmf.support()]
+    support = [lam for lam, _w in pmf.integer_weights()[1]]
     for setting in alice + bob:
         i, j = setting.coords
         for lam in support:
@@ -498,13 +500,13 @@ def _parse_flat(doc: dict, source: str, numbers: dict[str, Fraction]) -> FlatMod
     return FlatModel(pmf, alice, bob)
 
 
-def _parse_averaged(doc: dict, source: str, numbers: dict[str, Fraction]) -> AveragedModel:
+def _parse_averaged(doc: dict, source: str, numbers: Numbers) -> AveragedModel:
     _require_keys(doc, {"kind", "source", "alice", "bob"}, {"source", "alice", "bob"}, "averaged model", source)
     src = _parse_source(doc, source, numbers)
 
     def parse_side(side: str, coord: int):
         # the source labels this side's bars are evaluated at
-        labels = dict.fromkeys(pair[coord] for pair, _m in src.support())
+        labels = dict.fromkeys(pair[coord] for pair, _w in src.integer_weights()[1])
         names = []
         bars = {}
         for sdoc in _require_list(doc[side], side, source):
@@ -520,7 +522,7 @@ def _parse_averaged(doc: dict, source: str, numbers: dict[str, Fraction]) -> Ave
                     raise ModelParseError(
                         f"{source}: {side} setting {shown} bar label {_excerpt(label)} is listed twice"
                     )
-                bar[label] = _parse_unit(e["value"], f"{side} setting {shown} bar {i}", source, numbers)
+                bar[label] = Fraction(*_parse_unit(e["value"], f"{side} setting {shown} bar {i}", source, numbers))
             missing = [lab for lab in labels if lab not in bar]
             if missing:
                 raise ModelParseError(
@@ -537,7 +539,7 @@ def _parse_averaged(doc: dict, source: str, numbers: dict[str, Fraction]) -> Ave
     return AveragedModel(src, alice_names, bob_names, alice_bar, bob_bar)
 
 
-def _parse_behavior(doc: dict, source: str, numbers: dict[str, Fraction]) -> BehaviorTable:
+def _parse_behavior(doc: dict, source: str, numbers: Numbers) -> BehaviorTable:
     _require_keys(
         doc,
         {"kind", "aliceSettings", "bobSettings", "outcomes", "contexts"},
@@ -577,15 +579,14 @@ def _parse_behavior(doc: dict, source: str, numbers: dict[str, Fraction]) -> Beh
             if (x, y) in cells:
                 raise ModelParseError(f"{source}: context {shown} cell ({x}, {y}) is listed twice")
             cells[(x, y)] = _parse_frac(cell["p"], where, source, numbers)
-        total = sum(cells.values(), Fraction(0))
-        if any(p < 0 for p in cells.values()):
+        scale, weights = integer_scale(list(cells.values()))
+        if any(w < 0 for w in weights):
             raise ModelParseError(f"{source}: context {shown} has a negative probability")
-        if total != 1:
-            raise ModelParseError(
-                f"{source}: context {shown} pmf sums to {_sum_text(total)}, not 1"
-            )
+        if sum(weights) != scale:
+            total = Fraction(sum(weights), scale)
+            raise ModelParseError(f"{source}: context {shown} pmf sums to {_sum_text(total)}, not 1")
         probs[ctx] = cells
     expected = {(a, b) for a in alice for b in bob}
     if set(probs) != expected:
         raise ModelParseError(f"{source}: behavior must list all four contexts exactly once")
-    return BehaviorTable(alice, bob, outcomes, probs)
+    return BehaviorTable.from_integers(alice, bob, outcomes, *cells_over_one_scale(probs))

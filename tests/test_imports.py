@@ -1,7 +1,9 @@
 """Every top-level import in ``src/`` and ``tests/`` is used by its module,
 as is every import of a package module, in a function body too, every
-top-level function and class of the package is reached, and the
-package's name table serves each public name from the module defining it.
+top-level function and class of the package is reached, the package's
+name table serves each public name from the module defining it, and every
+package module is in the grammar of the oldest Python that
+``pyproject.toml`` declares.
 
 A name counts as used when the module reads it anywhere, in code or in a
 string annotation, or when the module is a package ``__init__`` (which
@@ -11,6 +13,7 @@ names.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -70,6 +73,23 @@ def test_every_top_level_import_is_used(path):
 def test_every_package_import_is_read(path):
     """A package module reads every name it imports, in a function body too."""
     assert unused_imports(path.read_text(), nested=True) == []
+
+
+def declared_python() -> tuple[int, int]:
+    """The oldest Python that ``pyproject.toml``'s ``requires-python`` admits."""
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    return int(floor[1]), int(floor[2])
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_package_module_is_in_the_declared_python_grammar(path):
+    ast.parse(path.read_text(), feature_version=declared_python())
+
+
+def test_the_grammar_check_sees_a_newer_construct():
+    assert declared_python() == (3, 10)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=declared_python())
 
 
 def test_the_scan_sees_an_unused_import():

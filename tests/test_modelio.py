@@ -31,6 +31,7 @@ from lhvlab import (
 )
 from lhvlab.corpus import random_contextual_model
 from lhvlab.loophole import _build, _model, _mutate, _random_search_model
+from lhvlab.model import QUOTE_LIMIT, _excerpt
 from lhvlab.modelio import KINDS, ModelParseError, parse_path, parse_text, serialize, setting_text, source_text
 from test_fuzz import DOCUMENTS, REPLACEMENTS, mutate, nested_paths
 
@@ -193,6 +194,17 @@ class TestParseErrors:
         doc["bob"][0]["coords"] = [1, 3]
         self.expect_error(doc, "test.json: flat setting '\\+1' coordinate 3 lies outside the atom tuples")
 
+    @pytest.mark.parametrize("coord", ["1" + "0" * 3999, "1e300"], ids=["4000 digits", "1e300"])
+    def test_a_huge_flat_coordinate_is_quoted_cut(self, coord):
+        doc = json.loads(serialize(product_flatten(counterexample_model())))
+        text = json.dumps(doc).replace('"coords": [0, 2]', f'"coords": [{coord}, 2]', 1)
+        with pytest.raises(ModelParseError) as info:
+            parse_text(text, source="test.json")
+        shown = str(int(json.loads(coord)))[: QUOTE_LIMIT - 3] + "..."
+        assert str(info.value) == (
+            f"test.json: flat setting '+1' coordinate {shown} lies outside the atom tuples (shortest has length 6)"
+        )
+
     @pytest.mark.parametrize(
         "path, where",
         [
@@ -272,8 +284,12 @@ class TestParseErrors:
 # Re-recorded when messages began to cut the numbers they quote: 34 messages
 # that quoted a 1000-digit behavior outcome or cell whole now quote it cut;
 # every other outcome is as recorded before parse_text converted each distinct
-# number string once.
-FUZZ_MESSAGES_SHA256 = "dbe5151ff7b9cf7a03e07401b13b6d6699c5dc3c6a6059b9f7fa823085046057"
+# number string once.  Re-recorded again when the flat coordinate message began
+# to cut its coordinate: the 8 mutants that set a flat coordinate to the
+# 4001-digit integer went from 4091 to 170 characters; the other 10 417
+# outcomes are as before, and were unchanged when the parser began to hand
+# over integer pairs.
+FUZZ_MESSAGES_SHA256 = "d195951c17f1d413441ceb934156e1cc6b364a199e1058b9d1f46e22d9e1169c"
 
 
 def renamed_flat_doc():
@@ -286,7 +302,8 @@ def renamed_flat_doc():
 
 
 class TestNumberMemo:
-    """parse_text converts each distinct number string once; every check still runs per occurrence."""
+    """parse_text converts each distinct number text of a document once, a JSON integer by its decimal
+    text, to its reduced (numerator, denominator) pair; every check still runs per occurrence."""
 
     def error(self, doc):
         with pytest.raises(ModelParseError) as info:
@@ -361,8 +378,8 @@ class TestNumberMemo:
         text = serialize(counterexample_model())
         before = module_state()
         converted = []
-        real = modelio._fraction
-        monkeypatch.setattr(modelio, "_fraction", lambda token, *args: converted.append(token) or real(token, *args))
+        real = modelio.rational_parts
+        monkeypatch.setattr(modelio, "rational_parts", lambda token: converted.append(token) or real(token))
         parse_text(text)
         once = list(converted)
         parse_text(text)
@@ -371,6 +388,148 @@ class TestNumberMemo:
         # within a call one string is converted once; across calls nothing is shared
         assert "1" in once and len(once) == len(set(once))
         assert converted == once + once
+
+
+# ------------------------------------------------------------ numbers enter as integers
+
+MODEL_FIXTURES = [p for p in sorted(FIXTURES.glob("*.json")) if not p.name.endswith(".search.json")]
+
+
+def _schema_patterns(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from [value] if key == "pattern" else _schema_patterns(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _schema_patterns(value)
+
+
+# the one number pattern of the model schema; \d read as [0-9], as in JSON Schema's regex dialect
+(_NUMBER_PATTERN,) = set(_schema_patterns(json.loads((FIXTURES.parent / "schemas" / "model.schema.json").read_text())))
+SCHEMA_NUMBERS = st.one_of(
+    st.from_regex(re.compile(_NUMBER_PATTERN, re.ASCII), fullmatch=True),
+    # exponents on both sides of the bound
+    st.builds("{}e{}".format, st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,3})?", fullmatch=True), st.integers(-1500, 1500)),
+    # leading zeros keep the value and bring the token near the length bound
+    st.builds(
+        lambda token, k: re.sub(r"^-?", lambda m: m[0] + "0" * k, token, count=1),
+        st.from_regex(re.compile(_NUMBER_PATTERN, re.ASCII), fullmatch=True),
+        st.integers(980, 1010),
+    ),
+)
+
+
+def _respelled(value: str, how: int):
+    """A canonical number string spelled another way: ``how`` 0 writes kn/kd, 1 a decimal with trailing
+    zeros, 2 exact e notation, 3 a JSON integer; a zero is written -0.  A spelling that cannot hold the
+    value falls back to kn/kd."""
+    n, d = Fraction(value).as_integer_ratio()
+    if n == 0:
+        return ("-0", "-0.000", "-0e7", 0)[how]
+    # the fewest decimal places that hold n/d, when some number of them does
+    places = next((e for e in range(64) if 10**e % d == 0), None)
+    sign, digits = "-" if n < 0 else "", None
+    if places is not None:
+        digits = str(abs(n) * 10**places // d).rjust(places + 1, "0")
+    if how == 1 and digits is not None:
+        return f"{sign}{digits[: len(digits) - places]}.{digits[len(digits) - places:]}00"
+    if how == 2 and digits is not None:
+        return f"{sign}{digits}0E-{places + 1}"
+    if how == 3 and d == 1:
+        return n
+    k = 3 + how
+    return f"{k * n}/{k * d}"
+
+
+def _respell_document(node, how: int, key=None):
+    """Every number of a document spelled by :func:`_respelled`: masses, values, cell probabilities and
+    contextual outcome entries."""
+    if isinstance(node, dict):
+        return {k: _respell_document(v, how, k) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_respell_document(v, how, key) for v in node]
+    if isinstance(node, str) and key in ("mass", "value", "p", "outcomes"):
+        return _respelled(node, how)
+    return node
+
+
+def _corpus_texts(n: int, seed: int, kinds=("contextual", "product", "uniform", "averaged", "behavior")):
+    """Serialized documents of ``n`` corpus models, each of the next kind in turn that the model has."""
+    builders = {
+        "contextual": lambda m: m, "product": product_flatten, "uniform": uniform_reduce,
+        "averaged": bell_average, "behavior": behavior_from_model,
+    }
+    texts = []
+    for i, model in enumerate(corpus_models(n, seed=seed, max_source_side=3, max_instrument=2)):
+        have = [k for k in kinds if k != "behavior" or model.is_ternary()]
+        texts.append(serialize(builders[have[i % len(have)]](model)))
+    return texts
+
+
+class TestIntegersIn:
+    """Every number enters as its integer pair: its value does not depend on its spelling, and the
+    parser and the corpus build no Fraction and no Fraction-built table."""
+
+    @pytest.mark.parametrize("how", range(4))
+    def test_a_respelled_document_parses_to_the_canonical_one(self, how):
+        texts = [p.read_text() for p in MODEL_FIXTURES] + _corpus_texts(50, seed=29)
+        for text in texts:
+            doc = json.loads(text)
+            respelled = _respell_document(doc, how)
+            assert respelled != doc
+            parsed = parse_text(json.dumps(respelled))
+            assert parsed == parse_text(text)
+            assert serialize(parsed) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(SCHEMA_NUMBERS)
+    def test_a_schema_number_is_its_stdlib_fraction_or_refused_at_its_bound(self, token):
+        doc = json.loads(serialize(counterexample_model()))
+        doc["alice"][0]["outcomes"][0][0] = token
+        text = json.dumps(doc)
+        at = "at alice setting '+1' outcome ('1', '*')"
+        exponent = re.search(r"[eE]([-+]?[0-9]+)$", token)
+        if len(token) > 1000:
+            refusal = f"number token of {len(token)} characters exceeds the limit of 1000"
+        elif "/" in token and int(token.split("/")[1]) == 0:
+            refusal = f"zero denominator in {_excerpt(token)}"
+        elif exponent and abs(int(exponent[1])) > 1000:
+            refusal = f"exponent {int(exponent[1])} of {_excerpt(token)} lies outside ±1000"
+        else:
+            assert parse_text(text).alice[0].outcomes.value("1", "*") == Fraction(token)
+            return
+        with pytest.raises(ModelParseError) as info:
+            parse_text(text, source="t.json")
+        assert str(info.value) == f"t.json: {refusal} {at}"
+
+    def test_no_fraction_or_fraction_built_table_on_the_way_in(self, monkeypatch):
+        import lhvlab.model
+        import lhvlab.modelio
+
+        texts = [p.read_text() for p in MODEL_FIXTURES] + _corpus_texts(
+            24, seed=30, kinds=("contextual", "product", "uniform", "behavior")
+        )
+
+        def drawn():
+            rng = random.Random(31)
+            return [
+                random_contextual_model(rng, max_source_side=3, max_instrument=3, outcome_kind=kind)
+                for kind in ("binary", "ternary", "interval") for _ in range(4)
+            ]
+
+        want = [parse_text(text) for text in texts], drawn()
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a number entered through a Fraction")
+
+        for owner, name in [
+            (Pmf, "__init__"), (Pmf, "support"), (Pmf, "items"), (OutcomeTable, "__init__"),
+            (BehaviorTable, "__init__"), (lhvlab.model, "as_fraction"), (lhvlab.modelio, "Fraction"),
+        ]:
+            monkeypatch.setattr(owner, name, forbidden)
+        got = [parse_text(text) for text in texts], drawn()
+        monkeypatch.undo()
+        assert got == want
 
 
 # ------------------------------------------------------------ serializer oracle
