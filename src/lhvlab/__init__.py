@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 # more than the rest of the package together, loads with `montecarlo` alone.
 _MODULE_OF = {
     **dict.fromkeys((
-        "BehaviorTable", "ContextualModel", "CorrelationQuad", "DomainMismatchError", "OutcomeTable", "Pmf",
+        "Bar", "BehaviorTable", "ContextualModel", "CorrelationQuad", "DomainMismatchError", "OutcomeTable", "Pmf",
         "Setting", "ValidationReport", "as_fraction", "behavior_from_model", "correlation_quad",
         "counterexample_model", "exact_expectation", "exact_side_expectation", "validate_model",
     ), "model"),

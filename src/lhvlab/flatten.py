@@ -12,18 +12,18 @@ Three routes, all preserving the four context expectations exactly:
 
 Equality of expectations is exact rational equality, checkable with ==.
 
-All three are built and evaluated in integers, with a ``Fraction`` made
-only where a mass, cell bound or bar is read: the builders hand integer
-weights to :meth:`Pmf.from_integers`, uniform cells are cut on integer
-cumulative points, each bar and each :meth:`AveragedModel.quad` context is
-one integer sum, and :meth:`FlatModel.quad` sums each context over integer
-columns of table values at the flat pmf's support tuples.  A column is
-the table's stored numerators, over its one scale, read at each support
-tuple's key, one lookup each, so an entry no tuple reads costs nothing
-and a zero-mass atom's key need not be listed.  That evaluation walks
-the flat pmf only; it never calls the contextual kernel,
-``model.setting_rows``, that it is used to check.  The bars themselves are that kernel's
-per-label first moments.
+Both flat models are one tuple product, :func:`_tuple_product`, of the
+source pairs with a list of pmfs: the four instruments, or the two shared
+cell pmfs of :func:`_quantile_model`, whose cells are cut on integer
+cumulative points.  Weights stay integers (:meth:`Pmf.from_integers`), and
+:meth:`FlatModel.quad` sums each context over integer columns, each the
+table's stored numerators read at the support tuples' keys, one lookup
+each; an entry no tuple reads costs nothing and a zero-mass atom's key
+need not be listed.  That evaluation walks the flat pmf only and never
+calls the contextual kernel, ``model.setting_rows``, that it checks.  The
+averaged model holds that kernel's first moments as integer
+:class:`~lhvlab.model.Bar` values (``model.side_bars``), and each
+:meth:`AveragedModel.quad` context is one integer sum.
 
 :func:`product_size` and :func:`uniform_size` count the atoms a flattening
 would build, without building it, so a caller can refuse a size first.
@@ -37,9 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter, mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .model import (
+    Bar,
     ContextualModel,
     CorrelationQuad,
     Label,
@@ -47,12 +48,9 @@ from .model import (
     Pmf,
     Setting,
     SettingPairs,
-    TwoByTwo,
     _excerpt,
     _factorized_quad,
-    integer_scale,
-    setting_rows,
-    side_labels,
+    side_bars,
 )
 
 
@@ -117,31 +115,35 @@ def _column(setting: FlatSetting, lams: Sequence[tuple]) -> tuple[int, list[int]
 
 
 @dataclass(frozen=True)
-class AveragedModel(TwoByTwo):
+class AveragedModel(SettingPairs):
     """A model with the instrument variables integrated out.
 
-    ``alice_bar[name]`` maps each first source coordinate to the
-    expectation of Alice's outcome given that coordinate, and likewise
-    for Bob; both are bounded by 1 in absolute value pointwise.
+    Each side holds one :class:`~lhvlab.model.Bar` per setting: at each
+    source label of the side's coordinate, the expectation of the
+    setting's outcome given that label, as an integer over the bar's
+    scale.  ``alice_bar[name]`` and ``bob_bar[name]`` read them as
+    ``{label: Fraction}``; every value is bounded by 1 in absolute value.
     """
 
     source: Pmf
-    alice_settings: tuple[str, str]
-    bob_settings: tuple[str, str]
-    alice_bar: Mapping[str, Mapping[Label, Fraction]]
-    bob_bar: Mapping[str, Mapping[Label, Fraction]]
+    alice: tuple[Bar, Bar]
+    bob: tuple[Bar, Bar]
+
+    @property
+    def alice_bar(self) -> dict[str, dict[Label, Fraction]]:
+        return _bar_fractions(self.alice)
+
+    @property
+    def bob_bar(self) -> dict[str, dict[Label, Fraction]]:
+        return _bar_fractions(self.bob)
 
     def quad(self) -> CorrelationQuad:
         """All four expectations, each one integer dot product over the source weights."""
-        alice = [_scaled(name, self.alice_bar[name]) for name in self.alice_settings]
-        bob = [_scaled(name, self.bob_bar[name]) for name in self.bob_settings]
-        return CorrelationQuad(self.alice_settings, self.bob_settings, _factorized_quad(self.source, alice, bob))
+        return _factorized_quad(self.source, self.alice, self.bob)
 
 
-def _scaled(name: str, bar: Mapping[Label, Fraction]) -> tuple[str, int, dict[Label, int]]:
-    """A named bar's values as integers over the lcm of their denominators."""
-    scale, ints = integer_scale([v.as_integer_ratio() for v in bar.values()])
-    return name, scale, dict(zip(bar, ints))
+def _bar_fractions(bars: Sequence[Bar]) -> dict[str, dict[Label, Fraction]]:
+    return {name: {lab: Fraction(v, scale) for lab, v in values.items()} for name, scale, values in bars}
 
 
 def product_size(model: ContextualModel) -> int:
@@ -165,35 +167,30 @@ def product_flatten(model: ContextualModel) -> FlatModel:
     exactly.  Each instrument must be a pmf (:func:`_require_pmfs`).
     """
     _require_pmfs(model.alice, model.bob)
-    ax, ax2 = model.alice
-    by, by2 = model.bob
+    return _tuple_product(model, [s.instrument for s in model.alice + model.bob], (2, 3, 4, 5))
+
+
+def _tuple_product(model: ContextualModel, spaces: Sequence[Pmf], coords: Sequence[int]) -> FlatModel:
+    """The flat model on the source pairs times ``spaces``, one tuple per support atom.
+
+    A tuple is (l1, l2) followed by one label per space, in source-major
+    then ``spaces`` order, and weighs the product of its atoms' weights
+    over the product of the scales.  Alice's settings, then Bob's, read
+    their own source coordinate and the tuple coordinate at ``coords``.
+    """
     src_scale, src = model.source.integer_weights()
-    (sa, inst_ax), (sa2, inst_ax2), (sb, inst_by), (sb2, inst_by2) = (
-        s.instrument.integer_weights() for s in (ax, ax2, by, by2)
-    )
-    scale = src_scale * sa * sa2 * sb * sb2
-    # one comprehension; each "for w in [...]" binds a partial product once per outer atom
-    atoms = [
-        ((l1, l2, la, la2, lb, lb2), w3 * wb2)
-        for (l1, l2), w_src in src
-        for la, wa in inst_ax
-        for w1 in [w_src * wa]
-        for la2, wa2 in inst_ax2
-        for w2 in [w1 * wa2]
-        for lb, wb in inst_by
-        for w3 in [w2 * wb]
-        for lb2, wb2 in inst_by2
-    ]
+    # the spaces' product is the same for every source pair, so it is built once
+    scale, rest = src_scale, [((), 1)]
+    for pmf in spaces:
+        space_scale, space = pmf.integer_weights()
+        scale *= space_scale
+        rest = [(lam + (lab,), w * wl) for lam, w in rest for lab, wl in space]
+    # unpacking each source label checks that it is a pair
+    atoms = [(pair + lam, w_src * w) for (l1, l2), w_src in src for pair in [(l1, l2)] for lam, w in rest]
     lambda_pmf = Pmf.from_integers(scale, atoms)
-    alice = (
-        FlatSetting(ax.name, (0, 2), ax.outcomes),
-        FlatSetting(ax2.name, (0, 3), ax2.outcomes),
-    )
-    bob = (
-        FlatSetting(by.name, (1, 4), by.outcomes),
-        FlatSetting(by2.name, (1, 5), by2.outcomes),
-    )
-    return FlatModel(lambda_pmf, alice, bob)
+    # the k-th setting, Alice's two then Bob's, reads source coordinate k // 2
+    flat = [FlatSetting(s.name, (k // 2, c), s.outcomes) for k, (s, c) in enumerate(zip(model.alice + model.bob, coords))]
+    return FlatModel(lambda_pmf, tuple(flat[:2]), tuple(flat[2:]))
 
 
 def _quantile_cells(first: Pmf, second: Pmf) -> tuple[int, list[int], list[list[Label]]]:
@@ -278,22 +275,7 @@ def uniform_reduce(model: ContextualModel) -> FlatModel:
     match the original model exactly.
     """
     quantile = _quantile_model(model)
-    src_scale, src = quantile.source.integer_weights()
-    scale_a, cells_a = quantile.alice[0].instrument.integer_weights()
-    scale_b, cells_b = quantile.bob[0].instrument.integer_weights()
-    atoms = [
-        ((l1, l2, u1, u2), w * wb)
-        for (l1, l2), w_src in src
-        for u1, wa in cells_a
-        for w in [w_src * wa]
-        for u2, wb in cells_b
-    ]
-    lambda_pmf = Pmf.from_integers(src_scale * scale_a * scale_b, atoms)
-    alice, bob = (
-        tuple(FlatSetting(s.name, (coord, coord + 2), s.outcomes) for s in side)
-        for coord, side in enumerate((quantile.alice, quantile.bob))
-    )
-    return FlatModel(lambda_pmf, alice, bob)
+    return _tuple_product(quantile, [quantile.alice[0].instrument, quantile.bob[0].instrument], (2, 2, 3, 3))
 
 
 def bell_average(model: ContextualModel) -> AveragedModel:
@@ -301,7 +283,8 @@ def bell_average(model: ContextualModel) -> AveragedModel:
 
     The averaged outcome for Alice's setting a at source label l1 is
     sum over la of A_a(l1, la) p_a(la), the first moment that
-    :func:`~lhvlab.model.setting_rows` gives at l1; likewise for Bob.
+    :func:`~lhvlab.model.setting_rows` gives at l1, as the bars of
+    :func:`~lhvlab.model.side_bars`; likewise for Bob.
     The averaged model's expectations equal the original's for every
     context, and every averaged value is bounded by 1 in absolute value.
     Fractional outcome tables are welcome (averaging is linear), so the
@@ -309,20 +292,4 @@ def bell_average(model: ContextualModel) -> AveragedModel:
     (:func:`_require_pmfs`).
     """
     _require_pmfs(model.alice, model.bob)
-
-    def bars(side, settings) -> dict[str, dict[Label, Fraction]]:
-        labels = side_labels(model, side)
-        out: dict[str, dict[Label, Fraction]] = {}
-        for setting in settings:
-            scale, atoms = setting.instrument.integer_weights()
-            vscale, rows = setting_rows(setting, labels, atoms)
-            out[setting.name] = {lab: Fraction(first, scale * vscale) for lab, (_det, first) in rows.items()}
-        return out
-
-    return AveragedModel(
-        source=model.source,
-        alice_settings=model.alice_settings,
-        bob_settings=model.bob_settings,
-        alice_bar=bars("alice", model.alice),
-        bob_bar=bars("bob", model.bob),
-    )
+    return AveragedModel(model.source, side_bars(model, "alice"), side_bars(model, "bob"))

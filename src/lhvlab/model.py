@@ -11,15 +11,17 @@ Exact numbers are projections of one product measure, source x
 instrument_a x instrument_b, computed in integers.  One kernel,
 :func:`setting_rows`, integrates one setting's instrument out per source
 label: each label's detected weight and first moment, over the
-``(atom, weight)`` pairs its caller passes.  Given the source pair the
-two sides' outcomes are independent, so :func:`correlation_quad`
-factorizes through the source pair: each context is the source-weighted
-sum of the two sides' first moments.  :func:`exact_side_expectation`,
-``flatten.bell_average``, ``loophole.detection_rates`` and the search's
-integer state read the kernel too.  :func:`behavior_from_model`, the one
-projection that needs joint cells, keeps its own per-label count of each
-outcome value in first-appearance order, since the cell order it writes
-is not a function of the kernel's pair; it hands each context's
+``(atom, weight)`` pairs its caller passes.  :func:`side_bars` gives a
+side's first moments as one integer :class:`Bar` per setting.  Given the
+source pair the two sides' outcomes are independent, so
+:func:`correlation_quad` factorizes through the source pair: each context
+is the source-weighted sum of the two sides' bars, which
+``flatten.bell_average`` keeps as its averaged model.
+:func:`exact_side_expectation`, ``loophole.detection_rates`` and the
+search's integer state read the kernel too.  :func:`behavior_from_model`,
+the one projection that needs joint cells, keeps its own per-label count
+of each outcome value in first-appearance order, since the cell order it
+writes is not a function of the kernel's pair; it hands each context's
 ``(x, y)`` cells to :class:`BehaviorTable` as integers.  Callers build
 one Fraction per reported number.
 :func:`exact_expectation` sums term by term over every hidden variable
@@ -46,7 +48,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 Label = Hashable
 Context = tuple[str, str]
@@ -667,43 +669,51 @@ def exact_side_expectation(model: ContextualModel, side: str, setting_name: str)
     return Fraction(sum(w * rows[pair[coord]][1] for pair, w in src), src_scale * scale * vscale)
 
 
+class Bar(NamedTuple):
+    """One setting's averaged outcome per source label, ``values[label] / scale``, reduced by the gcd."""
+
+    name: str
+    scale: int
+    values: dict[Label, int]
+
+
+def side_bars(model: ContextualModel, side: str) -> tuple[Bar, ...]:
+    """One :class:`Bar` per setting of a side: its :func:`setting_rows` first moment at each source label."""
+    labels = side_labels(model, side)
+    bars = []
+    for s in getattr(model, side):
+        scale, atoms = s.instrument.integer_weights()
+        vscale, rows = setting_rows(s, labels, atoms)
+        scale *= vscale
+        g = math.gcd(scale, *(first for _det, first in rows.values()))
+        bars.append(Bar(s.name, scale // g, {lab: first // g for lab, (_det, first) in rows.items()}))
+    return tuple(bars)
+
+
 def correlation_quad(model: ContextualModel) -> CorrelationQuad:
     """All four context expectations, factorized through the source pair.
 
     Given (lambda1, lambda2) the two sides' outcomes are independent, so
     E(A_a B_b) is the sum over the source support of p(lambda1, lambda2)
-    times each side's outcome averaged over its own instrument, the first
-    moments of :func:`setting_rows`: :func:`_factorized_quad`, one
-    integer sum and one Fraction per context.
+    times each side's outcome averaged over its own instrument, the bars
+    of :func:`side_bars`: :func:`_factorized_quad`, one integer sum and
+    one Fraction per context.
     """
-
-    def firsts(side: str, settings) -> list:
-        labels = side_labels(model, side)
-        out = []
-        for s in settings:
-            scale, atoms = s.instrument.integer_weights()
-            vscale, rows = setting_rows(s, labels, atoms)
-            out.append((s.name, scale * vscale, {lab: first for lab, (_det, first) in rows.items()}))
-        return out
-
-    quad = _factorized_quad(model.source, firsts("alice", model.alice), firsts("bob", model.bob))
-    return CorrelationQuad(model.alice_settings, model.bob_settings, quad)
+    return _factorized_quad(model.source, side_bars(model, "alice"), side_bars(model, "bob"))
 
 
-def _factorized_quad(source: Pmf, alice: Sequence[tuple], bob: Sequence[tuple]) -> dict[Context, Fraction]:
+def _factorized_quad(source: Pmf, alice: Sequence[Bar], bob: Sequence[Bar]) -> CorrelationQuad:
     """Sum over the source support of p(l1, l2) * Abar(l1) * Bbar(l2), per context, in Alice-major order.
 
-    Each side lists its settings as ``(name, scale, {label: value})``, the
-    bar's value at each source label an integer over ``scale``; one
-    integer sum and one Fraction per context.  ``correlation_quad``
-    passes the first moments, ``AveragedModel.quad`` its bars.
+    One integer sum and one Fraction per context.  ``correlation_quad``
+    passes :func:`side_bars`, ``AveragedModel.quad`` its stored bars.
     """
     src_scale, src = source.integer_weights()
     quad = {}
     for a_name, a_scale, a in alice:
         for b_name, b_scale, b in bob:
             quad[a_name, b_name] = Fraction(sum(w * a[l1] * b[l2] for (l1, l2), w in src), src_scale * a_scale * b_scale)
-    return quad
+    return CorrelationQuad(tuple(bar.name for bar in alice), tuple(bar.name for bar in bob), quad)
 
 
 def counterexample_model() -> ContextualModel:

@@ -17,10 +17,11 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Sequence, Union
 
 from .flatten import AveragedModel, FlatModel, FlatSetting
 from .model import (
+    Bar,
     BehaviorTable,
     ContextualModel,
     Label,
@@ -266,14 +267,12 @@ def _flat_text(model: FlatModel) -> str:
 
 
 def _averaged_text(model: AveragedModel) -> str:
-    def setting(name: str, bar: Mapping[Label, Fraction]) -> str:
-        values = [_object_text("        ", label=_quote(_label_str(lab)), value='"%s"' % v) for lab, v in bar.items()]
-        return _object_text("    ", setting=_quote(name), bar=_list_text(values, "      "))
+    def setting(name: str, scale: int, values: dict) -> str:
+        texts = [_object_text("        ", label=_quote(_label_str(lab)), value=_mass_text(v, scale))
+                 for lab, v in values.items()]
+        return _object_text("    ", setting=_quote(name), bar=_list_text(texts, "      "))
 
-    alice, bob = (
-        _list_text([setting(name, bars[name]) for name in names], "  ")
-        for names, bars in ((model.alice_settings, model.alice_bar), (model.bob_settings, model.bob_bar))
-    )
+    alice, bob = (_list_text([setting(*bar) for bar in side], "  ") for side in (model.alice, model.bob))
     return _object_text("", kind='"averaged"', source=source_text(model.source), alice=alice, bob=bob) + "\n"
 
 
@@ -504,39 +503,36 @@ def _parse_averaged(doc: dict, source: str, numbers: Numbers) -> AveragedModel:
     _require_keys(doc, {"kind", "source", "alice", "bob"}, {"source", "alice", "bob"}, "averaged model", source)
     src = _parse_source(doc, source, numbers)
 
-    def parse_side(side: str, coord: int):
+    def parse_side(side: str, coord: int) -> tuple[Bar, ...]:
         # the source labels this side's bars are evaluated at
         labels = dict.fromkeys(pair[coord] for pair, _w in src.integer_weights()[1])
-        names = []
-        bars = {}
+        bars = []
         for sdoc in _require_list(doc[side], side, source):
             _require_keys(sdoc, {"setting", "bar"}, {"setting", "bar"}, f"{side} setting", source)
             name = _parse_label(sdoc["setting"], f"{side} setting name", source)
             shown = _excerpt(name)
-            names.append(name)
-            bar = {}
+            values = {}
             for i, e in enumerate(_require_list(sdoc["bar"], f"{side} setting {shown} bar", source)):
                 _require_keys(e, {"label", "value"}, {"label", "value"}, f"{shown} bar {i}", source)
                 label = _parse_label(e["label"], f"{side} setting {shown} bar {i} label", source)
-                if label in bar:
+                if label in values:
                     raise ModelParseError(
                         f"{source}: {side} setting {shown} bar label {_excerpt(label)} is listed twice"
                     )
-                bar[label] = Fraction(*_parse_unit(e["value"], f"{side} setting {shown} bar {i}", source, numbers))
-            missing = [lab for lab in labels if lab not in bar]
+                values[label] = _parse_unit(e["value"], f"{side} setting {shown} bar {i}", source, numbers)
+            missing = [lab for lab in labels if lab not in values]
             if missing:
                 raise ModelParseError(
                     f"{source}: {side} setting {shown} bar has no value for source label {_excerpt(missing[0])}"
                 )
-            bars[name] = bar
-        if len(names) != 2:
+            scale, ints = integer_scale(list(values.values()))
+            bars.append(Bar(name, scale, dict(zip(values, ints))))
+        if len(bars) != 2:
             raise ModelParseError(f"{source}: {side} needs exactly 2 settings")
-        _require_distinct(names, side, source)
-        return tuple(names), bars
+        _require_distinct([bar.name for bar in bars], side, source)
+        return tuple(bars)
 
-    alice_names, alice_bar = parse_side("alice", 0)
-    bob_names, bob_bar = parse_side("bob", 1)
-    return AveragedModel(src, alice_names, bob_names, alice_bar, bob_bar)
+    return AveragedModel(src, parse_side("alice", 0), parse_side("bob", 1))
 
 
 def _parse_behavior(doc: dict, source: str, numbers: Numbers) -> BehaviorTable:

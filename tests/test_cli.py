@@ -1295,7 +1295,7 @@ class TestPlumbing:
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout)
         assert report["numpy"] == []
-        assert set(report["all"]) == PUBLIC_NAMES and len(report["all"]) == 70
+        assert set(report["all"]) == PUBLIC_NAMES and len(report["all"]) == 71
         assert report["unbound"] == []
         assert report["lazy"] is True
 
@@ -1330,10 +1330,11 @@ class TestPlumbing:
 
 # lhvlab.__all__: the 76 names the package once imported eagerly, less the six that only
 # tests reached (NonlocalPairModel, FactorizationReport, is_setting_factorizable,
-# nonlocal_quad, finite_sample_bound, refine_breakpoints), removed on purpose; the package
-# now serves every name and submodule on first use, from its name table, and must keep these 70
+# nonlocal_quad, finite_sample_bound, refine_breakpoints), removed on purpose, plus Bar, the
+# averaged model's per-setting type; the package now serves every name and submodule on first
+# use, from its name table, and must keep these 71
 PUBLIC_NAMES = {
-    "AngleSet", "AveragedModel", "BehaviorTable", "ChshCombination", "ChshReport", "ContextualModel",
+    "AngleSet", "AveragedModel", "Bar", "BehaviorTable", "ChshCombination", "ChshReport", "ContextualModel",
     "CorrelationEstimate", "CorrelationQuad", "CouplingSamples", "DagModel", "DetectionReport",
     "DomainMismatchError", "FlatModel", "FlatSetting", "IndependenceReport",
     "InternalInconsistencyError", "JointDistribution16", "JointSearchResult", "ModelParseError",

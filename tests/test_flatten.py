@@ -70,6 +70,51 @@ class TestProductFlatten:
             assert product_size(m) == len(product_flatten(m).lambda_pmf)
 
 
+def brute_tuple_product(model, spaces):
+    """``(tuple, mass)`` of every atom of the source pairs times ``spaces``, in Fractions from ``support()``,
+    source-major and then each space in turn."""
+    atoms = list(model.source.support())
+    for pmf in spaces:
+        atoms = [(lam + (lab,), m * p) for lam, m in atoms for lab, p in pmf.support()]
+    return atoms
+
+
+class TestTupleProduct:
+    """Both flat models against an atom-by-atom Fraction product of the supports they are built on."""
+
+    @staticmethod
+    def models():
+        rng = random.Random(30)
+        drawn = [
+            random_contextual_model(rng, max_source_side=3, max_instrument=3, outcome_kind=kind)
+            for kind in ("binary", "ternary", "interval") for _ in range(15)
+        ]
+        # some drawn pmfs list atoms of zero mass, which no tuple may carry
+        pmfs = [pmf for m in drawn for pmf in [m.source] + [s.instrument for s in m.alice + m.bob]]
+        assert any(0 in pmf.integer_atoms()[1].values() for pmf in pmfs)
+        # the counterexample's four settings share one point instrument object
+        counter = counterexample_model()
+        assert len({id(s.instrument) for s in counter.alice + counter.bob}) == 1
+        return [counter] + drawn
+
+    @staticmethod
+    def assert_built_on(flat, model, spaces, coords):
+        assert list(flat.lambda_pmf.items()) == brute_tuple_product(model, spaces)
+        for k, (setting, s) in enumerate(zip(flat.alice + flat.bob, model.alice + model.bob)):
+            assert (setting.name, setting.coords, setting.outcomes) == (s.name, (k // 2, coords[k]), s.outcomes)
+
+    def test_product_flatten(self):
+        for m in self.models():
+            instruments = [s.instrument for s in m.alice + m.bob]
+            self.assert_built_on(product_flatten(m), m, instruments, (2, 3, 4, 5))
+
+    def test_uniform_reduce(self):
+        for m in self.models():
+            quantile = _quantile_model(m)
+            spaces = [quantile.alice[0].instrument, quantile.bob[0].instrument]
+            self.assert_built_on(uniform_reduce(m), quantile, spaces, (2, 2, 3, 3))
+
+
 class TestRefineBreakpoints:
     """The common refinement of two pmfs' cumulative breakpoints: :func:`_quantile_cells`."""
 
@@ -271,7 +316,6 @@ def test_flat_quad_with_no_support_is_zero():
 
 def test_flat_quad_is_independent_of_contextual_kernel(monkeypatch):
     """The flat quads check the kernel, so they must not be computed by it."""
-    import lhvlab.flatten
     import lhvlab.loophole
     import lhvlab.model
 
@@ -281,7 +325,7 @@ def test_flat_quad_is_independent_of_contextual_kernel(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("flat evaluation called the contextual kernel")
 
-    for module in (lhvlab.model, lhvlab.flatten, lhvlab.loophole):
+    for module in (lhvlab.model, lhvlab.loophole):
         monkeypatch.setattr(module, "setting_rows", forbidden)
     for flat in flats:
         assert flat.quad().values == brute_flat_quad(flat).values

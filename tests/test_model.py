@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lhvlab.flatten
 import lhvlab.loophole
 import lhvlab.model
 from conftest import (
@@ -125,7 +124,7 @@ class TestExactExpectation:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("a reference oracle called the contextual kernel")
 
-        for module in (lhvlab.model, lhvlab.flatten, lhvlab.loophole):
+        for module in (lhvlab.model, lhvlab.loophole):
             monkeypatch.setattr(module, "setting_rows", forbidden)
         monkeypatch.setattr(lhvlab.model, "_factorized_quad", forbidden)
         for m, quad in zip(models, quads):
@@ -300,7 +299,7 @@ class TestSettingRows:
         def stub(*_args):
             raise Routed
 
-        for module in (lhvlab.model, lhvlab.flatten, lhvlab.loophole):
+        for module in (lhvlab.model, lhvlab.loophole):
             monkeypatch.setattr(module, "setting_rows", stub)
         m = counterexample_model()
         readers = {

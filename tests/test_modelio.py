@@ -12,6 +12,7 @@ from conftest import _contextual_doc, brute_serialize, corpus_models
 from lhvlab import (
     AngleSet,
     AveragedModel,
+    Bar,
     BehaviorTable,
     ContextualModel,
     FlatModel,
@@ -31,7 +32,7 @@ from lhvlab import (
 )
 from lhvlab.corpus import random_contextual_model
 from lhvlab.loophole import _build, _model, _mutate, _random_search_model
-from lhvlab.model import QUOTE_LIMIT, _excerpt
+from lhvlab.model import QUOTE_LIMIT, _excerpt, integer_scale
 from lhvlab.modelio import KINDS, ModelParseError, parse_path, parse_text, serialize, setting_text, source_text
 from test_fuzz import DOCUMENTS, REPLACEMENTS, mutate, nested_paths
 
@@ -70,10 +71,18 @@ class TestRoundTrip:
         assert again.quad().ordered() == (1, 0, 0, -1)
 
     def test_averaged_model_roundtrips(self):
-        am = bell_average(counterexample_model())
-        again = parse_text(serialize(am))
-        assert isinstance(again, AveragedModel)
-        assert again == am
+        """The parser's bars equal ``side_bars``' own on corpus models of every outcome kind:
+        both are reduced by their gcd."""
+        rng = random.Random(73)
+        models = [counterexample_model()] + [
+            random_contextual_model(rng, max_source_side=3, max_instrument=3, outcome_kind=kind)
+            for kind in ("binary", "ternary", "interval") for _ in range(30)
+        ]
+        for m in models:
+            am = bell_average(m)
+            again = parse_text(serialize(am))
+            assert isinstance(again, AveragedModel)
+            assert again == am
 
     def test_behavior_roundtrips(self):
         b = quantum_singlet_behavior(AngleSet.chsh_optimal())
@@ -507,7 +516,7 @@ class TestIntegersIn:
         import lhvlab.modelio
 
         texts = [p.read_text() for p in MODEL_FIXTURES] + _corpus_texts(
-            24, seed=30, kinds=("contextual", "product", "uniform", "behavior")
+            30, seed=30, kinds=("contextual", "product", "uniform", "averaged", "behavior")
         )
 
         def drawn():
@@ -613,13 +622,14 @@ def awkward_flats(draw):
 def awkward_averaged(draw):
     """Averaged models built directly, with bars over any labels and sides of up to two settings."""
     pairs = draw(st.lists(st.tuples(LABELS, LABELS), max_size=4, unique=True))
-    sides = []
-    for _side in range(2):
-        names = draw(NAMES)
-        labels = {name: draw(st.lists(LABELS, max_size=3, unique=True)) for name in names}
-        sides.append((names, {name: {lab: draw(UNIT_VALUES) for lab in labels[name]} for name in names}))
-    (alice, alice_bar), (bob, bob_bar) = sides
-    return AveragedModel(Pmf({pair: draw(UNIT_VALUES) for pair in pairs}), alice, bob, alice_bar, bob_bar)
+
+    def bar(name):
+        values = {lab: draw(UNIT_VALUES) for lab in draw(st.lists(LABELS, max_size=3, unique=True))}
+        scale, ints = integer_scale([v.as_integer_ratio() for v in values.values()])
+        return Bar(name, scale, dict(zip(values, ints)))
+
+    alice, bob = (tuple(bar(name) for name in draw(NAMES)) for _side in range(2))
+    return AveragedModel(Pmf({pair: draw(UNIT_VALUES) for pair in pairs}), alice, bob)
 
 
 @st.composite
