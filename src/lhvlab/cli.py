@@ -24,6 +24,7 @@ from .model import (
     CorrelationQuad,
     Pmf,
     _cut,
+    _excerpt,
     as_fraction,
     behavior_from_model,
     correlation_quad,
@@ -490,10 +491,10 @@ def _cmd_demo_quantum(args) -> tuple[Any, int]:
         try:
             radians = [float(p) for p in parts]
         except ValueError:
-            raise UsageError(f"malformed angle in {args.angles!r}")
+            raise UsageError(f"malformed angle in {_excerpt(args.angles)}")
         for part, value in zip(parts, radians):
             if not math.isfinite(value):
-                raise UsageError(f"--angles must be finite, got {part.strip()}")
+                raise UsageError(f"--angles must be finite, got {_cut(part.strip())}")
         angles = AngleSet(*radians)
     else:
         angles = AngleSet.chsh_optimal()

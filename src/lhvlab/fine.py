@@ -11,13 +11,12 @@ other.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .chsh import ChshCombination, _flip_sums
-from .model import BehaviorTable, Context, ContextualModel, _cut, _excerpt, integer_scale
+from .model import BehaviorTable, Context, ContextualModel, _OverScale, _cut, _excerpt, _scale_gcd, integer_scale
 from .simplex import find_feasible
 from . import flatten as _flatten
 
@@ -43,14 +42,15 @@ class InternalInconsistencyError(RuntimeError):
     """The LP and the inequality test disagreed; one of them is buggy."""
 
 
-class JointDistribution16:
+class JointDistribution16(_OverScale):
     """A pmf over the 16 sign patterns of (A_x, A_x', B_y, B_y').
 
     Nonnegativity and exact unit total are enforced on construction.
     Coordinates follow (alice_settings[0], alice_settings[1],
     bob_settings[0], bob_settings[1]).  The masses are stored as integer
-    weights over one positive scale, reduced by their gcd; :attr:`mass`
-    and :meth:`prob` build the Fractions when read.
+    weights over one positive scale, reduced by their gcd as in the other
+    exact types of :mod:`lhvlab.model`, whose base gives the slot-wise
+    ``==``; :attr:`mass` and :meth:`prob` build the Fractions when read.
     """
 
     __slots__ = ("alice_settings", "bob_settings", "_scale", "_weights")
@@ -77,12 +77,12 @@ class JointDistribution16:
         return joint
 
     def _set(self, alice_settings, bob_settings, scale: int, weights: list[int]) -> None:
+        g = _scale_gcd("joint distribution", scale, weights)
         if min(weights) < 0:
             raise ValueError("negative mass in joint distribution")
         total = sum(weights)
         if total != scale:
             raise ValueError(f"joint distribution mass sums to {Fraction(total, scale)}, not 1")
-        g = math.gcd(scale, *weights)
         self.alice_settings = alice_settings
         self.bob_settings = bob_settings
         self._scale = scale // g
@@ -95,13 +95,6 @@ class JointDistribution16:
 
     def prob(self, pattern: tuple[int, int, int, int]) -> Fraction:
         return Fraction(self._weights[_INDEX[pattern]], self._scale)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, JointDistribution16) and all(
-            getattr(self, name) == getattr(other, name) for name in JointDistribution16.__slots__
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def marginalize_context(

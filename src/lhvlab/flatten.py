@@ -51,6 +51,7 @@ from .model import (
     _excerpt,
     _factorized_quad,
     side_bars,
+    source_labels,
 )
 
 
@@ -261,8 +262,8 @@ def _quantile_model(model: ContextualModel) -> ContextualModel:
             for s, atoms in zip(settings, cell_atoms)
         )
 
-    alice = side(model.alice, model.source_first_labels())
-    bob = side(model.bob, model.source_second_labels())
+    alice = side(model.alice, source_labels(model.source, 0))
+    bob = side(model.bob, source_labels(model.source, 1))
     return ContextualModel(model.source, alice, bob)
 
 

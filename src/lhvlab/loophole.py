@@ -30,7 +30,7 @@ from .model import (
     correlation_quad,
     require_point_outcomes,
     setting_rows,
-    side_labels,
+    source_labels,
 )
 
 DETECTION_THRESHOLD = Fraction(2, 3)
@@ -124,16 +124,16 @@ def detection_rates(model: ContextualModel) -> DetectionReport:
     """
     src_scale, src = model.source.integer_weights()
 
-    def side_rates(coord: int, side: str) -> dict[str, Fraction]:
-        labels = side_labels(model, side)
+    def side_rates(coord: int) -> dict[str, Fraction]:
+        labels = source_labels(model.source, coord)
         rates = {}
-        for s in getattr(model, side):
+        for s in (model.alice, model.bob)[coord]:
             scale, atoms = s.instrument.integer_weights()
             _vscale, rows = setting_rows(s, labels, atoms)
             rates[s.name] = Fraction(sum(w * rows[pair[coord]][0] for pair, w in src), src_scale * scale)
         return rates
 
-    return DetectionReport(side_rates(0, "alice"), side_rates(1, "bob"))
+    return DetectionReport(side_rates(0), side_rates(1))
 
 
 @dataclass

@@ -4,8 +4,10 @@ The central object is :class:`ContextualModel`: a source distribution over
 hidden-variable pairs, plus two measurement settings per side, each carrying
 its own instrument distribution and outcome table.  Numbers are exact: a
 :class:`Pmf`, an :class:`OutcomeTable` and a :class:`BehaviorTable` each
-hold integers over one common denominator, and a ``Fraction`` is made
-only where a number leaves the API.
+hold integers over one positive scale, reduced by :func:`_scale_gcd` and
+compared slot by slot by their base :class:`_OverScale`, and a
+``Fraction`` is made only where a number leaves the API.
+:func:`source_labels` lists the labels at one source coordinate.
 
 Exact numbers are projections of one product measure, source x
 instrument_a x instrument_b, computed in integers.  One kernel,
@@ -138,16 +140,34 @@ def integer_scale(ratios: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
     return scale, [n * (scale // d) for n, d in ratios]
 
 
+def _scale_gcd(kind: str, scale: int, values: Iterable[int]) -> int:
+    """The gcd of ``scale`` and ``values``, which the caller divides them by; ``scale`` must be positive."""
+    if scale <= 0:
+        raise ValueError(f"{kind} scale must be positive, got {scale}")
+    return math.gcd(scale, *values)
+
+
+class _OverScale:
+    """Integers over one positive scale reduced by :func:`_scale_gcd`, so ``==`` compares the ``__slots__`` one by one."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class DomainMismatchError(LookupError):
     """An outcome-table lookup fell outside the table's domain."""
 
 
-class Pmf:
+class Pmf(_OverScale):
     """A finite probability mass function over opaque labels.
 
     Labels may be any hashable token.  The masses are stored as integer
     weights over their lcm denominator, ``scale``; a ``Fraction`` is made
-    only where a mass is read (:meth:`items`, :meth:`mass`, ...).
+    only where a mass is read (:meth:`items`, :meth:`support`, :meth:`total`).
     Construction does not enforce normalization (so that ill-formed
     models can be built and then diagnosed by :func:`validate_model`);
     use :meth:`is_normalized` or the validator to check it.
@@ -169,9 +189,7 @@ class Pmf:
             seen: set = set()
             label = next(lab for lab, _w in atoms if lab in seen or seen.add(lab))
             raise ValueError(f"duplicate pmf label {_excerpt(label)}")
-        if scale <= 0:
-            raise ValueError(f"pmf scale must be positive, got {scale}")
-        g = math.gcd(scale, *weights.values())
+        g = _scale_gcd("pmf", scale, weights.values())
         if g > 1:
             scale //= g
             weights = {lab: w // g for lab, w in weights.items()}
@@ -197,9 +215,6 @@ class Pmf:
 
     def labels(self) -> tuple[Label, ...]:
         return tuple(self._weights)
-
-    def mass(self, label: Label) -> Fraction:
-        return Fraction(self._weights.get(label, 0), self._scale)
 
     def items(self) -> Iterator[tuple[Label, Fraction]]:
         scale = self._scale
@@ -235,14 +250,11 @@ class Pmf:
     def __len__(self) -> int:
         return len(self._weights)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Pmf) and (self._scale, self._weights) == (other._scale, other._weights)
-
     def __repr__(self) -> str:
         return f"Pmf({dict(self.items())!r})"
 
 
-class OutcomeTable:
+class OutcomeTable(_OverScale):
     """Measurement outcomes indexed by (source label, instrument label).
 
     Values are rationals in [-1, +1], stored as integer ``numerators`` in
@@ -266,9 +278,7 @@ class OutcomeTable:
         cls, scale: int, numerators: Mapping[tuple[Label, Label], int], ternary: bool = False
     ) -> "OutcomeTable":
         """The table with value ``numerators[key] / scale`` at each key; ``scale`` must be positive."""
-        if scale <= 0:
-            raise ValueError(f"outcome table scale must be positive, got {scale}")
-        g = math.gcd(scale, *numerators.values())
+        g = _scale_gcd("outcome table", scale, numerators.values())
         table = cls.__new__(cls)
         table.scale, table.numerators, table.ternary = scale // g, {k: n // g for k, n in numerators.items()}, ternary
         return table
@@ -303,11 +313,6 @@ class OutcomeTable:
 
     def has_zero(self) -> bool:
         return 0 in self.numerators.values()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OutcomeTable) and all(
-            getattr(self, name) == getattr(other, name) for name in OutcomeTable.__slots__
-        )
 
     def __repr__(self) -> str:
         entries = {key: Fraction(n, self.scale) for key, n in self.numerators.items()}
@@ -359,8 +364,8 @@ class Setting:
     outcomes: OutcomeTable
 
 
-def _coordinate_labels(source: Pmf, coord: int) -> tuple[Label, ...]:
-    """The distinct labels at one coordinate of a source's pairs, in first-appearance order."""
+def source_labels(source: Pmf, coord: int) -> tuple[Label, ...]:
+    """The distinct labels at one coordinate of a source's pairs, 0 for Alice's and 1 for Bob's, in first-appearance order."""
     return tuple(dict.fromkeys(pair[coord] for pair in source.labels()))
 
 
@@ -377,12 +382,6 @@ class ContextualModel(SettingPairs):
     source: Pmf
     alice: tuple[Setting, Setting]
     bob: tuple[Setting, Setting]
-
-    def source_first_labels(self) -> tuple[Label, ...]:
-        return _coordinate_labels(self.source, 0)
-
-    def source_second_labels(self) -> tuple[Label, ...]:
-        return _coordinate_labels(self.source, 1)
 
     def is_ternary(self) -> bool:
         return any(s.outcomes.ternary for s in self.alice + self.bob)
@@ -415,7 +414,7 @@ def cells_over_one_scale(ratios: Mapping[Context, Mapping]) -> tuple[int, dict]:
     return scale, {ctx: {cell: next(weight) for cell in cells} for ctx, cells in ratios.items()}
 
 
-class BehaviorTable(TwoByTwo):
+class BehaviorTable(_OverScale, TwoByTwo):
     """The experimentally accessible object: P(x, y | a, b) per context.
 
     ``outcomes`` is the shared outcome alphabet, (-1, 1) or (-1, 0, 1).
@@ -423,7 +422,7 @@ class BehaviorTable(TwoByTwo):
     ``scale`` for the whole table, reduced by their gcd, with each
     context's cells in the order given and explicit zero cells kept; a
     ``Fraction`` is made only where a probability is read (:attr:`probs`,
-    :meth:`prob`, :meth:`context_pmf`, :meth:`marginal`, :meth:`quad`).
+    :meth:`prob`, :meth:`context_pmf`, :meth:`quad`).
     Construction does not enforce normalization; :meth:`is_normalized`
     checks it.
     """
@@ -456,9 +455,7 @@ class BehaviorTable(TwoByTwo):
         return table
 
     def _set(self, alice_settings, bob_settings, outcomes, scale: int, cells: Mapping[Context, Mapping]) -> None:
-        if scale <= 0:
-            raise ValueError(f"behavior scale must be positive, got {scale}")
-        g = math.gcd(scale, *(w for pmf in cells.values() for w in pmf.values()))
+        g = _scale_gcd("behavior", scale, (w for pmf in cells.values() for w in pmf.values()))
         self.alice_settings, self.bob_settings, self.outcomes = alice_settings, bob_settings, outcomes
         self._scale = scale // g
         self._cells = {ctx: {cell: w // g for cell, w in pmf.items()} for ctx, pmf in cells.items()}
@@ -481,7 +478,7 @@ class BehaviorTable(TwoByTwo):
         return self._scale, {ctx: dict(pmf) for ctx, pmf in self._cells.items()}
 
     def integer_marginal(self, context: Context, coord: int) -> dict[int, int]:
-        """:meth:`marginal` as integer weights over :attr:`scale`."""
+        """One side's outcome weights over :attr:`scale` in a context: ``coord`` 0 for Alice's, 1 for Bob's."""
         out = dict.fromkeys(self.outcomes, 0)
         for cell, w in self._cells[context].items():
             out[cell[coord]] += w
@@ -509,18 +506,6 @@ class BehaviorTable(TwoByTwo):
             for ctx in self.contexts()
         }
         return CorrelationQuad(self.alice_settings, self.bob_settings, values)
-
-    def marginal(self, context: Context, coord: int) -> dict[int, Fraction]:
-        """One side's outcome pmf in a context: ``coord`` 0 for Alice's, 1 for Bob's."""
-        scale = self._scale
-        return {v: Fraction(w, scale) for v, w in self.integer_marginal(context, coord).items()}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BehaviorTable) and all(
-            getattr(self, name) == getattr(other, name) for name in BehaviorTable.__slots__
-        )
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (
@@ -554,12 +539,12 @@ def _check_pmf(report: ValidationReport, pmf: Pmf, name: str) -> None:
 def _check_table(
     report: ValidationReport,
     setting: Setting,
-    source_labels: Sequence[Label],
+    labels: Sequence[Label],
     side: str,
 ) -> None:
     name = f"{side} setting {_excerpt(setting.name)} outcome table"
     table = setting.outcomes
-    expected = set(itertools.product(source_labels, setting.instrument.labels()))
+    expected = set(itertools.product(labels, setting.instrument.labels()))
     missing = expected - table.numerators.keys()
     extra = table.numerators.keys() - expected
     if missing:
@@ -594,12 +579,12 @@ def validate_model(model: ContextualModel) -> ValidationReport:
             continue
         if side[0].name == side[1].name:
             report.add(f"{side_name}: duplicate setting name {_excerpt(side[0].name)}")
-        source_labels = _coordinate_labels(model.source, coord)
+        labels = source_labels(model.source, coord)
         for setting in side:
             _check_pmf(
                 report, setting.instrument, f"{side_name} setting {_excerpt(setting.name)} instrument pmf"
             )
-            _check_table(report, setting, source_labels, side_name)
+            _check_table(report, setting, labels, side_name)
     return report
 
 
@@ -628,11 +613,6 @@ def _coord(side: str) -> int:
     if side not in ("alice", "bob"):
         raise ValueError(f"side must be 'alice' or 'bob', got {side!r}")
     return 0 if side == "alice" else 1
-
-
-def side_labels(model: ContextualModel, side: str) -> tuple[Label, ...]:
-    """The labels of the source coordinate a side's settings read."""
-    return _coordinate_labels(model.source, _coord(side))
 
 
 def setting_rows(setting: Setting, labels: Sequence[Label], atoms: Iterable) -> tuple[int, dict[Label, tuple[int, int]]]:
@@ -665,7 +645,7 @@ def exact_side_expectation(model: ContextualModel, side: str, setting_name: str)
     setting = model._setting(coord, setting_name)
     src_scale, src = model.source.integer_weights()
     scale, atoms = setting.instrument.integer_weights()
-    vscale, rows = setting_rows(setting, side_labels(model, side), atoms)
+    vscale, rows = setting_rows(setting, source_labels(model.source, coord), atoms)
     return Fraction(sum(w * rows[pair[coord]][1] for pair, w in src), src_scale * scale * vscale)
 
 
@@ -679,13 +659,13 @@ class Bar(NamedTuple):
 
 def side_bars(model: ContextualModel, side: str) -> tuple[Bar, ...]:
     """One :class:`Bar` per setting of a side: its :func:`setting_rows` first moment at each source label."""
-    labels = side_labels(model, side)
+    labels = source_labels(model.source, _coord(side))
     bars = []
     for s in getattr(model, side):
         scale, atoms = s.instrument.integer_weights()
         vscale, rows = setting_rows(s, labels, atoms)
         scale *= vscale
-        g = math.gcd(scale, *(first for _det, first in rows.values()))
+        g = _scale_gcd("bar", scale, (first for _det, first in rows.values()))
         bars.append(Bar(s.name, scale // g, {lab: first // g for lab, (_det, first) in rows.items()}))
     return tuple(bars)
 
@@ -767,12 +747,12 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
     outcomes = (-1, 0, 1) if model.is_ternary() else (-1, 1)
     src_scale, src = model.source.integer_weights()
 
-    def laws(side: str) -> list:
+    def laws(coord: int) -> list:
         """Each setting's ``(name, scale, {label: {value: weight}})``; a point value is its numerator over scale 1."""
         out = []
-        for s in getattr(model, side):
+        for s in (model.alice, model.bob)[coord]:
             scale, atoms = s.instrument.integer_weights()
-            law: dict[Label, dict[int, int]] = {lab: {} for lab in side_labels(model, side)}
+            law: dict[Label, dict[int, int]] = {lab: {} for lab in source_labels(model.source, coord)}
             for lab, dist in law.items():
                 for atom, w in atoms:
                     x = s.outcomes.numerator(lab, atom)
@@ -780,7 +760,7 @@ def behavior_from_model(model: ContextualModel) -> BehaviorTable:
             out.append((s.name, scale, law))
         return out
 
-    alice, bob = laws("alice"), laws("bob")
+    alice, bob = laws(0), laws(1)
     # a context's counts are over src_scale * a_scale * b_scale; the table's one scale is over the lcms
     a_lcm, b_lcm = (math.lcm(*(scale for _name, scale, _law in side)) for side in (alice, bob))
     cells = {}

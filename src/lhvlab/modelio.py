@@ -29,12 +29,12 @@ from .model import (
     Pmf,
     QUOTE_LIMIT,
     Setting,
-    _coordinate_labels,
     _cut,
     _excerpt,
     cells_over_one_scale,
     integer_scale,
     rational_parts,
+    source_labels,
 )
 
 Document = Union[ContextualModel, FlatModel, AveragedModel, BehaviorTable]
@@ -162,7 +162,7 @@ def _parse_pmf(atoms: list, where: str, source: str) -> Pmf:
 def serialize(obj: Document) -> str:
     """Canonical text form of a model or behavior (JSON, fraction strings)."""
     if isinstance(obj, ContextualModel):
-        first, second = obj.source_first_labels(), obj.source_second_labels()
+        first, second = source_labels(obj.source, 0), source_labels(obj.source, 1)
         return contextual_text(
             source_text(obj.source),
             [setting_text(s, first) for s in obj.alice],
@@ -210,8 +210,8 @@ def source_text(source: Pmf) -> str:
     )
 
 
-def setting_text(setting: Setting, source_labels: Sequence[Label]) -> str:
-    """One setting object of a contextual document, rows in ``source_labels`` order."""
+def setting_text(setting: Setting, labels: Sequence[Label]) -> str:
+    """One setting object of a contextual document, rows in the order of the source ``labels``."""
     scale, weights = setting.instrument.integer_atoms()
     instrument = _list_text(
         [
@@ -222,7 +222,7 @@ def setting_text(setting: Setting, source_labels: Sequence[Label]) -> str:
     )
     numerator, vscale = setting.outcomes.numerator, setting.outcomes.scale
     rows = _list_text(
-        [_list_text([_mass_text(numerator(sl, il), vscale) for il in weights], "        ") for sl in source_labels],
+        [_list_text([_mass_text(numerator(sl, il), vscale) for il in weights], "        ") for sl in labels],
         "      ",
     )
     return '{\n      "setting": %s,\n      "instrument": %s,\n      "ternary": %s,\n      "outcomes": %s\n    }' % (
@@ -409,7 +409,7 @@ def _parse_contextual(doc: dict, source: str, numbers: Numbers) -> ContextualMod
         docs = _require_list(doc[side], side, source)
         if len(docs) != 2:
             raise ModelParseError(f"{source}: {side} needs exactly 2 settings, has {len(docs)}")
-        labels = _coordinate_labels(src, coord)
+        labels = source_labels(src, coord)
         return tuple(parse_setting(d, side, labels) for d in docs)
 
     return ContextualModel(src, *(parse_side(coord, side) for coord, side in enumerate(("alice", "bob"))))

@@ -34,6 +34,7 @@ from lhvlab import (
     zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model, random_nosignalling_behavior
+from lhvlab.model import source_labels
 
 
 def brute_expectation(model: ContextualModel, context) -> Fraction:
@@ -211,10 +212,8 @@ def brute_detection_rates(model: ContextualModel) -> tuple[dict, dict]:
 def brute_bars(model: ContextualModel) -> tuple[dict, dict]:
     """Per side, per setting name, per source label: the instrument-averaged outcome."""
     out = []
-    for settings, labels in (
-        (model.alice, model.source_first_labels()),
-        (model.bob, model.source_second_labels()),
-    ):
+    for coord, settings in enumerate((model.alice, model.bob)):
+        labels = source_labels(model.source, coord)
         out.append(
             {
                 s.name: {
@@ -272,11 +271,11 @@ def _label_str(label) -> str:
 
 
 def _contextual_doc(model: ContextualModel) -> dict:
-    def setting_doc(setting, source_labels) -> dict:
+    def setting_doc(setting, labels) -> dict:
         instrument_labels = setting.instrument.labels()
         rows = [
             [str(setting.outcomes.value(sl, il)) for il in instrument_labels]
-            for sl in source_labels
+            for sl in labels
         ]
         return {
             "setting": setting.name,
@@ -288,8 +287,8 @@ def _contextual_doc(model: ContextualModel) -> dict:
             "outcomes": rows,
         }
 
-    first = model.source_first_labels()
-    second = model.source_second_labels()
+    first = source_labels(model.source, 0)
+    second = source_labels(model.source, 1)
     return {
         "kind": "contextual",
         "source": _source_doc(model.source),

@@ -73,7 +73,8 @@ def test_fraction_and_integer_constructors_agree(case):
             assert type(built.prob(ctx, x, y)) is Fraction
         for coord in (0, 1):
             want = {v: sum((p for cell, p in probs[ctx].items() if cell[coord] == v), Fraction(0)) for v in table.outcomes}
-            assert built.marginal(ctx, coord) == table.marginal(ctx, coord) == want
+            for t in (built, table):
+                assert {v: Fraction(w, t.scale) for v, w in t.integer_marginal(ctx, coord).items()} == want
     want_quad = {ctx: sum((x * y * p for (x, y), p in probs[ctx].items()), Fraction(0)) for ctx in CONTEXTS}
     assert built.quad() == table.quad() == CorrelationQuad(*SETTINGS, want_quad)
     normalized = all(min(pmf.values()) >= 0 and sum(pmf.values()) == 1 for pmf in probs.values())
@@ -177,7 +178,7 @@ def test_oracles_never_touch_the_integer_cells(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("an oracle used the integer form of a behavior")
 
-    for name in ("integer_cells", "integer_marginal", "is_normalized", "quad", "marginal", "from_integers"):
+    for name in ("integer_cells", "integer_marginal", "is_normalized", "quad", "from_integers"):
         monkeypatch.setattr(BehaviorTable, name, forbidden)
     monkeypatch.setattr(BehaviorTable, "scale", property(forbidden))
     monkeypatch.setattr(JointDistribution16, "_from_integers", forbidden)

@@ -123,6 +123,25 @@ class TestDemos:
         assert f"usage error: --angles must be finite, got {angle}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "angles, words, quote",
+        [
+            ("9" * 5000 + ",0,0,0", "usage error: --angles must be finite, got ", "999"),
+            ("x" * 5000 + ",0,0,0", "usage error: malformed angle in ", "'xxx"),
+        ],
+        ids=["infinite", "malformed"],
+    )
+    def test_quantum_demo_quotes_a_long_angle_short(self, capsys, angles, words, quote):
+        """5000 nines parse as an infinite float; either message quotes at most QUOTE_LIMIT characters."""
+        from lhvlab.model import QUOTE_LIMIT
+
+        status, out, err = run_cli(capsys, "demo-quantum", "--angles", angles)
+        assert status == 2
+        assert out == ""
+        message = next(line for line in err.splitlines() if line.startswith(words))
+        assert message.startswith(words + quote) and message.endswith("...")
+        assert len(message) == len(words) + QUOTE_LIMIT
+
     def test_demos_reject_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["demo-counterexample", "--seed", "1"])

@@ -145,7 +145,7 @@ class TestRefineBreakpoints:
                 support = list(pmf.support())
                 starts = dict(zip([lab for lab, _m in support], accumulate([0] + [m for _lab, m in support])))
                 for (lo, hi), atom in zip(cells, atoms):
-                    assert starts[atom] <= lo and hi <= starts[atom] + pmf.mass(atom)
+                    assert starts[atom] <= lo and hi <= starts[atom] + dict(support)[atom]
 
 
 class TestUniformReduce:

@@ -184,8 +184,8 @@ class TestExactExpectation:
         source = Pmf({("a", "b"): Fraction(1, 3), ("a2", "b2"): Fraction(2, 3)})
         unit = Pmf.point("*")
 
-        def table(side_labels):
-            return OutcomeTable({(lab, "*"): Fraction(1, 2) for lab in side_labels})
+        def table(labels):
+            return OutcomeTable({(lab, "*"): Fraction(1, 2) for lab in labels})
 
         m = ContextualModel(
             source,
@@ -439,5 +439,5 @@ def test_exact_api_takes_no_tolerance():
                 walked.add(f"{module_name}.{qualname}")
                 params = inspect.signature(member).parameters
                 knobs += [f"{module_name}.{qualname}({p})" for p in params if p in TOLERANCE_NAMES]
-    assert {"fine.check_no_signalling", "fine.NoSignallingReport", "model.Pmf.mass"} <= walked
+    assert {"fine.check_no_signalling", "fine.NoSignallingReport", "model.Pmf.items"} <= walked
     assert knobs == []

@@ -32,7 +32,7 @@ from lhvlab import (
 )
 from lhvlab.corpus import random_contextual_model
 from lhvlab.loophole import _build, _model, _mutate, _random_search_model
-from lhvlab.model import QUOTE_LIMIT, _excerpt, integer_scale
+from lhvlab.model import QUOTE_LIMIT, _excerpt, integer_scale, source_labels
 from lhvlab.modelio import KINDS, ModelParseError, parse_path, parse_text, serialize, setting_text, source_text
 from test_fuzz import DOCUMENTS, REPLACEMENTS, mutate, nested_paths
 
@@ -150,8 +150,9 @@ class TestParseErrors:
         for atom in doc["source"]:
             atom["mass"] = "0.25" if atom["pair"][0] in ("1", "2") else "0.125"
         m = parse_text(json.dumps(doc))
-        assert m.source.mass(("1", "1")) == Fraction(1, 4)
-        assert m.source.mass(("3", "3")) == Fraction(1, 8)
+        masses = dict(m.source.items())
+        assert masses[("1", "1")] == Fraction(1, 4)
+        assert masses[("3", "3")] == Fraction(1, 8)
 
     def test_behavior_cell_outside_alphabet(self):
         b = json.loads(serialize(quantum_singlet_behavior(AngleSet.chsh_optimal())))
@@ -699,6 +700,7 @@ class TestPartWriters:
         """Each fixed-frame part text is json.dumps(indent=2) of the part, re-indented to its depth."""
         doc = _contextual_doc(model)
         assert source_text(model.source) == json.dumps(doc["source"], indent=2).replace("\n", "\n  ")
-        for side, labels in (("alice", model.source_first_labels()), ("bob", model.source_second_labels())):
+        for coord, side in enumerate(("alice", "bob")):
+            labels = source_labels(model.source, coord)
             for s, sdoc in zip(getattr(model, side), doc[side]):
                 assert setting_text(s, labels) == json.dumps(sdoc, indent=2).replace("\n", "\n    ")

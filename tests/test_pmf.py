@@ -1,4 +1,7 @@
-"""The integer-weighted Pmf: both constructors agree, and the oracles never use its integer form."""
+"""The integer-weighted Pmf: both constructors agree, and the oracles never use its integer form.
+
+The scale check and the equality that every exact type shares are tested here too.
+"""
 
 from __future__ import annotations
 
@@ -21,6 +24,9 @@ from conftest import (
     fraction_find_feasible,
 )
 from lhvlab import (
+    BehaviorTable,
+    JointDistribution16,
+    OutcomeTable,
     Pmf,
     behavior_from_model,
     bell_average,
@@ -55,8 +61,9 @@ def test_integer_and_fraction_builds_agree(case):
     for pmf in (from_fractions, from_integers):
         assert list(pmf.items()) == atoms
         assert all(type(m) is Fraction for _lab, m in pmf.items())
-        assert [pmf.mass(lab) for lab in labels] == masses
-        assert pmf.mass("absent") == 0 and type(pmf.mass("absent")) is Fraction
+        scale, weights = pmf.integer_atoms()
+        assert [Fraction(weights[lab], scale) for lab in labels] == masses
+        assert "absent" not in weights and "absent" not in dict(pmf.items())
         assert list(pmf.support()) == support
         assert pmf.total() == sum(masses, Fraction(0)) and type(pmf.total()) is Fraction
         assert pmf.is_normalized() == (all(m >= 0 for m in masses) and sum(masses) == 1)
@@ -80,10 +87,44 @@ def test_uniform_refuses_a_repeated_label():
     assert list(Pmf.uniform(["a", "b"]).items()) == [("a", Fraction(1, 2)), ("b", Fraction(1, 2))]
 
 
-def test_from_integers_needs_a_positive_scale():
+SETTINGS = (("x", "x'"), ("y", "y'"))
+CONTEXTS = [(a, b) for a in SETTINGS[0] for b in SETTINGS[1]]
+
+# each exact type built from integers over ``scale``; ``changed`` alters one stored value
+INTEGER_BUILDS = {
+    "Pmf": lambda scale, changed=False: Pmf.from_integers(scale, {"a": 1, "b": 2 + changed}),
+    "OutcomeTable": lambda scale, changed=False: OutcomeTable.from_integers(
+        scale, {("a", "u"): 1, ("a", "v"): -1 - changed}
+    ),
+    "BehaviorTable": lambda scale, changed=False: BehaviorTable.from_integers(
+        *SETTINGS, (-1, 1), scale, {ctx: {(1, 1): 1 + (changed and k == 0), (-1, -1): 2}
+                                    for k, ctx in enumerate(CONTEXTS)}
+    ),
+    # at scale 0 this is 16 zero weights
+    "JointDistribution16": lambda scale, changed=False: JointDistribution16._from_integers(
+        *SETTINGS, scale, [0] * changed + [scale] + [0] * (15 - changed)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", INTEGER_BUILDS)
+def test_from_integers_needs_a_positive_scale(kind):
     for scale in (0, -3):
         with pytest.raises(ValueError, match="scale must be positive"):
-            Pmf.from_integers(scale, {"a": 1})
+            INTEGER_BUILDS[kind](scale)
+
+
+@pytest.mark.parametrize("kind", INTEGER_BUILDS)
+def test_equality_compares_the_stored_integers(kind):
+    """Equal to a rebuild, unequal once one value changes or to another exact type, and unhashable."""
+    build = INTEGER_BUILDS[kind]
+    assert build(6) == build(6)
+    assert build(6) != build(6, changed=True)
+    for other_kind, other_build in INTEGER_BUILDS.items():
+        if other_kind != kind:
+            assert build(6) != other_build(6) and other_build(6) != build(6)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(build(6))
 
 
 def test_from_weights_reduces_over_the_total():
