@@ -32,7 +32,6 @@ class ChshCombination:
     flipped: Context
     sign: int
     value: Value
-    contexts: tuple[Context, ...] = ()
 
 
 @dataclass
@@ -78,7 +77,7 @@ def chsh_values(quad: CorrelationQuad) -> ChshReport:
     combos = []
     for flipped, base in zip(contexts, _flip_sums(values)):
         for sign in (1, -1):
-            combos.append(ChshCombination(flipped, sign, sign * base, contexts))
+            combos.append(ChshCombination(flipped, sign, sign * base))
     return ChshReport(quad, combos)
 
 

@@ -201,16 +201,19 @@ def _cmd_exact(args) -> tuple[Any, int]:
 
 
 def _cmd_flatten(args) -> tuple[Any, int]:
-    from .flatten import bell_average, product_flatten, product_size, uniform_reduce, uniform_size
+    from .flatten import _quantile_model, _quantile_product, _quantile_size, bell_average, product_flatten, product_size
     from .modelio import serialize
 
     model = _require_contextual(_load(args.model))
     if args.method == "average":
         out = bell_average(model)
     else:
+        if args.method == "uniform":
+            # each side's cells are cut once, into the quantile model that the count and the build both read
+            model = _quantile_model(model)
         size, build, bound = {
             "product": (product_size, product_flatten, MAX_PRODUCT_ATOMS),
-            "uniform": (uniform_size, uniform_reduce, MAX_UNIFORM_ATOMS),
+            "uniform": (_quantile_size, _quantile_product, MAX_UNIFORM_ATOMS),
         }[args.method]
         atoms = size(model)
         if atoms > bound:

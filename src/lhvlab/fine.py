@@ -244,8 +244,7 @@ def find_joint(behavior: BehaviorTable) -> JointSearchResult:
             "LP found no joint yet every CHSH combination holds; "
             f"max |S| = {Fraction(abs(sums[f]), scale)}"
         )
-    contexts = behavior.contexts()
-    certificate = ChshCombination(contexts[f], 1, Fraction(sums[f], scale), contexts)
+    certificate = ChshCombination(behavior.contexts()[f], 1, Fraction(sums[f], scale))
     return JointSearchResult(feasible=False, certificate=certificate)
 
 

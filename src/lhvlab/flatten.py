@@ -25,8 +25,9 @@ averaged model holds that kernel's first moments as integer
 :class:`~lhvlab.model.Bar` values (``model.side_bars``), and each
 :meth:`AveragedModel.quad` context is one integer sum.
 
-:func:`product_size` and :func:`uniform_size` count the atoms a flattening
-would build, without building it, so a caller can refuse a size first.
+:func:`product_size`, and :func:`_quantile_size` on a quantile model,
+count the atoms a flattening would build, without building it, so a
+caller can refuse a size first.
 """
 
 from __future__ import annotations
@@ -153,10 +154,10 @@ def product_size(model: ContextualModel) -> int:
     return math.prod(len(pmf.integer_weights()[1]) for pmf in supports)
 
 
-def uniform_size(model: ContextualModel) -> int:
-    """The number of atoms :func:`uniform_reduce` builds: the source support times each side's cell count."""
-    cells_a, cells_b = (len(_side_cells(side)[1]) - 1 for side in (model.alice, model.bob))
-    return len(model.source.integer_weights()[1]) * cells_a * cells_b
+def _quantile_size(quantile: ContextualModel) -> int:
+    """The number of atoms :func:`_quantile_product` builds: the source support times each side's cell count."""
+    cells = len(quantile.alice[0].instrument) * len(quantile.bob[0].instrument)
+    return len(quantile.source.integer_weights()[1]) * cells
 
 
 def product_flatten(model: ContextualModel) -> FlatModel:
@@ -228,28 +229,24 @@ def _require_pmfs(*sides: Sequence[Setting]) -> None:
                 )
 
 
-def _side_cells(side: Sequence[Setting]) -> tuple[int, list[int], list[list[Label]]]:
-    """:func:`_quantile_cells` of one side's two instruments, which :func:`_require_pmfs` checks."""
-    _require_pmfs(side)
-    return _quantile_cells(side[0].instrument, side[1].instrument)
-
-
 def _quantile_model(model: ContextualModel) -> ContextualModel:
     """The model with each side's two instruments replaced by one shared pmf of quantile cells.
 
     This is the one place the cells are cut.  A side's cells are those of
-    :func:`_quantile_cells` on its two instruments, each labelled "[lo,hi)"
+    :func:`_quantile_cells` on its two instruments, which must be pmfs
+    (:func:`_require_pmfs`), each cell labelled "[lo,hi)"
     and weighing its width; each setting's table reads, at a cell, the
     input table's numerator at the instrument atom that holds the cell,
     over the input table's scale.  So every setting's outcome law given
     its source label is the input's, and the four context expectations
     are the input's exactly.
-    :func:`uniform_reduce` takes the product over this model, and
+    :func:`_quantile_product` takes the product over this model, and
     ``montecarlo.DagModel`` samples it.
     """
 
     def side(settings: Sequence[Setting], labels: Sequence[Label]) -> tuple[Setting, Setting]:
-        scale, grid, cell_atoms = _side_cells(settings)
+        _require_pmfs(settings)
+        scale, grid, cell_atoms = _quantile_cells(settings[0].instrument, settings[1].instrument)
         points = [str(Fraction(p, scale)) for p in grid]
         cells = [f"[{lo},{hi})" for lo, hi in zip(points, points[1:])]
         pmf = Pmf.from_integers(scale, [(cell, hi - lo) for cell, lo, hi in zip(cells, grid, grid[1:])])
@@ -275,7 +272,11 @@ def uniform_reduce(model: ContextualModel) -> FlatModel:
     its own source coordinate and its side's cell.  Context expectations
     match the original model exactly.
     """
-    quantile = _quantile_model(model)
+    return _quantile_product(_quantile_model(model))
+
+
+def _quantile_product(quantile: ContextualModel) -> FlatModel:
+    """The tuple product over a :func:`_quantile_model`'s source and its two shared cell pmfs."""
     return _tuple_product(quantile, [quantile.alice[0].instrument, quantile.bob[0].instrument], (2, 2, 3, 3))
 
 

@@ -2,11 +2,13 @@
 
 The search looks for small ternary models whose detected-only
 correlations break the CHSH bound while their raw (coin-reduced)
-correlations necessarily satisfy it.  A candidate is integer state, its
-parts' weights and outcomes and the sums over them, updated from its
-parent's by what its move changed and ranked by unreduced integer
-pairs.  Only the winner becomes a model, re-derived through the Fraction
-report: a reported violation is a theorem, not a numerical artifact.
+correlations necessarily satisfy it.  A candidate is integer state on
+the 1/d grid, its parts' weights and outcomes and the sums over them:
+a restart draws it as integers, and a move updates it from its parent's
+by what the move changed; candidates rank by unreduced integer pairs.
+Only the winner becomes a model, point-tested and re-derived through the
+Fraction report: a reported violation is a theorem, not a numerical
+artifact.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ from .model import (
     Setting,
     behavior_from_model,
     correlation_quad,
-    require_point_outcomes,
     setting_rows,
     source_labels,
 )
 
 DETECTION_THRESHOLD = Fraction(2, 3)
 
-# non-improving steps in a row after which the search restarts from a fresh random model
+# non-improving steps in a row after which the search restarts from a fresh random candidate
 STALL_LIMIT = 80
 
 
@@ -197,10 +198,10 @@ class SearchOutcome:
     score: Fraction
     violating: bool
     evaluations: int
+    raw_quad: CorrelationQuad
+    raw_chsh: ChshReport
+    detection: DetectionReport
     history: list[tuple[int, Fraction]] = field(default_factory=list)
-    raw_quad: Optional[CorrelationQuad] = None
-    raw_chsh: Optional[ChshReport] = None
-    detection: Optional[DetectionReport] = None
 
 
 def _composition(rng: random.Random, n: int, total: int) -> list[int]:
@@ -208,28 +209,6 @@ def _composition(rng: random.Random, n: int, total: int) -> list[int]:
     for _ in range(total):
         w[rng.randrange(n)] += 1
     return w
-
-
-def _random_search_model(rng: random.Random, cfg: SearchConfig) -> ContextualModel:
-    n = cfg.source_atoms
-    d = cfg.mass_denominator
-    pairs = [(f"s{k}", f"s{k}") for k in range(n)]
-    source = Pmf.from_integers(d, dict(zip(pairs, _composition(rng, n, d))))
-
-    def make_setting(name: str) -> Setting:
-        atoms = [f"u{i}" for i in range(cfg.instrument_atoms)]
-        if len(atoms) == 1:
-            instrument = Pmf.point(atoms[0])
-        else:
-            instrument = Pmf.from_integers(d, dict(zip(atoms, _composition(rng, len(atoms), d))))
-        values = {(f"s{k}", a): rng.choice((-1, 0, 1)) for k in range(n) for a in atoms}
-        return Setting(name, instrument, OutcomeTable.from_integers(1, values, ternary=True))
-
-    return ContextualModel(
-        source,
-        (make_setting("x"), make_setting("x'")),
-        (make_setting("y"), make_setting("y'")),
-    )
 
 
 class _Part:
@@ -265,27 +244,25 @@ _PARTNERS = tuple(
 
 
 class _Grid:
-    """What a walk shares: the grid scale G, its penalty thresholds, the source's label index, setting names.
+    """What a walk shares: the grid scale G, its penalty thresholds and the source's label index.
 
-    ``ternary`` is each setting's table flag.  ``index[coord][label]``
-    lists ``(pair, other label)`` for each source pair holding ``label``
-    at ``coord``, zero weights included; labels never change in a walk.
-    The thresholds are integers over G**3 * q, the penalty's denominator.
+    G is ``mass_denominator``, d: a restart draws every mass as a
+    composition of d and every move shifts weight 1, so every candidate of
+    the walk stays on the 1/d grid.  ``index[coord][label]`` lists
+    ``(pair, other label)`` for each source pair holding ``label`` at
+    ``coord``, zero weights included; labels never change in a walk.  The
+    thresholds are integers over G**3 * q, the penalty's denominator.
     """
 
-    __slots__ = ("scale", "unit", "labels", "index", "names", "ternary", "q", "cube", "denom", "floor", "cap", "lift",
-                 "margin")
+    __slots__ = ("scale", "labels", "index", "q", "cube", "denom", "floor", "cap", "lift", "margin")
 
-    def __init__(self, scale: int, pairs, settings: tuple[Setting, ...], cfg: SearchConfig):
-        self.scale = scale
-        self.unit = scale // cfg.mass_denominator
+    def __init__(self, pairs, cfg: SearchConfig):
+        self.scale = scale = cfg.mass_denominator
         self.labels = tuple(tuple(dict.fromkeys(pair[coord] for pair in pairs)) for coord in (0, 1))
         self.index = tuple({lab: [] for lab in labels} for labels in self.labels)
         for pair in pairs:
             self.index[0][pair[0]].append((pair, pair[1]))
             self.index[1][pair[1]].append((pair, pair[0]))
-        self.names = tuple(s.name for s in settings)
-        self.ternary = tuple(s.outcomes.ternary for s in settings)
         floor, cap = cfg.min_coincidence, cfg.max_detection
         self.q = q = math.lcm(floor.denominator, 256, 1 if cap is None else cap.denominator)
         self.cube = cube = scale**3
@@ -322,63 +299,51 @@ class _Key:
         self.detected = detected
 
 
-def _normalized_weights(pmf: Pmf, scale: int) -> dict:
-    """The pmf's weights over ``scale``, which its own scale divides; ValueError unless it is normalized."""
-    if not pmf.is_normalized():
-        raise ValueError("behavior table is not normalized")
-    own, weights = pmf.integer_atoms()
-    return {lab: w * (scale // own) for lab, w in weights.items()}
+# the four settings' names, Alice's two then Bob's, in the order of a key's parts
+_NAMES = ("x", "x'", "y", "y'")
 
 
-def _build(model: ContextualModel, cfg: SearchConfig) -> _Key:
-    """A restart: the walk's grid, and the candidate's parts and sums built in full from ``model``, scored.
+def _restart(rng: random.Random, cfg: SearchConfig) -> _Key:
+    """A fresh random candidate on the 1/d grid, d = ``mass_denominator``, drawn as integers and scored.
 
-    The grid scale G is the lcm of ``mass_denominator`` and the model's
-    mass scales.  A restart model is drawn on the 1/d grid and every move
-    shifts one grid unit, so every candidate of the walk stays on it.
+    The source is a composition of d over the pairs (s_k, s_k), k < n =
+    ``source_atoms``.  Each setting, in the order x, x', y, y', draws its
+    instrument, a composition of d over its atoms u_i (one atom holds d
+    and draws nothing), then its table: -1, 0 or 1 at each (s_k, u_i).
     """
-    settings = model.alice + model.bob
-    scale = math.lcm(cfg.mass_denominator, model.source.integer_atoms()[0],
-                     *(s.instrument.integer_atoms()[0] for s in settings))
-    source = _normalized_weights(model.source, scale)
-    grid = _Grid(scale, tuple(source), settings, cfg)
-    parts, rows = [_Part(None, source)], []
-    for s, setting in enumerate(settings):
-        require_point_outcomes(("alice", "bob")[s >> 1], setting)
-        weights = _normalized_weights(setting.instrument, scale)
-        # the point test passed, so the table's scale and vscale are 1 and its numerators are its values
-        parts.append(_Part(setting.outcomes.numerators, weights))
-        rows.append(setting_rows(setting, grid.labels[s >> 1], weights.items())[1])
+    n, d = cfg.source_atoms, cfg.mass_denominator
+    pairs = [(f"s{k}", f"s{k}") for k in range(n)]
+    atoms = [f"u{i}" for i in range(cfg.instrument_atoms)]
+    parts = [_Part(None, dict(zip(pairs, _composition(rng, n, d))))]
+    for _name in _NAMES:
+        weights = dict(zip(atoms, _composition(rng, len(atoms), d) if len(atoms) > 1 else [d]))
+        parts.append(_Part({(f"s{k}", a): rng.choice((-1, 0, 1)) for k in range(n) for a in atoms}, weights))
+    return _build(_Grid(pairs, cfg), tuple(parts))
+
+
+def _build(grid: _Grid, parts: tuple[_Part, ...]) -> _Key:
+    """The candidate of ``parts`` on ``grid``: its rows and sums built in full, scored."""
+    source = parts[0].weights
+    rows = [setting_rows(_setting(grid, s, part), grid.labels[s >> 1], part.weights.items())[1]
+            for s, part in enumerate(parts[1:])]
     both, product = [], []
     for a, b in ((rows[i], rows[j]) for i, j in _CONTEXTS):
         both.append(sum(w * a[l1][0] * b[l2][0] for (l1, l2), w in source.items()))
         product.append(sum(w * a[l1][1] * b[l2][1] for (l1, l2), w in source.items()))
     detected = [sum(w * rows[s][pair[s >> 1]][0] for pair, w in source.items()) for s in range(4)]
-    return _score(_Key(grid, tuple(parts), rows, both, product, detected))
+    return _score(_Key(grid, parts, rows, both, product, detected))
 
 
 def _setting(grid: _Grid, s: int, part: _Part) -> Setting:
-    """Setting ``s`` of a candidate as a model object."""
-    return Setting(grid.names[s], Pmf.from_integers(grid.scale, part.weights),
-                   OutcomeTable.from_integers(1, part.values, grid.ternary[s]))
+    """Setting ``s`` of a candidate as a model object, its table flagged ternary."""
+    return Setting(_NAMES[s], Pmf.from_integers(grid.scale, part.weights),
+                   OutcomeTable.from_integers(1, part.values, ternary=True))
 
 
 def _model(key: _Key) -> ContextualModel:
     """The candidate as a model, equal to the one its moves would give: built for the winner only."""
     a0, a1, b0, b1 = (_setting(key.grid, s, part) for s, part in enumerate(key.parts[1:]))
     return ContextualModel(Pmf.from_integers(key.grid.scale, key.parts[0].weights), (a0, a1), (b0, b1))
-
-
-# the point outcomes of an unflagged table, and of a ternary one
-_POINTS = (frozenset((-1, 1)), frozenset((-1, 0, 1)))
-
-
-def _require_point(grid: _Grid, s: int, part: _Part, keys=None) -> None:
-    """The point-outcome test of setting ``s`` on its integer values, at ``keys`` if given."""
-    values = part.values.values() if keys is None else map(part.values.__getitem__, keys)
-    if not _POINTS[grid.ternary[s]].issuperset(values):
-        # only a 0 in an unflagged table fails; the model's test words the error
-        require_point_outcomes(("alice", "bob")[s >> 1], _setting(grid, s, part), keys)
 
 
 def _shift_row(key: _Key, s: int, label, d_det: int, d_sgn: int) -> None:
@@ -401,25 +366,24 @@ def _shift_row(key: _Key, s: int, label, d_det: int, d_sgn: int) -> None:
             key.detected[s] += w * d_det
 
 
-def _unit_move(rng: random.Random, part: _Part, unit: int) -> _Part:
-    """``part`` with one grid unit of mass moved from a random donor atom to a random atom."""
+def _unit_move(rng: random.Random, part: _Part) -> _Part:
+    """``part`` with weight 1 moved from a random donor atom to a random atom."""
     weights = dict(part.weights)
-    src = rng.choice([lab for lab, w in weights.items() if w >= unit])
+    src = rng.choice([lab for lab, w in weights.items() if w])
     dst = rng.choice(list(weights))
-    weights[src] -= unit
-    weights[dst] += unit
+    weights[src] -= 1
+    weights[dst] += 1
     return _Part(part.values, weights, (src, dst), part.weights)
 
 
 def _mutate(rng: random.Random, parent: _Key, cfg: SearchConfig) -> _Key:
     """One random move from ``parent``: the child, scored from its parent's sums by the move's delta.
 
-    A move flips one outcome entry, moves one grid unit of instrument mass
-    within a setting, or moves one grid unit of source mass between atoms.
-    A flip point-tests its one entry and an instrument move its whole
-    table; a source move changes no outcome.  The rng draws are those of
-    the model-level walk: the same choices over the same key, value,
-    donor and atom lists, in the same order.
+    A move flips one outcome entry to another of -1, 0 and 1, moves weight
+    1 of instrument mass within a setting, or moves weight 1 of source
+    mass between atoms.  Every candidate's tables are ternary and hold
+    only -1, 0 and 1, so no move needs a point test; the winner's report
+    point-tests it (:func:`~lhvlab.model.behavior_from_model`).
     """
     kind = rng.random()
     if kind < 0.6 or (kind >= 0.85 and cfg.instrument_atoms > 1):
@@ -431,14 +395,13 @@ def _mutate(rng: random.Random, parent: _Key, cfg: SearchConfig) -> _Key:
             key = rng.choice(list(old.values))
             values = dict(old.values)
             values[key] = rng.choice([v for v in (-1, 0, 1) if v != values[key]])
-            part, tested = _Part(values, old.weights, key, old.values), (key,)
+            part = _Part(values, old.weights, key, old.values)
         else:
-            # move one grid unit of instrument mass within the setting
-            part, tested = _unit_move(rng, old, parent.grid.unit), None
-        _require_point(parent.grid, index - 1, part, tested)
+            # move weight 1 of instrument mass within the setting
+            part = _unit_move(rng, old)
     else:
-        # move one grid unit of source mass between atoms
-        index, part = 0, _unit_move(rng, parent.parts[0], parent.grid.unit)
+        # move weight 1 of source mass between atoms
+        index, part = 0, _unit_move(rng, parent.parts[0])
     return _score(_moved(parent, index, part))
 
 
@@ -447,16 +410,16 @@ def _moved(parent: _Key, index: int, part: _Part) -> _Key:
 
     Its sums are the parent's plus the move's delta: a source move moves
     each sum by two pairs' terms, a flip moves one row by the flipped
-    atom's weight, and an instrument move moves, by one grid unit, the
-    rows whose entries differ at its two atoms.  The child's sum lists
-    and rows are its own copies; everything else is the parent's object.
+    atom's weight, and an instrument move moves, by weight 1, the rows
+    whose entries differ at its two atoms.  The child's sum lists and rows
+    are its own copies; everything else is the parent's object.
     """
     grid, old = parent.grid, parent.parts[index]
     parts, rows = list(parent.parts), list(parent.rows)
     parts[index] = part
     child = _Key(grid, tuple(parts), rows, list(parent.both), list(parent.product), list(parent.detected))
     if index == 0:
-        for pair, w in zip(part.moved, (-grid.unit, grid.unit)):
+        for pair, w in zip(part.moved, (-1, 1)):
             at = [rows[t][pair[t >> 1]] for t in range(4)]
             for c, (i, j) in enumerate(_CONTEXTS):
                 child.both[c] += w * at[i][0] * at[j][0]
@@ -471,7 +434,7 @@ def _moved(parent: _Key, index: int, part: _Part) -> _Key:
         deltas = [(key[0], old.weights[key[1]], old.values[key], part.values[key])]
     else:
         src, dst = part.moved
-        deltas = [(label, grid.unit, old.values[label, src], old.values[label, dst]) for label in grid.labels[s >> 1]]
+        deltas = [(label, 1, old.values[label, src], old.values[label, dst]) for label in grid.labels[s >> 1]]
     for label, w, before, after in deltas:
         if before != after:
             _shift_row(child, s, label, w * (abs(after) - abs(before)), w * (after - before))
@@ -596,14 +559,17 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     meeting the configured minimum.  Ties prefer lower total coincidence,
     then the smaller canonical serialization, so the outcome is a pure
     function of the config.  A candidate is integer state plus the move
-    that made it: a restart is built in full from a drawn model, and a
-    child's sums are its parent's plus the delta of its one move.  Ranks
-    are integer pairs compared by cross-multiplication (:func:`_better`).
-    The winner alone becomes a model, and Fractions are made only for it
-    and the history: its report from ``postselected_correlations`` must
-    give the integer score, and its raw coin-reduced quad is re-verified
-    to satisfy CHSH exactly.  If the budget never produces a violation
-    the best model is still returned, flagged accordingly.
+    that made it: a restart draws its integers and builds its sums in
+    full, and a child's sums are its parent's plus the delta of its one
+    move.  The walk runs no point test: every table it makes is ternary
+    and holds only -1, 0 and 1.  Ranks are integer pairs compared by
+    cross-multiplication (:func:`_better`).  The winner alone becomes a
+    model, and Fractions are made only for it and the history: its report
+    from ``behavior_from_model``, which point-tests every setting, and
+    ``postselected_correlations`` must give the integer score, and its raw
+    coin-reduced quad is re-verified to satisfy CHSH exactly.  If the
+    budget never produces a violation the best model is still returned,
+    flagged accordingly.
     """
     config.validate()
     rng = random.Random(config.seed)
@@ -615,7 +581,7 @@ def search_postselection_violation(config: SearchConfig) -> SearchOutcome:
     target = config.target_stat
     while evaluations < config.budget:
         restarting = current is None or stall >= STALL_LIMIT
-        key = _build(_random_search_model(rng, config), config) if restarting else _mutate(rng, current, config)
+        key = _restart(rng, config) if restarting else _mutate(rng, current, config)
         evaluations += 1
         if restarting or _better(key, current):
             current = key

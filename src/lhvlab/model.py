@@ -295,16 +295,15 @@ class OutcomeTable(_OverScale):
     def value(self, source_label: Label, instrument_label: Label) -> Fraction:
         return Fraction(self.numerator(source_label, instrument_label), self.scale)
 
-    def values_are_point(self, keys: Optional[Iterable[tuple[Label, Label]]] = None) -> bool:
-        """True when every entry, or every entry at ``keys``, is an actual outcome, not an expectation.
+    def values_are_point(self) -> bool:
+        """True when every entry is an actual outcome, not an expectation.
 
         +/-1 entries always qualify; a 0 entry qualifies only in a
         ternary-flagged table (in an unflagged table 0 reads as the
         expectation of a fair coin).
         """
         s = self.scale
-        values = self.numerators.values() if keys is None else map(self.numerators.__getitem__, keys)
-        return ({-s, 0, s} if self.ternary else {-s, s}).issuperset(values)
+        return ({-s, 0, s} if self.ternary else {-s, s}).issuperset(self.numerators.values())
 
     def first_non_ternary(self) -> Optional[Fraction]:
         """The first value in key order outside {-1, 0, 1}, or None when there is none."""
@@ -718,9 +717,9 @@ def counterexample_model() -> ContextualModel:
     return ContextualModel(source, side(0), side(1))
 
 
-def require_point_outcomes(side: str, setting: Setting, keys: Optional[Iterable[tuple[Label, Label]]] = None) -> None:
-    """Raise ``ValueError`` unless the setting's table holds actual outcomes, at ``keys`` if given."""
-    if not setting.outcomes.values_are_point(keys):
+def require_point_outcomes(side: str, setting: Setting) -> None:
+    """Raise ``ValueError`` unless the setting's table holds actual outcomes."""
+    if not setting.outcomes.values_are_point():
         raise ValueError(
             f"{side} setting {_excerpt(setting.name)} has fractional outcomes; "
             "behavior tables need point outcomes"

@@ -249,13 +249,32 @@ class TestExactFlattenChain:
         wide = tmp_path / "wide.json"
         wide.write_text(json.dumps(doc))
         assert run_cli(capsys, "validate", str(wide))[0] == 0
-        monkeypatch.setattr(lhvlab.flatten, "uniform_reduce", _forbidden)
+        # every flat atom is built in the tuple product
+        monkeypatch.setattr(lhvlab.flatten, "_tuple_product", _forbidden)
         status, out, err = run_cli(capsys, "flatten", str(wide), "--method", "uniform")
         assert (status, out) == (1, "")
         assert err == (
             f"error: {wide}: the uniform flattening has {6 * 600**2} atoms, "
             f"more than the limit of {cli.MAX_UNIFORM_ATOMS}\n"
         )
+
+    def test_uniform_cuts_each_side_once(self, capsys, monkeypatch, tmp_path):
+        """The atom count and the build read one quantile model: two cuts for two sides, and the
+        document uniform_reduce writes."""
+        winner = FIXTURES / "loophole_winner.model.json"
+        expected = lhvlab.serialize(lhvlab.uniform_reduce(lhvlab.parse_path(winner)))
+        cuts, real_cut = [], lhvlab.flatten._quantile_cells
+
+        def cut(*args):
+            cuts.append(args)
+            return real_cut(*args)
+
+        monkeypatch.setattr(lhvlab.flatten, "_quantile_cells", cut)
+        out_path = tmp_path / "uniform.json"
+        status, _out, err = run_cli(capsys, "flatten", str(winner), "--method", "uniform", "--out", str(out_path))
+        assert status == 0, err
+        assert len(cuts) == 2
+        assert out_path.read_text() == expected
 
     def test_flat_output_parses_as_model_schema(self, capsys, tmp_path):
         out_path = tmp_path / "flat.json"

@@ -34,7 +34,7 @@ from lhvlab import (
     zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model
-from lhvlab.flatten import _quantile_cells, _quantile_model, product_size, uniform_size
+from lhvlab.flatten import _quantile_cells, _quantile_model, _quantile_size, product_size
 
 
 def cell_bounds(first, second):
@@ -155,7 +155,7 @@ class TestUniformReduce:
 
     def test_uniform_size_counts_the_atoms_built(self):
         for m in [counterexample_model(), *corpus_models(60, seed=35, max_source_side=4, max_instrument=4)]:
-            assert uniform_size(m) == len(uniform_reduce(m).lambda_pmf)
+            assert _quantile_size(_quantile_model(m)) == len(uniform_reduce(m).lambda_pmf)
 
     def test_tuple_arity_is_four(self):
         fm = uniform_reduce(counterexample_model())
@@ -195,8 +195,8 @@ class TestUniformReduce:
         y, y2 = m.bob
         alice_broken = ContextualModel(m.source, (Setting(x.name, Pmf(masses), x.outcomes), x2), m.bob)
         bob_broken = ContextualModel(m.source, m.alice, (y, Setting(y2.name, Pmf(masses), y2.outcomes)))
-        # every builder, and the size count the CLI reads before the uniform build
-        for build in (product_flatten, uniform_reduce, bell_average, uniform_size):
+        # every builder, and the quantile model the CLI counts the uniform atoms on
+        for build in (product_flatten, uniform_reduce, bell_average, _quantile_model):
             with pytest.raises(ValueError, match=r"^settings '\+1' and '-1': the instrument of '\+1' does not sum to 1"):
                 build(alice_broken)
             with pytest.raises(ValueError, match=r"^settings '\+1' and '-1': the instrument of '-1' does not sum to 1"):

@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import math
 import random
-import weakref
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +32,7 @@ from lhvlab import (
 )
 from lhvlab import loophole, modelio
 from lhvlab.cli import main as cli_main
-from lhvlab.loophole import _better, _build, _model, _mutate, _random_search_model
+from lhvlab.loophole import _Grid, _Part, _better, _build, _model, _mutate, _restart
 from lhvlab.modelio import parse_path, serialize
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
@@ -216,17 +215,6 @@ def fraction_score(ps, det, cfg: SearchConfig):
     return feasible, rank, sum(ps.coincidence_rate.values(), Fraction(0))
 
 
-def _halfway(rng: random.Random, pmf: Pmf) -> Pmf:
-    """``pmf`` over 1/64 with 1/64 of mass moved from one atom with mass to another atom."""
-    scale, weights = pmf.integer_atoms()
-    weights = {lab: w * (64 // scale) for lab, w in weights.items()}
-    src = rng.choice([lab for lab, w in weights.items() if w > 0])
-    dst = rng.choice([lab for lab in weights if lab != src])
-    weights[src] -= 1
-    weights[dst] += 1
-    return Pmf.from_integers(64, weights)
-
-
 class TestDetectionFromPostSelection:
     @pytest.mark.parametrize("instrument_atoms", [1, 2])
     def test_marginals_equal_detection_rates_along_a_walk(self, instrument_atoms):
@@ -235,8 +223,8 @@ class TestDetectionFromPostSelection:
         cfg = SearchConfig(seed=0, source_atoms=6, instrument_atoms=instrument_atoms, mass_denominator=8)
         rng = random.Random(61 + instrument_atoms)
         instrument_moves = 0
-        for _restart in range(5):
-            key = _build(_random_search_model(rng, cfg), cfg)
+        for _round in range(5):
+            key = _restart(rng, cfg)
             for _step in range(80):
                 model = _model(key)
                 ps = postselected_correlations(behavior_from_model(model))
@@ -259,8 +247,8 @@ class TestDetectionFromPostSelection:
                            **SCORE_LIMITS[limits])
         rng = random.Random(71 + instrument_atoms)
         floor_hits = cap_hits = feasible_seen = children = 0
-        for _restart in range(4):
-            key, parent, parent_rank = _build(_random_search_model(rng, cfg), cfg), None, None
+        for _round in range(4):
+            key, parent, parent_rank = _restart(rng, cfg), None, None
             for _step in range(60):
                 children += parent is not None
                 model = _model(key)
@@ -278,44 +266,6 @@ class TestDetectionFromPostSelection:
         assert feasible_seen > 0 and children > 100
         if limits == "on_grid":
             assert floor_hits > 0 and cap_hits > 0
-
-    @pytest.mark.parametrize("limits", sorted(SCORE_LIMITS))
-    def test_off_grid_model_scores_like_the_fraction_report(self, limits):
-        """A normalized model with masses of 1/64 where mass_denominator is 32
-        is scored over the finer grid scale 64, and its feasibility, rank and
-        coincidence total equal those derived from the Fraction report."""
-        cfg = SearchConfig(seed=0, source_atoms=4, instrument_atoms=2, **SCORE_LIMITS[limits])
-        rng = random.Random(13)
-        winner = parse_path(FIXTURES / "loophole_winner.model.json")
-        feasible_seen = 0
-        for model in [winner] * 10 + [_random_search_model(rng, cfg) for _ in range(30)]:
-            # move 1/64 of the source's mass, and of one setting's instrument mass if it has two atoms
-            source = _halfway(rng, model.source)
-            settings = [*model.alice, *model.bob]
-            k = rng.randrange(4)
-            if len(settings[k].instrument) > 1:
-                settings[k] = Setting(settings[k].name, _halfway(rng, settings[k].instrument), settings[k].outcomes)
-            model = ContextualModel(source, tuple(settings[:2]), tuple(settings[2:]))
-            assert model.source.integer_atoms()[0] == 64 and validate_model(model).ok
-            key = _build(model, cfg)
-            assert key.grid.scale == 64
-            ps = postselected_correlations(behavior_from_model(model))
-            expected = fraction_score(ps, detection_rates(model), cfg)
-            assert (key.feasible, Fraction(*key.rank), Fraction(*key.coincidence)) == expected
-            feasible_seen += key.feasible
-        assert feasible_seen > 0
-
-    def test_unnormalized_candidate_is_rejected(self):
-        model = _random_search_model(random.Random(5), SearchConfig(seed=0, instrument_atoms=2))
-        halved = Pmf({pair: m / 2 for pair, m in model.source.items()})
-        a0, a1 = model.alice
-        heavy = Setting(a0.name, Pmf({lab: 2 * m for lab, m in a0.instrument.items()}), a0.outcomes)
-        for bad in (
-            ContextualModel(halved, model.alice, model.bob),
-            ContextualModel(model.source, (heavy, a1), model.bob),
-        ):
-            with pytest.raises(ValueError, match="behavior table is not normalized"):
-                _build(bad, SearchConfig(seed=0))
 
 
 # SHA-256 of five seeded budget-400 searches per instrument-atom count, as
@@ -384,6 +334,22 @@ def _check_change(parent, child, cfg: SearchConfig) -> None:
     assert dict(moved_pmf.items()) == expected
 
 
+def _fresh_build(model: ContextualModel, cfg: SearchConfig):
+    """The key built in full from a search model's parts, each read back as integers over ``mass_denominator``."""
+    d = cfg.mass_denominator
+
+    def weights(pmf):
+        scale, atoms = pmf.integer_atoms()
+        assert d % scale == 0
+        return {lab: w * (d // scale) for lab, w in atoms.items()}
+
+    settings = [*model.alice, *model.bob]
+    assert [s.name for s in settings] == ["x", "x'", "y", "y'"]
+    assert all(s.outcomes.ternary and s.outcomes.scale == 1 for s in settings)
+    parts = [_Part(None, weights(model.source))] + [_Part(s.outcomes.numerators, weights(s.instrument)) for s in settings]
+    return _build(_Grid(tuple(model.source.labels()), cfg), tuple(parts))
+
+
 def _value(key):
     """A key's rank and coincidence total as Fractions."""
     return Fraction(*key.rank), Fraction(*key.coincidence)
@@ -398,13 +364,11 @@ class TestIncrementalCandidates:
         assert walk_digest(instrument_atoms) == WALK_SHA256[instrument_atoms]
 
     def test_mutation_updates_only_what_it_moved(self, monkeypatch):
-        """A restart builds four settings' rows in full and point-tests four
-        settings; after it no row is built over a whole setting: an
-        instrument move point-tests its one new setting, a flip its one new
-        entry, a source move nothing.  No whole document is assembled, and
-        no part's text is rendered: every tie the walk meets is with the
+        """A restart builds four settings' rows in full; after it no row is
+        built over a whole setting.  No whole document is assembled, and no
+        part's text is rendered: every tie the walk meets is with the
         candidate's parent, decided on the moved entry or mass."""
-        builds, points, texts, events = [], [], [], []
+        builds, texts, events = [], [], []
 
         for module, name, log in (
             (loophole, "setting_rows", builds),
@@ -416,36 +380,23 @@ class TestIncrementalCandidates:
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counted)
-        real_model_test, real_integer_test = loophole.require_point_outcomes, loophole._require_point
-
-        # each point test as "all" for a whole table, or the keys it was limited to
-        def model_test(side, setting, keys=None):
-            points.append("all" if keys is None else keys)
-            return real_model_test(side, setting, keys)
-
-        def integer_test(grid, s, part, keys=None):
-            points.append("all" if keys is None else keys)
-            return real_integer_test(grid, s, part, keys)
-
-        monkeypatch.setattr(loophole, "require_point_outcomes", model_test)
-        monkeypatch.setattr(loophole, "_require_point", integer_test)
 
         def assembled(*_args):
             raise AssertionError("the tie-break assembled a whole document")
 
         monkeypatch.setattr(modelio, "contextual_text", assembled)
-        real_mutate, real_restart = loophole._mutate, loophole._random_search_model
+        real_mutate, real_restart = loophole._mutate, loophole._restart
         cfg = SearchConfig(seed=3, budget=400, instrument_atoms=2)
 
         def mutate(rng, parent, cfg):
-            marks = (len(builds), len(points))
+            mark = len(builds)
             child = real_mutate(rng, parent, cfg)
-            events.append((_change_kind(parent, child), child.parts[_moved_index(parent, child)].moved, *marks))
+            events.append((_change_kind(parent, child), mark))
             _check_change(parent, child, cfg)
             return child
 
         def restart(rng, cfg):
-            events.append(("restart", None, len(builds), len(points)))
+            events.append(("restart", len(builds)))
             return real_restart(rng, cfg)
 
         # the winner's report closes the walk; its detection rates build rows again
@@ -453,39 +404,38 @@ class TestIncrementalCandidates:
         real_behavior = loophole.behavior_from_model
 
         def behavior(model):
-            walk_end.append((len(builds), len(points)))
+            walk_end.append(len(builds))
             return real_behavior(model)
 
         monkeypatch.setattr(loophole, "_mutate", mutate)
-        monkeypatch.setattr(loophole, "_random_search_model", restart)
+        monkeypatch.setattr(loophole, "_restart", restart)
         monkeypatch.setattr(loophole, "behavior_from_model", behavior)
         out = search_postselection_violation(cfg)
         assert out.evaluations == len(events) == 400
-        assert len(walk_end) == 1 and len(builds) == walk_end[0][0] + 4
+        assert len(walk_end) == 1 and len(builds) == walk_end[0] + 4
 
-        marks = [(b, p) for _kind, _moved, b, p in events] + walk_end
-        for (kind, moved, b0, p0), (b1, p1) in zip(events, marks[1:]):
-            expected = {"restart": ["all"] * 4, "source": [], "instrument": ["all"]}
-            expected_tests = [(moved,)] if kind == "flip" else expected[kind]
-            assert (b1 - b0, points[p0:p1]) == (4 if kind == "restart" else 0, expected_tests)
-        assert {kind for kind, *_rest in events} == {"restart", "source", "flip", "instrument"}
+        marks = [mark for _kind, mark in events] + walk_end
+        for (kind, b0), b1 in zip(events, marks[1:]):
+            assert b1 - b0 == (4 if kind == "restart" else 0)
+        assert {kind for kind, _mark in events} == {"restart", "source", "flip", "instrument"}
         assert texts == []
 
     @pytest.mark.parametrize("instrument_atoms", [1, 2])
     @pytest.mark.parametrize("limits", ["default", "uncapped"])
     def test_delta_state_equals_a_fresh_build(self, instrument_atoms, limits):
         """Along seeded greedy walks, the integers a candidate derives from its
-        parent's by the delta of its move equal those built in full from its
-        model, and so do its feasibility, rank and coincidence pairs."""
+        parent's by the delta of its move equal those built in full from the
+        parts read back from its model, and so do its feasibility, rank and
+        coincidence pairs."""
         cfg = SearchConfig(seed=0, instrument_atoms=instrument_atoms, **SCORE_LIMITS[limits])
         rng = random.Random(83 + instrument_atoms)
         kinds = defaultdict(int)
-        for _restart in range(4):
-            parent = _build(_random_search_model(rng, cfg), cfg)
+        for _round in range(4):
+            parent = _restart(rng, cfg)
             for _step in range(250):
                 key = _mutate(rng, parent, cfg)
                 kinds[_change_kind(parent, key)] += 1
-                fresh = _build(_model(key), cfg)
+                fresh = _fresh_build(_model(key), cfg)
                 assert key.grid.scale == fresh.grid.scale == cfg.mass_denominator
                 assert _integers(key) == _integers(fresh)
                 assert (key.feasible, key.rank, key.coincidence) == (fresh.feasible, fresh.rank, fresh.coincidence)
@@ -504,8 +454,8 @@ class TestIncrementalCandidates:
         cfg = SearchConfig(seed=0, source_atoms=3, instrument_atoms=instrument_atoms, mass_denominator=4)
         rng = random.Random(97 + instrument_atoms)
         keys, parent_ties = [], defaultdict(list)
-        for _restart in range(3):
-            key = _build(_random_search_model(rng, cfg), cfg)
+        for _round in range(3):
+            key = _restart(rng, cfg)
             keys.append(key)
             for _step in range(150):
                 parent, key = key, _mutate(rng, key, cfg)
@@ -566,7 +516,7 @@ class TestIncrementalCandidates:
         scales compared; a tie in both falls to the canonical texts."""
         rng = random.Random(seed)
         configs = [SearchConfig(seed=0, source_atoms=3, instrument_atoms=2, mass_denominator=d) for d in denominators]
-        keys = [_build(_random_search_model(rng, cfg), cfg) for cfg in configs]
+        keys = [_restart(rng, cfg) for cfg in configs]
         # a missing second value repeats the first, written over another denominator
         values = [(r, r2 or r) for r, r2 in (ranks, coincidences)]
         for k, key in enumerate(keys):
@@ -589,7 +539,8 @@ class TestIncrementalCandidates:
     def test_the_walk_builds_no_model_objects(self, monkeypatch):
         """Between its restarts and the winner, a budget-400 search builds no
         ContextualModel, Setting, OutcomeTable or Fraction, apart from the
-        Fraction of each history entry."""
+        Fraction of each history entry; a restart builds no ContextualModel,
+        only the four settings whose rows it reads."""
         phase, built, restarts = ["config"], defaultdict(int), []
 
         def counted(real, name):
@@ -608,17 +559,14 @@ class TestIncrementalCandidates:
             from_integers = counted(OutcomeTable.from_integers.__func__, "OutcomeTable")
             monkeypatch.setattr(OutcomeTable, "from_integers", classmethod(from_integers))
 
-        real_restart, real_build, real_model = loophole._random_search_model, loophole._build, loophole._model
+        real_restart, real_model = loophole._restart, loophole._model
 
         def restart(rng, cfg):
             if phase[0] == "config":
                 install()
             phase[0] = "restart"
             restarts.append(rng)
-            return real_restart(rng, cfg)
-
-        def build(model, cfg):
-            key = real_build(model, cfg)
+            key = real_restart(rng, cfg)
             phase[0] = "walk"
             return key
 
@@ -626,49 +574,33 @@ class TestIncrementalCandidates:
             phase[0] = "winner"
             return real_model(key)
 
-        monkeypatch.setattr(loophole, "_random_search_model", restart)
-        monkeypatch.setattr(loophole, "_build", build)
+        monkeypatch.setattr(loophole, "_restart", restart)
         monkeypatch.setattr(loophole, "_model", winner)
         out = search_postselection_violation(SearchConfig(seed=3, budget=400, instrument_atoms=2))
         walk = {name: n for (when, name), n in built.items() if when == "walk"}
         assert walk == {"Fraction": len(out.history)}
+        assert built["restart", "ContextualModel"] == 0
         assert built["restart", "Setting"] == built["restart", "OutcomeTable"] == 4 * len(restarts)
         assert built["winner", "ContextualModel"] == 1
 
-    def test_flip_to_zero_in_an_unflagged_table_is_refused(self):
-        """A walk from a model whose tables are not ternary stops at its first
-        flip to 0, which the point test of the flipped entry refuses."""
-        cfg = SearchConfig(seed=0)
-        key, rng = _build(counterexample_model(), cfg), random.Random(5)
-        with pytest.raises(ValueError, match="has fractional outcomes; behavior tables need point outcomes"):
-            for _step in range(200):
-                key = _mutate(rng, key, cfg)
-
     def test_only_the_winner_outlives_the_search(self, monkeypatch):
-        """No candidate key, part or walk grid outlives the search, nor any
-        restart's model; the one model left is the winner's, built once."""
+        """No candidate key, part or walk grid outlives the search; the one
+        model left is the winner's, built once."""
         def walk_objects() -> int:
             gc.collect()
             return sum(type(obj) in (loophole._Key, loophole._Part, loophole._Grid) for obj in gc.get_objects())
 
-        refs, winners = [], []
-        real_restart, real_model = loophole._random_search_model, loophole._model
-
-        def restart(*args):
-            model = real_restart(*args)
-            refs.append(weakref.ref(model))
-            return model
+        winners = []
+        real_model = loophole._model
 
         def winner(key):
             winners.append(real_model(key))
             return winners[-1]
 
-        monkeypatch.setattr(loophole, "_random_search_model", restart)
         monkeypatch.setattr(loophole, "_model", winner)
         before = walk_objects()
         out = search_postselection_violation(SearchConfig(seed=3, budget=400, instrument_atoms=2))
         assert walk_objects() == before
-        assert refs and all(ref() is None for ref in refs)
         assert len(winners) == 1 and winners[0] is out.model
 
 

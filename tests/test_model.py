@@ -389,12 +389,11 @@ def test_values_are_point_on_whole_tables(ternary):
     st.fractions(min_value=-1, max_value=1, max_denominator=12).filter(lambda v: v.denominator > 1),
     st.booleans(),
     st.integers(1, 12),
-    st.data(),
 )
-def test_tables_store_integers_over_one_scale(values, spare, ternary, c, data):
-    """A table built from any number-like values reads them back exactly, is the same table as its
-    integers over any multiple of its scale, and keeps its repr; ``values_are_point`` at a subset of
-    keys is right although a spare fractional entry keeps the table's scale above 1."""
+def test_tables_store_integers_over_one_scale(values, spare, ternary, c):
+    """A table built from any number-like values, a spare fractional entry keeping its scale above 1,
+    reads them back exactly, is the same table as its integers over any multiple of its scale, and
+    keeps its repr."""
     entries = {(f"l{i}", "*"): v for i, v in enumerate(values)}
     table = OutcomeTable({**entries, ("spare", "*"): spare}, ternary=ternary)
     assert table.scale > 1
@@ -405,9 +404,6 @@ def test_tables_store_integers_over_one_scale(values, spare, ternary, c, data):
     assert list(scaled.numerators) == [*entries, ("spare", "*")]
     shown = {key: as_fraction(v) for key, v in entries.items()} | {("spare", "*"): spare}
     assert repr(table) == f"OutcomeTable({shown!r}, ternary={ternary})"
-    keys = data.draw(st.lists(st.sampled_from(list(entries)), unique=True))
-    allowed = {Fraction(-1), Fraction(1)} | ({Fraction(0)} if ternary else set())
-    assert table.values_are_point(keys) == all(as_fraction(entries[k]) in allowed for k in keys)
 
 
 EXACT_MODULES = ("model", "chsh", "fine", "flatten", "loophole", "modelio", "simplex")

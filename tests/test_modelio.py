@@ -31,7 +31,7 @@ from lhvlab import (
     zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model
-from lhvlab.loophole import _build, _model, _mutate, _random_search_model
+from lhvlab.loophole import _model, _mutate, _restart
 from lhvlab.model import QUOTE_LIMIT, _excerpt, integer_scale, source_labels
 from lhvlab.modelio import KINDS, ModelParseError, parse_path, parse_text, serialize, setting_text, source_text
 from test_fuzz import DOCUMENTS, REPLACEMENTS, mutate, nested_paths
@@ -596,7 +596,7 @@ def search_model(draw):
         seed=0, source_atoms=draw(st.integers(1, 6)), instrument_atoms=atoms, mass_denominator=8
     )
     rng = random.Random(draw(st.integers(0, 2**32)))
-    key = _build(_random_search_model(rng, cfg), cfg)
+    key = _restart(rng, cfg)
     for _ in range(draw(st.integers(0, 30))):
         key = _mutate(rng, key, cfg)
     return _model(key)

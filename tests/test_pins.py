@@ -172,7 +172,8 @@ def find_joint_digest(n: int = PIN_MODELS) -> str:
     digest = hashlib.sha256()
     for behavior in fine_behaviors(n):
         result = find_joint(behavior)
-        witness = result.joint.mass if result.feasible else vars(result.certificate)
+        # the pin was recorded with the behavior's contexts after each certificate's fields, so they are hashed there
+        witness = result.joint.mass if result.feasible else vars(result.certificate) | {"contexts": behavior.contexts()}
         digest.update(repr((result.feasible, witness)).encode())
     return digest.hexdigest()
 
