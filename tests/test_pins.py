@@ -198,12 +198,16 @@ def postselection_digest(n: int = PIN_MODELS) -> str:
     return digest.hexdigest()
 
 
-# budget-400 searches: one and two instrument atoms, no detection cap, and a
-# target score that ends the walk early
+# budget-400 searches: one, two and three instrument atoms (three on an odd
+# grid), no detection cap, a floor and cap on a grid of eighths that the walk
+# reaches exactly (the penalty's denominator is then not 256), and a target
+# score that ends the walk early
 SEARCH_CONFIGS = {
     "one_atom": {},
     "two_atoms": {"instrument_atoms": 2},
+    "three_atoms_d7": {"instrument_atoms": 3, "mass_denominator": 7},
     "uncapped": {"max_detection": None},
+    "on_grid": {"instrument_atoms": 2, "min_coincidence": Fraction(1, 4), "max_detection": Fraction(3, 4)},
     "target": {"target_stat": Fraction(3)},
 }
 
@@ -280,11 +284,14 @@ VALIDATE_PIN = "9e3905179b5a8466a2959bdece22617997b31cd42648fffbb7e264d05ebcbb83
 NO_SIGNALLING_PIN = "0138eb0292adf18c6f28209dc04f5cade7c3b2cc5506e7e70ed9aaf6c14e80a0"
 FIND_JOINT_PIN = "5a8d588c0c7b64502588a607e340431a26613f32fabe40b2780bddc46d5987ec"
 DETECTION_PIN = "0f309a4e78e2bb0f03298bd14a8eb2100c8bb5521c66f6f60f3ca46d1e1bf60a"
-# recorded while the search still scored every candidate through the Fraction report
+# recorded while the search still scored every candidate through the Fraction report;
+# "on_grid" and "three_atoms_d7" while it still built every child before scoring it
 POSTSELECTION_PIN = "3c458d489368e08444de539c436d502eb8918dd1822ebbe66fd30c9521059c19"
 SEARCH_PINS = {
     "one_atom": "1ce985a34f5cb8ee4cb30295dbfc1d69de16e1486e602a4a15b83ac931a7254e",
+    "on_grid": "f3f6ceffcee5b67e9d1668cca1a904a387cb4d65948d646a0a7adba664053eb2",
     "target": "dde2e8de5208c34d7dbc9942d8bdd4551a7e59cfff92410db7677976bccc796f",
+    "three_atoms_d7": "12629df0b23fa048f98172431cffcc443b36c87ec2ddf3d9fd223e6bb4e557e3",
     "two_atoms": "cdd70954e53b98cb2c49459ab7854ec35fc5c5ca18675d32f31a28d5d748cdac",
     "uncapped": "b73a10cc5d1a7c2d2cd11f09a2be33caa99046872e15521364cd4a8002950de2",
 }
