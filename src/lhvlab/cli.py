@@ -312,6 +312,14 @@ def _arg_fraction(text: str, what: str) -> Fraction:
         raise UsageError(f"{what}: {exc}") from None
 
 
+def _int_arg(text: str) -> int:
+    """An int flag's value; argparse names the flag and quotes a malformed value, cut by ``_excerpt``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}") from None
+
+
 def _check_bound(flag: str, value: int, bound: int) -> None:
     if value > bound:
         raise UsageError(f"{flag} must be at most {bound}, got {_cut(value)}")
@@ -582,20 +590,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="seeded trial-by-trial simulation of a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", type=_int_arg, required=True)
+    p.add_argument("--seed", type=_int_arg, required=True)
     p.add_argument("--bias", help="four comma-separated context probabilities")
     p.add_argument("--confound", action="store_true", help="share the settings stream with the source stream")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("search", help="search for a post-selection CHSH violation")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--budget", type=int, default=4000)
-    p.add_argument("--source-atoms", type=int, default=10)
-    p.add_argument("--instrument-atoms", type=int, default=1)
+    p.add_argument("--seed", type=_int_arg, required=True)
+    p.add_argument("--budget", type=_int_arg, default=4000)
+    p.add_argument("--source-atoms", type=_int_arg, default=10)
+    p.add_argument("--instrument-atoms", type=_int_arg, default=1)
     p.add_argument("--min-rate", default="3/10", help="minimum per-context coincidence rate")
     p.add_argument("--max-detection", default="2/3", help="per-setting detection cap, or 'none'")
-    p.add_argument("--denominator", type=int, default=32, help="mass grid denominator (<= 64)")
+    p.add_argument("--denominator", type=_int_arg, default=32, help="mass grid denominator (<= 64)")
     p.add_argument("--target", help="stop once post-selected max |S| reaches this value")
     p.add_argument("--out-model", help="also write the winning model file here")
     p.set_defaults(func=_cmd_search)

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,10 +20,12 @@ import lhvlab
 from lhvlab import cli
 from lhvlab.cli import build_parser, main
 from lhvlab.corpus import random_contextual_model
+from lhvlab.model import QUOTE_LIMIT, _cut, _excerpt
 
 ROOT = Path(__file__).parents[1]
 SCHEMAS = ROOT / "schemas"
 FIXTURES = ROOT / "fixtures"
+_WINNER_MODEL = str(FIXTURES / "loophole_winner.model.json")
 
 
 def run_cli(capsys, *argv):
@@ -1053,6 +1056,39 @@ class TestSimulateStreaming:
         assert (large - small) / (4 * BLOCK) < 100
 
 
+# tokens a flag value can hold that int() or the number grammar read oddly, or
+# not at all: not-a-number and infinities, a zero denominator, hex, a digit
+# separator, huge and empty tokens, newlines, non-ASCII digits and letters,
+# a value past the int digit limit or the token limit, and a flag as a value
+AWKWARD_TOKENS = ("nan", "inf", "-inf", "1/0", "0x10", "1_0", "", " ", "\n", "1\n", "é", "١٢", "½", "1e999",
+                  "1e-999", "9" * 5000, "-" + "9" * 100, "1/" + "7" * 4400, "0." + "3" * 999, "-1", "0", "none",
+                  "--seed")
+# a valid value of each search flag, small enough that a search ends quickly:
+# budgets up to 30 and sizes up to 4 (the awkward "1_0" and "١٢" read as 10 and 12)
+SEARCH_FLAGS = {
+    "--seed": st.integers(0, 2**64 - 1),
+    "--budget": st.integers(1, 30),
+    "--source-atoms": st.integers(1, 4),
+    "--instrument-atoms": st.integers(1, 4),
+    "--min-rate": st.fractions(0, 1, max_denominator=12),
+    "--max-detection": st.fractions(0, 1, max_denominator=12) | st.just("none"),
+    "--denominator": st.integers(1, 64),
+    "--target": st.fractions(0, 4, max_denominator=12),
+}
+# the wall time one search call may take: a budget-30 search runs in well under 0.1 s
+SEARCH_BUDGET_S = 2.0
+
+
+@st.composite
+def search_argv(draw):
+    """A search argv: each flag missing, given once or repeated, each value valid or awkward."""
+    argv = ["search"]
+    for flag, valid in SEARCH_FLAGS.items():
+        for _time in range(draw(st.sampled_from((0, 1, 1, 1, 2)))):
+            argv += [flag, draw(valid.map(str) | st.sampled_from(AWKWARD_TOKENS))]
+    return argv
+
+
 class TestSearch:
     def test_search_payload_and_model_file(self, capsys, tmp_path):
         out_model = tmp_path / "winner.json"
@@ -1158,6 +1194,54 @@ class TestSearch:
         status, _out, err = run_cli(capsys, "search", "--seed", str(seed), "--budget", "10")
         assert status == 2
         assert "--seed" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--seed", "9" * 5000],
+        ["search", "--seed", "1", "--budget", "1" + "0" * 200 + "x"],
+        ["simulate", "--model", _WINNER_MODEL, "--seed", "1", "--trials", "9" * 5000],
+    ])
+    def test_a_malformed_int_flag_is_quoted_short(self, capsys, argv):
+        """argparse's own int type would quote the whole token, here past Python's int digit limit."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert f"invalid int value: {_excerpt(argv[-1])}\n" in err and len(err.splitlines()[-1]) < 160
+
+    @pytest.mark.parametrize("flag", ["--budget", "--source-atoms", "--instrument-atoms", "--denominator"])
+    def test_a_long_negative_size_is_quoted_short(self, capsys, flag):
+        status, out, err = run_cli(capsys, "search", "--seed", "1", flag, "-" + "9" * 100)
+        assert (status, out) == (2, "")
+        assert err.endswith(f" got {_cut(-int('9' * 100))}\n") or "lie in 1..64" in err
+        assert len(err) < 160
+
+    def test_exhausted_budget_quotes_long_rates_short(self, capsys):
+        rate = "0." + "9" * 900
+        status, out, err = run_cli(capsys, "search", "--seed", "3", "--budget", "3", "--min-rate", rate,
+                                   "--max-detection", "none")
+        assert (status, out) == (1, "")
+        assert f"met min_coincidence {_cut(Fraction(rate))}; lower" in err and len(err) < 250
+
+    @settings(deadline=None)
+    @given(search_argv())
+    def test_awkward_search_flags_exit_with_a_status(self, argv):
+        """Any mix of valid and awkward values, repeated or missing flags: exit 0, 1 or 2 within the
+        time budget, no traceback, and no value quoted past QUOTE_LIMIT characters."""
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        seconds = time.perf_counter() - start
+        message = err.getvalue()
+        assert status in (0, 1, 2), message
+        assert seconds < SEARCH_BUDGET_S and "Traceback" not in message
+        assert status != 0 or message == ""
+        # a quoted value is cut to QUOTE_LIMIT characters, so no longer run of a token's text is shown
+        assert max(map(len, message.split()), default=0) <= QUOTE_LIMIT + 10, message
+        assert not any(len(token) > QUOTE_LIMIT and token[:QUOTE_LIMIT + 1] in message for token in argv)
 
 
 # each call shape of the benchmark's cli workload, with the lhvlab modules it loads besides lhvlab.cli

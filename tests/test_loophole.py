@@ -6,6 +6,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from lhvlab import (
 )
 from lhvlab import loophole, modelio
 from lhvlab.cli import main as cli_main
-from lhvlab.loophole import _Grid, _Part, _better, _build, _model, _mutate, _restart
+from lhvlab.loophole import _Grid, _Part, _better, _build, _improves, _model, _restart, _step
 from lhvlab.modelio import parse_path, serialize
 
 FIXTURES = Path(__file__).parents[1] / "fixtures"
@@ -224,7 +225,7 @@ class TestDetectionFromPostSelection:
         rng = random.Random(61 + instrument_atoms)
         instrument_moves = 0
         for _round in range(5):
-            key = _restart(rng, cfg)
+            key = _restart(rng, _Grid(cfg))
             for _step in range(80):
                 model = _model(key)
                 ps = postselected_correlations(behavior_from_model(model))
@@ -232,7 +233,7 @@ class TestDetectionFromPostSelection:
                 for ctx in model.contexts():
                     assert ps.alice_detect[ctx] == det.alice[ctx[0]]
                     assert ps.bob_detect[ctx] == det.bob[ctx[1]]
-                child = _mutate(rng, key, cfg)
+                child = _apply(rng, key)
                 instrument_moves += _change_kind(key, child) == "instrument"
                 key = child
         assert (instrument_moves > 0) == (instrument_atoms > 1)
@@ -248,7 +249,7 @@ class TestDetectionFromPostSelection:
         rng = random.Random(71 + instrument_atoms)
         floor_hits = cap_hits = feasible_seen = children = 0
         for _round in range(4):
-            key, parent, parent_rank = _restart(rng, cfg), None, None
+            key, parent, parent_rank = _restart(rng, _Grid(cfg)), None, None
             for _step in range(60):
                 children += parent is not None
                 model = _model(key)
@@ -262,7 +263,7 @@ class TestDetectionFromPostSelection:
                 # climb like the search, so the walk reaches the feasible region
                 if parent is None or expected[1] >= parent_rank:
                     parent, parent_rank = key, expected[1]
-                key = _mutate(rng, parent, cfg)
+                key = _apply(rng, parent)
         assert feasible_seen > 0 and children > 100
         if limits == "on_grid":
             assert floor_hits > 0 and cap_hits > 0
@@ -290,6 +291,22 @@ def walk_digest(instrument_atoms: int) -> str:
     return digest.hexdigest()
 
 
+def _apply(rng, parent, scored=None):
+    """A random move from ``parent`` applied in full, whether the walk would keep it or not.
+
+    Each move's kernel scores it before building anything; ``scored``, if
+    given, receives the score, whether the child's part text is the
+    smaller, and the walk's own verdict.
+    """
+    def keep(score, wins_tie, parent):
+        if scored is not None:
+            scored.append((score, wins_tie, _improves(score, wins_tie, parent)))
+        return True
+
+    with mock.patch.object(loophole, "_improves", keep):
+        return _step(rng, parent)
+
+
 def _moved_index(parent, child) -> int:
     """The index of the one part (0 the source, 1 to 4 the settings) that ``child``'s move replaced."""
     (index,) = [i for i, (p, q) in enumerate(zip(parent.parts, child.parts)) if p is not q]
@@ -313,7 +330,7 @@ def _check_change(parent, child, cfg: SearchConfig) -> None:
     """The child's model differs from its parent's in the one part its move replaced, by exactly
     that move: the flipped entry, or one grid unit between the two atoms of a mass move."""
     index, kind = _moved_index(parent, child), _change_kind(parent, child)
-    moved = child.parts[index].moved
+    moved, grid = child.parts[index].moved, child.grid
     old_model, new_model = _model(parent), _model(child)
     old_parts, new_parts = [old_model.source, *old_model.alice, *old_model.bob], [new_model.source, *new_model.alice,
                                                                                 *new_model.bob]
@@ -322,12 +339,12 @@ def _check_change(parent, child, cfg: SearchConfig) -> None:
     if kind == "flip":
         assert new.instrument == old.instrument
         differ = [k for k in new.outcomes.numerators if new.outcomes.value(*k) != old.outcomes.value(*k)]
-        assert differ == [moved]
+        assert differ == [grid.entry_names[moved]]
         return
     pmf, moved_pmf = (old, new) if kind == "source" else (old.instrument, new.instrument)
     if kind == "instrument":
         assert new.outcomes == old.outcomes
-    src, dst = moved
+    src, dst = ((grid.pair_names if kind == "source" else grid.atom_names)[i] for i in moved)
     expected = dict(pmf.items())
     expected[src] -= Fraction(1, cfg.mass_denominator)
     expected[dst] += Fraction(1, cfg.mass_denominator)
@@ -336,18 +353,20 @@ def _check_change(parent, child, cfg: SearchConfig) -> None:
 
 def _fresh_build(model: ContextualModel, cfg: SearchConfig):
     """The key built in full from a search model's parts, each read back as integers over ``mass_denominator``."""
-    d = cfg.mass_denominator
+    d, grid = cfg.mass_denominator, _Grid(cfg)
 
-    def weights(pmf):
+    def weights(pmf, names):
         scale, atoms = pmf.integer_atoms()
-        assert d % scale == 0
-        return {lab: w * (d // scale) for lab, w in atoms.items()}
+        assert d % scale == 0 and tuple(atoms) == names
+        return [w * (d // scale) for w in atoms.values()]
 
     settings = [*model.alice, *model.bob]
     assert [s.name for s in settings] == ["x", "x'", "y", "y'"]
     assert all(s.outcomes.ternary and s.outcomes.scale == 1 for s in settings)
-    parts = [_Part(None, weights(model.source))] + [_Part(s.outcomes.numerators, weights(s.instrument)) for s in settings]
-    return _build(_Grid(tuple(model.source.labels()), cfg), tuple(parts))
+    assert all(tuple(s.outcomes.numerators) == grid.entry_names for s in settings)
+    parts = [_Part(None, weights(model.source, grid.pair_names))] + [
+        _Part(list(s.outcomes.numerators.values()), weights(s.instrument, grid.atom_names)) for s in settings]
+    return _build(grid, tuple(parts))
 
 
 def _value(key):
@@ -385,19 +404,22 @@ class TestIncrementalCandidates:
             raise AssertionError("the tie-break assembled a whole document")
 
         monkeypatch.setattr(modelio, "contextual_text", assembled)
-        real_mutate, real_restart = loophole._mutate, loophole._restart
+        real_step, real_restart = loophole._step, loophole._restart
         cfg = SearchConfig(seed=3, budget=400, instrument_atoms=2)
 
-        def mutate(rng, parent, cfg):
+        def step(rng, parent):
             mark = len(builds)
-            child = real_mutate(rng, parent, cfg)
-            events.append((_change_kind(parent, child), mark))
-            _check_change(parent, child, cfg)
+            child = real_step(rng, parent)
+            if child is None:
+                events.append(("discarded", mark))
+            else:
+                events.append((_change_kind(parent, child), mark))
+                _check_change(parent, child, cfg)
             return child
 
-        def restart(rng, cfg):
+        def restart(rng, grid):
             events.append(("restart", len(builds)))
-            return real_restart(rng, cfg)
+            return real_restart(rng, grid)
 
         # the winner's report closes the walk; its detection rates build rows again
         walk_end = []
@@ -407,7 +429,7 @@ class TestIncrementalCandidates:
             walk_end.append(len(builds))
             return real_behavior(model)
 
-        monkeypatch.setattr(loophole, "_mutate", mutate)
+        monkeypatch.setattr(loophole, "_step", step)
         monkeypatch.setattr(loophole, "_restart", restart)
         monkeypatch.setattr(loophole, "behavior_from_model", behavior)
         out = search_postselection_violation(cfg)
@@ -417,31 +439,64 @@ class TestIncrementalCandidates:
         marks = [mark for _kind, mark in events] + walk_end
         for (kind, b0), b1 in zip(events, marks[1:]):
             assert b1 - b0 == (4 if kind == "restart" else 0)
-        assert {kind for kind, _mark in events} == {"restart", "source", "flip", "instrument"}
+        assert {kind for kind, _mark in events} == {"restart", "discarded", "source", "flip", "instrument"}
         assert texts == []
 
-    @pytest.mark.parametrize("instrument_atoms", [1, 2])
+    def test_a_discarded_move_builds_nothing(self, monkeypatch):
+        """A move is scored on its parent's sums before any child exists: one
+        the walk throws away makes no part, no key and no dict, and a kept
+        one makes exactly one part and one key."""
+        made = defaultdict(int)
+        for name in ("_Key", "_Part", "dict"):
+            def counted(*args, _real=getattr(loophole, name, dict), _name=name):
+                made[_name] += 1
+                return _real(*args)
+
+            # the module's own name for dict, shadowing the builtin
+            monkeypatch.setattr(loophole, name, counted, raising=False)
+        real_step, moves = loophole._step, defaultdict(list)
+
+        def step(rng, parent):
+            before = dict.copy(made)
+            child = real_step(rng, parent)
+            moves["discarded" if child is None else "kept"].append({k: n - before.get(k, 0) for k, n in made.items()})
+            return child
+
+        monkeypatch.setattr(loophole, "_step", step)
+        search_postselection_violation(SearchConfig(seed=3, budget=400, instrument_atoms=2))
+        assert len(moves["discarded"]) > 150 and len(moves["kept"]) > 30
+        assert all(not any(counts.values()) for counts in moves["discarded"])
+        assert all(counts == {"_Key": 1, "_Part": 1, "dict": 0} for counts in moves["kept"])
+
+    @pytest.mark.parametrize("instrument_atoms", [1, 2, 3])
     @pytest.mark.parametrize("limits", ["default", "uncapped"])
     def test_delta_state_equals_a_fresh_build(self, instrument_atoms, limits):
-        """Along seeded greedy walks, the integers a candidate derives from its
-        parent's by the delta of its move equal those built in full from the
-        parts read back from its model, and so do its feasibility, rank and
-        coincidence pairs."""
+        """Along seeded greedy walks, every move's score, taken on its parent's
+        sums before any child exists, equals the feasibility, rank and
+        coincidence of the key built in full from the parts read back from
+        the move's child, and so do the integers the child derives from its
+        parent's by the move's delta.  That holds for the moves the walk
+        throws away too, and its verdict on each is _better's on the child."""
         cfg = SearchConfig(seed=0, instrument_atoms=instrument_atoms, **SCORE_LIMITS[limits])
         rng = random.Random(83 + instrument_atoms)
-        kinds = defaultdict(int)
+        kinds, discarded = defaultdict(int), 0
         for _round in range(4):
-            parent = _restart(rng, cfg)
-            for _step in range(250):
-                key = _mutate(rng, parent, cfg)
+            parent = _restart(rng, _Grid(cfg))
+            for _move in range(250):
+                scored = []
+                key = _apply(rng, parent, scored)
+                ((score, _wins_tie, kept),) = scored
                 kinds[_change_kind(parent, key)] += 1
                 fresh = _fresh_build(_model(key), cfg)
                 assert key.grid.scale == fresh.grid.scale == cfg.mass_denominator
                 assert _integers(key) == _integers(fresh)
-                assert (key.feasible, key.rank, key.coincidence) == (fresh.feasible, fresh.rank, fresh.coincidence)
-                if _better(key, parent):
+                assert score == (key.feasible, key.rank, key.coincidence) == (fresh.feasible, fresh.rank,
+                                                                             fresh.coincidence)
+                assert kept == _better(key, parent)
+                discarded += not kept
+                if kept:
                     parent = key
-        assert kinds["flip"] > 100 and kinds["source"] > 100
+        assert kinds["flip"] > 100 and kinds["source"] > 100 and discarded > 300
         assert (kinds["instrument"] > 100) if instrument_atoms > 1 else ("instrument" not in kinds)
 
     @pytest.mark.parametrize("instrument_atoms", [1, 2])
@@ -449,23 +504,28 @@ class TestIncrementalCandidates:
         """On keys of seeded walks that tie in rank and coincidence, _better
         agrees with comparing the whole serialize() texts.  A flip, a source
         move or an instrument move that ties with its parent is decided on the
-        flipped entry or the first moved mass, rendering nothing; other ties
-        render each differing part's text once."""
+        flipped entry or the first moved mass, rendering nothing, both by the
+        move's kernel before the child exists and by _better on the child;
+        other ties render each differing part's text once."""
         cfg = SearchConfig(seed=0, source_atoms=3, instrument_atoms=instrument_atoms, mass_denominator=4)
         rng = random.Random(97 + instrument_atoms)
-        keys, parent_ties = [], defaultdict(list)
+        keys, parent_ties, wins = [], defaultdict(list), []
         for _round in range(3):
-            key = _restart(rng, cfg)
+            key = _restart(rng, _Grid(cfg))
             keys.append(key)
-            for _step in range(150):
-                parent, key = key, _mutate(rng, key, cfg)
+            for _move in range(150):
+                scored = []
+                parent, key = key, _apply(rng, key, scored)
                 keys.append(key)
                 if _value(key) == _value(parent):
                     parent_ties[_change_kind(parent, key)].append((key, parent))
+                    ((_score, wins_tie, kept),) = scored
+                    wins.append((wins_tie, kept))
         ties = [pair for pairs in parent_ties.values() for pair in pairs]
         # before anything renders a part text, so no cached text can answer
         texts = {id(key): serialize(_model(key)) for key in keys}
         orders = [(texts[id(a)] < texts[id(b)], texts[id(b)] < texts[id(a)]) for a, b in ties]
+        assert sorted(wins) == sorted((smaller, smaller) for smaller, _larger in orders)
 
         def unrendered(*_args):
             raise AssertionError("a tie with the parent rendered a part text")
@@ -516,7 +576,7 @@ class TestIncrementalCandidates:
         scales compared; a tie in both falls to the canonical texts."""
         rng = random.Random(seed)
         configs = [SearchConfig(seed=0, source_atoms=3, instrument_atoms=2, mass_denominator=d) for d in denominators]
-        keys = [_restart(rng, cfg) for cfg in configs]
+        keys = [_restart(rng, _Grid(cfg)) for cfg in configs]
         # a missing second value repeats the first, written over another denominator
         values = [(r, r2 or r) for r, r2 in (ranks, coincidences)]
         for k, key in enumerate(keys):
@@ -561,12 +621,12 @@ class TestIncrementalCandidates:
 
         real_restart, real_model = loophole._restart, loophole._model
 
-        def restart(rng, cfg):
+        def restart(rng, grid):
             if phase[0] == "config":
                 install()
             phase[0] = "restart"
             restarts.append(rng)
-            key = real_restart(rng, cfg)
+            key = real_restart(rng, grid)
             phase[0] = "walk"
             return key
 

@@ -4,6 +4,7 @@ import random
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from lhvlab import (
     zero_to_coin,
 )
 from lhvlab.corpus import random_contextual_model
-from lhvlab.loophole import _model, _mutate, _restart
+from lhvlab.loophole import _Grid, _model, _restart, _step
 from lhvlab.model import QUOTE_LIMIT, _excerpt, integer_scale, source_labels
 from lhvlab.modelio import KINDS, ModelParseError, parse_path, parse_text, serialize, setting_text, source_text
 from test_fuzz import DOCUMENTS, REPLACEMENTS, mutate, nested_paths
@@ -590,15 +591,16 @@ def corpus_model(draw):
 
 @st.composite
 def search_model(draw):
-    """A model of a seeded search walk: a random start and some mutations."""
+    """A model of a seeded search walk: a random start and some moves, each applied whether the walk keeps it or not."""
     atoms = draw(st.integers(1, 3))
     cfg = SearchConfig(
         seed=0, source_atoms=draw(st.integers(1, 6)), instrument_atoms=atoms, mass_denominator=8
     )
     rng = random.Random(draw(st.integers(0, 2**32)))
-    key = _restart(rng, cfg)
+    key = _restart(rng, _Grid(cfg))
     for _ in range(draw(st.integers(0, 30))):
-        key = _mutate(rng, key, cfg)
+        with mock.patch("lhvlab.loophole._improves", lambda *_args: True):
+            key = _step(rng, key)
     return _model(key)
 
 
