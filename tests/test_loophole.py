@@ -226,7 +226,7 @@ class TestDetectionFromPostSelection:
         instrument_moves = 0
         for _round in range(5):
             key = _restart(rng, _Grid(cfg))
-            for _step in range(80):
+            for _move in range(80):
                 model = _model(key)
                 ps = postselected_correlations(behavior_from_model(model))
                 det = detection_rates(model)
@@ -250,7 +250,7 @@ class TestDetectionFromPostSelection:
         floor_hits = cap_hits = feasible_seen = children = 0
         for _round in range(4):
             key, parent, parent_rank = _restart(rng, _Grid(cfg)), None, None
-            for _step in range(60):
+            for _move in range(60):
                 children += parent is not None
                 model = _model(key)
                 ps = postselected_correlations(behavior_from_model(model))
