@@ -43,7 +43,9 @@ class ChshReport:
 
     @property
     def max_abs(self) -> Value:
-        return max(abs(c.value) for c in self.combinations)
+        """The largest |value|: the largest value or the negated least, whichever is greater."""
+        values = [c.value for c in self.combinations]
+        return max(max(values), -min(values))
 
     @property
     def satisfied(self) -> bool:
@@ -76,8 +78,7 @@ def chsh_values(quad: CorrelationQuad) -> ChshReport:
             raise ValueError(f"correlation {_cut(v)} at context {_excerpt(ctx)} outside [-1, 1]")
     combos = []
     for flipped, base in zip(contexts, _flip_sums(values)):
-        for sign in (1, -1):
-            combos.append(ChshCombination(flipped, sign, sign * base))
+        combos += ChshCombination(flipped, 1, base), ChshCombination(flipped, -1, -base)
     return ChshReport(quad, combos)
 
 

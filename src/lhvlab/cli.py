@@ -45,6 +45,9 @@ if TYPE_CHECKING:
 MAX_TRIALS = 10**7
 MAX_SOURCE_ATOMS = 1000
 MAX_INSTRUMENT_ATOMS = 100
+# A bound on time: a search evaluation of the default sizes takes about 20 us on
+# a 2-vCPU host, so the largest budget runs a few minutes, not until it is killed.
+MAX_BUDGET = 10**7
 # Bounds on model-derived sizes, checked after the parse and before the build:
 # an atom of the product or the uniform flattening holds about 0.9 KB at the
 # peak of `flatten` (the flat model, its atom texts and the joined document).
@@ -138,9 +141,9 @@ def _read(path: str):
     try:
         return parse_path(path)
     except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
+        raise CliError(f"no such file: {_cut(path)}")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror or exc}")
+        raise CliError(f"cannot read {_cut(path)}: {exc.strerror or exc}")
 
 
 def _load(path: str):
@@ -320,6 +323,18 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}") from None
 
 
+def _choice(names: tuple[str, ...]):
+    """The type of a flag with fixed values; argparse's own check of ``choices`` quotes an invalid value whole."""
+
+    def choice(text: str) -> str:
+        if text not in names:
+            shown = ", ".join(map(repr, names))
+            raise argparse.ArgumentTypeError(f"invalid choice: {_excerpt(text)} (choose from {shown})")
+        return text
+
+    return choice
+
+
 def _check_bound(flag: str, value: int, bound: int) -> None:
     if value > bound:
         raise UsageError(f"{flag} must be at most {bound}, got {_cut(value)}")
@@ -358,7 +373,7 @@ def _with_records(sheet, head: str, row, frame: str, tail: str) -> Iterator[str]
 
 def _cmd_simulate(args) -> tuple[Any, int]:
     if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+        raise UsageError(f"--trials must be >= 1, got {_cut(args.trials)}")
     _check_bound("--trials", args.trials, MAX_TRIALS)
     _check_seed(args.seed)
     model = _require_contextual(_load(args.model))
@@ -421,6 +436,7 @@ def _cmd_search(args) -> tuple[Any, int]:
     _check_seed(args.seed)
     _check_bound("--source-atoms", args.source_atoms, MAX_SOURCE_ATOMS)
     _check_bound("--instrument-atoms", args.instrument_atoms, MAX_INSTRUMENT_ATOMS)
+    _check_bound("--budget", args.budget, MAX_BUDGET)
     if args.out and args.out_model and _same_file(args.out, args.out_model):
         # the artifact would overwrite the model
         raise UsageError(f"--out and --out-model name the same file: {_cut(args.out)}")
@@ -576,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flatten", help="rewrite a contextual model on a single product space")
     p.add_argument("model")
-    p.add_argument("--method", choices=("product", "uniform", "average"), default="product")
+    methods = ("product", "uniform", "average")
+    p.add_argument("--method", type=_choice(methods), choices=methods, default="product")
     p.set_defaults(func=_cmd_flatten)
 
     p = sub.add_parser("chsh", help="all 8 one-sided CHSH combinations of a quad or model")
@@ -619,7 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
     formats = {"simulate": ("json", "csv", "text"), "flatten": ("json",)}
     for name, sp in sub.choices.items():
         sp.add_argument("--out", help="write the artifact to this path instead of stdout")
-        sp.add_argument("--format", choices=formats.get(name, ("json", "text")), default="json")
+        names = formats.get(name, ("json", "text"))
+        sp.add_argument("--format", type=_choice(names), choices=names, default="json")
     return parser
 
 
@@ -655,7 +673,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     too long to print.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # as parse_args words it, each argument cut by _cut
+        parser.error("unrecognized arguments: " + " ".join(map(_cut, extra)))
     path = getattr(args, "model", None) or getattr(args, "behavior", None)
     where = f"{path}: " if path else ""
     try:

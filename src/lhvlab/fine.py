@@ -285,8 +285,8 @@ def coupling_joint(model: ContextualModel) -> JointDistribution16:
     flat = _flatten.product_flatten(model)
     scale, atoms = flat.lambda_pmf.integer_weights()
     # each setting's integer column over its table's scale, one entry per support atom
-    lams = [lam for lam, _w in atoms]
-    columns = [_flatten._column(setting, lams) for setting in flat.alice + flat.bob]
+    labels = _flatten.label_columns([lam for lam, _w in atoms], flat.alice + flat.bob)
+    columns = [_flatten._column(setting, labels) for setting in flat.alice + flat.bob]
     weights = dict.fromkeys(_PATTERNS, 0)
     for k, (_lam, w) in enumerate(atoms):
         for vscale, column in columns:

@@ -18,8 +18,10 @@ cell pmfs of :func:`_quantile_model`, whose cells are cut on integer
 cumulative points.  Weights stay integers (:meth:`Pmf.from_integers`), and
 :meth:`FlatModel.quad` sums each context over integer columns, each the
 table's stored numerators read at the support tuples' keys, one lookup
-each; an entry no tuple reads costs nothing and a zero-mass atom's key
-need not be listed.  That evaluation walks the flat pmf only and never
+each, the keys zipped from :func:`label_columns`, one label column per
+tuple coordinate shared by the settings that read it; an entry no tuple
+reads costs nothing and a zero-mass atom's key need not be listed.
+That evaluation walks the flat pmf only and never
 calls the contextual kernel, ``model.setting_rows``, that it checks.  The
 averaged model holds that kernel's first moments as integer
 :class:`~lhvlab.model.Bar` values (``model.side_bars``), and each
@@ -36,9 +38,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter, mul
-from typing import Sequence
+from itertools import accumulate, product
+from operator import itemgetter, mul, sub
+from typing import Iterable, Sequence
 
 from .model import (
     Bar,
@@ -88,15 +90,14 @@ class FlatModel(SettingPairs):
 
     def quad(self) -> CorrelationQuad:
         """All four expectations; each setting's column is built once for both its contexts."""
-        scale, atoms = self.lambda_pmf.integer_weights()
-        lams = [lam for lam, _w in atoms]
-        weights = [w for _lam, w in atoms]
+        scale, lams, weights = _support(self.lambda_pmf)
+        labels = label_columns(lams, self.alice + self.bob)
         # Alice's columns carry the pmf weights and scale, so a context is one dot product
         alice = {}
         for name in self.alice_settings:
-            a_scale, a = _column(self.alice_setting(name), lams)
+            a_scale, a = _column(self.alice_setting(name), labels)
             alice[name] = a_scale * scale, list(map(mul, a, weights))
-        bob = {name: _column(self.bob_setting(name), lams) for name in self.bob_settings}
+        bob = {name: _column(self.bob_setting(name), labels) for name in self.bob_settings}
         values = {}
         for ctx in self.contexts():
             aw_scale, aw = alice[ctx[0]]
@@ -105,11 +106,26 @@ class FlatModel(SettingPairs):
         return CorrelationQuad(self.alice_settings, self.bob_settings, values)
 
 
-def _column(setting: FlatSetting, lams: Sequence[tuple]) -> tuple[int, list[int]]:
-    """A setting's table value at each tuple, as integers over the table's scale."""
+def _support(pmf: Pmf) -> tuple[int, list[tuple], list[int]]:
+    """A flat pmf's support as ``(scale, tuples, weights)``; the stored atoms as they are when every weight is positive."""
+    scale, weights = pmf.integer_atoms()
+    if min(weights.values(), default=1) > 0:
+        return scale, list(weights), list(weights.values())
+    scale, atoms = pmf.integer_weights()
+    return scale, [lam for lam, _w in atoms], [w for _lam, w in atoms]
+
+
+def label_columns(lams: Sequence[tuple], settings: Iterable[FlatSetting]) -> dict[int, list[Label]]:
+    """For each tuple coordinate that ``settings`` read, the label at that coordinate of every tuple in ``lams``."""
+    return {c: list(map(itemgetter(c), lams)) for c in dict.fromkeys(c for s in settings for c in s.coords)}
+
+
+def _column(setting: FlatSetting, labels: dict[int, list[Label]]) -> tuple[int, list[int]]:
+    """A setting's table value at each tuple, as integers over the table's scale; ``labels`` are :func:`label_columns`."""
     table = setting.outcomes
+    i, j = setting.coords
     try:
-        return table.scale, list(map(table.numerators.__getitem__, map(itemgetter(*setting.coords), lams)))
+        return table.scale, list(map(table.numerators.__getitem__, zip(labels[i], labels[j])))
     except KeyError as exc:
         # the map stops at the first tuple whose key is missing; numerator() names it
         table.numerator(*exc.args[0])
@@ -187,8 +203,9 @@ def _tuple_product(model: ContextualModel, spaces: Sequence[Pmf], coords: Sequen
         space_scale, space = pmf.integer_weights()
         scale *= space_scale
         rest = [(lam + (lab,), w * wl) for lam, w in rest for lab, wl in space]
-    # unpacking each source label checks that it is a pair
-    atoms = [(pair + lam, w_src * w) for (l1, l2), w_src in src for pair in [(l1, l2)] for lam, w in rest]
+    # unpacking each source label checks that it is a pair; the tuples are
+    # distinct, as the source pairs and each space's labels are
+    atoms = {pair + lam: w_src * w for (l1, l2), w_src in src for pair in [(l1, l2)] for lam, w in rest}
     lambda_pmf = Pmf.from_integers(scale, atoms)
     # the k-th setting, Alice's two then Bob's, reads source coordinate k // 2
     flat = [FlatSetting(s.name, (k // 2, c), s.outcomes) for k, (s, c) in enumerate(zip(model.alice + model.bob, coords))]
@@ -247,14 +264,13 @@ def _quantile_model(model: ContextualModel) -> ContextualModel:
     def side(settings: Sequence[Setting], labels: Sequence[Label]) -> tuple[Setting, Setting]:
         _require_pmfs(settings)
         scale, grid, cell_atoms = _quantile_cells(settings[0].instrument, settings[1].instrument)
-        points = [str(Fraction(p, scale)) for p in grid]
+        points = [_point_text(p, scale) for p in grid]
         cells = [f"[{lo},{hi})" for lo, hi in zip(points, points[1:])]
-        pmf = Pmf.from_integers(scale, [(cell, hi - lo) for cell, lo, hi in zip(cells, grid, grid[1:])])
+        pmf = Pmf.from_integers(scale, dict(zip(cells, map(sub, grid[1:], grid))))
+        keys = list(product(labels, cells))
         return tuple(
             Setting(s.name, pmf, OutcomeTable.from_integers(
-                s.outcomes.scale,
-                {(lab, cell): s.outcomes.numerator(lab, atom) for lab in labels for cell, atom in zip(cells, atoms)},
-                s.outcomes.ternary,
+                s.outcomes.scale, dict(zip(keys, _cell_values(s.outcomes, labels, atoms))), s.outcomes.ternary
             ))
             for s, atoms in zip(settings, cell_atoms)
         )
@@ -262,6 +278,22 @@ def _quantile_model(model: ContextualModel) -> ContextualModel:
     alice = side(model.alice, source_labels(model.source, 0))
     bob = side(model.bob, source_labels(model.source, 1))
     return ContextualModel(model.source, alice, bob)
+
+
+def _point_text(p: int, scale: int) -> str:
+    """``str(Fraction(p, scale))``, reduced from the integers."""
+    g = math.gcd(p, scale)
+    return str(p // g) if g == scale else f"{p // g}/{scale // g}"
+
+
+def _cell_values(table: OutcomeTable, labels: Sequence[Label], atoms: Sequence[Label]) -> list[int]:
+    """The table's numerator at each (source label, cell atom), label-major; a missing key raises as :meth:`OutcomeTable.numerator`."""
+    numerators = table.numerators
+    try:
+        return [numerators[lab, atom] for lab in labels for atom in atoms]
+    except KeyError as exc:
+        table.numerator(*exc.args[0])
+        raise
 
 
 def uniform_reduce(model: ContextualModel) -> FlatModel:

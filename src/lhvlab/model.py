@@ -50,6 +50,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 Label = Hashable
@@ -97,6 +98,19 @@ def rational_parts(token: str) -> tuple[int, int]:
     """
     if len(token) > MAX_TOKEN_CHARS:
         raise ValueError(f"number token of {len(token)} characters exceeds the limit of {MAX_TOKEN_CHARS}")
+    # a plain -?digits(/digits)? token in ASCII digits, with a nonzero denominator, needs no regex
+    if token.isascii():
+        num, slash, den = token.partition("/")
+        if num.isdigit() or num[:1] == "-" and num[1:].isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isdigit() and int(den):
+                return int(num), int(den)
+    return _grammar_parts(token)
+
+
+def _grammar_parts(token: str) -> tuple[int, int]:
+    """:func:`rational_parts` past its length check and plain-token branch: the bounded grammar, by regex."""
     m = _RATIONAL.fullmatch(token)
     if m is None:
         raise ValueError(f"malformed fraction {_excerpt(token)}")
@@ -234,9 +248,12 @@ class Pmf(_OverScale):
 
         ``scale`` is the lcm of the support's mass denominators.
         """
+        least = min(self._weights.values(), default=0)
+        if least > 0:
+            return self._scale, list(self._weights.items())
         atoms = [(lab, w) for lab, w in self._weights.items() if w > 0]
         # the stored scale is the lcm over every atom; only a negative atom left out can lower it
-        if min(self._weights.values(), default=0) < 0:
+        if least < 0:
             g = math.gcd(self._scale, *(w for _lab, w in atoms))
             return self._scale // g, [(lab, w // g) for lab, w in atoms]
         return self._scale, atoms
@@ -280,7 +297,8 @@ class OutcomeTable(_OverScale):
         """The table with value ``numerators[key] / scale`` at each key; ``scale`` must be positive."""
         g = _scale_gcd("outcome table", scale, numerators.values())
         table = cls.__new__(cls)
-        table.scale, table.numerators, table.ternary = scale // g, {k: n // g for k, n in numerators.items()}, ternary
+        table.scale, table.ternary = scale // g, ternary
+        table.numerators = dict(numerators) if g == 1 else {k: n // g for k, n in numerators.items()}
         return table
 
     def numerator(self, source_label: Label, instrument_label: Label) -> int:
@@ -365,7 +383,7 @@ class Setting:
 
 def source_labels(source: Pmf, coord: int) -> tuple[Label, ...]:
     """The distinct labels at one coordinate of a source's pairs, 0 for Alice's and 1 for Bob's, in first-appearance order."""
-    return tuple(dict.fromkeys(pair[coord] for pair in source.labels()))
+    return tuple(dict.fromkeys(map(itemgetter(coord), source.labels())))
 
 
 @dataclass(frozen=True)

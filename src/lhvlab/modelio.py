@@ -6,6 +6,13 @@ as exact fraction strings ("1/6"); decimal strings ("0.25") are accepted
 and converted exactly.  In canonical form every hidden-variable label is
 a plain string, and parse(serialize(x)) == x.  Schemas live under
 schemas/ in the repository root.
+
+The parser builds message text only on a failure.  Each item of each
+list passes one structural test, and each number one lookup in the
+document's memo (:class:`_Numbers`), which converts a token it has not
+seen by :func:`~lhvlab.model.rational_parts`; an item that fails its
+test goes through the checks that name its location, so every message
+is the one those checks have always written.
 """
 
 from __future__ import annotations
@@ -13,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import accumulate
+from itertools import accumulate, chain, product
 from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
-from .flatten import AveragedModel, FlatModel, FlatSetting
+from .flatten import AveragedModel, FlatModel, FlatSetting, label_columns
 from .model import (
     Bar,
     BehaviorTable,
@@ -40,7 +47,6 @@ from .model import (
 Document = Union[ContextualModel, FlatModel, AveragedModel, BehaviorTable]
 
 KINDS = ("contextual", "flat", "averaged", "behavior")
-Numbers = dict[str, tuple[int, int]]  # one document's number texts, each with its reduced (numerator, denominator)
 
 
 class ModelParseError(ValueError):
@@ -55,27 +61,41 @@ def _label_str(label) -> str:
     return str(label)
 
 
-def _parse_frac(token: Any, where: str, source: str, numbers: Numbers) -> tuple[int, int]:
-    """A JSON integer or number string as ``Fraction(token).as_integer_ratio()``, by :func:`rational_parts`.
+class _Numbers(dict):
+    """One document's number texts, each with its reduced ``(numerator, denominator)``.
 
-    ``numbers`` maps the number texts this document has already converted to
-    their reduced pairs; :func:`parse_text` makes it empty for each call.  A
-    JSON ``true`` is refused before the lookup, and a failed conversion is
-    never stored, so an error names the occurrence that raised it.
+    ``numbers[token]`` converts a text it has not seen by :func:`rational_parts`,
+    and a JSON integer by its decimal text, and stores the text's pair; it
+    raises ``ValueError`` for a text that does not convert, which is then not
+    stored, and ``TypeError`` for any other token, a JSON ``true`` included.
+    :func:`parse_text` makes an empty one for each call, and only
+    :func:`_parse_frac` turns a raise into a message.
     """
-    if type(token) is not str:
-        if not isinstance(token, int) or isinstance(token, bool):
-            raise ModelParseError(f"{source}: malformed fraction {_excerpt(token)} at {where}")
-        token = str(token)
-    pair = numbers.get(token)
-    if pair is None:
-        try:
-            n, d = rational_parts(token)
-        except ValueError as exc:
-            raise ModelParseError(f"{source}: {exc} at {where}") from None
+
+    __slots__ = ()
+
+    def __missing__(self, token: Any) -> tuple[int, int]:
+        if type(token) is not str:
+            if type(token) is not int:
+                raise TypeError(token)
+            return self[str(token)]
+        n, d = rational_parts(token)
         g = math.gcd(n, d)
-        pair = numbers[token] = n // g, d // g
-    return pair
+        pair = self[token] = n // g, d // g
+        return pair
+
+
+def _parse_frac(token: Any, where: str, source: str, numbers: _Numbers) -> tuple[int, int]:
+    """A JSON integer or number string as ``Fraction(token).as_integer_ratio()``, through ``numbers``.
+
+    The failure branch of every number: a token ``numbers`` refuses is named at ``where``.
+    """
+    try:
+        return numbers[token]
+    except TypeError:
+        raise ModelParseError(f"{source}: malformed fraction {_excerpt(token)} at {where}") from None
+    except ValueError as exc:
+        raise ModelParseError(f"{source}: {exc} at {where}") from None
 
 
 def _parse_label(token: Any, where: str, source: str) -> str:
@@ -85,7 +105,7 @@ def _parse_label(token: Any, where: str, source: str) -> str:
     return token
 
 
-def _parse_unit(token: Any, where: str, source: str, numbers: Numbers) -> tuple[int, int]:
+def _parse_unit(token: Any, where: str, source: str, numbers: _Numbers) -> tuple[int, int]:
     """A fraction in [-1, 1] as its reduced ``(n, d)``: a flat table entry or an averaged bar value."""
     n, d = _parse_frac(token, where, source, numbers)
     if abs(n) > d:
@@ -326,8 +346,8 @@ def parse_text(text: str, source: str = "<string>") -> Document:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ModelParseError(f"{source}: unknown kind {_excerpt(kind)}; expected one of {KINDS}")
-    # each distinct number of this document, converted once; see _parse_frac
-    numbers: Numbers = {}
+    # each distinct number of this document, converted once
+    numbers = _Numbers()
     if kind == "contextual":
         return _parse_contextual(doc, source, numbers)
     if kind == "flat":
@@ -348,71 +368,135 @@ def parse_path(path: Union[str, Path]) -> Document:
     return parse_text(text, source=str(path))
 
 
-def _parse_source(doc: dict, source: str, numbers: Numbers) -> Pmf:
-    atoms = []
+# A valid document costs one structural test per item of each list and one
+# lookup per number in the document's _Numbers, and builds no message text.
+# An item that fails its test goes through the checks written after it, in
+# the order they have always run (_require_keys, _parse_label, _parse_frac,
+# ...); those build the message, so the first fault of a document is
+# reported word for word as before, and an item that passes them anyway is
+# taken as they read it.
+_PAIR_MASS = frozenset({"pair", "mass"})
+_LABEL_MASS = frozenset({"label", "mass"})
+_TUPLE_MASS = frozenset({"tuple", "mass"})
+_KEY_VALUE = frozenset({"key", "value"})
+_LABEL_VALUE = frozenset({"label", "value"})
+_CELL = frozenset({"x", "y", "p"})
+_SETTING = frozenset({"setting", "instrument", "ternary", "outcomes"})
+_SETTING_REQUIRED = _SETTING - {"ternary"}
+_FLAT_SETTING = frozenset({"setting", "coords", "ternary", "entries"})
+_FLAT_SETTING_REQUIRED = _FLAT_SETTING - {"ternary"}
+_BAR_SETTING = frozenset({"setting", "bar"})
+_CONTEXT = frozenset({"alice", "bob", "cells"})
+_is_str = str.__instancecheck__
+
+
+def _pmf(labels: list, masses: list[tuple[int, int]]) -> Optional[Pmf]:
+    """The pmf of distinct labels with reduced ``(n, d)`` masses, or None when :func:`_parse_pmf` would refuse it."""
+    scale, ints = integer_scale(masses)
+    weights = dict(zip(labels, ints))
+    if len(weights) != len(ints) or min(ints, default=0) < 0 or sum(ints) != scale:
+        return None
+    return Pmf.from_integers(scale, weights)
+
+
+def _parse_source(doc: dict, source: str, numbers: _Numbers) -> Pmf:
+    labels, masses = [], []
     for i, atom in enumerate(_require_list(doc["source"], "source", source)):
-        _require_keys(atom, {"pair", "mass"}, {"pair", "mass"}, f"source atom {i}", source)
+        if type(atom) is dict and atom.keys() == _PAIR_MASS:
+            pair = atom["pair"]
+            if type(pair) is list and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) is str:
+                try:
+                    masses.append(numbers[atom["mass"]])
+                    labels.append((pair[0], pair[1]))
+                    continue
+                except (TypeError, ValueError):
+                    pass
+        _require_keys(atom, _PAIR_MASS, _PAIR_MASS, f"source atom {i}", source)
         pair = atom["pair"]
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ModelParseError(f"{source}: source atom {i} pair must have two labels")
-        pair = tuple(_parse_label(lab, f"source atom {i} pair label", source) for lab in pair)
-        atoms.append((pair, _parse_frac(atom["mass"], f"source atom {i}", source, numbers)))
-    return _parse_pmf(atoms, "source pmf", source)
+        labels.append(tuple(_parse_label(lab, f"source atom {i} pair label", source) for lab in pair))
+        masses.append(_parse_frac(atom["mass"], f"source atom {i}", source, numbers))
+    pmf = _pmf(labels, masses)
+    return _parse_pmf(list(zip(labels, masses)), "source pmf", source) if pmf is None else pmf
 
 
-def _parse_instrument(entries: list, where: str, source: str, numbers: Numbers) -> Pmf:
-    atoms = []
-    for i, e in enumerate(_require_list(entries, where, source)):
-        _require_keys(e, {"label", "mass"}, {"label", "mass"}, f"{where} atom {i}", source)
-        label = _parse_label(e["label"], f"{where} atom {i} label", source)
-        atoms.append((label, _parse_frac(e["mass"], f"{where} atom {i}", source, numbers)))
-    return _parse_pmf(atoms, where, source)
+def _parse_instrument(entries: Any, side: str, name: str, source: str, numbers: _Numbers) -> Pmf:
+    """A contextual setting's instrument pmf; a fault is named at ``{side} setting {name} instrument pmf``."""
+    if type(entries) is not list:
+        _require_list(entries, _instrument_where(side, name), source)
+    labels, masses = [], []
+    for i, e in enumerate(entries):
+        if type(e) is dict and e.keys() == _LABEL_MASS and type(e["label"]) is str:
+            try:
+                masses.append(numbers[e["mass"]])
+                labels.append(e["label"])
+                continue
+            except (TypeError, ValueError):
+                pass
+        where = _instrument_where(side, name)
+        _require_keys(e, _LABEL_MASS, _LABEL_MASS, f"{where} atom {i}", source)
+        labels.append(_parse_label(e["label"], f"{where} atom {i} label", source))
+        masses.append(_parse_frac(e["mass"], f"{where} atom {i}", source, numbers))
+    pmf = _pmf(labels, masses)
+    return _parse_pmf(list(zip(labels, masses)), _instrument_where(side, name), source) if pmf is None else pmf
 
 
-def _parse_contextual(doc: dict, source: str, numbers: Numbers) -> ContextualModel:
+def _instrument_where(side: str, name: str) -> str:
+    return f"{side} setting {_excerpt(name)} instrument pmf"
+
+
+def _parse_contextual(doc: dict, source: str, numbers: _Numbers) -> ContextualModel:
     _require_keys(doc, {"kind", "source", "alice", "bob"}, {"source", "alice", "bob"}, "model", source)
     src = _parse_source(doc, source, numbers)
+    sides = []
+    for coord, side in enumerate(("alice", "bob")):
+        docs = _require_list(doc[side], side, source)
+        if len(docs) != 2:
+            raise ModelParseError(f"{source}: {side} needs exactly 2 settings, has {len(docs)}")
+        labels = source_labels(src, coord)
+        sides.append(tuple(_parse_setting(d, side, labels, source, numbers) for d in docs))
+    return ContextualModel(src, *sides)
 
-    def parse_setting(sdoc: dict, side: str, labels: tuple[str, ...]) -> Setting:
-        where = f"{side} setting"
-        _require_keys(
-            sdoc,
-            {"setting", "instrument", "ternary", "outcomes"},
-            {"setting", "instrument", "outcomes"},
-            where,
-            source,
-        )
-        name = _parse_label(sdoc["setting"], f"{side} setting name", source)
+
+def _parse_setting(sdoc: Any, side: str, labels: tuple[str, ...], source: str, numbers: _Numbers) -> Setting:
+    """One contextual setting, its outcome rows read in the order of the source ``labels``."""
+    if not (type(sdoc) is dict and _SETTING_REQUIRED <= sdoc.keys() <= _SETTING):
+        _require_keys(sdoc, _SETTING, _SETTING_REQUIRED, f"{side} setting", source)
+    name = sdoc["setting"]
+    if type(name) is not str:
+        _parse_label(name, f"{side} setting name", source)
+    instrument = _parse_instrument(sdoc["instrument"], side, name, source, numbers)
+    rows, ternary = sdoc["outcomes"], sdoc.get("ternary", False)
+    inst_labels = instrument.labels()
+    values = None
+    if type(rows) is list and len(rows) == len(labels) and type(ternary) is bool:
+        width = len(inst_labels)
+        if all(type(row) is list and len(row) == width for row in rows):
+            try:
+                values = list(map(numbers.__getitem__, chain.from_iterable(rows)))
+            except (TypeError, ValueError):
+                pass
+    if values is None:
         where = f"{side} setting {_excerpt(name)}"
-        instrument = _parse_instrument(sdoc["instrument"], f"{where} instrument pmf", source, numbers)
-        rows = _require_list(sdoc["outcomes"], f"{where} outcomes", source)
-        inst_labels = instrument.labels()
+        rows = _require_list(rows, f"{where} outcomes", source)
         if len(rows) != len(labels):
-            raise ModelParseError(
-                f"{source}: {where} outcome table has {len(rows)} rows, needs {len(labels)}"
-            )
-        entries = {}
+            raise ModelParseError(f"{source}: {where} outcome table has {len(rows)} rows, needs {len(labels)}")
+        values = []
         shown_il = [_excerpt(il) for il in inst_labels]
         for sl, row in zip(labels, rows):
             shown_sl = _excerpt(sl)
             row = _require_list(row, f"{where} outcome row for {shown_sl}", source)
             if len(row) != len(inst_labels):
                 raise ModelParseError(
-                    f"{source}: {where} outcome row for {shown_sl} has {len(row)} entries, "
-                    f"needs {len(inst_labels)}"
+                    f"{source}: {where} outcome row for {shown_sl} has {len(row)} entries, needs {len(inst_labels)}"
                 )
-            for il, shown, token in zip(inst_labels, shown_il, row):
-                entries[(sl, il)] = _parse_frac(token, f"{where} outcome ({shown_sl}, {shown})", source, numbers)
-        return Setting(name, instrument, _outcome_table(entries, _parse_ternary(sdoc, where, source)))
-
-    def parse_side(coord: int, side: str):
-        docs = _require_list(doc[side], side, source)
-        if len(docs) != 2:
-            raise ModelParseError(f"{source}: {side} needs exactly 2 settings, has {len(docs)}")
-        labels = source_labels(src, coord)
-        return tuple(parse_setting(d, side, labels) for d in docs)
-
-    return ContextualModel(src, *(parse_side(coord, side) for coord, side in enumerate(("alice", "bob"))))
+            for shown, token in zip(shown_il, row):
+                values.append(_parse_frac(token, f"{where} outcome ({shown_sl}, {shown})", source, numbers))
+        ternary = _parse_ternary(sdoc, where, source)
+    scale, numerators = integer_scale(values)
+    table = dict(zip(product(labels, inst_labels), numerators))
+    return Setting(name, instrument, OutcomeTable.from_integers(scale, table, ternary))
 
 
 def _outcome_table(entries: dict, ternary: bool) -> OutcomeTable:
@@ -427,31 +511,48 @@ def _require_distinct(names: Sequence[str], where: str, source: str) -> None:
         raise ModelParseError(f"{source}: {where}: duplicate setting name {_excerpt(names[0])}")
 
 
-def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str, numbers: Numbers) -> FlatSetting:
+def _parse_flat_setting(sdoc: Any, side: str, arity: int, source: str, numbers: _Numbers) -> FlatSetting:
     """One flat setting; ``arity`` is the shortest atom tuple, which its coords must index."""
-    _require_keys(
-        sdoc,
-        {"setting", "coords", "ternary", "entries"},
-        {"setting", "coords", "entries"},
-        f"{side} flat setting",
-        source,
-    )
-    name = _parse_label(sdoc["setting"], f"{side} flat setting name", source)
-    shown = _excerpt(name)
-    coords = sdoc["coords"]
-    if not (isinstance(coords, list) and len(coords) == 2):
-        raise ModelParseError(f"{source}: flat setting {shown} coords must be two indices")
-    coords = tuple(_parse_int(c, f"flat setting {shown} coords", source) for c in coords)
-    for c in coords:
-        if not 0 <= c < arity:
-            raise ModelParseError(
-                f"{source}: flat setting {shown} coordinate {_cut(c)} lies outside the atom tuples "
-                f"(shortest has length {arity})"
-            )
-    ternary = _parse_ternary(sdoc, f"flat setting {shown}", source)
+    if not (type(sdoc) is dict and _FLAT_SETTING_REQUIRED <= sdoc.keys() <= _FLAT_SETTING):
+        _require_keys(sdoc, _FLAT_SETTING, _FLAT_SETTING_REQUIRED, f"{side} flat setting", source)
+    name = sdoc["setting"]
+    if type(name) is not str:
+        _parse_label(name, f"{side} flat setting name", source)
+    coords, ternary = sdoc["coords"], sdoc.get("ternary", False)
+    if not (
+        type(coords) is list and len(coords) == 2 and type(coords[0]) is int and type(coords[1]) is int
+        and 0 <= coords[0] < arity and 0 <= coords[1] < arity and type(ternary) is bool
+    ):
+        shown = _excerpt(name)
+        if not (isinstance(coords, list) and len(coords) == 2):
+            raise ModelParseError(f"{source}: flat setting {shown} coords must be two indices")
+        coords = [_parse_int(c, f"flat setting {shown} coords", source) for c in coords]
+        for c in coords:
+            if not 0 <= c < arity:
+                raise ModelParseError(
+                    f"{source}: flat setting {shown} coordinate {_cut(c)} lies outside the atom tuples "
+                    f"(shortest has length {arity})"
+                )
+        ternary = _parse_ternary(sdoc, f"flat setting {shown}", source)
+    items = sdoc["entries"]
+    if type(items) is not list:
+        _require_list(items, f"flat setting {_excerpt(name)} entries", source)
     entries = {}
-    for i, e in enumerate(_require_list(sdoc["entries"], f"flat setting {shown} entries", source)):
-        _require_keys(e, {"key", "value"}, {"key", "value"}, f"{shown} entry {i}", source)
+    for i, e in enumerate(items):
+        if type(e) is dict and e.keys() == _KEY_VALUE:
+            key = e["key"]
+            if type(key) is list and len(key) == 2 and type(key[0]) is str and type(key[1]) is str:
+                key = (key[0], key[1])
+                try:
+                    n, d = pair = numbers[e["value"]]
+                    # within [-1, 1], an integer is -1, 0 or 1
+                    if key not in entries and abs(n) <= d and (d == 1 or not ternary):
+                        entries[key] = pair
+                        continue
+                except (TypeError, ValueError):
+                    pass
+        shown = _excerpt(name)
+        _require_keys(e, _KEY_VALUE, _KEY_VALUE, f"{shown} entry {i}", source)
         key = e["key"]
         if not (isinstance(key, list) and len(key) == 2):
             raise ModelParseError(f"{source}: flat setting {shown} entry {i} key must have 2 parts")
@@ -459,24 +560,34 @@ def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str, numbers:
         if key in entries:
             raise ModelParseError(f"{source}: flat setting {shown} key {_cut(_label_str(key))} is listed twice")
         n, d = entries[key] = _parse_unit(e["value"], f"flat setting {shown} entry {i}", source, numbers)
-        # within [-1, 1], an integer is -1, 0 or 1
         if ternary and d != 1:
             raise ModelParseError(
                 f"{source}: flat setting {shown} is ternary but entry {i} value {_cut(f'{n}/{d}')} is not -1, 0 or 1"
             )
-    return FlatSetting(name, coords, _outcome_table(entries, ternary))
+    return FlatSetting(name, (coords[0], coords[1]), _outcome_table(entries, ternary))
 
 
-def _parse_flat(doc: dict, source: str, numbers: Numbers) -> FlatModel:
+def _parse_flat(doc: dict, source: str, numbers: _Numbers) -> FlatModel:
     _require_keys(doc, {"kind", "atoms", "alice", "bob"}, {"atoms", "alice", "bob"}, "flat model", source)
-    atoms = []
+    lams, masses = [], []
     for i, atom in enumerate(_require_list(doc["atoms"], "atoms", source)):
-        _require_keys(atom, {"tuple", "mass"}, {"tuple", "mass"}, f"atom {i}", source)
+        if type(atom) is dict and atom.keys() == _TUPLE_MASS:
+            lam = atom["tuple"]
+            if type(lam) is list and all(map(_is_str, lam)):
+                try:
+                    masses.append(numbers[atom["mass"]])
+                    lams.append(tuple(lam))
+                    continue
+                except (TypeError, ValueError):
+                    pass
+        _require_keys(atom, _TUPLE_MASS, _TUPLE_MASS, f"atom {i}", source)
         lam = _require_list(atom["tuple"], f"atom {i} tuple", source)
-        lam = tuple(_parse_label(c, f"atom {i} tuple", source) for c in lam)
-        atoms.append((lam, _parse_frac(atom["mass"], f"atom {i}", source, numbers)))
-    pmf = _parse_pmf(atoms, "tuple pmf", source)
-    arity = min(len(lam) for lam, _m in atoms)
+        lams.append(tuple(_parse_label(c, f"atom {i} tuple", source) for c in lam))
+        masses.append(_parse_frac(atom["mass"], f"atom {i}", source, numbers))
+    pmf = _pmf(lams, masses)
+    if pmf is None:
+        pmf = _parse_pmf(list(zip(lams, masses)), "tuple pmf", source)
+    arity = min(map(len, lams))
 
     def parse_side(side: str) -> tuple:
         docs = _require_list(doc[side], side, source)
@@ -488,18 +599,20 @@ def _parse_flat(doc: dict, source: str, numbers: Numbers) -> FlatModel:
     for side, settings in (("alice", alice), ("bob", bob)):
         _require_distinct([s.name for s in settings], side, source)
     support = [lam for lam, _w in pmf.integer_weights()[1]]
+    columns = label_columns(support, alice + bob)
     for setting in alice + bob:
         i, j = setting.coords
-        for lam in support:
-            if (lam[i], lam[j]) not in setting.outcomes.numerators:
-                raise ModelParseError(
-                    f"{source}: flat setting {_excerpt(setting.name)} has no entry for key "
-                    f"{_cut(_label_str((lam[i], lam[j])))} of atom {_cut(_label_str(lam))}"
-                )
+        numerators = setting.outcomes.numerators
+        if not all(map(numerators.__contains__, zip(columns[i], columns[j]))):
+            lam = next(lam for lam in support if (lam[i], lam[j]) not in numerators)
+            raise ModelParseError(
+                f"{source}: flat setting {_excerpt(setting.name)} has no entry for key "
+                f"{_cut(_label_str((lam[i], lam[j])))} of atom {_cut(_label_str(lam))}"
+            )
     return FlatModel(pmf, alice, bob)
 
 
-def _parse_averaged(doc: dict, source: str, numbers: Numbers) -> AveragedModel:
+def _parse_averaged(doc: dict, source: str, numbers: _Numbers) -> AveragedModel:
     _require_keys(doc, {"kind", "source", "alice", "bob"}, {"source", "alice", "bob"}, "averaged model", source)
     src = _parse_source(doc, source, numbers)
 
@@ -508,22 +621,38 @@ def _parse_averaged(doc: dict, source: str, numbers: Numbers) -> AveragedModel:
         labels = dict.fromkeys(pair[coord] for pair, _w in src.integer_weights()[1])
         bars = []
         for sdoc in _require_list(doc[side], side, source):
-            _require_keys(sdoc, {"setting", "bar"}, {"setting", "bar"}, f"{side} setting", source)
-            name = _parse_label(sdoc["setting"], f"{side} setting name", source)
-            shown = _excerpt(name)
+            if not (type(sdoc) is dict and sdoc.keys() == _BAR_SETTING):
+                _require_keys(sdoc, _BAR_SETTING, _BAR_SETTING, f"{side} setting", source)
+            name = sdoc["setting"]
+            if type(name) is not str:
+                _parse_label(name, f"{side} setting name", source)
+            items = sdoc["bar"]
+            if type(items) is not list:
+                _require_list(items, f"{side} setting {_excerpt(name)} bar", source)
             values = {}
-            for i, e in enumerate(_require_list(sdoc["bar"], f"{side} setting {shown} bar", source)):
-                _require_keys(e, {"label", "value"}, {"label", "value"}, f"{shown} bar {i}", source)
+            for i, e in enumerate(items):
+                if type(e) is dict and e.keys() == _LABEL_VALUE:
+                    label = e["label"]
+                    if type(label) is str and label not in values:
+                        try:
+                            n, d = pair = numbers[e["value"]]
+                            if abs(n) <= d:
+                                values[label] = pair
+                                continue
+                        except (TypeError, ValueError):
+                            pass
+                shown = _excerpt(name)
+                _require_keys(e, _LABEL_VALUE, _LABEL_VALUE, f"{shown} bar {i}", source)
                 label = _parse_label(e["label"], f"{side} setting {shown} bar {i} label", source)
                 if label in values:
                     raise ModelParseError(
                         f"{source}: {side} setting {shown} bar label {_excerpt(label)} is listed twice"
                     )
                 values[label] = _parse_unit(e["value"], f"{side} setting {shown} bar {i}", source, numbers)
-            missing = [lab for lab in labels if lab not in values]
-            if missing:
+            if not values.keys() >= labels.keys():
+                missing = next(lab for lab in labels if lab not in values)
                 raise ModelParseError(
-                    f"{source}: {side} setting {shown} bar has no value for source label {_excerpt(missing[0])}"
+                    f"{source}: {side} setting {_excerpt(name)} bar has no value for source label {_excerpt(missing)}"
                 )
             scale, ints = integer_scale(list(values.values()))
             bars.append(Bar(name, scale, dict(zip(values, ints))))
@@ -535,7 +664,7 @@ def _parse_averaged(doc: dict, source: str, numbers: Numbers) -> AveragedModel:
     return AveragedModel(src, parse_side("alice", 0), parse_side("bob", 1))
 
 
-def _parse_behavior(doc: dict, source: str, numbers: Numbers) -> BehaviorTable:
+def _parse_behavior(doc: dict, source: str, numbers: _Numbers) -> BehaviorTable:
     _require_keys(
         doc,
         {"kind", "aliceSettings", "bobSettings", "outcomes", "contexts"},
@@ -558,17 +687,30 @@ def _parse_behavior(doc: dict, source: str, numbers: Numbers) -> BehaviorTable:
         raise ModelParseError(f"{source}: outcomes must be [-1, 1] or [-1, 0, 1], got {_excerpt(outcomes)}")
     probs: dict = {}
     for cdoc in _require_list(doc["contexts"], "contexts", source):
-        _require_keys(cdoc, {"alice", "bob", "cells"}, {"alice", "bob", "cells"}, "context", source)
-        ctx = tuple(_parse_label(cdoc[side], f"context {side}", source) for side in ("alice", "bob"))
-        shown = _excerpt(ctx)
+        _require_keys(cdoc, _CONTEXT, _CONTEXT, "context", source)
+        ctx = cdoc["alice"], cdoc["bob"]
+        if not (type(ctx[0]) is str and type(ctx[1]) is str):
+            ctx = tuple(_parse_label(cdoc[side], f"context {side}", source) for side in ("alice", "bob"))
         if ctx[0] not in alice or ctx[1] not in bob:
-            raise ModelParseError(f"{source}: context {shown} names unknown settings")
+            raise ModelParseError(f"{source}: context {_excerpt(ctx)} names unknown settings")
         if ctx in probs:
-            raise ModelParseError(f"{source}: context {shown} is listed twice")
+            raise ModelParseError(f"{source}: context {_excerpt(ctx)} is listed twice")
+        items = cdoc["cells"]
+        if type(items) is not list:
+            _require_list(items, f"context {_excerpt(ctx)} cells", source)
         cells = {}
-        for i, cell in enumerate(_require_list(cdoc["cells"], f"context {shown} cells", source)):
+        for i, cell in enumerate(items):
+            if type(cell) is dict and cell.keys() == _CELL:
+                xy = x, y = cell["x"], cell["y"]
+                if type(x) is int and type(y) is int and x in outcomes and y in outcomes and xy not in cells:
+                    try:
+                        cells[xy] = numbers[cell["p"]]
+                        continue
+                    except (TypeError, ValueError):
+                        pass
+            shown = _excerpt(ctx)
             where = f"context {shown} cell {i}"
-            _require_keys(cell, {"x", "y", "p"}, {"x", "y", "p"}, where, source)
+            _require_keys(cell, _CELL, _CELL, where, source)
             x, y = _parse_int(cell["x"], where, source), _parse_int(cell["y"], where, source)
             if x not in outcomes or y not in outcomes:
                 raise ModelParseError(f"{source}: context {shown} cell {_excerpt((x, y))} outside alphabet")
@@ -577,10 +719,10 @@ def _parse_behavior(doc: dict, source: str, numbers: Numbers) -> BehaviorTable:
             cells[(x, y)] = _parse_frac(cell["p"], where, source, numbers)
         scale, weights = integer_scale(list(cells.values()))
         if any(w < 0 for w in weights):
-            raise ModelParseError(f"{source}: context {shown} has a negative probability")
+            raise ModelParseError(f"{source}: context {_excerpt(ctx)} has a negative probability")
         if sum(weights) != scale:
             total = Fraction(sum(weights), scale)
-            raise ModelParseError(f"{source}: context {shown} pmf sums to {_sum_text(total)}, not 1")
+            raise ModelParseError(f"{source}: context {_excerpt(ctx)} pmf sums to {_sum_text(total)}, not 1")
         probs[ctx] = cells
     expected = {(a, b) for a in alice for b in bob}
     if set(probs) != expected:

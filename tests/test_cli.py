@@ -1079,14 +1079,19 @@ SEARCH_FLAGS = {
 SEARCH_BUDGET_S = 2.0
 
 
-@st.composite
-def search_argv(draw):
-    """A search argv: each flag missing, given once or repeated, each value valid or awkward."""
-    argv = ["search"]
-    for flag, valid in SEARCH_FLAGS.items():
+def _flags(draw, flags):
+    """Each flag of ``flags`` missing, given once or repeated, each value valid or awkward."""
+    argv = []
+    for flag, valid in flags.items():
         for _time in range(draw(st.sampled_from((0, 1, 1, 1, 2)))):
             argv += [flag, draw(valid.map(str) | st.sampled_from(AWKWARD_TOKENS))]
     return argv
+
+
+@st.composite
+def search_argv(draw):
+    """A search argv: each flag as in :func:`_flags`."""
+    return ["search", *_flags(draw, SEARCH_FLAGS)]
 
 
 class TestSearch:
@@ -1227,21 +1232,112 @@ class TestSearch:
     def test_awkward_search_flags_exit_with_a_status(self, argv):
         """Any mix of valid and awkward values, repeated or missing flags: exit 0, 1 or 2 within the
         time budget, no traceback, and no value quoted past QUOTE_LIMIT characters."""
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                status = main(argv)
-            except SystemExit as exc:
-                status = exc.code
-        seconds = time.perf_counter() - start
-        message = err.getvalue()
-        assert status in (0, 1, 2), message
-        assert seconds < SEARCH_BUDGET_S and "Traceback" not in message
-        assert status != 0 or message == ""
-        # a quoted value is cut to QUOTE_LIMIT characters, so no longer run of a token's text is shown
-        assert max(map(len, message.split()), default=0) <= QUOTE_LIMIT + 10, message
-        assert not any(len(token) > QUOTE_LIMIT and token[:QUOTE_LIMIT + 1] in message for token in argv)
+        assert_exits_with_a_status(argv, SEARCH_BUDGET_S)
+
+    @pytest.mark.parametrize("budget", [10**7 + 1, int("9" * 100)])
+    def test_a_budget_past_the_bound_is_usage_error(self, capsys, monkeypatch, budget):
+        """Nothing else bounds a search's time, so a budget past the bound is refused before the search starts."""
+        monkeypatch.setattr(lhvlab.loophole, "search_postselection_violation", _forbidden)
+        status, out, err = run_cli(capsys, "search", "--seed", "1", "--budget", str(budget))
+        assert (status, out) == (2, "")
+        assert err == f"usage error: --budget must be at most {10**7}, got {_cut(budget)}\n"
+
+
+def assert_exits_with_a_status(argv, budget_s):
+    """``main(argv)`` in process exits 0, 1 or 2 within ``budget_s`` seconds, prints no traceback, is
+    silent on stderr when it succeeds, and quotes no token of ``argv`` past QUOTE_LIMIT characters."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    seconds = time.perf_counter() - start
+    message = err.getvalue()
+    assert status in (0, 1, 2), message
+    assert seconds < budget_s and "Traceback" not in message
+    assert status != 0 or message == ""
+    # a quoted value is cut to QUOTE_LIMIT characters, so no longer run of a token's text is shown
+    assert max(map(len, message.split()), default=0) <= QUOTE_LIMIT + 10, message
+    assert not any(len(token) > QUOTE_LIMIT and token[:QUOTE_LIMIT + 1] in message for token in argv)
+
+
+# a valid value of each simulate flag, small enough that a call ends quickly: at most 1000 trials
+_MODEL_FILES = [str(FIXTURES / "counterexample.model.json"), _WINNER_MODEL]
+SIMULATE_FLAGS = {
+    "--model": st.sampled_from(_MODEL_FILES),
+    "--trials": st.integers(1, 1000),
+    "--seed": st.integers(0, 2**64 - 1),
+    "--bias": st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any).map(
+        lambda w: ",".join(str(Fraction(k, sum(w))) for k in w)
+    ),
+    "--format": st.sampled_from(["json", "csv", "text"]),
+}
+CHSH_FLAGS = {
+    "--model": st.sampled_from(_MODEL_FILES + [str(FIXTURES / "quantum_chsh_optimal.behavior.json")]),
+    "--format": st.sampled_from(["json", "text"]),
+}
+# the wall time one simulate or chsh call may take: 1000 trials simulate in well under 0.5 s
+FLAG_BUDGET_S = 2.0
+
+
+@st.composite
+def simulate_argv(draw):
+    """A simulate argv: each flag as in :func:`_flags`, and ``--confound`` missing, once or twice."""
+    return ["simulate", *_flags(draw, SIMULATE_FLAGS)] + ["--confound"] * draw(st.sampled_from((0, 0, 1, 2)))
+
+
+@st.composite
+def chsh_argv(draw):
+    """A chsh argv: zero to five correlation values, each valid or awkward, then its flags as in :func:`_flags`."""
+    value = st.fractions(-1, 1, max_denominator=12).map(str) | st.sampled_from(AWKWARD_TOKENS)
+    return ["chsh", *draw(st.lists(value, max_size=5)), *_flags(draw, CHSH_FLAGS)]
+
+
+class TestFlagProperties:
+    @settings(deadline=None)
+    @given(simulate_argv())
+    def test_awkward_simulate_flags_exit_with_a_status(self, argv):
+        assert_exits_with_a_status(argv, FLAG_BUDGET_S)
+
+    @settings(deadline=None)
+    @given(chsh_argv())
+    def test_awkward_chsh_flags_exit_with_a_status(self, argv):
+        assert_exits_with_a_status(argv, FLAG_BUDGET_S)
+
+    # what the two properties found: four messages that quoted a flag value or an argument whole
+
+    @pytest.mark.parametrize("argv, where", [
+        (["simulate", "--model", _WINNER_MODEL, "--trials", "1", "--seed", "1", "--format"], "--format"),
+        (["flatten", _WINNER_MODEL, "--method"], "--method"),
+    ])
+    def test_an_invalid_choice_is_quoted_short(self, capsys, argv, where):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["9" * 5000])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert f"argument {where}: invalid choice: {_excerpt('9' * 5000)} (choose from " in err and len(err) < 600
+
+    def test_an_unrecognized_argument_is_quoted_short(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chsh", "0", "--format", "json", "9" * 5000, "1"])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert err.endswith(f"error: unrecognized arguments: {_cut('9' * 5000)} 1\n") and len(err) < 600
+
+    def test_a_long_negative_trials_is_quoted_short(self, capsys):
+        trials = "-" + "9" * 100
+        status, out, err = run_cli(capsys, "simulate", "--model", _WINNER_MODEL, "--trials", trials, "--seed", "1")
+        assert (status, out) == (2, "")
+        assert err == f"usage error: --trials must be >= 1, got {_cut(trials)}\n"
+
+    @pytest.mark.parametrize("argv", [["exact"], ["chsh", "--model"], ["simulate", "--trials", "1", "--seed", "1", "--model"]])
+    def test_an_unreadable_model_path_is_quoted_short(self, capsys, argv):
+        path = "9" * 5000
+        status, out, err = run_cli(capsys, *argv, path)
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: cannot read {_cut(path)}: ") and len(err) < 160
 
 
 # each call shape of the benchmark's cli workload, with the lhvlab modules it loads besides lhvlab.cli

@@ -33,7 +33,7 @@ from lhvlab import (
 )
 from lhvlab.corpus import random_contextual_model
 from lhvlab.loophole import _Grid, _model, _restart, _step
-from lhvlab.model import QUOTE_LIMIT, _excerpt, integer_scale, source_labels
+from lhvlab.model import MAX_TOKEN_CHARS, QUOTE_LIMIT, _excerpt, _grammar_parts, integer_scale, rational_parts, source_labels
 from lhvlab.modelio import KINDS, ModelParseError, parse_path, parse_text, serialize, setting_text, source_text
 from test_fuzz import DOCUMENTS, REPLACEMENTS, mutate, nested_paths
 
@@ -430,6 +430,13 @@ SCHEMA_NUMBERS = st.one_of(
 )
 
 
+# plain -?digits(/digits)? tokens, the ones rational_parts reads without its regex, leading zeros included
+PLAIN_TOKENS = st.from_regex(r"-?[0-9]{1,12}(/[0-9]{1,12})?", fullmatch=True)
+# tokens next to the plain form that the plain branch must leave to the grammar, or refuse as it does
+AWKWARD_NUMBER_TOKENS = ["١٢", "²", "-", "--1", "+1", " 1", "1_0", "1/", "/2", "1/0", "-0/7", "007", "1" * 1001,
+                         "-0", "0/000", "1/-2", "1 /2", "1/2 ", "½", "1//2", "1/2/3", "٣/4", "1/٤"]
+
+
 def _respelled(value: str, how: int):
     """A canonical number string spelled another way: ``how`` 0 writes kn/kd, 1 a decimal with trailing
     zeros, 2 exact e notation, 3 a JSON integer; a zero is written -0.  A spelling that cannot hold the
@@ -512,6 +519,45 @@ class TestIntegersIn:
         with pytest.raises(ModelParseError) as info:
             parse_text(text, source="t.json")
         assert str(info.value) == f"t.json: {refusal} {at}"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(SCHEMA_NUMBERS, PLAIN_TOKENS, st.sampled_from(AWKWARD_NUMBER_TOKENS)))
+    def test_the_plain_token_branch_agrees_with_the_grammar(self, token):
+        """rational_parts reads a plain token without the regex; its pair or its refusal is the grammar's,
+        and each pair it gives is the stdlib Fraction of the token (which would evaluate a refused
+        exponent of any size, so it is not asked about refused tokens)."""
+
+        def outcome(parts):
+            try:
+                return parts(token)
+            except ValueError as exc:
+                return str(exc)
+
+        got = outcome(rational_parts)
+        if len(token) > MAX_TOKEN_CHARS:
+            assert got == f"number token of {len(token)} characters exceeds the limit of {MAX_TOKEN_CHARS}"
+        else:
+            assert got == outcome(_grammar_parts)
+        if isinstance(got, tuple):
+            assert Fraction(*got) == Fraction(token)
+
+    def test_a_valid_document_formats_no_message(self, monkeypatch):
+        """The parser builds message text only on a failure: a valid document of any kind quotes nothing."""
+        import lhvlab.flatten
+        import lhvlab.model
+        import lhvlab.modelio
+
+        texts = [p.read_text() for p in MODEL_FIXTURES] + _corpus_texts(50, seed=34)
+        want = [parse_text(text) for text in texts]
+        calls = []
+        for module in (lhvlab.model, lhvlab.modelio, lhvlab.flatten):
+            for name in {"_excerpt", "_cut"} & set(vars(module)):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda value, real=real, name=name: calls.append(name) or real(value))
+        got = [parse_text(text) for text in texts]
+        monkeypatch.undo()
+        assert calls == [] and got == want
+        assert {json.loads(text)["kind"] for text in texts} == set(KINDS)
 
     def test_no_fraction_or_fraction_built_table_on_the_way_in(self, monkeypatch):
         import lhvlab.model
