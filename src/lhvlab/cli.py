@@ -45,8 +45,10 @@ if TYPE_CHECKING:
 MAX_TRIALS = 10**7
 MAX_SOURCE_ATOMS = 1000
 MAX_INSTRUMENT_ATOMS = 100
-# A bound on time: a search evaluation of the default sizes takes about 20 us on
-# a 2-vCPU host, so the largest budget runs a few minutes, not until it is killed.
+# A bound on time: on a 2-vCPU host a search evaluation takes about 14 us at the
+# default sizes (10^7 of them about 2.5 minutes) and about 130 us at the largest
+# --source-atoms and --instrument-atoms (about 22 minutes, extrapolated from
+# budgets of 10^5); the bound does not scale with the sizes.
 MAX_BUDGET = 10**7
 # Bounds on model-derived sizes, checked after the parse and before the build:
 # an atom of the product or the uniform flattening holds about 0.9 KB at the

@@ -90,7 +90,9 @@ class FlatModel(SettingPairs):
 
     def quad(self) -> CorrelationQuad:
         """All four expectations; each setting's column is built once for both its contexts."""
-        scale, lams, weights = _support(self.lambda_pmf)
+        scale, atoms = self.lambda_pmf.integer_weights()
+        lams = [lam for lam, _w in atoms]
+        weights = [w for _lam, w in atoms]
         labels = label_columns(lams, self.alice + self.bob)
         # Alice's columns carry the pmf weights and scale, so a context is one dot product
         alice = {}
@@ -104,15 +106,6 @@ class FlatModel(SettingPairs):
             b_scale, b = bob[ctx[1]]
             values[ctx] = Fraction(sum(map(mul, aw, b)), aw_scale * b_scale)
         return CorrelationQuad(self.alice_settings, self.bob_settings, values)
-
-
-def _support(pmf: Pmf) -> tuple[int, list[tuple], list[int]]:
-    """A flat pmf's support as ``(scale, tuples, weights)``; the stored atoms as they are when every weight is positive."""
-    scale, weights = pmf.integer_atoms()
-    if min(weights.values(), default=1) > 0:
-        return scale, list(weights), list(weights.values())
-    scale, atoms = pmf.integer_weights()
-    return scale, [lam for lam, _w in atoms], [w for _lam, w in atoms]
 
 
 def label_columns(lams: Sequence[tuple], settings: Iterable[FlatSetting]) -> dict[int, list[Label]]:

@@ -7,12 +7,13 @@ and converted exactly.  In canonical form every hidden-variable label is
 a plain string, and parse(serialize(x)) == x.  Schemas live under
 schemas/ in the repository root.
 
-The parser builds message text only on a failure.  Each item of each
-list passes one structural test, and each number one lookup in the
-document's memo (:class:`_Numbers`), which converts a token it has not
-seen by :func:`~lhvlab.model.rational_parts`; an item that fails its
-test goes through the checks that name its location, so every message
-is the one those checks have always written.
+Every number goes through the document's memo (:class:`_Numbers`), which
+converts a token it has not seen by :func:`~lhvlab.model.rational_parts`.
+A contextual document, the kind the corpus parses, builds message text
+only on a failure: each source atom, instrument atom and outcome table
+passes one structural test, and an item that fails it goes through the
+checks that name its location, so every message is the one those checks
+have always written.  The other kinds run those checks on every item.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
-from .flatten import AveragedModel, FlatModel, FlatSetting, label_columns
+from .flatten import AveragedModel, FlatModel, FlatSetting
 from .model import (
     Bar,
     BehaviorTable,
@@ -368,8 +369,9 @@ def parse_path(path: Union[str, Path]) -> Document:
     return parse_text(text, source=str(path))
 
 
-# A valid document costs one structural test per item of each list and one
-# lookup per number in the document's _Numbers, and builds no message text.
+# A valid contextual document costs one structural test per source atom,
+# instrument atom and outcome table and one lookup per number in the
+# document's _Numbers, and builds no message text.
 # An item that fails its test goes through the checks written after it, in
 # the order they have always run (_require_keys, _parse_label, _parse_frac,
 # ...); those build the message, so the first fault of a document is
@@ -377,17 +379,8 @@ def parse_path(path: Union[str, Path]) -> Document:
 # taken as they read it.
 _PAIR_MASS = frozenset({"pair", "mass"})
 _LABEL_MASS = frozenset({"label", "mass"})
-_TUPLE_MASS = frozenset({"tuple", "mass"})
-_KEY_VALUE = frozenset({"key", "value"})
-_LABEL_VALUE = frozenset({"label", "value"})
-_CELL = frozenset({"x", "y", "p"})
 _SETTING = frozenset({"setting", "instrument", "ternary", "outcomes"})
 _SETTING_REQUIRED = _SETTING - {"ternary"}
-_FLAT_SETTING = frozenset({"setting", "coords", "ternary", "entries"})
-_FLAT_SETTING_REQUIRED = _FLAT_SETTING - {"ternary"}
-_BAR_SETTING = frozenset({"setting", "bar"})
-_CONTEXT = frozenset({"alice", "bob", "cells"})
-_is_str = str.__instancecheck__
 
 
 def _pmf(labels: list, masses: list[tuple[int, int]]) -> Optional[Pmf]:
@@ -511,48 +504,31 @@ def _require_distinct(names: Sequence[str], where: str, source: str) -> None:
         raise ModelParseError(f"{source}: {where}: duplicate setting name {_excerpt(names[0])}")
 
 
-def _parse_flat_setting(sdoc: Any, side: str, arity: int, source: str, numbers: _Numbers) -> FlatSetting:
+def _parse_flat_setting(sdoc: dict, side: str, arity: int, source: str, numbers: _Numbers) -> FlatSetting:
     """One flat setting; ``arity`` is the shortest atom tuple, which its coords must index."""
-    if not (type(sdoc) is dict and _FLAT_SETTING_REQUIRED <= sdoc.keys() <= _FLAT_SETTING):
-        _require_keys(sdoc, _FLAT_SETTING, _FLAT_SETTING_REQUIRED, f"{side} flat setting", source)
-    name = sdoc["setting"]
-    if type(name) is not str:
-        _parse_label(name, f"{side} flat setting name", source)
-    coords, ternary = sdoc["coords"], sdoc.get("ternary", False)
-    if not (
-        type(coords) is list and len(coords) == 2 and type(coords[0]) is int and type(coords[1]) is int
-        and 0 <= coords[0] < arity and 0 <= coords[1] < arity and type(ternary) is bool
-    ):
-        shown = _excerpt(name)
-        if not (isinstance(coords, list) and len(coords) == 2):
-            raise ModelParseError(f"{source}: flat setting {shown} coords must be two indices")
-        coords = [_parse_int(c, f"flat setting {shown} coords", source) for c in coords]
-        for c in coords:
-            if not 0 <= c < arity:
-                raise ModelParseError(
-                    f"{source}: flat setting {shown} coordinate {_cut(c)} lies outside the atom tuples "
-                    f"(shortest has length {arity})"
-                )
-        ternary = _parse_ternary(sdoc, f"flat setting {shown}", source)
-    items = sdoc["entries"]
-    if type(items) is not list:
-        _require_list(items, f"flat setting {_excerpt(name)} entries", source)
+    _require_keys(
+        sdoc,
+        {"setting", "coords", "ternary", "entries"},
+        {"setting", "coords", "entries"},
+        f"{side} flat setting",
+        source,
+    )
+    name = _parse_label(sdoc["setting"], f"{side} flat setting name", source)
+    shown = _excerpt(name)
+    coords = sdoc["coords"]
+    if not (isinstance(coords, list) and len(coords) == 2):
+        raise ModelParseError(f"{source}: flat setting {shown} coords must be two indices")
+    coords = tuple(_parse_int(c, f"flat setting {shown} coords", source) for c in coords)
+    for c in coords:
+        if not 0 <= c < arity:
+            raise ModelParseError(
+                f"{source}: flat setting {shown} coordinate {_cut(c)} lies outside the atom tuples "
+                f"(shortest has length {arity})"
+            )
+    ternary = _parse_ternary(sdoc, f"flat setting {shown}", source)
     entries = {}
-    for i, e in enumerate(items):
-        if type(e) is dict and e.keys() == _KEY_VALUE:
-            key = e["key"]
-            if type(key) is list and len(key) == 2 and type(key[0]) is str and type(key[1]) is str:
-                key = (key[0], key[1])
-                try:
-                    n, d = pair = numbers[e["value"]]
-                    # within [-1, 1], an integer is -1, 0 or 1
-                    if key not in entries and abs(n) <= d and (d == 1 or not ternary):
-                        entries[key] = pair
-                        continue
-                except (TypeError, ValueError):
-                    pass
-        shown = _excerpt(name)
-        _require_keys(e, _KEY_VALUE, _KEY_VALUE, f"{shown} entry {i}", source)
+    for i, e in enumerate(_require_list(sdoc["entries"], f"flat setting {shown} entries", source)):
+        _require_keys(e, {"key", "value"}, {"key", "value"}, f"{shown} entry {i}", source)
         key = e["key"]
         if not (isinstance(key, list) and len(key) == 2):
             raise ModelParseError(f"{source}: flat setting {shown} entry {i} key must have 2 parts")
@@ -560,34 +536,24 @@ def _parse_flat_setting(sdoc: Any, side: str, arity: int, source: str, numbers: 
         if key in entries:
             raise ModelParseError(f"{source}: flat setting {shown} key {_cut(_label_str(key))} is listed twice")
         n, d = entries[key] = _parse_unit(e["value"], f"flat setting {shown} entry {i}", source, numbers)
+        # within [-1, 1], an integer is -1, 0 or 1
         if ternary and d != 1:
             raise ModelParseError(
                 f"{source}: flat setting {shown} is ternary but entry {i} value {_cut(f'{n}/{d}')} is not -1, 0 or 1"
             )
-    return FlatSetting(name, (coords[0], coords[1]), _outcome_table(entries, ternary))
+    return FlatSetting(name, coords, _outcome_table(entries, ternary))
 
 
 def _parse_flat(doc: dict, source: str, numbers: _Numbers) -> FlatModel:
     _require_keys(doc, {"kind", "atoms", "alice", "bob"}, {"atoms", "alice", "bob"}, "flat model", source)
-    lams, masses = [], []
+    atoms = []
     for i, atom in enumerate(_require_list(doc["atoms"], "atoms", source)):
-        if type(atom) is dict and atom.keys() == _TUPLE_MASS:
-            lam = atom["tuple"]
-            if type(lam) is list and all(map(_is_str, lam)):
-                try:
-                    masses.append(numbers[atom["mass"]])
-                    lams.append(tuple(lam))
-                    continue
-                except (TypeError, ValueError):
-                    pass
-        _require_keys(atom, _TUPLE_MASS, _TUPLE_MASS, f"atom {i}", source)
+        _require_keys(atom, {"tuple", "mass"}, {"tuple", "mass"}, f"atom {i}", source)
         lam = _require_list(atom["tuple"], f"atom {i} tuple", source)
-        lams.append(tuple(_parse_label(c, f"atom {i} tuple", source) for c in lam))
-        masses.append(_parse_frac(atom["mass"], f"atom {i}", source, numbers))
-    pmf = _pmf(lams, masses)
-    if pmf is None:
-        pmf = _parse_pmf(list(zip(lams, masses)), "tuple pmf", source)
-    arity = min(map(len, lams))
+        lam = tuple(_parse_label(c, f"atom {i} tuple", source) for c in lam)
+        atoms.append((lam, _parse_frac(atom["mass"], f"atom {i}", source, numbers)))
+    pmf = _parse_pmf(atoms, "tuple pmf", source)
+    arity = min(len(lam) for lam, _m in atoms)
 
     def parse_side(side: str) -> tuple:
         docs = _require_list(doc[side], side, source)
@@ -599,16 +565,14 @@ def _parse_flat(doc: dict, source: str, numbers: _Numbers) -> FlatModel:
     for side, settings in (("alice", alice), ("bob", bob)):
         _require_distinct([s.name for s in settings], side, source)
     support = [lam for lam, _w in pmf.integer_weights()[1]]
-    columns = label_columns(support, alice + bob)
     for setting in alice + bob:
         i, j = setting.coords
-        numerators = setting.outcomes.numerators
-        if not all(map(numerators.__contains__, zip(columns[i], columns[j]))):
-            lam = next(lam for lam in support if (lam[i], lam[j]) not in numerators)
-            raise ModelParseError(
-                f"{source}: flat setting {_excerpt(setting.name)} has no entry for key "
-                f"{_cut(_label_str((lam[i], lam[j])))} of atom {_cut(_label_str(lam))}"
-            )
+        for lam in support:
+            if (lam[i], lam[j]) not in setting.outcomes.numerators:
+                raise ModelParseError(
+                    f"{source}: flat setting {_excerpt(setting.name)} has no entry for key "
+                    f"{_cut(_label_str((lam[i], lam[j])))} of atom {_cut(_label_str(lam))}"
+                )
     return FlatModel(pmf, alice, bob)
 
 
@@ -621,38 +585,22 @@ def _parse_averaged(doc: dict, source: str, numbers: _Numbers) -> AveragedModel:
         labels = dict.fromkeys(pair[coord] for pair, _w in src.integer_weights()[1])
         bars = []
         for sdoc in _require_list(doc[side], side, source):
-            if not (type(sdoc) is dict and sdoc.keys() == _BAR_SETTING):
-                _require_keys(sdoc, _BAR_SETTING, _BAR_SETTING, f"{side} setting", source)
-            name = sdoc["setting"]
-            if type(name) is not str:
-                _parse_label(name, f"{side} setting name", source)
-            items = sdoc["bar"]
-            if type(items) is not list:
-                _require_list(items, f"{side} setting {_excerpt(name)} bar", source)
+            _require_keys(sdoc, {"setting", "bar"}, {"setting", "bar"}, f"{side} setting", source)
+            name = _parse_label(sdoc["setting"], f"{side} setting name", source)
+            shown = _excerpt(name)
             values = {}
-            for i, e in enumerate(items):
-                if type(e) is dict and e.keys() == _LABEL_VALUE:
-                    label = e["label"]
-                    if type(label) is str and label not in values:
-                        try:
-                            n, d = pair = numbers[e["value"]]
-                            if abs(n) <= d:
-                                values[label] = pair
-                                continue
-                        except (TypeError, ValueError):
-                            pass
-                shown = _excerpt(name)
-                _require_keys(e, _LABEL_VALUE, _LABEL_VALUE, f"{shown} bar {i}", source)
+            for i, e in enumerate(_require_list(sdoc["bar"], f"{side} setting {shown} bar", source)):
+                _require_keys(e, {"label", "value"}, {"label", "value"}, f"{shown} bar {i}", source)
                 label = _parse_label(e["label"], f"{side} setting {shown} bar {i} label", source)
                 if label in values:
                     raise ModelParseError(
                         f"{source}: {side} setting {shown} bar label {_excerpt(label)} is listed twice"
                     )
                 values[label] = _parse_unit(e["value"], f"{side} setting {shown} bar {i}", source, numbers)
-            if not values.keys() >= labels.keys():
-                missing = next(lab for lab in labels if lab not in values)
+            missing = [lab for lab in labels if lab not in values]
+            if missing:
                 raise ModelParseError(
-                    f"{source}: {side} setting {_excerpt(name)} bar has no value for source label {_excerpt(missing)}"
+                    f"{source}: {side} setting {shown} bar has no value for source label {_excerpt(missing[0])}"
                 )
             scale, ints = integer_scale(list(values.values()))
             bars.append(Bar(name, scale, dict(zip(values, ints))))
@@ -687,30 +635,17 @@ def _parse_behavior(doc: dict, source: str, numbers: _Numbers) -> BehaviorTable:
         raise ModelParseError(f"{source}: outcomes must be [-1, 1] or [-1, 0, 1], got {_excerpt(outcomes)}")
     probs: dict = {}
     for cdoc in _require_list(doc["contexts"], "contexts", source):
-        _require_keys(cdoc, _CONTEXT, _CONTEXT, "context", source)
-        ctx = cdoc["alice"], cdoc["bob"]
-        if not (type(ctx[0]) is str and type(ctx[1]) is str):
-            ctx = tuple(_parse_label(cdoc[side], f"context {side}", source) for side in ("alice", "bob"))
+        _require_keys(cdoc, {"alice", "bob", "cells"}, {"alice", "bob", "cells"}, "context", source)
+        ctx = tuple(_parse_label(cdoc[side], f"context {side}", source) for side in ("alice", "bob"))
+        shown = _excerpt(ctx)
         if ctx[0] not in alice or ctx[1] not in bob:
-            raise ModelParseError(f"{source}: context {_excerpt(ctx)} names unknown settings")
+            raise ModelParseError(f"{source}: context {shown} names unknown settings")
         if ctx in probs:
-            raise ModelParseError(f"{source}: context {_excerpt(ctx)} is listed twice")
-        items = cdoc["cells"]
-        if type(items) is not list:
-            _require_list(items, f"context {_excerpt(ctx)} cells", source)
+            raise ModelParseError(f"{source}: context {shown} is listed twice")
         cells = {}
-        for i, cell in enumerate(items):
-            if type(cell) is dict and cell.keys() == _CELL:
-                xy = x, y = cell["x"], cell["y"]
-                if type(x) is int and type(y) is int and x in outcomes and y in outcomes and xy not in cells:
-                    try:
-                        cells[xy] = numbers[cell["p"]]
-                        continue
-                    except (TypeError, ValueError):
-                        pass
-            shown = _excerpt(ctx)
+        for i, cell in enumerate(_require_list(cdoc["cells"], f"context {shown} cells", source)):
             where = f"context {shown} cell {i}"
-            _require_keys(cell, _CELL, _CELL, where, source)
+            _require_keys(cell, {"x", "y", "p"}, {"x", "y", "p"}, where, source)
             x, y = _parse_int(cell["x"], where, source), _parse_int(cell["y"], where, source)
             if x not in outcomes or y not in outcomes:
                 raise ModelParseError(f"{source}: context {shown} cell {_excerpt((x, y))} outside alphabet")
@@ -719,10 +654,10 @@ def _parse_behavior(doc: dict, source: str, numbers: _Numbers) -> BehaviorTable:
             cells[(x, y)] = _parse_frac(cell["p"], where, source, numbers)
         scale, weights = integer_scale(list(cells.values()))
         if any(w < 0 for w in weights):
-            raise ModelParseError(f"{source}: context {_excerpt(ctx)} has a negative probability")
+            raise ModelParseError(f"{source}: context {shown} has a negative probability")
         if sum(weights) != scale:
             total = Fraction(sum(weights), scale)
-            raise ModelParseError(f"{source}: context {_excerpt(ctx)} pmf sums to {_sum_text(total)}, not 1")
+            raise ModelParseError(f"{source}: context {shown} pmf sums to {_sum_text(total)}, not 1")
         probs[ctx] = cells
     expected = {(a, b) for a in alice for b in bob}
     if set(probs) != expected:
